@@ -6,6 +6,12 @@ worlds of the ladder gadgets, optionally tagged with the base world hosting
 the copy.  The string forms of these identities are the stable ids used in
 JSON dumps, e.g. ``base:L2:{1,3}:#7`` and ``gadget:m3:a0@base:L1:{}:#2``.
 
+Each frame builds one index, once, on first use: its worlds in canonical
+order (sorted by id string), their positions, and one successor bit row per
+world.  Model checking, closures, frame classes, validity and the JSON and
+DOT views all read it; building a frame does no sorting, so frames that are
+never inspected cost nothing extra.
+
 Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization and keeps the
 whole check at O(|formula| * |worlds| * |relation|).
@@ -16,7 +22,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from functools import cached_property
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
     MAnd,
@@ -96,6 +103,8 @@ _GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a\d+)(?:@(.+))?$")
 
 
 def world_id_from_str(text: str) -> WorldId:
+    if not isinstance(text, str):
+        raise ValueError(f"world id must be a string, got {text!r}")
     m = _BASE_RE.match(text)
     if m:
         inner = m.group(2)
@@ -110,6 +119,12 @@ def world_id_from_str(text: str) -> WorldId:
     raise ValueError(f"unrecognized world id: {text!r}")
 
 
+class _FrameIndex(NamedTuple):
+    order: tuple[WorldId, ...]  # canonical order: sorted by world_id_str
+    position: dict[WorldId, int]
+    succ: tuple[int, ...]  # bit j of succ[i]: order[i] R order[j]
+
+
 @dataclass(frozen=True)
 class KripkeFrame:
     worlds: frozenset[WorldId]
@@ -119,6 +134,15 @@ class KripkeFrame:
         for u, v in self.relation:
             if u not in self.worlds or v not in self.worlds:
                 raise ValueError(f"relation pair ({u!r}, {v!r}) leaves the world set")
+
+    @cached_property
+    def _index(self) -> _FrameIndex:
+        order = tuple(sorted(self.worlds, key=world_id_str))
+        position = {w: i for i, w in enumerate(order)}
+        succ = [0] * len(order)
+        for u, v in self.relation:
+            succ[position[u]] |= 1 << position[v]
+        return _FrameIndex(order, position, tuple(succ))
 
 
 @dataclass(frozen=True, eq=True)
@@ -144,16 +168,15 @@ class ValuationBudgetError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _frame_bits(frame: KripkeFrame):
-    worlds = sorted(frame.worlds, key=world_id_str)
-    index = {w: i for i, w in enumerate(worlds)}
-    succ = [0] * len(worlds)
-    for u, v in frame.relation:
-        succ[index[u]] |= 1 << index[v]
-    return worlds, index, succ
+def _bits(row: int):
+    """Positions of the set bits of ``row``, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
-def _eval_masks(f: ModalFormula, var_masks: Mapping[int, int], succ: list[int], n: int) -> int:
+def _eval_masks(f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, ...], n: int) -> int:
     """Mask of worlds satisfying ``f`` (already sugar-free)."""
     full = (1 << n) - 1
     memo: dict = {}
@@ -198,30 +221,29 @@ def _eval_masks(f: ModalFormula, var_masks: Mapping[int, int], succ: list[int], 
     return ev(f)
 
 
-def _model_masks(model: KripkeModel, f: ModalFormula):
-    worlds, index, succ = _frame_bits(model.frame)
+def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
+    index = model.frame._index
     var_masks = {}
     for var, members in model.valuation.items():
         mask = 0
         for w in members:
-            mask |= 1 << index[w]
+            mask |= 1 << index.position[w]
         var_masks[var] = mask
-    mask = _eval_masks(expand_sugar(f), var_masks, succ, len(worlds))
-    return worlds, index, mask
+    return _eval_masks(expand_sugar(f), var_masks, index.succ, len(index.order))
 
 
 def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
     """Standard Kripke satisfaction of ``f`` at ``world`` (sugar expanded)."""
-    if world not in model.frame.worlds:
+    i = model.frame._index.position.get(world)
+    if i is None:
         raise ValueError(f"unknown world: {world!r}")
-    _, index, mask = _model_masks(model, f)
-    return bool(mask >> index[world] & 1)
+    return bool(_model_mask(model, f) >> i & 1)
 
 
 def model_check_all(model: KripkeModel, f: ModalFormula) -> frozenset[WorldId]:
     """All worlds of the model satisfying ``f``."""
-    worlds, _, mask = _model_masks(model, f)
-    return frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
+    order = model.frame._index.order
+    return frozenset(order[i] for i in _bits(_model_mask(model, f)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +257,15 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
     """Smallest superset of the relation with the named property."""
     if mode not in _CLOSE_MODES:
         raise ValueError(f"mode must be one of {_CLOSE_MODES}, got {mode!r}")
-    worlds, _, succ = _frame_bits(frame)
-    n = len(worlds)
+    order, position, rows = frame._index
+    succ = list(rows)
+    n = len(order)
     if mode == "reflexive_symmetric":
         for i in range(n):
             succ[i] |= 1 << i
         for i in range(n):
-            row = succ[i]
-            j = 0
-            while row:
-                if row & 1:
-                    succ[j] |= 1 << i
-                row >>= 1
-                j += 1
+            for j in _bits(succ[i]):
+                succ[j] |= 1 << i
     else:
         if mode == "reflexive_transitive":
             for i in range(n):
@@ -258,43 +276,22 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
             for i in range(n):
                 if succ[i] & bit:
                     succ[i] |= succ[k]
-    relation = set()
-    for i in range(n):
-        row = succ[i]
-        j = 0
-        while row:
-            if row & 1:
-                relation.add((worlds[i], worlds[j]))
-            row >>= 1
-            j += 1
-    return KripkeFrame(frame.worlds, frozenset(relation))
+    relation = frozenset((order[i], order[j]) for i in range(n) for j in _bits(succ[i]))
+    closed = KripkeFrame(frame.worlds, relation)
+    # same worlds, hence the same order and positions; the rows are at hand
+    closed.__dict__["_index"] = _FrameIndex(order, position, tuple(succ))
+    return closed
 
 
 def _properties(frame: KripkeFrame):
-    worlds, _, succ = _frame_bits(frame)
-    n = len(worlds)
+    succ = frame._index.succ
+    n = len(succ)
     reflexive = all(succ[i] >> i & 1 for i in range(n))
     irreflexive = all(not (succ[i] >> i & 1) for i in range(n))
-    symmetric = True
-    antisymmetric = True
-    for i in range(n):
-        for j in range(n):
-            forward = succ[i] >> j & 1
-            backward = succ[j] >> i & 1
-            if forward and not backward:
-                symmetric = False
-            if i != j and forward and backward:
-                antisymmetric = False
-    transitive = True
-    for i in range(n):
-        row = succ[i]
-        j = 0
-        probe = row
-        while probe:
-            if probe & 1 and succ[j] & ~row:
-                transitive = False
-            probe >>= 1
-            j += 1
+    pairs = [(i, j) for i, row in enumerate(succ) for j in _bits(row)]
+    symmetric = all(succ[j] >> i & 1 for i, j in pairs)
+    antisymmetric = all(i == j or not succ[j] >> i & 1 for i, j in pairs)
+    transitive = all(not succ[j] & ~succ[i] for i, j in pairs)
     return reflexive, irreflexive, symmetric, antisymmetric, transitive
 
 
@@ -324,8 +321,8 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
     """
     g = expand_sugar(f)
     variables = sorted(modal_vars(g))
-    worlds, _, succ = _frame_bits(frame)
-    n = len(worlds)
+    succ = frame._index.succ
+    n = len(succ)
     full = (1 << n) - 1
     if not variables:
         return _eval_masks(g, {}, succ, n) == full
@@ -355,60 +352,79 @@ def wgrz_axiom() -> ModalFormula:
 # ---------------------------------------------------------------------------
 
 
-def _model_payload(model: KripkeModel) -> dict:
-    ids = sorted(world_id_str(w) for w in model.frame.worlds)
-    relation = sorted([world_id_str(u), world_id_str(v)] for u, v in model.frame.relation)
-    valuation = {
-        f"p{index}": sorted(world_id_str(w) for w in model.valuation[index])
-        for index in sorted(model.valuation)
-    }
-    return {
-        "worlds": ids,
-        "relation": relation,
-        "valuation": valuation,
-        "root": world_id_str(model.root),
-    }
+def _frame_view(frame: KripkeFrame) -> tuple[list[str], list[list[str]]]:
+    """World ids in index order and the relation as id pairs row by row; both
+    come out sorted because the index order is the sorted id order."""
+    order, _, succ = frame._index
+    ids = [world_id_str(w) for w in order]
+    relation = [[ids[i], ids[j]] for i, row in enumerate(succ) for j in _bits(row)]
+    return ids, relation
 
 
 def model_to_json(model: KripkeModel) -> str:
-    return json.dumps(_model_payload(model), indent=2) + "\n"
+    ids, relation = _frame_view(model.frame)
+    position = model.frame._index.position
+    valuation = {
+        f"p{index}": [ids[i] for i in sorted(position[w] for w in model.valuation[index])]
+        for index in sorted(model.valuation)
+    }
+    payload = {
+        "worlds": ids,
+        "relation": relation,
+        "valuation": valuation,
+        "root": ids[position[model.root]],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _world_ids(value, what: str) -> list[WorldId]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of world ids, got {type(value).__name__}")
+    return [world_id_from_str(s) for s in value]
+
+
+def _read_json(text: str, kind: str) -> tuple[dict, KripkeFrame]:
+    """The document and its frame, for frame and model files alike; any
+    malformed input raises ValueError."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or "worlds" not in doc or "relation" not in doc:
+        raise ValueError(f'a {kind} is a JSON object with "worlds" and "relation"')
+    worlds = frozenset(_world_ids(doc["worlds"], "worlds"))
+    pairs = doc["relation"]
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError("relation must be a list of [world, world] pairs")
+    relation = frozenset((world_id_from_str(u), world_id_from_str(v)) for u, v in pairs)
+    return doc, KripkeFrame(worlds, relation)
 
 
 def model_from_json(text: str) -> KripkeModel:
-    doc = json.loads(text)
-    worlds = frozenset(world_id_from_str(s) for s in doc["worlds"])
-    relation = frozenset(
-        (world_id_from_str(u), world_id_from_str(v)) for u, v in doc["relation"]
-    )
+    doc, frame = _read_json(text, "model")
+    entries = doc.get("valuation", {})
+    if not isinstance(entries, dict):
+        raise ValueError("valuation must be a JSON object")
     valuation = {}
-    for key, members in doc.get("valuation", {}).items():
+    for key, members in entries.items():
         if not re.fullmatch(r"p\d+", key):
             raise ValueError(f"valuation keys look like p<index>, got {key!r}")
-        valuation[int(key[1:])] = frozenset(world_id_from_str(s) for s in members)
-    frame = KripkeFrame(worlds, relation)
+        valuation[int(key[1:])] = frozenset(_world_ids(members, key))
+    if "root" not in doc:
+        raise ValueError('a model needs a "root" world')
     return KripkeModel(frame, valuation, world_id_from_str(doc["root"]))
 
 
 def frame_to_json(frame: KripkeFrame) -> str:
-    ids = sorted(world_id_str(w) for w in frame.worlds)
-    relation = sorted([world_id_str(u), world_id_str(v)] for u, v in frame.relation)
+    ids, relation = _frame_view(frame)
     return json.dumps({"worlds": ids, "relation": relation}, indent=2) + "\n"
 
 
 def frame_from_json(text: str) -> KripkeFrame:
-    doc = json.loads(text)
-    worlds = frozenset(world_id_from_str(s) for s in doc["worlds"])
-    relation = frozenset(
-        (world_id_from_str(u), world_id_from_str(v)) for u, v in doc["relation"]
-    )
-    return KripkeFrame(worlds, relation)
+    return _read_json(text, "frame")[1]
 
 
 def frame_to_dot(frame: KripkeFrame) -> str:
+    ids, relation = _frame_view(frame)
     lines = ["digraph frame {"]
-    for wid in sorted(world_id_str(w) for w in frame.worlds):
-        lines.append(f'  "{wid}";')
-    for u, v in sorted((world_id_str(a), world_id_str(b)) for a, b in frame.relation):
-        lines.append(f'  "{u}" -> "{v}";')
+    lines += [f'  "{wid}";' for wid in ids]
+    lines += [f'  "{u}" -> "{v}";' for u, v in relation]
     lines.append("}")
     return "\n".join(lines) + "\n"

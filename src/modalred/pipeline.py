@@ -245,7 +245,7 @@ def check_instance(
             record["alpha_size"] <= c2 * record["star_size"] ** 2
         )
         amap = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
-        record["substitution_ok"] = substitute(star, amap) is encode_alpha(f)
+        record["substitution_ok"] = substitute(star, amap) is alpha_formula
         checks = [
             record["star_sat"] == truth,
             record["alpha_sat"] == truth,

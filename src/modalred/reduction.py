@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import kripke
 from .kripke import BaseWorld, GadgetWorld, KripkeFrame, KripkeModel, close, model_check_all
-from .qbf import evaluate, is_true_qbf, prenex_split
+from .qbf import evaluate, free_vars, is_prenex, is_true_qbf, prenex_split
 from .syntax import (
     MAnd,
     MBox,
@@ -100,9 +100,9 @@ class EncodingContext:
 
 def prepare_context(f: QbfFormula) -> EncodingContext:
     """Validate the canonical input shape: quantifier i binds p_i."""
-    prefix, matrix = prenex_split(f)
-    if _has_quantifier(matrix):
+    if not is_prenex(f):
         raise ValueError("encoding input must be prenex")
+    prefix, matrix = prenex_split(f)
     if not prefix:
         raise ValueError("encoding input needs at least one quantifier")
     for position, (_, index) in enumerate(prefix, start=1):
@@ -111,29 +111,11 @@ def prepare_context(f: QbfFormula) -> EncodingContext:
                 f"quantifier {position} must bind p{position}, binds p{index}"
             )
     n = len(prefix)
-    bad = _matrix_vars(matrix) - set(range(1, n + 1))
+    bad = free_vars(matrix) - set(range(1, n + 1))
     if bad:
         names = ", ".join(f"p{i}" for i in sorted(bad))
         raise ValueError(f"matrix variables must lie in p1..p{n}; found {names}")
     return EncodingContext(n=n, quantifiers=tuple(prefix), matrix=matrix)
-
-
-def _has_quantifier(f: QbfFormula) -> bool:
-    if isinstance(f, (QForall, QExists)):
-        return True
-    if isinstance(f, (QAnd, QOr, QImp)):
-        return _has_quantifier(f.left) or _has_quantifier(f.right)
-    return False
-
-
-def _matrix_vars(f: QbfFormula) -> set[int]:
-    if isinstance(f, QVar):
-        return {f.index}
-    if isinstance(f, QFalse):
-        return set()
-    if isinstance(f, (QAnd, QOr, QImp)):
-        return _matrix_vars(f.left) | _matrix_vars(f.right)
-    raise TypeError(f"matrix must be quantifier-free: {f!r}")
 
 
 def _matrix_to_modal(f: QbfFormula) -> ModalFormula:
@@ -363,7 +345,7 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
                     f" {kripke.world_id_str(u)} but not at its successor"
                     f" {kripke.world_id_str(v)}"
                 )
-    base_worlds = sorted(base.frame.worlds, key=kripke.world_id_str)
+    base_worlds = base.frame._index.order
     if not all(isinstance(w, BaseWorld) for w in base_worlds):
         raise ValueError("extend_model expects a quantifier-tree model")
     worlds: list = list(base_worlds)
@@ -395,7 +377,7 @@ def star_equivalence_violations(
     for m in range(1, ctx.var_count + 1):
         satisfied = model_check_all(extended, alpha(m))
         holders = base.valuation.get(m, frozenset())
-        for w in sorted(extended.frame.worlds, key=kripke.world_id_str):
+        for w in extended.frame._index.order:
             expected_refuted = w in base_worlds and w not in holders
             if (w not in satisfied) != expected_refuted:
                 violations.append((w, m))

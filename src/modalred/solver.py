@@ -158,6 +158,7 @@ class _Tableau:
         self.partner: list[int] = []  # clashing literal bit, or 0
         self.body_bit: list[int] = []  # box/dia body bit, or 0
         self.cache: dict = {}
+        self.nnf_memo: dict = {}
 
     def register(self, f: ModalFormula) -> int:
         known = self.ids.get(f)
@@ -188,8 +189,8 @@ class _Tableau:
             self.kind[index] = self.KOR
             left = 1 << self.register(f.left)
             right = 1 << self.register(f.right)
-            not_left = 1 << self.register(_nnf_negation(f.left))
-            not_right = 1 << self.register(_nnf_negation(f.right))
+            not_left = 1 << self.register(_nnf(f.left, False, self.nnf_memo))
+            not_right = 1 << self.register(_nnf(f.right, False, self.nnf_memo))
             self.payload[index] = (left, right, not_left, not_right)
         elif isinstance(f, MBox):
             self.kind[index] = self.KBOX
@@ -310,38 +311,6 @@ class _Tableau:
 
 _MISSING = object()
 
-_NEG_MEMO: dict = {}
-
-
-def _nnf_negation(f: ModalFormula) -> ModalFormula:
-    """Negation of an NNF formula, again in NNF."""
-    hit = _NEG_MEMO.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, MVar):
-        result = MNot(f)
-    elif isinstance(f, MNot):
-        result = f.body
-    elif isinstance(f, MFalse):
-        result = MTrue()
-    elif isinstance(f, MTrue):
-        result = MFalse()
-    elif isinstance(f, MAnd):
-        parts = [_nnf_negation(g) for g in f.items]
-        result = parts[0]
-        for g in parts[1:]:
-            result = MOr(result, g)
-    elif isinstance(f, MOr):
-        result = MAnd((_nnf_negation(f.left), _nnf_negation(f.right)))
-    elif isinstance(f, MBox):
-        result = MDia(_nnf_negation(f.body))
-    elif isinstance(f, MDia):
-        result = MBox(_nnf_negation(f.body))
-    else:
-        raise TypeError(f"not in negation normal form: {f!r}")
-    _NEG_MEMO[f] = result
-    return result
-
 
 # Above this many worlds the tree unfolding of a witness is not materialized;
 # the witness is emitted in its shared (dag) form instead, which is equally a
@@ -392,8 +361,8 @@ def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatV
 
     Raises SolverBudgetError when the node budget runs out.
     """
-    root = _nnf(expand_sugar(f), True, {})
     tableau = _Tableau(budget)
+    root = _nnf(expand_sugar(f), True, tableau.nnf_memo)
     tree = tableau.solve(1 << tableau.register(root), 0)
     if tree is None:
         return SatVerdict(False, None, "tableau", None, tableau.nodes, tableau.max_depth)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from modalred.cli import main
 from modalred.kripke import model_check, model_from_json
 from modalred.reduction import encode_alpha, encode_star
@@ -161,6 +163,22 @@ class TestFrameCommand:
     def test_missing_source_is_error(self, capsys):
         assert main(["frame", "--check", "gl"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "{}",
+            "[]",
+            '{"worlds": [1], "relation": []}',
+            '{"worlds": ["gadget:m1:b"], "relation": [5]}',
+        ],
+    )
+    def test_malformed_frame_file_is_error(self, tmp_path, capsys, document):
+        path = write(tmp_path, "frame.json", document)
+        assert main(["frame", "--input", path, "--check", "gl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
 
 
 class TestVerifyCommand:

@@ -277,6 +277,18 @@ class TestSerialization:
         frame, _ = chain_frame(3)
         assert frame_from_json(frame_to_json(frame)) == frame
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"worlds": ["gadget:m1:b"], "relation": []}',
+            '{"worlds": ["gadget:m1:b"], "relation": [], "valuation": [], "root": "gadget:m1:b"}',
+            '{"worlds": ["gadget:m1:b"], "relation": [], "valuation": {"p1": 3}, "root": "gadget:m1:b"}',
+        ],
+    )
+    def test_malformed_model_rejected(self, document):
+        with pytest.raises(ValueError):
+            model_from_json(document)
+
     def test_relation_outside_worlds_rejected(self):
         a, b = _w(0), _w(1)
         with pytest.raises(ValueError):
@@ -287,3 +299,56 @@ class TestSerialization:
         dot = frame_to_dot(frame)
         assert dot.startswith("digraph frame {")
         assert '"base:L0:{}:#0" -> "base:L0:{}:#1";' in dot
+
+
+class TestGoldenOutput:
+    """Byte-exact serializations; the texts and digests were captured from
+    the sort-per-call implementation, so a change of index or view shows."""
+
+    def test_extended_model_json(self):
+        import hashlib
+
+        from modalred.reduction import encode_star, extend_model, quantifier_tree
+        from modalred.syntax import parse_qbf
+
+        f = parse_qbf("A p1 . E p2 . p1 -> p2")
+        _, ctx = encode_star(f)
+        text = model_to_json(extend_model(quantifier_tree(f), ctx))
+        assert len(text) == 34560
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b478389b64aa54a9c0de51db157764c4376ef66868ed77badfae81e0260ad471"
+        )
+
+    def test_gadget_frame_json(self):
+        import hashlib
+
+        from modalred.reduction import frame_fm_plus
+
+        text = frame_to_json(frame_fm_plus(2))
+        assert len(text) == 689
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e0071c3307e39881bd980f2ce5b821721360c3c9ff6c96e5fa28201e550088f3"
+        )
+
+    def test_gadget_frame_dot(self):
+        from modalred.reduction import frame_fm_plus
+
+        assert frame_to_dot(frame_fm_plus(2)) == (
+            "digraph frame {\n"
+            '  "gadget:m2:a0";\n'
+            '  "gadget:m2:a1";\n'
+            '  "gadget:m2:a2";\n'
+            '  "gadget:m2:b";\n'
+            '  "gadget:m2:c";\n'
+            '  "gadget:m2:a0" -> "gadget:m2:a1";\n'
+            '  "gadget:m2:a0" -> "gadget:m2:a2";\n'
+            '  "gadget:m2:a0" -> "gadget:m2:b";\n'
+            '  "gadget:m2:a1" -> "gadget:m2:a2";\n'
+            '  "gadget:m2:b" -> "gadget:m2:b";\n'
+            '  "gadget:m2:c" -> "gadget:m2:a0";\n'
+            '  "gadget:m2:c" -> "gadget:m2:a1";\n'
+            '  "gadget:m2:c" -> "gadget:m2:a2";\n'
+            '  "gadget:m2:c" -> "gadget:m2:b";\n'
+            '  "gadget:m2:c" -> "gadget:m2:c";\n'
+            "}\n"
+        )

@@ -37,6 +37,7 @@ from .syntax import (
     MTrue,
     MVar,
     ModalFormula,
+    _fold,
     expand_sugar,
     modal_vars,
 )
@@ -179,46 +180,37 @@ def _bits(row: int):
 def _eval_masks(f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, ...], n: int) -> int:
     """Mask of worlds satisfying ``f`` (already sugar-free)."""
     full = (1 << n) - 1
-    memo: dict = {}
 
-    def ev(g) -> int:
-        hit = memo.get(g)
-        if hit is not None:
-            return hit
+    def step(g, masks) -> int:
         if isinstance(g, MVar):
-            result = var_masks.get(g.index, 0)
-        elif isinstance(g, MFalse):
-            result = 0
-        elif isinstance(g, MTrue):
+            return var_masks.get(g.index, 0)
+        if isinstance(g, MFalse):
+            return 0
+        if isinstance(g, MTrue):
+            return full
+        if isinstance(g, MNot):
+            return full & ~masks[0]
+        if isinstance(g, MAnd):
             result = full
-        elif isinstance(g, MNot):
-            result = full & ~ev(g.body)
-        elif isinstance(g, MAnd):
-            result = full
-            for item in g.items:
-                result &= ev(item)
-        elif isinstance(g, MOr):
-            result = ev(g.left) | ev(g.right)
-        elif isinstance(g, MImp):
-            result = (full & ~ev(g.left)) | ev(g.right)
-        elif isinstance(g, MBox):
-            body = ev(g.body)
+            for mask in masks:
+                result &= mask
+            return result
+        if isinstance(g, MOr):
+            return masks[0] | masks[1]
+        if isinstance(g, MImp):
+            return (full & ~masks[0]) | masks[1]
+        if isinstance(g, (MBox, MDia)):
+            # [] is ~<>~: both mark the worlds with a successor in ``target``
+            dia = isinstance(g, MDia)
+            target = masks[0] if dia else full & ~masks[0]
             result = 0
             for i in range(n):
-                if succ[i] & ~body == 0:
+                if succ[i] & target:
                     result |= 1 << i
-        elif isinstance(g, MDia):
-            body = ev(g.body)
-            result = 0
-            for i in range(n):
-                if succ[i] & body:
-                    result |= 1 << i
-        else:
-            raise TypeError(f"unexpanded or non-modal node: {g!r}")
-        memo[g] = result
-        return result
+            return result if dia else full & ~result
+        raise TypeError(f"unexpanded or non-modal node: {g!r}")
 
-    return ev(f)
+    return _fold(f, step, {})
 
 
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
@@ -270,12 +262,15 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
         if mode == "reflexive_transitive":
             for i in range(n):
                 succ[i] |= 1 << i
-        # Warshall over bit rows
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if succ[i] & bit:
-                    succ[i] |= succ[k]
+        # per-row reachability: OR in the rows of newly reached worlds until
+        # none is new; a row closed earlier brings its whole reach at once
+        for i in range(n):
+            expanded = 0
+            while succ[i] & ~expanded:
+                fresh = succ[i] & ~expanded
+                expanded |= fresh
+                for j in _bits(fresh):
+                    succ[i] |= succ[j]
     relation = frozenset((order[i], order[j]) for i in range(n) for j in _bits(succ[i]))
     closed = KripkeFrame(frame.worlds, relation)
     # same worlds, hence the same order and positions; the rows are at hand

@@ -5,9 +5,9 @@ For every corpus formula the pipeline checks the whole chain at once:
   * truth of the QBF (brute-force evaluation) against K-satisfiability of
     both encodings, decided by the tableau;
   * the witness side: the quantifier tree model-checks the encoding, its
-    closures land in the GL / Grz / KTB frame classes, and (for small n) the
-    extended model satisfies the variable-free encoding with the ladder
-    equivalence holding at every world;
+    closures land in the GL / Grz / KTB frame classes, and the extended model
+    satisfies the variable-free encoding with the ladder equivalence holding
+    at every world;
   * size accounting: the variable-free encoding stays within the quadratic
     bound fixed once from the first corpus instance.
 
@@ -218,7 +218,6 @@ def check_instance(
     f: QbfFormula,
     index: int,
     c2: int,
-    extended_max_n: int = 2,
     budget: int = DEFAULT_TABLEAU_BUDGET,
 ) -> dict:
     """Run every cross-module check on one corpus instance.
@@ -267,19 +266,13 @@ def check_instance(
             }
             checks.append(record["witness_ok"])
             checks.extend(record["closures"].values())
-            if ctx.n <= extended_max_n:
-                extended = extend_model(tree, ctx)
-                record["extended_worlds"] = len(extended.frame.worlds)
-                record["extended_ok"] = model_check(
-                    extended, extended.root, alpha_formula
-                )
-                violations = star_equivalence_violations(tree, extended, ctx)
-                record["star_equivalence_ok"] = not violations
-                checks.append(record["extended_ok"])
-                checks.append(record["star_equivalence_ok"])
-            else:
-                record["extended_ok"] = None
-                record["star_equivalence_ok"] = None
+            extended = extend_model(tree, ctx)
+            record["extended_worlds"] = len(extended.frame.worlds)
+            record["extended_ok"] = model_check(extended, extended.root, alpha_formula)
+            violations = star_equivalence_violations(tree, extended, ctx)
+            record["star_equivalence_ok"] = not violations
+            checks.append(record["extended_ok"])
+            checks.append(record["star_equivalence_ok"])
         else:
             record["witness_ok"] = None
             record["closures"] = None
@@ -310,7 +303,6 @@ def run_verify(
     matrix_size_max: int = 9,
     count: int = 200,
     seed: int = 0,
-    extended_max_n: int = 2,
     budget: int = DEFAULT_TABLEAU_BUDGET,
 ) -> VerifyReport:
     corpus = build_corpus(
@@ -334,17 +326,12 @@ def run_verify(
             "matrix_size_max": matrix_size_max,
             "count": count,
             "seed": seed,
-            "extended_max_n": extended_max_n,
         },
         c1=c1,
         c2=c2,
     )
     for index, f in enumerate(corpus):
-        report.records.append(
-            check_instance(
-                f, index, c2, extended_max_n=extended_max_n, budget=budget
-            )
-        )
+        report.records.append(check_instance(f, index, c2, budget=budget))
     return report
 
 

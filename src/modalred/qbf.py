@@ -20,6 +20,7 @@ from .syntax import (
     QImp,
     QOr,
     QVar,
+    _fold,
 )
 
 __all__ = [
@@ -40,28 +41,34 @@ __all__ = [
 
 def free_vars(f: QbfFormula) -> frozenset[int]:
     """Indices with at least one free occurrence in ``f``."""
-    if isinstance(f, QVar):
-        return frozenset((f.index,))
-    if isinstance(f, QFalse):
-        return frozenset()
-    if isinstance(f, (QAnd, QOr, QImp)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (QForall, QExists)):
-        return free_vars(f.body) - {f.index}
-    raise TypeError(f"not a QBF formula: {f!r}")
+    return _fold(f, _FREE_VARS_STEP, {})
 
 
 def all_vars(f: QbfFormula) -> frozenset[int]:
     """All variable indices occurring in ``f``, free or bound."""
-    if isinstance(f, QVar):
-        return frozenset((f.index,))
-    if isinstance(f, QFalse):
-        return frozenset()
-    if isinstance(f, (QAnd, QOr, QImp)):
-        return all_vars(f.left) | all_vars(f.right)
-    if isinstance(f, (QForall, QExists)):
-        return all_vars(f.body) | {f.index}
-    raise TypeError(f"not a QBF formula: {f!r}")
+    return _fold(f, _ALL_VARS_STEP, {})
+
+
+def _vars_step(bind):
+    """Fold step for a variable set; ``bind(body_vars, {index})`` is the set
+    of a quantifier node."""
+
+    def step(f, kid_vars) -> frozenset[int]:
+        if isinstance(f, QVar):
+            return frozenset((f.index,))
+        if isinstance(f, QFalse):
+            return frozenset()
+        if isinstance(f, (QAnd, QOr, QImp)):
+            return kid_vars[0] | kid_vars[1]
+        if isinstance(f, (QForall, QExists)):
+            return bind(kid_vars[0], {f.index})
+        raise TypeError(f"not a QBF formula: {f!r}")
+
+    return step
+
+
+_FREE_VARS_STEP = _vars_step(frozenset.difference)
+_ALL_VARS_STEP = _vars_step(frozenset.union)
 
 
 def max_index(f: QbfFormula) -> int:
@@ -113,15 +120,14 @@ def is_true_qbf(f: QbfFormula) -> bool:
 def is_prenex(f: QbfFormula) -> bool:
     """True when all quantifiers form a leading prefix."""
     _, matrix = prenex_split(f)
-    return not _has_quantifier(matrix)
+    return not _fold(matrix, _quantified_step, {})
 
 
-def _has_quantifier(f: QbfFormula) -> bool:
+def _quantified_step(f, kids) -> bool:
+    """Whether a quantifier occurs in ``f`` under connectives only."""
     if isinstance(f, (QForall, QExists)):
         return True
-    if isinstance(f, (QAnd, QOr, QImp)):
-        return _has_quantifier(f.left) or _has_quantifier(f.right)
-    return False
+    return isinstance(f, (QAnd, QOr, QImp)) and (kids[0] or kids[1])
 
 
 def prenex_split(f: QbfFormula) -> tuple[list[tuple[str, int]], QbfFormula]:
@@ -214,7 +220,7 @@ def negate_prenex(f: QbfFormula) -> QbfFormula:
     the negated matrix (matrix -> false)."""
     if free_vars(f):
         raise ValueError("negate_prenex requires a closed formula")
-    prefix, matrix = prenex_split(f)
-    if _has_quantifier(matrix):
+    if not is_prenex(f):
         raise ValueError("negate_prenex requires a prenex formula")
+    prefix, matrix = prenex_split(f)
     return prenex_join([_dual(q) for q in prefix], QImp(matrix, QFalse()))

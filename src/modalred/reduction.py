@@ -52,6 +52,7 @@ from .syntax import (
     QImp,
     QOr,
     QVar,
+    _fold,
     conj,
     neg,
     substitute,
@@ -118,17 +119,18 @@ def prepare_context(f: QbfFormula) -> EncodingContext:
     return EncodingContext(n=n, quantifiers=tuple(prefix), matrix=matrix)
 
 
-def _matrix_to_modal(f: QbfFormula) -> ModalFormula:
+def _matrix_to_modal(f: QbfFormula, kids) -> ModalFormula:
+    """Fold step: the modal copy of a quantifier-free node."""
     if isinstance(f, QVar):
         return MVar(f.index)
     if isinstance(f, QFalse):
         return MFalse()
     if isinstance(f, QAnd):
-        return MAnd((_matrix_to_modal(f.left), _matrix_to_modal(f.right)))
+        return MAnd(kids)
     if isinstance(f, QOr):
-        return MOr(_matrix_to_modal(f.left), _matrix_to_modal(f.right))
+        return MOr(*kids)
     if isinstance(f, QImp):
-        return MImp(_matrix_to_modal(f.left), _matrix_to_modal(f.right))
+        return MImp(*kids)
     raise TypeError(f"matrix must be quantifier-free: {f!r}")
 
 
@@ -211,7 +213,7 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
             ]
         ),
     )
-    c6 = MBoxPow(n, MImp(at_level(n), _matrix_to_modal(ctx.matrix)))
+    c6 = MBoxPow(n, MImp(at_level(n), _fold(ctx.matrix, _matrix_to_modal, {})))
     return MAnd((c1, c2, c3, c4, c5, c6)), ctx
 
 

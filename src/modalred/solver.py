@@ -33,6 +33,7 @@ from .syntax import (
     MTrue,
     MVar,
     ModalFormula,
+    _fold,
     expand_sugar,
     modal_vars,
 )
@@ -375,29 +376,6 @@ def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatV
 # ---------------------------------------------------------------------------
 
 
-def _subformulas(f: ModalFormula) -> list[ModalFormula]:
-    """Distinct subformulas in deterministic depth-first order."""
-    ordered: list[ModalFormula] = []
-    seen: set = set()
-
-    def walk(g: ModalFormula) -> None:
-        if g in seen:
-            return
-        seen.add(g)
-        if isinstance(g, MAnd):
-            for item in g.items:
-                walk(item)
-        elif isinstance(g, (MOr, MImp)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (MNot, MBox, MDia)):
-            walk(g.body)
-        ordered.append(g)
-
-    walk(f)
-    return ordered
-
-
 class _Cnf:
     def __init__(self):
         self.count = 0
@@ -413,7 +391,10 @@ class _Cnf:
 
 def _encode(f: ModalFormula, k: int):
     """Propositional encoding of "f holds at world 0 of a k-world model"."""
-    subs = _subformulas(f)
+    # the fold's memo holds the distinct subformulas in the order it combined
+    # them (depth-first post-order); that order numbers the CNF variables
+    subs: dict = {}
+    _fold(f, lambda g, _: g, subs)
     cnf = _Cnf()
     truth = {(g, i): cnf.new_var() for g in subs for i in range(k)}
     rel = {(i, j): cnf.new_var() for i in range(k) for j in range(k)}
@@ -473,7 +454,7 @@ def _encode(f: ModalFormula, k: int):
             else:
                 raise TypeError(f"unexpanded or non-modal node: {g!r}")
     cnf.add(truth[(f, 0)])
-    return cnf, truth, rel, subs
+    return cnf, truth, rel
 
 
 def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
@@ -560,7 +541,7 @@ def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
     g = expand_sugar(f)
     total_decisions = 0
     for k in range(1, max_worlds + 1):
-        cnf, truth, rel, _ = _encode(g, k)
+        cnf, truth, rel = _encode(g, k)
         model_bits, decisions = _dpll(cnf)
         total_decisions += decisions
         if model_bits is None:

@@ -12,11 +12,20 @@ The modal language carries four kinds of sugar mirroring common shorthands:
 connectives; the parser expands sugar tokens eagerly, while programmatically
 built formulas may keep sugar nodes so that dumps stay close to their
 blackboard shape.
+
+Every formula walker in the package (printing, substitution, sugar
+expansion, sizes, variables and depth here; free variables, the prenex test,
+matrix conversion, the oracle's subformula list and model checking
+elsewhere) is a step function over one fold, ``_fold``: a memoized
+post-order walk with an explicit stack, driven by one table of node
+children.  So all walks share one traversal order, and no walk is bounded by
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -490,6 +499,62 @@ def parse_modal(text: str) -> ModalFormula:
 
 
 # ---------------------------------------------------------------------------
+# The fold every walker runs on
+# ---------------------------------------------------------------------------
+
+#: The children of every inner node class, left to right; leaf classes
+#: (QVar, QFalse, MVar, MFalse, MTrue) have none and are absent.
+_CHILDREN = {
+    **dict.fromkeys((QAnd, QOr, QImp, MOr, MImp), attrgetter("left", "right")),
+    **dict.fromkeys(
+        (QForall, QExists, MNot, MBox, MDia, MBoxPlus, MBoxLe, MBoxPow, MDiaPow),
+        lambda f: (f.body,),
+    ),
+    MAnd: attrgetter("items"),
+}
+
+
+def _fold(root, combine, memo: dict):
+    """Value of ``root`` computed bottom-up with an explicit stack.
+
+    ``combine(node, child_results)`` runs once per distinct node missing from
+    ``memo``, children first and left to right (the first-occurrence
+    post-order of a recursive walk), and its result, which must not be None,
+    is stored in ``memo``.  A node of a class outside ``_CHILDREN`` is a leaf;
+    ``combine`` rejects the ones that are not formulas.
+    """
+    result = memo.get(root)
+    if result is not None:
+        return result
+    stack = [(root, None)]  # (node, None) to expand, (node, kids) to combine
+    push, pop, lookup = stack.append, stack.pop, memo.__getitem__
+    while stack:
+        node, kids = pop()
+        if kids is None:
+            if node in memo:
+                continue
+            children = _CHILDREN.get(type(node))
+            if children is None:
+                memo[node] = combine(node, [])
+                continue
+            kids = children(node)
+            push((node, kids))
+            waiting = len(stack)
+            for kid in reversed(kids):
+                if kid not in memo:
+                    push((kid, None))
+            if len(stack) > waiting:
+                continue
+            pop()
+        memo[node] = combine(node, [*map(lookup, kids)])
+    return memo[root]
+
+
+_CORE = (MVar, MFalse, MTrue, MNot, MAnd, MOr, MImp, MBox, MDia)
+_MODAL = _CORE + (MBoxPlus, MBoxLe, MBoxPow, MDiaPow)
+
+
+# ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
@@ -502,58 +567,71 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 _PREC_ATOM = 5
 
+_PREFIX = {MNot: "~", MBox: "[] ", MDia: "<> ", MBoxPlus: "box+ "}
+
 
 def render(f: Formula) -> str:
     """Pretty-print a formula; ``parse(render(f))`` restores the same tree,
     except that sugar nodes reparse to their expansion."""
-    return _render(f, 0)
+    return _fold(f, _render_step, {})[0]
 
 
-def _wrap(text: str, prec: int, needed: int) -> str:
+def _wrap(part: tuple[str, int], needed: int) -> str:
+    text, prec = part
     return f"({text})" if prec < needed else text
 
 
-def _render(f: Formula, needed: int) -> str:
+def _render_step(f, parts) -> tuple[str, int]:
+    """Text and precedence of ``f`` from those of its children."""
     if isinstance(f, (QVar, MVar)):
-        return f"p{f.index}"
+        return f"p{f.index}", _PREC_ATOM
     if isinstance(f, (QFalse, MFalse)):
-        return "false"
+        return "false", _PREC_ATOM
     if isinstance(f, MTrue):
-        return "true"
+        return "true", _PREC_ATOM
     if isinstance(f, (QForall, QExists)):
         letter = "A" if isinstance(f, QForall) else "E"
-        return _wrap(f"{letter} p{f.index} . {_render(f.body, 0)}", 0, needed)
+        return f"{letter} p{f.index} . {parts[0][0]}", 0
     if isinstance(f, (QImp, MImp)):
-        text = f"{_render(f.left, _PREC_IMP + 1)} -> {_render(f.right, _PREC_IMP)}"
-        return _wrap(text, _PREC_IMP, needed)
+        return f"{_wrap(parts[0], _PREC_IMP + 1)} -> {_wrap(parts[1], _PREC_IMP)}", _PREC_IMP
     if isinstance(f, (QOr, MOr)):
-        text = f"{_render(f.left, _PREC_OR)} | {_render(f.right, _PREC_OR + 1)}"
-        return _wrap(text, _PREC_OR, needed)
+        return f"{_wrap(parts[0], _PREC_OR)} | {_wrap(parts[1], _PREC_OR + 1)}", _PREC_OR
     if isinstance(f, QAnd):
-        text = f"{_render(f.left, _PREC_AND)} & {_render(f.right, _PREC_AND + 1)}"
-        return _wrap(text, _PREC_AND, needed)
+        return f"{_wrap(parts[0], _PREC_AND)} & {_wrap(parts[1], _PREC_AND + 1)}", _PREC_AND
     if isinstance(f, MAnd):
-        return "(" + " & ".join(_render(g, _PREC_AND + 1) for g in f.items) + ")"
-    if isinstance(f, MNot):
-        return _wrap(f"~{_render(f.body, _PREC_UNARY)}", _PREC_UNARY, needed)
-    if isinstance(f, MBox):
-        return _wrap(f"[] {_render(f.body, _PREC_UNARY)}", _PREC_UNARY, needed)
-    if isinstance(f, MDia):
-        return _wrap(f"<> {_render(f.body, _PREC_UNARY)}", _PREC_UNARY, needed)
-    if isinstance(f, MBoxPlus):
-        return _wrap(f"box+ {_render(f.body, _PREC_UNARY)}", _PREC_UNARY, needed)
+        return "(" + " & ".join(_wrap(p, _PREC_AND + 1) for p in parts) + ")", _PREC_ATOM
     if isinstance(f, MBoxLe):
-        return _wrap(f"box<={f.bound} {_render(f.body, _PREC_UNARY)}", _PREC_UNARY, needed)
-    if isinstance(f, MBoxPow):
-        return _wrap(f"box^{f.power} {_render(f.body, _PREC_UNARY)}", _PREC_UNARY, needed)
-    if isinstance(f, MDiaPow):
-        return _wrap(f"dia^{f.power} {_render(f.body, _PREC_UNARY)}", _PREC_UNARY, needed)
-    raise TypeError(f"not a formula: {f!r}")
+        prefix = f"box<={f.bound} "
+    elif isinstance(f, MBoxPow):
+        prefix = f"box^{f.power} "
+    elif isinstance(f, MDiaPow):
+        prefix = f"dia^{f.power} "
+    elif type(f) in _PREFIX:
+        prefix = _PREFIX[type(f)]
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return prefix + _wrap(parts[0], _PREC_UNARY), _PREC_UNARY
 
 
 # ---------------------------------------------------------------------------
 # Substitution, sugar expansion, sizes
 # ---------------------------------------------------------------------------
+
+
+def _rebuild(f, kids) -> ModalFormula:
+    """The modal node ``f`` over new children; hash-consing hands back ``f``
+    itself when they are its own."""
+    if isinstance(f, (MVar, MFalse, MTrue)):
+        return f
+    if isinstance(f, MAnd):
+        return MAnd(kids)
+    if isinstance(f, (MNot, MOr, MImp, MBox, MDia, MBoxPlus)):
+        return type(f)(*kids)
+    if isinstance(f, MBoxLe):
+        return MBoxLe(f.bound, kids[0])
+    if isinstance(f, (MBoxPow, MDiaPow)):
+        return type(f)(f.power, kids[0])
+    raise TypeError(f"not a modal formula: {f!r}")
 
 
 def substitute(f: ModalFormula, mapping: Substitution) -> ModalFormula:
@@ -564,41 +642,13 @@ def substitute(f: ModalFormula, mapping: Substitution) -> ModalFormula:
     """
     if not mapping:
         return f
-    return _substitute(f, mapping, {})
 
+    def step(g, kids):
+        if isinstance(g, MVar):
+            return mapping.get(g.index, g)
+        return _rebuild(g, kids)
 
-def _substitute(f, mapping, memo):
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, MVar):
-        result = mapping.get(f.index, f)
-    elif isinstance(f, (MFalse, MTrue)):
-        result = f
-    elif isinstance(f, MNot):
-        result = MNot(_substitute(f.body, mapping, memo))
-    elif isinstance(f, MAnd):
-        result = MAnd(tuple(_substitute(g, mapping, memo) for g in f.items))
-    elif isinstance(f, MOr):
-        result = MOr(_substitute(f.left, mapping, memo), _substitute(f.right, mapping, memo))
-    elif isinstance(f, MImp):
-        result = MImp(_substitute(f.left, mapping, memo), _substitute(f.right, mapping, memo))
-    elif isinstance(f, MBox):
-        result = MBox(_substitute(f.body, mapping, memo))
-    elif isinstance(f, MDia):
-        result = MDia(_substitute(f.body, mapping, memo))
-    elif isinstance(f, MBoxPlus):
-        result = MBoxPlus(_substitute(f.body, mapping, memo))
-    elif isinstance(f, MBoxLe):
-        result = MBoxLe(f.bound, _substitute(f.body, mapping, memo))
-    elif isinstance(f, MBoxPow):
-        result = MBoxPow(f.power, _substitute(f.body, mapping, memo))
-    elif isinstance(f, MDiaPow):
-        result = MDiaPow(f.power, _substitute(f.body, mapping, memo))
-    else:
-        raise TypeError(f"not a modal formula: {f!r}")
-    memo[f] = result
-    return result
+    return _fold(f, step, {})
 
 
 _EXPAND_MEMO: dict = {}
@@ -606,47 +656,24 @@ _EXPAND_MEMO: dict = {}
 
 def expand_sugar(f: ModalFormula) -> ModalFormula:
     """Rewrite box+/box<=n/box^n/dia^n into the core connectives."""
-    hit = _EXPAND_MEMO.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, (MVar, MFalse, MTrue)):
-        result = f
-    elif isinstance(f, MNot):
-        result = MNot(expand_sugar(f.body))
-    elif isinstance(f, MAnd):
-        result = MAnd(tuple(expand_sugar(g) for g in f.items))
-    elif isinstance(f, MOr):
-        result = MOr(expand_sugar(f.left), expand_sugar(f.right))
-    elif isinstance(f, MImp):
-        result = MImp(expand_sugar(f.left), expand_sugar(f.right))
-    elif isinstance(f, MBox):
-        result = MBox(expand_sugar(f.body))
-    elif isinstance(f, MDia):
-        result = MDia(expand_sugar(f.body))
-    elif isinstance(f, MBoxPlus):
-        body = expand_sugar(f.body)
-        result = MAnd((body, MBox(body)))
-    elif isinstance(f, MBoxLe):
-        body = expand_sugar(f.body)
-        if f.bound == 0:
-            result = body
-        else:
-            layers = [body]
-            for _ in range(f.bound):
-                layers.append(MBox(layers[-1]))
-            result = MAnd(tuple(layers))
-    elif isinstance(f, MBoxPow):
-        result = expand_sugar(f.body)
+    return _fold(f, _expand_step, _EXPAND_MEMO)
+
+
+def _expand_step(f, kids) -> ModalFormula:
+    if isinstance(f, MBoxPlus):
+        return MAnd((kids[0], MBox(kids[0])))
+    if isinstance(f, MBoxLe):
+        layers = [kids[0]]
+        for _ in range(f.bound):
+            layers.append(MBox(layers[-1]))
+        return MAnd(layers) if f.bound else kids[0]
+    if isinstance(f, (MBoxPow, MDiaPow)):
+        result = kids[0]
+        modality = MBox if isinstance(f, MBoxPow) else MDia
         for _ in range(f.power):
-            result = MBox(result)
-    elif isinstance(f, MDiaPow):
-        result = expand_sugar(f.body)
-        for _ in range(f.power):
-            result = MDia(result)
-    else:
-        raise TypeError(f"not a modal formula: {f!r}")
-    _EXPAND_MEMO[f] = result
-    return result
+            result = modality(result)
+        return result
+    return _rebuild(f, kids)
 
 
 _SIZE_MEMO: dict = {}
@@ -655,35 +682,25 @@ _SIZE_MEMO: dict = {}
 def formula_size(f: ModalFormula) -> int:
     """Symbol count of the sugar-expanded formula: 1 per leaf, 1 per unary or
     binary connective, arity-1 per n-ary conjunction."""
-    return _size(expand_sugar(f))
+    return _fold(expand_sugar(f), _size_step, _SIZE_MEMO)
 
 
-def _size(f) -> int:
-    hit = _SIZE_MEMO.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, (MVar, MFalse, MTrue)):
-        result = 1
-    elif isinstance(f, (MNot, MBox, MDia)):
-        result = 1 + _size(f.body)
-    elif isinstance(f, (MOr, MImp)):
-        result = 1 + _size(f.left) + _size(f.right)
-    elif isinstance(f, MAnd):
-        result = len(f.items) - 1 + sum(_size(g) for g in f.items)
-    else:
-        raise TypeError(f"unexpanded or non-modal node: {f!r}")
-    _SIZE_MEMO[f] = result
-    return result
+def _size_step(f, sizes) -> int:
+    if isinstance(f, MAnd):
+        return len(sizes) - 1 + sum(sizes)
+    if isinstance(f, _CORE):
+        return 1 + sum(sizes)
+    raise TypeError(f"unexpanded or non-modal node: {f!r}")
 
 
 def qbf_size(f: QbfFormula) -> int:
     """Symbol count of a QBF: 1 per leaf, 1 per connective or quantifier."""
-    if isinstance(f, (QVar, QFalse)):
-        return 1
-    if isinstance(f, (QAnd, QOr, QImp)):
-        return 1 + qbf_size(f.left) + qbf_size(f.right)
-    if isinstance(f, (QForall, QExists)):
-        return 1 + qbf_size(f.body)
+    return _fold(f, _qbf_size_step, {})
+
+
+def _qbf_size_step(f, sizes) -> int:
+    if isinstance(f, (QVar, QFalse, QAnd, QOr, QImp, QForall, QExists)):
+        return 1 + sum(sizes)
     raise TypeError(f"not a QBF formula: {f!r}")
 
 
@@ -697,23 +714,17 @@ _VARS_MEMO: dict = {}
 
 def modal_vars(f: ModalFormula) -> frozenset[int]:
     """Indices of all variables occurring in the formula."""
-    hit = _VARS_MEMO.get(f)
-    if hit is not None:
-        return hit
+    return _fold(f, _vars_step, _VARS_MEMO)
+
+
+def _vars_step(f, kid_vars) -> frozenset[int]:
     if isinstance(f, MVar):
-        result = frozenset((f.index,))
-    elif isinstance(f, (MFalse, MTrue)):
-        result = frozenset()
-    elif isinstance(f, MAnd):
-        result = frozenset().union(*(modal_vars(g) for g in f.items))
-    elif isinstance(f, (MOr, MImp)):
-        result = modal_vars(f.left) | modal_vars(f.right)
-    elif isinstance(f, (MNot, MBox, MDia, MBoxPlus, MBoxLe, MBoxPow, MDiaPow)):
-        result = modal_vars(f.body)
-    else:
+        return frozenset((f.index,))
+    if not isinstance(f, _MODAL):
         raise TypeError(f"not a modal formula: {f!r}")
-    _VARS_MEMO[f] = result
-    return result
+    if len(kid_vars) == 1:
+        return kid_vars[0]
+    return frozenset().union(*kid_vars)
 
 
 _DEPTH_MEMO: dict = {}
@@ -721,24 +732,12 @@ _DEPTH_MEMO: dict = {}
 
 def modal_depth(f: ModalFormula) -> int:
     """Maximal nesting depth of [] and <> in the sugar-expanded formula."""
-    return _depth(expand_sugar(f))
+    return _fold(expand_sugar(f), _depth_step, _DEPTH_MEMO)
 
 
-def _depth(f) -> int:
-    hit = _DEPTH_MEMO.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, (MVar, MFalse, MTrue)):
-        result = 0
-    elif isinstance(f, MNot):
-        result = _depth(f.body)
-    elif isinstance(f, (MBox, MDia)):
-        result = 1 + _depth(f.body)
-    elif isinstance(f, MAnd):
-        result = max(_depth(g) for g in f.items)
-    elif isinstance(f, (MOr, MImp)):
-        result = max(_depth(f.left), _depth(f.right))
-    else:
-        raise TypeError(f"unexpanded or non-modal node: {f!r}")
-    _DEPTH_MEMO[f] = result
-    return result
+def _depth_step(f, depths) -> int:
+    if isinstance(f, (MBox, MDia)):
+        return 1 + depths[0]
+    if isinstance(f, _CORE):
+        return max(depths, default=0)
+    raise TypeError(f"unexpanded or non-modal node: {f!r}")

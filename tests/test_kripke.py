@@ -29,6 +29,7 @@ from modalred.kripke import (
 )
 from modalred.syntax import (
     MBox,
+    MBoxPow,
     MDia,
     MFalse,
     MTrue,
@@ -173,6 +174,41 @@ def test_close_idempotent_and_monotone(seed, mode):
     closed = close(frame, mode)
     assert frame.relation <= closed.relation
     assert close(closed, mode).relation == closed.relation
+
+
+def _naive_closure(frame, mode):
+    """Fixpoint over relation pairs, sharing no code with ``close``."""
+    pairs = set(frame.relation)
+    if mode != "transitive":
+        pairs |= {(w, w) for w in frame.worlds}
+    while True:
+        if mode == "reflexive_symmetric":
+            implied = {(v, u) for u, v in pairs}
+        else:
+            implied = {(u, x) for u, v in pairs for y, x in pairs if v == y}
+        if implied <= pairs:
+            return frozenset(pairs)
+        pairs |= implied
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(
+    ["transitive", "reflexive_transitive", "reflexive_symmetric"]
+))
+@settings(max_examples=150, deadline=None)
+def test_close_is_the_smallest_closure(seed, mode):
+    # the 0.45 edge density of random models makes cycles and self-loops common
+    rng = random.Random(seed)
+    frame = make_random_model(rng, world_count=rng.randint(1, 8)).frame
+    assert close(frame, mode).relation == _naive_closure(frame, mode)
+
+
+def test_model_check_deep_formula():
+    # 5000 nested boxes, far past Python's default recursion limit of 1000
+    w = _w(0)
+    frame = KripkeFrame(frozenset([w]), frozenset([(w, w)]))
+    f = MBoxPow(5000, MVar(1))
+    assert model_check(KripkeModel(frame, {1: frozenset([w])}, w), w, f)
+    assert not model_check(KripkeModel(frame, {}, w), w, f)
 
 
 def random_tree_frame(rng, size):

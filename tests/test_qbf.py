@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import qbf_formulas
 from modalred.qbf import (
+    all_vars,
     evaluate,
     free_vars,
     is_prenex,
@@ -15,6 +16,7 @@ from modalred.qbf import (
     universal_closure,
 )
 from modalred.syntax import (
+    MVar,
     QAnd,
     QExists,
     QFalse,
@@ -23,6 +25,7 @@ from modalred.syntax import (
     QOr,
     QVar,
     parse_qbf,
+    qbf_size,
 )
 
 
@@ -36,6 +39,34 @@ class TestFreeVars:
 
     def test_partially_bound(self):
         assert free_vars(QForall(1, QOr(QVar(1), QVar(2)))) == {2}
+
+
+class TestDeepNesting:
+    # p1 -> (p1 -> ... (p1 -> p1)), 3000 implications deep, far past Python's
+    # default recursion limit of 1000
+    @staticmethod
+    def deep():
+        f = QVar(1)
+        for _ in range(3000):
+            f = QImp(QVar(1), f)
+        return f
+
+    def test_qbf_size(self):
+        assert qbf_size(self.deep()) == 2 * 3000 + 1
+
+    def test_free_vars(self):
+        assert free_vars(self.deep()) == frozenset((1,))
+
+    def test_all_vars(self):
+        assert all_vars(QForall(2, self.deep())) == frozenset((1, 2))
+
+    def test_is_prenex(self):
+        assert is_prenex(QForall(1, self.deep()))
+
+
+def test_free_vars_rejects_modal_nodes():
+    with pytest.raises(TypeError, match="not a QBF formula"):
+        free_vars(QAnd(QVar(1), MVar(1)))
 
 
 class TestUniversalClosure:

@@ -12,9 +12,11 @@ from modalred.syntax import (
     MBox,
     MBoxLe,
     MBoxPlus,
+    MBoxPow,
     MDia,
     MFalse,
     MImp,
+    MNot,
     MOr,
     MTrue,
     MVar,
@@ -26,9 +28,11 @@ from modalred.syntax import (
     expand_sugar,
     formula_size,
     is_constant,
+    modal_depth,
     modal_vars,
     parse_modal,
     parse_qbf,
+    qbf_size,
     render,
     substitute,
 )
@@ -244,6 +248,64 @@ class TestNodeInterning:
             QVar(-2)
         with pytest.raises(ValueError):
             MAnd(())
+
+
+def _chain(wrap, depth: int, leaf):
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+# (formula, its nesting depth, its modal depth, the text of one layer); both
+# are far deeper than Python's default recursion limit of 1000
+DEEP = {
+    "box": (expand_sugar(MBoxPow(5000, MVar(1))), 5000, 5000, "[] "),
+    "not": (_chain(MNot, 3000, MVar(1)), 3000, 0, "~"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+class TestDeepNesting:
+    def test_formula_size(self, shape):
+        f, depth, _, _ = DEEP[shape]
+        assert formula_size(f) == depth + 1
+
+    def test_modal_depth(self, shape):
+        f, _, boxes, _ = DEEP[shape]
+        assert modal_depth(f) == boxes
+
+    def test_modal_vars(self, shape):
+        f, _, _, _ = DEEP[shape]
+        assert modal_vars(f) == frozenset((1,))
+        assert not is_constant(f)
+
+    def test_expand_sugar(self, shape):
+        f, _, _, _ = DEEP[shape]
+        assert expand_sugar(f) is f
+
+    def test_substitute(self, shape):
+        f, depth, _, _ = DEEP[shape]
+        wrap = type(f)
+        assert substitute(f, {1: MFalse()}) is _chain(wrap, depth, MFalse())
+
+    def test_render(self, shape):
+        f, depth, _, layer = DEEP[shape]
+        assert render(f) == layer * depth + "p1"
+
+
+@pytest.mark.parametrize(
+    "walker", [expand_sugar, formula_size, modal_depth, modal_vars, lambda f: substitute(f, {1: MTrue()})]
+)
+def test_modal_walkers_reject_qbf_nodes(walker):
+    for f in (QVar(1), parse_qbf("A p1 . p1 -> false")):
+        with pytest.raises(TypeError, match="not a modal formula"):
+            walker(f)
+
+
+def test_qbf_size_rejects_modal_nodes():
+    for f in (MVar(1), parse_modal("[] p1 & p2")):
+        with pytest.raises(TypeError, match="not a QBF formula"):
+            qbf_size(f)
 
 
 @given(st.text(alphabet="pEA1234567890&|->~()[]<>boxdia+=^. ", max_size=30))

@@ -102,6 +102,8 @@ def exhaustive_matrices(max_size: int, indices: tuple[int, ...] = (1,)) -> list[
 
 def random_matrix(rng: random.Random, n: int, max_size: int) -> QbfFormula:
     """Random quantifier-free formula over p_1..p_n of odd size <= max_size."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     sizes = list(range(1, max_size + 1, 2))
     target = rng.choice(sizes)
 
@@ -312,6 +314,11 @@ def run_verify(
         count=count,
         seed=seed,
     )
+    if not corpus:
+        raise ValueError(
+            f"empty corpus: matrix_size_max_n1={matrix_size_max_n1} gives no n = 1 "
+            f"instances and n_max={n_max}, count={count} give no others"
+        )
     c1 = formula_size(alpha(1))
     first_star, _ = encode_star(corpus[0])
     first_alpha = encode_alpha(corpus[0])

@@ -7,6 +7,11 @@ successor per diamond, carrying the boxed formulas.  Sound and complete for K
 over finite tree models; satisfiable verdicts come with a tree witness whose
 depth is at most the modal depth of the query.  Labels are memoized, so
 repeated sub-labels (ubiquitous in the ladder encodings) are decided once.
+Labels are bit sets: one ``syntax._fold`` step gives the negation normal
+forms of a formula and of its negation together, one explicit-stack pass
+numbers the query's NNF in depth-first pre-order (which fixes the branching
+and probing order), and saturation reads one mask per formula kind.  No
+recursion runs before the search itself.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
@@ -17,7 +22,9 @@ are absolute; unsatisfiable ones only mean "no model within the bound".
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,53 +87,32 @@ class SolverBudgetError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _nnf(f: ModalFormula, positive: bool, memo: dict) -> ModalFormula:
-    key = (f, positive)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+def _nnf_step(f, kids) -> tuple[ModalFormula, ModalFormula]:
+    """The negation normal forms of ``f`` and of ``~f`` from those of the
+    children of ``f``: one ``syntax._fold`` step."""
     if isinstance(f, MVar):
-        result = f if positive else MNot(f)
-    elif isinstance(f, MFalse):
-        result = MFalse() if positive else MTrue()
-    elif isinstance(f, MTrue):
-        result = MTrue() if positive else MFalse()
-    elif isinstance(f, MNot):
-        result = _nnf(f.body, not positive, memo)
-    elif isinstance(f, MAnd):
-        parts = tuple(_nnf(g, positive, memo) for g in f.items)
-        if positive:
-            result = MAnd(parts)
-        else:
-            result = parts[0]
-            for g in parts[1:]:
-                result = MOr(result, g)
-    elif isinstance(f, MOr):
-        if positive:
-            result = MOr(_nnf(f.left, True, memo), _nnf(f.right, True, memo))
-        else:
-            result = MAnd((_nnf(f.left, False, memo), _nnf(f.right, False, memo)))
-    elif isinstance(f, MImp):
-        if positive:
-            result = MOr(_nnf(f.left, False, memo), _nnf(f.right, True, memo))
-        else:
-            result = MAnd((_nnf(f.left, True, memo), _nnf(f.right, False, memo)))
-    elif isinstance(f, MBox):
-        result = (
-            MBox(_nnf(f.body, True, memo))
-            if positive
-            else MDia(_nnf(f.body, False, memo))
-        )
-    elif isinstance(f, MDia):
-        result = (
-            MDia(_nnf(f.body, True, memo))
-            if positive
-            else MBox(_nnf(f.body, False, memo))
-        )
-    else:
-        raise TypeError(f"unexpanded or non-modal node: {f!r}")
-    memo[key] = result
-    return result
+        return f, MNot(f)
+    if isinstance(f, MFalse):
+        return f, MTrue()
+    if isinstance(f, MTrue):
+        return f, MFalse()
+    if isinstance(f, MNot):
+        return kids[0][::-1]
+    if isinstance(f, MAnd):
+        negation = kids[0][1]
+        for _, g in kids[1:]:
+            negation = MOr(negation, g)
+        return MAnd(tuple(g for g, _ in kids)), negation
+    if isinstance(f, (MOr, MImp)):
+        (left, not_left), (right, not_right) = kids
+        if isinstance(f, MImp):
+            left, not_left = not_left, left
+        return MOr(left, right), MAnd((not_left, not_right))
+    if isinstance(f, MBox):
+        return MBox(kids[0][0]), MDia(kids[0][1])
+    if isinstance(f, MDia):
+        return MDia(kids[0][0]), MBox(kids[0][1])
+    raise TypeError(f"unexpanded or non-modal node: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,70 +124,72 @@ class _Tableau:
 
     Every formula that can ever enter a label (subformulas of the query NNF,
     closed under the negations needed for semantic branching) gets a local
-    bit; labels and saturation states are ints.  Saturation drains
-    conjunctions, checks literal clashes, and unit-propagates disjunctions
-    whose one side is already refuted; then diamonds are probed against the
-    current boxes (a sound lookahead, since boxes only grow along a branch),
-    and only then does the search branch on the first open disjunction,
-    asserting the negated left disjunct on the right branch.  Saturated
-    states are memoized for the lifetime of the query.
+    bit; labels and saturation states are ints.  Bits are numbered in
+    depth-first pre-order from the root, which gets bit 0.  The successors
+    of a formula are its clashing literal, its body, its conjuncts, or, for
+    a disjunction, both sides and then their negations.  ``data`` holds per
+    bit what saturation needs: the clashing literal, the body or the
+    conjunct bits, or a disjunction's (left, right, not left, not right)
+    bits.  One mask per kind (``lits``, ``ands``, ``ors``, ``boxes``,
+    ``dias``, ``falses``) tells which bits are of that kind.
+
+    Saturation drains conjunctions, checks newly seen literals for clashes,
+    and unit-propagates disjunctions whose one side is already refuted; then
+    diamonds are probed against the current boxes (a sound lookahead, since
+    boxes only grow along a branch), and only then does the search branch on
+    the first open disjunction, asserting the negated left disjunct on the
+    right branch.  Saturated states are memoized for the lifetime of the
+    query.
     """
 
-    KTRUE, KFALSE, KLIT, KAND, KOR, KBOX, KDIA = range(7)
-
-    def __init__(self, budget: int):
+    def __init__(self, root: ModalFormula, budget: int):
         self.budget = budget
         self.nodes = 0
         self.max_depth = 0
-        self.ids: dict = {}
-        self.kind: list[int] = []
-        self.payload: list = []
-        self.partner: list[int] = []  # clashing literal bit, or 0
-        self.body_bit: list[int] = []  # box/dia body bit, or 0
         self.cache: dict = {}
-        self.nnf_memo: dict = {}
+        self.lits = self.ands = self.ors = self.boxes = self.dias = self.falses = 0
+        memo: dict = {}  # the NNF pair of every formula met in this query
 
-    def register(self, f: ModalFormula) -> int:
-        known = self.ids.get(f)
-        if known is not None:
-            return known
-        index = len(self.kind)
-        self.ids[f] = index
-        self.kind.append(-1)
-        self.payload.append(None)
-        self.partner.append(0)
-        self.body_bit.append(0)
-        if isinstance(f, MTrue):
-            self.kind[index] = self.KTRUE
-        elif isinstance(f, MFalse):
-            self.kind[index] = self.KFALSE
-        elif isinstance(f, (MVar, MNot)):
-            self.kind[index] = self.KLIT
-            self.payload[index] = f.index if isinstance(f, MVar) else -f.body.index
-            other = MNot(f) if isinstance(f, MVar) else f.body
-            self.partner[index] = 1 << self.register(other)
-        elif isinstance(f, MAnd):
-            self.kind[index] = self.KAND
-            mask = 0
-            for item in f.items:
-                mask |= 1 << self.register(item)
-            self.payload[index] = mask
-        elif isinstance(f, MOr):
-            self.kind[index] = self.KOR
-            left = 1 << self.register(f.left)
-            right = 1 << self.register(f.right)
-            not_left = 1 << self.register(_nnf(f.left, False, self.nnf_memo))
-            not_right = 1 << self.register(_nnf(f.right, False, self.nnf_memo))
-            self.payload[index] = (left, right, not_left, not_right)
-        elif isinstance(f, MBox):
-            self.kind[index] = self.KBOX
-            self.body_bit[index] = 1 << self.register(f.body)
-        elif isinstance(f, MDia):
-            self.kind[index] = self.KDIA
-            self.body_bit[index] = 1 << self.register(f.body)
-        else:
-            raise TypeError(f"not in negation normal form: {f!r}")
-        return index
+        def pair(g: ModalFormula) -> tuple[ModalFormula, ModalFormula]:
+            return _fold(g, _nnf_step, memo)
+
+        bits: dict = {}
+        order = []  # (formula, successors) in bit order
+        stack = [pair(root)[0]]
+        while stack:
+            f = stack.pop()
+            if f in bits:
+                continue
+            bit = bits[f] = 1 << len(order)
+            successors = ()
+            if isinstance(f, MOr):
+                self.ors |= bit
+                successors = (f.left, f.right, pair(f.left)[1], pair(f.right)[1])
+            elif isinstance(f, MAnd):
+                self.ands |= bit
+                successors = f.items
+            elif isinstance(f, MVar):
+                self.lits |= bit
+                successors = (MNot(f),)
+            elif isinstance(f, MNot):
+                self.lits |= bit
+                successors = (f.body,)
+            elif isinstance(f, MBox):
+                self.boxes |= bit
+                successors = (f.body,)
+            elif isinstance(f, MDia):
+                self.dias |= bit
+                successors = (f.body,)
+            elif isinstance(f, MFalse):
+                self.falses |= bit
+            order.append((f, successors))
+            stack.extend(reversed(successors))
+        self.formulas = [f for f, _ in order]
+        self.data = [
+            tuple(map(bits.get, successors)) if isinstance(f, MOr)
+            else functools.reduce(operator.or_, map(bits.get, successors), 0)
+            for f, successors in order
+        ]
 
     def solve(self, mask: int, depth: int):
         """Witness tree (true variables, children) for the label, or None."""
@@ -210,45 +198,37 @@ class _Tableau:
             raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
         if depth > self.max_depth:
             self.max_depth = depth
-        kind = self.kind
-        payload = self.payload
+        data = self.data
+        lits = self.lits
         seen = 0
-        literals = 0
         ors = 0
-        boxes = 0
-        dias = 0
         pending = mask
-        while True:
+        while pending:
             while pending:
-                low = pending & -pending
-                pending &= pending - 1
-                if seen & low:
-                    continue
-                seen |= low
-                i = low.bit_length() - 1
-                k = kind[i]
-                if k == self.KAND:
-                    pending |= payload[i] & ~seen
-                elif k == self.KLIT:
-                    if seen & self.partner[i]:
-                        return None
-                    literals |= low
-                elif k == self.KOR:
-                    ors |= low
-                elif k == self.KBOX:
-                    boxes |= low
-                elif k == self.KDIA:
-                    dias |= low
-                elif k == self.KFALSE:
+                seen |= pending
+                if pending & self.falses:
                     return None
-                # KTRUE: nothing to do
+                m = pending & lits
+                while m:
+                    low = m & -m
+                    m &= m - 1
+                    if seen & data[low.bit_length() - 1]:
+                        return None
+                ors |= pending & self.ors
+                m = pending & self.ands
+                pending = 0
+                while m:
+                    low = m & -m
+                    m &= m - 1
+                    pending |= data[low.bit_length() - 1]
+                pending &= ~seen
             forced = 0
             keep = 0
             m = ors
             while m:
                 low = m & -m
                 m &= m - 1
-                left, right, not_left, not_right = payload[low.bit_length() - 1]
+                left, right, not_left, not_right = data[low.bit_length() - 1]
                 if seen & left or seen & right:
                     continue  # satisfied, drop
                 left_dead = seen & not_left
@@ -263,33 +243,32 @@ class _Tableau:
                     keep |= low
             ors = keep
             pending = forced & ~seen
-            if not pending:
-                break
-        state = literals | ors | boxes | dias
+        literals = seen & lits
+        state = literals | ors | seen & (self.boxes | self.dias)
         hit = self.cache.get(state, _MISSING)
         if hit is not _MISSING:
             return hit
         box_bodies = 0
-        m = boxes
+        m = seen & self.boxes
         while m:
             low = m & -m
             m &= m - 1
-            box_bodies |= self.body_bit[low.bit_length() - 1]
+            box_bodies |= data[low.bit_length() - 1]
         # diamond probing doubles as the closing rule when no disjunction is open
         result: object = ()
         children = []
-        m = dias
+        m = seen & self.dias
         while m:
             low = m & -m
             m &= m - 1
-            child = self.solve(self.body_bit[low.bit_length() - 1] | box_bodies, depth + 1)
+            child = self.solve(data[low.bit_length() - 1] | box_bodies, depth + 1)
             if child is None:
                 result = None
                 break
             children.append(child)
         if result is not None and ors:
             low = ors & -ors
-            left, right, not_left, not_right = payload[low.bit_length() - 1]
+            left, right, not_left, not_right = data[low.bit_length() - 1]
             result = self.solve(state | left, depth)
             if result is None:
                 result = self.solve(state | not_left | right, depth)
@@ -304,9 +283,9 @@ class _Tableau:
         while m:
             low = m & -m
             m &= m - 1
-            value = self.payload[low.bit_length() - 1]
-            if value > 0:
-                out.add(value)
+            f = self.formulas[low.bit_length() - 1]
+            if isinstance(f, MVar):
+                out.add(f.index)
         return frozenset(out)
 
 
@@ -362,9 +341,8 @@ def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatV
 
     Raises SolverBudgetError when the node budget runs out.
     """
-    tableau = _Tableau(budget)
-    root = _nnf(expand_sugar(f), True, tableau.nnf_memo)
-    tree = tableau.solve(1 << tableau.register(root), 0)
+    tableau = _Tableau(expand_sugar(f), budget)
+    tree = tableau.solve(1, 0)  # the root has bit 0
     if tree is None:
         return SatVerdict(False, None, "tableau", None, tableau.nodes, tableau.max_depth)
     witness = _tree_to_model(tree, modal_vars(f))

@@ -97,6 +97,12 @@ class TestSatCommand:
         assert main(["sat", apath, "--budget", "3"]) == 1
         assert "budget" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_deep_box_power(self, tmp_path, capsys):
+        path = write(tmp_path, "f.txt", "box^5000 p1\n")
+        assert main(["sat", path]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["verdict"] == "satisfiable"
+
 
 class TestWitnessCommand:
     def test_tree_witness_satisfies_star(self, tmp_path, capsys):
@@ -198,6 +204,21 @@ class TestVerifyCommand:
         lines = open(out, encoding="utf-8").read().splitlines()
         assert len(lines) == 4
         assert all(json.loads(line)["pass"] for line in lines)
+
+    @pytest.mark.parametrize(
+        "args, parameter",
+        [
+            (["--matrix-size-n1", "0"], "matrix_size_max_n1"),
+            (["--matrix-size-n1", "-3"], "matrix_size_max_n1"),
+            (["--n-max", "2", "--count", "3", "--matrix-size", "0"], "max_size"),
+        ],
+    )
+    def test_degenerate_sizes_are_errors(self, capsys, args, parameter):
+        assert main(["verify", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert parameter in json.loads(line)["error"]
 
 
 class TestStdin:

@@ -1,5 +1,6 @@
 """Tableau and bounded-oracle behavior."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,14 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_model, modal_formulas
-from modalred.kripke import model_check, model_check_all
+from modalred.kripke import model_check, model_check_all, model_to_json
 from modalred.solver import (
     SolverBudgetError,
+    _nnf_step,
     sat_bounded,
     sat_k_tableau,
 )
-from modalred.reduction import encode_alpha
-from modalred.syntax import modal_depth, parse_modal, parse_qbf, render
+from modalred.reduction import alpha, encode_alpha, encode_star
+from modalred.syntax import (
+    MAnd,
+    MBox,
+    MBoxPow,
+    MDia,
+    MFalse,
+    MImp,
+    MNot,
+    MOr,
+    MTrue,
+    MVar,
+    _fold,
+    modal_depth,
+    parse_modal,
+    parse_qbf,
+    render,
+)
 
 
 class TestTableau:
@@ -56,6 +74,76 @@ class TestTableau:
         verdict = sat_k_tableau(f)
         assert verdict.satisfiable
         assert len(verdict.witness.frame.worlds) < 1000
+        assert model_check(verdict.witness, verdict.witness.root, f)
+
+
+# (satisfiable, nodes, depth, witness worlds, sha256 of the witness JSON);
+# any change here means the search itself changed
+GOLDEN_TABLEAU = [
+    ("star", "A p1 . p1", (False, 5, 1, 0, None)),
+    ("alpha", "A p1 . p1", (False, 144, 6, 0, None)),
+    ("star", "E p1 . p1", (True, 4, 1, 2, (
+        "5566f467e55fc0eec6cf313474293c0fea0dfd905c0bb1970d34fb4418f21e34"
+    ))),
+    ("alpha", "E p1 . p1", (True, 143, 6, 58, (
+        "06beeb63c51ed1304ff5cae77c80eb8520b1303f8b8a10f04bb734bc4d04f4bb"
+    ))),
+    ("star", "A p1 . E p2 . p1 -> p2", (True, 16, 2, 5, (
+        "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
+    ))),
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 4373, 10, 1509, (
+        "18c991ea76d738adf6733c6a6807de3a41983bfa487e74b9f61b4ef0f84838b6"
+    ))),
+    ("star", "E p1 . A p2 . p1 & p2", (False, 10, 2, 0, None)),
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 3521, 10, 0, None)),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 110, 3, 9, (
+        "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
+    ))),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 38971, 11, 14995, (
+        "52c057c26f9d6ebd7bc725eb65b41e829166206b81257d1cec5fa63731cd0352"
+    ))),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 21, 3, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 30380, 12, 0, None)),
+    ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 5, 1, 3, (
+        "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
+    ))),
+    # the tree unfolding has 2^26 worlds, so the witness is the shared form
+    ("modal", "box<=25 (<> p1 & <> ~p1)", (True, 103, 26, 53, (
+        "e858af8f75739925cb6ce81342f09c577b5f9d95115ba450e40d315cb150d785"
+    ))),
+]
+
+
+@pytest.mark.parametrize("stage, text, expected", GOLDEN_TABLEAU)
+def test_golden_tableau_counters(stage, text, expected):
+    if stage == "modal":
+        f = parse_modal(text)
+    elif stage == "star":
+        f, _ = encode_star(parse_qbf(text))
+    else:
+        f = encode_alpha(parse_qbf(text))
+    verdict = sat_k_tableau(f)
+    witness = verdict.witness
+    assert (
+        verdict.satisfiable,
+        verdict.nodes,
+        verdict.depth,
+        len(witness.frame.worlds) if witness else 0,
+        hashlib.sha256(model_to_json(witness).encode()).hexdigest() if witness else None,
+    ) == expected
+
+
+class TestDeepInput:
+    def test_deep_box_power(self):
+        verdict = sat_k_tableau(MBoxPow(5000, MVar(1)))
+        assert verdict.satisfiable and verdict.nodes == 1
+
+    def test_deep_negation_chain(self):
+        f = MVar(1)
+        for _ in range(3000):
+            f = MNot(f)
+        verdict = sat_k_tableau(f)
+        assert verdict.satisfiable
         assert model_check(verdict.witness, verdict.witness.root, f)
 
 
@@ -139,3 +227,46 @@ def test_valid_formulas_hold_in_random_models(f, seed):
         return
     model = make_random_model(random.Random(seed), world_count=5, var_count=5)
     assert model_check_all(model, f) == model.frame.worlds
+
+
+@given(modal_formulas(max_leaves=8), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_nnf_step_gives_formula_and_negation(f, seed):
+    positive, negative = _fold(f, _nnf_step, {})
+    model = make_random_model(random.Random(seed), world_count=5, var_count=5)
+    holds = model_check_all(model, f)
+    assert model_check_all(model, positive) == holds
+    assert model_check_all(model, negative) == model.frame.worlds - holds
+    for g in (positive, negative):
+        nodes: dict = {}
+        _fold(g, lambda h, _: h, nodes)
+        assert not any(
+            isinstance(h, MImp) or isinstance(h, MNot) and not isinstance(h.body, MVar)
+            for h in nodes
+        )
+
+
+def _ladder_gadget(rng, atoms):
+    """Variable-free formula over alpha(1), alpha(2), true and false with
+    ``atoms`` atom occurrences."""
+    if atoms == 1 and rng.random() < 0.6:
+        return rng.choice((alpha(1), alpha(2), MTrue(), MFalse()))
+    if atoms == 1 or rng.random() < 0.4:
+        return rng.choice((MNot, MBox, MDia))(_ladder_gadget(rng, atoms))
+    left = rng.randint(1, atoms - 1)
+    parts = (_ladder_gadget(rng, left), _ladder_gadget(rng, atoms - left))
+    return MAnd(parts) if rng.random() < 0.5 else MOr(*parts)
+
+
+def test_engines_agree_on_ladder_gadgets():
+    rng = random.Random(5)
+    for _ in range(30):
+        f = _ladder_gadget(rng, rng.randint(1, 5))
+        tableau = sat_k_tableau(f)
+        bounded = sat_bounded(f, 5)
+        if bounded.satisfiable:
+            assert tableau.satisfiable
+        if tableau.satisfiable:
+            assert model_check(tableau.witness, tableau.witness.root, f)
+            if len(tableau.witness.frame.worlds) <= 5:
+                assert bounded.satisfiable

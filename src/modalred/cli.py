@@ -30,6 +30,7 @@ from .reduction import (
     extend_model,
     frame_fm,
     frame_fm_plus,
+    prepare_context,
     quantifier_tree,
 )
 from .qbf import evaluate, is_true_qbf, to_prenex
@@ -142,7 +143,7 @@ def cmd_witness(args) -> int:
     if args.model == "tree":
         model = quantifier_tree(f)
     else:
-        _, ctx = encode_star(f)
+        ctx = prepare_context(f)
         model = extend_model(quantifier_tree(f), ctx)
     _write_text(args.out, model_to_json(model))
     return 0

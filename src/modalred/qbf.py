@@ -31,7 +31,6 @@ __all__ = [
     "evaluate",
     "is_true_qbf",
     "is_prenex",
-    "is_closed",
     "prenex_split",
     "prenex_join",
     "to_prenex",
@@ -74,10 +73,6 @@ _ALL_VARS_STEP = _vars_step(frozenset.union)
 def max_index(f: QbfFormula) -> int:
     """Largest variable index in ``f`` (0 for variable-free formulas)."""
     return max(all_vars(f), default=0)
-
-
-def is_closed(f: QbfFormula) -> bool:
-    return not free_vars(f)
 
 
 def universal_closure(f: QbfFormula) -> QbfFormula:

@@ -9,9 +9,13 @@ Nodes are immutable after construction and safe to share across threads.
 The modal language carries four kinds of sugar mirroring common shorthands:
 ``box+`` (reflexive box), ``box<=n`` (all depths 0..n), ``box^n`` and ``dia^n``
 (iterated modalities).  ``expand_sugar`` rewrites them into the core
-connectives; the parser expands sugar tokens eagerly, while programmatically
-built formulas may keep sugar nodes so that dumps stay close to their
-blackboard shape.
+connectives, as ``parse_modal`` does with what it reads, while
+programmatically built formulas may keep sugar nodes so that dumps stay close
+to their blackboard shape.
+
+One loop parses both languages by Dijkstra's shunting yard: finished formulas
+wait on an operand stack and pending operators on an operator stack, until a
+token of lower binding power in the table ``_GRAMMAR`` ends their operands.
 
 Every formula walker in the package (printing, substitution, sugar
 expansion, sizes, variables and depth here; free variables, the prenex test,
@@ -25,6 +29,7 @@ Python's recursion limit.
 from __future__ import annotations
 
 import re
+from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -356,146 +361,114 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser shared by the QBF and modal front ends."""
+def _right(node):
+    return lambda *run: reduce(lambda right, left: node(left, right), reversed(run))
 
-    def __init__(self, text: str, modal: bool):
-        self.text = text
-        self.modal = modal
-        self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+_ATOM = 5  # the binding power of an operand, above every operator
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+#: Binding power (``render`` reads it too), QBF and modal constructor (None
+#: where the language lacks the token) of every token that builds a formula.
+#: A quantifier may only open a formula: at the start, after '(' or '.'.
+_GRAMMAR = {
+    "var": (_ATOM, QVar, MVar),
+    "false": (_ATOM, QFalse, MFalse),
+    "true": (_ATOM, None, MTrue),
+    "forall": (0, QForall, None),
+    "exists": (0, QExists, None),
+    "arrow": (1, _right(QImp), _right(MImp)),
+    "bar": (2, lambda *run: reduce(QOr, run), lambda *run: reduce(MOr, run)),
+    "amp": (3, lambda *run: reduce(QAnd, run), lambda *run: MAnd(run)),
+    "tilde": (4, qneg, MNot),
+    "box": (4, None, MBox),
+    "dia": (4, None, MDia),
+    "boxplus": (4, None, MBoxPlus),
+    "boxle": (4, None, MBoxLe),
+    "boxpow": (4, None, MBoxPow),
+    "diapow": (4, None, MDiaPow),
+}
+# '(' on the operator stack, and the row of punctuation, so ')' and eof close groups
+_OPEN = (-1, None, None)
 
-    def error(self, message: str):
-        kind, text, offset = self.peek()
-        if kind == "eof":
-            raise FormulaSyntaxError(f"{message}, found end of input", offset)
-        raise FormulaSyntaxError(f"{message}, found {text!r}", offset)
 
-    def parse(self) -> Formula:
-        f = self.formula()
-        if self.peek()[0] != "eof":
-            self.error("expected end of input")
-        return f
+def _unexpected(message: str, token) -> FormulaSyntaxError:
+    kind, word, offset = token
+    found = "end of input" if kind == "eof" else repr(word)
+    return FormulaSyntaxError(f"{message}, found {found}", offset)
 
-    def formula(self) -> Formula:
-        kind, _, _ = self.peek()
-        if not self.modal and kind in ("forall", "exists"):
-            self.take()
-            vkind, vtext, _ = self.peek()
-            if vkind != "var":
-                self.error("expected a variable after quantifier")
-            self.take()
-            if self.peek()[0] != "dot":
-                self.error("expected '.' after quantified variable")
-            self.take()
-            body = self.formula()
-            index = int(vtext[1:])
-            return QForall(index, body) if kind == "forall" else QExists(index, body)
-        return self.implies()
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.take()
-            right = self.implies()
-            return MImp(left, right) if self.modal else QImp(left, right)
-        return left
+def _index(token) -> int:
+    _, word, offset = token
+    index = int(word[1:])
+    if index < 1:
+        raise FormulaSyntaxError("variable indices start at 1", offset)
+    return index
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "bar":
-            self.take()
-            g = self.conjunction()
-            f = MOr(f, g) if self.modal else QOr(f, g)
-        return f
 
-    def conjunction(self) -> Formula:
-        first = self.unary()
-        if self.peek()[0] != "amp":
-            return first
-        if self.modal:
-            items = [first]
-            while self.peek()[0] == "amp":
-                self.take()
-                items.append(self.unary())
-            return MAnd(items)
-        f = first
-        while self.peek()[0] == "amp":
-            self.take()
-            f = QAnd(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, text, _ = self.peek()
-        if kind == "tilde":
-            self.take()
-            body = self.unary()
-            return MNot(body) if self.modal else qneg(body)
-        if self.modal:
-            if kind == "box":
-                self.take()
-                return MBox(self.unary())
-            if kind == "dia":
-                self.take()
-                return MDia(self.unary())
-            if kind == "boxplus":
-                self.take()
-                return expand_sugar(MBoxPlus(self.unary()))
-            if kind in ("boxle", "boxpow", "diapow"):
-                _, _, offset = self.take()
-                bound = int(text[5:] if kind == "boxle" else text[4:])
+def _parse(text: str, modal: bool) -> Formula:
+    column = 2 if modal else 1
+    tokens = iter(_tokenize(text))
+    operands: list = []
+    ops: list = []  # pending (power, constructor, first operand) and _OPEN
+    operand = True  # the next token must start an operand
+    for token in tokens:
+        kind, word, offset = token
+        row = _GRAMMAR.get(kind, _OPEN)
+        power, make = row[0], row[column]
+        if not operand:
+            while ops and ops[-1][0] > power:  # apply what binds tighter
+                _, apply, first = ops.pop()
+                operands[first:] = [apply(*operands[first:])]
+            if power in (1, 2, 3):
+                if not ops or ops[-1][0] < power:  # else it continues that run
+                    ops.append((power, make, len(operands) - 1))
+                operand = True
+            elif kind == "rpar" and ops:
+                ops.pop()
+            elif kind == "eof" and not ops:
+                return operands[0]
+            elif _OPEN in ops:
+                raise _unexpected("unbalanced parentheses: expected ')'", token)
+            else:
+                raise _unexpected("expected end of input", token)
+        elif kind == "lpar":
+            ops.append(_OPEN)
+        elif make is None or power in (1, 2, 3) or (power == 0 and ops and ops[-1][0] > 0):
+            if kind == "rpar":
+                raise _unexpected("unbalanced parentheses: unmatched ')'", token)
+            raise _unexpected("expected a formula", token)
+        elif power < _ATOM:
+            if power == 0:
+                var = next(tokens)
+                if var[0] != "var":
+                    raise _unexpected("expected a variable after quantifier", var)
+                dot = next(tokens)
+                if dot[0] != "dot":
+                    raise _unexpected("expected '.' after quantified variable", dot)
+                make = partial(make, _index(var))
+            elif kind in ("boxle", "boxpow", "diapow"):
+                bound = int(word[5:] if kind == "boxle" else word[4:])
                 if bound > MAX_PARSED_SUGAR_BOUND:
                     raise FormulaSyntaxError(
                         f"sugar bound {bound} exceeds the parser limit"
                         f" of {MAX_PARSED_SUGAR_BOUND}",
                         offset,
                     )
-                node = {"boxle": MBoxLe, "boxpow": MBoxPow, "diapow": MDiaPow}[kind]
-                return expand_sugar(node(bound, self.unary()))
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, text, offset = self.peek()
-        if kind == "var":
-            self.take()
-            index = int(text[1:])
-            if index < 1:
-                raise FormulaSyntaxError("variable indices start at 1", offset)
-            return MVar(index) if self.modal else QVar(index)
-        if kind == "false":
-            self.take()
-            return MFalse() if self.modal else QFalse()
-        if kind == "true" and self.modal:
-            self.take()
-            return MTrue()
-        if kind == "lpar":
-            self.take()
-            f = self.formula()
-            if self.peek()[0] != "rpar":
-                self.error("unbalanced parentheses: expected ')'")
-            self.take()
-            return f
-        if kind == "rpar":
-            self.error("unbalanced parentheses: unmatched ')'")
-        self.error("expected a formula")
+                make = partial(make, bound)
+            ops.append((power, make, len(operands)))
+        else:
+            operands.append(make(_index(token)) if kind == "var" else make())
+            operand = False
 
 
 def parse_qbf(text: str) -> QbfFormula:
     """Parse a quantified Boolean formula. ``~f`` is sugar for ``f -> false``."""
-    return _Parser(text, modal=False).parse()
+    return _parse(text, modal=False)
 
 
 def parse_modal(text: str) -> ModalFormula:
     """Parse a modal formula; sugar tokens are expanded into core connectives."""
-    return _Parser(text, modal=True).parse()
+    return expand_sugar(_parse(text, modal=True))
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +531,6 @@ _MODAL = _CORE + (MBoxPlus, MBoxLe, MBoxPow, MDiaPow)
 # Rendering
 # ---------------------------------------------------------------------------
 
-# Precedence levels: quantifier body 0 (maximal scope), -> 1, | 2, & 3,
-# prefix operators 4, atoms 5.  N-ary conjunctions always print their own
-# parentheses so flat lists survive the round trip.
-_PREC_IMP = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-_PREC_ATOM = 5
-
 _PREFIX = {MNot: "~", MBox: "[] ", MDia: "<> ", MBoxPlus: "box+ "}
 
 
@@ -582,24 +546,28 @@ def _wrap(part: tuple[str, int], needed: int) -> str:
 
 
 def _render_step(f, parts) -> tuple[str, int]:
-    """Text and precedence of ``f`` from those of its children."""
+    """Text and binding power of ``f`` from those of its children."""
     if isinstance(f, (QVar, MVar)):
-        return f"p{f.index}", _PREC_ATOM
+        return f"p{f.index}", _ATOM
     if isinstance(f, (QFalse, MFalse)):
-        return "false", _PREC_ATOM
+        return "false", _ATOM
     if isinstance(f, MTrue):
-        return "true", _PREC_ATOM
+        return "true", _ATOM
     if isinstance(f, (QForall, QExists)):
         letter = "A" if isinstance(f, QForall) else "E"
-        return f"{letter} p{f.index} . {parts[0][0]}", 0
+        return f"{letter} p{f.index} . {parts[0][0]}", _GRAMMAR["forall"][0]
     if isinstance(f, (QImp, MImp)):
-        return f"{_wrap(parts[0], _PREC_IMP + 1)} -> {_wrap(parts[1], _PREC_IMP)}", _PREC_IMP
+        power = _GRAMMAR["arrow"][0]
+        return f"{_wrap(parts[0], power + 1)} -> {_wrap(parts[1], power)}", power
     if isinstance(f, (QOr, MOr)):
-        return f"{_wrap(parts[0], _PREC_OR)} | {_wrap(parts[1], _PREC_OR + 1)}", _PREC_OR
+        power = _GRAMMAR["bar"][0]
+        return f"{_wrap(parts[0], power)} | {_wrap(parts[1], power + 1)}", power
     if isinstance(f, QAnd):
-        return f"{_wrap(parts[0], _PREC_AND)} & {_wrap(parts[1], _PREC_AND + 1)}", _PREC_AND
+        power = _GRAMMAR["amp"][0]
+        return f"{_wrap(parts[0], power)} & {_wrap(parts[1], power + 1)}", power
     if isinstance(f, MAnd):
-        return "(" + " & ".join(_wrap(p, _PREC_AND + 1) for p in parts) + ")", _PREC_ATOM
+        # printed in its own parentheses, so a flat run survives the round trip
+        return "(" + " & ".join(_wrap(p, _GRAMMAR["amp"][0] + 1) for p in parts) + ")", _ATOM
     if isinstance(f, MBoxLe):
         prefix = f"box<={f.bound} "
     elif isinstance(f, MBoxPow):
@@ -610,7 +578,8 @@ def _render_step(f, parts) -> tuple[str, int]:
         prefix = _PREFIX[type(f)]
     else:
         raise TypeError(f"not a formula: {f!r}")
-    return prefix + _wrap(parts[0], _PREC_UNARY), _PREC_UNARY
+    power = _GRAMMAR["tilde"][0]
+    return prefix + _wrap(parts[0], power), power
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,15 @@ class TestSatCommand:
         (line,) = capsys.readouterr().out.splitlines()
         assert json.loads(line)["verdict"] == "satisfiable"
 
+    @pytest.mark.parametrize(
+        "text", ["~" * 3000 + "p1", "(" * 3000 + "p1" + ")" * 3000], ids=["not", "parentheses"]
+    )
+    def test_deeply_nested_input(self, tmp_path, capsys, text):
+        path = write(tmp_path, "f.txt", text + "\n")
+        assert main(["sat", path]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["verdict"] == "satisfiable"
+
 
 class TestWitnessCommand:
     def test_tree_witness_satisfies_star(self, tmp_path, capsys):

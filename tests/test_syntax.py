@@ -2,7 +2,7 @@
 
 import pytest
 from hypothesis import strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import modal_formulas, qbf_formulas, sugared_modal_formulas, all_small_models
 from modalred.kripke import model_check
@@ -20,10 +20,12 @@ from modalred.syntax import (
     MOr,
     MTrue,
     MVar,
+    QAnd,
     QExists,
     QFalse,
     QForall,
     QImp,
+    QOr,
     QVar,
     expand_sugar,
     formula_size,
@@ -103,6 +105,54 @@ class TestParseModal:
             parse_modal("box<=99999999 false")
         with pytest.raises(FormulaSyntaxError):
             parse_modal("dia^99999999 false")
+
+
+PARSERS = {"qbf": parse_qbf, "modal": parse_modal}
+P1, P2, P3, P4 = map(QVar, (1, 2, 3, 4))
+M1, M2, M3, M4 = map(MVar, (1, 2, 3, 4))
+
+# (language, text, the formula or the (message, offset) of the FormulaSyntaxError)
+GOLDEN = [
+    ("qbf", "", ("expected a formula, found end of input", 0)),
+    ("modal", "", ("expected a formula, found end of input", 0)),
+    ("qbf", "()", ("unbalanced parentheses: unmatched ')', found ')'", 1)),
+    ("modal", "(p1", ("unbalanced parentheses: expected ')', found end of input", 3)),
+    ("qbf", "(p1 p2)", ("unbalanced parentheses: expected ')', found 'p2'", 4)),
+    ("qbf", "p1 )", ("expected end of input, found ')'", 3)),
+    ("qbf", "A . p1", ("expected a variable after quantifier, found '.'", 2)),
+    ("qbf", "A p1 p1", ("expected '.' after quantified variable, found 'p1'", 5)),
+    ("qbf", "p1 -> A p2 . p2", ("expected a formula, found 'A'", 6)),
+    ("qbf", "~A p1 . p1", ("expected a formula, found 'A'", 1)),
+    ("qbf", "true", ("expected a formula, found 'true'", 0)),
+    ("qbf", "[] p1", ("expected a formula, found '[]'", 0)),
+    ("modal", "A p1 . p1", ("expected a formula, found 'A'", 0)),
+    ("modal", "box<=10001 p1", ("sugar bound 10001 exceeds the parser limit of 10000", 0)),
+    ("modal", "p1 # p2", ("unknown token '#'", 3)),
+    ("modal", "p0 & p1", ("variable indices start at 1", 0)),
+    ("qbf", "A p0 . p1", ("variable indices start at 1", 2)),
+    ("qbf", "p1 & p2 & p3", QAnd(QAnd(P1, P2), P3)),
+    ("modal", "~p1 & ~p2 & p3", MAnd((MNot(M1), MNot(M2), M3))),
+    ("qbf", "p1 | p2 | p3", QOr(QOr(P1, P2), P3)),
+    ("modal", "p1 | p2 | p3", MOr(MOr(M1, M2), M3)),
+    ("qbf", "p1 -> p2 -> p3", QImp(P1, QImp(P2, P3))),
+    ("modal", "p1 -> p2 -> p3", MImp(M1, MImp(M2, M3))),
+    ("qbf", "p1 & p2 | p3 & p4", QOr(QAnd(P1, P2), QAnd(P3, P4))),
+    ("modal", "p1 & p2 | p3 & p4", MOr(MAnd((M1, M2)), MAnd((M3, M4)))),
+    ("qbf", "A p1 . E p2 . p1 -> p2", QForall(1, QExists(2, QImp(P1, P2)))),
+    ("qbf", "(A p1 . p1) -> false", QImp(QForall(1, P1), QFalse())),
+    ("modal", "box^2 p1 & <> p2", MAnd((MBox(MBox(M1)), MDia(M2)))),
+]
+
+
+@pytest.mark.parametrize("language, text, expected", GOLDEN)
+def test_parser_golden(language, text, expected):
+    if not isinstance(expected, tuple):
+        assert PARSERS[language](text) is expected
+        return
+    message, offset = expected
+    with pytest.raises(FormulaSyntaxError) as err:
+        PARSERS[language](text)
+    assert (str(err.value), err.value.offset) == (f"{message} (at offset {offset})", offset)
 
 
 class TestRender:
@@ -293,6 +343,24 @@ class TestDeepNesting:
         assert render(f) == layer * depth + "p1"
 
 
+# (parser, text, its formula), each nested far deeper than the recursion limit
+DEEP_TEXT = {
+    "not": (parse_modal, "~" * 3000 + "p1", DEEP["not"][0]),
+    "parentheses": (parse_modal, "(" * 3000 + "p1" + ")" * 3000, MVar(1)),
+    "implication": (
+        parse_qbf,
+        "p1 -> (" * 1200 + "p1" + ")" * 1200,
+        _chain(lambda f: QImp(QVar(1), f), 1200, QVar(1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TEXT))
+def test_parser_deep_input(shape):
+    parser, text, expected = DEEP_TEXT[shape]
+    assert parser(text) is expected
+
+
 @pytest.mark.parametrize(
     "walker", [expand_sugar, formula_size, modal_depth, modal_vars, lambda f: substitute(f, {1: MTrue()})]
 )
@@ -309,6 +377,7 @@ def test_qbf_size_rejects_modal_nodes():
 
 
 @given(st.text(alphabet="pEA1234567890&|->~()[]<>boxdia+=^. ", max_size=30))
+@example("A p0 . p1")
 @settings(max_examples=300)
 def test_parser_never_crashes_with_foreign_exceptions(text):
     for parser in (parse_qbf, parse_modal):

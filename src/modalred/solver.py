@@ -18,6 +18,12 @@ model with at most ``max_worlds`` worlds, run as a propositional encoding of
 the satisfaction relation (truth bits per subformula and world, relation
 bits, valuation bits) under a small deterministic DPLL.  Satisfiable verdicts
 are absolute; unsatisfiable ones only mean "no model within the bound".
+The DPLL branches on the lowest-numbered unassigned variable, ``False``
+first, and counts every polarity tried as a decision.  Unit propagation
+watches two literals per clause (Moskewicz et al., "Chaff", DAC 2001): an
+assignment visits only the clauses that watch the literal it falsifies.  The
+search is one loop over an explicit stack of decision frames, so it does not
+recurse however deep it goes.
 """
 
 from __future__ import annotations
@@ -436,78 +442,99 @@ def _encode(f: ModalFormula, k: int):
 
 
 def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
-    """Deterministic DPLL with unit propagation; returns (model, decisions)."""
-    assignment: dict[int, bool] = {}
+    """Deterministic DPLL with two-watched-literal unit propagation; returns
+    (model, decisions).
+
+    Branches on the lowest-numbered unassigned variable, ``False`` first,
+    and counts every polarity tried.  The search is one loop over a stack of
+    (variable, trail mark, tried-true) frames.  Unit propagation reaches the
+    same fixpoint, or a conflict, whatever order it visits clauses in, so
+    the decisions and the model do not depend on the watch scheme.  A clause
+    is unit when exactly one of its positions is unassigned and the others
+    are false: a repeated literal counts once per position."""
+    n = cnf.count
+    # value[lit] is the truth of literal lit (None while unassigned); a
+    # negative literal indexes from the end, so -v lands at 2n + 1 - v
+    value: list[Optional[bool]] = [None] * (2 * n + 1)
+    # watches[lit]: clauses watching lit at position 0 or 1, visited when
+    # lit becomes false
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
     trail: list[int] = []
-    decisions = 0
+    for clause in cnf.clauses:
+        if not clause:
+            return None, 0
+        if len(clause) == 1:
+            lit = clause[0]
+            if value[lit] is False:
+                return None, 0
+            if value[lit] is None:
+                value[lit], value[-lit] = True, False
+                trail.append(lit)
+        else:
+            c = list(clause)
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
 
-    def value(lit: int) -> Optional[bool]:
-        v = assignment.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def assign(lit: int) -> None:
-        assignment[abs(lit)] = lit > 0
-        trail.append(abs(lit))
-
-    def propagate() -> bool:
-        # full sweeps until fixpoint; clause sets are small
-        changed = True
-        while changed:
-            changed = False
-            for clause in cnf.clauses:
-                unassigned = None
-                count = 0
-                satisfied = False
-                for lit in clause:
-                    v = value(lit)
-                    if v is True:
-                        satisfied = True
-                        break
-                    if v is None:
-                        unassigned = lit
-                        count += 1
-                        if count > 1:
-                            break
-                if satisfied or count > 1:
+    def propagate(head: int) -> bool:
+        """Assign the unit consequences of trail[head:]; False on conflict."""
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
+            kept = []
+            for at, c in enumerate(watching):
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                other = c[0]
+                if value[other]:
+                    kept.append(c)
                     continue
-                if count == 0:
-                    return False
-                assign(unassigned)
-                changed = True
+                for pos in range(2, len(c)):
+                    lit = c[pos]
+                    if value[lit] is not False:
+                        c[1], c[pos] = lit, false_lit
+                        watches[lit].append(c)
+                        break
+                else:
+                    kept.append(c)
+                    if value[other] is False:
+                        kept.extend(watching[at + 1:])
+                        watches[false_lit] = kept
+                        return False
+                    value[other], value[-other] = True, False
+                    trail.append(other)
+            watches[false_lit] = kept
         return True
 
-    def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            assignment.pop(trail.pop())
-
-    def solve() -> bool:
-        nonlocal decisions
-        mark = len(trail)
-        if not propagate():
-            undo_to(mark)
-            return False
-        var = None
-        for v in range(1, cnf.count + 1):
-            if v not in assignment:
-                var = v
-                break
-        if var is None:
-            return True
-        for choice in (False, True):
-            decisions += 1
-            mark2 = len(trail)
-            assign(var if choice else -var)
-            if solve():
-                return True
-            undo_to(mark2)
-        undo_to(mark)
-        return False
-
-    if solve():
-        return dict(assignment), decisions
-    return None, decisions
+    if not propagate(0):
+        return None, 0
+    decisions = 0
+    stack: list[tuple[int, int, bool]] = []
+    var, ok = 1, True
+    while True:
+        if ok:
+            # every variable below the last decision is assigned
+            while var <= n and value[var] is not None:
+                var += 1
+            if var > n:
+                return {abs(lit): lit > 0 for lit in trail}, decisions
+            stack.append((var, len(trail), False))
+            lit = -var
+        else:
+            while stack and stack[-1][2]:
+                stack.pop()
+            if not stack:
+                return None, decisions
+            var, mark, _ = stack[-1]
+            stack[-1] = (var, mark, True)
+            for undone in trail[mark:]:
+                value[undone] = value[-undone] = None
+            del trail[mark:]
+            lit = var
+        decisions += 1
+        value[lit], value[-lit] = True, False
+        trail.append(lit)
+        ok = propagate(len(trail) - 1)
 
 
 def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:

@@ -321,10 +321,13 @@ class FormulaSyntaxError(ValueError):
 MAX_PARSED_SUGAR_BOUND = 10_000
 
 
+# Each match consumes the whitespace before its token; the token's offset is
+# the start of its group.  "eof" matches the end of the text.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<boxle>box<=\d+)
+    \s*
+    (?:
+      (?P<boxle>box<=\d+)
     | (?P<boxpow>box\^\d+)
     | (?P<diapow>dia\^\d+)
     | (?P<boxplus>box\+)
@@ -342,22 +345,26 @@ _TOKEN_RE = re.compile(
     | (?P<lpar>\()
     | (?P<rpar>\))
     | (?P<dot>\.)
+    | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
+_SPACE_RE = re.compile(r"\s*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
-    while pos < len(text):
+    kind = None
+    while kind != "eof":
         m = _TOKEN_RE.match(text, pos)
         if m is None:
+            pos = _SPACE_RE.match(text, pos).end()
             raise FormulaSyntaxError(f"unknown token {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    tokens.append(("eof", "", len(text)))
     return tokens
 
 

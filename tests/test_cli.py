@@ -112,6 +112,14 @@ class TestSatCommand:
         (line,) = capsys.readouterr().out.splitlines()
         assert json.loads(line)["verdict"] == "satisfiable"
 
+    def test_bounded_engine_on_long_flat_cnf(self, tmp_path, capsys):
+        # (p1 | p2) & ... & (p2999 | p3000): the DPLL makes 1,501 decisions
+        text = " & ".join(f"(p{i} | p{i + 1})" for i in range(1, 3000, 2))
+        path = write(tmp_path, "f.txt", text + "\n")
+        assert main(["sat", "--engine", "bounded", "--bound", "1", path]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["verdict"] == "satisfiable"
+
 
 class TestWitnessCommand:
     def test_tree_witness_satisfies_star(self, tmp_path, capsys):

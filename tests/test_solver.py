@@ -1,16 +1,21 @@
 """Tableau and bounded-oracle behavior."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_model, modal_formulas
 from modalred.kripke import model_check, model_check_all, model_to_json
+from modalred.pipeline import random_matrix
+from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
     SolverBudgetError,
+    _Cnf,
+    _dpll,
     _nnf_step,
     sat_bounded,
     sat_k_tableau,
@@ -180,6 +185,97 @@ class TestBounded:
             sat_bounded(parse_modal("p1"), 0)
 
 
+# the unsatisfiable ladder gadget that random.Random(31) draws 23rd below
+GADGET_31 = MDia(MNot(MOr(
+    MOr(MOr(alpha(2), MOr(MBox(MFalse()), MDia(MTrue()))), alpha(2)), alpha(1)
+)))
+
+# (satisfiable, decisions, k, sha256 of the witness JSON) of sat_bounded;
+# any change here means the DPLL search itself changed
+GOLDEN_BOUNDED = [
+    ("star", "A p1 . p1", 4, (False, 156, 4, None)),
+    ("star", "E p1 . p1", 4, (True, 3, 2, (
+        "24c699a80676f2e22f269b3e4d3cbbbf69846c4ab3ffc56bec72ebe9516c16af"
+    ))),
+    ("star", "A p1 . E p2 . p1 -> p2", 4, (False, 330, 4, None)),
+    ("star", "E p1 . A p2 . p1 & p2", 4, (False, 5118, 4, None)),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 4, (False, 1674, 4, None)),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 4, (False, 36670, 4, None)),
+    ("star", "E p1 . E p2 . (p1 & false)", 4, (False, 31518, 4, None)),
+    ("gadget", "<> ~(alpha(2) | ([] false | <> true) | alpha(2) | alpha(1))", 5,
+     (False, 1806, 5, None)),
+]
+
+
+@pytest.mark.parametrize("stage, text, bound, expected", GOLDEN_BOUNDED)
+def test_golden_bounded_counters(stage, text, bound, expected):
+    f = GADGET_31 if stage == "gadget" else encode_star(parse_qbf(text))[0]
+    verdict = sat_bounded(f, bound)
+    witness = verdict.witness
+    assert (
+        verdict.satisfiable,
+        verdict.nodes,
+        verdict.depth,
+        hashlib.sha256(model_to_json(witness).encode()).hexdigest() if witness else None,
+    ) == expected
+
+
+def _cnf(count, *clauses):
+    cnf = _Cnf()
+    cnf.count = count
+    for lits in clauses:
+        cnf.add(*lits)
+    return cnf
+
+
+@st.composite
+def cnfs(draw):
+    """CNFs over 1 to 8 variables: up to 5 clauses of 2 or 3 literals per
+    variable, which may repeat a literal or hold a literal and its negation,
+    then up to two unit clauses and sometimes an empty clause, in any order.
+    About one in ten draws is unsatisfiable only after backtracking."""
+    count = draw(st.integers(min_value=1, max_value=8))
+    literal = st.sampled_from([v for v in range(-count, count + 1) if v])
+    size = draw(st.integers(min_value=0, max_value=5 * count))
+    clauses = draw(st.lists(st.lists(literal, min_size=2, max_size=3), min_size=size, max_size=size))
+    clauses += draw(st.lists(st.lists(literal, min_size=1, max_size=1), max_size=2))
+    if draw(st.integers(min_value=0, max_value=7)) == 7:
+        clauses.append([])
+    return _cnf(count, *draw(st.permutations(clauses)))
+
+
+@given(cnfs())
+@example(_cnf(0))
+@example(_cnf(0, ()))
+@example(_cnf(1, (1, 1), (-1,)))
+@example(_cnf(2, (1, -1), (2, 2, -1)))
+@example(_cnf(2, (1, 2), (1, -2), (-1, 2), (-1, -2)))
+@settings(max_examples=200, deadline=None)
+def test_dpll_matches_brute_force(cnf):
+    def satisfies(model):
+        return all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses)
+
+    found = any(
+        satisfies(dict(enumerate(bits, 1)))
+        for bits in itertools.product((False, True), repeat=cnf.count)
+    )
+    model, _ = _dpll(cnf)
+    assert (model is not None) == found
+    if model is not None:
+        assert set(model) == set(range(1, cnf.count + 1))
+        assert satisfies(model)
+
+
+def test_dpll_search_deeper_than_the_recursion_limit():
+    # (v | v + 1) for odd v < 3000 takes one decision per pair, 1,500 deep;
+    # (a | b) & (a | ~b) then refutes a = False at that depth
+    pairs = [(v, v + 1) for v in range(1, 3000, 2)]
+    a, b = 3001, 3002
+    model, decisions = _dpll(_cnf(3002, *pairs, (a, b), (a, -b)))
+    assert decisions == 1500 + 2 + 1
+    assert model == {**{v: v % 2 == 0 for v in range(1, 3001)}, a: True, b: False}
+
+
 @given(modal_formulas(max_leaves=8))
 @settings(max_examples=200, deadline=None)
 def test_satisfiable_witnesses_model_check(f):
@@ -258,8 +354,7 @@ def _ladder_gadget(rng, atoms):
     return MAnd(parts) if rng.random() < 0.5 else MOr(*parts)
 
 
-def test_engines_agree_on_ladder_gadgets():
-    rng = random.Random(5)
+def _assert_engines_agree_on_ladder_gadgets(rng):
     for _ in range(30):
         f = _ladder_gadget(rng, rng.randint(1, 5))
         tableau = sat_k_tableau(f)
@@ -270,3 +365,33 @@ def test_engines_agree_on_ladder_gadgets():
             assert model_check(tableau.witness, tableau.witness.root, f)
             if len(tableau.witness.frame.worlds) <= 5:
                 assert bounded.satisfiable
+
+
+def test_engines_agree_on_ladder_gadgets():
+    _assert_engines_agree_on_ladder_gadgets(random.Random(5))
+
+
+def test_engines_agree_on_ladder_gadgets_seed_31():
+    # this stream holds GADGET_31, the slowest gadget for the bounded oracle
+    _assert_engines_agree_on_ladder_gadgets(random.Random(31))
+
+
+def test_engines_agree_on_existential_two_variable_stars():
+    # the EE and EA prefixes at n = 2, which the benchmark's oracle workload
+    # leaves out; this seed draws a true and a false instance of each
+    rng = random.Random(1)
+    cells = set()
+    for _ in range(2):
+        for prefix in ("EE", "EA"):
+            f = prenex_join([(q, i) for i, q in enumerate(prefix, 1)], random_matrix(rng, 2, 9))
+            star, _ = encode_star(f)
+            tableau = sat_k_tableau(star)
+            bounded = sat_bounded(star, 4)
+            assert tableau.satisfiable == is_true_qbf(f)
+            if bounded.satisfiable:
+                assert tableau.satisfiable
+                assert model_check(bounded.witness, bounded.witness.root, star)
+            elif tableau.satisfiable:
+                assert len(tableau.witness.frame.worlds) > 4
+            cells.add((prefix, tableau.satisfiable))
+    assert cells == {(p, t) for p in ("EE", "EA") for t in (False, True)}

@@ -291,6 +291,7 @@ def main(argv=None) -> int:
         ValuationBudgetError,
         SolverBudgetError,
         OSError,
+        RecursionError,  # an input nested deeper than a recursive stage can go
     ) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -5,8 +5,10 @@ successor generation: saturate a world label propositionally (conjunctions
 first, then disjunctions, ties broken by subformula position), then spawn one
 successor per diamond, carrying the boxed formulas.  Sound and complete for K
 over finite tree models; satisfiable verdicts come with a tree witness whose
-depth is at most the modal depth of the query.  Labels are memoized, so
-repeated sub-labels (ubiquitous in the ladder encodings) are decided once.
+depth is at most the modal depth of the query.  One memo table, keyed by
+label, answers a label met before without saturating it again, so repeated
+sub-labels (ubiquitous in the ladder encodings) are decided once; a memo hit
+still counts as a search node.
 Labels are bit sets: one ``syntax._fold`` step gives the negation normal
 forms of a formula and of its negation together, one explicit-stack pass
 numbers the query's NNF in depth-first pre-order (which fixes the branching
@@ -68,7 +70,10 @@ class SatVerdict:
 
     ``engine`` is "tableau" or "bounded"; for the bounded engine ``bound``
     records the world limit and an unsatisfiable verdict is only
-    bound-relative.  ``nodes`` and ``depth`` are search statistics.
+    bound-relative.  ``nodes`` and ``depth`` are search statistics;
+    ``memo_hits`` counts the tableau's label visits answered from its memo
+    table without saturating (they are counted in ``nodes`` too) and stays 0
+    for the bounded engine.
     """
 
     satisfiable: bool
@@ -77,6 +82,7 @@ class SatVerdict:
     bound: Optional[int]
     nodes: int
     depth: int
+    memo_hits: int = 0
 
     @property
     def conclusive(self) -> bool:
@@ -144,15 +150,25 @@ class _Tableau:
     diamonds are probed against the current boxes (a sound lookahead, since
     boxes only grow along a branch), and only then does the search branch on
     the first open disjunction, asserting the negated left disjunct on the
-    right branch.  Saturated states are memoized for the lifetime of the
-    query.
+    right branch.
+
+    ``cache`` is one memo table for the lifetime of the query, keyed by
+    label bit mask.  ``solve`` counts the node (budget and depth included)
+    and then answers a memoized label without saturating it; ``memo_hits``
+    counts those answers.  Otherwise every outcome is stored under the input
+    label, and the saturated state is looked up and stored in the same
+    table: a saturated state saturates to itself, so it is a label with the
+    same answer.  ``box_bodies`` maps each box set met to the OR of its
+    bodies, the label part every diamond child shares.
     """
 
     def __init__(self, root: ModalFormula, budget: int):
         self.budget = budget
         self.nodes = 0
         self.max_depth = 0
-        self.cache: dict = {}
+        self.memo_hits = 0
+        self.cache: dict = {}  # label or saturated state -> witness tree or None
+        self.box_bodies: dict = {}  # box set -> OR of its bodies
         self.lits = self.ands = self.ors = self.boxes = self.dias = self.falses = 0
         memo: dict = {}  # the NNF pair of every formula met in this query
 
@@ -204,6 +220,11 @@ class _Tableau:
             raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
         if depth > self.max_depth:
             self.max_depth = depth
+        cache = self.cache
+        hit = cache.get(mask, _MISSING)
+        if hit is not _MISSING:
+            self.memo_hits += 1
+            return hit
         data = self.data
         lits = self.lits
         seen = 0
@@ -213,12 +234,14 @@ class _Tableau:
             while pending:
                 seen |= pending
                 if pending & self.falses:
+                    cache[mask] = None
                     return None
                 m = pending & lits
                 while m:
                     low = m & -m
                     m &= m - 1
                     if seen & data[low.bit_length() - 1]:
+                        cache[mask] = None
                         return None
                 ors |= pending & self.ors
                 m = pending & self.ands
@@ -240,6 +263,7 @@ class _Tableau:
                 left_dead = seen & not_left
                 right_dead = seen & not_right
                 if left_dead and right_dead:
+                    cache[mask] = None
                     return None
                 if left_dead:
                     forced |= right
@@ -251,15 +275,20 @@ class _Tableau:
             pending = forced & ~seen
         literals = seen & lits
         state = literals | ors | seen & (self.boxes | self.dias)
-        hit = self.cache.get(state, _MISSING)
+        hit = cache.get(state, _MISSING)
         if hit is not _MISSING:
+            cache[mask] = hit
             return hit
-        box_bodies = 0
-        m = seen & self.boxes
-        while m:
-            low = m & -m
-            m &= m - 1
-            box_bodies |= data[low.bit_length() - 1]
+        boxes = seen & self.boxes
+        box_bodies = self.box_bodies.get(boxes)
+        if box_bodies is None:
+            box_bodies = 0
+            m = boxes
+            while m:
+                low = m & -m
+                m &= m - 1
+                box_bodies |= data[low.bit_length() - 1]
+            self.box_bodies[boxes] = box_bodies
         # diamond probing doubles as the closing rule when no disjunction is open
         result: object = ()
         children = []
@@ -280,7 +309,7 @@ class _Tableau:
                 result = self.solve(state | not_left | right, depth)
         elif result is not None:
             result = (self._true_vars(literals), tuple(children))
-        self.cache[state] = result
+        cache[mask] = cache[state] = result
         return result
 
     def _true_vars(self, literals: int) -> frozenset[int]:
@@ -349,10 +378,12 @@ def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatV
     """
     tableau = _Tableau(expand_sugar(f), budget)
     tree = tableau.solve(1, 0)  # the root has bit 0
+    counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits)
+    del tableau  # free the memo before the witness is built
     if tree is None:
-        return SatVerdict(False, None, "tableau", None, tableau.nodes, tableau.max_depth)
+        return SatVerdict(False, None, "tableau", None, *counters)
     witness = _tree_to_model(tree, modal_vars(f))
-    return SatVerdict(True, witness, "tableau", None, tableau.nodes, tableau.max_depth)
+    return SatVerdict(True, witness, "tableau", None, *counters)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,28 @@ class TestSatCommand:
         assert json.loads(line)["verdict"] == "satisfiable"
 
 
+class TestDeepInputErrors:
+    """Inputs that parse but nest deeper than a recursive stage can go end in
+    a JSON error line and exit code 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["sat"], "dia^3000 true"),
+            (["sat"], " & ".join(f"(p{i} | p{i + 1})" for i in range(1, 3000, 2))),
+            (["qbf", "tqbf"], "p1 -> (" * 1200 + "p1" + ")" * 1200),
+        ],
+        ids=["deep-diamonds", "flat-cnf", "deep-implications"],
+    )
+    def test_reports_json_error(self, tmp_path, capsys, args, text):
+        path = write(tmp_path, "f.txt", text + "\n")
+        assert main([*args, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "recursion" in json.loads(line)["error"]
+
+
 class TestWitnessCommand:
     def test_tree_witness_satisfies_star(self, tmp_path, capsys):
         path = write(tmp_path, "f.txt", "E p1 . p1\n")

@@ -119,15 +119,17 @@ GOLDEN_TABLEAU = [
 ]
 
 
+def golden_formula(stage, text):
+    if stage == "modal":
+        return parse_modal(text)
+    if stage == "star":
+        return encode_star(parse_qbf(text))[0]
+    return encode_alpha(parse_qbf(text))
+
+
 @pytest.mark.parametrize("stage, text, expected", GOLDEN_TABLEAU)
 def test_golden_tableau_counters(stage, text, expected):
-    if stage == "modal":
-        f = parse_modal(text)
-    elif stage == "star":
-        f, _ = encode_star(parse_qbf(text))
-    else:
-        f = encode_alpha(parse_qbf(text))
-    verdict = sat_k_tableau(f)
+    verdict = sat_k_tableau(golden_formula(stage, text))
     witness = verdict.witness
     assert (
         verdict.satisfiable,
@@ -136,6 +138,37 @@ def test_golden_tableau_counters(stage, text, expected):
         len(witness.frame.worlds) if witness else 0,
         hashlib.sha256(model_to_json(witness).encode()).hexdigest() if witness else None,
     ) == expected
+
+
+# label visits answered by the memo table without saturating
+GOLDEN_MEMO_HITS = [
+    ("alpha", "A p1 . E p2 . p1 -> p2", 2336),
+    ("alpha", "E p1 . A p2 . p1 & p2", 1802),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 24429),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 16),
+]
+
+
+@pytest.mark.parametrize("stage, text, expected", GOLDEN_MEMO_HITS)
+def test_golden_memo_hits(stage, text, expected):
+    assert sat_k_tableau(golden_formula(stage, text)).memo_hits == expected
+
+
+@pytest.mark.parametrize("text", ["A p1 . E p2 . p1 -> p2", "E p1 . A p2 . p1 & p2"])
+def test_budget_counts_memo_hits(text):
+    f = golden_formula("alpha", text)
+    verdict = sat_k_tableau(f)
+    assert verdict.memo_hits > 0
+    within = sat_k_tableau(f, budget=verdict.nodes)
+    assert (within.satisfiable, within.nodes, within.memo_hits) == (
+        verdict.satisfiable, verdict.nodes, verdict.memo_hits
+    )
+    with pytest.raises(SolverBudgetError):
+        sat_k_tableau(f, budget=verdict.nodes - 1)
+
+
+def test_bounded_engine_has_no_memo_hits():
+    assert sat_bounded(parse_modal("<> p1 & [] ~p1"), 2).memo_hits == 0
 
 
 class TestDeepInput:

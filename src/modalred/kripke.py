@@ -6,11 +6,13 @@ worlds of the ladder gadgets, optionally tagged with the base world hosting
 the copy.  The string forms of these identities are the stable ids used in
 JSON dumps, e.g. ``base:L2:{1,3}:#7`` and ``gadget:m3:a0@base:L1:{}:#2``.
 
-Each frame builds one index, once, on first use: its worlds in canonical
-order (sorted by id string), their positions, and one successor bit row per
-world.  Model checking, closures, frame classes, validity and the JSON and
-DOT views all read it; building a frame does no sorting, so frames that are
-never inspected cost nothing extra.
+A frame is represented by its index: its worlds in canonical order (sorted
+by id string), their positions, and one successor bit row per world.  Model
+checking, closures, frame classes, validity and the JSON and DOT views all
+read the rows.  A frame built from pairs (``KripkeFrame(worlds, relation)``)
+derives its index on first use, so building one does no sorting; a frame
+built from rows (the result of ``close``) derives its set of pairs only when
+``relation`` is read.  Equality and hashing mean same worlds, same pairs.
 
 Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization and keeps the
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
@@ -126,15 +129,30 @@ class _FrameIndex(NamedTuple):
     succ: tuple[int, ...]  # bit j of succ[i]: order[i] R order[j]
 
 
-@dataclass(frozen=True)
 class KripkeFrame:
-    worlds: frozenset[WorldId]
-    relation: frozenset[tuple[WorldId, WorldId]]
+    """A finite frame: worlds and an accessibility relation, read-only.
 
-    def __post_init__(self):
-        for u, v in self.relation:
-            if u not in self.worlds or v not in self.worlds:
+    ``KripkeFrame(worlds, relation)`` checks that every pair stays inside
+    ``worlds``; its bit rows are built on first use.  ``close`` builds frames
+    from rows, whose ``relation`` is built the first time it is read.
+    """
+
+    def __init__(self, worlds: frozenset[WorldId], relation: frozenset[tuple[WorldId, WorldId]]):
+        for u, v in relation:
+            if u not in worlds or v not in worlds:
                 raise ValueError(f"relation pair ({u!r}, {v!r}) leaves the world set")
+        vars(self).update(worlds=worlds, relation=relation)
+
+    @classmethod
+    def _from_index(cls, worlds: frozenset[WorldId], index: _FrameIndex) -> KripkeFrame:
+        frame = cls.__new__(cls)
+        vars(frame).update(worlds=worlds, _index=index)
+        return frame
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[WorldId, WorldId]]:
+        order, _, succ = self._index
+        return frozenset((order[i], order[j]) for i, j in _pairs(succ))
 
     @cached_property
     def _index(self) -> _FrameIndex:
@@ -144,6 +162,23 @@ class KripkeFrame:
         for u, v in self.relation:
             succ[position[u]] |= 1 << position[v]
         return _FrameIndex(order, position, tuple(succ))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.worlds == other.worlds and self.relation == other.relation
+
+    def __hash__(self):
+        return hash((self.worlds, self.relation))
+
+    def __repr__(self):
+        return f"KripkeFrame(worlds={self.worlds!r}, relation={self.relation!r})"
 
 
 @dataclass(frozen=True, eq=True)
@@ -177,8 +212,27 @@ def _bits(row: int):
         row ^= low
 
 
-def _eval_masks(f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, ...], n: int) -> int:
-    """Mask of worlds satisfying ``f`` (already sugar-free)."""
+def _pairs(succ: tuple[int, ...]):
+    """(i, j) for every set bit j of every row i, row by row."""
+    for i, row in enumerate(succ):
+        for j in _bits(row):
+            yield i, j
+
+
+def _mask(position: Mapping[WorldId, int], worlds) -> int:
+    """Bit mask of ``worlds`` at their index positions."""
+    mask = 0
+    for w in worlds:
+        mask |= 1 << position[w]
+    return mask
+
+
+def _eval_masks(
+    f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, ...], n: int, memo: dict | None = None
+) -> int:
+    """Mask of worlds satisfying ``f`` (already sugar-free).  Calls that pass
+    the same ``memo`` must pass the same masks and rows; they then evaluate
+    each subformula they share once."""
     full = (1 << n) - 1
 
     def step(g, masks) -> int:
@@ -210,17 +264,12 @@ def _eval_masks(f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, 
             return result if dia else full & ~result
         raise TypeError(f"unexpanded or non-modal node: {g!r}")
 
-    return _fold(f, step, {})
+    return _fold(f, step, {} if memo is None else memo)
 
 
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
     index = model.frame._index
-    var_masks = {}
-    for var, members in model.valuation.items():
-        mask = 0
-        for w in members:
-            mask |= 1 << index.position[w]
-        var_masks[var] = mask
+    var_masks = {var: _mask(index.position, members) for var, members in model.valuation.items()}
     return _eval_masks(expand_sugar(f), var_masks, index.succ, len(index.order))
 
 
@@ -271,11 +320,8 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
                 expanded |= fresh
                 for j in _bits(fresh):
                     succ[i] |= succ[j]
-    relation = frozenset((order[i], order[j]) for i in range(n) for j in _bits(succ[i]))
-    closed = KripkeFrame(frame.worlds, relation)
-    # same worlds, hence the same order and positions; the rows are at hand
-    closed.__dict__["_index"] = _FrameIndex(order, position, tuple(succ))
-    return closed
+    # same worlds, hence the same order and positions
+    return KripkeFrame._from_index(frame.worlds, _FrameIndex(order, position, tuple(succ)))
 
 
 def _properties(frame: KripkeFrame):
@@ -283,7 +329,7 @@ def _properties(frame: KripkeFrame):
     n = len(succ)
     reflexive = all(succ[i] >> i & 1 for i in range(n))
     irreflexive = all(not (succ[i] >> i & 1) for i in range(n))
-    pairs = [(i, j) for i, row in enumerate(succ) for j in _bits(row)]
+    pairs = list(_pairs(succ))
     symmetric = all(succ[j] >> i & 1 for i, j in pairs)
     antisymmetric = all(i == j or not succ[j] >> i & 1 for i, j in pairs)
     transitive = all(not succ[j] & ~succ[i] for i, j in pairs)
@@ -347,29 +393,37 @@ def wgrz_axiom() -> ModalFormula:
 # ---------------------------------------------------------------------------
 
 
-def _frame_view(frame: KripkeFrame) -> tuple[list[str], list[list[str]]]:
-    """World ids in index order and the relation as id pairs row by row; both
-    come out sorted because the index order is the sorted id order."""
-    order, _, succ = frame._index
-    ids = [world_id_str(w) for w in order]
-    relation = [[ids[i], ids[j]] for i, row in enumerate(succ) for j in _bits(row)]
-    return ids, relation
+def _json_items(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array (or, with ``brackets="{}"``, object) of already encoded
+    items laid out as ``json.dumps(..., indent=2)`` lays it out at ``depth``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_document(frame: KripkeFrame, model: Optional[KripkeModel] = None) -> str:
+    """The frame (with the model's valuation and root, if given) as the text
+    of ``json.dumps(payload, indent=2) + "\n"``, written from the index: each
+    world id is encoded once, and the rows give the pairs in sorted order
+    because the index order is the sorted id order."""
+    order, position, succ = frame._index
+    ids = [encode_basestring_ascii(world_id_str(w)) for w in order]
+    relation = [f"[\n      {ids[i]},\n      {ids[j]}\n    ]" for i, j in _pairs(succ)]
+    parts = ['{\n  "worlds": ', _json_items(ids, 1), ',\n  "relation": ', _json_items(relation, 1)]
+    if model is not None:
+        valuation = [
+            f'"p{var}": '
+            + _json_items([ids[i] for i in sorted(position[w] for w in model.valuation[var])], 2)
+            for var in sorted(model.valuation)
+        ]
+        parts += [',\n  "valuation": ', _json_items(valuation, 1, "{}"), ',\n  "root": ', ids[position[model.root]]]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def model_to_json(model: KripkeModel) -> str:
-    ids, relation = _frame_view(model.frame)
-    position = model.frame._index.position
-    valuation = {
-        f"p{index}": [ids[i] for i in sorted(position[w] for w in model.valuation[index])]
-        for index in sorted(model.valuation)
-    }
-    payload = {
-        "worlds": ids,
-        "relation": relation,
-        "valuation": valuation,
-        "root": ids[position[model.root]],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_document(model.frame, model)
 
 
 def _world_ids(value, what: str) -> list[WorldId]:
@@ -408,8 +462,7 @@ def model_from_json(text: str) -> KripkeModel:
 
 
 def frame_to_json(frame: KripkeFrame) -> str:
-    ids, relation = _frame_view(frame)
-    return json.dumps({"worlds": ids, "relation": relation}, indent=2) + "\n"
+    return _json_document(frame)
 
 
 def frame_from_json(text: str) -> KripkeFrame:
@@ -417,9 +470,10 @@ def frame_from_json(text: str) -> KripkeFrame:
 
 
 def frame_to_dot(frame: KripkeFrame) -> str:
-    ids, relation = _frame_view(frame)
+    order, _, succ = frame._index
+    ids = [world_id_str(w) for w in order]
     lines = ["digraph frame {"]
     lines += [f'  "{wid}";' for wid in ids]
-    lines += [f'  "{u}" -> "{v}";' for u, v in relation]
+    lines += [f'  "{ids[i]}" -> "{ids[j]}";' for i, j in _pairs(succ)]
     lines.append("}")
     return "\n".join(lines) + "\n"

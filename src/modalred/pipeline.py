@@ -126,6 +126,8 @@ def random_modal_formula(rng: random.Random, max_size: int, var_count: int = 3) 
     ``var_count=0`` gives variable-free (constant) formulas, the shape of the
     hardness instances this toolkit produces.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     sizes = list(range(1, max_size + 1))
     target = rng.choice(sizes)
 
@@ -160,6 +162,8 @@ def random_closed_qbf(rng: random.Random, max_size: int, var_count: int = 3) -> 
     Draws a random formula, closes it universally, and retries until the
     closed formula fits the size bound.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     while True:
         target = rng.choice(list(range(1, max_size + 1)))
 

@@ -1,6 +1,8 @@
 """Frames, models, closures, frame classes, validity search, serialization."""
 
+import json
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,43 @@ def test_close_is_the_smallest_closure(seed, mode):
     assert close(frame, mode).relation == _naive_closure(frame, mode)
 
 
+@pytest.mark.parametrize("mode", ["transitive", "reflexive_transitive", "reflexive_symmetric"])
+@pytest.mark.parametrize("seed", range(25))
+def test_closed_frames_behave_like_pair_frames(seed, mode):
+    # close builds its frame from bit rows; its pairs exist only once read
+    rng = random.Random(seed)
+    frame = make_random_model(rng, world_count=rng.randint(1, 8)).frame
+    naive = _naive_closure(frame, mode)
+    reference = KripkeFrame(frame.worlds, naive)
+    closed = close(frame, mode)
+    assert hash(closed) == hash(reference)  # before anything reads closed.relation
+    assert closed == reference and reference == closed
+    assert len({closed, reference}) == 1
+    assert closed.relation == naive
+    assert closed.worlds == frame.worlds
+    for u in frame.worlds:
+        for v in frame.worlds:
+            assert ((u, v) in closed.relation) == ((u, v) in naive)
+    root = min(frame.worlds, key=world_id_str)
+    assert KripkeModel(closed, {}, root) == KripkeModel(reference, {}, root)
+    if naive:
+        assert closed != KripkeFrame(frame.worlds, naive - {min(naive, key=repr)})
+
+
+def test_frames_are_read_only():
+    frame, worlds = chain_frame(3)
+    for f in (frame, close(frame, "transitive")):
+        for name in ("worlds", "relation", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, frozenset())
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, name)
+    closed = close(frame, "transitive")
+    with pytest.raises(FrozenInstanceError):
+        closed.relation = frozenset()  # before the pairs are derived
+    assert (worlds[0], worlds[2]) in closed.relation
+
+
 def test_model_check_deep_formula():
     # 5000 nested boxes, far past Python's default recursion limit of 1000
     w = _w(0)
@@ -329,12 +368,101 @@ class TestSerialization:
         a, b = _w(0), _w(1)
         with pytest.raises(ValueError):
             KripkeFrame(frozenset([a]), frozenset([(a, b)]))
+        for pair in ((b, a), (b, b)):
+            with pytest.raises(ValueError, match="leaves the world set"):
+                KripkeFrame(frozenset([a]), frozenset([pair]))
 
     def test_dot_export(self):
         frame, worlds = chain_frame(2)
         dot = frame_to_dot(frame)
         assert dot.startswith("digraph frame {")
         assert '"base:L0:{}:#0" -> "base:L0:{}:#1";' in dot
+
+
+def _random_world(rng):
+    host = BaseWorld(rng.randint(0, 3), frozenset(rng.sample(range(1, 6), rng.randint(0, 3))), rng.randint(0, 12))
+    roll = rng.random()
+    if roll < 0.4:
+        return host
+    part = rng.choice(["b", "c", f"a{rng.randint(0, 12)}"])
+    return GadgetWorld(rng.randint(1, 12), part, host if roll < 0.75 else None)
+
+
+def _random_json_model(rng):
+    worlds = set()
+    for _ in range(rng.randint(1, 12)):
+        worlds.add(_random_world(rng))
+    worlds = sorted(worlds, key=world_id_str)  # set order varies with the hash seed
+    density = rng.choice([0.0, 0.2, 0.5])
+    relation = frozenset((u, v) for u in worlds for v in worlds if rng.random() < density)
+    valuation = {
+        k: frozenset(w for w in worlds if rng.random() < 0.4)
+        for k in rng.sample(range(1, 15), rng.randint(0, 4))
+    }
+    return KripkeModel(KripkeFrame(frozenset(worlds), relation), valuation, rng.choice(worlds))
+
+
+def _dumps_reference(frame, model=None):
+    """What the writer must produce: json's own encoder on the payload."""
+    payload = {
+        "worlds": sorted(world_id_str(w) for w in frame.worlds),
+        "relation": sorted([world_id_str(u), world_id_str(v)] for u, v in frame.relation),
+    }
+    if model is not None:
+        payload["valuation"] = {
+            f"p{k}": sorted(world_id_str(w) for w in model.valuation[k]) for k in sorted(model.valuation)
+        }
+        payload["root"] = world_id_str(model.root)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _json_edge_cases():
+    a, b = _w(0), _w(1)
+    host = BaseWorld(2, frozenset({1, 3}), 7)
+    g0, g1 = GadgetWorld(3, "a0", host), GadgetWorld(3, "b", host)
+    pair_frame = KripkeFrame(frozenset([a, b]), frozenset())
+    reflexive = KripkeFrame(frozenset([a]), frozenset([(a, a)]))
+    gadgets = KripkeFrame(frozenset([host, g0, g1]), frozenset([(host, g0), (g0, g1), (g1, g1)]))
+    return [
+        KripkeModel(pair_frame, {}, a),  # empty relation, empty valuation
+        KripkeModel(pair_frame, {2: frozenset(), 1: frozenset([b])}, b),  # a variable with no worlds
+        KripkeModel(reflexive, {}, a),  # a single reflexive world
+        KripkeModel(reflexive, {1: frozenset([a])}, a),
+        KripkeModel(gadgets, {4: frozenset([g1]), 1: frozenset()}, host),  # hosted gadget ids
+        KripkeModel(close(gadgets, "transitive"), {}, g0),
+    ]
+
+
+class TestJsonWriter:
+    """model_to_json and frame_to_json write json.dumps(payload, indent=2)
+    byte for byte, for pair-built and rows-built (closed) frames alike."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models_match_json_dumps(self, seed):
+        model = _random_json_model(random.Random(seed))
+        mode = random.Random(seed).choice(["transitive", "reflexive_transitive", "reflexive_symmetric"])
+        closed = KripkeModel(close(model.frame, mode), model.valuation, model.root)
+        for m in (model, closed):
+            text = model_to_json(m)
+            assert text == _dumps_reference(m.frame, m)
+            assert frame_to_json(m.frame) == _dumps_reference(m.frame)
+            back = model_from_json(text)
+            assert (back.frame, back.root, dict(back.valuation)) == (m.frame, m.root, dict(m.valuation))
+            assert frame_from_json(frame_to_json(m.frame)) == m.frame
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_edge_cases_match_json_dumps(self, index):
+        model = _json_edge_cases()[index]
+        text = model_to_json(model)
+        assert text == _dumps_reference(model.frame, model)
+        assert frame_to_json(model.frame) == _dumps_reference(model.frame)
+        back = model_from_json(text)
+        assert (back.frame, back.root, dict(back.valuation)) == (model.frame, model.root, dict(model.valuation))
+        assert model_to_json(back) == text
+
+    def test_empty_frame(self):
+        frame = KripkeFrame(frozenset(), frozenset())
+        assert frame_to_json(frame) == _dumps_reference(frame) == '{\n  "worlds": [],\n  "relation": []\n}\n'
 
 
 class TestGoldenOutput:

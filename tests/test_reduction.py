@@ -5,11 +5,13 @@ import pytest
 from modalred.kripke import (
     BaseWorld,
     GadgetWorld,
+    KripkeFrame,
     KripkeModel,
     close,
     frame_class_check,
     model_check,
     model_check_all,
+    world_id_str,
 )
 from modalred.reduction import (
     alpha,
@@ -236,6 +238,20 @@ class TestGadgetFrames:
             assert close(frame, "transitive").relation == frame.relation
 
 
+def _reference_violations(base, extended, ctx):
+    """(world, m) where alpha(m) is refuted but the world is not a base world
+    refuting p_m, or the other way round; m ascending, worlds in id order."""
+    violations = []
+    for m in range(1, ctx.var_count + 1):
+        satisfied = model_check_all(extended, alpha(m))
+        holders = base.valuation.get(m, frozenset())
+        for w in sorted(extended.frame.worlds, key=world_id_str):
+            refutes_p = w in base.frame.worlds and w not in holders
+            if (w not in satisfied) != refutes_p:
+                violations.append((w, m))
+    return violations
+
+
 class TestExtendModel:
     def test_copy_count_for_exists(self):
         f = parse_qbf("E p1 . p1")
@@ -259,6 +275,48 @@ class TestExtendModel:
             tree = quantifier_tree(f)
             extended = extend_model(tree, ctx)
             assert star_equivalence_violations(tree, extended, ctx) == []
+
+    @pytest.mark.parametrize("text", ["E p1 . p1", "A p1 . E p2 . p1 -> p2", "E p1 . A p2 . E p3 . p1 | p3"])
+    def test_star_equivalence_reports_violations(self, text):
+        # break the extension per m at a base world w refuting p_m whose
+        # successors all hold p_m, so that w sees no F_m copy but its own:
+        # once by dropping that copy, once by making w a p_m holder
+        f = parse_qbf(text)
+        _, ctx = encode_star(f)
+        tree = quantifier_tree(f)
+        extended = extend_model(tree, ctx)
+        broken = 0
+        for m in range(1, ctx.var_count + 1):
+            holders = tree.valuation.get(m, frozenset())
+            lowest = [
+                w for w in sorted(tree.frame.worlds, key=world_id_str)
+                if w not in holders and all(v in holders for u, v in tree.frame.relation if u == w)
+            ]
+            if not lowest:
+                continue  # p_m holds everywhere (q_0, say)
+            w = lowest[-1]
+            copy = {v for v in extended.frame.worlds if isinstance(v, GadgetWorld) and (v.gadget, v.host) == (m, w)}
+            assert copy
+            broken += 1
+            dropped = KripkeModel(
+                KripkeFrame(
+                    extended.frame.worlds - copy,
+                    frozenset((u, v) for u, v in extended.frame.relation if u not in copy and v not in copy),
+                ),
+                extended.valuation,
+                extended.root,
+            )
+            marked = KripkeModel(tree.frame, {**tree.valuation, m: holders | {w}}, tree.root)
+            for base, ext in ((tree, dropped), (marked, extended)):
+                violations = star_equivalence_violations(base, ext, ctx)
+                assert (w, m) in violations
+                assert violations == _reference_violations(base, ext, ctx)
+        assert broken >= ctx.n
+        # every p_m everywhere: each copy's host breaks, over all m at once
+        everywhere = KripkeModel(tree.frame, dict.fromkeys(range(1, ctx.var_count + 1), tree.frame.worlds), tree.root)
+        violations = star_equivalence_violations(everywhere, extended, ctx)
+        assert len(violations) > 1
+        assert violations == _reference_violations(everywhere, extended, ctx)
 
     def test_relation_is_transitive(self):
         f = parse_qbf("E p1 . p1")

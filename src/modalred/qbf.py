@@ -1,9 +1,13 @@
 """Semantics of quantified Boolean formulas.
 
 A model is just a set of variable indices (the variables that are true).
-Evaluation recurses over the six defining clauses; quantifiers branch on
-adding/removing their variable, which makes this module an exponential but
-trustworthy desk-scale oracle for everything built on top of it.
+Evaluation is one fold: every subformula gets an int truth table with one
+bit per assignment to the v variables bound in the formula, free variables
+are read from the model, and a quantifier combines the two halves of its
+body's table.  This makes the module an exponential but trustworthy
+desk-scale oracle for everything built on top of it; the tables of one
+evaluation may hold at most ``TABLE_BITS_MAX`` bits, and a formula that
+needs more is refused with a ValueError before any table is built.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ def all_vars(f: QbfFormula) -> frozenset[int]:
     return _fold(f, _ALL_VARS_STEP, {})
 
 
-def _vars_step(bind):
+def _vars_step(bind, occurrence=True):
     """Fold step for a variable set; ``bind(body_vars, {index})`` is the set
-    of a quantifier node."""
+    of a quantifier node, and variable occurrences count if ``occurrence``."""
 
     def step(f, kid_vars) -> frozenset[int]:
         if isinstance(f, QVar):
-            return frozenset((f.index,))
+            return frozenset((f.index,) if occurrence else ())
         if isinstance(f, QFalse):
             return frozenset()
         if isinstance(f, (QAnd, QOr, QImp)):
@@ -68,6 +72,11 @@ def _vars_step(bind):
 
 _FREE_VARS_STEP = _vars_step(frozenset.difference)
 _ALL_VARS_STEP = _vars_step(frozenset.union)
+_BOUND_VARS_STEP = _vars_step(frozenset.union, occurrence=False)
+
+# Most bits the truth tables of one evaluation hold: distinct nodes x 2^v
+# for v bound variables (2^26 bits is 8 MiB).
+TABLE_BITS_MAX = 1 << 26
 
 
 def max_index(f: QbfFormula) -> int:
@@ -86,30 +95,58 @@ def universal_closure(f: QbfFormula) -> QbfFormula:
 
 def evaluate(model: Iterable[int], f: QbfFormula) -> bool:
     """Truth of ``f`` in the given model (a set of true variable indices)."""
-    return _evaluate(frozenset(model), f)
+    model = frozenset(model)
+    tables, weight = _truth_tables(f, model)
+    return bool(tables[f] >> sum(w for index, w in weight.items() if index in model) & 1)
 
 
-def _evaluate(model: frozenset[int], f: QbfFormula) -> bool:
-    if isinstance(f, QVar):
-        return f.index in model
-    if isinstance(f, QFalse):
-        return False
-    if isinstance(f, QAnd):
-        return _evaluate(model, f.left) and _evaluate(model, f.right)
-    if isinstance(f, QOr):
-        return _evaluate(model, f.left) or _evaluate(model, f.right)
-    if isinstance(f, QImp):
-        return (not _evaluate(model, f.left)) or _evaluate(model, f.right)
-    if isinstance(f, QForall):
-        return _evaluate(model | {f.index}, f.body) and _evaluate(model - {f.index}, f.body)
-    if isinstance(f, QExists):
-        return _evaluate(model | {f.index}, f.body) or _evaluate(model - {f.index}, f.body)
-    raise TypeError(f"not a QBF formula: {f!r}")
+def _truth_tables(f: QbfFormula, model: frozenset[int]):
+    """Truth table of every subformula of ``f``, and the weight of each
+    bound variable.  Bit ``a`` of a table is the truth of the subformula when
+    the bound variables whose weights sum to ``a`` are true, the other bound
+    ones false and the free ones as in ``model``; a quantifier over a
+    variable of weight w pairs bit a with bit a + w: AND for A, OR for E."""
+    counted: dict = {}
+    bound = sorted(_fold(f, _BOUND_VARS_STEP, counted))
+    size = 1 << len(bound)
+    if len(counted) * size > TABLE_BITS_MAX:
+        raise ValueError(
+            f"QBF truth tables need {len(counted)} nodes x 2^{len(bound)} assignments,"
+            f" over the limit of {TABLE_BITS_MAX} bits"
+        )
+    full = (1 << size) - 1
+    weight: dict[int, int] = {}
+    column: dict[int, int] = {}  # the assignments that make a bound variable true
+    for k, index in enumerate(bound):
+        w = weight[index] = 1 << k
+        column[index] = ((1 << w) - 1) << w
+        for j in range(k + 1, len(bound)):
+            column[index] |= column[index] << (1 << j)
+
+    def step(g, tables) -> int:
+        if isinstance(g, QVar):
+            return column.get(g.index, full if g.index in model else 0)
+        if isinstance(g, QFalse):
+            return 0
+        if isinstance(g, QAnd):
+            return tables[0] & tables[1]
+        if isinstance(g, QOr):
+            return tables[0] | tables[1]
+        if isinstance(g, QImp):
+            return (full ^ tables[0]) | tables[1]
+        body, w = tables[0], weight[g.index]
+        pair = body & body >> w if isinstance(g, QForall) else body | body >> w
+        pair &= full ^ column[g.index]
+        return pair | pair << w
+
+    memo: dict = {}
+    _fold(f, step, memo)
+    return memo, weight
 
 
 def is_true_qbf(f: QbfFormula) -> bool:
     """Identical truth: the universal closure holds in the empty model."""
-    return _evaluate(frozenset(), universal_closure(f))
+    return evaluate((), universal_closure(f))
 
 
 def is_prenex(f: QbfFormula) -> bool:
@@ -144,70 +181,40 @@ def prenex_join(prefix: Iterable[tuple[str, int]], matrix: QbfFormula) -> QbfFor
 def to_prenex(f: QbfFormula) -> QbfFormula:
     """Truth-equivalent prefix form of a closed formula.
 
-    Already-prenex inputs come back unchanged.  Otherwise bound variables are
-    first renamed apart (clashes get fresh indices max+1, max+2, ... in
-    depth-first order), then quantifiers are pulled out left-to-right,
-    dualizing across implication antecedents.  The quantifier count of the
-    input is preserved.
+    Already-prenex inputs come back unchanged.  Otherwise one depth-first
+    pass renames bound variables apart (clashes get fresh indices max+1,
+    max+2, ... in visiting order) and pulls the quantifiers out left to
+    right, dualizing those under an odd number of implication antecedents.
+    The quantifier count of the input is preserved.
     """
     if free_vars(f):
         raise ValueError("to_prenex requires a closed formula")
     if is_prenex(f):
         return f
-    prefix, matrix = _pull(_rename_apart(f))
-    return prenex_join(prefix, matrix)
-
-
-def _rename_apart(f: QbfFormula) -> QbfFormula:
     fresh = itertools.count(max_index(f) + 1)
     used: set[int] = set()
-
-    def walk(g: QbfFormula, env: dict[int, int]) -> QbfFormula:
-        if isinstance(g, QVar):
-            return QVar(env[g.index])
-        if isinstance(g, QFalse):
-            return g
-        if isinstance(g, QAnd):
-            return QAnd(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, QOr):
-            return QOr(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, QImp):
-            return QImp(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, (QForall, QExists)):
+    prefix: list[tuple[str, int]] = []
+    matrix: list[QbfFormula] = []
+    # (formula, renaming, odd) to visit; (connective, None, None) joins the
+    # last two matrix parts
+    stack: list = [(f, {}, False)]
+    while stack:
+        g, env, odd = stack.pop()
+        if env is None:
+            right = matrix.pop()
+            matrix.append(g(matrix.pop(), right))
+        elif isinstance(g, (QForall, QExists)):
             index = g.index if g.index not in used else next(fresh)
             used.add(index)
-            body = walk(g.body, {**env, g.index: index})
-            return QForall(index, body) if isinstance(g, QForall) else QExists(index, body)
-        raise TypeError(f"not a QBF formula: {g!r}")
-
-    return walk(f, {})
-
-
-def _dual(q: tuple[str, int]) -> tuple[str, int]:
-    kind, index = q
-    return ("E" if kind == "A" else "A", index)
-
-
-def _pull(f: QbfFormula) -> tuple[list[tuple[str, int]], QbfFormula]:
-    if isinstance(f, QForall):
-        prefix, matrix = _pull(f.body)
-        return [("A", f.index)] + prefix, matrix
-    if isinstance(f, QExists):
-        prefix, matrix = _pull(f.body)
-        return [("E", f.index)] + prefix, matrix
-    if isinstance(f, QAnd):
-        pl, ml = _pull(f.left)
-        pr, mr = _pull(f.right)
-        return pl + pr, QAnd(ml, mr)
-    if isinstance(f, QOr):
-        pl, ml = _pull(f.left)
-        pr, mr = _pull(f.right)
-        return pl + pr, QOr(ml, mr)
-    if isinstance(f, QImp):
-        pl, ml = _pull(f.left)
-        pr, mr = _pull(f.right)
-        return [_dual(q) for q in pl] + pr, QImp(ml, mr)
-    return [], f
+            prefix.append(("A" if isinstance(g, QForall) != odd else "E", index))
+            stack.append((g.body, {**env, g.index: index}, odd))
+        elif isinstance(g, (QAnd, QOr, QImp)):
+            stack.append((type(g), None, None))
+            stack.append((g.right, env, odd))
+            stack.append((g.left, env, odd != isinstance(g, QImp)))
+        else:
+            matrix.append(QVar(env[g.index]) if isinstance(g, QVar) else g)
+    return prenex_join(prefix, matrix.pop())
 
 
 def negate_prenex(f: QbfFormula) -> QbfFormula:
@@ -218,4 +225,5 @@ def negate_prenex(f: QbfFormula) -> QbfFormula:
     if not is_prenex(f):
         raise ValueError("negate_prenex requires a prenex formula")
     prefix, matrix = prenex_split(f)
-    return prenex_join([_dual(q) for q in prefix], QImp(matrix, QFalse()))
+    dual = [("E" if kind == "A" else "A", index) for kind, index in prefix]
+    return prenex_join(dual, QImp(matrix, QFalse()))

@@ -26,14 +26,13 @@ variables while preserving satisfiability.  ``quantifier_tree`` and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import kripke
-# model_check_all is not called here any more; perfbench's traced run still
-# rebinds this module's name for it
+# model_check_all, evaluate and is_true_qbf are not called here any more;
+# perfbench's traced run still rebinds this module's names for them
 from .kripke import BaseWorld, GadgetWorld, KripkeFrame, KripkeModel, close, model_check_all  # noqa: F401
-from .qbf import evaluate, free_vars, is_prenex, is_true_qbf, prenex_split
+from .qbf import _truth_tables, evaluate, free_vars, is_prenex, is_true_qbf, prenex_split  # noqa: F401
 from .syntax import (
     MAnd,
     MBox,
@@ -50,7 +49,6 @@ from .syntax import (
     QbfFormula,
     QExists,
     QFalse,
-    QForall,
     QImp,
     QOr,
     QVar,
@@ -257,50 +255,35 @@ def quantifier_tree(f: QbfFormula) -> KripkeModel:
     >= i), so the result model-checks encode_star at its root.
     """
     ctx = prepare_context(f)
-    if not is_true_qbf(f):
+    tables, weight = _truth_tables(f, frozenset())
+    if not tables[f] & 1:
         raise ValueError("quantifier tree exists only for true formulas")
     n = ctx.n
-    # residual[k] is the suffix Q_{k+1} p_{k+1} ... Q_n p_n matrix
-    residual: list[QbfFormula] = [ctx.matrix] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        kind, index = ctx.quantifiers[k]
-        body = residual[k + 1]
-        residual[k] = QForall(index, body) if kind == "A" else QExists(index, body)
-
     worlds: list[BaseWorld] = []
     edges: list[tuple[BaseWorld, BaseWorld]] = []
-    counter = itertools.count()
-
-    def build(level: int, assignment: frozenset[int]) -> BaseWorld:
-        w = BaseWorld(level, assignment, next(counter))
+    # (the suffix Q_{level+1} ... matrix, level, assignment, its table bit,
+    # parent world); worlds are numbered as they are popped, in pre-order
+    stack = [(f, 0, frozenset(), 0, None)]
+    while stack:
+        g, level, assignment, bit, parent = stack.pop()
+        w = BaseWorld(level, assignment, len(worlds))
         worlds.append(w)
+        if parent is not None:
+            edges.append((parent, w))
         if level == n:
-            return w
-        kind, index = ctx.quantifiers[level]
-        without = assignment - {index}
-        with_var = assignment | {index}
-        if kind == "A":
-            children = [without, with_var]
-        else:
+            continue
+        children = [(assignment, bit), (assignment | {g.index}, bit | weight[g.index])]
+        if isinstance(g, QExists):
             # prefer the child without the variable when both work
-            children = [
-                a
-                for a in (without, with_var)
-                if evaluate(a, residual[level + 1])
-            ][:1]
-        for child_assignment in children:
-            child = build(level + 1, child_assignment)
-            edges.append((w, child))
-        return w
-
-    root = build(0, frozenset())
+            children = [c for c in children if tables[g.body] >> c[1] & 1][:1]
+        stack.extend((g.body, level + 1, *c, w) for c in reversed(children))
     frame = KripkeFrame(frozenset(worlds), frozenset(edges))
     valuation: dict[int, frozenset[BaseWorld]] = {}
     for k in range(1, n + 1):
         valuation[k] = frozenset(w for w in worlds if k in w.assignment)
     for i in range(n + 2):
         valuation[ctx.q_index(i)] = frozenset(w for w in worlds if w.level >= i)
-    return KripkeModel(frame, valuation, root)
+    return KripkeModel(frame, valuation, worlds[0])
 
 
 def _gadget_edges(m: int, host: BaseWorld | None):

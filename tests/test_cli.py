@@ -6,6 +6,7 @@ import pytest
 
 from modalred.cli import main
 from modalred.kripke import model_check, model_from_json
+from modalred.qbf import is_prenex, prenex_split
 from modalred.reduction import encode_alpha, encode_star
 from modalred.syntax import expand_sugar, parse_modal, parse_qbf, is_constant
 
@@ -130,9 +131,8 @@ class TestDeepInputErrors:
         [
             (["sat"], "dia^3000 true"),
             (["sat"], " & ".join(f"(p{i} | p{i + 1})" for i in range(1, 3000, 2))),
-            (["qbf", "tqbf"], "p1 -> (" * 1200 + "p1" + ")" * 1200),
         ],
-        ids=["deep-diamonds", "flat-cnf", "deep-implications"],
+        ids=["deep-diamonds", "flat-cnf"],
     )
     def test_reports_json_error(self, tmp_path, capsys, args, text):
         path = write(tmp_path, "f.txt", text + "\n")
@@ -141,6 +141,29 @@ class TestDeepInputErrors:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert "recursion" in json.loads(line)["error"]
+
+
+class TestDeepQbfInputs:
+    """QBF commands answer on inputs nested far past the recursion limit."""
+
+    def test_deep_implications_answer(self, tmp_path, capsys):
+        path = write(tmp_path, "f.txt", "p1 -> (" * 1200 + "p1" + ")" * 1200 + "\n")
+        assert main(["qbf", "tqbf", path]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["qbf", "eval", "--model", "1", path]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+    def test_deep_non_prenex_chain_prenexes(self, tmp_path, capsys):
+        # (A p1 . p1) -> ((A p1 . p1) -> ... (A p1 . p1)), 1201 quantifiers
+        text = "(A p1 . p1) -> (" * 1200 + "(A p1 . p1)" + ")" * 1200
+        path = write(tmp_path, "f.txt", text + "\n")
+        assert main(["qbf", "prenex", path]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        prenex = parse_qbf(line)
+        assert is_prenex(prenex)
+        prefix, _ = prenex_split(prenex)
+        # renamed apart in order; every antecedent quantifier dualized
+        assert prefix == [("E", i) for i in range(1, 1201)] + [("A", 1201)]
 
 
 class TestWitnessCommand:

@@ -1,10 +1,17 @@
 """QBF semantics: evaluation, closure, prenexing, negation."""
 
+import json
+import time
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qbf_formulas
+from modalred.cli import main
+from modalred.pipeline import build_corpus
 from modalred.qbf import (
+    TABLE_BITS_MAX,
     all_vars,
     evaluate,
     free_vars,
@@ -26,7 +33,25 @@ from modalred.syntax import (
     QVar,
     parse_qbf,
     qbf_size,
+    render,
 )
+from modalred.reduction import quantifier_tree
+
+
+def reference(model, f):
+    """Truth by the six defining clauses, recursing on the formula."""
+    if isinstance(f, QVar):
+        return f.index in model
+    if isinstance(f, QFalse):
+        return False
+    if isinstance(f, QAnd):
+        return reference(model, f.left) and reference(model, f.right)
+    if isinstance(f, QOr):
+        return reference(model, f.left) or reference(model, f.right)
+    if isinstance(f, QImp):
+        return not reference(model, f.left) or reference(model, f.right)
+    branches = (reference(model | {f.index}, f.body), reference(model - {f.index}, f.body))
+    return all(branches) if isinstance(f, QForall) else any(branches)
 
 
 class TestFreeVars:
@@ -110,6 +135,66 @@ class TestIsTrueQbf:
         assert is_true_qbf(f)
 
 
+def exists_chain(v, matrix):
+    """E p1 . ... E pv . matrix"""
+    for index in range(v, 0, -1):
+        matrix = QExists(index, matrix)
+    return matrix
+
+
+def disjunction(count):
+    """p1 | (p2 | ... pcount), 2 * count - 1 distinct nodes"""
+    f = QVar(count)
+    for index in range(count - 1, 0, -1):
+        f = QOr(QVar(index), f)
+    return f
+
+
+class TestTableBudget:
+    # 21 bound variables give 2^21-bit tables, so 32 distinct nodes fill the
+    # budget exactly: 21 quantifiers and an 11-node disjunction
+    AT_CAP = exists_chain(21, disjunction(6))
+    # one more distinct node: the disjunction or'ed with itself
+    OVER_CAP = exists_chain(21, QOr(disjunction(6), disjunction(6)))
+
+    def test_cap_is_two_to_the_26(self):
+        assert TABLE_BITS_MAX == 1 << 26 == 32 << 21
+
+    def test_at_cap_answers(self):
+        assert is_true_qbf(self.AT_CAP)
+
+    def test_just_over_cap_is_refused(self):
+        with pytest.raises(ValueError, match=f"33 nodes x 2\\^21 .*limit of {TABLE_BITS_MAX} bits"):
+            is_true_qbf(self.OVER_CAP)
+
+    def test_refused_before_any_table_is_built(self):
+        # 2^60-bit tables could not be built at all
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit"):
+            evaluate(set(), exists_chain(60, QVar(1)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_cli_reports_one_json_error_line(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_text(render(self.OVER_CAP) + "\n", encoding="utf-8")
+        assert main(["qbf", "tqbf", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "limit" in json.loads(line)["error"]
+
+    def test_sixteen_existentials_answer(self):
+        assert is_true_qbf(exists_chain(16, QVar(1)))
+
+    def test_free_variables_cost_no_table_bits(self):
+        # 2^40 assignments if free variables took table bits
+        f = QVar(40)
+        for index in range(39, 0, -1):
+            f = QAnd(QVar(index), f)
+        assert evaluate(range(1, 41), f)
+        assert not evaluate(range(1, 40), f)
+
+
 class TestToPrenex:
     def test_prenex_unchanged(self):
         f = parse_qbf("A p1 . E p2 . p1 & p2")
@@ -184,3 +269,33 @@ def test_negate_prenex_flips_truth_and_is_involutive(f):
     assert is_prenex(negated)
     assert is_true_qbf(negated) == (not is_true_qbf(p))
     assert is_true_qbf(negate_prenex(negated)) == is_true_qbf(p)
+
+
+@given(qbf_formulas(max_leaves=12), st.frozensets(st.integers(min_value=1, max_value=5)))
+@settings(max_examples=300, deadline=None)
+def test_tables_match_reference(f, model):
+    assert evaluate(model, f) == reference(model, f)
+    assert is_true_qbf(f) == reference(frozenset(), universal_closure(f))
+
+
+def test_existential_worlds_prefer_the_child_without_the_variable():
+    """Where an existential world of the quantifier tree chose the child with
+    its variable, the sibling without it is false by the reference."""
+    checked = 0
+    for f in build_corpus(n_max=3):
+        if not reference(frozenset(), f):
+            continue
+        model = quantifier_tree(f)
+        suffix = [f]
+        while isinstance(suffix[-1], (QForall, QExists)):
+            suffix.append(suffix[-1].body)
+        n = len(suffix) - 1
+        for u in model.frame.worlds:
+            if u.level == n or isinstance(suffix[u.level], QForall):
+                continue
+            (child,) = [v for (w, v) in model.frame.relation if w == u]
+            index = suffix[u.level].index
+            if index in child.assignment:
+                assert not reference(u.assignment, suffix[u.level + 1])
+                checked += 1
+    assert checked > 0

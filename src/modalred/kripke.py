@@ -106,20 +106,25 @@ _BASE_RE = re.compile(r"^base:L(\d+):\{([\d,]*)\}:#(\d+)$")
 _GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a\d+)(?:@(.+))?$")
 
 
+def _base_world(m: re.Match) -> BaseWorld:
+    inner = m.group(2)
+    assignment = frozenset(int(t) for t in inner.split(",")) if inner else frozenset()
+    return BaseWorld(int(m.group(1)), assignment, int(m.group(3)))
+
+
 def world_id_from_str(text: str) -> WorldId:
     if not isinstance(text, str):
         raise ValueError(f"world id must be a string, got {text!r}")
     m = _BASE_RE.match(text)
     if m:
-        inner = m.group(2)
-        assignment = frozenset(int(t) for t in inner.split(",")) if inner else frozenset()
-        return BaseWorld(int(m.group(1)), assignment, int(m.group(3)))
+        return _base_world(m)
     m = _GADGET_RE.match(text)
     if m:
-        host = world_id_from_str(m.group(3)) if m.group(3) else None
-        if host is not None and not isinstance(host, BaseWorld):
+        # a gadget hangs below a base world, never below another gadget
+        host = m.group(3) and _BASE_RE.match(m.group(3))
+        if m.group(3) and host is None:
             raise ValueError(f"gadget host must be a base world: {text!r}")
-        return GadgetWorld(int(m.group(1)), m.group(2), host)
+        return GadgetWorld(int(m.group(1)), m.group(2), host and _base_world(host))
     raise ValueError(f"unrecognized world id: {text!r}")
 
 

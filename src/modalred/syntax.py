@@ -4,7 +4,10 @@ Two term languages live here: quantified Boolean formulas (Q* classes) and
 modal formulas (M* classes).  All nodes are hash-consed: constructing a node
 twice with equal arguments yields the same object, so structural equality is
 object identity and formulas can be used as dictionary keys at O(1) cost.
-Nodes are immutable after construction and safe to share across threads.
+``Formula.__new__`` builds every node: a node class declares its fields, in
+argument order, in ``__slots__``, and a leading integer field's error wording
+and least value in ``_PARAM`` and ``_LEAST`` (1 unless set).  Assigning or
+deleting a field raises ``FrozenInstanceError``; nodes are safe to share.
 
 The modal language carries four kinds of sugar mirroring common shorthands:
 ``box+`` (reflexive box), ``box<=n`` (all depths 0..n), ``box^n`` and ``dia^n``
@@ -29,6 +32,7 @@ Python's recursion limit.
 from __future__ import annotations
 
 import re
+from dataclasses import FrozenInstanceError
 from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -82,22 +86,44 @@ __all__ = [
 _POOL: dict = {}
 
 
-def _make(cls, key, names, values):
-    node = _POOL.get(key)
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(names, values):
-            setattr(node, name, value)
-        # setdefault keeps one canonical node under concurrent construction
-        node = _POOL.setdefault(key, node)
-    return node
-
-
 class Formula:
+    """Hash-consed, immutable formula node (see the module docstring)."""
+
     __slots__ = ()
+    _PARAM = None
+    _LEAST = 1
+
+    def __new__(cls, *values):
+        # checked before the lookup, or MVar(1.0) would find MVar(1)
+        if cls._PARAM and values:
+            value = values[0]
+            if not isinstance(value, int) or value < cls._LEAST:
+                least = "positive" if cls._LEAST else "non-negative"
+                raise ValueError(f"{cls._PARAM} must be a {least} integer, got {value!r}")
+        key = (cls, *values)
+        node = _POOL.get(key)
+        if node is None:
+            if len(values) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}, got {len(values)} values")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, values):
+                object.__setattr__(node, name, value)
+            # setdefault keeps one canonical node under concurrent construction
+            node = _POOL.setdefault(key, node)
+        return node
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"{type(self).__name__}({render(self)!r})"
+
+    def _params(self) -> tuple:
+        """The leading integer field, if the class declares one."""
+        return (getattr(self, self.__slots__[0]),) if self._PARAM else ()
 
 
 class QbfFormula(Formula):
@@ -114,87 +140,50 @@ class ModalFormula(Formula):
 
 class QVar(QbfFormula):
     __slots__ = ("index",)
-
-    def __new__(cls, index: int):
-        if not isinstance(index, int) or index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {index!r}")
-        return _make(cls, (cls, index), ("index",), (index,))
+    _PARAM = "variable index"
 
 
 class QFalse(QbfFormula):
     __slots__ = ()
 
-    def __new__(cls):
-        return _make(cls, (cls,), (), ())
-
 
 class QAnd(QbfFormula):
     __slots__ = ("left", "right")
-
-    def __new__(cls, left: QbfFormula, right: QbfFormula):
-        return _make(cls, (cls, left, right), ("left", "right"), (left, right))
 
 
 class QOr(QbfFormula):
     __slots__ = ("left", "right")
 
-    def __new__(cls, left: QbfFormula, right: QbfFormula):
-        return _make(cls, (cls, left, right), ("left", "right"), (left, right))
-
 
 class QImp(QbfFormula):
     __slots__ = ("left", "right")
 
-    def __new__(cls, left: QbfFormula, right: QbfFormula):
-        return _make(cls, (cls, left, right), ("left", "right"), (left, right))
-
 
 class QForall(QbfFormula):
     __slots__ = ("index", "body")
-
-    def __new__(cls, index: int, body: QbfFormula):
-        if not isinstance(index, int) or index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {index!r}")
-        return _make(cls, (cls, index, body), ("index", "body"), (index, body))
+    _PARAM = "variable index"
 
 
 class QExists(QbfFormula):
     __slots__ = ("index", "body")
-
-    def __new__(cls, index: int, body: QbfFormula):
-        if not isinstance(index, int) or index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {index!r}")
-        return _make(cls, (cls, index, body), ("index", "body"), (index, body))
+    _PARAM = "variable index"
 
 
 class MVar(ModalFormula):
     __slots__ = ("index",)
-
-    def __new__(cls, index: int):
-        if not isinstance(index, int) or index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {index!r}")
-        return _make(cls, (cls, index), ("index",), (index,))
+    _PARAM = "variable index"
 
 
 class MFalse(ModalFormula):
     __slots__ = ()
 
-    def __new__(cls):
-        return _make(cls, (cls,), (), ())
-
 
 class MTrue(ModalFormula):
     __slots__ = ()
 
-    def __new__(cls):
-        return _make(cls, (cls,), (), ())
-
 
 class MNot(ModalFormula):
     __slots__ = ("body",)
-
-    def __new__(cls, body: ModalFormula):
-        return _make(cls, (cls, body), ("body",), (body,))
 
 
 class MAnd(ModalFormula):
@@ -203,38 +192,25 @@ class MAnd(ModalFormula):
     __slots__ = ("items",)
 
     def __new__(cls, items: Iterable[ModalFormula]):
-        items = tuple(items)
-        if not items:
+        if not (items := tuple(items)):
             raise ValueError("n-ary conjunction needs at least one conjunct")
-        return _make(cls, (cls, items), ("items",), (items,))
+        return super().__new__(cls, items)
 
 
 class MOr(ModalFormula):
     __slots__ = ("left", "right")
 
-    def __new__(cls, left: ModalFormula, right: ModalFormula):
-        return _make(cls, (cls, left, right), ("left", "right"), (left, right))
-
 
 class MImp(ModalFormula):
     __slots__ = ("left", "right")
-
-    def __new__(cls, left: ModalFormula, right: ModalFormula):
-        return _make(cls, (cls, left, right), ("left", "right"), (left, right))
 
 
 class MBox(ModalFormula):
     __slots__ = ("body",)
 
-    def __new__(cls, body: ModalFormula):
-        return _make(cls, (cls, body), ("body",), (body,))
-
 
 class MDia(ModalFormula):
     __slots__ = ("body",)
-
-    def __new__(cls, body: ModalFormula):
-        return _make(cls, (cls, body), ("body",), (body,))
 
 
 class MBoxPlus(ModalFormula):
@@ -242,41 +218,26 @@ class MBoxPlus(ModalFormula):
 
     __slots__ = ("body",)
 
-    def __new__(cls, body: ModalFormula):
-        return _make(cls, (cls, body), ("body",), (body,))
-
 
 class MBoxLe(ModalFormula):
     """Sugar: box<=n f stands for the conjunction of box^i f for i = 0..n."""
 
     __slots__ = ("bound", "body")
-
-    def __new__(cls, bound: int, body: ModalFormula):
-        if not isinstance(bound, int) or bound < 0:
-            raise ValueError(f"box<= bound must be a non-negative integer, got {bound!r}")
-        return _make(cls, (cls, bound, body), ("bound", "body"), (bound, body))
+    _PARAM, _LEAST = "box<= bound", 0
 
 
 class MBoxPow(ModalFormula):
     """Sugar: box^n f, n nested boxes."""
 
     __slots__ = ("power", "body")
-
-    def __new__(cls, power: int, body: ModalFormula):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError(f"box^ power must be a non-negative integer, got {power!r}")
-        return _make(cls, (cls, power, body), ("power", "body"), (power, body))
+    _PARAM, _LEAST = "box^ power", 0
 
 
 class MDiaPow(ModalFormula):
     """Sugar: dia^n f, n nested diamonds."""
 
     __slots__ = ("power", "body")
-
-    def __new__(cls, power: int, body: ModalFormula):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError(f"dia^ power must be a non-negative integer, got {power!r}")
-        return _make(cls, (cls, power, body), ("power", "body"), (power, body))
+    _PARAM, _LEAST = "dia^ power", 0
 
 
 #: A substitution maps variable indices to modal formulas; indices outside
@@ -538,7 +499,11 @@ _MODAL = _CORE + (MBoxPlus, MBoxLe, MBoxPow, MDiaPow)
 # Rendering
 # ---------------------------------------------------------------------------
 
+#: The text of every leaf and the prefix of every unary node, with the
+#: node's integer parameter formatted in.
+_LEAF = {QVar: "p{}", MVar: "p{}", QFalse: "false", MFalse: "false", MTrue: "true"}
 _PREFIX = {MNot: "~", MBox: "[] ", MDia: "<> ", MBoxPlus: "box+ "}
+_PREFIX.update({MBoxLe: "box<={} ", MBoxPow: "box^{} ", MDiaPow: "dia^{} "})
 
 
 def render(f: Formula) -> str:
@@ -554,12 +519,8 @@ def _wrap(part: tuple[str, int], needed: int) -> str:
 
 def _render_step(f, parts) -> tuple[str, int]:
     """Text and binding power of ``f`` from those of its children."""
-    if isinstance(f, (QVar, MVar)):
-        return f"p{f.index}", _ATOM
-    if isinstance(f, (QFalse, MFalse)):
-        return "false", _ATOM
-    if isinstance(f, MTrue):
-        return "true", _ATOM
+    if type(f) in _LEAF:
+        return _LEAF[type(f)].format(*f._params()), _ATOM
     if isinstance(f, (QForall, QExists)):
         letter = "A" if isinstance(f, QForall) else "E"
         return f"{letter} p{f.index} . {parts[0][0]}", _GRAMMAR["forall"][0]
@@ -575,18 +536,11 @@ def _render_step(f, parts) -> tuple[str, int]:
     if isinstance(f, MAnd):
         # printed in its own parentheses, so a flat run survives the round trip
         return "(" + " & ".join(_wrap(p, _GRAMMAR["amp"][0] + 1) for p in parts) + ")", _ATOM
-    if isinstance(f, MBoxLe):
-        prefix = f"box<={f.bound} "
-    elif isinstance(f, MBoxPow):
-        prefix = f"box^{f.power} "
-    elif isinstance(f, MDiaPow):
-        prefix = f"dia^{f.power} "
-    elif type(f) in _PREFIX:
-        prefix = _PREFIX[type(f)]
-    else:
+    prefix = _PREFIX.get(type(f))
+    if prefix is None:
         raise TypeError(f"not a formula: {f!r}")
     power = _GRAMMAR["tilde"][0]
-    return prefix + _wrap(parts[0], power), power
+    return prefix.format(*f._params()) + _wrap(parts[0], power), power
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +551,12 @@ def _render_step(f, parts) -> tuple[str, int]:
 def _rebuild(f, kids) -> ModalFormula:
     """The modal node ``f`` over new children; hash-consing hands back ``f``
     itself when they are its own."""
-    if isinstance(f, (MVar, MFalse, MTrue)):
-        return f
-    if isinstance(f, MAnd):
+    cls = type(f)
+    if cls not in _MODAL:
+        raise TypeError(f"not a modal formula: {f!r}")
+    if cls is MAnd:
         return MAnd(kids)
-    if isinstance(f, (MNot, MOr, MImp, MBox, MDia, MBoxPlus)):
-        return type(f)(*kids)
-    if isinstance(f, MBoxLe):
-        return MBoxLe(f.bound, kids[0])
-    if isinstance(f, (MBoxPow, MDiaPow)):
-        return type(f)(f.power, kids[0])
-    raise TypeError(f"not a modal formula: {f!r}")
+    return cls(*f._params(), *kids)
 
 
 def substitute(f: ModalFormula, mapping: Substitution) -> ModalFormula:

@@ -248,6 +248,15 @@ class TestFrameCommand:
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
 
+    def test_deep_gadget_host_chain_is_error(self, tmp_path, capsys):
+        world = "gadget:m1:b@" * 3000 + "base:L0:{}:#0"
+        path = write(tmp_path, "frame.json", json.dumps({"worlds": [world], "relation": []}))
+        assert main(["frame", "--input", path, "--check", "gl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {"error": f"gadget host must be a base world: {world!r}"}
+
 
 class TestVerifyCommand:
     def test_small_run_passes_and_is_deterministic(self, tmp_path, capsys):

@@ -337,6 +337,16 @@ class TestWorldIds:
         with pytest.raises(ValueError):
             world_id_from_str("planet:earth")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["gadget:m3:a0@gadget:m4:c", "gadget:m1:b@" * 3000 + "base:L0:{}:#0"],
+    )
+    def test_gadget_host_must_be_base_world(self, text):
+        # a host chain far deeper than Python's default recursion limit
+        with pytest.raises(ValueError) as err:
+            world_id_from_str(text)
+        assert str(err.value) == f"gadget host must be a base world: {text!r}"
+
 
 class TestSerialization:
     def test_model_round_trip(self):

@@ -1,5 +1,7 @@
 """Parser, printer, substitution and size metric tests."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import strategies as st
 from hypothesis import assume, example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from conftest import modal_formulas, qbf_formulas, sugared_modal_formulas, all_small_models
 from modalred.kripke import model_check
 from modalred.syntax import (
+    Formula,
     FormulaSyntaxError,
     MAnd,
     MBox,
@@ -14,12 +17,14 @@ from modalred.syntax import (
     MBoxPlus,
     MBoxPow,
     MDia,
+    MDiaPow,
     MFalse,
     MImp,
     MNot,
     MOr,
     MTrue,
     MVar,
+    ModalFormula,
     QAnd,
     QExists,
     QFalse,
@@ -27,6 +32,7 @@ from modalred.syntax import (
     QImp,
     QOr,
     QVar,
+    QbfFormula,
     expand_sugar,
     formula_size,
     is_constant,
@@ -298,6 +304,87 @@ class TestNodeInterning:
             QVar(-2)
         with pytest.raises(ValueError):
             MAnd(())
+
+
+# (a constructor call, the message of the ValueError it raises)
+BAD_FIELDS = [
+    (lambda: MVar(0), "variable index must be a positive integer, got 0"),
+    (lambda: MVar(1.0), "variable index must be a positive integer, got 1.0"),
+    (lambda: QVar(-2), "variable index must be a positive integer, got -2"),
+    (lambda: QForall(0, QVar(1)), "variable index must be a positive integer, got 0"),
+    (lambda: QExists(1.5, QVar(1)), "variable index must be a positive integer, got 1.5"),
+    (lambda: MBoxLe(-1, MVar(1)), "box<= bound must be a non-negative integer, got -1"),
+    (lambda: MBoxPow(-2, MVar(1)), "box^ power must be a non-negative integer, got -2"),
+    (lambda: MDiaPow(-3, MVar(1)), "dia^ power must be a non-negative integer, got -3"),
+    (lambda: MDiaPow("2", MVar(1)), "dia^ power must be a non-negative integer, got '2'"),
+    (lambda: MAnd([]), "n-ary conjunction needs at least one conjunct"),
+]
+
+
+@pytest.mark.parametrize("make, message", BAD_FIELDS)
+def test_constructor_error_text(make, message):
+    MVar(1)  # a float index must not find this node in the pool
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MVar(),
+        lambda: MTrue(MFalse()),
+        lambda: MNot(MTrue(), MTrue()),
+        lambda: QOr(QFalse()),
+        lambda: QForall(1, QVar(1), QVar(2)),
+        lambda: MBoxLe(2),
+    ],
+)
+def test_wrong_arity_is_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_nodes_reject_assignment_and_deletion():
+    p1 = MVar(1)
+    for node, name in [
+        (p1, "index"),
+        (MAnd((p1, p1)), "items"),
+        (MBoxLe(2, p1), "bound"),
+        (QForall(1, QVar(1)), "body"),
+        (MTrue(), "extra"),
+    ]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, 2)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+    assert MVar(1) is p1
+    assert render(MVar(1)) == "p1"
+
+
+def _nodes(root):
+    """Every node of ``root``, found through the fields its class declares."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(node)
+        elif isinstance(node, Formula) and node not in seen:
+            seen.add(node)
+            stack.extend(getattr(node, name) for name in type(node).__slots__)
+    return seen
+
+
+def test_every_node_rebuilds_from_its_fields():
+    qbfs = map(parse_qbf, ["A p1 . E p2 . (p1 & p2) | ~p1 -> false", "E p3 . A p1 . p3 | p1 & ~p3"])
+    f, g = map(parse_modal, ["[] (p1 & <> p2) | ~(p3 -> false)", "<> true & [] [] ~p1"])
+    sugared = [MBoxPlus(f), MBoxLe(2, g), MBoxPow(3, f), MDiaPow(1, MBoxLe(0, g))]
+    nodes = set().union(*map(_nodes, [*qbfs, f, g, *sugared]))
+    classes = {*QbfFormula.__subclasses__(), *ModalFormula.__subclasses__()}
+    assert len(classes) == 20
+    assert {type(node) for node in nodes} == classes
+    for node in nodes:
+        assert type(node)(*(getattr(node, name) for name in type(node).__slots__)) is node
 
 
 def _chain(wrap, depth: int, leaf):

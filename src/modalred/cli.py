@@ -14,6 +14,7 @@ import json
 import sys
 
 from .kripke import (
+    DEFAULT_VALUATION_BUDGET,
     ValuationBudgetError,
     frame_class_check,
     frame_from_json,
@@ -153,6 +154,8 @@ _FRAME_CLASSES = {"gl": "GL", "grz": "Grz", "ktb": "KTB"}
 
 
 def cmd_frame(args) -> int:
+    if args.alpha_max < 1:
+        raise ValueError(f"--alpha-max must be at least 1, got {args.alpha_max}")
     if args.gadget is not None:
         frame = frame_fm_plus(args.gadget) if args.plus else frame_fm(args.gadget)
     elif args.input is not None:
@@ -263,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p_frame.add_argument("--alpha-max", type=int, default=6)
-    p_frame.add_argument("--budget-bits", type=int, default=20)
+    p_frame.add_argument("--budget-bits", type=int, default=DEFAULT_VALUATION_BUDGET)
     p_frame.add_argument("--dot", action="store_true", help="print the frame as DOT")
     p_frame.set_defaults(handler=cmd_frame)
 

@@ -102,7 +102,7 @@ def world_id_str(w: WorldId) -> str:
     raise TypeError(f"not a world id: {w!r}")
 
 
-_BASE_RE = re.compile(r"^base:L(\d+):\{([\d,]*)\}:#(\d+)$")
+_BASE_RE = re.compile(r"^base:L(\d+):\{((?:\d+(?:,\d+)*)?)\}:#(\d+)$")
 _GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a\d+)(?:@(.+))?$")
 
 
@@ -113,19 +113,27 @@ def _base_world(m: re.Match) -> BaseWorld:
 
 
 def world_id_from_str(text: str) -> WorldId:
+    """The world whose id is ``text``.  Only the canonical form that
+    ``world_id_str`` writes is accepted, so two distinct ids never name the
+    same world."""
     if not isinstance(text, str):
         raise ValueError(f"world id must be a string, got {text!r}")
     m = _BASE_RE.match(text)
     if m:
-        return _base_world(m)
-    m = _GADGET_RE.match(text)
-    if m:
+        w = _base_world(m)
+    else:
+        m = _GADGET_RE.match(text)
+        if m is None:
+            raise ValueError(f"unrecognized world id: {text!r}")
         # a gadget hangs below a base world, never below another gadget
         host = m.group(3) and _BASE_RE.match(m.group(3))
         if m.group(3) and host is None:
             raise ValueError(f"gadget host must be a base world: {text!r}")
-        return GadgetWorld(int(m.group(1)), m.group(2), host and _base_world(host))
-    raise ValueError(f"unrecognized world id: {text!r}")
+        w = GadgetWorld(int(m.group(1)), m.group(2), host and _base_world(host))
+    canonical = world_id_str(w)
+    if canonical != text:
+        raise ValueError(f"world id {text!r} is not in canonical form {canonical!r}")
+    return w
 
 
 class _FrameIndex(NamedTuple):
@@ -200,6 +208,15 @@ class KripkeModel:
                 raise ValueError(f"valuation of p{index} leaves the world set")
 
 
+def _assigned_model(worlds: list[BaseWorld], edges, variables) -> KripkeModel:
+    """The model on ``worlds`` and ``edges``, rooted at ``worlds[0]``, in
+    which each of ``variables`` holds exactly where a world's assignment has
+    it: the form of both satisfiability engines' witnesses."""
+    frame = KripkeFrame(frozenset(worlds), frozenset(edges))
+    valuation = {v: frozenset(w for w in worlds if v in w.assignment) for v in sorted(variables)}
+    return KripkeModel(frame, valuation, worlds[0])
+
+
 class ValuationBudgetError(Exception):
     """Raised when frame_validates would need to search too many valuations."""
 
@@ -233,11 +250,12 @@ def _mask(position: Mapping[WorldId, int], worlds) -> int:
 
 
 def _eval_masks(
-    f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, ...], n: int, memo: dict | None = None
+    f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, ...], memo: dict | None = None
 ) -> int:
     """Mask of worlds satisfying ``f`` (already sugar-free).  Calls that pass
     the same ``memo`` must pass the same masks and rows; they then evaluate
     each subformula they share once."""
+    n = len(succ)
     full = (1 << n) - 1
 
     def step(g, masks) -> int:
@@ -275,7 +293,7 @@ def _eval_masks(
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
     index = model.frame._index
     var_masks = {var: _mask(index.position, members) for var, members in model.valuation.items()}
-    return _eval_masks(expand_sugar(f), var_masks, index.succ, len(index.order))
+    return _eval_masks(expand_sugar(f), var_masks, index.succ)
 
 
 def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
@@ -371,7 +389,7 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
     n = len(succ)
     full = (1 << n) - 1
     if not variables:
-        return _eval_masks(g, {}, succ, n) == full
+        return _eval_masks(g, {}, succ) == full
     bits = n * len(variables)
     if bits > budget:
         raise ValuationBudgetError(
@@ -381,7 +399,7 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
         var_masks = {}
         for vi, var in enumerate(variables):
             var_masks[var] = (combo >> (vi * n)) & full
-        if _eval_masks(g, var_masks, succ, n) != full:
+        if _eval_masks(g, var_masks, succ) != full:
             return False
     return True
 

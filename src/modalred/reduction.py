@@ -366,7 +366,7 @@ def star_equivalence_violations(
     base_worlds = kripke._mask(position, base.frame.worlds & extended.frame.worlds)
     violations = []
     for m in range(1, ctx.var_count + 1):
-        satisfied = kripke._eval_masks(alpha(m), {}, succ, n, memo)
+        satisfied = kripke._eval_masks(alpha(m), {}, succ, memo)
         holders = kripke._mask(position, base.valuation.get(m, frozenset()) & extended.frame.worlds)
         wrong = (full & ~satisfied) ^ (base_worlds & ~holders)
         violations.extend((order[i], m) for i in kripke._bits(wrong))

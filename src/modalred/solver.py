@@ -8,7 +8,10 @@ over finite tree models; satisfiable verdicts come with a tree witness whose
 depth is at most the modal depth of the query.  One memo table, keyed by
 label, answers a label met before without saturating it again, so repeated
 sub-labels (ubiquitous in the ladder encodings) are decided once; a memo hit
-still counts as a search node.
+still counts as a search node.  A satisfiable label's result is a tuple
+(true variables, children, worlds): ``worlds`` counts the worlds of its tree
+unfolding, so the witness knows its size before it is built, and a memo hit
+hands back the same tuple, count included.
 Labels are bit sets: one ``syntax._fold`` step gives the negation normal
 forms of a formula and of its negation together, one explicit-stack pass
 numbers the query's NNF in depth-first pre-order (which fixes the branching
@@ -36,7 +39,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .kripke import BaseWorld, KripkeFrame, KripkeModel
+from .kripke import BaseWorld, KripkeModel, _assigned_model, _bits
 from .syntax import (
     MAnd,
     MBox,
@@ -143,7 +146,8 @@ class _Tableau:
     bit what saturation needs: the clashing literal, the body or the
     conjunct bits, or a disjunction's (left, right, not left, not right)
     bits.  One mask per kind (``lits``, ``ands``, ``ors``, ``boxes``,
-    ``dias``, ``falses``) tells which bits are of that kind.
+    ``dias``, ``falses``) tells which bits are of that kind; ``var_bits``
+    marks the literals that are variables.
 
     Saturation drains conjunctions, checks newly seen literals for clashes,
     and unit-propagates disjunctions whose one side is already refuted; then
@@ -167,9 +171,9 @@ class _Tableau:
         self.nodes = 0
         self.max_depth = 0
         self.memo_hits = 0
-        self.cache: dict = {}  # label or saturated state -> witness tree or None
+        self.cache: dict = {}  # label or saturated state -> result or None
         self.box_bodies: dict = {}  # box set -> OR of its bodies
-        self.lits = self.ands = self.ors = self.boxes = self.dias = self.falses = 0
+        self.lits = self.var_bits = self.ands = self.ors = self.boxes = self.dias = self.falses = 0
         memo: dict = {}  # the NNF pair of every formula met in this query
 
         def pair(g: ModalFormula) -> tuple[ModalFormula, ModalFormula]:
@@ -192,6 +196,7 @@ class _Tableau:
                 successors = f.items
             elif isinstance(f, MVar):
                 self.lits |= bit
+                self.var_bits |= bit
                 successors = (MNot(f),)
             elif isinstance(f, MNot):
                 self.lits |= bit
@@ -214,7 +219,8 @@ class _Tableau:
         ]
 
     def solve(self, mask: int, depth: int):
-        """Witness tree (true variables, children) for the label, or None."""
+        """(true variables, children, worlds) for a satisfiable label, else
+        None; ``worlds`` is 1 plus the children's worlds."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
@@ -292,6 +298,7 @@ class _Tableau:
         # diamond probing doubles as the closing rule when no disjunction is open
         result: object = ()
         children = []
+        worlds = 1
         m = seen & self.dias
         while m:
             low = m & -m
@@ -301,6 +308,7 @@ class _Tableau:
                 result = None
                 break
             children.append(child)
+            worlds += child[2]
         if result is not None and ors:
             low = ors & -ors
             left, right, not_left, not_right = data[low.bit_length() - 1]
@@ -308,20 +316,10 @@ class _Tableau:
             if result is None:
                 result = self.solve(state | not_left | right, depth)
         elif result is not None:
-            result = (self._true_vars(literals), tuple(children))
+            true_vars = frozenset(self.formulas[i].index for i in _bits(literals & self.var_bits))
+            result = (true_vars, tuple(children), worlds)
         cache[mask] = cache[state] = result
         return result
-
-    def _true_vars(self, literals: int) -> frozenset[int]:
-        out = set()
-        m = literals
-        while m:
-            low = m & -m
-            m &= m - 1
-            f = self.formulas[low.bit_length() - 1]
-            if isinstance(f, MVar):
-                out.add(f.index)
-        return frozenset(out)
 
 
 _MISSING = object()
@@ -333,28 +331,17 @@ _MISSING = object()
 WITNESS_TREE_LIMIT = 100_000
 
 
-def _unfolded_size(tree, memo: dict) -> int:
-    key = id(tree)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    _, children = tree
-    result = 1 + sum(_unfolded_size(c, memo) for c in children)
-    memo[key] = result
-    return result
-
-
 def _tree_to_model(tree, variables: frozenset[int]) -> KripkeModel:
     worlds: list[BaseWorld] = []
     edges: list[tuple[BaseWorld, BaseWorld]] = []
     serial = itertools.count()
-    share = _unfolded_size(tree, {}) > WITNESS_TREE_LIMIT
+    share = tree[2] > WITNESS_TREE_LIMIT
     placed: dict[int, BaseWorld] = {}
 
     def build(node, depth: int) -> BaseWorld:
         if share and id(node) in placed:
             return placed[id(node)]
-        literals, children = node
+        literals, children, _ = node
         w = BaseWorld(depth, frozenset(literals), next(serial))
         worlds.append(w)
         placed[id(node)] = w
@@ -363,12 +350,8 @@ def _tree_to_model(tree, variables: frozenset[int]) -> KripkeModel:
             edges.append((w, cw))
         return w
 
-    root = build(tree, 0)
-    frame = KripkeFrame(frozenset(worlds), frozenset(edges))
-    valuation = {
-        v: frozenset(w for w in worlds if v in w.assignment) for v in sorted(variables)
-    }
-    return KripkeModel(frame, valuation, root)
+    build(tree, 0)
+    return _assigned_model(worlds, edges, variables)
 
 
 def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatVerdict:
@@ -582,31 +565,13 @@ def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
         total_decisions += decisions
         if model_bits is None:
             continue
-        variables = sorted(modal_vars(g))
+        # the DPLL model assigns every CNF variable
+        variables = modal_vars(g)
         worlds = [
-            BaseWorld(
-                0,
-                frozenset(
-                    v
-                    for v in variables
-                    if model_bits.get(truth.get((MVar(v), j)), False)
-                ),
-                j,
-            )
+            BaseWorld(0, frozenset(v for v in variables if model_bits[truth[MVar(v), j]]), j)
             for j in range(k)
         ]
-        edges = frozenset(
-            (worlds[i], worlds[j])
-            for i in range(k)
-            for j in range(k)
-            if model_bits.get(rel[(i, j)], False)
-        )
-        frame = KripkeFrame(frozenset(worlds), edges)
-        valuation = {
-            v: frozenset(w for j, w in enumerate(worlds)
-                         if model_bits.get(truth.get((MVar(v), j)), False))
-            for v in variables
-        }
-        witness = KripkeModel(frame, valuation, worlds[0])
+        edges = [(worlds[i], worlds[j]) for (i, j), bit in rel.items() if model_bits[bit]]
+        witness = _assigned_model(worlds, edges, variables)
         return SatVerdict(True, witness, "bounded", max_worlds, total_decisions, k)
     return SatVerdict(False, None, "bounded", max_worlds, total_decisions, max_worlds)

@@ -248,6 +248,23 @@ class TestFrameCommand:
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
 
+    def test_aliased_world_ids_are_error(self, tmp_path, capsys):
+        # read leniently, the two ids would be one world with a loop
+        u, v = "base:L0:{1,3}:#0", "base:L0:{3,1}:#0"
+        path = write(tmp_path, "frame.json", json.dumps({"worlds": [u, v], "relation": [[u, v]]}))
+        assert main(["frame", "--input", path, "--check", "gl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert repr(v) in json.loads(line)["error"]
+
+    def test_alpha_max_below_one_is_error(self, capsys):
+        assert main(["frame", "--gadget", "3", "--check", "alpha-validity", "--alpha-max", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {"error": "--alpha-max must be at least 1, got 0"}
+
     def test_deep_gadget_host_chain_is_error(self, tmp_path, capsys):
         world = "gadget:m1:b@" * 3000 + "base:L0:{}:#0"
         path = write(tmp_path, "frame.json", json.dumps({"worlds": [world], "relation": []}))

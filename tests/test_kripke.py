@@ -339,6 +339,25 @@ class TestWorldIds:
 
     @pytest.mark.parametrize(
         "text",
+        [
+            "base:L0:{3,1}:#0",
+            "base:L0:{01}:#0",
+            "base:L0:{1,1}:#0",
+            "base:L0:{}:#00",
+            "base:L0:{,}:#0",
+            "base:L0:{}:#0\n",
+            "gadget:m01:a0",
+            "gadget:m1:b@base:L0:{3,1}:#0",
+        ],
+    )
+    def test_non_canonical_ids_rejected(self, text):
+        # each would otherwise alias the world of another id
+        with pytest.raises(ValueError) as err:
+            world_id_from_str(text)
+        assert repr(text) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text",
         ["gadget:m3:a0@gadget:m4:c", "gadget:m1:b@" * 3000 + "base:L0:{}:#0"],
     )
     def test_gadget_host_must_be_base_world(self, text):

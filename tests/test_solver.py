@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import make_random_model, modal_formulas
 from modalred.kripke import model_check, model_check_all, model_to_json
-from modalred.pipeline import random_matrix
+from modalred.pipeline import random_matrix, random_modal_formula
 from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
+    WITNESS_TREE_LIMIT,
     SolverBudgetError,
     _Cnf,
+    _Tableau,
     _dpll,
     _nnf_step,
     sat_bounded,
@@ -33,7 +35,9 @@ from modalred.syntax import (
     MTrue,
     MVar,
     _fold,
+    expand_sugar,
     modal_depth,
+    modal_vars,
     parse_modal,
     parse_qbf,
     render,
@@ -167,6 +171,30 @@ def test_budget_counts_memo_hits(text):
         sat_k_tableau(f, budget=verdict.nodes - 1)
 
 
+def _unfolded_worlds(tree, memo):
+    """Worlds of the tree unfolding of a tableau result, counted by walking
+    the result dag: the reference for the count the search carries."""
+    if id(tree) not in memo:
+        memo[id(tree)] = 1 + sum(_unfolded_worlds(child, memo) for child in tree[1])
+    return memo[id(tree)]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [golden_formula(stage, text) for stage, text, _ in GOLDEN_TABLEAU]
+    + [random_modal_formula(rng, 12) for rng in [random.Random(7)] for _ in range(30)],
+)
+def test_result_carries_its_world_count(f):
+    tree = _Tableau(expand_sugar(f), 10**7).solve(1, 0)
+    verdict = sat_k_tableau(f)
+    assert (tree is not None) == verdict.satisfiable
+    if tree is None:
+        return
+    assert tree[2] == _unfolded_worlds(tree, {})
+    if tree[2] <= WITNESS_TREE_LIMIT:
+        assert len(verdict.witness.frame.worlds) == tree[2]
+
+
 def test_bounded_engine_has_no_memo_hits():
     assert sat_bounded(parse_modal("<> p1 & [] ~p1"), 2).memo_hits == 0
 
@@ -212,6 +240,17 @@ class TestBounded:
         assert not sat_bounded(f, 1).satisfiable
         for bound in (2, 3, 4):
             assert sat_bounded(f, bound).satisfiable
+
+    @pytest.mark.parametrize("bound", [1, 2, 4])
+    def test_valuation_is_read_off_the_assignments(self, bound):
+        rng = random.Random(3)
+        for _ in range(30):
+            f = random_modal_formula(rng, 10)
+            verdict = sat_bounded(f, bound)
+            if verdict.satisfiable:
+                witness = verdict.witness
+                for v in modal_vars(f):
+                    assert witness.valuation[v] == {w for w in witness.frame.worlds if v in w.assignment}
 
     def test_requires_positive_bound(self):
         with pytest.raises(ValueError):

@@ -103,7 +103,7 @@ def world_id_str(w: WorldId) -> str:
 
 
 _BASE_RE = re.compile(r"^base:L(\d+):\{((?:\d+(?:,\d+)*)?)\}:#(\d+)$")
-_GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a\d+)(?:@(.+))?$")
+_GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a(\d+))(?:@(.+))?$")
 
 
 def _base_world(m: re.Match) -> BaseWorld:
@@ -125,11 +125,16 @@ def world_id_from_str(text: str) -> WorldId:
         m = _GADGET_RE.match(text)
         if m is None:
             raise ValueError(f"unrecognized world id: {text!r}")
+        # F_m has m >= 1 and the parts a0..am, b and c; the rung is kept as
+        # written, so only its canonical spelling is accepted
+        gadget, rung = int(m.group(1)), m.group(3)
+        if gadget < 1 or rung is not None and (rung != str(int(rung)) or int(rung) > gadget):
+            raise ValueError(f"not a world of a gadget F_m (m >= 1; parts a0..am, b, c): {text!r}")
         # a gadget hangs below a base world, never below another gadget
-        host = m.group(3) and _BASE_RE.match(m.group(3))
-        if m.group(3) and host is None:
+        host = m.group(4) and _BASE_RE.match(m.group(4))
+        if m.group(4) and host is None:
             raise ValueError(f"gadget host must be a base world: {text!r}")
-        w = GadgetWorld(int(m.group(1)), m.group(2), host and _base_world(host))
+        w = GadgetWorld(gadget, m.group(2), host and _base_world(host))
     canonical = world_id_str(w)
     if canonical != text:
         raise ValueError(f"world id {text!r} is not in canonical form {canonical!r}")

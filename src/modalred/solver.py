@@ -21,14 +21,20 @@ recursion runs before the search itself.
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
 the satisfaction relation (truth bits per subformula and world, relation
-bits, valuation bits) under a small deterministic DPLL.  Satisfiable verdicts
-are absolute; unsatisfiable ones only mean "no model within the bound".
-The DPLL branches on the lowest-numbered unassigned variable, ``False``
-first, and counts every polarity tried as a decision.  Unit propagation
+bits, valuation bits) under a small deterministic conflict-driven search.
+Satisfiable verdicts are absolute; unsatisfiable ones only mean "no model
+within the bound".  The search decides the lowest-numbered unassigned
+variable, ``False`` first, and counts decisions only.  Unit propagation
 watches two literals per clause (Moskewicz et al., "Chaff", DAC 2001): an
-assignment visits only the clauses that watch the literal it falsifies.  The
-search is one loop over an explicit stack of decision frames, so it does not
-recurse however deep it goes.
+assignment visits only the clauses that watch the literal it falsifies.  A
+conflict is analysed to its first unique implication point and learned as a
+clause, and the search jumps back to the level where that clause asserts
+(Marques-Silva & Sakallah, "GRASP", IEEE Trans. Comput. 48(5), 1999; Zhang
+et al., ICCAD 2001); there are no restarts and no clause deletion.  Learned
+clauses follow from the CNF, so under the fixed decision rule the model found
+is the lexicographically first model of the encoding, the one a plain
+chronological DPLL finds, only reached with far fewer decisions.  The search
+is one loop and does not recurse however deep it goes.
 """
 
 from __future__ import annotations
@@ -456,16 +462,25 @@ def _encode(f: ModalFormula, k: int):
 
 
 def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
-    """Deterministic DPLL with two-watched-literal unit propagation; returns
-    (model, decisions).
+    """Deterministic conflict-driven search with two-watched-literal unit
+    propagation; returns (model, decisions).
 
-    Branches on the lowest-numbered unassigned variable, ``False`` first,
-    and counts every polarity tried.  The search is one loop over a stack of
-    (variable, trail mark, tried-true) frames.  Unit propagation reaches the
-    same fixpoint, or a conflict, whatever order it visits clauses in, so
-    the decisions and the model do not depend on the watch scheme.  A clause
-    is unit when exactly one of its positions is unassigned and the others
-    are false: a repeated literal counts once per position."""
+    Decides the lowest-numbered unassigned variable, ``False`` first;
+    ``decisions`` counts these only.  A conflict is analysed to its first
+    unique implication point (1UIP), skipping level-0 literals.  The learned
+    clause watches the negated UIP and its latest other literal; the search
+    jumps back to that literal's level, asserts the negated UIP there with
+    the clause as its reason, and decides again from the lowest unassigned
+    variable.  A conflict at level 0 means unsatisfiable.
+
+    Learned clauses follow from the CNF, so every literal on the trail
+    follows from the CNF and the decisions before it, and every decision
+    sets the lowest unassigned variable to ``False``.  The model found is
+    hence the lexicographically first one (variable 1 first, ``False``
+    before ``True``), as under chronological backtracking.  The search is
+    one loop and does not recurse.  A clause is unit when exactly one of
+    its positions is unassigned and the others are false: a repeated
+    literal counts once per position."""
     n = cnf.count
     # value[lit] is the truth of literal lit (None while unassigned); a
     # negative literal indexes from the end, so -v lands at 2n + 1 - v
@@ -473,6 +488,8 @@ def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
     # watches[lit]: clauses watching lit at position 0 or 1, visited when
     # lit becomes false
     watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+    level = [0] * (n + 1)  # decision level of each assigned variable
+    reason: list[Optional[list[int]]] = [None] * (n + 1)  # clause that implied it
     trail: list[int] = []
     for clause in cnf.clauses:
         if not clause:
@@ -489,8 +506,9 @@ def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
             watches[c[0]].append(c)
             watches[c[1]].append(c)
 
-    def propagate(head: int) -> bool:
-        """Assign the unit consequences of trail[head:]; False on conflict."""
+    def propagate(head: int, depth: int) -> Optional[list[int]]:
+        """Assign the unit consequences of trail[head:] at level ``depth``;
+        the falsified clause on conflict, else None."""
         while head < len(trail):
             false_lit = -trail[head]
             head += 1
@@ -514,41 +532,85 @@ def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
                     if value[other] is False:
                         kept.extend(watching[at + 1:])
                         watches[false_lit] = kept
-                        return False
+                        return c
                     value[other], value[-other] = True, False
+                    var = abs(other)
+                    level[var] = depth
+                    reason[var] = c
                     trail.append(other)
             watches[false_lit] = kept
-        return True
+        return None
 
-    if not propagate(0):
+    if propagate(0, 0) is not None:
         return None, 0
     decisions = 0
-    stack: list[tuple[int, int, bool]] = []
-    var, ok = 1, True
+    marks: list[int] = []  # trail length when each decision level began
+    seen = [False] * (n + 1)
+    var = 1  # every variable below var is assigned
+    lit, why = 0, None  # a literal asserted after a conflict, and its reason
     while True:
-        if ok:
-            # every variable below the last decision is assigned
+        if not lit:
             while var <= n and value[var] is not None:
                 var += 1
             if var > n:
                 return {abs(lit): lit > 0 for lit in trail}, decisions
-            stack.append((var, len(trail), False))
+            decisions += 1
+            marks.append(len(trail))
             lit = -var
-        else:
-            while stack and stack[-1][2]:
-                stack.pop()
-            if not stack:
-                return None, decisions
-            var, mark, _ = stack[-1]
-            stack[-1] = (var, mark, True)
-            for undone in trail[mark:]:
-                value[undone] = value[-undone] = None
-            del trail[mark:]
-            lit = var
-        decisions += 1
+        depth = len(marks)
         value[lit], value[-lit] = True, False
+        level[abs(lit)] = depth
+        reason[abs(lit)] = why
         trail.append(lit)
-        ok = propagate(len(trail) - 1)
+        conflict = propagate(len(trail) - 1, depth)
+        lit, why = 0, None
+        if conflict is None:
+            continue
+        if not depth:
+            return None, decisions
+        # 1UIP: resolve the conflict clause with the reasons of its
+        # current-level literals, latest first, until one of them is left
+        learned = [0]  # position 0 is the asserting literal
+        open_count = 0
+        at = len(trail)
+        clause = conflict
+        pivot = 0
+        while True:
+            for q in clause:
+                v = abs(q)
+                if v != pivot and not seen[v] and level[v]:
+                    seen[v] = True
+                    if level[v] == depth:
+                        open_count += 1
+                    else:
+                        learned.append(q)
+            at -= 1
+            while not seen[abs(trail[at])]:
+                at -= 1
+            pivot = abs(trail[at])
+            seen[pivot] = False
+            open_count -= 1
+            if not open_count:
+                break
+            clause = reason[pivot]
+        learned[0] = -trail[at]
+        back = 0
+        for pos in range(1, len(learned)):
+            v = abs(learned[pos])
+            seen[v] = False
+            if level[v] > back:
+                back = level[v]
+                learned[1], learned[pos] = learned[pos], learned[1]
+        mark = marks[back]
+        for undone in trail[mark:]:
+            value[undone] = value[-undone] = None
+        var = min(map(abs, trail[mark:]))
+        del trail[mark:]
+        del marks[back:]
+        if len(learned) > 1:
+            watches[learned[0]].append(learned)
+            watches[learned[1]].append(learned)
+        lit, why = learned[0], learned
 
 
 def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:

@@ -258,6 +258,17 @@ class TestFrameCommand:
         [line] = captured.err.splitlines()
         assert repr(v) in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("world", ["gadget:m1:a7", "gadget:m1:a01", "gadget:m0:b"])
+    def test_world_outside_its_gadget_is_error(self, tmp_path, capsys, world):
+        path = write(tmp_path, "frame.json", json.dumps({"worlds": [world], "relation": []}))
+        assert main(["frame", "--input", path, "--check", "gl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": f"not a world of a gadget F_m (m >= 1; parts a0..am, b, c): {world!r}"
+        }
+
     def test_alpha_max_below_one_is_error(self, capsys):
         assert main(["frame", "--gadget", "3", "--check", "alpha-validity", "--alpha-max", "0"]) == 1
         captured = capsys.readouterr()

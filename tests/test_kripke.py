@@ -358,6 +358,30 @@ class TestWorldIds:
 
     @pytest.mark.parametrize(
         "text",
+        [
+            "gadget:m1:a01",
+            "gadget:m1:a7",
+            "gadget:m1:a2",
+            "gadget:m0:b",
+            "gadget:m0:a0",
+            "gadget:m3:a00@base:L0:{}:#0",
+            "gadget:m3:a4@base:L0:{}:#0",
+        ],
+    )
+    def test_ids_outside_the_gadget_rejected(self, text):
+        # F_m has m >= 1 and the parts a0..am, b and c, each spelled once
+        with pytest.raises(ValueError) as err:
+            world_id_from_str(text)
+        assert str(err.value) == f"not a world of a gadget F_m (m >= 1; parts a0..am, b, c): {text!r}"
+
+    @pytest.mark.parametrize("m", [1, 2, 11])
+    def test_every_gadget_part_round_trips(self, m):
+        for part in ["b", "c", *(f"a{i}" for i in range(m + 1))]:
+            g = GadgetWorld(m, part, None)
+            assert world_id_from_str(world_id_str(g)) == g
+
+    @pytest.mark.parametrize(
+        "text",
         ["gadget:m3:a0@gadget:m4:c", "gadget:m1:b@" * 3000 + "base:L0:{}:#0"],
     )
     def test_gadget_host_must_be_base_world(self, text):
@@ -413,8 +437,9 @@ def _random_world(rng):
     roll = rng.random()
     if roll < 0.4:
         return host
-    part = rng.choice(["b", "c", f"a{rng.randint(0, 12)}"])
-    return GadgetWorld(rng.randint(1, 12), part, host if roll < 0.75 else None)
+    m = rng.randint(1, 12)
+    part = rng.choice(["b", "c", f"a{rng.randint(0, m)}"])
+    return GadgetWorld(m, part, host if roll < 0.75 else None)
 
 
 def _random_json_model(rng):

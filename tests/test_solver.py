@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_model, modal_formulas
 from modalred.kripke import model_check, model_check_all, model_to_json
-from modalred.pipeline import random_matrix, random_modal_formula
+from modalred.pipeline import build_corpus, random_matrix, random_modal_formula
 from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
     WITNESS_TREE_LIMIT,
@@ -263,19 +263,19 @@ GADGET_31 = MDia(MNot(MOr(
 )))
 
 # (satisfiable, decisions, k, sha256 of the witness JSON) of sat_bounded;
-# any change here means the DPLL search itself changed
+# any change here means the CDCL search itself changed
 GOLDEN_BOUNDED = [
-    ("star", "A p1 . p1", 4, (False, 156, 4, None)),
+    ("star", "A p1 . p1", 4, (False, 42, 4, None)),
     ("star", "E p1 . p1", 4, (True, 3, 2, (
         "24c699a80676f2e22f269b3e4d3cbbbf69846c4ab3ffc56bec72ebe9516c16af"
     ))),
-    ("star", "A p1 . E p2 . p1 -> p2", 4, (False, 330, 4, None)),
-    ("star", "E p1 . A p2 . p1 & p2", 4, (False, 5118, 4, None)),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 4, (False, 1674, 4, None)),
-    ("star", "E p1 . A p2 . E p3 . p1 & p2", 4, (False, 36670, 4, None)),
-    ("star", "E p1 . E p2 . (p1 & false)", 4, (False, 31518, 4, None)),
+    ("star", "A p1 . E p2 . p1 -> p2", 4, (False, 59, 4, None)),
+    ("star", "E p1 . A p2 . p1 & p2", 4, (False, 156, 4, None)),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 4, (False, 81, 4, None)),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 4, (False, 186, 4, None)),
+    ("star", "E p1 . E p2 . (p1 & false)", 4, (False, 42, 4, None)),
     ("gadget", "<> ~(alpha(2) | ([] false | <> true) | alpha(2) | alpha(1))", 5,
-     (False, 1806, 5, None)),
+     (False, 80, 5, None)),
 ]
 
 
@@ -327,24 +327,23 @@ def test_dpll_matches_brute_force(cnf):
     def satisfies(model):
         return all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses)
 
-    found = any(
-        satisfies(dict(enumerate(bits, 1)))
-        for bits in itertools.product((False, True), repeat=cnf.count)
-    )
+    # product order puts variable 1 first and False before True, so the
+    # first model found is the lexicographically first one
+    models = (dict(enumerate(bits, 1)) for bits in itertools.product((False, True), repeat=cnf.count))
+    first = next(filter(satisfies, models), None)
     model, _ = _dpll(cnf)
-    assert (model is not None) == found
-    if model is not None:
-        assert set(model) == set(range(1, cnf.count + 1))
-        assert satisfies(model)
+    assert model == first
 
 
 def test_dpll_search_deeper_than_the_recursion_limit():
     # (v | v + 1) for odd v < 3000 takes one decision per pair, 1,500 deep;
-    # (a | b) & (a | ~b) then refutes a = False at that depth
+    # (a | b) & (a | ~b) then refutes a = False at that depth.  The learned
+    # unit clause (a) jumps back to level 0, the 1,500 pairs are decided
+    # again, and b is decided last
     pairs = [(v, v + 1) for v in range(1, 3000, 2)]
     a, b = 3001, 3002
     model, decisions = _dpll(_cnf(3002, *pairs, (a, b), (a, -b)))
-    assert decisions == 1500 + 2 + 1
+    assert decisions == 1500 + 1 + 1500 + 1
     assert model == {**{v: v % 2 == 0 for v in range(1, 3001)}, a: True, b: False}
 
 
@@ -453,7 +452,7 @@ def test_engines_agree_on_existential_two_variable_stars():
     # leaves out; this seed draws a true and a false instance of each
     rng = random.Random(1)
     cells = set()
-    for _ in range(2):
+    for _ in range(25):
         for prefix in ("EE", "EA"):
             f = prenex_join([(q, i) for i, q in enumerate(prefix, 1)], random_matrix(rng, 2, 9))
             star, _ = encode_star(f)
@@ -467,3 +466,14 @@ def test_engines_agree_on_existential_two_variable_stars():
                 assert len(tableau.witness.frame.worlds) > 4
             cells.add((prefix, tableau.satisfiable))
     assert cells == {(p, t) for p in ("EE", "EA") for t in (False, True)}
+
+
+def test_bounded_oracle_refutes_false_variable_free_encodings():
+    # every false n = 1 instance with a matrix of size at most 3 has an
+    # alpha encoding with no model of at most 6 worlds; clause learning
+    # refutes all 16 in well under a second
+    false_instances = [f for f in build_corpus(n_max=1, matrix_size_max_n1=3) if not is_true_qbf(f)]
+    assert len(false_instances) == 16
+    for f in false_instances:
+        verdict = sat_bounded(encode_alpha(f), 6)
+        assert not verdict.satisfiable and verdict.bound == 6

@@ -32,7 +32,7 @@ from .reduction import (
     quantifier_tree,
     star_equivalence_violations,
 )
-from .solver import DEFAULT_TABLEAU_BUDGET, SolverBudgetError, sat_k_tableau
+from .solver import DEFAULT_TABLEAU_BUDGET, SolverBudgetError, _require_positive, sat_k_tableau
 from .syntax import (
     MAnd,
     MBox,
@@ -311,6 +311,7 @@ def run_verify(
     seed: int = 0,
     budget: int = DEFAULT_TABLEAU_BUDGET,
 ) -> VerifyReport:
+    _require_positive("budget", budget)
     corpus = build_corpus(
         n_max=n_max,
         matrix_size_max_n1=matrix_size_max_n1,

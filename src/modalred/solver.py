@@ -14,8 +14,15 @@ unfolding, so the witness knows its size before it is built, and a memo hit
 hands back the same tuple, count included.
 Labels are bit sets: one ``syntax._fold`` step gives the negation normal
 forms of a formula and of its negation together, one explicit-stack pass
-numbers the query's NNF in depth-first pre-order (which fixes the branching
-and probing order), and saturation reads one mask per formula kind.  No
+numbers the query's NNF in depth-first pre-order (which fixes which
+disjunction is branched on and the probing order), and saturation reads one
+mask per formula kind.  A second fold marks the formulas that may spawn a
+successor world (a diamond in their propositional top level); a disjunction
+whose left side may spawn and whose right side may not is branched right
+side first, so the search tries the side that builds no world before the
+one that does (the choice of branch, Horrocks & Patel-Schneider, J. Logic
+Comput. 9(3), 1999).  In the variable-free encoding that side is the box of
+a negated ladder, and the order cuts the search several times over.  No
 recursion runs before the search itself.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
@@ -81,8 +88,9 @@ class SatVerdict:
     records the world limit and an unsatisfiable verdict is only
     bound-relative.  ``nodes`` and ``depth`` are search statistics;
     ``memo_hits`` counts the tableau's label visits answered from its memo
-    table without saturating (they are counted in ``nodes`` too) and stays 0
-    for the bounded engine.
+    table without saturating (they are counted in ``nodes`` too) and
+    ``branches`` the labels that branched on a disjunction; both stay 0 for
+    the bounded engine.
     """
 
     satisfiable: bool
@@ -92,6 +100,7 @@ class SatVerdict:
     nodes: int
     depth: int
     memo_hits: int = 0
+    branches: int = 0
 
     @property
     def conclusive(self) -> bool:
@@ -136,6 +145,14 @@ def _nnf_step(f, kids) -> tuple[ModalFormula, ModalFormula]:
     raise TypeError(f"unexpanded or non-modal node: {f!r}")
 
 
+def _spawn_step(f, kids) -> bool:
+    """Whether the NNF formula ``f`` may spawn a successor world: a diamond
+    in its propositional top level, reached through conjuncts and both sides
+    of a disjunction but never into a box or diamond body.  One
+    ``syntax._fold`` step."""
+    return isinstance(f, MDia) or isinstance(f, (MAnd, MOr)) and any(kids)
+
+
 # ---------------------------------------------------------------------------
 # Tableau
 # ---------------------------------------------------------------------------
@@ -150,17 +167,24 @@ class _Tableau:
     of a formula are its clashing literal, its body, its conjuncts, or, for
     a disjunction, both sides and then their negations.  ``data`` holds per
     bit what saturation needs: the clashing literal, the body or the
-    conjunct bits, or a disjunction's (left, right, not left, not right)
-    bits.  One mask per kind (``lits``, ``ands``, ``ors``, ``boxes``,
-    ``dias``, ``falses``) tells which bits are of that kind; ``var_bits``
-    marks the literals that are variables.
+    conjunct bits, or a disjunction's (first, second, not first, not second)
+    side bits.  The first side is the left one unless the left side may
+    spawn a successor world and the right side may not: a diamond in its
+    propositional top level, through conjuncts and both sides of a
+    disjunction but not into a box or diamond body.  The mark is one
+    ``syntax._fold`` memo per query, so it stays linear on shared
+    subformulas.  One mask per kind (``lits``, ``ands``, ``ors``,
+    ``boxes``, ``dias``, ``falses``) tells which bits are of that kind;
+    ``var_bits`` marks the literals that are variables.
 
     Saturation drains conjunctions, checks newly seen literals for clashes,
     and unit-propagates disjunctions whose one side is already refuted; then
     diamonds are probed against the current boxes (a sound lookahead, since
     boxes only grow along a branch), and only then does the search branch on
-    the first open disjunction, asserting the negated left disjunct on the
-    right branch.
+    the lowest-bit open disjunction: first on its first side, then on the
+    negated first side with the second.  Saturation reads the sides
+    symmetrically, so the side order moves only the branch order.
+    ``branches`` counts the labels that branched.
 
     ``cache`` is one memo table for the lifetime of the query, keyed by
     label bit mask.  ``solve`` counts the node (budget and depth included)
@@ -177,6 +201,7 @@ class _Tableau:
         self.nodes = 0
         self.max_depth = 0
         self.memo_hits = 0
+        self.branches = 0
         self.cache: dict = {}  # label or saturated state -> result or None
         self.box_bodies: dict = {}  # box set -> OR of its bodies
         self.lits = self.var_bits = self.ands = self.ors = self.boxes = self.dias = self.falses = 0
@@ -218,8 +243,15 @@ class _Tableau:
             order.append((f, successors))
             stack.extend(reversed(successors))
         self.formulas = [f for f, _ in order]
+        spawns: dict = {}  # the may-spawn mark of every formula met
+
+        def sides(f: MOr, left, right, not_left, not_right) -> tuple:
+            if _fold(f.left, _spawn_step, spawns) and not _fold(f.right, _spawn_step, spawns):
+                return right, left, not_right, not_left
+            return left, right, not_left, not_right
+
         self.data = [
-            tuple(map(bits.get, successors)) if isinstance(f, MOr)
+            sides(f, *map(bits.get, successors)) if isinstance(f, MOr)
             else functools.reduce(operator.or_, map(bits.get, successors), 0)
             for f, successors in order
         ]
@@ -316,11 +348,12 @@ class _Tableau:
             children.append(child)
             worlds += child[2]
         if result is not None and ors:
+            self.branches += 1
             low = ors & -ors
-            left, right, not_left, not_right = data[low.bit_length() - 1]
-            result = self.solve(state | left, depth)
+            first, second, not_first, _ = data[low.bit_length() - 1]
+            result = self.solve(state | first, depth)
             if result is None:
-                result = self.solve(state | not_left | right, depth)
+                result = self.solve(state | not_first | second, depth)
         elif result is not None:
             true_vars = frozenset(self.formulas[i].index for i in _bits(literals & self.var_bits))
             result = (true_vars, tuple(children), worlds)
@@ -360,14 +393,21 @@ def _tree_to_model(tree, variables: frozenset[int]) -> KripkeModel:
     return _assigned_model(worlds, edges, variables)
 
 
+def _require_positive(name: str, value) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatVerdict:
     """Decide K-satisfiability of ``f``; sound and complete.
 
-    Raises SolverBudgetError when the node budget runs out.
+    Raises SolverBudgetError when the node budget runs out, and ValueError
+    when ``budget`` is not a positive integer.
     """
+    _require_positive("budget", budget)
     tableau = _Tableau(expand_sugar(f), budget)
     tree = tableau.solve(1, 0)  # the root has bit 0
-    counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits)
+    counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches)
     del tableau  # free the memo before the witness is built
     if tree is None:
         return SatVerdict(False, None, "tableau", None, *counters)
@@ -617,8 +657,7 @@ def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
     """Exhaustive search for a pointed model with at most ``max_worlds``
     worlds.  Satisfiable verdicts are absolute; unsatisfiable means only
     "no model within the bound"."""
-    if not isinstance(max_worlds, int) or max_worlds < 1:
-        raise ValueError(f"max_worlds must be a positive integer, got {max_worlds!r}")
+    _require_positive("max_worlds", max_worlds)
     g = expand_sugar(f)
     total_decisions = 0
     for k in range(1, max_worlds + 1):

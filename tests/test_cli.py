@@ -98,6 +98,15 @@ class TestSatCommand:
         assert main(["sat", apath, "--budget", "3"]) == 1
         assert "budget" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_error(self, tmp_path, capsys, budget):
+        path = write(tmp_path, "f.txt", "p1\n")
+        assert main(["sat", path, "--budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": f"budget must be a positive integer, got {budget}"}
+
     def test_deep_box_power(self, tmp_path, capsys):
         path = write(tmp_path, "f.txt", "box^5000 p1\n")
         assert main(["sat", path]) == 0
@@ -318,6 +327,19 @@ class TestVerifyCommand:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert parameter in json.loads(line)["error"]
+
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_error_before_the_corpus(self, capsys, monkeypatch, budget):
+        def no_corpus(**_):
+            raise AssertionError("the corpus was built")
+
+        monkeypatch.setattr("modalred.pipeline.build_corpus", no_corpus)
+        assert main(["verify", "--budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": f"budget must be a positive integer, got {budget}"}
 
 
 class TestStdin:

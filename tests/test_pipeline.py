@@ -124,6 +124,15 @@ class TestRunVerify:
             doc = json.loads(line)
             assert {"formula", "is_true", "star_sat", "alpha_sat", "pass"} <= set(doc)
 
+    @pytest.mark.parametrize("budget", [0, -5, 1.5])
+    def test_budget_must_be_a_positive_integer(self, monkeypatch, budget):
+        def no_corpus(**_):
+            raise AssertionError("the corpus was built")
+
+        monkeypatch.setattr("modalred.pipeline.build_corpus", no_corpus)
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            run_verify(budget=budget)
+
     def test_summary_mentions_pass(self):
         report = run_verify(n_max=1, matrix_size_max_n1=1)
         assert "PASS" in report_summary(report)

@@ -90,29 +90,29 @@ class TestTableau:
 # any change here means the search itself changed
 GOLDEN_TABLEAU = [
     ("star", "A p1 . p1", (False, 5, 1, 0, None)),
-    ("alpha", "A p1 . p1", (False, 144, 6, 0, None)),
+    ("alpha", "A p1 . p1", (False, 137, 5, 0, None)),
     ("star", "E p1 . p1", (True, 4, 1, 2, (
         "5566f467e55fc0eec6cf313474293c0fea0dfd905c0bb1970d34fb4418f21e34"
     ))),
-    ("alpha", "E p1 . p1", (True, 143, 6, 58, (
-        "06beeb63c51ed1304ff5cae77c80eb8520b1303f8b8a10f04bb734bc4d04f4bb"
+    ("alpha", "E p1 . p1", (True, 136, 5, 42, (
+        "752119e09cc94bb12a9058d9451428b9c711949b8d0d7877b214b824f3e483dc"
     ))),
     ("star", "A p1 . E p2 . p1 -> p2", (True, 16, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 4373, 10, 1509, (
-        "18c991ea76d738adf6733c6a6807de3a41983bfa487e74b9f61b4ef0f84838b6"
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 3054, 8, 314, (
+        "4a39ff6e0efcc385d936b04a293c6eda33f974250ed23cf1982ed1c657045f67"
     ))),
     ("star", "E p1 . A p2 . p1 & p2", (False, 10, 2, 0, None)),
-    ("alpha", "E p1 . A p2 . p1 & p2", (False, 3521, 10, 0, None)),
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 2186, 8, 0, None)),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 110, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 38971, 11, 14995, (
-        "52c057c26f9d6ebd7bc725eb65b41e829166206b81257d1cec5fa63731cd0352"
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 15855, 10, 756, (
+        "6c1dfdc4c96eaac929967cb06011914418747690410d9bb40b6108c109ea9615"
     ))),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 21, 3, 0, None)),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 30380, 12, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 11540, 9, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 5, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
@@ -146,9 +146,9 @@ def test_golden_tableau_counters(stage, text, expected):
 
 # label visits answered by the memo table without saturating
 GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 2336),
-    ("alpha", "E p1 . A p2 . p1 & p2", 1802),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 24429),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 1297),
+    ("alpha", "E p1 . A p2 . p1 & p2", 769),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 7429),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 16),
 ]
 
@@ -156,6 +156,66 @@ GOLDEN_MEMO_HITS = [
 @pytest.mark.parametrize("stage, text, expected", GOLDEN_MEMO_HITS)
 def test_golden_memo_hits(stage, text, expected):
     assert sat_k_tableau(golden_formula(stage, text)).memo_hits == expected
+
+
+# labels that branched on a disjunction, one per GOLDEN_TABLEAU query
+GOLDEN_BRANCHES = [
+    ("star", "A p1 . p1", 1),
+    ("alpha", "A p1 . p1", 33),
+    ("star", "E p1 . p1", 1),
+    ("alpha", "E p1 . p1", 33),
+    ("star", "A p1 . E p2 . p1 -> p2", 6),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 851),
+    ("star", "E p1 . A p2 . p1 & p2", 3),
+    ("alpha", "E p1 . A p2 . p1 & p2", 667),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 43),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 5791),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 7),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 4356),
+    ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1),
+    ("modal", "box<=25 (<> p1 & <> ~p1)", 0),
+]
+
+
+def test_golden_branches_cover_golden_tableau():
+    assert [row[:2] for row in GOLDEN_BRANCHES] == [row[:2] for row in GOLDEN_TABLEAU]
+
+
+@pytest.mark.parametrize("stage, text, expected", GOLDEN_BRANCHES)
+def test_golden_branches(stage, text, expected):
+    assert sat_k_tableau(golden_formula(stage, text)).branches == expected
+
+
+@pytest.mark.parametrize(
+    "text, first",
+    [
+        ("<> p1 | p2", "p2"),  # only the left side spawns: swapped
+        ("p2 | <> p1", "p2"),
+        ("<> p1 | <> p2", "<> p1"),  # both spawn: kept
+        ("[] <> p1 | p2", "[] <> p1"),  # a box body is not the top level
+        ("(p3 & <> p1) | (p2 | [] p1)", "p2 | [] p1"),  # through conjuncts
+        ("(p3 | <> p1) | (p2 & <> p1)", "p3 | <> p1"),  # through both sides
+    ],
+)
+def test_disjunction_asserts_the_side_that_spawns_no_world_first(text, first):
+    tableau = _Tableau(parse_modal(text), 10)
+    left, right, not_left, not_right = tableau.data[0]
+    assert render(tableau.formulas[left.bit_length() - 1]) == first
+    assert not left & right and not_left != not_right
+
+
+def test_alpha_guard_refuted_within_a_small_budget():
+    # the right side of a ladder disjunction is a box and builds no world;
+    # asserting it first refutes this instance in 64,187 nodes (306,691
+    # when the diamond side went first)
+    f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
+    assert not sat_k_tableau(f, budget=100_000).satisfiable
+
+
+@pytest.mark.parametrize("budget", [0, -5, 1.5, "10"])
+def test_tableau_budget_must_be_a_positive_integer(budget):
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
+        sat_k_tableau(parse_modal("p1"), budget=budget)
 
 
 @pytest.mark.parametrize("text", ["A p1 . E p2 . p1 -> p2", "E p1 . A p2 . p1 & p2"])
@@ -196,7 +256,8 @@ def test_result_carries_its_world_count(f):
 
 
 def test_bounded_engine_has_no_memo_hits():
-    assert sat_bounded(parse_modal("<> p1 & [] ~p1"), 2).memo_hits == 0
+    verdict = sat_bounded(parse_modal("<> p1 & [] ~p1"), 2)
+    assert verdict.memo_hits == verdict.branches == 0
 
 
 class TestDeepInput:

@@ -41,7 +41,7 @@ from .solver import (
     sat_bounded,
     sat_k_tableau,
 )
-from .syntax import FormulaSyntaxError, parse_modal, parse_qbf, render
+from .syntax import FormulaSyntaxError, _require_positive, parse_modal, parse_qbf, render
 
 __all__ = ["main"]
 
@@ -113,6 +113,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_sat(args) -> int:
+    # the limit the chosen engine uses, checked even when there is no formula
+    limit = ("budget", args.budget) if args.engine == "tableau" else ("max_worlds", args.bound)
+    _require_positive(*limit)
     lines = _read_formula_lines(args.formulas)
     if args.emit_witness and len(lines) != 1:
         raise ValueError("--emit-witness needs exactly one input formula")

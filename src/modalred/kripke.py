@@ -6,13 +6,14 @@ worlds of the ladder gadgets, optionally tagged with the base world hosting
 the copy.  The string forms of these identities are the stable ids used in
 JSON dumps, e.g. ``base:L2:{1,3}:#7`` and ``gadget:m3:a0@base:L1:{}:#2``.
 
-A frame is represented by its index: its worlds in canonical order (sorted
-by id string), their positions, and one successor bit row per world.  Model
-checking, closures, frame classes, validity and the JSON and DOT views all
-read the rows.  A frame built from pairs (``KripkeFrame(worlds, relation)``)
-derives its index on first use, so building one does no sorting; a frame
-built from rows (the result of ``close``) derives its set of pairs only when
-``relation`` is read.  Equality and hashing mean same worlds, same pairs.
+A frame is stored as its index and nothing else: its worlds in canonical
+order (sorted by id string), their positions, their id strings, and one
+successor bit row per world.  ``KripkeFrame(worlds, relation)`` builds the
+index in one pass over the pairs; ``close`` hands its rows to a new frame
+with the same order and ids.  Model checking, closures, frame classes,
+validity and the JSON and DOT views all read the index; ``relation``, the
+set of pairs, is a view derived from the rows when it is read.  Equality
+and hashing mean same worlds, same pairs.
 
 Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization and keeps the
@@ -26,7 +27,8 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, NamedTuple, Optional, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
     MAnd,
@@ -142,24 +144,33 @@ def world_id_from_str(text: str) -> WorldId:
 
 
 class _FrameIndex(NamedTuple):
-    order: tuple[WorldId, ...]  # canonical order: sorted by world_id_str
+    order: tuple[WorldId, ...]  # canonical order: sorted by id string
     position: dict[WorldId, int]
     succ: tuple[int, ...]  # bit j of succ[i]: order[i] R order[j]
+    ids: tuple[str, ...]  # ids[i] is world_id_str(order[i])
 
 
 class KripkeFrame:
     """A finite frame: worlds and an accessibility relation, read-only.
 
-    ``KripkeFrame(worlds, relation)`` checks that every pair stays inside
-    ``worlds``; its bit rows are built on first use.  ``close`` builds frames
-    from rows, whose ``relation`` is built the first time it is read.
+    The frame holds its index from construction; ``relation`` accepts any
+    iterable of pairs, each of which must stay inside ``worlds``, and reads
+    back as the frozenset of pairs the rows hold.
     """
 
-    def __init__(self, worlds: frozenset[WorldId], relation: frozenset[tuple[WorldId, WorldId]]):
+    def __init__(self, worlds: frozenset[WorldId], relation: Iterable[tuple[WorldId, WorldId]]):
+        # sorted on the id alone, so two worlds are never compared
+        keyed = sorted(((world_id_str(w), w) for w in worlds), key=itemgetter(0))
+        order = tuple(w for _, w in keyed)
+        position = {w: i for i, w in enumerate(order)}
+        succ = [0] * len(order)
         for u, v in relation:
-            if u not in worlds or v not in worlds:
+            i, j = position.get(u), position.get(v)
+            if i is None or j is None:
                 raise ValueError(f"relation pair ({u!r}, {v!r}) leaves the world set")
-        vars(self).update(worlds=worlds, relation=relation)
+            succ[i] |= 1 << j
+        index = _FrameIndex(order, position, tuple(succ), tuple(wid for wid, _ in keyed))
+        vars(self).update(worlds=worlds, _index=index)
 
     @classmethod
     def _from_index(cls, worlds: frozenset[WorldId], index: _FrameIndex) -> KripkeFrame:
@@ -169,17 +180,8 @@ class KripkeFrame:
 
     @cached_property
     def relation(self) -> frozenset[tuple[WorldId, WorldId]]:
-        order, _, succ = self._index
+        order, succ = self._index.order, self._index.succ
         return frozenset((order[i], order[j]) for i, j in _pairs(succ))
-
-    @cached_property
-    def _index(self) -> _FrameIndex:
-        order = tuple(sorted(self.worlds, key=world_id_str))
-        position = {w: i for i, w in enumerate(order)}
-        succ = [0] * len(order)
-        for u, v in self.relation:
-            succ[position[u]] |= 1 << position[v]
-        return _FrameIndex(order, position, tuple(succ))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -217,7 +219,7 @@ def _assigned_model(worlds: list[BaseWorld], edges, variables) -> KripkeModel:
     """The model on ``worlds`` and ``edges``, rooted at ``worlds[0]``, in
     which each of ``variables`` holds exactly where a world's assignment has
     it: the form of both satisfiability engines' witnesses."""
-    frame = KripkeFrame(frozenset(worlds), frozenset(edges))
+    frame = KripkeFrame(frozenset(worlds), edges)
     valuation = {v: frozenset(w for w in worlds if v in w.assignment) for v in sorted(variables)}
     return KripkeModel(frame, valuation, worlds[0])
 
@@ -326,9 +328,9 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
     """Smallest superset of the relation with the named property."""
     if mode not in _CLOSE_MODES:
         raise ValueError(f"mode must be one of {_CLOSE_MODES}, got {mode!r}")
-    order, position, rows = frame._index
-    succ = list(rows)
-    n = len(order)
+    index = frame._index
+    succ = list(index.succ)
+    n = len(succ)
     if mode == "reflexive_symmetric":
         for i in range(n):
             succ[i] |= 1 << i
@@ -348,8 +350,8 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
                 expanded |= fresh
                 for j in _bits(fresh):
                     succ[i] |= succ[j]
-    # same worlds, hence the same order and positions
-    return KripkeFrame._from_index(frame.worlds, _FrameIndex(order, position, tuple(succ)))
+    # same worlds, hence the same order, positions and ids
+    return KripkeFrame._from_index(frame.worlds, index._replace(succ=tuple(succ)))
 
 
 def _properties(frame: KripkeFrame):
@@ -435,8 +437,8 @@ def _json_document(frame: KripkeFrame, model: Optional[KripkeModel] = None) -> s
     of ``json.dumps(payload, indent=2) + "\n"``, written from the index: each
     world id is encoded once, and the rows give the pairs in sorted order
     because the index order is the sorted id order."""
-    order, position, succ = frame._index
-    ids = [encode_basestring_ascii(world_id_str(w)) for w in order]
+    _, position, succ, _ = frame._index
+    ids = [encode_basestring_ascii(wid) for wid in frame._index.ids]
     relation = [f"[\n      {ids[i]},\n      {ids[j]}\n    ]" for i, j in _pairs(succ)]
     parts = ['{\n  "worlds": ', _json_items(ids, 1), ',\n  "relation": ', _json_items(relation, 1)]
     if model is not None:
@@ -470,7 +472,7 @@ def _read_json(text: str, kind: str) -> tuple[dict, KripkeFrame]:
     pairs = doc["relation"]
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ValueError("relation must be a list of [world, world] pairs")
-    relation = frozenset((world_id_from_str(u), world_id_from_str(v)) for u, v in pairs)
+    relation = [(world_id_from_str(u), world_id_from_str(v)) for u, v in pairs]
     return doc, KripkeFrame(worlds, relation)
 
 
@@ -498,8 +500,7 @@ def frame_from_json(text: str) -> KripkeFrame:
 
 
 def frame_to_dot(frame: KripkeFrame) -> str:
-    order, _, succ = frame._index
-    ids = [world_id_str(w) for w in order]
+    _, _, succ, ids = frame._index
     lines = ["digraph frame {"]
     lines += [f'  "{wid}";' for wid in ids]
     lines += [f'  "{ids[i]}" -> "{ids[j]}";' for i, j in _pairs(succ)]

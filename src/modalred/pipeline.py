@@ -32,7 +32,7 @@ from .reduction import (
     quantifier_tree,
     star_equivalence_violations,
 )
-from .solver import DEFAULT_TABLEAU_BUDGET, SolverBudgetError, _require_positive, sat_k_tableau
+from .solver import DEFAULT_TABLEAU_BUDGET, SolverBudgetError, sat_k_tableau
 from .syntax import (
     MAnd,
     MBox,
@@ -52,6 +52,7 @@ from .syntax import (
     QImp,
     QOr,
     QVar,
+    _require_positive,
     formula_size,
     is_constant,
     qbf_size,

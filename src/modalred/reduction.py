@@ -53,6 +53,7 @@ from .syntax import (
     QOr,
     QVar,
     _fold,
+    _require_positive,
     conj,
     neg,
     substitute,
@@ -220,8 +221,7 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
 def alpha(k: int) -> ModalFormula:
     """The variable-free ladder formula
     [](<>^k []false & ~<>^{k+1} []false -> [](<>true -> <>[]false))."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"alpha index must be a positive integer, got {k!r}")
+    _require_positive("alpha index", k)
     blind = MBox(MFalse())
 
     def dias(count: int, body: ModalFormula) -> ModalFormula:
@@ -277,7 +277,7 @@ def quantifier_tree(f: QbfFormula) -> KripkeModel:
             # prefer the child without the variable when both work
             children = [c for c in children if tables[g.body] >> c[1] & 1][:1]
         stack.extend((g.body, level + 1, *c, w) for c in reversed(children))
-    frame = KripkeFrame(frozenset(worlds), frozenset(edges))
+    frame = KripkeFrame(frozenset(worlds), edges)
     valuation: dict[int, frozenset[BaseWorld]] = {}
     for k in range(1, n + 1):
         valuation[k] = frozenset(w for w in worlds if k in w.assignment)
@@ -299,21 +299,19 @@ def _gadget_edges(m: int, host: BaseWorld | None):
 def frame_fm(m: int) -> KripkeFrame:
     """The gadget frame F_m: an irreflexive ladder a_0 -> ... -> a_m with a
     reflexive side world b below a_0, transitively closed."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"gadget index must be a positive integer, got {m!r}")
+    _require_positive("gadget index", m)
     worlds, edges, _ = _gadget_edges(m, None)
-    return close(KripkeFrame(frozenset(worlds), frozenset(edges)), "transitive")
+    return close(KripkeFrame(frozenset(worlds), edges), "transitive")
 
 
 def frame_fm_plus(m: int) -> KripkeFrame:
     """F_m plus the reflexive entry world c_m with c_m -> a_0."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"gadget index must be a positive integer, got {m!r}")
+    _require_positive("gadget index", m)
     worlds, edges, a0 = _gadget_edges(m, None)
     c = GadgetWorld(m, "c", None)
     worlds = [*worlds, c]
     edges = [*edges, (c, c), (c, a0)]
-    return close(KripkeFrame(frozenset(worlds), frozenset(edges)), "transitive")
+    return close(KripkeFrame(frozenset(worlds), edges), "transitive")
 
 
 def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
@@ -324,7 +322,9 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     along edges); that is what confines each alpha_m refutation to exactly
     the base worlds refuting p_m.
     """
-    for u, v in base.frame.relation:
+    base_worlds, succ = base.frame._index.order, base.frame._index.succ
+    edges: list = [(base_worlds[i], base_worlds[j]) for i, j in kripke._pairs(succ)]
+    for u, v in edges:
         for index, members in base.valuation.items():
             if u in members and v not in members:
                 raise ValueError(
@@ -332,11 +332,9 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
                     f" {kripke.world_id_str(u)} but not at its successor"
                     f" {kripke.world_id_str(v)}"
                 )
-    base_worlds = base.frame._index.order
     if not all(isinstance(w, BaseWorld) for w in base_worlds):
         raise ValueError("extend_model expects a quantifier-tree model")
     worlds: list = list(base_worlds)
-    edges: list = list(base.frame.relation)
     for m in range(1, ctx.var_count + 1):
         holders = base.valuation.get(m, frozenset())
         for w in base_worlds:
@@ -346,7 +344,7 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
             worlds.extend(copy_worlds)
             edges.extend(copy_edges)
             edges.append((w, a0))
-    frame = close(KripkeFrame(frozenset(worlds), frozenset(edges)), "transitive")
+    frame = close(KripkeFrame(frozenset(worlds), edges), "transitive")
     return KripkeModel(frame, dict(base.valuation), base.root)
 
 
@@ -359,7 +357,8 @@ def star_equivalence_violations(
     that world is a base world refuting p_m.  Returns all (world, m) pairs
     violating this, for m = 1..2n+2; empty means the equivalence holds.
     """
-    order, position, succ = extended.frame._index
+    index = extended.frame._index
+    order, position, succ = index.order, index.position, index.succ
     n = len(order)
     full = (1 << n) - 1
     memo: dict = {}  # the alpha formulas share []false, the <>^k chains and the escape box

@@ -11,7 +11,9 @@ sub-labels (ubiquitous in the ladder encodings) are decided once; a memo hit
 still counts as a search node.  A satisfiable label's result is a tuple
 (true variables, children, worlds): ``worlds`` counts the worlds of its tree
 unfolding, so the witness knows its size before it is built, and a memo hit
-hands back the same tuple, count included.
+hands back the same tuple, count included.  Both engines return only what
+their witness is built from: ``SatVerdict.witness`` builds the model the
+first time it is read, so a verdict whose witness nobody reads builds none.
 Labels are bit sets: one ``syntax._fold`` step gives the negation normal
 forms of a formula and of its negation together, one explicit-stack pass
 numbers the query's NNF in depth-first pre-order (which fixes which
@@ -49,8 +51,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .kripke import BaseWorld, KripkeModel, _assigned_model, _bits
 from .syntax import (
@@ -65,6 +67,7 @@ from .syntax import (
     MVar,
     ModalFormula,
     _fold,
+    _require_positive,
     expand_sugar,
     modal_vars,
 )
@@ -90,17 +93,23 @@ class SatVerdict:
     ``memo_hits`` counts the tableau's label visits answered from its memo
     table without saturating (they are counted in ``nodes`` too) and
     ``branches`` the labels that branched on a disjunction; both stay 0 for
-    the bounded engine.
+    the bounded engine.  ``witness`` is the model of a satisfiable query
+    (None otherwise), built by the engine's ``build`` the first time it is
+    read; later reads return the same model.
     """
 
     satisfiable: bool
-    witness: Optional[KripkeModel]
     engine: str
     bound: Optional[int]
     nodes: int
     depth: int
     memo_hits: int = 0
     branches: int = 0
+    build: Optional[Callable[[], KripkeModel]] = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def witness(self) -> Optional[KripkeModel]:
+        return self.build() if self.satisfiable else None
 
     @property
     def conclusive(self) -> bool:
@@ -393,11 +402,6 @@ def _tree_to_model(tree, variables: frozenset[int]) -> KripkeModel:
     return _assigned_model(worlds, edges, variables)
 
 
-def _require_positive(name: str, value) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatVerdict:
     """Decide K-satisfiability of ``f``; sound and complete.
 
@@ -407,12 +411,9 @@ def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatV
     _require_positive("budget", budget)
     tableau = _Tableau(expand_sugar(f), budget)
     tree = tableau.solve(1, 0)  # the root has bit 0
+    build = None if tree is None else functools.partial(_tree_to_model, tree, modal_vars(f))
     counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches)
-    del tableau  # free the memo before the witness is built
-    if tree is None:
-        return SatVerdict(False, None, "tableau", None, *counters)
-    witness = _tree_to_model(tree, modal_vars(f))
-    return SatVerdict(True, witness, "tableau", None, *counters)
+    return SatVerdict(tree is not None, "tableau", None, *counters, build)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +674,6 @@ def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
             for j in range(k)
         ]
         edges = [(worlds[i], worlds[j]) for (i, j), bit in rel.items() if model_bits[bit]]
-        witness = _assigned_model(worlds, edges, variables)
-        return SatVerdict(True, witness, "bounded", max_worlds, total_decisions, k)
-    return SatVerdict(False, None, "bounded", max_worlds, total_decisions, max_worlds)
+        build = functools.partial(_assigned_model, worlds, edges, variables)
+        return SatVerdict(True, "bounded", max_worlds, total_decisions, k, build=build)
+    return SatVerdict(False, "bounded", max_worlds, total_decisions, max_worlds)

@@ -94,10 +94,10 @@ class Formula:
     _LEAST = 1
 
     def __new__(cls, *values):
-        # checked before the lookup, or MVar(1.0) would find MVar(1)
+        # checked before the lookup, or MVar(1.0) and MVar(True) would find MVar(1)
         if cls._PARAM and values:
             value = values[0]
-            if not isinstance(value, int) or value < cls._LEAST:
+            if not isinstance(value, int) or isinstance(value, bool) or value < cls._LEAST:
                 least = "positive" if cls._LEAST else "non-negative"
                 raise ValueError(f"{cls._PARAM} must be a {least} integer, got {value!r}")
         key = (cls, *values)
@@ -262,6 +262,12 @@ def neg(f: ModalFormula) -> ModalFormula:
 def qneg(f: QbfFormula) -> QbfFormula:
     """QBF negation sugar: the language has no ~ node, so ~f is f -> false."""
     return QImp(f, QFalse())
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int >= 1; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

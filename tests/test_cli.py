@@ -107,6 +107,21 @@ class TestSatCommand:
         (line,) = captured.err.splitlines()
         assert json.loads(line) == {"error": f"budget must be a positive integer, got {budget}"}
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--budget", "0"], "budget must be a positive integer, got 0"),
+            (["--engine", "bounded", "--bound", "0"], "max_worlds must be a positive integer, got 0"),
+        ],
+    )
+    def test_limit_is_checked_on_an_empty_input(self, tmp_path, capsys, args, message):
+        path = write(tmp_path, "empty.txt", "")
+        assert main(["sat", path, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": message}
+
     def test_deep_box_power(self, tmp_path, capsys):
         path = write(tmp_path, "f.txt", "box^5000 p1\n")
         assert main(["sat", path]) == 0

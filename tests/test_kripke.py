@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_model, sugared_modal_formulas
+from modalred import kripke
 from modalred.kripke import (
     BaseWorld,
     GadgetWorld,
@@ -517,6 +518,51 @@ class TestJsonWriter:
     def test_empty_frame(self):
         frame = KripkeFrame(frozenset(), frozenset())
         assert frame_to_json(frame) == _dumps_reference(frame) == '{\n  "worlds": [],\n  "relation": []\n}\n'
+
+
+class TestFrameIndex:
+    """Every frame holds its index, world ids included, from construction."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ids_are_the_id_strings_in_canonical_order(self, seed):
+        frame = _random_json_model(random.Random(seed)).frame
+        for built in (frame, close(frame, "transitive"), frame_from_json(frame_to_json(frame))):
+            assert "_index" in vars(built)
+            index = built._index
+            assert index.ids == tuple(map(world_id_str, index.order))
+            assert list(index.ids) == sorted(index.ids)
+
+    def test_writers_compute_no_id_on_a_built_frame(self, monkeypatch):
+        rng = random.Random(11)
+        models = [_random_json_model(rng) for _ in range(5)]
+        models += [KripkeModel(close(m.frame, "transitive"), m.valuation, m.root) for m in models]
+        models.append(KripkeModel(frame_from_json(frame_to_json(models[0].frame)), {}, models[0].root))
+        calls = []
+        original = kripke.world_id_str
+
+        def counting(w):
+            calls.append(w)
+            return original(w)
+
+        monkeypatch.setattr(kripke, "world_id_str", counting)
+        for model in models:
+            model_to_json(model)
+            frame_to_json(model.frame)
+            frame_to_dot(model.frame)
+        assert calls == []
+        KripkeFrame(models[0].frame.worlds, ())  # building a frame does compute the ids
+        assert calls
+
+    def test_edge_list_with_repeated_pairs_equals_its_set(self):
+        a, b, c = _w(0), _w(1), _w(2)
+        edges = [(a, b), (b, c), (a, b), (c, c), (b, c), (c, c)]
+        from_set = KripkeFrame(frozenset([a, b, c]), frozenset(edges))
+        for relation in (edges, iter(edges)):
+            from_list = KripkeFrame(frozenset([a, b, c]), relation)
+            assert from_list == from_set and from_set == from_list
+            assert hash(from_list) == hash(from_set)
+            assert from_list.relation == frozenset(edges)
+            assert from_list._index == from_set._index
 
 
 class TestGoldenOutput:

@@ -124,7 +124,7 @@ class TestRunVerify:
             doc = json.loads(line)
             assert {"formula", "is_true", "star_sat", "alpha_sat", "pass"} <= set(doc)
 
-    @pytest.mark.parametrize("budget", [0, -5, 1.5])
+    @pytest.mark.parametrize("budget", [0, -5, 1.5, True])
     def test_budget_must_be_a_positive_integer(self, monkeypatch, budget):
         def no_corpus(**_):
             raise AssertionError("the corpus was built")

@@ -127,6 +127,10 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha(0)
 
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError, match="alpha index must be a positive integer, got True"):
+            alpha(True)
+
     def test_variable_free(self):
         for k in range(1, 11):
             assert is_constant(alpha(k))
@@ -215,6 +219,12 @@ class TestGadgetFrames:
             frame_fm(0)
         with pytest.raises(ValueError):
             frame_fm_plus(0)
+
+    def test_rejects_bool(self):
+        # frame_fm(True) would write the ids gadget:mTrue:a0, which no reader accepts
+        for build in (frame_fm, frame_fm_plus):
+            with pytest.raises(ValueError, match="gadget index must be a positive integer, got True"):
+                build(True)
 
     def test_top_rung_is_blind(self):
         m = 3

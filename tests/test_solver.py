@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_model, modal_formulas
+from modalred import solver
 from modalred.kripke import model_check, model_check_all, model_to_json
 from modalred.pipeline import build_corpus, random_matrix, random_modal_formula
 from modalred.qbf import is_true_qbf, prenex_join
@@ -212,7 +213,7 @@ def test_alpha_guard_refuted_within_a_small_budget():
     assert not sat_k_tableau(f, budget=100_000).satisfiable
 
 
-@pytest.mark.parametrize("budget", [0, -5, 1.5, "10"])
+@pytest.mark.parametrize("budget", [0, -5, 1.5, "10", True])
 def test_tableau_budget_must_be_a_positive_integer(budget):
     with pytest.raises(ValueError, match="budget must be a positive integer"):
         sat_k_tableau(parse_modal("p1"), budget=budget)
@@ -253,6 +254,31 @@ def test_result_carries_its_world_count(f):
     assert tree[2] == _unfolded_worlds(tree, {})
     if tree[2] <= WITNESS_TREE_LIMIT:
         assert len(verdict.witness.frame.worlds) == tree[2]
+
+
+@pytest.mark.parametrize(
+    "decide, builder",
+    [(sat_k_tableau, "_tree_to_model"), (lambda f: sat_bounded(f, 3), "_assigned_model")],
+    ids=["tableau", "bounded"],
+)
+def test_witness_is_built_on_first_read(monkeypatch, decide, builder):
+    calls = []
+    original = getattr(solver, builder)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, builder, counting)
+    f = parse_modal("<> p1 & <> ~p1")
+    verdict = decide(f)
+    assert verdict.satisfiable and calls == []
+    witness = verdict.witness
+    assert len(calls) == 1
+    assert verdict.witness is witness and len(calls) == 1
+    assert model_check(witness, witness.root, f)
+    refuted = decide(parse_modal("p1 & ~p1"))
+    assert refuted.witness is None and len(calls) == 1
 
 
 def test_bounded_engine_has_no_memo_hits():
@@ -316,6 +342,10 @@ class TestBounded:
     def test_requires_positive_bound(self):
         with pytest.raises(ValueError):
             sat_bounded(parse_modal("p1"), 0)
+
+    def test_rejects_bool_bound(self):
+        with pytest.raises(ValueError, match="max_worlds must be a positive integer, got True"):
+            sat_bounded(parse_modal("p1"), True)
 
 
 # the unsatisfiable ladder gadget that random.Random(31) draws 23rd below

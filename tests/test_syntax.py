@@ -313,6 +313,10 @@ BAD_FIELDS = [
     (lambda: QVar(-2), "variable index must be a positive integer, got -2"),
     (lambda: QForall(0, QVar(1)), "variable index must be a positive integer, got 0"),
     (lambda: QExists(1.5, QVar(1)), "variable index must be a positive integer, got 1.5"),
+    # a bool is an int, and the pool key (MVar, True) equals (MVar, 1)
+    (lambda: MVar(True), "variable index must be a positive integer, got True"),
+    (lambda: QForall(True, QVar(1)), "variable index must be a positive integer, got True"),
+    (lambda: MBoxLe(False, MTrue()), "box<= bound must be a non-negative integer, got False"),
     (lambda: MBoxLe(-1, MVar(1)), "box<= bound must be a non-negative integer, got -1"),
     (lambda: MBoxPow(-2, MVar(1)), "box^ power must be a non-negative integer, got -2"),
     (lambda: MDiaPow(-3, MVar(1)), "dia^ power must be a non-negative integer, got -3"),

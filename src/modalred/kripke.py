@@ -214,6 +214,10 @@ class KripkeModel:
             if not worlds <= self.frame.worlds:
                 raise ValueError(f"valuation of p{index} leaves the world set")
 
+    def __hash__(self):
+        # the valuation is a dict in every model the package builds
+        return hash((self.frame, frozenset(self.valuation.items()), self.root))
+
 
 def _assigned_model(worlds: list[BaseWorld], edges, variables) -> KripkeModel:
     """The model on ``worlds`` and ``edges``, rooted at ``worlds[0]``, in
@@ -483,8 +487,8 @@ def model_from_json(text: str) -> KripkeModel:
         raise ValueError("valuation must be a JSON object")
     valuation = {}
     for key, members in entries.items():
-        if not re.fullmatch(r"p\d+", key):
-            raise ValueError(f"valuation keys look like p<index>, got {key!r}")
+        if not re.fullmatch(r"p[1-9][0-9]*", key):
+            raise ValueError(f"valuation keys look like p<index> (from p1, no leading zeros), got {key!r}")
         valuation[int(key[1:])] = frozenset(_world_ids(members, key))
     if "root" not in doc:
         raise ValueError('a model needs a "root" world')

@@ -79,10 +79,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_matrices(max_size: int, indices: tuple[int, ...] = (1,)) -> list[QbfFormula]:
-    """All quantifier-free formulas over the given variables up to the size
+def exhaustive_matrices(max_size: int) -> list[QbfFormula]:
+    """All quantifier-free formulas over ``false`` and p1 up to the size
     bound, in deterministic (size, structure) order."""
-    leaves: list[QbfFormula] = [QFalse()] + [QVar(i) for i in indices]
+    leaves: list[QbfFormula] = [QFalse(), QVar(1)]
     by_size: dict[int, list[QbfFormula]] = {1: leaves}
     for size in range(3, max_size + 1, 2):
         bucket: list[QbfFormula] = []

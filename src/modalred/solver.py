@@ -29,10 +29,14 @@ recursion runs before the search itself.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
-the satisfaction relation (truth bits per subformula and world, relation
-bits, valuation bits) under a small deterministic conflict-driven search.
-Satisfiable verdicts are absolute; unsatisfiable ones only mean "no model
-within the bound".  The search decides the lowest-numbered unassigned
+the satisfaction relation under a small deterministic conflict-driven
+search.  The CNF is numbered by position: with the query's distinct
+subformulas listed once, in depth-first post-order, ``first[g] + i`` is the
+truth of subformula ``g`` at world ``i`` (a variable's truth bits are the
+valuation), then ``rel + i * k + j`` is the relation pair (i, j) of a
+k-world model, then come the box and diamond auxiliaries.  Satisfiable
+verdicts are absolute; unsatisfiable ones only mean "no model within the
+bound".  The search decides the lowest-numbered unassigned
 variable, ``False`` first, and counts decisions only.  Unit propagation
 watches two literals per clause (Moskewicz et al., "Chaff", DAC 2001): an
 assignment visits only the clauses that watch the literal it falsifies.  A
@@ -421,88 +425,67 @@ def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatV
 # ---------------------------------------------------------------------------
 
 
-class _Cnf:
-    def __init__(self):
-        self.count = 0
-        self.clauses: list[tuple[int, ...]] = []
-
-    def new_var(self) -> int:
-        self.count += 1
-        return self.count
-
-    def add(self, *lits: int) -> None:
-        self.clauses.append(tuple(lits))
+def _subformulas(f: ModalFormula) -> list[ModalFormula]:
+    """The distinct subformulas of ``f`` in the order ``syntax._fold``
+    combines them: depth-first post-order, ``f`` last."""
+    memo: dict = {}
+    _fold(f, lambda g, _: g, memo)
+    return list(memo)
 
 
-def _encode(f: ModalFormula, k: int):
-    """Propositional encoding of "f holds at world 0 of a k-world model"."""
-    # the fold's memo holds the distinct subformulas in the order it combined
-    # them (depth-first post-order); that order numbers the CNF variables
-    subs: dict = {}
-    _fold(f, lambda g, _: g, subs)
-    cnf = _Cnf()
-    truth = {(g, i): cnf.new_var() for g in subs for i in range(k)}
-    rel = {(i, j): cnf.new_var() for i in range(k) for j in range(k)}
+def _encode(subs: list[ModalFormula], k: int):
+    """Propositional encoding of "the last of ``subs`` holds at world 0 of a
+    k-world model", numbered by position: (variable count, clauses, first).
+    ``first[g] + i`` is the truth of subformula ``g`` at world ``i``,
+    ``rel + i * k + j`` the relation pair (i, j) with ``rel = 1 + len(subs)
+    * k``, and the box and diamond auxiliaries follow in encoding order."""
+    first = {g: 1 + n * k for n, g in enumerate(subs)}
+    rel = 1 + len(subs) * k
+    count = rel + k * k - 1
+    clauses: list[tuple[int, ...]] = []
+    add = clauses.append
     for g in subs:
         for i in range(k):
-            t = truth[(g, i)]
+            t = first[g] + i
             if isinstance(g, MVar):
                 pass  # free bit: the valuation itself
             elif isinstance(g, MFalse):
-                cnf.add(-t)
+                add((-t,))
             elif isinstance(g, MTrue):
-                cnf.add(t)
+                add((t,))
             elif isinstance(g, MNot):
-                b = truth[(g.body, i)]
-                cnf.add(-t, -b)
-                cnf.add(t, b)
+                b = first[g.body] + i
+                clauses += [(-t, -b), (t, b)]
             elif isinstance(g, MAnd):
-                parts = [truth[(item, i)] for item in g.items]
-                for b in parts:
-                    cnf.add(-t, b)
-                cnf.add(t, *(-b for b in parts))
-            elif isinstance(g, MOr):
-                l, r = truth[(g.left, i)], truth[(g.right, i)]
-                cnf.add(-t, l, r)
-                cnf.add(t, -l)
-                cnf.add(t, -r)
-            elif isinstance(g, MImp):
-                l, r = truth[(g.left, i)], truth[(g.right, i)]
-                cnf.add(-t, -l, r)
-                cnf.add(t, l)
-                cnf.add(t, -r)
-            elif isinstance(g, MBox):
-                # t <-> AND_j (rel(i,j) -> body@j); bad_j <-> rel(i,j) & ~body@j
-                bad = []
-                for j in range(k):
-                    b = truth[(g.body, j)]
-                    x = cnf.new_var()
-                    bad.append(x)
-                    cnf.add(-x, rel[(i, j)])
-                    cnf.add(-x, -b)
-                    cnf.add(x, -rel[(i, j)], b)
-                for x in bad:
-                    cnf.add(-t, -x)
-                cnf.add(t, *bad)
-            elif isinstance(g, MDia):
-                good = []
-                for j in range(k):
-                    b = truth[(g.body, j)]
-                    y = cnf.new_var()
-                    good.append(y)
-                    cnf.add(-y, rel[(i, j)])
-                    cnf.add(-y, b)
-                    cnf.add(y, -rel[(i, j)], -b)
-                cnf.add(-t, *good)
-                for y in good:
-                    cnf.add(t, -y)
+                parts = [first[item] + i for item in g.items]
+                clauses += [(-t, b) for b in parts]
+                add((t, *(-b for b in parts)))
+            elif isinstance(g, (MOr, MImp)):
+                # l -> r is ~l | r: only the sign of the left literal differs
+                l = (-1 if isinstance(g, MImp) else 1) * (first[g.left] + i)
+                r = first[g.right] + i
+                clauses += [(-t, l, r), (t, -l), (t, -r)]
+            elif isinstance(g, (MBox, MDia)):
+                # x_j <-> rel(i,j) & body@j for a diamond, & ~body@j for a box;
+                # t <-> OR_j x_j for a diamond, t <-> AND_j ~x_j for a box
+                aux = range(count + 1, count + k + 1)
+                count += k
+                sign = 1 if isinstance(g, MDia) else -1
+                for j, x in enumerate(aux):
+                    r = rel + i * k + j
+                    b = sign * (first[g.body] + j)
+                    clauses += [(-x, r), (-x, b), (x, -r, -b)]
+                if sign < 0:
+                    clauses += [*((-t, -x) for x in aux), (t, *aux)]
+                else:
+                    clauses += [(-t, *aux), *((t, -x) for x in aux)]
             else:
                 raise TypeError(f"unexpanded or non-modal node: {g!r}")
-    cnf.add(truth[(f, 0)])
-    return cnf, truth, rel
+    add((first[subs[-1]],))
+    return count, clauses, first
 
 
-def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
+def _dpll(count: int, clauses: list[tuple[int, ...]]) -> tuple[Optional[dict[int, bool]], int]:
     """Deterministic conflict-driven search with two-watched-literal unit
     propagation; returns (model, decisions).
 
@@ -522,7 +505,7 @@ def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
     one loop and does not recurse.  A clause is unit when exactly one of
     its positions is unassigned and the others are false: a repeated
     literal counts once per position."""
-    n = cnf.count
+    n = count
     # value[lit] is the truth of literal lit (None while unassigned); a
     # negative literal indexes from the end, so -v lands at 2n + 1 - v
     value: list[Optional[bool]] = [None] * (2 * n + 1)
@@ -532,7 +515,7 @@ def _dpll(cnf: _Cnf) -> tuple[Optional[dict[int, bool]], int]:
     level = [0] * (n + 1)  # decision level of each assigned variable
     reason: list[Optional[list[int]]] = [None] * (n + 1)  # clause that implied it
     trail: list[int] = []
-    for clause in cnf.clauses:
+    for clause in clauses:
         if not clause:
             return None, 0
         if len(clause) == 1:
@@ -660,20 +643,22 @@ def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
     "no model within the bound"."""
     _require_positive("max_worlds", max_worlds)
     g = expand_sugar(f)
+    subs = _subformulas(g)
+    variables = modal_vars(g)
     total_decisions = 0
     for k in range(1, max_worlds + 1):
-        cnf, truth, rel = _encode(g, k)
-        model_bits, decisions = _dpll(cnf)
+        count, clauses, first = _encode(subs, k)
+        model_bits, decisions = _dpll(count, clauses)
         total_decisions += decisions
         if model_bits is None:
             continue
         # the DPLL model assigns every CNF variable
-        variables = modal_vars(g)
         worlds = [
-            BaseWorld(0, frozenset(v for v in variables if model_bits[truth[MVar(v), j]]), j)
+            BaseWorld(0, frozenset(v for v in variables if model_bits[first[MVar(v)] + j]), j)
             for j in range(k)
         ]
-        edges = [(worlds[i], worlds[j]) for (i, j), bit in rel.items() if model_bits[bit]]
+        rel = 1 + len(subs) * k
+        edges = [(worlds[i], worlds[j]) for i in range(k) for j in range(k) if model_bits[rel + i * k + j]]
         build = functools.partial(_assigned_model, worlds, edges, variables)
         return SatVerdict(True, "bounded", max_worlds, total_decisions, k, build=build)
     return SatVerdict(False, "bounded", max_worlds, total_decisions, max_worlds)

@@ -39,7 +39,10 @@ from modalred.syntax import (
     MVar,
     expand_sugar,
     parse_modal,
+    parse_qbf,
 )
+from modalred.reduction import encode_alpha, encode_star, extend_model, quantifier_tree
+from modalred.solver import sat_bounded, sat_k_tableau
 
 
 def _w(i):
@@ -412,11 +415,31 @@ class TestSerialization:
             '{"worlds": ["gadget:m1:b"], "relation": []}',
             '{"worlds": ["gadget:m1:b"], "relation": [], "valuation": [], "root": "gadget:m1:b"}',
             '{"worlds": ["gadget:m1:b"], "relation": [], "valuation": {"p1": 3}, "root": "gadget:m1:b"}',
+            # valuation keys are canonical: no second name for p1, no p0
+            '{"worlds": ["gadget:m1:b"], "relation": [], "valuation": {"p1": ["gadget:m1:b"], "p01": []},'
+            ' "root": "gadget:m1:b"}',
+            '{"worlds": ["gadget:m1:b"], "relation": [], "valuation": {"p0": []}, "root": "gadget:m1:b"}',
         ],
     )
     def test_malformed_model_rejected(self, document):
         with pytest.raises(ValueError):
             model_from_json(document)
+
+    @pytest.mark.parametrize("source", ["quantifier tree", "extended", "tableau", "bounded"])
+    def test_model_equals_and_hashes_like_its_json_round_trip(self, source):
+        qbf = parse_qbf("A p1 . E p2 . p1 -> p2")
+        star, ctx = encode_star(qbf)
+        if source == "quantifier tree":
+            model = quantifier_tree(qbf)
+        elif source == "extended":
+            model = extend_model(quantifier_tree(qbf), ctx)
+        elif source == "tableau":
+            model = sat_k_tableau(encode_alpha(qbf)).witness
+        else:
+            model = sat_bounded(star, 6).witness
+        back = model_from_json(model_to_json(model))
+        assert back == model and hash(back) == hash(model)
+        assert {model, back} == {model}
 
     def test_relation_outside_worlds_rejected(self):
         a, b = _w(0), _w(1)

@@ -16,10 +16,11 @@ from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
     WITNESS_TREE_LIMIT,
     SolverBudgetError,
-    _Cnf,
     _Tableau,
     _dpll,
+    _encode,
     _nnf_step,
+    _subformulas,
     sat_bounded,
     sat_k_tableau,
 )
@@ -383,12 +384,42 @@ def test_golden_bounded_counters(stage, text, bound, expected):
     ) == expected
 
 
+# (variable count, clause count, sha256 of the count line and one line per
+# clause, literals space-separated) of _encode; any change here renumbers
+# a variable or moves a clause
+GOLDEN_ENCODE = [
+    ("star", "A p1 . E p2 . p1 -> p2", 1, (62, 159, (
+        "24a6d28acbf48b42e021f69789c67e1a3174a389baddf3cac43ae25ee3fe82d6"
+    ))),
+    ("star", "A p1 . E p2 . p1 -> p2", 2, (150, 413, (
+        "56bc750a022e00e43e2e758c659874e22dbecf82ac9d8823068eb1007a475ee9"
+    ))),
+    ("star", "A p1 . E p2 . p1 -> p2", 3, (264, 763, (
+        "c135ed32161b8dec029d11fcdc589f43734da96444e0b934e952d8b5c497b63a"
+    ))),
+    ("alpha", "E p1 . p1", 1, (59, 154, (
+        "1edeb7c2a8dd1b53e2778f03e35e62b678281b0954d9af4d3fd26ced6756d426"
+    ))),
+    ("alpha", "E p1 . p1", 2, (150, 427, (
+        "a637ed086d32f0fa9da132745e90ea10b4b180795022b15ae618770bbeece304"
+    ))),
+    ("alpha", "E p1 . p1", 3, (273, 820, (
+        "f33b60affd5316ba551648e3b1685e15590997c47098121e1d902105daff4194"
+    ))),
+]
+
+
+@pytest.mark.parametrize("stage, text, k, expected", GOLDEN_ENCODE)
+def test_golden_encode_clause_lists(stage, text, k, expected):
+    qbf = parse_qbf(text)
+    f = encode_star(qbf)[0] if stage == "star" else encode_alpha(qbf)
+    count, clauses, _ = _encode(_subformulas(expand_sugar(f)), k)
+    listing = f"{count}\n" + "".join(" ".join(map(str, c)) + "\n" for c in clauses)
+    assert (count, len(clauses), hashlib.sha256(listing.encode()).hexdigest()) == expected
+
+
 def _cnf(count, *clauses):
-    cnf = _Cnf()
-    cnf.count = count
-    for lits in clauses:
-        cnf.add(*lits)
-    return cnf
+    return count, [tuple(lits) for lits in clauses]
 
 
 @st.composite
@@ -415,14 +446,16 @@ def cnfs(draw):
 @example(_cnf(2, (1, 2), (1, -2), (-1, 2), (-1, -2)))
 @settings(max_examples=200, deadline=None)
 def test_dpll_matches_brute_force(cnf):
+    count, clauses = cnf
+
     def satisfies(model):
-        return all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses)
+        return all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in clauses)
 
     # product order puts variable 1 first and False before True, so the
     # first model found is the lexicographically first one
-    models = (dict(enumerate(bits, 1)) for bits in itertools.product((False, True), repeat=cnf.count))
+    models = (dict(enumerate(bits, 1)) for bits in itertools.product((False, True), repeat=count))
     first = next(filter(satisfies, models), None)
-    model, _ = _dpll(cnf)
+    model, _ = _dpll(count, clauses)
     assert model == first
 
 
@@ -433,7 +466,7 @@ def test_dpll_search_deeper_than_the_recursion_limit():
     # again, and b is decided last
     pairs = [(v, v + 1) for v in range(1, 3000, 2)]
     a, b = 3001, 3002
-    model, decisions = _dpll(_cnf(3002, *pairs, (a, b), (a, -b)))
+    model, decisions = _dpll(*_cnf(3002, *pairs, (a, b), (a, -b)))
     assert decisions == 1500 + 1 + 1500 + 1
     assert model == {**{v: v % 2 == 0 for v in range(1, 3001)}, a: True, b: False}
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from .kripke import close, frame_class_check, model_check
 from .qbf import is_true_qbf, prenex_join, universal_closure
 from .reduction import (
+    _alpha_of_star,
     alpha,
     encode_alpha,
     encode_star,
@@ -199,8 +200,13 @@ def build_corpus(
 
     n = 1 is exhaustive over all matrices on p_1 up to ``matrix_size_max_n1``;
     n = 2..n_max contributes ``count`` seeded random instances (round-robin
-    over n) with matrices up to ``matrix_size_max``.
+    over n) with matrices up to ``matrix_size_max``.  Raises ValueError when
+    ``n_max`` is not a positive integer or ``count`` is not a non-negative
+    one (a bool is neither).
     """
+    _require_positive("n_max", n_max)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     corpus: list[QbfFormula] = []
     for matrix in exhaustive_matrices(matrix_size_max_n1):
         for kind in ("A", "E"):
@@ -241,7 +247,7 @@ def check_instance(
         record["is_true"] = truth
         star_verdict = sat_k_tableau(star, budget=budget)
         record["star_sat"] = star_verdict.satisfiable
-        alpha_formula = encode_alpha(f)
+        alpha_formula = _alpha_of_star(star, ctx)
         record["alpha_constant"] = is_constant(alpha_formula)
         alpha_verdict = sat_k_tableau(alpha_formula, budget=budget)
         record["alpha_sat"] = alpha_verdict.satisfiable

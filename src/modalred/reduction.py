@@ -236,7 +236,12 @@ def alpha(k: int) -> ModalFormula:
 
 def encode_alpha(f: QbfFormula) -> ModalFormula:
     """Variable-free encoding: substitute alpha(i) for p_i in encode_star."""
-    star, ctx = encode_star(f)
+    return _alpha_of_star(*encode_star(f))
+
+
+def _alpha_of_star(star: ModalFormula, ctx: EncodingContext) -> ModalFormula:
+    """The variable-free encoding of the formula whose star encoding and
+    context ``encode_star`` returned as ``star`` and ``ctx``."""
     mapping = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
     return substitute(star, mapping)
 

@@ -14,18 +14,22 @@ unfolding, so the witness knows its size before it is built, and a memo hit
 hands back the same tuple, count included.  Both engines return only what
 their witness is built from: ``SatVerdict.witness`` builds the model the
 first time it is read, so a verdict whose witness nobody reads builds none.
-Labels are bit sets: one ``syntax._fold`` step gives the negation normal
-forms of a formula and of its negation together, one explicit-stack pass
-numbers the query's NNF in depth-first pre-order (which fixes which
-disjunction is branched on and the probing order), and saturation reads one
-mask per formula kind.  A second fold marks the formulas that may spawn a
-successor world (a diamond in their propositional top level); a disjunction
-whose left side may spawn and whose right side may not is branched right
-side first, so the search tries the side that builds no world before the
-one that does (the choice of branch, Horrocks & Patel-Schneider, J. Logic
-Comput. 9(3), 1999).  In the variable-free encoding that side is the box of
-a negated ladder, and the order cuts the search several times over.  No
-recursion runs before the search itself.
+Labels are bit sets: one explicit-stack pass numbers the query's NNF in
+depth-first pre-order (which fixes which disjunction is branched on and the
+probing order), and saturation reads one mask per formula kind.  What that
+pass reads depends on each formula alone, so it is kept in process-wide
+tables keyed by hash-consed node, like ``syntax._EXPAND_MEMO``, and built at
+most once per process: the negation normal forms of a formula and of its
+negation (one ``syntax._fold`` step gives both), the mark of the formulas
+that may spawn a successor world (a diamond in their propositional top
+level, a second fold), and one record per NNF formula with its kind, its
+successors and its side order.  A disjunction whose left side may spawn and
+whose right side may not is branched right side first, so the search tries
+the side that builds no world before the one that does (the choice of
+branch, Horrocks & Patel-Schneider, J. Logic Comput. 9(3), 1999).  In the
+variable-free encoding that side is the box of a negated ladder, and the
+order cuts the search several times over.  Only the numbering and the label
+memo belong to one query.  No recursion runs before the search itself.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
@@ -166,6 +170,51 @@ def _spawn_step(f, kids) -> bool:
     return isinstance(f, MDia) or isinstance(f, (MAnd, MOr)) and any(kids)
 
 
+# Process-wide tables keyed by hash-consed node, which grow with the pool as
+# ``syntax._EXPAND_MEMO`` does: the NNF pair of every formula, the may-spawn
+# mark of every NNF formula, and the record of every NNF formula a tableau
+# has numbered.
+_NNF_MEMO: dict = {}
+_SPAWN_MEMO: dict = {}
+_RECORDS: dict = {}
+
+# The kind of an NNF formula, the index of its mask in ``_Tableau``; ``MTrue``
+# is of no kind that saturation reads.
+_NOT, _VAR, _AND, _OR, _BOX, _DIA, _FALSE, _TRUE = range(8)
+_KINDS = {MNot: _NOT, MVar: _VAR, MAnd: _AND, MOr: _OR, MBox: _BOX, MDia: _DIA, MFalse: _FALSE, MTrue: _TRUE}
+
+
+def _nnf(f: ModalFormula) -> tuple[ModalFormula, ModalFormula]:
+    return _fold(f, _nnf_step, _NNF_MEMO)
+
+
+def _record(f: ModalFormula) -> tuple:
+    """(kind, successors in stack order, sides) of the NNF formula ``f``,
+    stored in ``_RECORDS``.  The successors are the clashing literal, the
+    body, the conjuncts, or both sides of a disjunction and then their
+    negations; ``sides`` lists the successors whose bits make the formula's
+    ``data``, for a disjunction in the order (first, second, not first, not
+    second).  The first side is the left one unless the left side may spawn
+    a successor world and the right side may not.  Only ``f`` itself is
+    built: a successor gets its record when the numbering reaches it."""
+    kind = _KINDS[type(f)]
+    if kind == _OR:
+        successors = (f.left, f.right, _nnf(f.left)[1], _nnf(f.right)[1])
+    elif kind == _AND:
+        successors = f.items
+    elif kind == _VAR:
+        successors = (MNot(f),)
+    elif kind in (_FALSE, _TRUE):
+        successors = ()
+    else:
+        successors = (f.body,)
+    sides = successors
+    if kind == _OR and _fold(f.left, _spawn_step, _SPAWN_MEMO) and not _fold(f.right, _spawn_step, _SPAWN_MEMO):
+        sides = (f.right, f.left, successors[3], successors[2])
+    record = _RECORDS[f] = (kind, successors[::-1], sides)
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Tableau
 # ---------------------------------------------------------------------------
@@ -176,19 +225,17 @@ class _Tableau:
     Every formula that can ever enter a label (subformulas of the query NNF,
     closed under the negations needed for semantic branching) gets a local
     bit; labels and saturation states are ints.  Bits are numbered in
-    depth-first pre-order from the root, which gets bit 0.  The successors
-    of a formula are its clashing literal, its body, its conjuncts, or, for
-    a disjunction, both sides and then their negations.  ``data`` holds per
-    bit what saturation needs: the clashing literal, the body or the
-    conjunct bits, or a disjunction's (first, second, not first, not second)
-    side bits.  The first side is the left one unless the left side may
-    spawn a successor world and the right side may not: a diamond in its
-    propositional top level, through conjuncts and both sides of a
-    disjunction but not into a box or diamond body.  The mark is one
-    ``syntax._fold`` memo per query, so it stays linear on shared
-    subformulas.  One mask per kind (``lits``, ``ands``, ``ors``,
-    ``boxes``, ``dias``, ``falses``) tells which bits are of that kind;
-    ``var_bits`` marks the literals that are variables.
+    depth-first pre-order from the root, which gets bit 0, by one walk over
+    the formulas' records (``_record``): a record fixes a formula's kind, its
+    successors and the side order of a disjunction, and depends on the
+    formula alone, so it is built once per process and shared by every
+    query, as are the NNF pairs it is read from.  The walk is all the
+    constructor does: ``data`` holds per bit what saturation needs, the
+    clashing literal, the body or the conjunct bits, or a disjunction's
+    (first, second, not first, not second) side bits.  One mask per kind
+    (``lits``, ``ands``, ``ors``, ``boxes``, ``dias``, ``falses``) tells
+    which bits are of that kind; ``var_bits`` marks the literals that are
+    variables.
 
     Saturation drains conjunctions, checks newly seen literals for clashes,
     and unit-propagates disjunctions whose one side is already refuted; then
@@ -206,7 +253,9 @@ class _Tableau:
     label, and the saturated state is looked up and stored in the same
     table: a saturated state saturates to itself, so it is a label with the
     same answer.  ``box_bodies`` maps each box set met to the OR of its
-    bodies, the label part every diamond child shares.
+    bodies, the label part every diamond child shares.  These two tables,
+    the budget and the counters die with the query; only the process-wide
+    tables outlive it.
     """
 
     def __init__(self, root: ModalFormula, budget: int):
@@ -217,57 +266,28 @@ class _Tableau:
         self.branches = 0
         self.cache: dict = {}  # label or saturated state -> result or None
         self.box_bodies: dict = {}  # box set -> OR of its bodies
-        self.lits = self.var_bits = self.ands = self.ors = self.boxes = self.dias = self.falses = 0
-        memo: dict = {}  # the NNF pair of every formula met in this query
-
-        def pair(g: ModalFormula) -> tuple[ModalFormula, ModalFormula]:
-            return _fold(g, _nnf_step, memo)
-
+        masks = [0] * len(_KINDS)
         bits: dict = {}
-        order = []  # (formula, successors) in bit order
-        stack = [pair(root)[0]]
+        order = []  # (formula, record) in bit order
+        stack = [_nnf(root)[0]]
         while stack:
             f = stack.pop()
             if f in bits:
                 continue
+            record = _RECORDS.get(f) or _record(f)
             bit = bits[f] = 1 << len(order)
-            successors = ()
-            if isinstance(f, MOr):
-                self.ors |= bit
-                successors = (f.left, f.right, pair(f.left)[1], pair(f.right)[1])
-            elif isinstance(f, MAnd):
-                self.ands |= bit
-                successors = f.items
-            elif isinstance(f, MVar):
-                self.lits |= bit
-                self.var_bits |= bit
-                successors = (MNot(f),)
-            elif isinstance(f, MNot):
-                self.lits |= bit
-                successors = (f.body,)
-            elif isinstance(f, MBox):
-                self.boxes |= bit
-                successors = (f.body,)
-            elif isinstance(f, MDia):
-                self.dias |= bit
-                successors = (f.body,)
-            elif isinstance(f, MFalse):
-                self.falses |= bit
-            order.append((f, successors))
-            stack.extend(reversed(successors))
+            masks[record[0]] |= bit
+            order.append((f, record))
+            stack.extend(record[1])
         self.formulas = [f for f, _ in order]
-        spawns: dict = {}  # the may-spawn mark of every formula met
-
-        def sides(f: MOr, left, right, not_left, not_right) -> tuple:
-            if _fold(f.left, _spawn_step, spawns) and not _fold(f.right, _spawn_step, spawns):
-                return right, left, not_right, not_left
-            return left, right, not_left, not_right
-
         self.data = [
-            sides(f, *map(bits.get, successors)) if isinstance(f, MOr)
-            else functools.reduce(operator.or_, map(bits.get, successors), 0)
-            for f, successors in order
+            tuple(map(bits.get, sides)) if kind == _OR
+            else functools.reduce(operator.or_, map(bits.get, sides), 0)
+            for _, (kind, _, sides) in order
         ]
+        self.var_bits = masks[_VAR]
+        self.lits = masks[_NOT] | masks[_VAR]
+        self.ands, self.ors, self.boxes, self.dias, self.falses = masks[_AND:_TRUE]
 
     def solve(self, mask: int, depth: int):
         """(true variables, children, worlds) for a satisfiable label, else

@@ -343,6 +343,25 @@ class TestVerifyCommand:
         (line,) = captured.err.splitlines()
         assert parameter in json.loads(line)["error"]
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--count", "-3"], "count must be a non-negative integer, got -3"),
+            (["--n-max", "-2"], "n_max must be a positive integer, got -2"),
+            (["--n-max", "0"], "n_max must be a positive integer, got 0"),
+        ],
+    )
+    def test_out_of_range_sizes_are_errors(self, capsys, args, error):
+        assert main(["verify", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": error}
+
+    def test_zero_count_runs_only_the_n1_corpus(self, capsys):
+        assert main(["verify", "--n-max", "2", "--count", "0", "--matrix-size-n1", "1"]) == 0
+        assert "instances: 4 (" in capsys.readouterr().out
+
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_error_before_the_corpus(self, capsys, monkeypatch, budget):

@@ -73,6 +73,28 @@ class TestGenerators:
         assert [render(f) for f in a] == [render(f) for f in b]
         assert [render(f) for f in a] != [render(f) for f in c]
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_max": 0}, "n_max must be a positive integer, got 0"),
+            ({"n_max": -2}, "n_max must be a positive integer, got -2"),
+            ({"n_max": True}, "n_max must be a positive integer, got True"),
+            ({"count": -3}, "count must be a non-negative integer, got -3"),
+            ({"count": False}, "count must be a non-negative integer, got False"),
+            ({"count": 1.5}, "count must be a non-negative integer, got 1.5"),
+        ],
+    )
+    def test_out_of_range_sizes_are_errors(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            build_corpus(**kwargs)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            run_verify(**kwargs)
+        assert str(raised.value) == message
+
+    def test_zero_count_gives_the_n1_corpus(self):
+        assert build_corpus(n_max=3, count=0) == build_corpus(n_max=1)
+
 
 class TestCheckInstance:
     def test_true_instance_record(self):

@@ -1,8 +1,14 @@
 """Tableau and bounded-oracle behavior."""
 
+import functools
 import hashlib
 import itertools
+import json
+import operator
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +26,7 @@ from modalred.solver import (
     _dpll,
     _encode,
     _nnf_step,
+    _spawn_step,
     _subformulas,
     sat_bounded,
     sat_k_tableau,
@@ -241,11 +248,12 @@ def _unfolded_worlds(tree, memo):
     return memo[id(tree)]
 
 
-@pytest.mark.parametrize(
-    "f",
-    [golden_formula(stage, text) for stage, text, _ in GOLDEN_TABLEAU]
-    + [random_modal_formula(rng, 12) for rng in [random.Random(7)] for _ in range(30)],
-)
+NUMBERED_QUERIES = [golden_formula(stage, text) for stage, text, _ in GOLDEN_TABLEAU] + [
+    random_modal_formula(rng, 12) for rng in [random.Random(7)] for _ in range(30)
+]
+
+
+@pytest.mark.parametrize("f", NUMBERED_QUERIES)
 def test_result_carries_its_world_count(f):
     tree = _Tableau(expand_sugar(f), 10**7).solve(1, 0)
     verdict = sat_k_tableau(f)
@@ -255,6 +263,113 @@ def test_result_carries_its_world_count(f):
     assert tree[2] == _unfolded_worlds(tree, {})
     if tree[2] <= WITNESS_TREE_LIMIT:
         assert len(verdict.witness.frame.worlds) == tree[2]
+
+
+def _numbering_per_query(root):
+    """(formulas, data, kind masks) of the query ``root`` as one walk with
+    its own NNF and may-spawn memos numbers them: the reference that the
+    process-wide records must reproduce bit for bit."""
+    memo: dict = {}
+
+    def pair(g):
+        return _fold(g, _nnf_step, memo)
+
+    masks = dict.fromkeys(("lits", "var_bits", "ands", "ors", "boxes", "dias", "falses"), 0)
+    bits: dict = {}
+    order = []
+    stack = [pair(root)[0]]
+    while stack:
+        f = stack.pop()
+        if f in bits:
+            continue
+        bit = bits[f] = 1 << len(order)
+        successors = ()
+        if isinstance(f, MOr):
+            masks["ors"] |= bit
+            successors = (f.left, f.right, pair(f.left)[1], pair(f.right)[1])
+        elif isinstance(f, MAnd):
+            masks["ands"] |= bit
+            successors = f.items
+        elif isinstance(f, MVar):
+            masks["lits"] |= bit
+            masks["var_bits"] |= bit
+            successors = (MNot(f),)
+        elif isinstance(f, MNot):
+            masks["lits"] |= bit
+            successors = (f.body,)
+        elif isinstance(f, MBox):
+            masks["boxes"] |= bit
+            successors = (f.body,)
+        elif isinstance(f, MDia):
+            masks["dias"] |= bit
+            successors = (f.body,)
+        elif isinstance(f, MFalse):
+            masks["falses"] |= bit
+        order.append((f, successors))
+        stack.extend(reversed(successors))
+    spawns: dict = {}
+    data = []
+    for f, successors in order:
+        found = [bits[g] for g in successors]
+        if isinstance(f, MOr):
+            left, right, not_left, not_right = found
+            if _fold(f.left, _spawn_step, spawns) and not _fold(f.right, _spawn_step, spawns):
+                data.append((right, left, not_right, not_left))
+            else:
+                data.append((left, right, not_left, not_right))
+        else:
+            data.append(functools.reduce(operator.or_, found, 0))
+    return [f for f, _ in order], data, masks
+
+
+@pytest.mark.parametrize("f", NUMBERED_QUERIES)
+def test_shared_records_number_as_one_walk_per_query(f):
+    root = expand_sugar(f)
+    tableau = _Tableau(root, 1)
+    formulas, data, masks = _numbering_per_query(root)
+    assert tableau.formulas == formulas
+    assert tableau.data == data
+    assert {name: getattr(tableau, name) for name in masks} == masks
+
+
+# the GOLDEN_TABLEAU queries in reverse order in a fresh interpreter, so
+# every process-wide table starts cold on each of them
+COLD_RUN = """
+import hashlib, json, sys
+from modalred.kripke import model_to_json
+from modalred.reduction import encode_alpha, encode_star
+from modalred.solver import sat_k_tableau
+from modalred.syntax import parse_modal, parse_qbf
+
+rows = []
+for stage, text in json.loads(sys.argv[1]):
+    if stage == "modal":
+        f = parse_modal(text)
+    elif stage == "star":
+        f = encode_star(parse_qbf(text))[0]
+    else:
+        f = encode_alpha(parse_qbf(text))
+    v = sat_k_tableau(f)
+    sha = hashlib.sha256(model_to_json(v.witness).encode()).hexdigest() if v.satisfiable else None
+    rows.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, sha])
+print(json.dumps(rows))
+"""
+
+
+def test_cold_tables_in_reverse_order_search_alike():
+    queries = [(stage, text) for stage, text, _ in reversed(GOLDEN_TABLEAU)]
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, json.dumps(queries)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    expected = []
+    for stage, text in queries:
+        v = sat_k_tableau(golden_formula(stage, text))
+        sha = hashlib.sha256(model_to_json(v.witness).encode()).hexdigest() if v.satisfiable else None
+        expected.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, sha])
+    assert json.loads(out.stdout) == expected
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,14 @@ successor bit row per world.  ``KripkeFrame(worlds, relation)`` builds the
 index in one pass over the pairs; ``close`` hands its rows to a new frame
 with the same order and ids.  Model checking, closures, frame classes,
 validity and the JSON and DOT views all read the index; ``relation``, the
-set of pairs, is a view derived from the rows when it is read.  Equality
-and hashing mean same worlds, same pairs.
+set of pairs, and the predecessor rows are views derived from the rows the
+first time they are read, so a frame that is never evaluated never builds
+them.  Equality and hashing mean same worlds, same pairs.
 
 Model checking evaluates each distinct subformula once over all worlds as a
-bitmask, which doubles as the (world, subformula) memoization and keeps the
-whole check at O(|formula| * |worlds| * |relation|).
+bitmask, which doubles as the (world, subformula) memoization: <> T is the
+OR of the predecessor rows of T's worlds and [] is its dual, so one modal
+node costs at most |worlds| ORs of |worlds|-bit rows.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ class KripkeFrame:
 
     The frame holds its index from construction; ``relation`` accepts any
     iterable of pairs, each of which must stay inside ``worlds``, and reads
-    back as the frozenset of pairs the rows hold.
+    back as the frozenset of pairs the rows hold.  The predecessor rows that
+    model checking reads are computed once, on the first evaluation.
     """
 
     def __init__(self, worlds: frozenset[WorldId], relation: Iterable[tuple[WorldId, WorldId]]):
@@ -182,6 +185,17 @@ class KripkeFrame:
     def relation(self) -> frozenset[tuple[WorldId, WorldId]]:
         order, succ = self._index.order, self._index.succ
         return frozenset((order[i], order[j]) for i, j in _pairs(succ))
+
+    @cached_property
+    def _pred(self) -> tuple[int, ...]:
+        """Predecessor rows, the transpose of ``succ``: bit i of
+        ``_pred[j]`` is set when order[i] R order[j]."""
+        pred = [0] * len(self._index.succ)
+        for i, row in enumerate(self._index.succ):
+            bit = 1 << i
+            for j in _bits(row):
+                pred[j] |= bit
+        return tuple(pred)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -261,13 +275,13 @@ def _mask(position: Mapping[WorldId, int], worlds) -> int:
 
 
 def _eval_masks(
-    f: ModalFormula, var_masks: Mapping[int, int], succ: tuple[int, ...], memo: dict | None = None
+    f: ModalFormula, var_masks: Mapping[int, int], pred: tuple[int, ...], memo: dict | None = None
 ) -> int:
-    """Mask of worlds satisfying ``f`` (already sugar-free).  Calls that pass
-    the same ``memo`` must pass the same masks and rows; they then evaluate
-    each subformula they share once."""
-    n = len(succ)
-    full = (1 << n) - 1
+    """Mask of worlds satisfying ``f`` (already sugar-free) on the frame whose
+    predecessor rows are ``pred``.  Calls that pass the same ``memo`` must
+    pass the same masks and rows; they then evaluate each subformula they
+    share once."""
+    full = (1 << len(pred)) - 1
 
     def step(g, masks) -> int:
         if isinstance(g, MVar):
@@ -288,13 +302,12 @@ def _eval_masks(
         if isinstance(g, MImp):
             return (full & ~masks[0]) | masks[1]
         if isinstance(g, (MBox, MDia)):
-            # [] is ~<>~: both mark the worlds with a successor in ``target``
+            # [] is ~<>~: both mark the predecessors of the worlds in ``target``
             dia = isinstance(g, MDia)
             target = masks[0] if dia else full & ~masks[0]
             result = 0
-            for i in range(n):
-                if succ[i] & target:
-                    result |= 1 << i
+            for j in _bits(target):
+                result |= pred[j]
             return result if dia else full & ~result
         raise TypeError(f"unexpanded or non-modal node: {g!r}")
 
@@ -304,7 +317,7 @@ def _eval_masks(
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
     index = model.frame._index
     var_masks = {var: _mask(index.position, members) for var, members in model.valuation.items()}
-    return _eval_masks(expand_sugar(f), var_masks, index.succ)
+    return _eval_masks(expand_sugar(f), var_masks, model.frame._pred)
 
 
 def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
@@ -345,17 +358,23 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
         if mode == "reflexive_transitive":
             for i in range(n):
                 succ[i] |= 1 << i
-        # per-row reachability: OR in the rows of newly reached worlds until
-        # none is new; a row closed earlier brings its whole reach at once
-        for i in range(n):
-            expanded = 0
-            while succ[i] & ~expanded:
-                fresh = succ[i] & ~expanded
-                expanded |= fresh
-                for j in _bits(fresh):
-                    succ[i] |= succ[j]
+        _close_rows(succ)
     # same worlds, hence the same order, positions and ids
     return KripkeFrame._from_index(frame.worlds, index._replace(succ=tuple(succ)))
+
+
+def _close_rows(succ: list[int]) -> list[int]:
+    """Close the successor rows ``succ`` transitively, in place, and return
+    them: each row ORs in the rows of its newly reached worlds until none is
+    new, so a row closed earlier brings its whole reach at once."""
+    for i in range(len(succ)):
+        expanded = 0
+        while succ[i] & ~expanded:
+            fresh = succ[i] & ~expanded
+            expanded |= fresh
+            for j in _bits(fresh):
+                succ[i] |= succ[j]
+    return succ
 
 
 def _properties(frame: KripkeFrame):
@@ -396,21 +415,21 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
     """
     g = expand_sugar(f)
     variables = sorted(modal_vars(g))
-    succ = frame._index.succ
-    n = len(succ)
+    n = len(frame.worlds)
     full = (1 << n) - 1
     if not variables:
-        return _eval_masks(g, {}, succ) == full
+        return _eval_masks(g, {}, frame._pred) == full
     bits = n * len(variables)
     if bits > budget:
         raise ValuationBudgetError(
             f"{len(variables)} variables over {n} worlds need {bits} search bits, budget is {budget}"
         )
+    pred = frame._pred
     for combo in range(1 << bits):
         var_masks = {}
         for vi, var in enumerate(variables):
             var_masks[var] = (combo >> (vi * n)) & full
-        if _eval_masks(g, var_masks, succ) != full:
+        if _eval_masks(g, var_masks, pred) != full:
             return False
     return True
 

@@ -27,6 +27,7 @@ variables while preserving satisfiability.  ``quantifier_tree`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import kripke
 # model_check_all, evaluate and is_true_qbf are not called here any more;
@@ -326,30 +327,71 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     The base valuation must be upward persistent (true variables stay true
     along edges); that is what confines each alpha_m refutation to exactly
     the base worlds refuting p_m.
+
+    The closed frame is written row by row in closed form, never built from
+    pairs and closed afterwards.  Every base id sorts before every gadget id,
+    so the base worlds keep their positions and the gadget worlds follow,
+    sorted once by id (a copy's ids end in its host's id).  In a copy,
+    a_i sees a_j for j > i, a_0 sees b and b sees itself; a base world sees
+    its reach in the base frame (its rows closed alone) and every copy
+    hosted at itself or at a world of that reach.
     """
-    base_worlds, succ = base.frame._index.order, base.frame._index.succ
-    edges: list = [(base_worlds[i], base_worlds[j]) for i, j in kripke._pairs(succ)]
-    for u, v in edges:
-        for index, members in base.valuation.items():
-            if u in members and v not in members:
+    base_worlds, position, succ, base_ids = base.frame._index
+    masks = [(index, kripke._mask(position, members)) for index, members in base.valuation.items()]
+    for i, j in kripke._pairs(succ):
+        for index, mask in masks:
+            if mask >> i & 1 and not mask >> j & 1:
                 raise ValueError(
                     f"valuation is not upward persistent: p{index} holds at"
-                    f" {kripke.world_id_str(u)} but not at its successor"
-                    f" {kripke.world_id_str(v)}"
+                    f" {base_ids[i]} but not at its successor {base_ids[j]}"
                 )
     if not all(isinstance(w, BaseWorld) for w in base_worlds):
         raise ValueError("extend_model expects a quantifier-tree model")
-    worlds: list = list(base_worlds)
+    holders = dict(masks)
+    # each copy: its host's position and, once sorted, the positions of its
+    # a_0..a_m and then b
+    copies: list[tuple[int, list[int]]] = []
+    entries = []  # (id, world, rung slots of its copy, rung): rung m + 1 is b
     for m in range(1, ctx.var_count + 1):
-        holders = base.valuation.get(m, frozenset())
-        for w in base_worlds:
-            if w in holders:
+        parts = [f"a{i}" for i in range(m + 1)] + ["b"]
+        held = holders.get(m, 0)
+        for h, host in enumerate(base_worlds):
+            if held >> h & 1:
                 continue
-            copy_worlds, copy_edges, a0 = _gadget_edges(m, w)
-            worlds.extend(copy_worlds)
-            edges.extend(copy_edges)
-            edges.append((w, a0))
-    frame = close(KripkeFrame(frozenset(worlds), edges), "transitive")
+            slots = [0] * (m + 2)
+            copies.append((h, slots))
+            entries += [
+                (f"gadget:m{m}:{part}@{base_ids[h]}", GadgetWorld(m, part, host), slots, rung)
+                for rung, part in enumerate(parts)
+            ]
+    entries.sort(key=itemgetter(0))
+    size = len(base_worlds)
+    for k, (_, _, slots, rung) in enumerate(entries, start=size):
+        slots[rung] = k
+    rows = kripke._close_rows(list(succ)) + [0] * len(entries)
+    hosted = [0] * size  # the worlds of the copies below each base world
+    for h, (*ladder, b) in copies:
+        rows[b] = 1 << b
+        above = 0  # the rungs above the current one
+        for k in reversed(ladder):
+            rows[k] = above
+            above |= 1 << k
+        rows[ladder[0]] |= 1 << b
+        hosted[h] |= above | 1 << b
+    for i in range(size):
+        row = rows[i] | hosted[i]
+        for j in kripke._bits(rows[i]):
+            row |= hosted[j]
+        rows[i] = row
+    order = base_worlds + tuple(world for _, world, _, _ in entries)
+    index = kripke._FrameIndex(
+        order,
+        {w: i for i, w in enumerate(order)},
+        tuple(rows),
+        base_ids + tuple(wid for wid, _, _, _ in entries),
+    )
+    # the frozenset reuses the hashes the position dict stored
+    frame = KripkeFrame._from_index(frozenset(index.position), index)
     return KripkeModel(frame, dict(base.valuation), base.root)
 
 
@@ -363,14 +405,14 @@ def star_equivalence_violations(
     violating this, for m = 1..2n+2; empty means the equivalence holds.
     """
     index = extended.frame._index
-    order, position, succ = index.order, index.position, index.succ
+    order, position = index.order, index.position
     n = len(order)
     full = (1 << n) - 1
     memo: dict = {}  # the alpha formulas share []false, the <>^k chains and the escape box
     base_worlds = kripke._mask(position, base.frame.worlds & extended.frame.worlds)
     violations = []
     for m in range(1, ctx.var_count + 1):
-        satisfied = kripke._eval_masks(alpha(m), {}, succ, memo)
+        satisfied = kripke._eval_masks(alpha(m), {}, extended.frame._pred, memo)
         holders = kripke._mask(position, base.valuation.get(m, frozenset()) & extended.frame.worlds)
         wrong = (full & ~satisfied) ^ (base_worlds & ~holders)
         violations.extend((order[i], m) for i in kripke._bits(wrong))

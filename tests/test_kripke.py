@@ -320,6 +320,119 @@ class TestFrameValidates:
         )
 
 
+def _naive_masks(f, var_masks, succ):
+    """Mask of the worlds where ``f`` (sugar-free) holds, world by world by
+    the plain Kripke clauses over the successor rows ``succ``."""
+    from modalred.syntax import MAnd, MImp, MNot, MOr
+
+    def holds(i, g):
+        seen = [j for j in range(len(succ)) if succ[i] >> j & 1]
+        if isinstance(g, MVar):
+            return bool(var_masks.get(g.index, 0) >> i & 1)
+        if isinstance(g, (MTrue, MFalse)):
+            return isinstance(g, MTrue)
+        if isinstance(g, MNot):
+            return not holds(i, g.body)
+        if isinstance(g, MAnd):
+            return all(holds(i, h) for h in g.items)
+        if isinstance(g, MOr):
+            return holds(i, g.left) or holds(i, g.right)
+        if isinstance(g, MImp):
+            return not holds(i, g.left) or holds(i, g.right)
+        if isinstance(g, MBox):
+            return all(holds(j, g.body) for j in seen)
+        if isinstance(g, MDia):
+            return any(holds(j, g.body) for j in seen)
+        raise TypeError(g)
+
+    return sum(1 << i for i in range(len(succ)) if holds(i, f))
+
+
+def _random_rows_frame(rng, n):
+    """A frame on ``n`` worlds whose rows are drawn empty, full, a self-loop,
+    or random with or without the self-loop."""
+    worlds = [_w(i) for i in range(n)]
+    full = (1 << n) - 1
+    edges = []
+    for i in range(n):
+        row = rng.choice([0, full, 1 << i, rng.getrandbits(n), rng.getrandbits(n) | 1 << i])
+        edges += [(worlds[i], worlds[j]) for j in range(n) if row >> j & 1]
+    return KripkeFrame(frozenset(worlds), edges)
+
+
+class TestPredecessorRows:
+    def test_pred_rows_are_the_transpose(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            frame = _random_rows_frame(rng, rng.randint(0, 6))
+            succ, pred = frame._index.succ, frame._pred
+            n = len(succ)
+            assert len(pred) == n
+            assert all((succ[i] >> j & 1) == (pred[j] >> i & 1) for i in range(n) for j in range(n))
+
+    def test_eval_masks_match_the_plain_clauses(self):
+        from modalred.pipeline import random_modal_formula
+
+        rng = random.Random(17)
+        sizes = set()
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            sizes.add(n)
+            frame = _random_rows_frame(rng, n)
+            var_masks = {k: rng.getrandbits(n) for k in (1, 2)}
+            f = expand_sugar(random_modal_formula(rng, 14, var_count=3))
+            expected = _naive_masks(f, var_masks, frame._index.succ)
+            assert kripke._eval_masks(f, var_masks, frame._pred) == expected, (f, frame)
+        assert sizes == set(range(7))
+
+    @pytest.mark.parametrize(
+        "text,answers",
+        [
+            # one answer per frame on at most 2 worlds, in the order of
+            # _small_frames; recorded with the world-scanning evaluator
+            ("wgrz", "1111111110011111100"),
+            ("[] p1 -> p1", "1010000000001010101"),
+            ("[] p1 -> [] [] p1", "1111111110011111101"),
+            ("p1 -> [] <> p1", "1111100001111000011"),
+            ("[] ([] p1 -> p1) -> [] p1", "1101010100000000000"),
+            ("[] (p1 -> p2) -> ([] p1 -> [] p2)", "1111111111111111111"),
+            ("<> true", "1010000011101110111"),
+            ("[] false | <> [] false", "1101011100000001000"),
+        ],
+    )
+    def test_frame_validates_keeps_its_answers_on_small_frames(self, text, answers):
+        f = wgrz_axiom() if text == "wgrz" else parse_modal(text)
+        assert "".join("1" if frame_validates(frame, f) else "0" for frame in _small_frames()) == answers
+
+    def test_rows_are_built_once_and_only_for_evaluation(self):
+        f = parse_qbf("A p1 . E p2 . p1 -> p2")
+        star, ctx = encode_star(f)
+        tree = quantifier_tree(f)
+        extended = extend_model(tree, ctx)
+        witness = sat_k_tableau(encode_alpha(f)).witness
+        model_to_json(extended)
+        frame_to_dot(witness.frame)
+        with pytest.raises(ValuationBudgetError):
+            frame_validates(extended.frame, wgrz_axiom())
+        for frame in (tree.frame, extended.frame, witness.frame):
+            assert "_pred" not in vars(frame)
+        assert model_check(tree, tree.root, star)
+        assert model_check(extended, extended.root, encode_alpha(f))
+        pred = vars(extended.frame)["_pred"]
+        assert model_check_all(extended, MBox(MFalse()))
+        assert vars(extended.frame)["_pred"] is pred
+        assert "_pred" in vars(tree.frame) and "_pred" not in vars(witness.frame)
+
+
+def _small_frames():
+    """Every frame on 0, 1 and 2 worlds; pairs in world order, bit k for pair k."""
+    for n in range(3):
+        worlds = [_w(i) for i in range(n)]
+        pairs = [(u, v) for u in worlds for v in worlds]
+        for bits in range(1 << len(pairs)):
+            yield KripkeFrame(frozenset(worlds), [p for k, p in enumerate(pairs) if bits >> k & 1])
+
+
 class TestWorldIds:
     def test_base_id_format(self):
         w = BaseWorld(2, frozenset({1, 3}), 7)

@@ -11,6 +11,7 @@ from modalred.kripke import (
     frame_class_check,
     model_check,
     model_check_all,
+    model_to_json,
     world_id_str,
 )
 from modalred.reduction import (
@@ -357,3 +358,110 @@ class TestExtendModel:
         extended = extend_model(quantifier_tree(f), ctx)
         with pytest.raises(ValuationBudgetError):
             frame_validates(extended.frame, wgrz_axiom())
+
+
+def _pair_built_extension(base, ctx):
+    """The extended model built the plain way: every F_m copy's pairs and
+    the edge from its host, then the transitive closure of the whole frame."""
+    edges = list(base.frame.relation)
+    for u, v in sorted(edges, key=lambda e: (world_id_str(e[0]), world_id_str(e[1]))):
+        for index, members in base.valuation.items():
+            if u in members and v not in members:
+                raise ValueError(
+                    f"valuation is not upward persistent: p{index} holds at"
+                    f" {world_id_str(u)} but not at its successor {world_id_str(v)}"
+                )
+    if not all(isinstance(w, BaseWorld) for w in base.frame.worlds):
+        raise ValueError("extend_model expects a quantifier-tree model")
+    worlds = set(base.frame.worlds)
+    for m in range(1, ctx.var_count + 1):
+        for w in base.frame.worlds - base.valuation.get(m, frozenset()):
+            a = [GadgetWorld(m, f"a{i}", w) for i in range(m + 1)]
+            b = GadgetWorld(m, "b", w)
+            worlds.update([b, *a])
+            edges += [(w, a[0]), (a[0], b), (b, b)] + [(a[i], a[i + 1]) for i in range(m)]
+    frame = close(KripkeFrame(frozenset(worlds), edges), "transitive")
+    return KripkeModel(frame, dict(base.valuation), base.root)
+
+
+def _true_corpus():
+    from modalred.pipeline import build_corpus
+    from modalred.qbf import is_true_qbf
+
+    corpus = build_corpus(n_max=4, matrix_size_max_n1=3, matrix_size_max=7, count=18, seed=23)
+    return [f for f in corpus if is_true_qbf(f)]
+
+
+def _context(n):
+    return prepare_context(parse_qbf(" . ".join(f"E p{i}" for i in range(1, n + 1)) + " . p1"))
+
+
+def _hand_built_bases():
+    """(name, base model, context) for bases no quantifier tree has."""
+    u, v, w = (BaseWorld(level, frozenset(), serial) for level, serial in ((0, 0), (1, 1), (1, 2)))
+    ctx = _context(1)  # p1..p4
+    every = range(1, ctx.var_count + 1)
+    single = KripkeFrame(frozenset([u]), [])
+    chain = KripkeFrame(frozenset([u, v, w]), [(u, v), (v, w)])
+    loop = KripkeFrame(frozenset([u, v]), [(u, u), (u, v), (v, v)])
+    cycle = KripkeFrame(frozenset([u, v, w]), [(u, v), (v, u), (v, w)])
+    return [
+        ("one world holds every variable", KripkeModel(single, {k: frozenset([u]) for k in every}, u), ctx),
+        ("one world holds none", KripkeModel(single, {}, u), ctx),
+        ("p2 false everywhere", KripkeModel(chain, {1: frozenset([w]), 2: frozenset(), 3: chain.worlds}, u), ctx),
+        ("self-loops", KripkeModel(loop, {1: frozenset([v]), 4: loop.worlds}, u), ctx),
+        ("2-cycle", KripkeModel(cycle, {2: frozenset([w]), 3: frozenset([u, v, w])}, v), _context(2)),
+    ]
+
+
+class TestExtendModelClosedForm:
+    """``extend_model`` writes the closed frame directly; it must equal the
+    pair-built closure in every index field and byte of its JSON."""
+
+    def _assert_same(self, base, ctx):
+        extended, reference = extend_model(base, ctx), _pair_built_extension(base, ctx)
+        assert extended.frame._index.order == reference.frame._index.order
+        assert extended.frame._index.succ == reference.frame._index.succ
+        assert extended.frame._index.ids == reference.frame._index.ids
+        assert extended.frame._index.position == reference.frame._index.position
+        assert extended == reference
+        assert model_to_json(extended) == model_to_json(reference)
+
+    def test_true_corpus_matches_the_pair_built_closure(self):
+        corpus = _true_corpus()
+        assert {prepare_context(f).n for f in corpus} == {1, 2, 3, 4}
+        for f in corpus:
+            self._assert_same(quantifier_tree(f), prepare_context(f))
+
+    @pytest.mark.parametrize("case", _hand_built_bases(), ids=lambda case: case[0])
+    def test_hand_built_bases_match_the_pair_built_closure(self, case):
+        _, base, ctx = case
+        self._assert_same(base, ctx)
+
+    def test_a_world_holding_every_variable_gets_no_copy(self):
+        _, base, ctx = _hand_built_bases()[0]
+        assert extend_model(base, ctx).frame == base.frame
+
+    @pytest.mark.parametrize("text", ["E p1 . p1", "A p1 . E p2 . p1 -> p2"])
+    def test_non_persistent_base_is_refused_with_the_same_message(self, text):
+        f = parse_qbf(text)
+        tree, ctx = quantifier_tree(f), prepare_context(f)
+        # p1 and every marker at the root only: the first violating pair in
+        # id order decides which one the message names
+        broken = KripkeModel(
+            tree.frame,
+            {**tree.valuation, **{k: frozenset([tree.root]) for k in range(1, ctx.var_count + 1)}},
+            tree.root,
+        )
+        with pytest.raises(ValueError) as reference:
+            _pair_built_extension(broken, ctx)
+        with pytest.raises(ValueError) as closed_form:
+            extend_model(broken, ctx)
+        assert str(closed_form.value) == str(reference.value)
+        assert str(closed_form.value).startswith("valuation is not upward persistent: p1 holds at base:L0:{}:#0")
+
+    def test_gadget_base_is_refused(self):
+        g = GadgetWorld(1, "b", None)
+        base = KripkeModel(KripkeFrame(frozenset([g]), []), {}, g)
+        with pytest.raises(ValueError, match="^extend_model expects a quantifier-tree model$"):
+            extend_model(base, _context(1))

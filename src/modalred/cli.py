@@ -41,7 +41,7 @@ from .solver import (
     sat_bounded,
     sat_k_tableau,
 )
-from .syntax import FormulaSyntaxError, _require_positive, parse_modal, parse_qbf, render
+from .syntax import _require_int, parse_modal, parse_qbf, render
 
 __all__ = ["main"]
 
@@ -115,7 +115,7 @@ def cmd_encode(args) -> int:
 def cmd_sat(args) -> int:
     # the limit the chosen engine uses, checked even when there is no formula
     limit = ("budget", args.budget) if args.engine == "tableau" else ("max_worlds", args.bound)
-    _require_positive(*limit)
+    _require_int(*limit)
     lines = _read_formula_lines(args.formulas)
     if args.emit_witness and len(lines) != 1:
         raise ValueError("--emit-witness needs exactly one input formula")
@@ -157,8 +157,11 @@ _FRAME_CLASSES = {"gl": "GL", "grz": "Grz", "ktb": "KTB"}
 
 
 def cmd_frame(args) -> int:
-    if args.alpha_max < 1:
-        raise ValueError(f"--alpha-max must be at least 1, got {args.alpha_max}")
+    _require_int("--alpha-max", args.alpha_max)
+    if args.gadget is not None and args.input is not None:
+        raise ValueError("frame takes --gadget M or --input FILE, not both")
+    if args.plus and args.gadget is None:
+        raise ValueError("--plus needs --gadget M")
     if args.gadget is not None:
         frame = frame_fm_plus(args.gadget) if args.plus else frame_fm(args.gadget)
     elif args.input is not None:
@@ -292,7 +295,6 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (
-        FormulaSyntaxError,
         ValueError,
         ValuationBudgetError,
         SolverBudgetError,
@@ -301,7 +303,3 @@ def main(argv=None) -> int:
     ) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

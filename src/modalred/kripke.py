@@ -45,6 +45,7 @@ from .syntax import (
     MVar,
     ModalFormula,
     _fold,
+    _require_int,
     expand_sugar,
     modal_vars,
 )
@@ -408,17 +409,17 @@ DEFAULT_VALUATION_BUDGET = 20
 def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_VALUATION_BUDGET) -> bool:
     """Frame validity: ``f`` holds at every world under every valuation.
 
-    Variable-free formulas need a single bitmask evaluation.  Otherwise all
-    2^(|worlds| * v) valuations are searched; the search refuses (raises
-    ValuationBudgetError) when |worlds| * v exceeds ``budget`` bits, so it
-    never silently guesses.
+    All 2^(|worlds| * v) valuations of the v variables are searched, so a
+    variable-free formula needs a single bitmask evaluation.  ``budget`` must
+    be a non-negative integer (ValueError otherwise); the search refuses
+    (raises ValuationBudgetError) when |worlds| * v exceeds ``budget`` bits,
+    so it never silently guesses.
     """
+    _require_int("budget", budget, least=0)
     g = expand_sugar(f)
     variables = sorted(modal_vars(g))
     n = len(frame.worlds)
     full = (1 << n) - 1
-    if not variables:
-        return _eval_masks(g, {}, frame._pred) == full
     bits = n * len(variables)
     if bits > budget:
         raise ValuationBudgetError(

@@ -53,7 +53,7 @@ from .syntax import (
     QImp,
     QOr,
     QVar,
-    _require_positive,
+    _require_int,
     formula_size,
     is_constant,
     qbf_size,
@@ -104,8 +104,7 @@ def exhaustive_matrices(max_size: int) -> list[QbfFormula]:
 
 def random_matrix(rng: random.Random, n: int, max_size: int) -> QbfFormula:
     """Random quantifier-free formula over p_1..p_n of odd size <= max_size."""
-    if max_size < 1:
-        raise ValueError(f"max_size must be at least 1, got {max_size}")
+    _require_int("max_size", max_size)
     sizes = list(range(1, max_size + 1, 2))
     target = rng.choice(sizes)
 
@@ -128,8 +127,7 @@ def random_modal_formula(rng: random.Random, max_size: int, var_count: int = 3) 
     ``var_count=0`` gives variable-free (constant) formulas, the shape of the
     hardness instances this toolkit produces.
     """
-    if max_size < 1:
-        raise ValueError(f"max_size must be at least 1, got {max_size}")
+    _require_int("max_size", max_size)
     sizes = list(range(1, max_size + 1))
     target = rng.choice(sizes)
 
@@ -164,8 +162,7 @@ def random_closed_qbf(rng: random.Random, max_size: int, var_count: int = 3) -> 
     Draws a random formula, closes it universally, and retries until the
     closed formula fits the size bound.
     """
-    if max_size < 1:
-        raise ValueError(f"max_size must be at least 1, got {max_size}")
+    _require_int("max_size", max_size)
     while True:
         target = rng.choice(list(range(1, max_size + 1)))
 
@@ -204,9 +201,8 @@ def build_corpus(
     ``n_max`` is not a positive integer or ``count`` is not a non-negative
     one (a bool is neither).
     """
-    _require_positive("n_max", n_max)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    _require_int("n_max", n_max)
+    _require_int("count", count, least=0)
     corpus: list[QbfFormula] = []
     for matrix in exhaustive_matrices(matrix_size_max_n1):
         for kind in ("A", "E"):
@@ -318,7 +314,7 @@ def run_verify(
     seed: int = 0,
     budget: int = DEFAULT_TABLEAU_BUDGET,
 ) -> VerifyReport:
-    _require_positive("budget", budget)
+    _require_int("budget", budget)
     corpus = build_corpus(
         n_max=n_max,
         matrix_size_max_n1=matrix_size_max_n1,

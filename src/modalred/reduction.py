@@ -54,7 +54,7 @@ from .syntax import (
     QOr,
     QVar,
     _fold,
-    _require_positive,
+    _require_int,
     conj,
     neg,
     substitute,
@@ -222,7 +222,7 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
 def alpha(k: int) -> ModalFormula:
     """The variable-free ladder formula
     [](<>^k []false & ~<>^{k+1} []false -> [](<>true -> <>[]false))."""
-    _require_positive("alpha index", k)
+    _require_int("alpha index", k)
     blind = MBox(MFalse())
 
     def dias(count: int, body: ModalFormula) -> ModalFormula:
@@ -305,14 +305,14 @@ def _gadget_edges(m: int, host: BaseWorld | None):
 def frame_fm(m: int) -> KripkeFrame:
     """The gadget frame F_m: an irreflexive ladder a_0 -> ... -> a_m with a
     reflexive side world b below a_0, transitively closed."""
-    _require_positive("gadget index", m)
+    _require_int("gadget index", m)
     worlds, edges, _ = _gadget_edges(m, None)
     return close(KripkeFrame(frozenset(worlds), edges), "transitive")
 
 
 def frame_fm_plus(m: int) -> KripkeFrame:
     """F_m plus the reflexive entry world c_m with c_m -> a_0."""
-    _require_positive("gadget index", m)
+    _require_int("gadget index", m)
     worlds, edges, a0 = _gadget_edges(m, None)
     c = GadgetWorld(m, "c", None)
     worlds = [*worlds, c]

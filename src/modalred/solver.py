@@ -75,7 +75,7 @@ from .syntax import (
     MVar,
     ModalFormula,
     _fold,
-    _require_positive,
+    _require_int,
     expand_sugar,
     modal_vars,
 )
@@ -432,7 +432,7 @@ def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatV
     Raises SolverBudgetError when the node budget runs out, and ValueError
     when ``budget`` is not a positive integer.
     """
-    _require_positive("budget", budget)
+    _require_int("budget", budget)
     tableau = _Tableau(expand_sugar(f), budget)
     tree = tableau.solve(1, 0)  # the root has bit 0
     build = None if tree is None else functools.partial(_tree_to_model, tree, modal_vars(f))
@@ -661,7 +661,7 @@ def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
     """Exhaustive search for a pointed model with at most ``max_worlds``
     worlds.  Satisfiable verdicts are absolute; unsatisfiable means only
     "no model within the bound"."""
-    _require_positive("max_worlds", max_worlds)
+    _require_int("max_worlds", max_worlds)
     g = expand_sugar(f)
     subs = _subformulas(g)
     variables = modal_vars(g)

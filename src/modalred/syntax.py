@@ -83,6 +83,15 @@ __all__ = [
 # Node classes (hash-consed)
 # ---------------------------------------------------------------------------
 
+
+def _require_int(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an int >= ``least`` (1, or 0 for
+    a non-negative limit); a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 _POOL: dict = {}
 
 
@@ -96,10 +105,7 @@ class Formula:
     def __new__(cls, *values):
         # checked before the lookup, or MVar(1.0) and MVar(True) would find MVar(1)
         if cls._PARAM and values:
-            value = values[0]
-            if not isinstance(value, int) or isinstance(value, bool) or value < cls._LEAST:
-                least = "positive" if cls._LEAST else "non-negative"
-                raise ValueError(f"{cls._PARAM} must be a {least} integer, got {value!r}")
+            _require_int(cls._PARAM, values[0], cls._LEAST)
         key = (cls, *values)
         node = _POOL.get(key)
         if node is None:
@@ -262,12 +268,6 @@ def neg(f: ModalFormula) -> ModalFormula:
 def qneg(f: QbfFormula) -> QbfFormula:
     """QBF negation sugar: the language has no ~ node, so ~f is f -> false."""
     return QImp(f, QFalse())
-
-
-def _require_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an int >= 1; a bool is not one."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

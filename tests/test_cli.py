@@ -298,7 +298,32 @@ class TestFrameCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert json.loads(line) == {"error": "--alpha-max must be at least 1, got 0"}
+        assert json.loads(line) == {"error": "--alpha-max must be a positive integer, got 0"}
+
+    @pytest.mark.parametrize("check", ["alpha-validity", "wgrz-axiom"])
+    def test_negative_budget_bits_is_error(self, capsys, check):
+        assert main(["frame", "--gadget", "2", "--check", check, "--budget-bits", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {"error": "budget must be a non-negative integer, got -1"}
+
+    def test_gadget_with_input_is_error_before_the_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["frame", "--gadget", "2", "--input", missing, "--check", "gl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {"error": "frame takes --gadget M or --input FILE, not both"}
+
+    @pytest.mark.parametrize("source", [[], ["--input", "missing.json"]], ids=["no-source", "input"])
+    def test_plus_without_gadget_is_error(self, tmp_path, capsys, source):
+        source = [str(tmp_path / name) if name.endswith(".json") else name for name in source]
+        assert main(["frame", "--plus", *source, "--check", "gl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {"error": "--plus needs --gadget M"}
 
     def test_deep_gadget_host_chain_is_error(self, tmp_path, capsys):
         world = "gadget:m1:b@" * 3000 + "base:L0:{}:#0"

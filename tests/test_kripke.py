@@ -304,6 +304,13 @@ class TestFrameValidates:
         with pytest.raises(ValuationBudgetError):
             frame_validates(frame, MVar(1), budget=4)
 
+    @pytest.mark.parametrize("f", [MTrue(), MVar(1)])
+    def test_negative_budget_is_an_error(self, f):
+        frame, _ = chain_frame(2)
+        with pytest.raises(ValueError) as err:
+            frame_validates(frame, f, budget=-1)
+        assert str(err.value) == "budget must be a non-negative integer, got -1"
+
     def test_excluded_middle_is_valid(self):
         frame, _ = chain_frame(3)
         assert frame_validates(frame, parse_modal("p1 | ~p1"))

@@ -52,11 +52,12 @@ class TestGenerators:
             assert formula_size(random_modal_formula(rng, 12)) >= 1
 
     @pytest.mark.parametrize("generator", [random_matrix, random_modal_formula, random_closed_qbf])
-    @pytest.mark.parametrize("max_size", [0, -3])
+    @pytest.mark.parametrize("max_size", [0, -3, True, 1.5])
     def test_generators_reject_nonpositive_max_size(self, generator, max_size):
         args = (random.Random(0), 2, max_size) if generator is random_matrix else (random.Random(0), max_size)
-        with pytest.raises(ValueError, match="max_size"):
+        with pytest.raises(ValueError) as err:
             generator(*args)
+        assert str(err.value) == f"max_size must be a positive integer, got {max_size!r}"
 
     def test_corpus_is_canonical_prenex(self):
         corpus = build_corpus(n_max=3, matrix_size_max_n1=3, count=10, seed=0)

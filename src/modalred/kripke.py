@@ -6,15 +6,18 @@ worlds of the ladder gadgets, optionally tagged with the base world hosting
 the copy.  The string forms of these identities are the stable ids used in
 JSON dumps, e.g. ``base:L2:{1,3}:#7`` and ``gadget:m3:a0@base:L1:{}:#2``.
 
-A frame is stored as its index and nothing else: its worlds in canonical
-order (sorted by id string), their positions, their id strings, and one
-successor bit row per world.  ``KripkeFrame(worlds, relation)`` builds the
-index in one pass over the pairs; ``close`` hands its rows to a new frame
-with the same order and ids.  Model checking, closures, frame classes,
-validity and the JSON and DOT views all read the index; ``relation``, the
+A frame is its rows and nothing else.  Beside ``worlds`` it holds four
+read-only fields: ``order``, the worlds sorted by id string; ``position``,
+each world's place in that order; ``ids``, the id strings in that order;
+and ``succ``, one successor bit row per world.  ``KripkeFrame(worlds,
+relation)`` fills them in one pass over the pairs and refuses two worlds
+that share an id string; ``close`` and ``extend_model`` hand rows they
+already have to a new frame.  Model checking, closures, frame classes,
+validity and the JSON and DOT views all read the fields; ``relation``, the
 set of pairs, and the predecessor rows are views derived from the rows the
 first time they are read, so a frame that is never evaluated never builds
-them.  Equality and hashing mean same worlds, same pairs.
+them.  Equal frames have equal worlds and equal rows, and equality and
+hashing compare just those two.
 
 Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization: <> T is the
@@ -30,7 +33,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (
     MAnd,
@@ -146,25 +149,28 @@ def world_id_from_str(text: str) -> WorldId:
     return w
 
 
-class _FrameIndex(NamedTuple):
-    order: tuple[WorldId, ...]  # canonical order: sorted by id string
-    position: dict[WorldId, int]
-    succ: tuple[int, ...]  # bit j of succ[i]: order[i] R order[j]
-    ids: tuple[str, ...]  # ids[i] is world_id_str(order[i])
-
-
 class KripkeFrame:
     """A finite frame: worlds and an accessibility relation, read-only.
 
-    The frame holds its index from construction; ``relation`` accepts any
-    iterable of pairs, each of which must stay inside ``worlds``, and reads
-    back as the frozenset of pairs the rows hold.  The predecessor rows that
-    model checking reads are computed once, on the first evaluation.
+    Besides ``worlds`` a frame holds its rows as read-only fields: ``order``,
+    the worlds sorted by id string; ``position``, each world's place in it;
+    ``ids``, the id strings in that order; and ``succ``, one successor bit
+    row per world (bit j of ``succ[i]`` is set when order[i] R order[j]).
+    No two worlds may share an id string, so the order and the rows depend
+    on the world set alone, and equal frames have equal worlds and equal
+    rows.  ``relation`` accepts any iterable of pairs, each of which must
+    stay inside ``worlds``, and reads back as the frozenset of pairs the
+    rows hold; it and the predecessor rows that model checking reads are
+    derived the first time they are read.
     """
 
     def __init__(self, worlds: frozenset[WorldId], relation: Iterable[tuple[WorldId, WorldId]]):
         # sorted on the id alone, so two worlds are never compared
         keyed = sorted(((world_id_str(w), w) for w in worlds), key=itemgetter(0))
+        ids = tuple(wid for wid, _ in keyed)
+        for wid, after in zip(ids, ids[1:]):
+            if wid == after:
+                raise ValueError(f"two worlds share the id {wid!r}")
         order = tuple(w for _, w in keyed)
         position = {w: i for i, w in enumerate(order)}
         succ = [0] * len(order)
@@ -173,26 +179,25 @@ class KripkeFrame:
             if i is None or j is None:
                 raise ValueError(f"relation pair ({u!r}, {v!r}) leaves the world set")
             succ[i] |= 1 << j
-        index = _FrameIndex(order, position, tuple(succ), tuple(wid for wid, _ in keyed))
-        vars(self).update(worlds=worlds, _index=index)
+        self._fill(worlds, order, position, tuple(succ), ids)
 
-    @classmethod
-    def _from_index(cls, worlds: frozenset[WorldId], index: _FrameIndex) -> KripkeFrame:
-        frame = cls.__new__(cls)
-        vars(frame).update(worlds=worlds, _index=index)
-        return frame
+    def _fill(self, worlds, order, position, succ, ids) -> KripkeFrame:
+        """Set the fields, unchecked, and return the frame: every frame is
+        built here, from rows its builder already has."""
+        vars(self).update(worlds=worlds, order=order, position=position, succ=succ, ids=ids)
+        return self
 
     @cached_property
     def relation(self) -> frozenset[tuple[WorldId, WorldId]]:
-        order, succ = self._index.order, self._index.succ
-        return frozenset((order[i], order[j]) for i, j in _pairs(succ))
+        order = self.order
+        return frozenset((order[i], order[j]) for i, j in _pairs(self.succ))
 
     @cached_property
     def _pred(self) -> tuple[int, ...]:
         """Predecessor rows, the transpose of ``succ``: bit i of
         ``_pred[j]`` is set when order[i] R order[j]."""
-        pred = [0] * len(self._index.succ)
-        for i, row in enumerate(self._index.succ):
+        pred = [0] * len(self.succ)
+        for i, row in enumerate(self.succ):
             bit = 1 << i
             for j in _bits(row):
                 pred[j] |= bit
@@ -207,10 +212,10 @@ class KripkeFrame:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.worlds == other.worlds and self.relation == other.relation
+        return self.worlds == other.worlds and self.succ == other.succ
 
     def __hash__(self):
-        return hash((self.worlds, self.relation))
+        return hash((self.worlds, self.succ))
 
     def __repr__(self):
         return f"KripkeFrame(worlds={self.worlds!r}, relation={self.relation!r})"
@@ -268,7 +273,7 @@ def _pairs(succ: tuple[int, ...]):
 
 
 def _mask(position: Mapping[WorldId, int], worlds) -> int:
-    """Bit mask of ``worlds`` at their index positions."""
+    """Bit mask of ``worlds`` at their ``position`` entries."""
     mask = 0
     for w in worlds:
         mask |= 1 << position[w]
@@ -316,14 +321,14 @@ def _eval_masks(
 
 
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
-    index = model.frame._index
-    var_masks = {var: _mask(index.position, members) for var, members in model.valuation.items()}
+    position = model.frame.position
+    var_masks = {var: _mask(position, members) for var, members in model.valuation.items()}
     return _eval_masks(expand_sugar(f), var_masks, model.frame._pred)
 
 
 def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
     """Standard Kripke satisfaction of ``f`` at ``world`` (sugar expanded)."""
-    i = model.frame._index.position.get(world)
+    i = model.frame.position.get(world)
     if i is None:
         raise ValueError(f"unknown world: {world!r}")
     return bool(_model_mask(model, f) >> i & 1)
@@ -331,7 +336,7 @@ def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
 
 def model_check_all(model: KripkeModel, f: ModalFormula) -> frozenset[WorldId]:
     """All worlds of the model satisfying ``f``."""
-    order = model.frame._index.order
+    order = model.frame.order
     return frozenset(order[i] for i in _bits(_model_mask(model, f)))
 
 
@@ -346,22 +351,15 @@ def close(frame: KripkeFrame, mode: str) -> KripkeFrame:
     """Smallest superset of the relation with the named property."""
     if mode not in _CLOSE_MODES:
         raise ValueError(f"mode must be one of {_CLOSE_MODES}, got {mode!r}")
-    index = frame._index
-    succ = list(index.succ)
-    n = len(succ)
     if mode == "reflexive_symmetric":
-        for i in range(n):
-            succ[i] |= 1 << i
-        for i in range(n):
-            for j in _bits(succ[i]):
-                succ[j] |= 1 << i
+        succ = [row | pred | 1 << i for i, (row, pred) in enumerate(zip(frame.succ, frame._pred))]
     else:
+        succ = list(frame.succ)
         if mode == "reflexive_transitive":
-            for i in range(n):
-                succ[i] |= 1 << i
+            succ = [row | 1 << i for i, row in enumerate(succ)]
         _close_rows(succ)
     # same worlds, hence the same order, positions and ids
-    return KripkeFrame._from_index(frame.worlds, index._replace(succ=tuple(succ)))
+    return KripkeFrame.__new__(KripkeFrame)._fill(frame.worlds, frame.order, frame.position, tuple(succ), frame.ids)
 
 
 def _close_rows(succ: list[int]) -> list[int]:
@@ -379,7 +377,7 @@ def _close_rows(succ: list[int]) -> list[int]:
 
 
 def _properties(frame: KripkeFrame):
-    succ = frame._index.succ
+    succ = frame.succ
     n = len(succ)
     reflexive = all(succ[i] >> i & 1 for i in range(n))
     irreflexive = all(not (succ[i] >> i & 1) for i in range(n))
@@ -458,12 +456,12 @@ def _json_items(items: list[str], depth: int, brackets: str = "[]") -> str:
 
 def _json_document(frame: KripkeFrame, model: Optional[KripkeModel] = None) -> str:
     """The frame (with the model's valuation and root, if given) as the text
-    of ``json.dumps(payload, indent=2) + "\n"``, written from the index: each
-    world id is encoded once, and the rows give the pairs in sorted order
-    because the index order is the sorted id order."""
-    _, position, succ, _ = frame._index
-    ids = [encode_basestring_ascii(wid) for wid in frame._index.ids]
-    relation = [f"[\n      {ids[i]},\n      {ids[j]}\n    ]" for i, j in _pairs(succ)]
+    of ``json.dumps(payload, indent=2) + "\n"``, written from the fields:
+    each world id is encoded once, and the rows give the pairs in sorted
+    order because ``order`` is the sorted id order."""
+    position = frame.position
+    ids = [encode_basestring_ascii(wid) for wid in frame.ids]
+    relation = [f"[\n      {ids[i]},\n      {ids[j]}\n    ]" for i, j in _pairs(frame.succ)]
     parts = ['{\n  "worlds": ', _json_items(ids, 1), ',\n  "relation": ', _json_items(relation, 1)]
     if model is not None:
         valuation = [
@@ -524,9 +522,9 @@ def frame_from_json(text: str) -> KripkeFrame:
 
 
 def frame_to_dot(frame: KripkeFrame) -> str:
-    _, _, succ, ids = frame._index
+    ids = frame.ids
     lines = ["digraph frame {"]
     lines += [f'  "{wid}";' for wid in ids]
-    lines += [f'  "{ids[i]}" -> "{ids[j]}";' for i, j in _pairs(succ)]
+    lines += [f'  "{ids[i]}" -> "{ids[j]}";' for i, j in _pairs(frame.succ)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ from .qbf import is_true_qbf, prenex_join, universal_closure
 from .reduction import (
     _alpha_of_star,
     alpha,
-    encode_alpha,
     encode_star,
     extend_model,
     quantifier_tree,
@@ -53,13 +52,17 @@ from .syntax import (
     QImp,
     QOr,
     QVar,
+    _CHILDREN,
     _require_int,
     formula_size,
     is_constant,
     qbf_size,
     render,
-    substitute,
 )
+# encode_alpha and substitute are not called here any more; perfbench's
+# traced run still rebinds this module's names for them
+from .reduction import encode_alpha  # noqa: F401
+from .syntax import substitute  # noqa: F401
 
 __all__ = [
     "VerifyReport",
@@ -198,10 +201,13 @@ def build_corpus(
     n = 1 is exhaustive over all matrices on p_1 up to ``matrix_size_max_n1``;
     n = 2..n_max contributes ``count`` seeded random instances (round-robin
     over n) with matrices up to ``matrix_size_max``.  Raises ValueError when
-    ``n_max`` is not a positive integer or ``count`` is not a non-negative
-    one (a bool is neither).
+    ``n_max`` or ``matrix_size_max`` is not a positive integer, or
+    ``matrix_size_max_n1`` or ``count`` is not a non-negative one (a bool is
+    neither); a ``matrix_size_max_n1`` of 0 gives no n = 1 instances.
     """
     _require_int("n_max", n_max)
+    _require_int("matrix_size_max_n1", matrix_size_max_n1, least=0)
+    _require_int("matrix_size_max", matrix_size_max)
     _require_int("count", count, least=0)
     corpus: list[QbfFormula] = []
     for matrix in exhaustive_matrices(matrix_size_max_n1):
@@ -253,7 +259,7 @@ def check_instance(
             record["alpha_size"] <= c2 * record["star_size"] ** 2
         )
         amap = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
-        record["substitution_ok"] = substitute(star, amap) is alpha_formula
+        record["substitution_ok"] = _substitutes(star, alpha_formula, amap)
         checks = [
             record["star_sat"] == truth,
             record["alpha_sat"] == truth,
@@ -294,6 +300,32 @@ def check_instance(
     return record
 
 
+def _substitutes(f: ModalFormula, image: ModalFormula, mapping: dict) -> bool:
+    """Whether ``image`` is ``f`` with ``mapping[i]`` in place of each
+    MVar(i) in the mapping: both are walked side by side on an explicit
+    stack, each distinct pair of nodes once, and nothing is rebuilt."""
+    stack, seen = [(f, image)], set()
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        node, other = pair
+        if isinstance(node, MVar):
+            if other is not mapping.get(node.index, node):
+                return False
+            continue
+        if type(node) is not type(other) or node._params() != other._params():
+            return False
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            kids, other_kids = children(node), children(other)
+            if len(kids) != len(other_kids):
+                return False
+            stack.extend(zip(kids, other_kids))
+    return True
+
+
 @dataclass
 class VerifyReport:
     params: dict
@@ -328,8 +360,8 @@ def run_verify(
             f"instances and n_max={n_max}, count={count} give no others"
         )
     c1 = formula_size(alpha(1))
-    first_star, _ = encode_star(corpus[0])
-    first_alpha = encode_alpha(corpus[0])
+    first_star, first_ctx = encode_star(corpus[0])
+    first_alpha = _alpha_of_star(first_star, first_ctx)
     star_size = formula_size(first_star)
     alpha_size = formula_size(first_alpha)
     # integer ceiling of the first instance's quadratic ratio

@@ -336,9 +336,10 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     its reach in the base frame (its rows closed alone) and every copy
     hosted at itself or at a world of that reach.
     """
-    base_worlds, position, succ, base_ids = base.frame._index
-    masks = [(index, kripke._mask(position, members)) for index, members in base.valuation.items()]
-    for i, j in kripke._pairs(succ):
+    base_frame = base.frame
+    base_worlds, base_ids = base_frame.order, base_frame.ids
+    masks = [(index, kripke._mask(base_frame.position, members)) for index, members in base.valuation.items()]
+    for i, j in kripke._pairs(base_frame.succ):
         for index, mask in masks:
             if mask >> i & 1 and not mask >> j & 1:
                 raise ValueError(
@@ -368,7 +369,7 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     size = len(base_worlds)
     for k, (_, _, slots, rung) in enumerate(entries, start=size):
         slots[rung] = k
-    rows = kripke._close_rows(list(succ)) + [0] * len(entries)
+    rows = kripke._close_rows(list(base_frame.succ)) + [0] * len(entries)
     hosted = [0] * size  # the worlds of the copies below each base world
     for h, (*ladder, b) in copies:
         rows[b] = 1 << b
@@ -384,14 +385,10 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
             row |= hosted[j]
         rows[i] = row
     order = base_worlds + tuple(world for _, world, _, _ in entries)
-    index = kripke._FrameIndex(
-        order,
-        {w: i for i, w in enumerate(order)},
-        tuple(rows),
-        base_ids + tuple(wid for wid, _, _, _ in entries),
-    )
+    position = {w: i for i, w in enumerate(order)}
+    ids = base_ids + tuple(wid for wid, _, _, _ in entries)
     # the frozenset reuses the hashes the position dict stored
-    frame = KripkeFrame._from_index(frozenset(index.position), index)
+    frame = KripkeFrame.__new__(KripkeFrame)._fill(frozenset(position), order, position, tuple(rows), ids)
     return KripkeModel(frame, dict(base.valuation), base.root)
 
 
@@ -404,8 +401,7 @@ def star_equivalence_violations(
     that world is a base world refuting p_m.  Returns all (world, m) pairs
     violating this, for m = 1..2n+2; empty means the equivalence holds.
     """
-    index = extended.frame._index
-    order, position = index.order, index.position
+    order, position = extended.frame.order, extended.frame.position
     n = len(order)
     full = (1 << n) - 1
     memo: dict = {}  # the alpha formulas share []false, the <>^k chains and the escape box

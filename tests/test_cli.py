@@ -358,7 +358,7 @@ class TestVerifyCommand:
         [
             (["--matrix-size-n1", "0"], "matrix_size_max_n1"),
             (["--matrix-size-n1", "-3"], "matrix_size_max_n1"),
-            (["--n-max", "2", "--count", "3", "--matrix-size", "0"], "max_size"),
+            (["--n-max", "2", "--count", "3", "--matrix-size", "0"], "matrix_size_max"),
         ],
     )
     def test_degenerate_sizes_are_errors(self, capsys, args, parameter):
@@ -374,6 +374,7 @@ class TestVerifyCommand:
             (["--count", "-3"], "count must be a non-negative integer, got -3"),
             (["--n-max", "-2"], "n_max must be a positive integer, got -2"),
             (["--n-max", "0"], "n_max must be a positive integer, got 0"),
+            (["--matrix-size", "0"], "matrix_size_max must be a positive integer, got 0"),
         ],
     )
     def test_out_of_range_sizes_are_errors(self, capsys, args, error):

@@ -234,7 +234,7 @@ def test_closed_frames_behave_like_pair_frames(seed, mode):
 def test_frames_are_read_only():
     frame, worlds = chain_frame(3)
     for f in (frame, close(frame, "transitive")):
-        for name in ("worlds", "relation", "extra"):
+        for name in ("worlds", "relation", "order", "position", "succ", "ids", "extra"):
             with pytest.raises(FrozenInstanceError):
                 setattr(f, name, frozenset())
             with pytest.raises(FrozenInstanceError):
@@ -372,7 +372,7 @@ class TestPredecessorRows:
         rng = random.Random(3)
         for _ in range(50):
             frame = _random_rows_frame(rng, rng.randint(0, 6))
-            succ, pred = frame._index.succ, frame._pred
+            succ, pred = frame.succ, frame._pred
             n = len(succ)
             assert len(pred) == n
             assert all((succ[i] >> j & 1) == (pred[j] >> i & 1) for i in range(n) for j in range(n))
@@ -388,7 +388,7 @@ class TestPredecessorRows:
             frame = _random_rows_frame(rng, n)
             var_masks = {k: rng.getrandbits(n) for k in (1, 2)}
             f = expand_sugar(random_modal_formula(rng, 14, var_count=3))
-            expected = _naive_masks(f, var_masks, frame._index.succ)
+            expected = _naive_masks(f, var_masks, frame.succ)
             assert kripke._eval_masks(f, var_masks, frame._pred) == expected, (f, frame)
         assert sizes == set(range(7))
 
@@ -664,16 +664,15 @@ class TestJsonWriter:
 
 
 class TestFrameIndex:
-    """Every frame holds its index, world ids included, from construction."""
+    """Every frame holds its rows, world ids included, from construction."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_ids_are_the_id_strings_in_canonical_order(self, seed):
         frame = _random_json_model(random.Random(seed)).frame
         for built in (frame, close(frame, "transitive"), frame_from_json(frame_to_json(frame))):
-            assert "_index" in vars(built)
-            index = built._index
-            assert index.ids == tuple(map(world_id_str, index.order))
-            assert list(index.ids) == sorted(index.ids)
+            assert {"order", "position", "succ", "ids"} <= vars(built).keys()
+            assert built.ids == tuple(map(world_id_str, built.order))
+            assert list(built.ids) == sorted(built.ids)
 
     def test_writers_compute_no_id_on_a_built_frame(self, monkeypatch):
         rng = random.Random(11)
@@ -705,7 +704,31 @@ class TestFrameIndex:
             assert from_list == from_set and from_set == from_list
             assert hash(from_list) == hash(from_set)
             assert from_list.relation == frozenset(edges)
-            assert from_list._index == from_set._index
+            assert (from_list.order, from_list.position, from_list.succ, from_list.ids) == (
+                from_set.order, from_set.position, from_set.succ, from_set.ids
+            )
+
+    def test_equality_and_hash_leave_the_pairs_underived(self):
+        f = parse_qbf("A p1 . E p2 . p1 -> p2")
+        tree = quantifier_tree(f).frame
+        worlds, edges = tree.worlds, list(tree.relation)
+        for make in (
+            lambda: KripkeFrame(worlds, edges),
+            lambda: close(KripkeFrame(worlds, edges), "reflexive_transitive"),
+            lambda: extend_model(quantifier_tree(f), encode_star(f)[1]).frame,
+        ):
+            frame, other = make(), make()
+            assert frame is not other
+            assert hash(frame) == hash(other) and frame == other
+            assert "relation" not in vars(frame) and "relation" not in vars(other)
+
+    def test_two_worlds_sharing_an_id_are_refused(self):
+        plain = GadgetWorld(1, "a0@base:L0:{}:#0")
+        hosted = GadgetWorld(1, "a0", BaseWorld(0, frozenset(), 0))
+        assert plain != hosted and world_id_str(plain) == world_id_str(hosted)
+        for relation in ((), [(plain, hosted)]):
+            with pytest.raises(ValueError, match=r"share the id 'gadget:m1:a0@base:L0:\{\}:#0'"):
+                KripkeFrame(frozenset([plain, hosted]), relation)
 
 
 class TestGoldenOutput:

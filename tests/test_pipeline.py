@@ -83,6 +83,9 @@ class TestGenerators:
             ({"count": -3}, "count must be a non-negative integer, got -3"),
             ({"count": False}, "count must be a non-negative integer, got False"),
             ({"count": 1.5}, "count must be a non-negative integer, got 1.5"),
+            ({"matrix_size_max": 0}, "matrix_size_max must be a positive integer, got 0"),
+            ({"matrix_size_max": True}, "matrix_size_max must be a positive integer, got True"),
+            ({"matrix_size_max_n1": -1}, "matrix_size_max_n1 must be a non-negative integer, got -1"),
         ],
     )
     def test_out_of_range_sizes_are_errors(self, kwargs, message):
@@ -123,6 +126,19 @@ class TestCheckInstance:
         record = check_instance(parse_qbf("A p1 . E p2 . p1 -> p2"), 0, c2=1, budget=5)
         assert not record["pass"]
         assert record["error"].startswith("unknown:")
+
+    def test_substitution_check_sees_a_wrong_image(self, monkeypatch):
+        from modalred import pipeline, reduction
+        from modalred.syntax import parse_qbf, substitute
+
+        def swapped(f, mapping):
+            return substitute(f, {**mapping, 1: mapping[2], 2: mapping[1]})
+
+        f = parse_qbf("A p1 . E p2 . p1 -> p2")
+        assert check_instance(f, 0, c2=1)["substitution_ok"] is True
+        monkeypatch.setattr(reduction, "substitute", swapped)
+        monkeypatch.setattr(pipeline, "substitute", swapped)
+        assert check_instance(f, 0, c2=1)["substitution_ok"] is False
 
 
 class TestRunVerify:

@@ -420,10 +420,10 @@ class TestExtendModelClosedForm:
 
     def _assert_same(self, base, ctx):
         extended, reference = extend_model(base, ctx), _pair_built_extension(base, ctx)
-        assert extended.frame._index.order == reference.frame._index.order
-        assert extended.frame._index.succ == reference.frame._index.succ
-        assert extended.frame._index.ids == reference.frame._index.ids
-        assert extended.frame._index.position == reference.frame._index.position
+        assert extended.frame.order == reference.frame.order
+        assert extended.frame.succ == reference.frame.succ
+        assert extended.frame.ids == reference.frame.ids
+        assert extended.frame.position == reference.frame.position
         assert extended == reference
         assert model_to_json(extended) == model_to_json(reference)
 

@@ -14,15 +14,19 @@ relation)`` fills them in one pass over the pairs and refuses two worlds
 that share an id string; ``close`` and ``extend_model`` hand rows they
 already have to a new frame.  Model checking, closures, frame classes,
 validity and the JSON and DOT views all read the fields; ``relation``, the
-set of pairs, and the predecessor rows are views derived from the rows the
-first time they are read, so a frame that is never evaluated never builds
-them.  Equal frames have equal worlds and equal rows, and equality and
-hashing compare just those two.
+set of pairs, is a view derived from the rows the first time it is read,
+and so are the predecessor rows unless the builder hands them over
+(``extend_model`` writes them in closed form); a frame that is never
+evaluated derives neither.  Equal frames have equal worlds and equal
+rows, and equality and hashing compare just those two.
 
 Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization: <> T is the
 OR of the predecessor rows of T's worlds and [] is its dual, so one modal
-node costs at most |worlds| ORs of |worlds|-bit rows.
+node costs at most |worlds| ORs of |worlds|-bit rows.  A variable-free
+formula's mask depends on the rows alone, so each frame keeps those masks,
+and every model on the frame evaluates such a formula and its subformulas
+once.
 """
 
 from __future__ import annotations
@@ -160,8 +164,10 @@ class KripkeFrame:
     on the world set alone, and equal frames have equal worlds and equal
     rows.  ``relation`` accepts any iterable of pairs, each of which must
     stay inside ``worlds``, and reads back as the frozenset of pairs the
-    rows hold; it and the predecessor rows that model checking reads are
-    derived the first time they are read.
+    rows hold, derived the first time it is read.  The predecessor rows
+    that model checking reads are derived likewise, unless the builder
+    passed them to ``_fill``.  The masks of the variable-free formulas
+    checked on the frame are kept with it, for every model on it.
     """
 
     def __init__(self, worlds: frozenset[WorldId], relation: Iterable[tuple[WorldId, WorldId]]):
@@ -181,10 +187,14 @@ class KripkeFrame:
             succ[i] |= 1 << j
         self._fill(worlds, order, position, tuple(succ), ids)
 
-    def _fill(self, worlds, order, position, succ, ids) -> KripkeFrame:
+    def _fill(self, worlds, order, position, succ, ids, pred=None) -> KripkeFrame:
         """Set the fields, unchecked, and return the frame: every frame is
-        built here, from rows its builder already has."""
+        built here, from rows its builder already has.  A builder that knows
+        the predecessor rows passes them as ``pred``, the transpose of
+        ``succ``."""
         vars(self).update(worlds=worlds, order=order, position=position, succ=succ, ids=ids)
+        if pred is not None:
+            vars(self)["_pred"] = pred
         return self
 
     @cached_property
@@ -196,12 +206,14 @@ class KripkeFrame:
     def _pred(self) -> tuple[int, ...]:
         """Predecessor rows, the transpose of ``succ``: bit i of
         ``_pred[j]`` is set when order[i] R order[j]."""
-        pred = [0] * len(self.succ)
-        for i, row in enumerate(self.succ):
-            bit = 1 << i
-            for j in _bits(row):
-                pred[j] |= bit
-        return tuple(pred)
+        return _transpose(self.succ)
+
+    @cached_property
+    def _constant_masks(self) -> dict:
+        """Masks of the variable-free formulas evaluated on this frame, keyed
+        by sugar-free node: they depend on the rows alone, so every model on
+        the frame shares them."""
+        return {}
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -272,6 +284,17 @@ def _pairs(succ: tuple[int, ...]):
             yield i, j
 
 
+def _transpose(succ) -> tuple[int, ...]:
+    """The rows of the converse relation: bit i of row j is set when bit j
+    of ``succ[i]`` is."""
+    pred = [0] * len(succ)
+    for i, row in enumerate(succ):
+        bit = 1 << i
+        for j in _bits(row):
+            pred[j] |= bit
+    return tuple(pred)
+
+
 def _mask(position: Mapping[WorldId, int], worlds) -> int:
     """Bit mask of ``worlds`` at their ``position`` entries."""
     mask = 0
@@ -321,9 +344,13 @@ def _eval_masks(
 
 
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
-    position = model.frame.position
-    var_masks = {var: _mask(position, members) for var, members in model.valuation.items()}
-    return _eval_masks(expand_sugar(f), var_masks, model.frame._pred)
+    g = expand_sugar(f)
+    frame = model.frame
+    if not modal_vars(g):
+        # no valuation reaches it: the frame's table answers every model on it
+        return _eval_masks(g, {}, frame._pred, frame._constant_masks)
+    var_masks = {var: _mask(frame.position, members) for var, members in model.valuation.items()}
+    return _eval_masks(g, var_masks, frame._pred)
 
 
 def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
@@ -484,17 +511,31 @@ def _world_ids(value, what: str) -> list[WorldId]:
     return [world_id_from_str(s) for s in value]
 
 
+def _refuse_repeats(entries: list, key: str) -> None:
+    """Raise ValueError naming the first of ``entries`` (world id strings or
+    [world, world] pairs of them) that the list under ``key`` holds twice."""
+    seen = set()
+    for entry in entries:
+        hashable = entry if isinstance(entry, str) else tuple(entry)
+        if hashable in seen:
+            raise ValueError(f'"{key}" lists {entry!r} twice')
+        seen.add(hashable)
+
+
 def _read_json(text: str, kind: str) -> tuple[dict, KripkeFrame]:
     """The document and its frame, for frame and model files alike; any
-    malformed input raises ValueError."""
+    malformed input, a world or a pair listed twice included, raises
+    ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "worlds" not in doc or "relation" not in doc:
         raise ValueError(f'a {kind} is a JSON object with "worlds" and "relation"')
     worlds = frozenset(_world_ids(doc["worlds"], "worlds"))
+    _refuse_repeats(doc["worlds"], "worlds")
     pairs = doc["relation"]
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ValueError("relation must be a list of [world, world] pairs")
     relation = [(world_id_from_str(u), world_id_from_str(v)) for u, v in pairs]
+    _refuse_repeats(pairs, "relation")
     return doc, KripkeFrame(worlds, relation)
 
 

@@ -334,7 +334,11 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     sorted once by id (a copy's ids end in its host's id).  In a copy,
     a_i sees a_j for j > i, a_0 sees b and b sees itself; a base world sees
     its reach in the base frame (its rows closed alone) and every copy
-    hosted at itself or at a world of that reach.
+    hosted at itself or at a world of that reach.  The predecessor rows are
+    written in the same pass and handed to the frame: a base world's are
+    the converse of the closed base rows, and in a copy hosted at h, a_j is
+    seen by h, by the base worlds that see h and by a_0..a_{j-1}, and b by
+    h, the same base worlds, a_0 and itself.
     """
     base_frame = base.frame
     base_worlds, base_ids = base_frame.order, base_frame.ids
@@ -370,6 +374,9 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     for k, (_, _, slots, rung) in enumerate(entries, start=size):
         slots[rung] = k
     rows = kripke._close_rows(list(base_frame.succ)) + [0] * len(entries)
+    # no gadget world sees a base world, so the base part of the converse
+    # is the converse of the closed base rows alone
+    pred = list(kripke._transpose(rows[:size])) + [0] * len(entries)
     hosted = [0] * size  # the worlds of the copies below each base world
     for h, (*ladder, b) in copies:
         rows[b] = 1 << b
@@ -379,6 +386,11 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
             above |= 1 << k
         rows[ladder[0]] |= 1 << b
         hosted[h] |= above | 1 << b
+        below = pred[h] | 1 << h  # the host and the base worlds that see it
+        pred[b] = below | 1 << ladder[0] | 1 << b
+        for k in ladder:
+            pred[k] = below
+            below |= 1 << k
     for i in range(size):
         row = rows[i] | hosted[i]
         for j in kripke._bits(rows[i]):
@@ -388,7 +400,9 @@ def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     position = {w: i for i, w in enumerate(order)}
     ids = base_ids + tuple(wid for wid, _, _, _ in entries)
     # the frozenset reuses the hashes the position dict stored
-    frame = KripkeFrame.__new__(KripkeFrame)._fill(frozenset(position), order, position, tuple(rows), ids)
+    frame = KripkeFrame.__new__(KripkeFrame)._fill(
+        frozenset(position), order, position, tuple(rows), ids, tuple(pred)
+    )
     return KripkeModel(frame, dict(base.valuation), base.root)
 
 
@@ -404,11 +418,12 @@ def star_equivalence_violations(
     order, position = extended.frame.order, extended.frame.position
     n = len(order)
     full = (1 << n) - 1
-    memo: dict = {}  # the alpha formulas share []false, the <>^k chains and the escape box
     base_worlds = kripke._mask(position, base.frame.worlds & extended.frame.worlds)
     violations = []
     for m in range(1, ctx.var_count + 1):
-        satisfied = kripke._eval_masks(alpha(m), {}, extended.frame._pred, memo)
+        # alpha(m) is variable-free: the frame's table shares it, and every
+        # subformula, with the alpha encoding checked on the same frame
+        satisfied = kripke._model_mask(extended, alpha(m))
         holders = kripke._mask(position, base.valuation.get(m, frozenset()) & extended.frame.worlds)
         wrong = (full & ~satisfied) ^ (base_worlds & ~holders)
         violations.extend((order[i], m) for i in kripke._bits(wrong))

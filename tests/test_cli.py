@@ -282,6 +282,21 @@ class TestFrameCommand:
         [line] = captured.err.splitlines()
         assert repr(v) in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("args", [["--dot"], ["--check", "gl"]])
+    def test_repeated_world_or_pair_is_error(self, tmp_path, capsys, args):
+        # read leniently, either file would be the one-world frame with a loop
+        u = "base:L0:{}:#0"
+        for document, repeated in (
+            ({"worlds": [u, u], "relation": [[u, u]]}, repr(u)),
+            ({"worlds": [u], "relation": [[u, u], [u, u]]}, repr([u, u])),
+        ):
+            path = write(tmp_path, "frame.json", json.dumps(document))
+            assert main(["frame", "--input", path, *args]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert repeated in json.loads(line)["error"]
+
     @pytest.mark.parametrize("world", ["gadget:m1:a7", "gadget:m1:a01", "gadget:m0:b"])
     def test_world_outside_its_gadget_is_error(self, tmp_path, capsys, world):
         path = write(tmp_path, "frame.json", json.dumps({"worlds": [world], "relation": []}))

@@ -41,7 +41,7 @@ from modalred.syntax import (
     parse_modal,
     parse_qbf,
 )
-from modalred.reduction import encode_alpha, encode_star, extend_model, quantifier_tree
+from modalred.reduction import encode_alpha, encode_star, extend_model, quantifier_tree, star_equivalence_violations
 from modalred.solver import sat_bounded, sat_k_tableau
 
 
@@ -421,14 +421,88 @@ class TestPredecessorRows:
         frame_to_dot(witness.frame)
         with pytest.raises(ValuationBudgetError):
             frame_validates(extended.frame, wgrz_axiom())
-        for frame in (tree.frame, extended.frame, witness.frame):
+        for frame in (tree.frame, witness.frame):
             assert "_pred" not in vars(frame)
+        # extend_model writes the predecessor rows beside the successor rows
+        pred = vars(extended.frame)["_pred"]
         assert model_check(tree, tree.root, star)
         assert model_check(extended, extended.root, encode_alpha(f))
-        pred = vars(extended.frame)["_pred"]
         assert model_check_all(extended, MBox(MFalse()))
         assert vars(extended.frame)["_pred"] is pred
         assert "_pred" in vars(tree.frame) and "_pred" not in vars(witness.frame)
+
+
+def _counted_steps(monkeypatch) -> list:
+    """The nodes that model checking evaluates from now on, one entry per
+    step of its fold."""
+    steps, fold = [], kripke._fold
+
+    def counting(root, combine, memo):
+        def step(g, kids):
+            steps.append(g)
+            return combine(g, kids)
+
+        return fold(root, step, memo)
+
+    monkeypatch.setattr(kripke, "_fold", counting)
+    return steps
+
+
+class TestConstantMasks:
+    """Each frame keeps the masks of the variable-free formulas evaluated on
+    it, for every model on that frame; formulas with variables are never
+    kept."""
+
+    def _two_models(self):
+        frame, (u, v, w) = chain_frame(3)
+        return KripkeModel(frame, {1: frozenset([w])}, u), KripkeModel(frame, {1: frozenset([v])}, u)
+
+    def test_formulas_with_variables_answer_by_each_valuation(self):
+        model_a, model_b = self._two_models()
+        u, v, w = model_a.frame.order
+        expected = {
+            "p1": ({w}, {v}),
+            "<> p1": ({v}, {u}),
+            "[] p1": ({v, w}, {u, w}),
+        }
+        for _ in range(2):
+            for text, (on_a, on_b) in expected.items():
+                f = parse_modal(text)
+                assert model_check_all(model_a, f) == on_a
+                assert model_check_all(model_b, f) == on_b
+                assert model_check(model_b, v, f) == (v in on_b)
+        assert "_constant_masks" not in vars(model_a.frame)
+
+    def test_a_variable_free_answer_is_shared_by_the_models_on_a_frame(self, monkeypatch):
+        model_a, model_b = self._two_models()
+        u, v, w = model_a.frame.order
+        steps = _counted_steps(monkeypatch)
+        blind_below = parse_modal("<> [] false")
+        assert model_check_all(model_a, blind_below) == {v}
+        assert steps == [MFalse(), MBox(MFalse()), blind_below]
+        steps.clear()
+        assert model_check_all(model_b, blind_below) == {v}
+        assert model_check(model_b, u, blind_below) is False
+        assert steps == []
+        # a new formula evaluates only the nodes the table lacks
+        assert model_check_all(model_b, parse_modal("[] <> [] false")) == {u, w}
+        assert steps == [parse_modal("[] <> [] false")]
+        assert not model_check(KripkeModel(model_a.frame, {}, v), v, parse_modal("[] <> [] false"))
+        assert len(steps) == 1
+        # an equal frame is another object with a table of its own
+        twin = KripkeModel(KripkeFrame(model_a.frame.worlds, model_a.frame.relation), {}, u)
+        assert model_check_all(twin, blind_below) == {v}
+        assert len(steps) == 4
+
+    def test_the_ladder_check_reads_the_answers_the_alpha_check_left(self, monkeypatch):
+        f = parse_qbf("A p1 . E p2 . A p3 . p2 | p3")
+        _, ctx = encode_star(f)
+        tree = quantifier_tree(f)
+        extended = extend_model(tree, ctx)
+        assert model_check(extended, extended.root, encode_alpha(f))
+        steps = _counted_steps(monkeypatch)
+        assert star_equivalence_violations(tree, extended, ctx) == []
+        assert steps == []
 
 
 def _small_frames():
@@ -544,6 +618,30 @@ class TestSerialization:
     def test_malformed_model_rejected(self, document):
         with pytest.raises(ValueError):
             model_from_json(document)
+
+    @pytest.mark.parametrize(
+        "worlds, relation, message",
+        [
+            (["base:L0:{}:#0", "base:L0:{}:#0"], [], "\"worlds\" lists 'base:L0:{}:#0' twice"),
+            (
+                ["base:L0:{}:#0", "base:L1:{1}:#1", "base:L0:{}:#0"],
+                [["base:L0:{}:#0", "base:L1:{1}:#1"]],
+                "\"worlds\" lists 'base:L0:{}:#0' twice",
+            ),
+            (
+                ["base:L0:{}:#0", "base:L1:{1}:#1"],
+                [["base:L0:{}:#0", "base:L1:{1}:#1"], ["base:L1:{1}:#1", "base:L1:{1}:#1"]] * 2,
+                "\"relation\" lists ['base:L0:{}:#0', 'base:L1:{1}:#1'] twice",
+            ),
+        ],
+    )
+    def test_repeated_entries_are_refused(self, worlds, relation, message):
+        frame = json.dumps({"worlds": worlds, "relation": relation})
+        model = json.dumps({"worlds": worlds, "relation": relation, "valuation": {}, "root": worlds[0]})
+        for read, document in ((frame_from_json, frame), (model_from_json, model)):
+            with pytest.raises(ValueError) as refused:
+                read(document)
+            assert str(refused.value) == message
 
     @pytest.mark.parametrize("source", ["quantifier tree", "extended", "tableau", "bounded"])
     def test_model_equals_and_hashes_like_its_json_round_trip(self, source):

@@ -251,10 +251,13 @@ class TestGadgetFrames:
 
 def _reference_violations(base, extended, ctx):
     """(world, m) where alpha(m) is refuted but the world is not a base world
-    refuting p_m, or the other way round; m ascending, worlds in id order."""
+    refuting p_m, or the other way round; m ascending, worlds in id order.
+    alpha(m) is evaluated on a frame rebuilt from the pairs, so neither the
+    rows ``extend_model`` wrote nor answers kept on its frame are read."""
+    rebuilt = KripkeModel(KripkeFrame(extended.frame.worlds, extended.frame.relation), {}, extended.root)
     violations = []
     for m in range(1, ctx.var_count + 1):
-        satisfied = model_check_all(extended, alpha(m))
+        satisfied = model_check_all(rebuilt, alpha(m))
         holders = base.valuation.get(m, frozenset())
         for w in sorted(extended.frame.worlds, key=world_id_str):
             refutes_p = w in base.frame.worlds and w not in holders
@@ -424,6 +427,11 @@ class TestExtendModelClosedForm:
         assert extended.frame.succ == reference.frame.succ
         assert extended.frame.ids == reference.frame.ids
         assert extended.frame.position == reference.frame.position
+        # the predecessor rows come with the frame, and are its converse
+        position, pred = extended.frame.position, [0] * len(extended.frame.order)
+        for u, v in extended.frame.relation:
+            pred[position[v]] |= 1 << position[u]
+        assert vars(extended.frame)["_pred"] == tuple(pred)
         assert extended == reference
         assert model_to_json(extended) == model_to_json(reference)
 

@@ -53,6 +53,7 @@ from .reduction import (
 from .solver import (
     SatVerdict,
     SolverBudgetError,
+    TableauContext,
     sat_bounded,
     sat_k_tableau,
 )

@@ -435,16 +435,20 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
     """Frame validity: ``f`` holds at every world under every valuation.
 
     All 2^(|worlds| * v) valuations of the v variables are searched, so a
-    variable-free formula needs a single bitmask evaluation.  ``budget`` must
-    be a non-negative integer (ValueError otherwise); the search refuses
-    (raises ValuationBudgetError) when |worlds| * v exceeds ``budget`` bits,
-    so it never silently guesses.
+    variable-free formula needs a single bitmask evaluation, which reads and
+    fills the frame's table of variable-free masks as model checking does.
+    ``budget`` must be a non-negative integer (ValueError otherwise); the
+    search refuses (raises ValuationBudgetError) when |worlds| * v exceeds
+    ``budget`` bits, so it never silently guesses.
     """
     _require_int("budget", budget, least=0)
     g = expand_sugar(f)
     variables = sorted(modal_vars(g))
     n = len(frame.worlds)
     full = (1 << n) - 1
+    if not variables:
+        # one valuation, which nothing reads: the frame's table answers
+        return _eval_masks(g, {}, frame._pred, frame._constant_masks) == full
     bits = n * len(variables)
     if bits > budget:
         raise ValuationBudgetError(
@@ -549,6 +553,7 @@ def model_from_json(text: str) -> KripkeModel:
         if not re.fullmatch(r"p[1-9][0-9]*", key):
             raise ValueError(f"valuation keys look like p<index> (from p1, no leading zeros), got {key!r}")
         valuation[int(key[1:])] = frozenset(_world_ids(members, key))
+        _refuse_repeats(members, key)
     if "root" not in doc:
         raise ValueError('a model needs a "root" world')
     return KripkeModel(frame, valuation, world_id_from_str(doc["root"]))

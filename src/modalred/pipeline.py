@@ -32,7 +32,7 @@ from .reduction import (
     quantifier_tree,
     star_equivalence_violations,
 )
-from .solver import DEFAULT_TABLEAU_BUDGET, SolverBudgetError, sat_k_tableau
+from .solver import DEFAULT_TABLEAU_BUDGET, SolverBudgetError, TableauContext, sat_k_tableau
 from .syntax import (
     MAnd,
     MBox,
@@ -229,6 +229,13 @@ def build_corpus(
 # ---------------------------------------------------------------------------
 
 
+# The tableau context of every alpha query of the process: the variable-free
+# encodings of one corpus share their ladders alpha(k), so a label one of
+# them decided answers the others.  The context starts afresh by its own
+# rules (``solver._CONTEXT_MEMO_CAP`` and ``_CONTEXT_MIN_NUMBERED``).
+_ALPHA_CONTEXT = TableauContext()
+
+
 def check_instance(
     f: QbfFormula,
     index: int,
@@ -239,7 +246,11 @@ def check_instance(
 
     ``c2`` is the frozen quadratic size constant; the record's ``pass`` field
     aggregates all applicable checks, and a solver budget exhaustion is
-    reported as unknown (which fails the record).
+    reported as unknown (which fails the record).  The star query searches
+    in a fresh tableau context; the alpha query searches in the one context
+    that every alpha query of the process shares, so its verdict is that of
+    a lone query but its node count, and hence whether it reaches
+    ``budget``, may depend on the instances checked before it.
     """
     record: dict = {"index": index, "formula": render(f)}
     try:
@@ -251,7 +262,7 @@ def check_instance(
         record["star_sat"] = star_verdict.satisfiable
         alpha_formula = _alpha_of_star(star, ctx)
         record["alpha_constant"] = is_constant(alpha_formula)
-        alpha_verdict = sat_k_tableau(alpha_formula, budget=budget)
+        alpha_verdict = sat_k_tableau(alpha_formula, budget=budget, context=_ALPHA_CONTEXT)
         record["alpha_sat"] = alpha_verdict.satisfiable
         record["star_size"] = formula_size(star)
         record["alpha_size"] = formula_size(alpha_formula)

@@ -8,7 +8,10 @@ over finite tree models; satisfiable verdicts come with a tree witness whose
 depth is at most the modal depth of the query.  One memo table, keyed by
 label, answers a label met before without saturating it again, so repeated
 sub-labels (ubiquitous in the ladder encodings) are decided once; a memo hit
-still counts as a search node.  A satisfiable label's result is a tuple
+still counts as a search node.  The memo and the bit numbering make a
+``TableauContext``: a lone query gets a fresh one, and queries that share
+one reuse each other's labels, since in K a label's answer does not depend
+on the query it came from.  A satisfiable label's result is a tuple
 (true variables, children, worlds): ``worlds`` counts the worlds of its tree
 unfolding, so the witness knows its size before it is built, and a memo hit
 hands back the same tuple, count included.  Both engines return only what
@@ -28,8 +31,9 @@ whose right side may not is branched right side first, so the search tries
 the side that builds no world before the one that does (the choice of
 branch, Horrocks & Patel-Schneider, J. Logic Comput. 9(3), 1999).  In the
 variable-free encoding that side is the box of a negated ladder, and the
-order cuts the search several times over.  Only the numbering and the label
-memo belong to one query.  No recursion runs before the search itself.
+order cuts the search several times over.  The numbering and the label memo
+belong to the context, the budget and the counters to one query.  No
+recursion runs before the search itself.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
@@ -83,6 +87,7 @@ from .syntax import (
 __all__ = [
     "SatVerdict",
     "SolverBudgetError",
+    "TableauContext",
     "sat_k_tableau",
     "sat_bounded",
     "DEFAULT_TABLEAU_BUDGET",
@@ -219,23 +224,101 @@ def _record(f: ModalFormula) -> tuple:
 # Tableau
 # ---------------------------------------------------------------------------
 
-class _Tableau:
-    """Bit-level tableau state machine for one query.
+# A context starts afresh before a query joins it when its memo holds more
+# than this many labels, which bounds its memory and the width of its label
+# ints, or when less than this share of the query's formulas is numbered in
+# it already: an earlier numbering would then mostly reorder the lowest-bit
+# branch choice, not answer labels.
+_CONTEXT_MEMO_CAP = 8_000
+_CONTEXT_MIN_NUMBERED = 0.5
 
-    Every formula that can ever enter a label (subformulas of the query NNF,
-    closed under the negations needed for semantic branching) gets a local
-    bit; labels and saturation states are ints.  Bits are numbered in
-    depth-first pre-order from the root, which gets bit 0, by one walk over
-    the formulas' records (``_record``): a record fixes a formula's kind, its
-    successors and the side order of a disjunction, and depends on the
-    formula alone, so it is built once per process and shared by every
-    query, as are the NNF pairs it is read from.  The walk is all the
-    constructor does: ``data`` holds per bit what saturation needs, the
+
+class TableauContext:
+    """What the queries that share one context share: the bit numbering, the
+    kind masks, ``data``, the label memo and ``box_bodies``.
+
+    Every formula that can ever enter a label (subformulas of a query's NNF,
+    closed under the negations needed for semantic branching) gets a bit;
+    labels and saturation states are ints.  ``join`` numbers a query's
+    formulas in depth-first pre-order from its root by one walk over their
+    records (``_record``): a record fixes a formula's kind, its successors
+    and the side order of a disjunction, and depends on the formula alone,
+    so it is built once per process and shared by every query, as are the
+    NNF pairs it is read from.  A formula numbered by an earlier query keeps
+    its bit, and so does everything reachable from it, so a query extends
+    the numbering with the formulas it has not seen, in the order a fresh
+    walk would give them.  ``data`` holds per bit what saturation needs, the
     clashing literal, the body or the conjunct bits, or a disjunction's
     (first, second, not first, not second) side bits.  One mask per kind
     (``lits``, ``ands``, ``ors``, ``boxes``, ``dias``, ``falses``) tells
     which bits are of that kind; ``var_bits`` marks the literals that are
     variables.
+
+    ``cache`` is the label memo, keyed by label bit mask, and ``box_bodies``
+    maps each box set met to the OR of its bodies, the label part every
+    diamond child shares.  In K a label's satisfiability, and the tree that
+    witnesses it, do not depend on the query it came from, so both tables
+    serve every query of the context (global caching: Goré & Nguyen,
+    TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).  An entry
+    is only stored for a label decided in full, so a query cut short by its
+    budget leaves the context sound.  Before a query joins, the context
+    starts afresh when its memo holds more than ``_CONTEXT_MEMO_CAP`` labels
+    or when less than ``_CONTEXT_MIN_NUMBERED`` of the query's formulas are
+    numbered already; a fresh context is the one state every lone query
+    starts from.
+    """
+
+    def __init__(self):
+        self.bits: dict = {}  # formula -> bit
+        self.formulas: list = []  # bit position -> formula
+        self.data: list = []
+        self.masks = [0] * len(_KINDS)
+        self.cache: dict = {}  # label or saturated state -> result or None
+        self.box_bodies: dict = {}  # box set -> OR of its bodies
+        self._name_masks()
+
+    def _name_masks(self) -> None:
+        masks = self.masks
+        self.var_bits = masks[_VAR]
+        self.lits = masks[_NOT] | masks[_VAR]
+        self.ands, self.ors, self.boxes, self.dias, self.falses = masks[_AND:_TRUE]
+
+    def join(self, root: ModalFormula) -> int:
+        """Number the formulas of the sugar-free query ``root`` that the
+        context lacks, after starting afresh if a reset rule applies, and
+        return the bit of its NNF."""
+        nnf = _nnf(root)[0]
+        records: dict = {}  # formula -> record, the query's formulas in pre-order
+        stack = [nnf]
+        while stack:
+            f = stack.pop()
+            if f not in records:
+                record = records[f] = _RECORDS.get(f) or _record(f)
+                stack.extend(record[1])
+        bits = self.bits
+        if bits and (
+            len(self.cache) > _CONTEXT_MEMO_CAP
+            or sum(f in bits for f in records) < _CONTEXT_MIN_NUMBERED * len(records)
+        ):
+            self.__init__()
+            bits = self.bits
+        new = [(f, record) for f, record in records.items() if f not in bits]
+        masks = self.masks
+        for f, (kind, _, _) in new:
+            bit = bits[f] = 1 << len(self.formulas)
+            masks[kind] |= bit
+            self.formulas.append(f)
+        self.data += [
+            tuple(map(bits.get, sides)) if kind == _OR
+            else functools.reduce(operator.or_, map(bits.get, sides), 0)
+            for _, (kind, _, sides) in new
+        ]
+        self._name_masks()
+        return bits[nnf]
+
+
+class _Tableau:
+    """Bit-level tableau search for one query over a ``TableauContext``.
 
     Saturation drains conjunctions, checks newly seen literals for clashes,
     and unit-propagates disjunctions whose one side is already refuted; then
@@ -244,50 +327,24 @@ class _Tableau:
     the lowest-bit open disjunction: first on its first side, then on the
     negated first side with the second.  Saturation reads the sides
     symmetrically, so the side order moves only the branch order.
-    ``branches`` counts the labels that branched.
 
-    ``cache`` is one memo table for the lifetime of the query, keyed by
-    label bit mask.  ``solve`` counts the node (budget and depth included)
-    and then answers a memoized label without saturating it; ``memo_hits``
-    counts those answers.  Otherwise every outcome is stored under the input
-    label, and the saturated state is looked up and stored in the same
-    table: a saturated state saturates to itself, so it is a label with the
-    same answer.  ``box_bodies`` maps each box set met to the OR of its
-    bodies, the label part every diamond child shares.  These two tables,
-    the budget and the counters die with the query; only the process-wide
-    tables outlive it.
+    ``solve`` counts the node (budget and depth included) and then answers a
+    label in the context's memo without saturating it; ``memo_hits`` counts
+    those answers, ``branches`` the labels that branched.  Otherwise every
+    outcome is stored under the input label, and the saturated state is
+    looked up and stored in the same table: a saturated state saturates to
+    itself, so it is a label with the same answer.  The tableau holds only
+    the budget and these counters, which belong to its query; the tables
+    live in the context.
     """
 
-    def __init__(self, root: ModalFormula, budget: int):
+    def __init__(self, context: TableauContext, budget: int):
+        self.context = context
         self.budget = budget
         self.nodes = 0
         self.max_depth = 0
         self.memo_hits = 0
         self.branches = 0
-        self.cache: dict = {}  # label or saturated state -> result or None
-        self.box_bodies: dict = {}  # box set -> OR of its bodies
-        masks = [0] * len(_KINDS)
-        bits: dict = {}
-        order = []  # (formula, record) in bit order
-        stack = [_nnf(root)[0]]
-        while stack:
-            f = stack.pop()
-            if f in bits:
-                continue
-            record = _RECORDS.get(f) or _record(f)
-            bit = bits[f] = 1 << len(order)
-            masks[record[0]] |= bit
-            order.append((f, record))
-            stack.extend(record[1])
-        self.formulas = [f for f, _ in order]
-        self.data = [
-            tuple(map(bits.get, sides)) if kind == _OR
-            else functools.reduce(operator.or_, map(bits.get, sides), 0)
-            for _, (kind, _, sides) in order
-        ]
-        self.var_bits = masks[_VAR]
-        self.lits = masks[_NOT] | masks[_VAR]
-        self.ands, self.ors, self.boxes, self.dias, self.falses = masks[_AND:_TRUE]
 
     def solve(self, mask: int, depth: int):
         """(true variables, children, worlds) for a satisfiable label, else
@@ -297,20 +354,21 @@ class _Tableau:
             raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
         if depth > self.max_depth:
             self.max_depth = depth
-        cache = self.cache
+        context = self.context
+        cache = context.cache
         hit = cache.get(mask, _MISSING)
         if hit is not _MISSING:
             self.memo_hits += 1
             return hit
-        data = self.data
-        lits = self.lits
+        data = context.data
+        lits = context.lits
         seen = 0
         ors = 0
         pending = mask
         while pending:
             while pending:
                 seen |= pending
-                if pending & self.falses:
+                if pending & context.falses:
                     cache[mask] = None
                     return None
                 m = pending & lits
@@ -320,8 +378,8 @@ class _Tableau:
                     if seen & data[low.bit_length() - 1]:
                         cache[mask] = None
                         return None
-                ors |= pending & self.ors
-                m = pending & self.ands
+                ors |= pending & context.ors
+                m = pending & context.ands
                 pending = 0
                 while m:
                     low = m & -m
@@ -351,13 +409,13 @@ class _Tableau:
             ors = keep
             pending = forced & ~seen
         literals = seen & lits
-        state = literals | ors | seen & (self.boxes | self.dias)
+        state = literals | ors | seen & (context.boxes | context.dias)
         hit = cache.get(state, _MISSING)
         if hit is not _MISSING:
             cache[mask] = hit
             return hit
-        boxes = seen & self.boxes
-        box_bodies = self.box_bodies.get(boxes)
+        boxes = seen & context.boxes
+        box_bodies = context.box_bodies.get(boxes)
         if box_bodies is None:
             box_bodies = 0
             m = boxes
@@ -365,12 +423,12 @@ class _Tableau:
                 low = m & -m
                 m &= m - 1
                 box_bodies |= data[low.bit_length() - 1]
-            self.box_bodies[boxes] = box_bodies
+            context.box_bodies[boxes] = box_bodies
         # diamond probing doubles as the closing rule when no disjunction is open
         result: object = ()
         children = []
         worlds = 1
-        m = seen & self.dias
+        m = seen & context.dias
         while m:
             low = m & -m
             m &= m - 1
@@ -388,7 +446,7 @@ class _Tableau:
             if result is None:
                 result = self.solve(state | not_first | second, depth)
         elif result is not None:
-            true_vars = frozenset(self.formulas[i].index for i in _bits(literals & self.var_bits))
+            true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
             result = (true_vars, tuple(children), worlds)
         cache[mask] = cache[state] = result
         return result
@@ -426,15 +484,24 @@ def _tree_to_model(tree, variables: frozenset[int]) -> KripkeModel:
     return _assigned_model(worlds, edges, variables)
 
 
-def sat_k_tableau(f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET) -> SatVerdict:
+def sat_k_tableau(
+    f: ModalFormula, budget: int = DEFAULT_TABLEAU_BUDGET, context: Optional[TableauContext] = None
+) -> SatVerdict:
     """Decide K-satisfiability of ``f``; sound and complete.
 
-    Raises SolverBudgetError when the node budget runs out, and ValueError
-    when ``budget`` is not a positive integer.
+    The query searches in ``context`` when one is given, and in a fresh one
+    otherwise, so a lone query searches alike whatever ran before it.  In a
+    shared context the verdict is the same, but the counters and the
+    witness may depend on the queries before it.  Raises SolverBudgetError
+    when the node budget runs out, and ValueError when ``budget`` is not a
+    positive integer.
     """
     _require_int("budget", budget)
-    tableau = _Tableau(expand_sugar(f), budget)
-    tree = tableau.solve(1, 0)  # the root has bit 0
+    if context is None:
+        context = TableauContext()
+    root = context.join(expand_sugar(f))
+    tableau = _Tableau(context, budget)
+    tree = tableau.solve(root, 0)
     build = None if tree is None else functools.partial(_tree_to_model, tree, modal_vars(f))
     counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches)
     return SatVerdict(tree is not None, "tableau", None, *counters, build)

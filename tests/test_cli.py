@@ -1,14 +1,16 @@
 """Command-line behavior: wiring, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
 from modalred.cli import main
 from modalred.kripke import model_check, model_from_json
-from modalred.qbf import is_prenex, prenex_split
+from modalred.pipeline import random_matrix, random_modal_formula
+from modalred.qbf import is_prenex, prenex_join, prenex_split
 from modalred.reduction import encode_alpha, encode_star
-from modalred.syntax import expand_sugar, parse_modal, parse_qbf, is_constant
+from modalred.syntax import expand_sugar, parse_modal, parse_qbf, is_constant, render
 
 
 def write(tmp_path, name, text):
@@ -424,3 +426,83 @@ class TestStdin:
         monkeypatch.setattr("sys.stdin", io.StringIO("E p1 . p1\n"))
         assert main(["qbf", "tqbf", "-"]) == 0
         assert capsys.readouterr().out == "true\n"
+
+
+# -- seeded fuzz: every input ends in an answer or one JSON error line -------
+
+FUZZ_WORLDS = ["base:L0:{}:#0", "base:L1:{1}:#1", "base:L1:{}:#2", "gadget:m1:b", "gadget:m2:a1"]
+FUZZ_BAD_WORLDS = ["base:L0:{1,1}:#0", "gadget:m1:a7", "gadget:m0:b", "junk", 5, None]
+FUZZ_TOKENS = [
+    "p1", "p2", "p0", "false", "true", "~", "&", "|", "->", "(", ")", "[]", "<>",
+    "box+", "box<=2", "box^3", "dia^2", "A", "E", ".", "q",
+]
+FUZZ_COMMANDS = [
+    ["sat"], ["sat", "--engine", "bounded", "--bound", "3"], ["qbf", "tqbf"],
+    ["encode", "--stage", "alpha"], ["witness", "--model", "extended"],
+]
+
+
+def _fuzz_document(rng):
+    """A random frame or model file: mostly well-formed, with a repeated or
+    unknown id, a broken pair or a missing key mixed into some."""
+    worlds = rng.sample(FUZZ_WORLDS, rng.randint(1, 5))
+    pairs = [[u, v] for u in worlds for v in worlds]
+    doc = {"worlds": worlds, "relation": rng.sample(pairs, rng.randint(0, min(6, len(pairs))))}
+    if rng.random() < 0.5:
+        doc["valuation"] = {"p1": rng.sample(worlds, rng.randint(0, len(worlds)))}
+        doc["root"] = rng.choice(worlds)
+    roll = rng.random()
+    if roll < 0.1:
+        worlds.append(rng.choice(FUZZ_BAD_WORLDS + worlds))
+    elif roll < 0.2:
+        doc["relation"].append(rng.choice([[worlds[0]], "pair", [worlds[0], rng.choice(FUZZ_BAD_WORLDS)], pairs[0]]))
+    elif roll < 0.25:
+        del doc[rng.choice(["worlds", "relation"])]
+    elif roll < 0.3:
+        doc = worlds
+    text = json.dumps(doc)
+    return text[: rng.randint(0, len(text))] if rng.random() < 0.05 else text
+
+
+def _fuzz_line(rng, command):
+    """A random formula for ``command`` (a prenex QBF or a modal formula),
+    a token soup, or a formula with one token replaced."""
+    if rng.random() < 0.3:
+        return " ".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 9)))
+    if command[0] == "sat":
+        text = render(random_modal_formula(rng, 10, var_count=2))
+    else:
+        n = rng.randint(1, 2)
+        text = render(prenex_join([(rng.choice("AE"), k) for k in range(1, n + 1)], random_matrix(rng, n, 7)))
+    if rng.random() < 0.3:
+        words = text.split()
+        words[rng.randrange(len(words))] = rng.choice(FUZZ_TOKENS)
+        text = " ".join(words)
+    return text
+
+
+def _ends_well(code, captured) -> str:
+    """"answer" (exit 0, or 1 for a negative answer, nothing on stderr), or
+    "error" (one JSON error line on stderr, exit 1); anything else fails."""
+    if captured.err:
+        [line] = captured.err.splitlines()
+        assert code == 1 and set(json.loads(line)) == {"error"}
+        return "error"
+    assert code in (0, 1)
+    return "answer"
+
+
+def test_random_inputs_end_in_an_answer_or_one_error_line(tmp_path, capsys):
+    rng = random.Random(2024)
+    path = str(tmp_path / "input")
+    ends = []
+    for _ in range(80):
+        write(tmp_path, "input", _fuzz_document(rng))
+        for args in (["--dot"], ["--check", "gl"], ["--check", "wgrz-axiom"]):
+            ends.append(("frame", _ends_well(main(["frame", "--input", path, *args]), capsys.readouterr())))
+    for _ in range(160):
+        command = rng.choice(FUZZ_COMMANDS)
+        write(tmp_path, "input", _fuzz_line(rng, command) + "\n")
+        ends.append((command[0], _ends_well(main([*command, path]), capsys.readouterr())))
+    # every command family meets inputs of both kinds
+    assert {(name, end) for name in ("frame", "sat", "qbf", "encode", "witness") for end in ("answer", "error")} == set(ends)

@@ -299,6 +299,19 @@ class TestFrameValidates:
         # last world of the chain is blind, so <>true fails there
         assert not frame_validates(frame, MDia(MTrue()))
 
+    def test_variable_free_formulas_read_the_frame_table(self, monkeypatch):
+        from modalred.reduction import alpha, frame_fm_plus
+
+        frame = frame_fm_plus(8)
+        steps = _counted_steps(monkeypatch)
+        answers = "".join("1" if frame_validates(frame, alpha(k)) else "0" for k in range(1, 17))
+        assert answers == "1111111011111111"
+        # the ladders share their rungs, so each node is evaluated once:
+        # 87 steps, where a fresh memo per call took 312
+        assert len(steps) == 87
+        assert model_check_all(KripkeModel(frame, {}, frame.order[0]), alpha(16)) == frame.worlds
+        assert len(steps) == 87
+
     def test_budget_refusal(self):
         frame, _ = chain_frame(5)
         with pytest.raises(ValuationBudgetError):
@@ -642,6 +655,14 @@ class TestSerialization:
             with pytest.raises(ValueError) as refused:
                 read(document)
             assert str(refused.value) == message
+
+    def test_repeated_valuation_entry_is_refused(self):
+        worlds = ["base:L0:{}:#0", "base:L1:{1}:#1"]
+        valuation = {"p1": [worlds[1]], "p2": [worlds[0], worlds[1], worlds[0]]}
+        document = json.dumps({"worlds": worlds, "relation": [], "valuation": valuation, "root": worlds[0]})
+        with pytest.raises(ValueError) as refused:
+            model_from_json(document)
+        assert str(refused.value) == "\"p2\" lists 'base:L0:{}:#0' twice"
 
     @pytest.mark.parametrize("source", ["quantifier tree", "extended", "tableau", "bounded"])
     def test_model_equals_and_hashes_like_its_json_round_trip(self, source):

@@ -1,5 +1,6 @@
 """Corpus generation and the verification pipeline."""
 
+import hashlib
 import json
 import random
 
@@ -154,6 +155,18 @@ class TestRunVerify:
         b = run_verify(n_max=2, matrix_size_max_n1=1, count=6, seed=9)
         assert report_lines(a) == report_lines(b)
         assert report_summary(a) == report_summary(b)
+
+    def test_shared_alpha_context_keeps_the_report_bytes(self):
+        # the second run's alpha queries meet the labels the first one left
+        # in the process-wide context; only counters may differ, and a
+        # report holds none
+        from modalred import pipeline
+
+        first = report_lines(run_verify(n_max=2, count=40, seed=0))
+        assert pipeline._ALPHA_CONTEXT.cache
+        assert report_lines(run_verify(n_max=2, count=40, seed=0)) == first
+        digest = hashlib.sha256(first.encode()).hexdigest()
+        assert digest == "def73d332c67dd80aa33c00ac266d34a7a8cf00c9e57a479754ae2a6576f10e2"
 
     def test_report_lines_are_json_objects(self):
         report = run_verify(n_max=1, matrix_size_max_n1=1)

@@ -22,6 +22,7 @@ from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
     WITNESS_TREE_LIMIT,
     SolverBudgetError,
+    TableauContext,
     _Tableau,
     _dpll,
     _encode,
@@ -207,9 +208,10 @@ def test_golden_branches(stage, text, expected):
     ],
 )
 def test_disjunction_asserts_the_side_that_spawns_no_world_first(text, first):
-    tableau = _Tableau(parse_modal(text), 10)
-    left, right, not_left, not_right = tableau.data[0]
-    assert render(tableau.formulas[left.bit_length() - 1]) == first
+    context = TableauContext()
+    assert context.join(parse_modal(text)) == 1
+    left, right, not_left, not_right = context.data[0]
+    assert render(context.formulas[left.bit_length() - 1]) == first
     assert not left & right and not_left != not_right
 
 
@@ -255,7 +257,8 @@ NUMBERED_QUERIES = [golden_formula(stage, text) for stage, text, _ in GOLDEN_TAB
 
 @pytest.mark.parametrize("f", NUMBERED_QUERIES)
 def test_result_carries_its_world_count(f):
-    tree = _Tableau(expand_sugar(f), 10**7).solve(1, 0)
+    context = TableauContext()
+    tree = _Tableau(context, 10**7).solve(context.join(expand_sugar(f)), 0)
     verdict = sat_k_tableau(f)
     assert (tree is not None) == verdict.satisfiable
     if tree is None:
@@ -265,10 +268,12 @@ def test_result_carries_its_world_count(f):
         assert len(verdict.witness.frame.worlds) == tree[2]
 
 
-def _numbering_per_query(root):
-    """(formulas, data, kind masks) of the query ``root`` as one walk with
-    its own NNF and may-spawn memos numbers them: the reference that the
-    process-wide records must reproduce bit for bit."""
+def _numbering_per_query(*roots):
+    """(formulas, data, kind masks) of the queries ``roots`` as walks with
+    their own NNF and may-spawn memos number them, one root after the other
+    with one numbering, each walk skipping what is numbered: the reference
+    that the process-wide records and a shared context must reproduce bit
+    for bit."""
     memo: dict = {}
 
     def pair(g):
@@ -277,7 +282,7 @@ def _numbering_per_query(root):
     masks = dict.fromkeys(("lits", "var_bits", "ands", "ors", "boxes", "dias", "falses"), 0)
     bits: dict = {}
     order = []
-    stack = [pair(root)[0]]
+    stack = [pair(root)[0] for root in reversed(roots)]
     while stack:
         f = stack.pop()
         if f in bits:
@@ -325,11 +330,129 @@ def _numbering_per_query(root):
 @pytest.mark.parametrize("f", NUMBERED_QUERIES)
 def test_shared_records_number_as_one_walk_per_query(f):
     root = expand_sugar(f)
-    tableau = _Tableau(root, 1)
+    context = TableauContext()
+    assert context.join(root) == 1
     formulas, data, masks = _numbering_per_query(root)
-    assert tableau.formulas == formulas
-    assert tableau.data == data
-    assert {name: getattr(tableau, name) for name in masks} == masks
+    assert context.formulas == formulas
+    assert context.data == data
+    assert {name: getattr(context, name) for name in masks} == masks
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("A p1 . E p2 . p1 -> p2", "E p1 . A p2 . p1 | p2"),  # 89 of 117 numbered
+        ("A p1 . E p2 . A p3 . p2 | p3", "E p1 . A p2 . E p3 . p1 & (p2 | p3)"),  # 146 of 181
+    ],
+)
+def test_a_joining_query_extends_the_numbering_in_walk_order(texts):
+    # a shared context keeps every bit it gave and numbers only the
+    # formulas a joining query brings, in the order a fresh walk meets them
+    first, second = (expand_sugar(encode_alpha(parse_qbf(t))) for t in texts)
+    context = TableauContext()
+    context.join(first)
+    before = list(context.formulas)
+    alone = _numbering_per_query(second)[0]
+    assert 2 * len(set(before) & set(alone)) >= len(alone)
+    root_bit = context.join(second)
+    formulas, data, masks = _numbering_per_query(first, second)
+    assert context.formulas[: len(before)] == before
+    assert context.formulas == formulas
+    assert context.data == data
+    assert {name: getattr(context, name) for name in masks} == masks
+    assert root_bit == 1 << formulas.index(alone[0])
+
+
+CONTEXT_CORPUS = build_corpus(n_max=2, matrix_size_max_n1=5, count=100, seed=0)
+
+
+@pytest.fixture(scope="module")
+def shared_run():
+    """The alpha encodings of CONTEXT_CORPUS decided in one context, as
+    (formula, verdict, memo size before the join, memo size after it)."""
+    context = TableauContext()
+    join = context.join
+    sizes = []
+
+    def spied(root):
+        before = len(context.cache)
+        bit = join(root)
+        sizes.append((before, len(context.cache)))
+        return bit
+
+    context.join = spied
+    rows = []
+    for qbf in CONTEXT_CORPUS:
+        f = encode_alpha(qbf)
+        rows.append((qbf, f, sat_k_tableau(f, context=context), *sizes[-1]))
+    return rows
+
+
+def test_one_context_decides_a_corpus_like_fresh_ones(shared_run):
+    assert len(shared_run) == 416
+    satisfiable = 0
+    for qbf, f, verdict, _, _ in shared_run:
+        assert verdict.satisfiable == is_true_qbf(qbf) == sat_k_tableau(f).satisfiable
+        if verdict.satisfiable:
+            satisfiable += 1
+            assert model_check(verdict.witness, verdict.witness.root, f)
+    assert satisfiable == 215
+    # the shared labels are what the sharing is for: fewer nodes in all
+    assert sum(v.nodes for _, _, v, _, _ in shared_run) < sum(
+        sat_k_tableau(f).nodes for _, f, _, _, _ in shared_run
+    )
+
+
+def test_no_query_starts_on_a_memo_above_the_cap(shared_run):
+    starts = [after for _, _, _, _, after in shared_run]
+    assert max(starts) <= solver._CONTEXT_MEMO_CAP
+    # the cap was reached, and the context then started afresh
+    assert any(before > solver._CONTEXT_MEMO_CAP and after == 0 for _, _, _, before, after in shared_run)
+
+
+def _counters(verdict):
+    sha = hashlib.sha256(model_to_json(verdict.witness).encode()).hexdigest() if verdict.satisfiable else None
+    return verdict.satisfiable, verdict.nodes, verdict.depth, verdict.memo_hits, verdict.branches, sha
+
+
+@pytest.mark.parametrize(
+    "earlier, text",
+    [
+        (alpha(3), "A p1 . E p2 . p1 -> p2"),  # 20 of its 117 formulas numbered
+        (encode_alpha(parse_qbf("A p1 . E p2 . A p3 . p2 | p3")), "E p1 . A p2 . p1 | p2"),  # 72 of 117
+    ],
+)
+def test_a_query_mostly_new_to_the_context_searches_as_alone(earlier, text):
+    f = encode_alpha(parse_qbf(text))
+    context = TableauContext()
+    sat_k_tableau(earlier, context=context)
+    assert context.cache
+    assert _counters(sat_k_tableau(f, context=context)) == _counters(sat_k_tableau(f))
+    # asked again, the query is all numbered and its root label is known
+    again = sat_k_tableau(f, context=context)
+    assert (again.nodes, again.memo_hits) == (1, 1)
+
+
+def test_a_budget_error_leaves_a_shared_context_usable():
+    context = TableauContext()
+    sat_k_tableau(encode_alpha(parse_qbf("A p1 . E p2 . p1 -> p2")), context=context)
+    queries = [parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)")] * 2
+    queries.append(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 | p2) & (p3 | p4)"))
+    with pytest.raises(SolverBudgetError):
+        sat_k_tableau(encode_alpha(queries[0]), budget=2_000, context=context)
+    formulas = context.formulas
+    assert 0 < len(context.cache) <= solver._CONTEXT_MEMO_CAP  # what the cut search stored stays
+    verdicts = []
+    for qbf in queries[1:]:
+        f = encode_alpha(qbf)
+        verdict = sat_k_tableau(f, context=context)
+        assert verdict.satisfiable == is_true_qbf(qbf) == sat_k_tableau(f).satisfiable
+        if verdict.satisfiable:
+            assert model_check(verdict.witness, verdict.witness.root, f)
+        verdicts.append(verdict.satisfiable)
+        if len(verdicts) == 1:
+            assert context.formulas is formulas  # the retry searched on top of it
+    assert verdicts == [False, True]
 
 
 # the GOLDEN_TABLEAU queries in reverse order in a fresh interpreter, so

@@ -103,19 +103,38 @@ WorldId = Union[BaseWorld, GadgetWorld]
 
 
 def world_id_str(w: WorldId) -> str:
+    """The id of ``w``.  A field that the id's reader, ``world_id_from_str``,
+    would refuse is refused here in its words, so the reader accepts every
+    id written: level, serial and assignment entries are non-negative ints
+    (not bools), the gadget index an int >= 1, the part ``b``, ``c`` or
+    ``a<i>`` with i <= gadget, spelled canonically, and the host None or a
+    base world."""
     if isinstance(w, BaseWorld):
-        inner = ",".join(str(i) for i in sorted(w.assignment))
-        return f"base:L{w.level}:{{{inner}}}:#{w.serial}"
+        level, assignment, serial = w.level, w.assignment, w.serial
+        valid = type(level) is int and type(serial) is int and level >= 0 and serial >= 0 and (
+            not assignment or all(type(i) is int and i >= 0 for i in assignment)
+        )
+        inner = ",".join(map(str, sorted(assignment) if valid else assignment))
+        text = f"base:L{level}:{{{inner}}}:#{serial}"
+        if not valid:
+            raise ValueError(f"unrecognized world id: {text!r}")
+        return text
     if isinstance(w, GadgetWorld):
-        tag = f"gadget:m{w.gadget}:{w.part}"
-        if w.host is not None:
-            tag += f"@{world_id_str(w.host)}"
+        gadget, part, host = w.gadget, w.part, w.host
+        tag = f"gadget:m{gadget}:{part}" + ("" if host is None else f"@{world_id_str(host)}")
+        rung = part[1:] if type(part) is str and part[:1] == "a" and part[1:].isdecimal() else None
+        if type(gadget) is not int or gadget < 0 or rung is None and part not in ("b", "c"):
+            raise ValueError(f"unrecognized world id: {tag!r}")
+        if gadget < 1 or rung is not None and (rung != str(int(rung)) or int(rung) > gadget):
+            raise ValueError(f"not a world of a gadget F_m (m >= 1; parts a0..am, b, c): {tag!r}")
+        if host is not None and not isinstance(host, BaseWorld):
+            raise ValueError(f"gadget host must be a base world: {tag!r}")
         return tag
     raise TypeError(f"not a world id: {w!r}")
 
 
 _BASE_RE = re.compile(r"^base:L(\d+):\{((?:\d+(?:,\d+)*)?)\}:#(\d+)$")
-_GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a(\d+))(?:@(.+))?$")
+_GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a\d+)(?:@(.+))?$")
 
 
 def _base_world(m: re.Match) -> BaseWorld:
@@ -137,16 +156,12 @@ def world_id_from_str(text: str) -> WorldId:
         m = _GADGET_RE.match(text)
         if m is None:
             raise ValueError(f"unrecognized world id: {text!r}")
-        # F_m has m >= 1 and the parts a0..am, b and c; the rung is kept as
-        # written, so only its canonical spelling is accepted
-        gadget, rung = int(m.group(1)), m.group(3)
-        if gadget < 1 or rung is not None and (rung != str(int(rung)) or int(rung) > gadget):
-            raise ValueError(f"not a world of a gadget F_m (m >= 1; parts a0..am, b, c): {text!r}")
         # a gadget hangs below a base world, never below another gadget
-        host = m.group(4) and _BASE_RE.match(m.group(4))
-        if m.group(4) and host is None:
+        host = m.group(3) and _BASE_RE.match(m.group(3))
+        if m.group(3) and host is None:
             raise ValueError(f"gadget host must be a base world: {text!r}")
-        w = GadgetWorld(gadget, m.group(2), host and _base_world(host))
+        # the part is kept as written; writing it checks it against F_m
+        w = GadgetWorld(int(m.group(1)), m.group(2), host and _base_world(host))
     canonical = world_id_str(w)
     if canonical != text:
         raise ValueError(f"world id {text!r} is not in canonical form {canonical!r}")

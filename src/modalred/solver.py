@@ -38,24 +38,33 @@ recursion runs before the search itself.
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
 the satisfaction relation under a small deterministic conflict-driven
-search.  The CNF is numbered by position: with the query's distinct
-subformulas listed once, in depth-first post-order, ``first[g] + i`` is the
-truth of subformula ``g`` at world ``i`` (a variable's truth bits are the
-valuation), then ``rel + i * k + j`` is the relation pair (i, j) of a
-k-world model, then come the box and diamond auxiliaries.  Satisfiable
-verdicts are absolute; unsatisfiable ones only mean "no model within the
-bound".  The search decides the lowest-numbered unassigned
-variable, ``False`` first, and counts decisions only.  Unit propagation
-watches two literals per clause (Moskewicz et al., "Chaff", DAC 2001): an
-assignment visits only the clauses that watch the literal it falsifies.  A
-conflict is analysed to its first unique implication point and learned as a
-clause, and the search jumps back to the level where that clause asserts
-(Marques-Silva & Sakallah, "GRASP", IEEE Trans. Comput. 48(5), 1999; Zhang
-et al., ICCAD 2001); there are no restarts and no clause deletion.  Learned
-clauses follow from the CNF, so under the fixed decision rule the model found
-is the lexicographically first model of the encoding, the one a plain
-chronological DPLL finds, only reached with far fewer decisions.  The search
-is one loop and does not recurse however deep it goes.
+search.  Satisfiable verdicts are absolute; unsatisfiable ones only mean "no
+model within the bound".  The CNF grows one world at a time under one
+search, and each world numbers its own variables (``_Layout``).  World w
+adds its definitions, the auxiliaries of every pair that involves it and the
+halves of the box and diamond definitions that hold at any bound.  Only each
+box's and diamond's closing clause (``t <-> AND/OR over j < k``) depends on
+the world count k: those of k = w + 1 are guarded by a selector s_w, the
+unit ~s_{w-1} switches off the ones before, and the search assumes s_w at
+level 1 (Eén & Sörensson, ENTCS 89(4), 2003), so what it learned at smaller
+k carries over.  It decides the variables of the first k worlds in the
+order a one-shot encoding of k worlds numbers them, ``False`` first, and
+counts decisions only.  Unit propagation watches two literals per clause
+(Moskewicz et al., "Chaff", DAC 2001).  A conflict is analysed to its first
+unique implication point and learned, and the search jumps back to the
+level where that clause asserts (Marques-Silva & Sakallah, "GRASP", IEEE
+Trans. Comput. 48(5), 1999; Zhang et al., ICCAD 2001); no restarts, no
+clause deletion.  Learned clauses follow from the CNF, so the model found
+is the lexicographically first model of k's encoding, the one a
+chronological DPLL finds with far more decisions.  Worlds 1 .. k-1 are
+interchangeable, and swap clauses break that symmetry (lex-leader, Crawford
+et al., KR 1996): the truth column of each non-root world w - 1 is
+lexicographically at most that of w, in decision order.  Swapping two
+non-root worlds of the first model gives a model, no smaller, whose first
+changed truth bit is one of world w - 1; so that bit is ``False`` in the
+first model, which satisfies the swap clauses: they prune only later
+models, and the witness stays the same.  The search is one loop and does
+not recurse however deep it goes.
 """
 
 from __future__ import annotations
@@ -520,106 +529,152 @@ def _subformulas(f: ModalFormula) -> list[ModalFormula]:
     return list(memo)
 
 
-def _encode(subs: list[ModalFormula], k: int):
-    """Propositional encoding of "the last of ``subs`` holds at world 0 of a
-    k-world model", numbered by position: (variable count, clauses, first).
-    ``first[g] + i`` is the truth of subformula ``g`` at world ``i``,
-    ``rel + i * k + j`` the relation pair (i, j) with ``rel = 1 + len(subs)
-    * k``, and the box and diamond auxiliaries follow in encoding order."""
-    first = {g: 1 + n * k for n, g in enumerate(subs)}
-    rel = 1 + len(subs) * k
-    count = rel + k * k - 1
-    clauses: list[tuple[int, ...]] = []
-    add = clauses.append
-    for g in subs:
-        for i in range(k):
-            t = first[g] + i
+class _Layout:
+    """The variables and clauses of the growing CNF, numbered world by world.
+
+    World w's block holds the truth at w of each of ``subs`` (the query's
+    distinct subformulas, in depth-first post-order), the relation pairs
+    that involve w ((w, 0) .. (w, w), then (0, w) .. (w - 1, w)), the
+    auxiliaries of each box and diamond for them, the selector s_w and the
+    swap variables, so the search's arrays grow with the worlds, not with
+    the bound.  ``order`` lists the variables of the worlds so far as a
+    one-shot encoding of that many worlds numbers them, and ``cells[i][j]``
+    holds the relation variable of (i, j) and the distance between its
+    auxiliaries."""
+
+    def __init__(self, subs: list[ModalFormula]):
+        self.subs = subs
+        self.index = {g: n for n, g in enumerate(subs)}
+        self.modal = {g: q for q, g in enumerate(g for g in subs if isinstance(g, (MBox, MDia)))}
+        self.blocks: list[int] = []  # first variable of each world's block
+        self.count = self.selector = 0
+
+    def add_world(self) -> list[list[int]]:
+        """Number world w, the next one, and return what it adds (see the
+        module docstring); the closing clauses are guarded by ``~s_w``, and
+        the root (at w = 0) or the unit ``~s_{w-1}`` comes first."""
+        subs, index, blocks = self.subs, self.index, self.blocks
+        w, base, size = len(blocks), self.count + 1, len(subs)
+        blocks.append(base)
+        pairs = [(w, j) for j in range(w + 1)] + [(i, w) for i in range(w)]
+        rel, width = base + size, len(pairs)
+        self.cells = cells = [
+            [(blocks[max(i, j)] + size + (j if i >= j else i + j + 1), 2 * max(i, j) + 1) for j in range(w + 1)]
+            for i in range(w + 1)
+        ]
+        truths = [blocks[i] + n for n in range(size) for i in range(w + 1)]
+        self.order = truths + [r + q * d for q in range(len(self.modal) + 1) for row in cells for r, d in row]
+        select = rel + width * (len(self.modal) + 1)
+        clauses: list[list[int]] = [[-self.selector]] if w else [[base + size - 1]]
+        add = clauses.append
+        for n, g in enumerate(subs):
+            t = base + n
             if isinstance(g, MVar):
                 pass  # free bit: the valuation itself
             elif isinstance(g, MFalse):
-                add((-t,))
+                add([-t])
             elif isinstance(g, MTrue):
-                add((t,))
+                add([t])
             elif isinstance(g, MNot):
-                b = first[g.body] + i
-                clauses += [(-t, -b), (t, b)]
+                b = base + index[g.body]
+                clauses += [[-t, -b], [t, b]]
             elif isinstance(g, MAnd):
-                parts = [first[item] + i for item in g.items]
-                clauses += [(-t, b) for b in parts]
-                add((t, *(-b for b in parts)))
+                parts = [base + index[item] for item in g.items]
+                clauses += [[-t, b] for b in parts]
+                add([t, *(-b for b in parts)])
             elif isinstance(g, (MOr, MImp)):
                 # l -> r is ~l | r: only the sign of the left literal differs
-                l = (-1 if isinstance(g, MImp) else 1) * (first[g.left] + i)
-                r = first[g.right] + i
-                clauses += [(-t, l, r), (t, -l), (t, -r)]
+                l = (-1 if isinstance(g, MImp) else 1) * (base + index[g.left])
+                r = base + index[g.right]
+                clauses += [[-t, l, r], [t, -l], [t, -r]]
             elif isinstance(g, (MBox, MDia)):
-                # x_j <-> rel(i,j) & body@j for a diamond, & ~body@j for a box;
-                # t <-> OR_j x_j for a diamond, t <-> AND_j ~x_j for a box
-                aux = range(count + 1, count + k + 1)
-                count += k
-                sign = 1 if isinstance(g, MDia) else -1
-                for j, x in enumerate(aux):
-                    r = rel + i * k + j
-                    b = sign * (first[g.body] + j)
-                    clauses += [(-x, r), (-x, b), (x, -r, -b)]
-                if sign < 0:
-                    clauses += [*((-t, -x) for x in aux), (t, *aux)]
-                else:
-                    clauses += [(-t, *aux), *((t, -x) for x in aux)]
+                # x <-> rel(i, j) & body@j for a diamond, & ~body@j for a box;
+                # t@i <- x for a diamond, t@i -> ~x for a box, at any bound;
+                # t@i -> OR x, or AND ~x -> t@i, over exactly w + 1 worlds
+                sign, q, body = 1 if isinstance(g, MDia) else -1, self.modal[g] + 1, index[g.body]
+                for p, (i, j) in enumerate(pairs):
+                    x, r, b = rel + q * width + p, rel + p, sign * (blocks[j] + body)
+                    clauses += [[-x, r], [-x, b], [x, -r, -b], [sign * (blocks[i] + n), -x]]
+                for i, row in enumerate(cells):
+                    add([-sign * (blocks[i] + n), *[r + q * d for r, d in row], -select])
             else:
                 raise TypeError(f"unexpanded or non-modal node: {g!r}")
-    add((first[subs[-1]],))
-    return count, clauses, first
+        self.count = self.selector = select
+        if w >= 2:
+            # the truth column of w - 1 is lexicographically at most that of
+            # w; swap variable select + 1 + n means "equal on subs[:n]"
+            add([select + 1])
+            for n in range(size):
+                e, a, b = select + 1 + n, blocks[w - 1] + n, base + n
+                clauses += [[-e, -a, b], [-e, a, b, e + 1], [-e, -a, -b, e + 1]]
+            self.count += size + 1
+        return clauses
 
 
-def _dpll(count: int, clauses: list[tuple[int, ...]]) -> tuple[Optional[dict[int, bool]], int]:
-    """Deterministic conflict-driven search with two-watched-literal unit
-    propagation; returns (model, decisions).
+class _Search:
+    """Deterministic conflict-driven search over a CNF that may grow
+    between calls to ``solve`` (see the module docstring).
 
-    Decides the lowest-numbered unassigned variable, ``False`` first;
-    ``decisions`` counts these only.  A conflict is analysed to its first
-    unique implication point (1UIP), skipping level-0 literals.  The learned
-    clause watches the negated UIP and its latest other literal; the search
-    jumps back to that literal's level, asserts the negated UIP there with
-    the clause as its reason, and decides again from the lowest unassigned
-    variable.  A conflict at level 0 means unsatisfiable.
+    ``add`` takes clauses at level 0, where the search rests between calls,
+    and drops what level 0 decides for good: a satisfied clause, a false
+    literal; a clause left with one literal is asserted.  ``solve`` may
+    assume one literal at level 1; a learned clause that asserts at level 0
+    takes it back, and it is made again.  A conflict at level 0 makes
+    ``consistent`` False for good, one at the assumption's level refutes
+    the assumption.  A clause is unit when exactly one of its positions is
+    unassigned and the others are false: a repeated literal counts once per
+    position."""
 
-    Learned clauses follow from the CNF, so every literal on the trail
-    follows from the CNF and the decisions before it, and every decision
-    sets the lowest unassigned variable to ``False``.  The model found is
-    hence the lexicographically first one (variable 1 first, ``False``
-    before ``True``), as under chronological backtracking.  The search is
-    one loop and does not recurse.  A clause is unit when exactly one of
-    its positions is unassigned and the others are false: a repeated
-    literal counts once per position."""
-    n = count
-    # value[lit] is the truth of literal lit (None while unassigned); a
-    # negative literal indexes from the end, so -v lands at 2n + 1 - v
-    value: list[Optional[bool]] = [None] * (2 * n + 1)
-    # watches[lit]: clauses watching lit at position 0 or 1, visited when
-    # lit becomes false
-    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
-    level = [0] * (n + 1)  # decision level of each assigned variable
-    reason: list[Optional[list[int]]] = [None] * (n + 1)  # clause that implied it
-    trail: list[int] = []
-    for clause in clauses:
-        if not clause:
-            return None, 0
-        if len(clause) == 1:
-            lit = clause[0]
-            if value[lit] is False:
-                return None, 0
-            if value[lit] is None:
-                value[lit], value[-lit] = True, False
-                trail.append(lit)
-        else:
-            c = list(clause)
+    def __init__(self, count: int = 0):
+        # value[lit] is the truth of literal lit (None while unassigned), -v
+        # indexing from the end; watches[lit] holds the clauses watching lit
+        # at position 0 or 1, visited when lit becomes false
+        self.value: list[Optional[bool]] = [None]
+        self.watches: list[list[list[int]]] = [[]]
+        self.level = [0]  # decision level of each assigned variable
+        self.reason: list[Optional[list[int]]] = [None]  # clause that implied it
+        self.seen = [False]
+        self.trail: list[int] = []
+        self.consistent = True
+        self.decisions = 0
+        self.grow(count)
+
+    def grow(self, count: int) -> None:
+        """Make room for the variables up to ``count``: the slots of the new
+        negative literals go between the positive and the negative ones."""
+        extra, n = count + 1 - len(self.level), len(self.level) - 1
+        self.value[n + 1:n + 1] = [None] * (2 * extra)
+        self.watches[n + 1:n + 1] = [[] for _ in range(2 * extra)]
+        self.level += [0] * extra
+        self.reason += [None] * extra
+        self.seen += [False] * extra
+
+    def add(self, clauses: list[list[int]]) -> None:
+        value, watches, trail = self.value, self.watches, self.trail
+        head = len(trail)
+        for c in clauses:
+            if len(c) < 2 or value[c[0]] is not None or value[c[1]] is not None:
+                # what holds at level 0 holds for good
+                c = [lit for lit in c if value[lit] is not False]
+                if any(map(value.__getitem__, c)):
+                    continue
+                if len(c) < 2:
+                    if c:
+                        value[c[0]], value[-c[0]] = True, False
+                        self.level[abs(c[0])] = 0
+                        trail.append(c[0])
+                    else:
+                        self.consistent = False
+                    continue
             watches[c[0]].append(c)
             watches[c[1]].append(c)
+        if self.propagate(head, 0) is not None:
+            self.consistent = False
 
-    def propagate(head: int, depth: int) -> Optional[list[int]]:
+    def propagate(self, head: int, depth: int) -> Optional[list[int]]:
         """Assign the unit consequences of trail[head:] at level ``depth``;
         the falsified clause on conflict, else None."""
+        value, watches, level, reason, trail = self.value, self.watches, self.level, self.reason, self.trail
         while head < len(trail):
             false_lit = -trail[head]
             head += 1
@@ -652,76 +707,93 @@ def _dpll(count: int, clauses: list[tuple[int, ...]]) -> tuple[Optional[dict[int
             watches[false_lit] = kept
         return None
 
-    if propagate(0, 0) is not None:
-        return None, 0
-    decisions = 0
-    marks: list[int] = []  # trail length when each decision level began
-    seen = [False] * (n + 1)
-    var = 1  # every variable below var is assigned
-    lit, why = 0, None  # a literal asserted after a conflict, and its reason
-    while True:
-        if not lit:
-            while var <= n and value[var] is not None:
-                var += 1
-            if var > n:
-                return {abs(lit): lit > 0 for lit in trail}, decisions
-            decisions += 1
-            marks.append(len(trail))
-            lit = -var
-        depth = len(marks)
-        value[lit], value[-lit] = True, False
-        level[abs(lit)] = depth
-        reason[abs(lit)] = why
-        trail.append(lit)
-        conflict = propagate(len(trail) - 1, depth)
-        lit, why = 0, None
-        if conflict is None:
-            continue
-        if not depth:
-            return None, decisions
-        # 1UIP: resolve the conflict clause with the reasons of its
-        # current-level literals, latest first, until one of them is left
-        learned = [0]  # position 0 is the asserting literal
-        open_count = 0
-        at = len(trail)
-        clause = conflict
-        pivot = 0
-        while True:
-            for q in clause:
-                v = abs(q)
-                if v != pivot and not seen[v] and level[v]:
-                    seen[v] = True
-                    if level[v] == depth:
-                        open_count += 1
-                    else:
-                        learned.append(q)
-            at -= 1
-            while not seen[abs(trail[at])]:
-                at -= 1
-            pivot = abs(trail[at])
-            seen[pivot] = False
-            open_count -= 1
-            if not open_count:
+    def solve(self, order, assumption: int = 0) -> Optional[list[Optional[bool]]]:
+        """``value`` at the lexicographically first model over ``order``
+        (``False`` first) under ``assumption`` (0 for none), where the search
+        then stays; else None, back at level 0."""
+        value, level, reason, trail, seen = self.value, self.level, self.reason, self.trail, self.seen
+        marks: list[int] = []  # trail length when each level above 0 began
+        rank = [len(order)] * len(level)  # position in order, past its end for the rest
+        for pos, v in enumerate(order):
+            rank[v] = pos
+        at = 0  # every variable of order[:at] is assigned
+        lit, why = assumption, None  # the next literal to set, and its reason
+        while self.consistent:
+            if not lit:
+                if assumption and not marks:
+                    lit = assumption  # back at level 0: assume again
+                else:
+                    while at < len(order) and value[order[at]] is not None:
+                        at += 1
+                    if at == len(order):
+                        return value
+                    self.decisions += 1
+                    lit = -order[at]
+            if value[lit] is False:
+                break  # the assumption is refuted at level 0
+            if why is None:
+                marks.append(len(trail))  # a decision or the assumption opens a level
+            depth = len(marks)
+            value[lit], value[-lit] = True, False
+            level[abs(lit)] = depth
+            reason[abs(lit)] = why
+            trail.append(lit)
+            conflict = self.propagate(len(trail) - 1, depth)
+            lit, why = 0, None
+            if conflict is None:
+                continue
+            if depth <= (1 if assumption else 0):
+                # at level 0 the CNF is refuted for good, at 1 the assumption
+                self.consistent = depth > 0
                 break
-            clause = reason[pivot]
-        learned[0] = -trail[at]
-        back = 0
-        for pos in range(1, len(learned)):
-            v = abs(learned[pos])
-            seen[v] = False
-            if level[v] > back:
-                back = level[v]
-                learned[1], learned[pos] = learned[pos], learned[1]
-        mark = marks[back]
+            # 1UIP: resolve the conflict clause with the reasons of its
+            # current-level literals, latest first, until one of them is left
+            learned = [0]  # position 0 is the asserting literal
+            open_count = 0
+            pos = len(trail)
+            clause = conflict
+            pivot = 0
+            while True:
+                for q in clause:
+                    v = abs(q)
+                    if v != pivot and not seen[v] and level[v]:
+                        seen[v] = True
+                        if level[v] == depth:
+                            open_count += 1
+                        else:
+                            learned.append(q)
+                pos -= 1
+                while not seen[abs(trail[pos])]:
+                    pos -= 1
+                pivot = abs(trail[pos])
+                seen[pivot] = False
+                open_count -= 1
+                if not open_count:
+                    break
+                clause = reason[pivot]
+            learned[0] = -trail[pos]
+            back = 0
+            for pos in range(1, len(learned)):
+                v = abs(learned[pos])
+                seen[v] = False
+                if level[v] > back:
+                    back = level[v]
+                    learned[1], learned[pos] = learned[pos], learned[1]
+            mark = marks[back]
+            for undone in trail[mark:]:
+                value[undone] = value[-undone] = None
+            at = min(map(rank.__getitem__, map(abs, trail[mark:])))
+            del trail[mark:]
+            del marks[back:]
+            if len(learned) > 1:
+                self.watches[learned[0]].append(learned)
+                self.watches[learned[1]].append(learned)
+            lit, why = learned[0], learned
+        mark = marks[0] if marks else len(trail)
         for undone in trail[mark:]:
             value[undone] = value[-undone] = None
-        var = min(map(abs, trail[mark:]))
         del trail[mark:]
-        del marks[back:]
-        if len(learned) > 1:
-            watches[learned[0]].append(learned)
-            watches[learned[1]].append(learned)
-        lit, why = learned[0], learned
+        return None
 
 
 def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
@@ -732,20 +804,22 @@ def sat_bounded(f: ModalFormula, max_worlds: int) -> SatVerdict:
     g = expand_sugar(f)
     subs = _subformulas(g)
     variables = modal_vars(g)
-    total_decisions = 0
+    layout = _Layout(subs)
+    search = _Search()
     for k in range(1, max_worlds + 1):
-        count, clauses, first = _encode(subs, k)
-        model_bits, decisions = _dpll(count, clauses)
-        total_decisions += decisions
-        if model_bits is None:
-            continue
-        # the DPLL model assigns every CNF variable
-        worlds = [
-            BaseWorld(0, frozenset(v for v in variables if model_bits[first[MVar(v)] + j]), j)
-            for j in range(k)
-        ]
-        rel = 1 + len(subs) * k
-        edges = [(worlds[i], worlds[j]) for i in range(k) for j in range(k) if model_bits[rel + i * k + j]]
-        build = functools.partial(_assigned_model, worlds, edges, variables)
-        return SatVerdict(True, "bounded", max_worlds, total_decisions, k, build=build)
-    return SatVerdict(False, "bounded", max_worlds, total_decisions, max_worlds)
+        clauses = layout.add_world()
+        search.grow(layout.count)
+        search.add(clauses)
+        value = search.solve(layout.order, layout.selector)
+        if value is not None:
+            blocks, index = layout.blocks, layout.index
+            worlds = [
+                BaseWorld(0, frozenset(v for v in variables if value[blocks[j] + index[MVar(v)]]), j)
+                for j in range(k)
+            ]
+            edges = [(worlds[i], worlds[j]) for i in range(k) for j in range(k) if value[layout.cells[i][j][0]]]
+            build = functools.partial(_assigned_model, worlds, edges, variables)
+            return SatVerdict(True, "bounded", max_worlds, search.decisions, k, build=build)
+        if not search.consistent:
+            break  # no model at any bound
+    return SatVerdict(False, "bounded", max_worlds, search.decisions, max_worlds)

@@ -585,6 +585,57 @@ class TestWorldIds:
             world_id_from_str(text)
         assert str(err.value) == f"not a world of a gadget F_m (m >= 1; parts a0..am, b, c): {text!r}"
 
+    @pytest.mark.parametrize(
+        "world, text",
+        [
+            (BaseWorld(-1, frozenset(), 0), "base:L-1:{}:#0"),
+            (BaseWorld(True, frozenset(), 0), "base:LTrue:{}:#0"),
+            (BaseWorld(0, frozenset(), -3), "base:L0:{}:#-3"),
+            (BaseWorld(0, frozenset(), False), "base:L0:{}:#False"),
+            (BaseWorld(0, frozenset({-1}), 0), "base:L0:{-1}:#0"),
+            (BaseWorld(0, frozenset({True}), 0), "base:L0:{True}:#0"),
+            (BaseWorld(0, frozenset({1.0}), 0), "base:L0:{1.0}:#0"),
+            (GadgetWorld(1, "zz"), "gadget:m1:zz"),
+            (GadgetWorld(1, "a"), "gadget:m1:a"),
+            (GadgetWorld(1, 3), "gadget:m1:3"),
+            (GadgetWorld(-1, "b"), "gadget:m-1:b"),
+            (GadgetWorld(True, "b"), "gadget:mTrue:b"),
+            (GadgetWorld(0, "b"), "gadget:m0:b"),
+            (GadgetWorld(2, "a3"), "gadget:m2:a3"),
+            (GadgetWorld(2, "a01"), "gadget:m2:a01"),
+            (GadgetWorld(3, "a0", GadgetWorld(4, "c")), "gadget:m3:a0@gadget:m4:c"),
+        ],
+    )
+    def test_fields_the_reader_refuses_are_refused_in_its_words(self, world, text):
+        with pytest.raises(ValueError) as written:
+            world_id_str(world)
+        with pytest.raises(ValueError) as read:
+            world_id_from_str(text)
+        assert str(written.value) == str(read.value)
+        assert repr(text) in str(written.value)
+        # a frame refuses such a world before it can write its id
+        with pytest.raises(ValueError):
+            KripkeFrame(frozenset([world]), [])
+
+    @pytest.mark.parametrize(
+        "world, text",
+        [
+            (GadgetWorld(1, "a0@base:L0:{}:#0"), "gadget:m1:a0@base:L0:{}:#0"),
+            (BaseWorld("0", frozenset(), 0), "base:L0:{}:#0"),
+            (BaseWorld(0, frozenset({"1"}), 0), "base:L0:{1}:#0"),
+        ],
+    )
+    def test_fields_that_spell_another_world_are_refused(self, world, text):
+        # the reader takes each id as a world with other fields
+        assert world_id_from_str(text) != world
+        with pytest.raises(ValueError) as err:
+            world_id_str(world)
+        assert str(err.value) == f"unrecognized world id: {text!r}"
+
+    def test_a_host_is_refused_by_its_own_id(self):
+        with pytest.raises(ValueError, match=r"^unrecognized world id: 'base:L-1:\{\}:#0'$"):
+            world_id_str(GadgetWorld(1, "a0", BaseWorld(-1, frozenset(), 0)))
+
     @pytest.mark.parametrize("m", [1, 2, 11])
     def test_every_gadget_part_round_trips(self, m):
         for part in ["b", "c", *(f"a{i}" for i in range(m + 1))]:
@@ -842,11 +893,13 @@ class TestFrameIndex:
             assert "relation" not in vars(frame) and "relation" not in vars(other)
 
     def test_two_worlds_sharing_an_id_are_refused(self):
-        plain = GadgetWorld(1, "a0@base:L0:{}:#0")
-        hosted = GadgetWorld(1, "a0", BaseWorld(0, frozenset(), 0))
+        # an assignment given as a tuple is a different field value, the
+        # same id
+        plain = GadgetWorld(1, "a0", BaseWorld(0, (1,), 0))
+        hosted = GadgetWorld(1, "a0", BaseWorld(0, frozenset({1}), 0))
         assert plain != hosted and world_id_str(plain) == world_id_str(hosted)
         for relation in ((), [(plain, hosted)]):
-            with pytest.raises(ValueError, match=r"share the id 'gadget:m1:a0@base:L0:\{\}:#0'"):
+            with pytest.raises(ValueError, match=r"share the id 'gadget:m1:a0@base:L0:\{1\}:#0'"):
                 KripkeFrame(frozenset([plain, hosted]), relation)
 
 

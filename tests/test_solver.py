@@ -16,16 +16,16 @@ from hypothesis import strategies as st
 
 from conftest import make_random_model, modal_formulas
 from modalred import solver
-from modalred.kripke import model_check, model_check_all, model_to_json
+from modalred.kripke import BaseWorld, _assigned_model, model_check, model_check_all, model_to_json
 from modalred.pipeline import build_corpus, random_matrix, random_modal_formula
 from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
     WITNESS_TREE_LIMIT,
     SolverBudgetError,
     TableauContext,
+    _Layout,
+    _Search,
     _Tableau,
-    _dpll,
-    _encode,
     _nnf_step,
     _spawn_step,
     _subformulas,
@@ -578,6 +578,11 @@ class TestBounded:
                 for v in modal_vars(f):
                     assert witness.valuation[v] == {w for w in witness.frame.worlds if v in w.assignment}
 
+    def test_arrays_grow_with_the_worlds_tried_not_the_bound(self):
+        # the two-world model is found at once however large the bound
+        verdict = sat_bounded(parse_modal("<> p1 & <> ~p1"), 10**9)
+        assert verdict.satisfiable and verdict.depth == 2 and verdict.bound == 10**9
+
     def test_requires_positive_bound(self):
         with pytest.raises(ValueError):
             sat_bounded(parse_modal("p1"), 0)
@@ -595,24 +600,34 @@ GADGET_31 = MDia(MNot(MOr(
 # (satisfiable, decisions, k, sha256 of the witness JSON) of sat_bounded;
 # any change here means the CDCL search itself changed
 GOLDEN_BOUNDED = [
-    ("star", "A p1 . p1", 4, (False, 42, 4, None)),
+    ("star", "A p1 . p1", 4, (False, 17, 4, None)),
     ("star", "E p1 . p1", 4, (True, 3, 2, (
         "24c699a80676f2e22f269b3e4d3cbbbf69846c4ab3ffc56bec72ebe9516c16af"
     ))),
-    ("star", "A p1 . E p2 . p1 -> p2", 4, (False, 59, 4, None)),
-    ("star", "E p1 . A p2 . p1 & p2", 4, (False, 156, 4, None)),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 4, (False, 81, 4, None)),
-    ("star", "E p1 . A p2 . E p3 . p1 & p2", 4, (False, 186, 4, None)),
-    ("star", "E p1 . E p2 . (p1 & false)", 4, (False, 42, 4, None)),
+    ("star", "A p1 . E p2 . p1 -> p2", 4, (False, 19, 4, None)),
+    ("star", "E p1 . A p2 . p1 & p2", 4, (False, 66, 4, None)),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 4, (False, 29, 4, None)),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 4, (False, 80, 4, None)),
+    ("star", "E p1 . E p2 . (p1 & false)", 4, (False, 30, 4, None)),
     ("gadget", "<> ~(alpha(2) | ([] false | <> true) | alpha(2) | alpha(1))", 5,
-     (False, 80, 5, None)),
+     (False, 45, 5, None)),
+    # the smallest model of a true alpha encoding has 7 worlds
+    ("alpha", "E p1 . p1", 7, (True, 3112, 7, (
+        "0546fc119bd60478e319b224cb6ea06ec8f61766c21256dbfbba7d8374dd816c"
+    ))),
 ]
+
+
+def golden_bounded_formula(stage, text):
+    if stage == "gadget":
+        return GADGET_31
+    qbf = parse_qbf(text)
+    return encode_star(qbf)[0] if stage == "star" else encode_alpha(qbf)
 
 
 @pytest.mark.parametrize("stage, text, bound, expected", GOLDEN_BOUNDED)
 def test_golden_bounded_counters(stage, text, bound, expected):
-    f = GADGET_31 if stage == "gadget" else encode_star(parse_qbf(text))[0]
-    verdict = sat_bounded(f, bound)
+    verdict = sat_bounded(golden_bounded_formula(stage, text), bound)
     witness = verdict.witness
     assert (
         verdict.satisfiable,
@@ -623,41 +638,139 @@ def test_golden_bounded_counters(stage, text, bound, expected):
 
 
 # (variable count, clause count, sha256 of the count line and one line per
-# clause, literals space-separated) of _encode; any change here renumbers
-# a variable or moves a clause
+# clause, literals space-separated) of the clauses that worlds 0 .. k - 1
+# add; any change here renumbers a variable or moves a clause
 GOLDEN_ENCODE = [
-    ("star", "A p1 . E p2 . p1 -> p2", 1, (62, 159, (
-        "24a6d28acbf48b42e021f69789c67e1a3174a389baddf3cac43ae25ee3fe82d6"
+    ("star", "A p1 . E p2 . p1 -> p2", 1, (63, 159, (
+        "e024b942fccde727221f649bfb5f4486094f83c89d85d68506b5b6e75de84a5e"
     ))),
-    ("star", "A p1 . E p2 . p1 -> p2", 2, (150, 413, (
-        "56bc750a022e00e43e2e758c659874e22dbecf82ac9d8823068eb1007a475ee9"
+    ("star", "A p1 . E p2 . p1 -> p2", 2, (152, 426, (
+        "f65a3e4e851b90a116a0f38e34a1b5607026e844e1c1e5144a9fedbe5e7e99c2"
     ))),
-    ("star", "A p1 . E p2 . p1 -> p2", 3, (264, 763, (
-        "c135ed32161b8dec029d11fcdc589f43734da96444e0b934e952d8b5c497b63a"
+    ("star", "A p1 . E p2 . p1 -> p2", 3, (317, 949, (
+        "18e254fb638abc7ecda07e11011afa779d2347823c9104e72114b6b274a1bcb7"
     ))),
-    ("alpha", "E p1 . p1", 1, (59, 154, (
-        "1edeb7c2a8dd1b53e2778f03e35e62b678281b0954d9af4d3fd26ced6756d426"
+    ("alpha", "E p1 . p1", 1, (60, 154, (
+        "e4fcbaa1a0219a354029e68ca66064de898d33014019c544337a48558b6d69b1"
     ))),
-    ("alpha", "E p1 . p1", 2, (150, 427, (
-        "a637ed086d32f0fa9da132745e90ea10b4b180795022b15ae618770bbeece304"
+    ("alpha", "E p1 . p1", 2, (152, 443, (
+        "8e5390cd43552481e17010fbae57a206c572945c971b15cc13975cd627226d3e"
     ))),
-    ("alpha", "E p1 . p1", 3, (273, 820, (
-        "f33b60affd5316ba551648e3b1685e15590997c47098121e1d902105daff4194"
+    ("alpha", "E p1 . p1", 3, (320, 997, (
+        "edf1cd3e18960d0c71cb2076939d923fd8fdf04a65503c912dfcb0f94394ca3a"
     ))),
 ]
 
 
 @pytest.mark.parametrize("stage, text, k, expected", GOLDEN_ENCODE)
 def test_golden_encode_clause_lists(stage, text, k, expected):
-    qbf = parse_qbf(text)
-    f = encode_star(qbf)[0] if stage == "star" else encode_alpha(qbf)
-    count, clauses, _ = _encode(_subformulas(expand_sugar(f)), k)
-    listing = f"{count}\n" + "".join(" ".join(map(str, c)) + "\n" for c in clauses)
-    assert (count, len(clauses), hashlib.sha256(listing.encode()).hexdigest()) == expected
+    layout = _Layout(_subformulas(expand_sugar(golden_bounded_formula(stage, text))))
+    clauses = [c for _ in range(k) for c in layout.add_world()]
+    listing = f"{layout.count}\n" + "".join(" ".join(map(str, c)) + "\n" for c in clauses)
+    assert (layout.count, len(clauses), hashlib.sha256(listing.encode()).hexdigest()) == expected
+
+
+def _one_shot_encoding(subs, k):
+    """The clauses of exactly ``k`` worlds, with the closing clauses
+    unguarded and no swap clauses: (variable count, clauses, first).
+    ``first[g] + i`` is the truth of ``g`` at world ``i``, then come the
+    relation pairs and the auxiliaries, in the order ``_Layout.order``
+    lists them."""
+    first = {g: 1 + n * k for n, g in enumerate(subs)}
+    rel = 1 + len(subs) * k
+    count = rel + k * k - 1
+    clauses = []
+    for g in subs:
+        for i in range(k):
+            t = first[g] + i
+            if isinstance(g, MFalse):
+                clauses.append((-t,))
+            elif isinstance(g, MTrue):
+                clauses.append((t,))
+            elif isinstance(g, MNot):
+                b = first[g.body] + i
+                clauses += [(-t, -b), (t, b)]
+            elif isinstance(g, MAnd):
+                parts = [first[item] + i for item in g.items]
+                clauses += [(-t, b) for b in parts] + [(t, *(-b for b in parts))]
+            elif isinstance(g, (MOr, MImp)):
+                l = (-1 if isinstance(g, MImp) else 1) * (first[g.left] + i)
+                r = first[g.right] + i
+                clauses += [(-t, l, r), (t, -l), (t, -r)]
+            elif isinstance(g, (MBox, MDia)):
+                aux = range(count + 1, count + k + 1)
+                count += k
+                sign = 1 if isinstance(g, MDia) else -1
+                for j, x in enumerate(aux):
+                    r = rel + i * k + j
+                    b = sign * (first[g.body] + j)
+                    clauses += [(-x, r), (-x, b), (x, -r, -b), (sign * t, -x)]
+                clauses.append((-sign * t, *aux))
+    clauses.append((first[subs[-1]],))
+    return count, clauses, first
+
+
+def _reference_bounded(f, bound):
+    """(satisfiable, k, witness JSON) by a fresh search over the one-shot
+    encoding of each k = 1 .. bound in turn, as ``sat_bounded`` searched
+    before its CNF grew."""
+    g = expand_sugar(f)
+    subs = _subformulas(g)
+    variables = modal_vars(g)
+    for k in range(1, bound + 1):
+        count, clauses, first = _one_shot_encoding(subs, k)
+        model, _ = _first_model(count, clauses)
+        if model is None:
+            continue
+        rel = 1 + len(subs) * k
+        worlds = [
+            BaseWorld(0, frozenset(v for v in variables if model[first[MVar(v)] + j]), j) for j in range(k)
+        ]
+        edges = [(worlds[i], worlds[j]) for i in range(k) for j in range(k) if model[rel + i * k + j]]
+        return True, k, model_to_json(_assigned_model(worlds, edges, variables))
+    return False, bound, None
+
+
+def _reference_corpus():
+    """Every GOLDEN_BOUNDED input but the bound-7 one (minutes by the
+    reference), then seeded star, alpha, variable-free and three-variable
+    formulas at bounds 1 to 5."""
+    queries = [(golden_bounded_formula(stage, text), bound) for stage, text, bound, _ in GOLDEN_BOUNDED if bound < 7]
+    rng = random.Random(5)
+    for _ in range(60):
+        prefix = "".join(rng.choice("AE") for _ in range(rng.randint(1, 2)))
+        qbf = prenex_join([(q, i) for i, q in enumerate(prefix, 1)], random_matrix(rng, len(prefix), 7))
+        queries.append((encode_star(qbf)[0] if rng.random() < 0.5 else encode_alpha(qbf), rng.randint(1, 5)))
+    for seed, var_count in ((31, 0), (77, 3)):
+        rng = random.Random(seed)
+        queries += [(random_modal_formula(rng, 10, var_count=var_count), rng.randint(1, 5)) for _ in range(60)]
+    return queries
+
+
+def test_growing_cnf_keeps_the_one_shot_witnesses():
+    satisfiable = 0
+    for f, bound in _reference_corpus():
+        verdict = sat_bounded(f, bound)
+        witness = verdict.witness
+        got = (verdict.satisfiable, verdict.depth, witness and model_to_json(witness))
+        assert got == _reference_bounded(f, bound), render(f)
+        if witness:
+            satisfiable += 1
+            assert model_check(witness, witness.root, f)
+    assert satisfiable > 50
 
 
 def _cnf(count, *clauses):
     return count, [tuple(lits) for lits in clauses]
+
+
+def _first_model(count, clauses):
+    """(model, decisions) of the search over a fixed CNF, deciding the
+    variables 1 .. count in order with no assumption."""
+    search = _Search(count)
+    search.add([list(c) for c in clauses])
+    value = search.solve(range(1, count + 1))
+    return (None if value is None else {v: value[v] for v in range(1, count + 1)}), search.decisions
 
 
 @st.composite
@@ -693,7 +806,7 @@ def test_dpll_matches_brute_force(cnf):
     # first model found is the lexicographically first one
     models = (dict(enumerate(bits, 1)) for bits in itertools.product((False, True), repeat=count))
     first = next(filter(satisfies, models), None)
-    model, _ = _dpll(count, clauses)
+    model, _ = _first_model(count, clauses)
     assert model == first
 
 
@@ -704,7 +817,7 @@ def test_dpll_search_deeper_than_the_recursion_limit():
     # again, and b is decided last
     pairs = [(v, v + 1) for v in range(1, 3000, 2)]
     a, b = 3001, 3002
-    model, decisions = _dpll(*_cnf(3002, *pairs, (a, b), (a, -b)))
+    model, decisions = _first_model(*_cnf(3002, *pairs, (a, b), (a, -b)))
     assert decisions == 1500 + 1 + 1500 + 1
     assert model == {**{v: v % 2 == 0 for v in range(1, 3001)}, a: True, b: False}
 

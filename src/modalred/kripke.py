@@ -105,14 +105,14 @@ WorldId = Union[BaseWorld, GadgetWorld]
 def world_id_str(w: WorldId) -> str:
     """The id of ``w``.  A field that the id's reader, ``world_id_from_str``,
     would refuse is refused here in its words, so the reader accepts every
-    id written: level, serial and assignment entries are non-negative ints
-    (not bools), the gadget index an int >= 1, the part ``b``, ``c`` or
-    ``a<i>`` with i <= gadget, spelled canonically, and the host None or a
-    base world."""
+    id written: the assignment a frozenset, level, serial and assignment
+    entries non-negative ints (not bools), the gadget index an int >= 1, the
+    part ``b``, ``c`` or ``a<i>`` with i <= gadget, spelled canonically, and
+    the host None or a base world."""
     if isinstance(w, BaseWorld):
         level, assignment, serial = w.level, w.assignment, w.serial
         valid = type(level) is int and type(serial) is int and level >= 0 and serial >= 0 and (
-            not assignment or all(type(i) is int and i >= 0 for i in assignment)
+            type(assignment) is frozenset and all(type(i) is int and i >= 0 for i in assignment)
         )
         inner = ",".join(map(str, sorted(assignment) if valid else assignment))
         text = f"base:L{level}:{{{inner}}}:#{serial}"

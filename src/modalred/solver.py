@@ -4,19 +4,19 @@
 successor generation: saturate a world label propositionally (conjunctions
 first, then disjunctions, ties broken by subformula position), then spawn one
 successor per diamond, carrying the boxed formulas.  Sound and complete for K
-over finite tree models; satisfiable verdicts come with a tree witness whose
-depth is at most the modal depth of the query.  One memo table, keyed by
+over finite tree models; satisfiable verdicts come with a shared (DAG) witness
+whose depth is at most the modal depth of the query.  One memo table, keyed by
 label, answers a label met before without saturating it again, so repeated
 sub-labels (ubiquitous in the ladder encodings) are decided once; a memo hit
 still counts as a search node.  The memo and the bit numbering make a
 ``TableauContext``: a lone query gets a fresh one, and queries that share
 one reuse each other's labels, since in K a label's answer does not depend
-on the query it came from.  A satisfiable label's result is a tuple
-(true variables, children, worlds): ``worlds`` counts the worlds of its tree
-unfolding, so the witness knows its size before it is built, and a memo hit
-hands back the same tuple, count included.  Both engines return only what
-their witness is built from: ``SatVerdict.witness`` builds the model the
-first time it is read, so a verdict whose witness nobody reads builds none.
+on the query it came from.  A satisfiable label's result is a pair (true
+variables, children), and a memo hit hands back the same pair, so the
+results form a DAG; the witness has one world per distinct result.  Both
+engines return only what their witness is built from:
+``SatVerdict.witness`` builds the model the first time it is read, so a
+verdict whose witness nobody reads builds none.
 Labels are bit sets: one explicit-stack pass numbers the query's NNF in
 depth-first pre-order (which fixes which disjunction is branched on and the
 probing order), and saturation reads one mask per formula kind.  What that
@@ -70,7 +70,6 @@ not recurse however deep it goes.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -265,8 +264,8 @@ class TableauContext:
 
     ``cache`` is the label memo, keyed by label bit mask, and ``box_bodies``
     maps each box set met to the OR of its bodies, the label part every
-    diamond child shares.  In K a label's satisfiability, and the tree that
-    witnesses it, do not depend on the query it came from, so both tables
+    diamond child shares.  In K a label's satisfiability, and the worlds that
+    witness it, do not depend on the query it came from, so both tables
     serve every query of the context (global caching: Goré & Nguyen,
     TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).  An entry
     is only stored for a label decided in full, so a query cut short by its
@@ -356,8 +355,7 @@ class _Tableau:
         self.branches = 0
 
     def solve(self, mask: int, depth: int):
-        """(true variables, children, worlds) for a satisfiable label, else
-        None; ``worlds`` is 1 plus the children's worlds."""
+        """(true variables, children) for a satisfiable label, else None."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
@@ -436,7 +434,6 @@ class _Tableau:
         # diamond probing doubles as the closing rule when no disjunction is open
         result: object = ()
         children = []
-        worlds = 1
         m = seen & context.dias
         while m:
             low = m & -m
@@ -446,7 +443,6 @@ class _Tableau:
                 result = None
                 break
             children.append(child)
-            worlds += child[2]
         if result is not None and ors:
             self.branches += 1
             low = ors & -ors
@@ -456,7 +452,7 @@ class _Tableau:
                 result = self.solve(state | not_first | second, depth)
         elif result is not None:
             true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
-            result = (true_vars, tuple(children), worlds)
+            result = (true_vars, tuple(children))
         cache[mask] = cache[state] = result
         return result
 
@@ -464,32 +460,24 @@ class _Tableau:
 _MISSING = object()
 
 
-# Above this many worlds the tree unfolding of a witness is not materialized;
-# the witness is emitted in its shared (dag) form instead, which is equally a
-# model of the query and stays bounded by the search size.
-WITNESS_TREE_LIMIT = 100_000
-
-
 def _tree_to_model(tree, variables: frozenset[int]) -> KripkeModel:
+    """The model with one world per distinct result reachable from ``tree``,
+    numbered in depth-first pre-order; a result reached again gets an edge
+    to its world, which keeps the depth of its first visit."""
     worlds: list[BaseWorld] = []
     edges: list[tuple[BaseWorld, BaseWorld]] = []
-    serial = itertools.count()
-    share = tree[2] > WITNESS_TREE_LIMIT
     placed: dict[int, BaseWorld] = {}
-
-    def build(node, depth: int) -> BaseWorld:
-        if share and id(node) in placed:
-            return placed[id(node)]
-        literals, children, _ = node
-        w = BaseWorld(depth, frozenset(literals), next(serial))
-        worlds.append(w)
-        placed[id(node)] = w
-        for child in children:
-            cw = build(child, depth + 1)
-            edges.append((w, cw))
-        return w
-
-    build(tree, 0)
+    stack = [(tree, None, 0)]
+    while stack:
+        node, parent, depth = stack.pop()
+        w = placed.get(id(node))
+        if w is None:
+            true_vars, children = node
+            w = placed[id(node)] = BaseWorld(depth, true_vars, len(worlds))
+            worlds.append(w)
+            stack.extend((child, w, depth + 1) for child in reversed(children))
+        if parent is not None:
+            edges.append((parent, w))
     return _assigned_model(worlds, edges, variables)
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: wiring, exit codes, determinism."""
 
+import hashlib
 import json
 import random
 
@@ -11,6 +12,7 @@ from modalred.pipeline import random_matrix, random_modal_formula
 from modalred.qbf import is_prenex, prenex_join, prenex_split
 from modalred.reduction import encode_alpha, encode_star
 from modalred.syntax import expand_sugar, parse_modal, parse_qbf, is_constant, render
+from test_solver import GOLDEN_TABLEAU, golden_formula
 
 
 def write(tmp_path, name, text):
@@ -84,13 +86,24 @@ class TestSatCommand:
         assert doc["verdict"] == "unsatisfiable"
         assert doc["engine"] == "bounded" and doc["bound"] == 3
 
-    def test_emit_witness(self, tmp_path, capsys):
-        path = write(tmp_path, "f.txt", "<> p1 & <> ~p1\n")
+    @pytest.mark.parametrize(
+        "stage, text, sha",
+        [
+            pytest.param(stage, text, expected[4], id=f"{stage}: {text}")
+            for stage, text, expected in GOLDEN_TABLEAU
+            if expected[0]
+        ],
+    )
+    def test_emit_witness(self, tmp_path, capsys, stage, text, sha):
+        f = golden_formula(stage, text)
+        path = write(tmp_path, "f.txt", render(f) + "\n")
         out = str(tmp_path / "witness.json")
         assert main(["sat", path, "--emit-witness", out]) == 0
         capsys.readouterr()
-        model = model_from_json(open(out, encoding="utf-8").read())
-        assert model_check(model, model.root, parse_modal("<> p1 & <> ~p1"))
+        data = open(out, encoding="utf-8").read()
+        assert hashlib.sha256(data.encode()).hexdigest() == sha
+        model = model_from_json(data)
+        assert model_check(model, model.root, f)
 
     def test_budget_exhaustion_is_semantic_error(self, tmp_path, capsys):
         path = write(tmp_path, "f.txt", "E p1 . p1\n")

@@ -623,6 +623,7 @@ class TestWorldIds:
             (GadgetWorld(1, "a0@base:L0:{}:#0"), "gadget:m1:a0@base:L0:{}:#0"),
             (BaseWorld("0", frozenset(), 0), "base:L0:{}:#0"),
             (BaseWorld(0, frozenset({"1"}), 0), "base:L0:{1}:#0"),
+            (BaseWorld(0, (1,), 0), "base:L0:{1}:#0"),
         ],
     )
     def test_fields_that_spell_another_world_are_refused(self, world, text):
@@ -893,9 +894,11 @@ class TestFrameIndex:
             assert "relation" not in vars(frame) and "relation" not in vars(other)
 
     def test_two_worlds_sharing_an_id_are_refused(self):
-        # an assignment given as a tuple is a different field value, the
-        # same id
-        plain = GadgetWorld(1, "a0", BaseWorld(0, (1,), 0))
+        # a host of a subclass is a different world with the same id
+        class Copy(BaseWorld):
+            pass
+
+        plain = GadgetWorld(1, "a0", Copy(0, frozenset({1}), 0))
         hosted = GadgetWorld(1, "a0", BaseWorld(0, frozenset({1}), 0))
         assert plain != hosted and world_id_str(plain) == world_id_str(hosted)
         for relation in ((), [(plain, hosted)]):

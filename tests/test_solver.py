@@ -20,7 +20,6 @@ from modalred.kripke import BaseWorld, _assigned_model, model_check, model_check
 from modalred.pipeline import build_corpus, random_matrix, random_modal_formula
 from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
-    WITNESS_TREE_LIMIT,
     SolverBudgetError,
     TableauContext,
     _Layout,
@@ -86,9 +85,9 @@ class TestTableau:
         b = sat_k_tableau(f)
         assert a == b
 
-    def test_exponential_tree_witness_falls_back_to_shared_form(self):
-        # the tree unfolding would have 2^26 worlds; the emitted witness keeps
-        # the shared form and still model-checks
+    def test_exponential_tree_witness_is_emitted_in_shared_form(self):
+        # the tree unfolding would have 2^26 worlds; the witness has one world
+        # per distinct search result and still model-checks
         f = parse_modal("box<=25 (<> p1 & <> ~p1)")
         verdict = sat_k_tableau(f)
         assert verdict.satisfiable
@@ -97,36 +96,36 @@ class TestTableau:
 
 
 # (satisfiable, nodes, depth, witness worlds, sha256 of the witness JSON);
-# any change here means the search itself changed
+# a change in the first three means the search itself changed
 GOLDEN_TABLEAU = [
     ("star", "A p1 . p1", (False, 5, 1, 0, None)),
     ("alpha", "A p1 . p1", (False, 137, 5, 0, None)),
     ("star", "E p1 . p1", (True, 4, 1, 2, (
         "5566f467e55fc0eec6cf313474293c0fea0dfd905c0bb1970d34fb4418f21e34"
     ))),
-    ("alpha", "E p1 . p1", (True, 136, 5, 42, (
-        "752119e09cc94bb12a9058d9451428b9c711949b8d0d7877b214b824f3e483dc"
+    ("alpha", "E p1 . p1", (True, 136, 5, 33, (
+        "94a8ae89e94274c1635379bddf9a4de056f0fd6b1e37cc9df66f9ccfc4557131"
     ))),
     ("star", "A p1 . E p2 . p1 -> p2", (True, 16, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 3054, 8, 314, (
-        "4a39ff6e0efcc385d936b04a293c6eda33f974250ed23cf1982ed1c657045f67"
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 3054, 8, 112, (
+        "8ce64f07421b2b883064be5eedd7a482ba95bcc8758ae06faf59fb950c513e78"
     ))),
     ("star", "E p1 . A p2 . p1 & p2", (False, 10, 2, 0, None)),
     ("alpha", "E p1 . A p2 . p1 & p2", (False, 2186, 8, 0, None)),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 110, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 15855, 10, 756, (
-        "6c1dfdc4c96eaac929967cb06011914418747690410d9bb40b6108c109ea9615"
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 15855, 10, 271, (
+        "7bad10a1bd9c1455e14ddf8d6387d5c5544a2d951552c133d1d24f87b7497c42"
     ))),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 21, 3, 0, None)),
     ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 11540, 9, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 5, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
-    # the tree unfolding has 2^26 worlds, so the witness is the shared form
+    # the tree unfolding would have 2^26 worlds
     ("modal", "box<=25 (<> p1 & <> ~p1)", (True, 103, 26, 53, (
         "e858af8f75739925cb6ce81342f09c577b5f9d95115ba450e40d315cb150d785"
     ))),
@@ -244,7 +243,7 @@ def test_budget_counts_memo_hits(text):
 
 def _unfolded_worlds(tree, memo):
     """Worlds of the tree unfolding of a tableau result, counted by walking
-    the result dag: the reference for the count the search carries."""
+    the result dag; ``memo`` ends up with one entry per distinct result."""
     if id(tree) not in memo:
         memo[id(tree)] = 1 + sum(_unfolded_worlds(child, memo) for child in tree[1])
     return memo[id(tree)]
@@ -263,9 +262,31 @@ def test_result_carries_its_world_count(f):
     assert (tree is not None) == verdict.satisfiable
     if tree is None:
         return
-    assert tree[2] == _unfolded_worlds(tree, {})
-    if tree[2] <= WITNESS_TREE_LIMIT:
-        assert len(verdict.witness.frame.worlds) == tree[2]
+    distinct: dict = {}
+    _unfolded_worlds(tree, distinct)
+    assert len(verdict.witness.frame.worlds) == len(distinct)
+
+
+def test_witness_of_a_chain_deeper_than_the_recursion_limit():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    tree = (frozenset(), ())
+    for _ in range(depth):
+        tree = (frozenset(), (tree,))
+    model = solver._tree_to_model(tree, frozenset())
+    assert len(model.frame.worlds) == depth + 1
+    assert max(w.level for w in model.frame.worlds) == depth
+
+
+def test_result_reached_twice_is_one_world_at_its_first_depth():
+    # the leaf hangs below the root and below the root's second child
+    leaf = (frozenset({1}), ())
+    root = (frozenset(), (leaf, (frozenset(), (leaf,))))
+    model = solver._tree_to_model(root, frozenset({1}))
+    top, shared, middle = sorted(model.frame.worlds, key=lambda w: w.serial)
+    assert model.valuation[1] == {shared}
+    assert [w.level for w in (top, shared, middle)] == [0, 1, 1]
+    assert model.frame.relation == {(top, shared), (top, middle), (middle, shared)}
 
 
 def _numbering_per_query(*roots):

@@ -108,14 +108,18 @@ def world_id_str(w: WorldId) -> str:
     id written: the assignment a frozenset, level, serial and assignment
     entries non-negative ints (not bools), the gadget index an int >= 1, the
     part ``b``, ``c`` or ``a<i>`` with i <= gadget, spelled canonically, and
-    the host None or a base world."""
+    the host None or a base world.  An assignment that is not even iterable
+    is spelled without braces."""
     if isinstance(w, BaseWorld):
         level, assignment, serial = w.level, w.assignment, w.serial
         valid = type(level) is int and type(serial) is int and level >= 0 and serial >= 0 and (
             type(assignment) is frozenset and all(type(i) is int and i >= 0 for i in assignment)
         )
-        inner = ",".join(map(str, sorted(assignment) if valid else assignment))
-        text = f"base:L{level}:{{{inner}}}:#{serial}"
+        if valid or isinstance(assignment, Iterable):
+            inner = "{" + ",".join(map(str, sorted(assignment) if valid else assignment)) + "}"
+        else:
+            inner = str(assignment)  # no entries to list: spelled without braces
+        text = f"base:L{level}:{inner}:#{serial}"
         if not valid:
             raise ValueError(f"unrecognized world id: {text!r}")
         return text

@@ -2,8 +2,10 @@
 
 ``sat_k_tableau`` is a single-branch depth-first tableau with on-the-fly
 successor generation: saturate a world label propositionally (conjunctions
-first, then disjunctions, ties broken by subformula position), then spawn one
-successor per diamond, carrying the boxed formulas.  Sound and complete for K
+first, then disjunctions, ties broken by subformula position), then branch on
+the lowest open disjunction, probing the diamonds against the boxes only if
+its first side fails, or with none open spawn one successor per diamond,
+carrying the boxed formulas.  Sound and complete for K
 over finite tree models; satisfiable verdicts come with a shared (DAG) witness
 whose depth is at most the modal depth of the query.  One memo table, keyed by
 label, answers a label met before without saturating it again, so repeated
@@ -330,11 +332,20 @@ class _Tableau:
 
     Saturation drains conjunctions, checks newly seen literals for clashes,
     and unit-propagates disjunctions whose one side is already refuted; then
-    diamonds are probed against the current boxes (a sound lookahead, since
-    boxes only grow along a branch), and only then does the search branch on
-    the lowest-bit open disjunction: first on its first side, then on the
-    negated first side with the second.  Saturation reads the sides
-    symmetrically, so the side order moves only the branch order.
+    the search branches on the lowest-bit open disjunction at once, first on
+    its first side.  Only if that side fails are the label's diamonds probed
+    against its current boxes, the one whose probe failed last in the query
+    (``refuted``) first and the rest in bit order, and only if every probe
+    succeeds does the search try the negated first side with the second.
+    The probe is a sound lookahead (Horrocks & Patel-Schneider, J. Logic
+    Comput. 9(3), 1999): boxes only grow along a branch, so a diamond that
+    fails now fails under both sides.  The first side seldom fails, so most
+    labels that branch never probe.  A label with no open disjunction
+    probes every diamond in bit order, and its children make its result.
+    A label's result depends on its saturated state alone, so the probing
+    order moves only which labels are searched, never the result of one.
+    Saturation reads the sides symmetrically, so the side order moves only
+    the branch order.
 
     ``solve`` counts the node (budget and depth included) and then answers a
     label in the context's memo without saturating it; ``memo_hits`` counts
@@ -342,8 +353,8 @@ class _Tableau:
     outcome is stored under the input label, and the saturated state is
     looked up and stored in the same table: a saturated state saturates to
     itself, so it is a label with the same answer.  The tableau holds only
-    the budget and these counters, which belong to its query; the tables
-    live in the context.
+    the budget, these counters and ``refuted``, which belong to its query;
+    the tables live in the context.
     """
 
     def __init__(self, context: TableauContext, budget: int):
@@ -353,6 +364,7 @@ class _Tableau:
         self.max_depth = 0
         self.memo_hits = 0
         self.branches = 0
+        self.refuted = 0  # the diamond whose probe failed last
 
     def solve(self, mask: int, depth: int):
         """(true variables, children) for a satisfiable label, else None."""
@@ -421,6 +433,18 @@ class _Tableau:
         if hit is not _MISSING:
             cache[mask] = hit
             return hit
+        if ors:
+            self.branches += 1
+            low = ors & -ors
+            first, second, not_first, _ = data[low.bit_length() - 1]
+            result = self.solve(state | first, depth)
+            if result is not None:
+                cache[mask] = cache[state] = result
+                return result
+            lead = self.refuted
+        else:
+            lead = 0
+        # probing doubles as the closing rule when no disjunction is open
         boxes = seen & context.boxes
         box_bodies = context.box_bodies.get(boxes)
         if box_bodies is None:
@@ -431,26 +455,23 @@ class _Tableau:
                 m &= m - 1
                 box_bodies |= data[low.bit_length() - 1]
             context.box_bodies[boxes] = box_bodies
-        # diamond probing doubles as the closing rule when no disjunction is open
-        result: object = ()
         children = []
         m = seen & context.dias
+        low = lead & m
         while m:
-            low = m & -m
-            m &= m - 1
+            if not low:
+                low = m & -m
+            m &= ~low
             child = self.solve(data[low.bit_length() - 1] | box_bodies, depth + 1)
             if child is None:
-                result = None
-                break
+                self.refuted = low
+                cache[mask] = cache[state] = None
+                return None
             children.append(child)
-        if result is not None and ors:
-            self.branches += 1
-            low = ors & -ors
-            first, second, not_first, _ = data[low.bit_length() - 1]
-            result = self.solve(state | first, depth)
-            if result is None:
-                result = self.solve(state | not_first | second, depth)
-        elif result is not None:
+            low = 0
+        if ors:
+            result = self.solve(state | not_first | second, depth)
+        else:
             true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
             result = (true_vars, tuple(children))
         cache[mask] = cache[state] = result

@@ -604,6 +604,8 @@ class TestWorldIds:
             (GadgetWorld(2, "a3"), "gadget:m2:a3"),
             (GadgetWorld(2, "a01"), "gadget:m2:a01"),
             (GadgetWorld(3, "a0", GadgetWorld(4, "c")), "gadget:m3:a0@gadget:m4:c"),
+            (BaseWorld(0, None, 0), "base:L0:None:#0"),
+            (BaseWorld(0, 5, 0), "base:L0:5:#0"),
         ],
     )
     def test_fields_the_reader_refuses_are_refused_in_its_words(self, world, text):

@@ -5,7 +5,11 @@ successor generation: saturate a world label propositionally (conjunctions
 first, then disjunctions, ties broken by subformula position), then branch on
 the lowest open disjunction, probing the diamonds against the boxes only if
 its first side fails, or with none open spawn one successor per diamond,
-carrying the boxed formulas.  Sound and complete for K
+carrying the boxed formulas.  A refuted label returns its core, the bits of
+the label that its refutation used, and a branch whose first side is refuted
+by a core without that side is refuted by that core alone: the search jumps
+back over the rest of the branch (dependency-directed backjumping, Horrocks
+& Patel-Schneider, J. Logic Comput. 9(3), 1999).  Sound and complete for K
 over finite tree models; satisfiable verdicts come with a shared (DAG) witness
 whose depth is at most the modal depth of the query.  One memo table, keyed by
 label, answers a label met before without saturating it again, so repeated
@@ -114,9 +118,10 @@ class SatVerdict:
     records the world limit and an unsatisfiable verdict is only
     bound-relative.  ``nodes`` and ``depth`` are search statistics;
     ``memo_hits`` counts the tableau's label visits answered from its memo
-    table without saturating (they are counted in ``nodes`` too) and
-    ``branches`` the labels that branched on a disjunction; both stay 0 for
-    the bounded engine.  ``witness`` is the model of a satisfiable query
+    table without saturating (they are counted in ``nodes`` too),
+    ``branches`` the labels that branched on a disjunction and ``backjumps``
+    those of them refuted by their first side's core alone; all three stay
+    0 for the bounded engine.  ``witness`` is the model of a satisfiable query
     (None otherwise), built by the engine's ``build`` the first time it is
     read; later reads return the same model.
     """
@@ -128,6 +133,7 @@ class SatVerdict:
     depth: int
     memo_hits: int = 0
     branches: int = 0
+    backjumps: int = 0
     build: Optional[Callable[[], KripkeModel]] = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
@@ -264,14 +270,16 @@ class TableauContext:
     which bits are of that kind; ``var_bits`` marks the literals that are
     variables.
 
-    ``cache`` is the label memo, keyed by label bit mask, and ``box_bodies``
-    maps each box set met to the OR of its bodies, the label part every
-    diamond child shares.  In K a label's satisfiability, and the worlds that
-    witness it, do not depend on the query it came from, so both tables
+    ``cache`` is the label memo, keyed by label bit mask, which holds a
+    satisfiable label's result (a tuple) or a refuted label's core (an int,
+    a non-empty subset of the key); ``box_bodies`` maps each box set met to
+    the OR of its bodies, the label part every diamond child shares.  In K
+    a label's satisfiability, the worlds that witness it and the core that
+    refutes it do not depend on the query it came from, so both tables
     serve every query of the context (global caching: Goré & Nguyen,
-    TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).  An entry
-    is only stored for a label decided in full, so a query cut short by its
-    budget leaves the context sound.  Before a query joins, the context
+    TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).  An
+    entry is only stored for a label decided in full, so a query cut short
+    by its budget leaves the context sound.  Before a query joins, the context
     starts afresh when its memo holds more than ``_CONTEXT_MEMO_CAP`` labels
     or when less than ``_CONTEXT_MIN_NUMBERED`` of the query's formulas are
     numbered already; a fresh context is the one state every lone query
@@ -283,7 +291,7 @@ class TableauContext:
         self.formulas: list = []  # bit position -> formula
         self.data: list = []
         self.masks = [0] * len(_KINDS)
-        self.cache: dict = {}  # label or saturated state -> result or None
+        self.cache: dict = {}  # label or saturated state -> result or core
         self.box_bodies: dict = {}  # box set -> OR of its bodies
         self._name_masks()
 
@@ -347,12 +355,33 @@ class _Tableau:
     Saturation reads the sides symmetrically, so the side order moves only
     the branch order.
 
+    A refuted label answers with its core, the bits of the label that its
+    refutation used (dependency-directed backjumping, Horrocks &
+    Patel-Schneider, ibid.).  Saturation records, for the bits it derives,
+    the seen bits they came from: a conjunct comes from its conjunction, a
+    forced side from its disjunction and the negated side that killed it.
+    A clash, a ``false`` or a dead disjunction is refuted by the bits
+    involved, traced back to the label's own (``_lift``).  A refuted
+    diamond child refutes the label by the diamond and the boxes whose
+    bodies the child's core used; the diamond is always in it, since boxes
+    alone spawn no world.  If the first side's core does not hold that
+    side, the core refutes the label alone, and the probes and the second
+    side are skipped: a backjump.  A second side's core that holds neither
+    the negated first side nor the second refutes the label alone too;
+    otherwise the label's core is the two cores less their sides' bits,
+    with the disjunction.  Backjumping skips work only under labels refuted
+    anyway, and a satisfiable label's result depends on its saturated state
+    alone, so a lone query gets the verdict and witness of the search that
+    tries every branch.
+
     ``solve`` counts the node (budget and depth included) and then answers a
     label in the context's memo without saturating it; ``memo_hits`` counts
-    those answers, ``branches`` the labels that branched.  Otherwise every
-    outcome is stored under the input label, and the saturated state is
-    looked up and stored in the same table: a saturated state saturates to
-    itself, so it is a label with the same answer.  The tableau holds only
+    those answers, ``branches`` the labels that branched and ``backjumps``
+    those of them that backjumped.  Otherwise every outcome is stored under
+    the input label, and the saturated state is looked up and stored in the
+    same table: a saturated state saturates to itself, so it is a label with
+    the same answer; a core is stored under the state in the state's bits
+    and traced back to the label's under the label.  The tableau holds only
     the budget, these counters and ``refuted``, which belong to its query;
     the tables live in the context.
     """
@@ -364,10 +393,13 @@ class _Tableau:
         self.max_depth = 0
         self.memo_hits = 0
         self.branches = 0
+        self.backjumps = 0
         self.refuted = 0  # the diamond whose probe failed last
 
     def solve(self, mask: int, depth: int):
-        """(true variables, children) for a satisfiable label, else None."""
+        """(true variables, children) for a satisfiable label, else its
+        core: the bits of ``mask`` that its refutation used, a non-zero
+        int."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
@@ -375,37 +407,41 @@ class _Tableau:
             self.max_depth = depth
         context = self.context
         cache = context.cache
-        hit = cache.get(mask, _MISSING)
-        if hit is not _MISSING:
+        hit = cache.get(mask)
+        if hit is not None:
             self.memo_hits += 1
             return hit
         data = context.data
         lits = context.lits
+        steps = []  # (bits derived, the seen bits they came from), in order
         seen = 0
         ors = 0
         pending = mask
         while pending:
             while pending:
                 seen |= pending
-                if pending & context.falses:
-                    cache[mask] = None
-                    return None
+                clash = pending & context.falses
+                if clash:
+                    cache[mask] = core = _lift(clash, steps)
+                    return core
                 m = pending & lits
                 while m:
                     low = m & -m
                     m &= m - 1
-                    if seen & data[low.bit_length() - 1]:
-                        cache[mask] = None
-                        return None
+                    clash = seen & data[low.bit_length() - 1]
+                    if clash:
+                        cache[mask] = core = _lift(low | clash, steps)
+                        return core
                 ors |= pending & context.ors
                 m = pending & context.ands
                 pending = 0
                 while m:
                     low = m & -m
                     m &= m - 1
-                    pending |= data[low.bit_length() - 1]
-                pending &= ~seen
-            forced = 0
+                    new = data[low.bit_length() - 1] & ~(seen | pending)
+                    if new:
+                        pending |= new
+                        steps.append((new, low))
             keep = 0
             m = ors
             while m:
@@ -417,20 +453,25 @@ class _Tableau:
                 left_dead = seen & not_left
                 right_dead = seen & not_right
                 if left_dead and right_dead:
-                    cache[mask] = None
-                    return None
+                    cache[mask] = core = _lift(low | left_dead | right_dead, steps)
+                    return core
                 if left_dead:
-                    forced |= right
+                    if not pending & right:
+                        pending |= right
+                        steps.append((right, low | left_dead))
                 elif right_dead:
-                    forced |= left
+                    if not pending & left:
+                        pending |= left
+                        steps.append((left, low | right_dead))
                 else:
                     keep |= low
             ors = keep
-            pending = forced & ~seen
         literals = seen & lits
         state = literals | ors | seen & (context.boxes | context.dias)
-        hit = cache.get(state, _MISSING)
-        if hit is not _MISSING:
+        hit = cache.get(state)
+        if hit is not None:
+            if hit.__class__ is int:
+                hit = _lift(hit, steps)
             cache[mask] = hit
             return hit
         if ors:
@@ -438,9 +479,14 @@ class _Tableau:
             low = ors & -ors
             first, second, not_first, _ = data[low.bit_length() - 1]
             result = self.solve(state | first, depth)
-            if result is not None:
+            if result.__class__ is tuple:
                 cache[mask] = cache[state] = result
                 return result
+            if not result & first:
+                # the first side's refutation holds without it: backjump
+                self.backjumps += 1
+                return self._refute(mask, state, result, steps)
+            core = result & ~first | low
             lead = self.refuted
         else:
             lead = 0
@@ -463,22 +509,49 @@ class _Tableau:
                 low = m & -m
             m &= ~low
             child = self.solve(data[low.bit_length() - 1] | box_bodies, depth + 1)
-            if child is None:
-                self.refuted = low
-                cache[mask] = cache[state] = None
-                return None
+            if child.__class__ is int:
+                # the diamond and the boxes whose bodies the child's core
+                # used; boxes alone spawn no world, so the diamond stays
+                self.refuted = core = low
+                m = boxes
+                while m:
+                    box = m & -m
+                    m &= m - 1
+                    if child & data[box.bit_length() - 1]:
+                        core |= box
+                return self._refute(mask, state, core, steps)
             children.append(child)
             low = 0
         if ors:
             result = self.solve(state | not_first | second, depth)
+            if result.__class__ is int:
+                # a second side refuted without its own bits refutes alone
+                added = not_first | second
+                if result & added:
+                    result = core | result & ~added
+                return self._refute(mask, state, result, steps)
         else:
             true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
             result = (true_vars, tuple(children))
         cache[mask] = cache[state] = result
         return result
 
+    def _refute(self, mask: int, state: int, core: int, steps: list) -> int:
+        """Store the refutation of ``state`` by ``core``, a subset of it,
+        and return its lift to ``mask``."""
+        cache = self.context.cache
+        cache[state] = core
+        cache[mask] = core = _lift(core, steps)
+        return core
 
-_MISSING = object()
+
+def _lift(core: int, steps: list) -> int:
+    """The bits of a label that the bits ``core`` of its saturation came
+    from: each derived bit is replaced by its origin, latest first."""
+    for new, origin in reversed(steps):
+        if core & new:
+            core = core & ~new | origin
+    return core
 
 
 def _tree_to_model(tree, variables: frozenset[int]) -> KripkeModel:
@@ -520,9 +593,10 @@ def sat_k_tableau(
     root = context.join(expand_sugar(f))
     tableau = _Tableau(context, budget)
     tree = tableau.solve(root, 0)
-    build = None if tree is None else functools.partial(_tree_to_model, tree, modal_vars(f))
-    counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches)
-    return SatVerdict(tree is not None, "tableau", None, *counters, build)
+    satisfiable = isinstance(tree, tuple)
+    build = functools.partial(_tree_to_model, tree, modal_vars(f)) if satisfiable else None
+    counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps)
+    return SatVerdict(satisfiable, "tableau", None, *counters, build)
 
 
 # ---------------------------------------------------------------------------

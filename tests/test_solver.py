@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_model, modal_formulas
 from modalred import solver
-from modalred.kripke import BaseWorld, _assigned_model, model_check, model_check_all, model_to_json
+from modalred.kripke import BaseWorld, _assigned_model, _bits, model_check, model_check_all, model_to_json
 from modalred.pipeline import build_corpus, random_matrix, random_modal_formula
 from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
@@ -109,19 +109,19 @@ GOLDEN_TABLEAU = [
     ("star", "A p1 . E p2 . p1 -> p2", (True, 14, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 1938, 8, 112, (
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 1354, 8, 112, (
         "8ce64f07421b2b883064be5eedd7a482ba95bcc8758ae06faf59fb950c513e78"
     ))),
-    ("star", "E p1 . A p2 . p1 & p2", (False, 18, 2, 0, None)),
-    ("alpha", "E p1 . A p2 . p1 & p2", (False, 1986, 8, 0, None)),
+    ("star", "E p1 . A p2 . p1 & p2", (False, 16, 2, 0, None)),
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 1187, 8, 0, None)),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 94, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 7539, 11, 271, (
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 3523, 10, 271, (
         "7bad10a1bd9c1455e14ddf8d6387d5c5544a2d951552c133d1d24f87b7497c42"
     ))),
-    ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 44, 3, 0, None)),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 7402, 11, 0, None)),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 35, 3, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 2870, 10, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 4, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
@@ -153,36 +153,44 @@ def test_golden_tableau_counters(stage, text, expected):
     ) == expected
 
 
+def by_query(rows):
+    """Parameters named by stage and query text alone, so that a change to
+    the search changes the pinned counts but not the test names."""
+    return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
+
+
 # label visits answered by the memo table without saturating
 GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 530),
-    ("alpha", "E p1 . A p2 . p1 & p2", 511),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 1936),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 280),
+    ("alpha", "E p1 . A p2 . p1 & p2", 215),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 414),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 0),
 ]
 
 
-@pytest.mark.parametrize("stage, text, expected", GOLDEN_MEMO_HITS)
+@pytest.mark.parametrize("stage, text, expected", by_query(GOLDEN_MEMO_HITS))
 def test_golden_memo_hits(stage, text, expected):
     assert sat_k_tableau(golden_formula(stage, text)).memo_hits == expected
 
 
-# labels that branched on a disjunction, one per GOLDEN_TABLEAU query
+# labels that branched on a disjunction, and those of them refuted by a
+# first side whose core did not use it (backjumps), one per GOLDEN_TABLEAU
+# query
 GOLDEN_BRANCHES = [
-    ("star", "A p1 . p1", 1),
-    ("alpha", "A p1 . p1", 20),
-    ("star", "E p1 . p1", 1),
-    ("alpha", "E p1 . p1", 20),
-    ("star", "A p1 . E p2 . p1 -> p2", 6),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 689),
-    ("star", "E p1 . A p2 . p1 & p2", 7),
-    ("alpha", "E p1 . A p2 . p1 & p2", 695),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 43),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 3552),
-    ("star", "E p1 . A p2 . E p3 . p1 & p2", 18),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 3412),
-    ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1),
-    ("modal", "box<=25 (<> p1 & <> ~p1)", 0),
+    ("star", "A p1 . p1", 1, 0),
+    ("alpha", "A p1 . p1", 20, 0),
+    ("star", "E p1 . p1", 1, 0),
+    ("alpha", "E p1 . p1", 20, 0),
+    ("star", "A p1 . E p2 . p1 -> p2", 6, 0),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 570, 158),
+    ("star", "E p1 . A p2 . p1 & p2", 7, 2),
+    ("alpha", "E p1 . A p2 . p1 & p2", 509, 144),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 43, 0),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 2238, 619),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 18, 8),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1852, 491),
+    ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1, 0),
+    ("modal", "box<=25 (<> p1 & <> ~p1)", 0, 0),
 ]
 
 
@@ -190,9 +198,10 @@ def test_golden_branches_cover_golden_tableau():
     assert [row[:2] for row in GOLDEN_BRANCHES] == [row[:2] for row in GOLDEN_TABLEAU]
 
 
-@pytest.mark.parametrize("stage, text, expected", GOLDEN_BRANCHES)
-def test_golden_branches(stage, text, expected):
-    assert sat_k_tableau(golden_formula(stage, text)).branches == expected
+@pytest.mark.parametrize("stage, text, branches, backjumps", by_query(GOLDEN_BRANCHES))
+def test_golden_branches(stage, text, branches, backjumps):
+    verdict = sat_k_tableau(golden_formula(stage, text))
+    assert (verdict.branches, verdict.backjumps) == (branches, backjumps)
 
 
 @pytest.mark.parametrize(
@@ -216,22 +225,59 @@ def test_disjunction_asserts_the_side_that_spawns_no_world_first(text, first):
 
 def test_alpha_guard_refuted_within_a_small_budget():
     # the right side of a ladder disjunction is a box and builds no world;
-    # asserting it first, and probing diamonds only once it fails, refutes
-    # this instance in 39,026 nodes (64,187 when every label probed its
-    # diamonds before branching, 306,691 when the diamond side went first)
+    # asserting it first, probing diamonds only once it fails, and
+    # backjumping over a branch its refutation did not use refutes this
+    # instance in 8,476 nodes (39,026 without backjumping, 64,187 when every
+    # label probed its diamonds before branching, 306,691 when the diamond
+    # side went first)
     f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
-    assert not sat_k_tableau(f, budget=50_000).satisfiable
+    assert not sat_k_tableau(f, budget=10_000).satisfiable
 
 
 @pytest.mark.parametrize("first", ["p{}", "[] p{}"])
 def test_diamond_lookahead_keeps_a_visible_refutation_linear(first):
     # the diamond fails beside the box before any branch; the search
-    # branches first and probes once a first side fails, so each of the 40
-    # disjunctions costs two nodes, its first side and one probe; without
-    # the probe before the second side each one would double the search
+    # branches first, and below the last first side one probe refutes the
+    # label by the diamond and the box alone, so every first side backjumps:
+    # each of the 40 disjunctions costs one node (two without backjumping,
+    # where each label probes once its first side fails; without that probe
+    # each one would double the search)
     disjunctions = [f"({first.format(i)} | p{i + 1})" for i in range(2, 81, 2)]
     f = parse_modal(" & ".join(["<> p1", "[] ~p1", *disjunctions]))
-    assert not sat_k_tableau(f, budget=2 * len(disjunctions) + 2).satisfiable
+    verdict = sat_k_tableau(f, budget=len(disjunctions) + 2)
+    assert not verdict.satisfiable
+    assert verdict.backjumps == len(disjunctions)
+
+
+def test_backjumping_skips_branches_a_refutation_did_not_use():
+    # the last four clauses are unsatisfiable on their own; the k before
+    # them branch first, and every refutation below uses none of their
+    # bits, so each label backjumps over its second side: k + 3 nodes, where
+    # a search that tries every second side needs 2 ** (k + 2) - 1
+    k = 20
+    clauses = [f"(p{i} | p{100 + i})" for i in range(1, k + 1)]
+    clauses += ["(p90 | p91)", "(p90 | ~p91)", "(~p90 | p91)", "(~p90 | ~p91)"]
+    verdict = sat_k_tableau(parse_modal(" & ".join(clauses)), budget=k + 3)
+    assert (verdict.satisfiable, verdict.nodes, verdict.backjumps) == (False, k + 3, k)
+
+
+def test_memo_cores_are_refuted_subsets_of_their_labels():
+    # the memo holds a tuple for a satisfiable label and, for a refuted one,
+    # its core: a non-empty subset of the label that is refuted on its own
+    rng = random.Random(5)
+    queries = [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=0)]
+    queries += [random_modal_formula(rng, 30) for _ in range(60)]
+    cores = []
+    for f in queries:
+        context = TableauContext()
+        sat_k_tableau(f, context=context)
+        for label, core in context.cache.items():
+            if not isinstance(core, tuple):
+                assert isinstance(core, int) and core and not core & ~label
+                cores.append([context.formulas[i] for i in _bits(core)])
+    assert len(cores) > 1000
+    for parts in rng.sample(cores, 200):
+        assert not sat_k_tableau(parts[0] if len(parts) == 1 else MAnd(tuple(parts))).satisfiable
 
 
 @pytest.mark.parametrize("budget", [0, -5, 1.5, "10", True])
@@ -289,10 +335,12 @@ NUMBERED_QUERIES = [golden_formula(stage, text) for stage, text, _ in GOLDEN_TAB
 @pytest.mark.parametrize("f", NUMBERED_QUERIES)
 def test_result_carries_its_world_count(f):
     context = TableauContext()
-    tree = _Tableau(context, 10**7).solve(context.join(expand_sugar(f)), 0)
+    root = context.join(expand_sugar(f))
+    tree = _Tableau(context, 10**7).solve(root, 0)
     verdict = sat_k_tableau(f)
-    assert (tree is not None) == verdict.satisfiable
-    if tree is None:
+    assert isinstance(tree, tuple) == verdict.satisfiable
+    if not isinstance(tree, tuple):
+        assert tree == root  # a refuted label's core: a non-empty subset of it
         return
     distinct: dict = {}
     _unfolded_worlds(tree, distinct)
@@ -471,16 +519,21 @@ def _counters(verdict):
 @pytest.mark.parametrize(
     "earlier, text",
     [
-        (alpha(3), "A p1 . E p2 . p1 -> p2"),  # 20 of its 117 formulas numbered
-        (encode_alpha(parse_qbf("A p1 . E p2 . A p3 . p2 | p3")), "E p1 . A p2 . p1 | p2"),  # 72 of 117
+        # the numbered-share rule: 20 of the query's 117 formulas numbered
+        (alpha(3), "A p1 . E p2 . p1 -> p2"),
+        # the cap rule: 61 of 117 numbered, but 14,720 labels in the memo
+        (encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)")), "E p1 . A p2 . p1 | p2"),
     ],
 )
 def test_a_query_mostly_new_to_the_context_searches_as_alone(earlier, text):
     f = encode_alpha(parse_qbf(text))
+    alone = TableauContext()
+    alone.join(expand_sugar(f))
     context = TableauContext()
     sat_k_tableau(earlier, context=context)
     assert context.cache
     assert _counters(sat_k_tableau(f, context=context)) == _counters(sat_k_tableau(f))
+    assert context.formulas == alone.formulas  # the context started afresh
     # asked again, the query is all numbered and its root label is known
     again = sat_k_tableau(f, context=context)
     assert (again.nodes, again.memo_hits) == (1, 1)

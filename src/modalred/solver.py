@@ -3,8 +3,7 @@
 ``sat_k_tableau`` is a single-branch depth-first tableau with on-the-fly
 successor generation: saturate a world label propositionally (conjunctions
 first, then disjunctions, ties broken by subformula position), then branch on
-the lowest open disjunction, probing the diamonds against the boxes only if
-its first side fails, or with none open spawn one successor per diamond,
+the lowest open disjunction, or with none open spawn one successor per diamond,
 carrying the boxed formulas.  A refuted label returns its core, the bits of
 the label that its refutation used, and a branch whose first side is refuted
 by a core without that side is refuted by that core alone: the search jumps
@@ -25,7 +24,7 @@ engines return only what their witness is built from:
 verdict whose witness nobody reads builds none.
 Labels are bit sets: one explicit-stack pass numbers the query's NNF in
 depth-first pre-order (which fixes which disjunction is branched on and the
-probing order), and saturation reads one mask per formula kind.  What that
+diamond order), and saturation reads one mask per formula kind.  What that
 pass reads depends on each formula alone, so it is kept in process-wide
 tables keyed by hash-consed node, like ``syntax._EXPAND_MEMO``, and built at
 most once per process: the negation normal forms of a formula and of its
@@ -341,38 +340,31 @@ class _Tableau:
     Saturation drains conjunctions, checks newly seen literals for clashes,
     and unit-propagates disjunctions whose one side is already refuted; then
     the search branches on the lowest-bit open disjunction at once, first on
-    its first side.  Only if that side fails are the label's diamonds probed
-    against its current boxes, the one whose probe failed last in the query
-    (``refuted``) first and the rest in bit order, and only if every probe
-    succeeds does the search try the negated first side with the second.
-    The probe is a sound lookahead (Horrocks & Patel-Schneider, J. Logic
-    Comput. 9(3), 1999): boxes only grow along a branch, so a diamond that
-    fails now fails under both sides.  The first side seldom fails, so most
-    labels that branch never probe.  A label with no open disjunction
-    probes every diamond in bit order, and its children make its result.
-    A label's result depends on its saturated state alone, so the probing
-    order moves only which labels are searched, never the result of one.
-    Saturation reads the sides symmetrically, so the side order moves only
-    the branch order.
+    its first side, then on the negated first side with the second.  A
+    label with no open disjunction spawns a child per diamond in bit order,
+    and its children make its result.  Saturation reads the sides
+    symmetrically, so the side order moves only the branch order.
 
     A refuted label answers with its core, the bits of the label that its
     refutation used (dependency-directed backjumping, Horrocks &
-    Patel-Schneider, ibid.).  Saturation records, for the bits it derives,
-    the seen bits they came from: a conjunct comes from its conjunction, a
-    forced side from its disjunction and the negated side that killed it.
-    A clash, a ``false`` or a dead disjunction is refuted by the bits
-    involved, traced back to the label's own (``_lift``).  A refuted
-    diamond child refutes the label by the diamond and the boxes whose
-    bodies the child's core used; the diamond is always in it, since boxes
-    alone spawn no world.  If the first side's core does not hold that
-    side, the core refutes the label alone, and the probes and the second
-    side are skipped: a backjump.  A second side's core that holds neither
-    the negated first side nor the second refutes the label alone too;
-    otherwise the label's core is the two cores less their sides' bits,
-    with the disjunction.  Backjumping skips work only under labels refuted
-    anyway, and a satisfiable label's result depends on its saturated state
-    alone, so a lone query gets the verdict and witness of the search that
-    tries every branch.
+    Patel-Schneider, J. Logic Comput. 9(3), 1999).  Saturation records, for
+    the bits it derives, the seen bits they came from: a conjunct comes from
+    its conjunction, a forced side from its disjunction and the negated
+    side that killed it.  A clash, a ``false`` or a dead disjunction is
+    refuted by the bits involved, traced back to the label's own
+    (``_lift``).  A refuted diamond child refutes the label by the diamond
+    and the boxes whose bodies the child's core used; the diamond is always
+    in it, since boxes alone spawn no world.  If the first side's core does
+    not hold that side, the core refutes the label alone, and the second
+    side is skipped: a backjump.  A refutation already visible before a
+    branch, such as a diamond that fails beside the boxes, has a core
+    without the branch's sides, so every branch above it backjumps.  A
+    second side's core that holds neither the negated first side nor the
+    second refutes the label alone too; otherwise the label's core is the
+    two cores less their sides' bits, with the disjunction.  Backjumping
+    skips work only under labels refuted anyway, and a satisfiable label's
+    result depends on its saturated state alone, so a lone query gets the
+    verdict and witness of the search that tries every branch.
 
     ``solve`` counts the node (budget and depth included) and then answers a
     label in the context's memo without saturating it; ``memo_hits`` counts
@@ -382,8 +374,8 @@ class _Tableau:
     same table: a saturated state saturates to itself, so it is a label with
     the same answer; a core is stored under the state in the state's bits
     and traced back to the label's under the label.  The tableau holds only
-    the budget, these counters and ``refuted``, which belong to its query;
-    the tables live in the context.
+    its context and its query's budget and counters; the tables live in the
+    context.
     """
 
     def __init__(self, context: TableauContext, budget: int):
@@ -394,7 +386,6 @@ class _Tableau:
         self.memo_hits = 0
         self.branches = 0
         self.backjumps = 0
-        self.refuted = 0  # the diamond whose probe failed last
 
     def solve(self, mask: int, depth: int):
         """(true variables, children) for a satisfiable label, else its
@@ -479,18 +470,21 @@ class _Tableau:
             low = ors & -ors
             first, second, not_first, _ = data[low.bit_length() - 1]
             result = self.solve(state | first, depth)
-            if result.__class__ is tuple:
-                cache[mask] = cache[state] = result
-                return result
-            if not result & first:
-                # the first side's refutation holds without it: backjump
-                self.backjumps += 1
-                return self._refute(mask, state, result, steps)
-            core = result & ~first | low
-            lead = self.refuted
-        else:
-            lead = 0
-        # probing doubles as the closing rule when no disjunction is open
+            if result.__class__ is int:
+                if not result & first:
+                    # the first side's refutation holds without it: backjump
+                    self.backjumps += 1
+                    return self._refute(mask, state, result, steps)
+                core = result & ~first | low
+                result = self.solve(state | not_first | second, depth)
+                if result.__class__ is int:
+                    # a second side refuted without its own bits refutes alone
+                    added = not_first | second
+                    if result & added:
+                        result = core | result & ~added
+                    return self._refute(mask, state, result, steps)
+            cache[mask] = cache[state] = result
+            return result
         boxes = seen & context.boxes
         box_bodies = context.box_bodies.get(boxes)
         if box_bodies is None:
@@ -503,16 +497,14 @@ class _Tableau:
             context.box_bodies[boxes] = box_bodies
         children = []
         m = seen & context.dias
-        low = lead & m
         while m:
-            if not low:
-                low = m & -m
-            m &= ~low
+            low = m & -m
+            m &= m - 1
             child = self.solve(data[low.bit_length() - 1] | box_bodies, depth + 1)
             if child.__class__ is int:
                 # the diamond and the boxes whose bodies the child's core
                 # used; boxes alone spawn no world, so the diamond stays
-                self.refuted = core = low
+                core = low
                 m = boxes
                 while m:
                     box = m & -m
@@ -521,18 +513,8 @@ class _Tableau:
                         core |= box
                 return self._refute(mask, state, core, steps)
             children.append(child)
-            low = 0
-        if ors:
-            result = self.solve(state | not_first | second, depth)
-            if result.__class__ is int:
-                # a second side refuted without its own bits refutes alone
-                added = not_first | second
-                if result & added:
-                    result = core | result & ~added
-                return self._refute(mask, state, result, steps)
-        else:
-            true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
-            result = (true_vars, tuple(children))
+        true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
+        result = (true_vars, tuple(children))
         cache[mask] = cache[state] = result
         return result
 

@@ -95,33 +95,39 @@ class TestTableau:
         assert model_check(verdict.witness, verdict.witness.root, f)
 
 
+def by_query(rows):
+    """Parameters named by stage and query text alone, so that a change to
+    the search changes the pinned counts but not the test names."""
+    return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
+
+
 # (satisfiable, nodes, depth, witness worlds, sha256 of the witness JSON);
 # a change in the first three means the search itself changed
 GOLDEN_TABLEAU = [
     ("star", "A p1 . p1", (False, 5, 1, 0, None)),
-    ("alpha", "A p1 . p1", (False, 75, 5, 0, None)),
+    ("alpha", "A p1 . p1", (False, 66, 5, 0, None)),
     ("star", "E p1 . p1", (True, 4, 1, 2, (
         "5566f467e55fc0eec6cf313474293c0fea0dfd905c0bb1970d34fb4418f21e34"
     ))),
-    ("alpha", "E p1 . p1", (True, 74, 5, 33, (
+    ("alpha", "E p1 . p1", (True, 65, 5, 33, (
         "94a8ae89e94274c1635379bddf9a4de056f0fd6b1e37cc9df66f9ccfc4557131"
     ))),
     ("star", "A p1 . E p2 . p1 -> p2", (True, 14, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 1354, 8, 112, (
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 1255, 10, 112, (
         "8ce64f07421b2b883064be5eedd7a482ba95bcc8758ae06faf59fb950c513e78"
     ))),
-    ("star", "E p1 . A p2 . p1 & p2", (False, 16, 2, 0, None)),
-    ("alpha", "E p1 . A p2 . p1 & p2", (False, 1187, 8, 0, None)),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 94, 3, 9, (
+    ("star", "E p1 . A p2 . p1 & p2", (False, 17, 2, 0, None)),
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 1016, 9, 0, None)),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 68, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 3523, 10, 271, (
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 3341, 12, 271, (
         "7bad10a1bd9c1455e14ddf8d6387d5c5544a2d951552c133d1d24f87b7497c42"
     ))),
-    ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 35, 3, 0, None)),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 2870, 10, 0, None)),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 34, 3, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 2768, 12, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 4, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
@@ -140,7 +146,7 @@ def golden_formula(stage, text):
     return encode_alpha(parse_qbf(text))
 
 
-@pytest.mark.parametrize("stage, text, expected", GOLDEN_TABLEAU)
+@pytest.mark.parametrize("stage, text, expected", by_query(GOLDEN_TABLEAU))
 def test_golden_tableau_counters(stage, text, expected):
     verdict = sat_k_tableau(golden_formula(stage, text))
     witness = verdict.witness
@@ -153,17 +159,11 @@ def test_golden_tableau_counters(stage, text, expected):
     ) == expected
 
 
-def by_query(rows):
-    """Parameters named by stage and query text alone, so that a change to
-    the search changes the pinned counts but not the test names."""
-    return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
-
-
 # label visits answered by the memo table without saturating
 GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 280),
-    ("alpha", "E p1 . A p2 . p1 & p2", 215),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 414),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 150),
+    ("alpha", "E p1 . A p2 . p1 & p2", 129),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 216),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 0),
 ]
 
@@ -182,13 +182,13 @@ GOLDEN_BRANCHES = [
     ("star", "E p1 . p1", 1, 0),
     ("alpha", "E p1 . p1", 20, 0),
     ("star", "A p1 . E p2 . p1 -> p2", 6, 0),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 570, 158),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 563, 161),
     ("star", "E p1 . A p2 . p1 & p2", 7, 2),
-    ("alpha", "E p1 . A p2 . p1 & p2", 509, 144),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 43, 0),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 2238, 619),
+    ("alpha", "E p1 . A p2 . p1 & p2", 471, 140),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 33, 0),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 2224, 756),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", 18, 8),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1852, 491),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1830, 594),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1, 0),
     ("modal", "box<=25 (<> p1 & <> ~p1)", 0, 0),
 ]
@@ -225,23 +225,23 @@ def test_disjunction_asserts_the_side_that_spawns_no_world_first(text, first):
 
 def test_alpha_guard_refuted_within_a_small_budget():
     # the right side of a ladder disjunction is a box and builds no world;
-    # asserting it first, probing diamonds only once it fails, and
-    # backjumping over a branch its refutation did not use refutes this
-    # instance in 8,476 nodes (39,026 without backjumping, 64,187 when every
-    # label probed its diamonds before branching, 306,691 when the diamond
-    # side went first)
+    # asserting it first and backjumping over a branch its refutation did
+    # not use refutes this instance in 6,684 nodes (8,476 when a label
+    # probed its diamonds once its first side failed, 39,026 without
+    # backjumping, 64,187 when every label probed its diamonds before
+    # branching, 306,691 when the diamond side went first)
     f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
-    assert not sat_k_tableau(f, budget=10_000).satisfiable
+    assert not sat_k_tableau(f, budget=7_000).satisfiable
 
 
 @pytest.mark.parametrize("first", ["p{}", "[] p{}"])
-def test_diamond_lookahead_keeps_a_visible_refutation_linear(first):
+def test_backjumping_keeps_a_visible_refutation_linear(first):
     # the diamond fails beside the box before any branch; the search
-    # branches first, and below the last first side one probe refutes the
-    # label by the diamond and the box alone, so every first side backjumps:
-    # each of the 40 disjunctions costs one node (two without backjumping,
-    # where each label probes once its first side fails; without that probe
-    # each one would double the search)
+    # branches on every disjunction first, and the one label left with none
+    # open is refuted by its diamond's child, whose core is the diamond and
+    # the box alone; no first side is in it, so every label backjumps over
+    # its second side: each of the 40 disjunctions costs one node, where a
+    # search that tries every second side doubles with each of them
     disjunctions = [f"({first.format(i)} | p{i + 1})" for i in range(2, 81, 2)]
     f = parse_modal(" & ".join(["<> p1", "[] ~p1", *disjunctions]))
     verdict = sat_k_tableau(f, budget=len(disjunctions) + 2)
@@ -259,6 +259,26 @@ def test_backjumping_skips_branches_a_refutation_did_not_use():
     clauses += ["(p90 | p91)", "(p90 | ~p91)", "(~p90 | p91)", "(~p90 | ~p91)"]
     verdict = sat_k_tableau(parse_modal(" & ".join(clauses)), budget=k + 3)
     assert (verdict.satisfiable, verdict.nodes, verdict.backjumps) == (False, k + 3, k)
+
+
+def test_a_tableau_holds_only_its_context_budget_and_counters():
+    # search state carried from label to label within a query (say, the
+    # diamond that failed last) would make a label's search depend on the
+    # labels searched before it
+    f = expand_sugar(golden_formula("alpha", "E p1 . A p2 . p1 & p2"))
+    context = TableauContext()
+    tableau = _Tableau(context, 10_000)
+    assert isinstance(tableau.solve(context.join(f), 0), int)
+    verdict = sat_k_tableau(f)
+    assert vars(tableau) == {
+        "context": context,
+        "budget": 10_000,
+        "nodes": verdict.nodes,
+        "max_depth": verdict.depth,
+        "memo_hits": verdict.memo_hits,
+        "branches": verdict.branches,
+        "backjumps": verdict.backjumps,
+    }
 
 
 def test_memo_cores_are_refuted_subsets_of_their_labels():

@@ -230,9 +230,9 @@ def build_corpus(
 
 
 # The tableau context of every alpha query of the process: the variable-free
-# encodings of one corpus share their ladders alpha(k), so a label one of
-# them decided answers the others.  The context starts afresh by its own
-# rules (``solver._CONTEXT_MEMO_CAP`` and ``_CONTEXT_MIN_NUMBERED``).
+# encodings of one corpus share their ladders alpha(k), so a saturated state
+# one of them decided answers the others.  The context starts afresh when its
+# memo holds more than ``solver._CONTEXT_MEMO_CAP`` states.
 _ALPHA_CONTEXT = TableauContext()
 
 

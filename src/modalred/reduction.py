@@ -86,10 +86,6 @@ class EncodingContext:
     quantifiers: tuple[tuple[str, int], ...]
     matrix: QbfFormula
 
-    @property
-    def renaming(self) -> dict[int, int]:
-        return {i: self.n + 1 + i for i in range(self.n + 2)}
-
     def q_index(self, i: int) -> int:
         if not 0 <= i <= self.n + 1:
             raise ValueError(f"q index out of range: {i}")

@@ -11,14 +11,15 @@ back over the rest of the branch (dependency-directed backjumping, Horrocks
 & Patel-Schneider, J. Logic Comput. 9(3), 1999).  Sound and complete for K
 over finite tree models; satisfiable verdicts come with a shared (DAG) witness
 whose depth is at most the modal depth of the query.  One memo table, keyed by
-label, answers a label met before without saturating it again, so repeated
-sub-labels (ubiquitous in the ladder encodings) are decided once; a memo hit
-still counts as a search node.  The memo and the bit numbering make a
-``TableauContext``: a lone query gets a fresh one, and queries that share
-one reuse each other's labels, since in K a label's answer does not depend
-on the query it came from.  A satisfiable label's result is a pair (true
-variables, children), and a memo hit hands back the same pair, so the
-results form a DAG; the witness has one world per distinct result.  Both
+saturated state, answers a label whose saturation reaches a state met before
+without searching it again, so repeated sub-labels (ubiquitous in the ladder
+encodings) are searched once; a memo hit still counts as a search node.  The
+memo and the bit numbering make a ``TableauContext``: a lone query gets a
+fresh one, and queries that share one reuse each other's states, since in K
+a state's answer does not depend on the query it came from.  A satisfiable
+state's result is a pair (true variables, children), and a memo hit hands
+back the same pair, so the results form a DAG; the witness has one world per
+distinct result.  Both
 engines return only what their witness is built from:
 ``SatVerdict.witness`` builds the model the first time it is read, so a
 verdict whose witness nobody reads builds none.
@@ -36,7 +37,7 @@ whose right side may not is branched right side first, so the search tries
 the side that builds no world before the one that does (the choice of
 branch, Horrocks & Patel-Schneider, J. Logic Comput. 9(3), 1999).  In the
 variable-free encoding that side is the box of a negated ladder, and the
-order cuts the search several times over.  The numbering and the label memo
+order cuts the search several times over.  The numbering and the memo
 belong to the context, the budget and the counters to one query.  No
 recursion runs before the search itself.
 
@@ -116,8 +117,8 @@ class SatVerdict:
     ``engine`` is "tableau" or "bounded"; for the bounded engine ``bound``
     records the world limit and an unsatisfiable verdict is only
     bound-relative.  ``nodes`` and ``depth`` are search statistics;
-    ``memo_hits`` counts the tableau's label visits answered from its memo
-    table without saturating (they are counted in ``nodes`` too),
+    ``memo_hits`` counts the tableau's label visits whose saturated state
+    its memo table answered (they are counted in ``nodes`` too),
     ``branches`` the labels that branched on a disjunction and ``backjumps``
     those of them refuted by their first side's core alone; all three stay
     0 for the bounded engine.  ``witness`` is the model of a satisfiable query
@@ -240,17 +241,14 @@ def _record(f: ModalFormula) -> tuple:
 # ---------------------------------------------------------------------------
 
 # A context starts afresh before a query joins it when its memo holds more
-# than this many labels, which bounds its memory and the width of its label
-# ints, or when less than this share of the query's formulas is numbered in
-# it already: an earlier numbering would then mostly reorder the lowest-bit
-# branch choice, not answer labels.
+# than this many states, which bounds its memory and the width of its label
+# ints.
 _CONTEXT_MEMO_CAP = 8_000
-_CONTEXT_MIN_NUMBERED = 0.5
 
 
 class TableauContext:
     """What the queries that share one context share: the bit numbering, the
-    kind masks, ``data``, the label memo and ``box_bodies``.
+    kind masks, ``data`` and the memo.
 
     Every formula that can ever enter a label (subformulas of a query's NNF,
     closed under the negations needed for semantic branching) gets a bit;
@@ -260,29 +258,27 @@ class TableauContext:
     and the side order of a disjunction, and depends on the formula alone,
     so it is built once per process and shared by every query, as are the
     NNF pairs it is read from.  A formula numbered by an earlier query keeps
-    its bit, and so does everything reachable from it, so a query extends
-    the numbering with the formulas it has not seen, in the order a fresh
-    walk would give them.  ``data`` holds per bit what saturation needs, the
-    clashing literal, the body or the conjunct bits, or a disjunction's
-    (first, second, not first, not second) side bits.  One mask per kind
-    (``lits``, ``ands``, ``ors``, ``boxes``, ``dias``, ``falses``) tells
-    which bits are of that kind; ``var_bits`` marks the literals that are
-    variables.
+    its bit, and so does everything reachable from it, so the walk stops at
+    it: a query extends the numbering with the formulas it has not seen, in
+    the order a fresh walk would give them.  ``data`` holds per bit what
+    saturation needs, the clashing literal, the body or the conjunct bits,
+    or a disjunction's (first, second, not first, not second) side bits.
+    One mask per kind (``lits``, ``ands``, ``ors``, ``boxes``, ``dias``,
+    ``falses``) tells which bits are of that kind; ``var_bits`` marks the
+    literals that are variables.
 
-    ``cache`` is the label memo, keyed by label bit mask, which holds a
-    satisfiable label's result (a tuple) or a refuted label's core (an int,
-    a non-empty subset of the key); ``box_bodies`` maps each box set met to
-    the OR of its bodies, the label part every diamond child shares.  In K
-    a label's satisfiability, the worlds that witness it and the core that
-    refutes it do not depend on the query it came from, so both tables
-    serve every query of the context (global caching: Goré & Nguyen,
-    TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).  An
-    entry is only stored for a label decided in full, so a query cut short
-    by its budget leaves the context sound.  Before a query joins, the context
-    starts afresh when its memo holds more than ``_CONTEXT_MEMO_CAP`` labels
-    or when less than ``_CONTEXT_MIN_NUMBERED`` of the query's formulas are
-    numbered already; a fresh context is the one state every lone query
-    starts from.
+    ``cache`` is the memo, keyed by saturated state (a label with no
+    conjunction and no ``false`` bit), which holds a satisfiable state's
+    result (a tuple) or a refuted state's core (an int, a non-empty subset
+    of the key).  In K a state's satisfiability, the worlds that witness it
+    and the core that refutes it do not depend on the query it came from,
+    so the memo serves every query of the context (global caching: Goré &
+    Nguyen, TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).
+    An entry is only stored for a state decided in full, so a query cut
+    short by its budget leaves the context sound.  Before a query joins,
+    the context starts afresh when its memo holds more than
+    ``_CONTEXT_MEMO_CAP`` states; a fresh context is where every lone query
+    starts.
     """
 
     def __init__(self):
@@ -290,8 +286,7 @@ class TableauContext:
         self.formulas: list = []  # bit position -> formula
         self.data: list = []
         self.masks = [0] * len(_KINDS)
-        self.cache: dict = {}  # label or saturated state -> result or core
-        self.box_bodies: dict = {}  # box set -> OR of its bodies
+        self.cache: dict = {}  # saturated state -> result or core
         self._name_masks()
 
     def _name_masks(self) -> None:
@@ -302,34 +297,26 @@ class TableauContext:
 
     def join(self, root: ModalFormula) -> int:
         """Number the formulas of the sugar-free query ``root`` that the
-        context lacks, after starting afresh if a reset rule applies, and
-        return the bit of its NNF."""
+        context lacks, after starting afresh if its memo is over the cap,
+        and return the bit of its NNF."""
+        if len(self.cache) > _CONTEXT_MEMO_CAP:
+            self.__init__()
+        bits, formulas, masks = self.bits, self.formulas, self.masks
+        start = len(formulas)
         nnf = _nnf(root)[0]
-        records: dict = {}  # formula -> record, the query's formulas in pre-order
         stack = [nnf]
         while stack:
             f = stack.pop()
-            if f not in records:
-                record = records[f] = _RECORDS.get(f) or _record(f)
-                stack.extend(record[1])
-        bits = self.bits
-        if bits and (
-            len(self.cache) > _CONTEXT_MEMO_CAP
-            or sum(f in bits for f in records) < _CONTEXT_MIN_NUMBERED * len(records)
-        ):
-            self.__init__()
-            bits = self.bits
-        new = [(f, record) for f, record in records.items() if f not in bits]
-        masks = self.masks
-        for f, (kind, _, _) in new:
-            bit = bits[f] = 1 << len(self.formulas)
-            masks[kind] |= bit
-            self.formulas.append(f)
-        self.data += [
-            tuple(map(bits.get, sides)) if kind == _OR
-            else functools.reduce(operator.or_, map(bits.get, sides), 0)
-            for _, (kind, _, sides) in new
-        ]
+            if f not in bits:  # a numbered formula's closure is numbered
+                kind, successors, _ = _RECORDS.get(f) or _record(f)
+                bit = bits[f] = 1 << len(formulas)
+                masks[kind] |= bit
+                formulas.append(f)
+                stack.extend(successors)
+        for f in formulas[start:]:
+            kind, _, sides = _RECORDS[f]
+            sides = tuple(map(bits.get, sides))
+            self.data.append(sides if kind == _OR else functools.reduce(operator.or_, sides, 0))
         self._name_masks()
         return bits[nnf]
 
@@ -366,16 +353,16 @@ class _Tableau:
     result depends on its saturated state alone, so a lone query gets the
     verdict and witness of the search that tries every branch.
 
-    ``solve`` counts the node (budget and depth included) and then answers a
-    label in the context's memo without saturating it; ``memo_hits`` counts
-    those answers, ``branches`` the labels that branched and ``backjumps``
-    those of them that backjumped.  Otherwise every outcome is stored under
-    the input label, and the saturated state is looked up and stored in the
-    same table: a saturated state saturates to itself, so it is a label with
-    the same answer; a core is stored under the state in the state's bits
-    and traced back to the label's under the label.  The tableau holds only
-    its context and its query's budget and counters; the tables live in the
-    context.
+    ``solve`` counts the node (budget and depth included), saturates the
+    label and looks its saturated state up in the context's memo, which
+    holds the outcome of every state searched in full: a core in the
+    state's bits, traced back to the label's on the way out.  A label met
+    again saturates to the same state, so the state alone is the key; a
+    refutation found while saturating depends on the label and is not
+    stored.  ``memo_hits`` counts the states the memo answered,
+    ``branches`` the labels that branched and ``backjumps`` those of them
+    that backjumped.  The tableau holds only its context and its query's
+    budget and counters; the tables live in the context.
     """
 
     def __init__(self, context: TableauContext, budget: int):
@@ -397,11 +384,6 @@ class _Tableau:
         if depth > self.max_depth:
             self.max_depth = depth
         context = self.context
-        cache = context.cache
-        hit = cache.get(mask)
-        if hit is not None:
-            self.memo_hits += 1
-            return hit
         data = context.data
         lits = context.lits
         steps = []  # (bits derived, the seen bits they came from), in order
@@ -413,16 +395,14 @@ class _Tableau:
                 seen |= pending
                 clash = pending & context.falses
                 if clash:
-                    cache[mask] = core = _lift(clash, steps)
-                    return core
+                    return _lift(clash, steps)
                 m = pending & lits
                 while m:
                     low = m & -m
                     m &= m - 1
                     clash = seen & data[low.bit_length() - 1]
                     if clash:
-                        cache[mask] = core = _lift(low | clash, steps)
-                        return core
+                        return _lift(low | clash, steps)
                 ors |= pending & context.ors
                 m = pending & context.ands
                 pending = 0
@@ -444,8 +424,7 @@ class _Tableau:
                 left_dead = seen & not_left
                 right_dead = seen & not_right
                 if left_dead and right_dead:
-                    cache[mask] = core = _lift(low | left_dead | right_dead, steps)
-                    return core
+                    return _lift(low | left_dead | right_dead, steps)
                 if left_dead:
                     if not pending & right:
                         pending |= right
@@ -459,13 +438,11 @@ class _Tableau:
             ors = keep
         literals = seen & lits
         state = literals | ors | seen & (context.boxes | context.dias)
-        hit = cache.get(state)
-        if hit is not None:
-            if hit.__class__ is int:
-                hit = _lift(hit, steps)
-            cache[mask] = hit
-            return hit
-        if ors:
+        cache = context.cache
+        result = cache.get(state)
+        if result is not None:
+            self.memo_hits += 1
+        elif ors:
             self.branches += 1
             low = ors & -ors
             first, second, not_first, _ = data[low.bit_length() - 1]
@@ -474,57 +451,45 @@ class _Tableau:
                 if not result & first:
                     # the first side's refutation holds without it: backjump
                     self.backjumps += 1
-                    return self._refute(mask, state, result, steps)
-                core = result & ~first | low
-                result = self.solve(state | not_first | second, depth)
-                if result.__class__ is int:
+                else:
+                    core = result & ~first | low
+                    result = self.solve(state | not_first | second, depth)
                     # a second side refuted without its own bits refutes alone
                     added = not_first | second
-                    if result & added:
+                    if result.__class__ is int and result & added:
                         result = core | result & ~added
-                    return self._refute(mask, state, result, steps)
-            cache[mask] = cache[state] = result
-            return result
-        boxes = seen & context.boxes
-        box_bodies = context.box_bodies.get(boxes)
-        if box_bodies is None:
-            box_bodies = 0
+            cache[state] = result
+        else:
+            boxes = seen & context.boxes
+            bodies = 0
             m = boxes
             while m:
                 low = m & -m
                 m &= m - 1
-                box_bodies |= data[low.bit_length() - 1]
-            context.box_bodies[boxes] = box_bodies
-        children = []
-        m = seen & context.dias
-        while m:
-            low = m & -m
-            m &= m - 1
-            child = self.solve(data[low.bit_length() - 1] | box_bodies, depth + 1)
-            if child.__class__ is int:
-                # the diamond and the boxes whose bodies the child's core
-                # used; boxes alone spawn no world, so the diamond stays
-                core = low
-                m = boxes
-                while m:
-                    box = m & -m
-                    m &= m - 1
-                    if child & data[box.bit_length() - 1]:
-                        core |= box
-                return self._refute(mask, state, core, steps)
-            children.append(child)
-        true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
-        result = (true_vars, tuple(children))
-        cache[mask] = cache[state] = result
-        return result
-
-    def _refute(self, mask: int, state: int, core: int, steps: list) -> int:
-        """Store the refutation of ``state`` by ``core``, a subset of it,
-        and return its lift to ``mask``."""
-        cache = self.context.cache
-        cache[state] = core
-        cache[mask] = core = _lift(core, steps)
-        return core
+                bodies |= data[low.bit_length() - 1]
+            children = []
+            m = seen & context.dias
+            while m:
+                low = m & -m
+                m &= m - 1
+                child = self.solve(data[low.bit_length() - 1] | bodies, depth + 1)
+                if child.__class__ is int:
+                    # the diamond and the boxes whose bodies the child's core
+                    # used; boxes alone spawn no world, so the diamond stays
+                    result = low
+                    m = boxes
+                    while m:
+                        box = m & -m
+                        m &= m - 1
+                        if child & data[box.bit_length() - 1]:
+                            result |= box
+                    break
+                children.append(child)
+            else:
+                true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
+                result = (true_vars, tuple(children))
+            cache[state] = result
+        return _lift(result, steps) if result.__class__ is int else result
 
 
 def _lift(core: int, steps: list) -> int:

@@ -50,7 +50,7 @@ class TestPrepareContext:
         ctx = prepare_context(parse_qbf("A p1 . E p2 . p1 & p2"))
         assert ctx.n == 2
         assert ctx.quantifiers == (("A", 1), ("E", 2))
-        assert ctx.renaming == {0: 3, 1: 4, 2: 5, 3: 6}
+        assert {i: ctx.q_index(i) for i in range(ctx.n + 2)} == {0: 3, 1: 4, 2: 5, 3: 6}
         assert ctx.var_count == 6
 
     def test_rejects_quantifier_free(self):

@@ -159,11 +159,11 @@ def test_golden_tableau_counters(stage, text, expected):
     ) == expected
 
 
-# label visits answered by the memo table without saturating
+# labels whose saturated state the memo table answered without searching
 GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 150),
-    ("alpha", "E p1 . A p2 . p1 & p2", 129),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 216),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 270),
+    ("alpha", "E p1 . A p2 . p1 & p2", 200),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 324),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 0),
 ]
 
@@ -282,8 +282,8 @@ def test_a_tableau_holds_only_its_context_budget_and_counters():
 
 
 def test_memo_cores_are_refuted_subsets_of_their_labels():
-    # the memo holds a tuple for a satisfiable label and, for a refuted one,
-    # its core: a non-empty subset of the label that is refuted on its own
+    # the memo holds a tuple for a satisfiable state and, for a refuted one,
+    # its core: a non-empty subset of the state that is refuted on its own
     rng = random.Random(5)
     queries = [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=0)]
     queries += [random_modal_formula(rng, 30) for _ in range(60)]
@@ -536,27 +536,48 @@ def _counters(verdict):
     return verdict.satisfiable, verdict.nodes, verdict.depth, verdict.memo_hits, verdict.branches, sha
 
 
-@pytest.mark.parametrize(
-    "earlier, text",
-    [
-        # the numbered-share rule: 20 of the query's 117 formulas numbered
-        (alpha(3), "A p1 . E p2 . p1 -> p2"),
-        # the cap rule: 61 of 117 numbered, but 14,720 labels in the memo
-        (encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)")), "E p1 . A p2 . p1 | p2"),
-    ],
-)
-def test_a_query_mostly_new_to_the_context_searches_as_alone(earlier, text):
-    f = encode_alpha(parse_qbf(text))
+def test_a_query_after_a_full_memo_searches_as_alone():
+    # the earlier query leaves 14,789 saturated states in the memo, over the
+    # cap, so the context starts afresh although 60 of the query's 117
+    # formulas are numbered in it
+    earlier = encode_alpha(parse_qbf("A p1 . E p2 . A p3 . E p4 . A p5 . (p1 -> p2) & (p3 -> p4) | p5"))
+    f = encode_alpha(parse_qbf("E p1 . A p2 . p1 | p2"))
     alone = TableauContext()
     alone.join(expand_sugar(f))
     context = TableauContext()
     sat_k_tableau(earlier, context=context)
-    assert context.cache
+    assert len(context.cache) > solver._CONTEXT_MEMO_CAP
     assert _counters(sat_k_tableau(f, context=context)) == _counters(sat_k_tableau(f))
     assert context.formulas == alone.formulas  # the context started afresh
-    # asked again, the query is all numbered and its root label is known
+    # asked again, the query is all numbered and its root's state is known
     again = sat_k_tableau(f, context=context)
     assert (again.nodes, again.memo_hits) == (1, 1)
+
+
+@pytest.mark.parametrize("text", [text for stage, text, _ in GOLDEN_TABLEAU if stage == "alpha"])
+def test_the_memo_is_keyed_by_saturated_states(monkeypatch, text):
+    # a key holds no conjunction and no ``false``: saturation drains the
+    # one and refutes the other, so only a saturated state is ever stored
+    root = expand_sugar(encode_alpha(parse_qbf(text)))
+    context = TableauContext()
+    sat_k_tableau(root, context=context)
+    assert context.cache
+    assert not [key for key in context.cache if key & (context.ands | context.falses)]
+    # joining again numbers nothing and reads no record: the walk stops at
+    # the root, whose closure is numbered
+    built = []
+    record = solver._record
+
+    def spied(f):
+        built.append(f)
+        return record(f)
+
+    monkeypatch.setattr(solver, "_RECORDS", {})
+    monkeypatch.setattr(solver, "_record", spied)
+    numbering = (list(context.formulas), list(context.data), list(context.masks))
+    assert context.join(root) == 1
+    assert (context.formulas, context.data, context.masks) == numbering
+    assert built == []
 
 
 def test_a_budget_error_leaves_a_shared_context_usable():

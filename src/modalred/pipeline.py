@@ -231,8 +231,9 @@ def build_corpus(
 
 # The tableau context of every alpha query of the process: the variable-free
 # encodings of one corpus share their ladders alpha(k), so a saturated state
-# one of them decided answers the others.  The context starts afresh when its
-# memo holds more than ``solver._CONTEXT_MEMO_CAP`` states.
+# one of them decided, or a two-bit core one of them stored, answers the
+# others.  The context starts afresh when its memo holds more than
+# ``solver._CONTEXT_MEMO_CAP`` states.
 _ALPHA_CONTEXT = TableauContext()
 
 

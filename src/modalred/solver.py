@@ -13,16 +13,22 @@ over finite tree models; satisfiable verdicts come with a shared (DAG) witness
 whose depth is at most the modal depth of the query.  One memo table, keyed by
 saturated state, answers a label whose saturation reaches a state met before
 without searching it again, so repeated sub-labels (ubiquitous in the ladder
-encodings) are searched once; a memo hit still counts as a search node.  The
-memo and the bit numbering make a ``TableauContext``: a lone query gets a
-fresh one, and queries that share one reuse each other's states, since in K
-a state's answer does not depend on the query it came from.  A satisfiable
-state's result is a pair (true variables, children), and a memo hit hands
-back the same pair, so the results form a DAG; the witness has one world per
-distinct result.  Both
-engines return only what their witness is built from:
-``SatVerdict.witness`` builds the model the first time it is read, so a
-verdict whose witness nobody reads builds none.
+encodings) are searched once.  A stored core of two bits is a nogood: a state
+that misses the memo but holds both bits of one is refuted by it without a
+search (Giunchiglia & Tacchella, Ann. Math. Artif. Intell. 33, 2001).  A memo
+or nogood hit still counts as a search node.  A branch child does not
+saturate its label from scratch: it resumes from its parent's saturated
+state, and a disjunction pass reads only the disjunctions that a bit seen
+since the last pass is a side or a negated side of, as a watched clause is
+read only when one of its watched literals falls (Moskewicz et al., "Chaff",
+DAC 2001).  The memo, the nogoods and the bit numbering make a
+``TableauContext``: a lone query gets a fresh one, and queries that share one
+reuse each other's states, since in K a state's answer does not depend on the
+query it came from.  A satisfiable state's result is a pair (true variables,
+children), and a memo hit hands back the same pair, so the results form a
+DAG; the witness has one world per distinct result.  Both engines return only
+what their witness is built from: ``SatVerdict.witness`` builds the model the
+first time it is read, so a verdict whose witness nobody reads builds none.
 Labels are bit sets: one explicit-stack pass numbers the query's NNF in
 depth-first pre-order (which fixes which disjunction is branched on and the
 diamond order), and saturation reads one mask per formula kind.  What that
@@ -37,8 +43,8 @@ whose right side may not is branched right side first, so the search tries
 the side that builds no world before the one that does (the choice of
 branch, Horrocks & Patel-Schneider, J. Logic Comput. 9(3), 1999).  In the
 variable-free encoding that side is the box of a negated ladder, and the
-order cuts the search several times over.  The numbering and the memo
-belong to the context, the budget and the counters to one query.  No
+order cuts the search several times over.  The numbering, the memo and the
+nogoods belong to the context, the budget and the counters to one query.  No
 recursion runs before the search itself.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
@@ -118,9 +124,10 @@ class SatVerdict:
     records the world limit and an unsatisfiable verdict is only
     bound-relative.  ``nodes`` and ``depth`` are search statistics;
     ``memo_hits`` counts the tableau's label visits whose saturated state
-    its memo table answered (they are counted in ``nodes`` too),
+    its memo table answered and ``nogood_hits`` those whose state missed the
+    memo but held a stored two-bit core (both are counted in ``nodes`` too),
     ``branches`` the labels that branched on a disjunction and ``backjumps``
-    those of them refuted by their first side's core alone; all three stay
+    those of them refuted by their first side's core alone; all four stay
     0 for the bounded engine.  ``witness`` is the model of a satisfiable query
     (None otherwise), built by the engine's ``build`` the first time it is
     read; later reads return the same model.
@@ -134,6 +141,7 @@ class SatVerdict:
     memo_hits: int = 0
     branches: int = 0
     backjumps: int = 0
+    nogood_hits: int = 0
     build: Optional[Callable[[], KripkeModel]] = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
@@ -248,7 +256,7 @@ _CONTEXT_MEMO_CAP = 8_000
 
 class TableauContext:
     """What the queries that share one context share: the bit numbering, the
-    kind masks, ``data`` and the memo.
+    kind masks, ``data``, the watch rows, the memo and the nogoods.
 
     Every formula that can ever enter a label (subformulas of a query's NNF,
     closed under the negations needed for semantic branching) gets a bit;
@@ -262,10 +270,11 @@ class TableauContext:
     it: a query extends the numbering with the formulas it has not seen, in
     the order a fresh walk would give them.  ``data`` holds per bit what
     saturation needs, the clashing literal, the body or the conjunct bits,
-    or a disjunction's (first, second, not first, not second) side bits.
-    One mask per kind (``lits``, ``ands``, ``ors``, ``boxes``, ``dias``,
-    ``falses``) tells which bits are of that kind; ``var_bits`` marks the
-    literals that are variables.
+    or a disjunction's (first, second, not first, not second) side bits,
+    and ``watch`` holds per bit the disjunctions that have it as one of
+    those four.  One mask per kind (``lits``, ``ands``, ``ors``, ``boxes``,
+    ``dias``, ``falses``) tells which bits are of that kind; ``var_bits``
+    marks the literals that are variables.
 
     ``cache`` is the memo, keyed by saturated state (a label with no
     conjunction and no ``false`` bit), which holds a satisfiable state's
@@ -275,18 +284,27 @@ class TableauContext:
     so the memo serves every query of the context (global caching: Goré &
     Nguyen, TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).
     An entry is only stored for a state decided in full, so a query cut
-    short by its budget leaves the context sound.  Before a query joins,
-    the context starts afresh when its memo holds more than
-    ``_CONTEXT_MEMO_CAP`` states; a fresh context is where every lone query
-    starts.
+    short by its budget leaves the context sound.  A stored core of two
+    bits is also a nogood: any set of formulas that holds both is refuted.
+    ``firsts`` marks the lower bits of those cores and ``partners`` holds,
+    per bit, the higher bits it makes a core with, so a state is checked
+    with one mask test per lower bit it holds.  Longer cores are not
+    indexed: in a context shared by many queries, the ones with the same
+    two lowest bits pile up, and scanning them cost more than the nodes
+    they saved.  Before a query joins, the context starts afresh, nogoods
+    included, when its memo holds more than ``_CONTEXT_MEMO_CAP`` states; a
+    fresh context is where every lone query starts.
     """
 
     def __init__(self):
         self.bits: dict = {}  # formula -> bit
         self.formulas: list = []  # bit position -> formula
         self.data: list = []
+        self.watch: list = []  # bit position -> the disjunctions it is a side of
         self.masks = [0] * len(_KINDS)
         self.cache: dict = {}  # saturated state -> result or core
+        self.firsts = 0  # the lower bits of the two-bit cores
+        self.partners: list = []  # bit position -> the higher bits of its cores
         self._name_masks()
 
     def _name_masks(self) -> None:
@@ -313,10 +331,19 @@ class TableauContext:
                 masks[kind] |= bit
                 formulas.append(f)
                 stack.extend(successors)
+        data, watch = self.data, self.watch
+        watch += [0] * (len(formulas) - start)
+        self.partners += [0] * (len(formulas) - start)
         for f in formulas[start:]:
             kind, _, sides = _RECORDS[f]
             sides = tuple(map(bits.get, sides))
-            self.data.append(sides if kind == _OR else functools.reduce(operator.or_, sides, 0))
+            if kind == _OR:
+                data.append(sides)
+                bit = bits[f]
+                for side in sides:
+                    watch[side.bit_length() - 1] |= bit
+            else:
+                data.append(functools.reduce(operator.or_, sides, 0))
         self._name_masks()
         return bits[nnf]
 
@@ -359,10 +386,23 @@ class _Tableau:
     state's bits, traced back to the label's on the way out.  A label met
     again saturates to the same state, so the state alone is the key; a
     refutation found while saturating depends on the label and is not
-    stored.  ``memo_hits`` counts the states the memo answered,
-    ``branches`` the labels that branched and ``backjumps`` those of them
-    that backjumped.  The tableau holds only its context and its query's
-    budget and counters; the tables live in the context.
+    stored.  A state the memo misses is refuted by a stored two-bit core it
+    holds, if any, and that answer is not stored either.  ``memo_hits``
+    counts the states the memo answered, ``nogood_hits`` those a nogood
+    refuted, ``branches`` the labels that branched and ``backjumps`` those
+    of them that backjumped.  The tableau holds only its context and its
+    query's budget and counters; the tables live in the context.
+
+    A branch child's label is its parent's saturated state plus one side's
+    bits.  Saturating that state again finds no clash, no conjunction and
+    no disjunction to drop or force, so the child starts from it, with the
+    parent's open disjunctions and only the side's bits pending.  A
+    disjunction pass reads, in bit order, the disjunctions that are new
+    since the last pass or that a bit seen since then is a side bit of; every
+    other open disjunction stays open, as nothing it reads has changed.  So
+    the saturated state, the steps and every core equal those of saturating
+    the label from scratch.  A diamond child starts a new world and
+    saturates from scratch.
     """
 
     def __init__(self, context: TableauContext, budget: int):
@@ -373,11 +413,14 @@ class _Tableau:
         self.memo_hits = 0
         self.branches = 0
         self.backjumps = 0
+        self.nogood_hits = 0
 
-    def solve(self, mask: int, depth: int):
+    def solve(self, mask: int, depth: int, seen: int = 0, ors: int = 0):
         """(true variables, children) for a satisfiable label, else its
-        core: the bits of ``mask`` that its refutation used, a non-zero
-        int."""
+        core: the bits of the label that its refutation used, a non-zero
+        int.  The label is ``seen | mask``; a branch child passes its
+        parent's saturated state as ``seen`` and the parent's open
+        disjunctions as ``ors``, and ``mask`` holds its side's bits."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
@@ -387,12 +430,12 @@ class _Tableau:
         data = context.data
         lits = context.lits
         steps = []  # (bits derived, the seen bits they came from), in order
-        seen = 0
-        ors = 0
+        fresh = 0  # the bits seen since the last disjunction pass
         pending = mask
         while pending:
             while pending:
                 seen |= pending
+                fresh |= pending
                 clash = pending & context.falses
                 if clash:
                     return _lift(clash, steps)
@@ -413,8 +456,18 @@ class _Tableau:
                     if new:
                         pending |= new
                         steps.append((new, low))
-            keep = 0
-            m = ors
+            # only a new disjunction or one that a fresh bit is a side or a
+            # negated side of can change; every other open one stays open
+            m = ors & fresh
+            if m != ors:
+                watch = context.watch
+                while fresh:
+                    low = fresh & -fresh
+                    fresh &= fresh - 1
+                    m |= watch[low.bit_length() - 1]
+                m &= ors
+            fresh = 0
+            keep = ors ^ m
             while m:
                 low = m & -m
                 m &= m - 1
@@ -442,23 +495,32 @@ class _Tableau:
         result = cache.get(state)
         if result is not None:
             self.memo_hits += 1
-        elif ors:
+            return result if result.__class__ is tuple else _lift(result, steps)
+        partners = context.partners
+        m = state & context.firsts
+        while m:
+            low = m & -m
+            m &= m - 1
+            second = state & partners[low.bit_length() - 1]
+            if second:
+                self.nogood_hits += 1
+                return _lift(low | second & -second, steps)
+        if ors:
             self.branches += 1
             low = ors & -ors
             first, second, not_first, _ = data[low.bit_length() - 1]
-            result = self.solve(state | first, depth)
+            result = self.solve(first, depth, state, ors)
             if result.__class__ is int:
                 if not result & first:
                     # the first side's refutation holds without it: backjump
                     self.backjumps += 1
                 else:
                     core = result & ~first | low
-                    result = self.solve(state | not_first | second, depth)
+                    result = self.solve(not_first | second, depth, state, ors)
                     # a second side refuted without its own bits refutes alone
                     added = not_first | second
                     if result.__class__ is int and result & added:
                         result = core | result & ~added
-            cache[state] = result
         else:
             boxes = seen & context.boxes
             bodies = 0
@@ -488,8 +550,15 @@ class _Tableau:
             else:
                 true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
                 result = (true_vars, tuple(children))
-            cache[state] = result
-        return _lift(result, steps) if result.__class__ is int else result
+        cache[state] = result
+        if result.__class__ is tuple:
+            return result
+        rest = result & (result - 1)
+        if rest and not rest & (rest - 1):  # a core of two bits is a nogood
+            low = result ^ rest
+            context.firsts |= low
+            partners[low.bit_length() - 1] |= rest
+        return _lift(result, steps)
 
 
 def _lift(core: int, steps: list) -> int:
@@ -542,7 +611,9 @@ def sat_k_tableau(
     tree = tableau.solve(root, 0)
     satisfiable = isinstance(tree, tuple)
     build = functools.partial(_tree_to_model, tree, modal_vars(f)) if satisfiable else None
-    counters = (tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps)
+    counters = (
+        tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits
+    )
     return SatVerdict(satisfiable, "tableau", None, *counters, build)
 
 

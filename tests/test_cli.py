@@ -11,6 +11,7 @@ from modalred.kripke import model_check, model_from_json
 from modalred.pipeline import random_matrix, random_modal_formula
 from modalred.qbf import is_prenex, prenex_join, prenex_split
 from modalred.reduction import encode_alpha, encode_star
+from modalred.solver import sat_k_tableau
 from modalred.syntax import expand_sugar, parse_modal, parse_qbf, is_constant, render
 from test_solver import GOLDEN_TABLEAU, golden_formula
 
@@ -85,6 +86,29 @@ class TestSatCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "unsatisfiable"
         assert doc["engine"] == "bounded" and doc["bound"] == 3
+        assert doc["memo_hits"] == doc["branches"] == doc["backjumps"] == doc["nogood_hits"] == 0
+
+    def test_verdict_line_carries_the_search_counters(self, tmp_path, capsys):
+        # one line per query, keys sorted, with every counter of the verdict
+        f = golden_formula("alpha", "A p1 . E p2 . p1 -> p2")
+        path = write(tmp_path, "f.txt", render(f) + "\n")
+        assert main(["sat", path]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        verdict = sat_k_tableau(f)
+        assert line == json.dumps(
+            {
+                "backjumps": verdict.backjumps,
+                "bound": None,
+                "branches": verdict.branches,
+                "depth": verdict.depth,
+                "engine": "tableau",
+                "memo_hits": verdict.memo_hits,
+                "nodes": verdict.nodes,
+                "nogood_hits": verdict.nogood_hits,
+                "verdict": "satisfiable",
+            }
+        )
+        assert verdict.memo_hits and verdict.branches and verdict.backjumps and verdict.nogood_hits
 
     @pytest.mark.parametrize(
         "stage, text, sha",

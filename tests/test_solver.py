@@ -105,29 +105,29 @@ def by_query(rows):
 # a change in the first three means the search itself changed
 GOLDEN_TABLEAU = [
     ("star", "A p1 . p1", (False, 5, 1, 0, None)),
-    ("alpha", "A p1 . p1", (False, 66, 5, 0, None)),
+    ("alpha", "A p1 . p1", (False, 65, 5, 0, None)),
     ("star", "E p1 . p1", (True, 4, 1, 2, (
         "5566f467e55fc0eec6cf313474293c0fea0dfd905c0bb1970d34fb4418f21e34"
     ))),
-    ("alpha", "E p1 . p1", (True, 65, 5, 33, (
+    ("alpha", "E p1 . p1", (True, 64, 5, 33, (
         "94a8ae89e94274c1635379bddf9a4de056f0fd6b1e37cc9df66f9ccfc4557131"
     ))),
     ("star", "A p1 . E p2 . p1 -> p2", (True, 14, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 1255, 10, 112, (
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 756, 10, 112, (
         "8ce64f07421b2b883064be5eedd7a482ba95bcc8758ae06faf59fb950c513e78"
     ))),
     ("star", "E p1 . A p2 . p1 & p2", (False, 17, 2, 0, None)),
-    ("alpha", "E p1 . A p2 . p1 & p2", (False, 1016, 9, 0, None)),
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 635, 9, 0, None)),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 68, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 3341, 12, 271, (
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 2399, 12, 271, (
         "7bad10a1bd9c1455e14ddf8d6387d5c5544a2d951552c133d1d24f87b7497c42"
     ))),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 34, 3, 0, None)),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 2768, 12, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 1970, 12, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 4, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
@@ -161,9 +161,9 @@ def test_golden_tableau_counters(stage, text, expected):
 
 # labels whose saturated state the memo table answered without searching
 GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 270),
-    ("alpha", "E p1 . A p2 . p1 & p2", 200),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 324),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 108),
+    ("alpha", "E p1 . A p2 . p1 & p2", 82),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 221),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 0),
 ]
 
@@ -173,24 +173,25 @@ def test_golden_memo_hits(stage, text, expected):
     assert sat_k_tableau(golden_formula(stage, text)).memo_hits == expected
 
 
-# labels that branched on a disjunction, and those of them refuted by a
-# first side whose core did not use it (backjumps), one per GOLDEN_TABLEAU
-# query
+# labels that branched on a disjunction, those of them refuted by a first
+# side whose core did not use it (backjumps), and labels whose saturated
+# state missed the memo but held a stored two-bit core (nogood hits), one
+# per GOLDEN_TABLEAU query
 GOLDEN_BRANCHES = [
-    ("star", "A p1 . p1", 1, 0),
-    ("alpha", "A p1 . p1", 20, 0),
-    ("star", "E p1 . p1", 1, 0),
-    ("alpha", "E p1 . p1", 20, 0),
-    ("star", "A p1 . E p2 . p1 -> p2", 6, 0),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 563, 161),
-    ("star", "E p1 . A p2 . p1 & p2", 7, 2),
-    ("alpha", "E p1 . A p2 . p1 & p2", 471, 140),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 33, 0),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 2224, 756),
-    ("star", "E p1 . A p2 . E p3 . p1 & p2", 18, 8),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1830, 594),
-    ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1, 0),
-    ("modal", "box<=25 (<> p1 & <> ~p1)", 0, 0),
+    ("star", "A p1 . p1", 1, 0, 0),
+    ("alpha", "A p1 . p1", 20, 0, 1),
+    ("star", "E p1 . p1", 1, 0, 0),
+    ("alpha", "E p1 . p1", 20, 0, 1),
+    ("star", "A p1 . E p2 . p1 -> p2", 6, 0, 0),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 404, 83, 37),
+    ("star", "E p1 . A p2 . p1 & p2", 7, 2, 0),
+    ("alpha", "E p1 . A p2 . p1 & p2", 345, 86, 27),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 33, 0, 0),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 1657, 293, 95),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 18, 8, 0),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1394, 255, 77),
+    ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1, 0, 0),
+    ("modal", "box<=25 (<> p1 & <> ~p1)", 0, 0, 0),
 ]
 
 
@@ -198,10 +199,10 @@ def test_golden_branches_cover_golden_tableau():
     assert [row[:2] for row in GOLDEN_BRANCHES] == [row[:2] for row in GOLDEN_TABLEAU]
 
 
-@pytest.mark.parametrize("stage, text, branches, backjumps", by_query(GOLDEN_BRANCHES))
-def test_golden_branches(stage, text, branches, backjumps):
+@pytest.mark.parametrize("stage, text, branches, backjumps, nogood_hits", by_query(GOLDEN_BRANCHES))
+def test_golden_branches(stage, text, branches, backjumps, nogood_hits):
     verdict = sat_k_tableau(golden_formula(stage, text))
-    assert (verdict.branches, verdict.backjumps) == (branches, backjumps)
+    assert (verdict.branches, verdict.backjumps, verdict.nogood_hits) == (branches, backjumps, nogood_hits)
 
 
 @pytest.mark.parametrize(
@@ -225,13 +226,14 @@ def test_disjunction_asserts_the_side_that_spawns_no_world_first(text, first):
 
 def test_alpha_guard_refuted_within_a_small_budget():
     # the right side of a ladder disjunction is a box and builds no world;
-    # asserting it first and backjumping over a branch its refutation did
-    # not use refutes this instance in 6,684 nodes (8,476 when a label
-    # probed its diamonds once its first side failed, 39,026 without
-    # backjumping, 64,187 when every label probed its diamonds before
-    # branching, 306,691 when the diamond side went first)
+    # asserting it first, backjumping over a branch its refutation did not
+    # use and refuting a state that holds a stored two-bit core at once
+    # refutes this instance in 4,994 nodes (6,684 without those nogoods,
+    # 8,476 when a label probed its diamonds once its first side failed,
+    # 39,026 without backjumping, 64,187 when every label probed its
+    # diamonds before branching, 306,691 when the diamond side went first)
     f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
-    assert not sat_k_tableau(f, budget=7_000).satisfiable
+    assert not sat_k_tableau(f, budget=5_500).satisfiable
 
 
 @pytest.mark.parametrize("first", ["p{}", "[] p{}"])
@@ -278,6 +280,7 @@ def test_a_tableau_holds_only_its_context_budget_and_counters():
         "memo_hits": verdict.memo_hits,
         "branches": verdict.branches,
         "backjumps": verdict.backjumps,
+        "nogood_hits": verdict.nogood_hits,
     }
 
 
@@ -298,6 +301,127 @@ def test_memo_cores_are_refuted_subsets_of_their_labels():
     assert len(cores) > 1000
     for parts in rng.sample(cores, 200):
         assert not sat_k_tableau(parts[0] if len(parts) == 1 else MAnd(tuple(parts))).satisfiable
+
+
+def _saturate_from_scratch(context, label):
+    """Reference saturation of ``label`` that reads every open disjunction
+    on every pass: (saturated state, steps, None), or (None, steps, clash
+    bits) when it meets a clash, a ``false`` or a dead disjunction."""
+    data = context.data
+    steps, seen, ors, pending = [], 0, 0, label
+    while pending:
+        while pending:
+            seen |= pending
+            if pending & context.falses:
+                return None, steps, pending & context.falses
+            for i in _bits(pending & context.lits):
+                if seen & data[i]:
+                    return None, steps, 1 << i | seen & data[i]
+            ors |= pending & context.ors
+            derived = 0
+            for i in _bits(pending & context.ands):
+                new = data[i] & ~(seen | derived)
+                if new:
+                    derived |= new
+                    steps.append((new, 1 << i))
+            pending = derived
+        keep = 0
+        for i in _bits(ors):
+            left, right, not_left, not_right = data[i]
+            if seen & (left | right):
+                continue
+            left_dead, right_dead = seen & not_left, seen & not_right
+            if left_dead and right_dead:
+                return None, steps, 1 << i | left_dead | right_dead
+            if left_dead or right_dead:
+                side, dead = (right, left_dead) if left_dead else (left, right_dead)
+                if not pending & side:
+                    pending |= side
+                    steps.append((side, 1 << i | dead))
+            else:
+                keep |= 1 << i
+        ors = keep
+    return seen & context.lits | ors | seen & (context.boxes | context.dias), steps, None
+
+
+class _LoggedCache(dict):
+    """A memo that logs every state looked up in it."""
+
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def get(self, key, default=None):
+        self.events.append(("state", key))
+        return super().get(key, default)
+
+
+def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
+    # a branch child starts from its parent's saturated state and reads only
+    # the disjunctions that its new bits touch; every label the search meets
+    # must reach the state, the steps and the clash core that saturating it
+    # from scratch gives
+    events = []
+    checked = [0, 0]  # labels saturated from scratch, resumed
+    lift = solver._lift
+    solve = _Tableau.solve
+
+    def logged_lift(core, steps):
+        events.append(("lift", core, list(steps)))
+        return lift(core, steps)
+
+    def logged_solve(self, mask, depth, seen=0, ors=0):
+        start = len(events)
+        result = solve(self, mask, depth, seen, ors)
+        first = events[start]
+        reference, steps, clash = _saturate_from_scratch(self.context, seen | mask)
+        if clash:
+            assert first == ("lift", clash, steps) and len(events) == start + 1
+        else:
+            assert first == ("state", reference)
+            if isinstance(result, int):
+                assert events[-1][2] == steps  # the last lift is this label's
+        checked[bool(seen)] += 1
+        return result
+
+    monkeypatch.setattr(solver, "_lift", logged_lift)
+    monkeypatch.setattr(_Tableau, "solve", logged_solve)
+    rng = random.Random(28)
+    queries = [random_modal_formula(rng, 40) for _ in range(150)]
+    queries += [random_modal_formula(rng, 40, 0) for _ in range(50)]
+    queries += [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=3)]
+    for f in queries:
+        context = TableauContext()
+        context.cache = _LoggedCache(events)
+        root = context.join(expand_sugar(f))
+        _Tableau(context, 10**6).solve(root, 0)
+    scratch, resumed = checked
+    assert scratch > 4_000 and resumed > 6_000
+
+
+def test_indexed_nogoods_are_stored_cores_refuted_on_their_own():
+    # every two-bit nogood is the core of a refuted state in the memo, so it
+    # lies within that state, and a fresh search refutes it; a nogood that
+    # answered for a satisfiable state would fail the last check
+    rng = random.Random(6)
+    queries = [encode_alpha(f) for f in build_corpus(n_max=3, count=30, seed=1)]
+    queries += [random_modal_formula(rng, 40, var_count) for var_count in (0, 3) for _ in range(100)]
+    hits, nogoods = 0, set()
+    for f in queries:
+        context = TableauContext()
+        hits += sat_k_tableau(f, context=context).nogood_hits
+        stored = {core for core in context.cache.values() if isinstance(core, int)}
+        for i in _bits(context.firsts):
+            assert context.partners[i]
+            for j in _bits(context.partners[i]):
+                core = 1 << i | 1 << j
+                assert i < j and core in stored
+                assert any(not core & ~state for state, kept in context.cache.items() if kept == core)
+                nogoods.add(MAnd((context.formulas[i], context.formulas[j])))
+        assert not any(context.partners[i] for i in range(len(context.formulas)) if not context.firsts >> i & 1)
+    assert hits > 1_000 and len(nogoods) > 50
+    for f in nogoods:
+        assert not sat_k_tableau(f).satisfiable
 
 
 @pytest.mark.parametrize("budget", [0, -5, 1.5, "10", True])
@@ -533,11 +657,12 @@ def test_no_query_starts_on_a_memo_above_the_cap(shared_run):
 
 def _counters(verdict):
     sha = hashlib.sha256(model_to_json(verdict.witness).encode()).hexdigest() if verdict.satisfiable else None
-    return verdict.satisfiable, verdict.nodes, verdict.depth, verdict.memo_hits, verdict.branches, sha
+    counters = (verdict.nodes, verdict.depth, verdict.memo_hits, verdict.branches, verdict.nogood_hits)
+    return verdict.satisfiable, *counters, sha
 
 
 def test_a_query_after_a_full_memo_searches_as_alone():
-    # the earlier query leaves 14,789 saturated states in the memo, over the
+    # the earlier query leaves 11,101 saturated states in the memo, over the
     # cap, so the context starts afresh although 60 of the query's 117
     # formulas are numbered in it
     earlier = encode_alpha(parse_qbf("A p1 . E p2 . A p3 . E p4 . A p5 . (p1 -> p2) & (p3 -> p4) | p5"))
@@ -621,7 +746,7 @@ for stage, text in json.loads(sys.argv[1]):
         f = encode_alpha(parse_qbf(text))
     v = sat_k_tableau(f)
     sha = hashlib.sha256(model_to_json(v.witness).encode()).hexdigest() if v.satisfiable else None
-    rows.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, sha])
+    rows.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, v.nogood_hits, sha])
 print(json.dumps(rows))
 """
 
@@ -638,7 +763,7 @@ def test_cold_tables_in_reverse_order_search_alike():
     for stage, text in queries:
         v = sat_k_tableau(golden_formula(stage, text))
         sha = hashlib.sha256(model_to_json(v.witness).encode()).hexdigest() if v.satisfiable else None
-        expected.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, sha])
+        expected.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, v.nogood_hits, sha])
     assert json.loads(out.stdout) == expected
 
 

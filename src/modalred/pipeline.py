@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from .kripke import close, frame_class_check, model_check
 from .qbf import is_true_qbf, prenex_join, universal_closure
 from .reduction import (
-    _alpha_of_star,
     alpha,
+    encode_alpha,
     encode_star,
     extend_model,
     quantifier_tree,
@@ -58,11 +58,8 @@ from .syntax import (
     is_constant,
     qbf_size,
     render,
+    substitute,
 )
-# encode_alpha and substitute are not called here any more; perfbench's
-# traced run still rebinds this module's names for them
-from .reduction import encode_alpha  # noqa: F401
-from .syntax import substitute  # noqa: F401
 
 __all__ = [
     "VerifyReport",
@@ -229,12 +226,12 @@ def build_corpus(
 # ---------------------------------------------------------------------------
 
 
-# The tableau context of every alpha query of the process: the variable-free
-# encodings of one corpus share their ladders alpha(k), so a saturated state
-# one of them decided, or a two-bit core one of them stored, answers the
-# others.  The context starts afresh when its memo holds more than
-# ``solver._CONTEXT_MEMO_CAP`` states.
-_ALPHA_CONTEXT = TableauContext()
+# The tableau context of every query of the process: the star and the
+# variable-free encodings of one corpus share their subformulas, and the
+# latter their ladders alpha(k), so a saturated state one query decided, or a
+# two-bit core one query stored, answers the others.  The context starts
+# afresh when its memo holds more than ``solver._CONTEXT_MEMO_CAP`` states.
+_CONTEXT = TableauContext()
 
 
 def check_instance(
@@ -247,11 +244,13 @@ def check_instance(
 
     ``c2`` is the frozen quadratic size constant; the record's ``pass`` field
     aggregates all applicable checks, and a solver budget exhaustion is
-    reported as unknown (which fails the record).  The star query searches
-    in a fresh tableau context; the alpha query searches in the one context
-    that every alpha query of the process shares, so its verdict is that of
-    a lone query but its node count, and hence whether it reaches
-    ``budget``, may depend on the instances checked before it.
+    reported as unknown (which fails the record).  Both encodings are
+    decided in the one tableau context that every query of the process
+    shares, so each verdict is that of a lone query but its node count, and
+    hence whether it reaches ``budget``, may depend on the queries decided
+    before it.  The ladder map ``{i: alpha(i)}`` is built once: the alpha
+    encoding is the star encoding with it substituted, and the substitution
+    check reads the same map.
     """
     record: dict = {"index": index, "formula": render(f)}
     try:
@@ -259,18 +258,18 @@ def check_instance(
         record["n"] = ctx.n
         truth = is_true_qbf(f)
         record["is_true"] = truth
-        star_verdict = sat_k_tableau(star, budget=budget)
+        star_verdict = sat_k_tableau(star, budget=budget, context=_CONTEXT)
         record["star_sat"] = star_verdict.satisfiable
-        alpha_formula = _alpha_of_star(star, ctx)
+        amap = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
+        alpha_formula = substitute(star, amap)
         record["alpha_constant"] = is_constant(alpha_formula)
-        alpha_verdict = sat_k_tableau(alpha_formula, budget=budget, context=_ALPHA_CONTEXT)
+        alpha_verdict = sat_k_tableau(alpha_formula, budget=budget, context=_CONTEXT)
         record["alpha_sat"] = alpha_verdict.satisfiable
         record["star_size"] = formula_size(star)
         record["alpha_size"] = formula_size(alpha_formula)
         record["size_bound_ok"] = (
             record["alpha_size"] <= c2 * record["star_size"] ** 2
         )
-        amap = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
         record["substitution_ok"] = _substitutes(star, alpha_formula, amap)
         checks = [
             record["star_sat"] == truth,
@@ -372,10 +371,8 @@ def run_verify(
             f"instances and n_max={n_max}, count={count} give no others"
         )
     c1 = formula_size(alpha(1))
-    first_star, first_ctx = encode_star(corpus[0])
-    first_alpha = _alpha_of_star(first_star, first_ctx)
-    star_size = formula_size(first_star)
-    alpha_size = formula_size(first_alpha)
+    star_size = formula_size(encode_star(corpus[0])[0])
+    alpha_size = formula_size(encode_alpha(corpus[0]))
     # integer ceiling of the first instance's quadratic ratio
     c2 = -(-alpha_size // star_size**2)
     report = VerifyReport(

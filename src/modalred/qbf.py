@@ -29,8 +29,6 @@ from .syntax import (
 
 __all__ = [
     "free_vars",
-    "all_vars",
-    "max_index",
     "universal_closure",
     "evaluate",
     "is_true_qbf",
@@ -45,11 +43,6 @@ __all__ = [
 def free_vars(f: QbfFormula) -> frozenset[int]:
     """Indices with at least one free occurrence in ``f``."""
     return _fold(f, _FREE_VARS_STEP, {})
-
-
-def all_vars(f: QbfFormula) -> frozenset[int]:
-    """All variable indices occurring in ``f``, free or bound."""
-    return _fold(f, _ALL_VARS_STEP, {})
 
 
 def _vars_step(bind, occurrence=True):
@@ -71,17 +64,11 @@ def _vars_step(bind, occurrence=True):
 
 
 _FREE_VARS_STEP = _vars_step(frozenset.difference)
-_ALL_VARS_STEP = _vars_step(frozenset.union)
 _BOUND_VARS_STEP = _vars_step(frozenset.union, occurrence=False)
 
 # Most bits the truth tables of one evaluation hold: distinct nodes x 2^v
 # for v bound variables (2^26 bits is 8 MiB).
 TABLE_BITS_MAX = 1 << 26
-
-
-def max_index(f: QbfFormula) -> int:
-    """Largest variable index in ``f`` (0 for variable-free formulas)."""
-    return max(all_vars(f), default=0)
 
 
 def universal_closure(f: QbfFormula) -> QbfFormula:
@@ -191,7 +178,8 @@ def to_prenex(f: QbfFormula) -> QbfFormula:
         raise ValueError("to_prenex requires a closed formula")
     if is_prenex(f):
         return f
-    fresh = itertools.count(max_index(f) + 1)
+    # every variable of a closed formula is bound
+    fresh = itertools.count(max(_fold(f, _BOUND_VARS_STEP, {}), default=0) + 1)
     used: set[int] = set()
     prefix: list[tuple[str, int]] = []
     matrix: list[QbfFormula] = []

@@ -42,6 +42,7 @@ from .syntax import (
     MDia,
     MFalse,
     MImp,
+    MNot,
     MTrue,
     MVar,
     ModalFormula,
@@ -56,7 +57,6 @@ from .syntax import (
     _fold,
     _require_int,
     conj,
-    neg,
     substitute,
 )
 
@@ -148,9 +148,9 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
         return MVar(i)
 
     def at_level(i: int) -> ModalFormula:
-        return MAnd((q(i), neg(q(i + 1))))
+        return MAnd((q(i), MNot(q(i + 1))))
 
-    c1 = MAnd((q(0), neg(q(1))) + tuple(neg(p(i)) for i in range(1, n + 1)))
+    c1 = MAnd((q(0), MNot(q(1))) + tuple(MNot(p(i)) for i in range(1, n + 1)))
     c2 = MBoxLe(n, conj([MImp(q(i), q(i - 1)) for i in range(1, n + 2)]))
     c3 = MBoxLe(
         n - 1,
@@ -170,8 +170,8 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
                     at_level(i - 1),
                     MAnd(
                         (
-                            MDia(MAnd((q(i), neg(q(i + 1)), p(i)))),
-                            MDia(MAnd((q(i), neg(q(i + 1)), neg(p(i))))),
+                            MDia(MAnd((q(i), MNot(q(i + 1)), p(i)))),
+                            MDia(MAnd((q(i), MNot(q(i + 1)), MNot(p(i))))),
                         )
                     ),
                 )
@@ -182,7 +182,7 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
     )
     def guard(i: int) -> ModalFormula:
         # a successor at level i+1 that is still a base-layer world
-        return MAnd((q(i + 1), neg(q(n + 1))))
+        return MAnd((q(i + 1), MNot(q(n + 1))))
 
     c5 = MBoxLe(
         n - 1,
@@ -200,7 +200,7 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
                             ),
                             conj(
                                 [
-                                    MImp(neg(p(j)), MBox(MImp(guard(i), neg(p(j)))))
+                                    MImp(MNot(p(j)), MBox(MImp(guard(i), MNot(p(j)))))
                                     for j in range(1, i + 1)
                                 ]
                             ),
@@ -226,21 +226,16 @@ def alpha(k: int) -> ModalFormula:
             body = MDia(body)
         return body
 
-    rung = MAnd((dias(k, blind), neg(dias(k + 1, blind))))
+    rung = MAnd((dias(k, blind), MNot(dias(k + 1, blind))))
     escape = MBox(MImp(MDia(MTrue()), MDia(blind)))
     return MBox(MImp(rung, escape))
 
 
 def encode_alpha(f: QbfFormula) -> ModalFormula:
-    """Variable-free encoding: substitute alpha(i) for p_i in encode_star."""
-    return _alpha_of_star(*encode_star(f))
-
-
-def _alpha_of_star(star: ModalFormula, ctx: EncodingContext) -> ModalFormula:
-    """The variable-free encoding of the formula whose star encoding and
-    context ``encode_star`` returned as ``star`` and ``ctx``."""
-    mapping = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
-    return substitute(star, mapping)
+    """Variable-free encoding: encode_star with alpha(i) substituted for
+    every variable p_i of the encoding."""
+    star, ctx = encode_star(f)
+    return substitute(star, {i: alpha(i) for i in range(1, ctx.var_count + 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ __all__ = [
     "modal_vars",
     "modal_depth",
     "conj",
-    "neg",
     "qneg",
 ]
 
@@ -259,10 +258,6 @@ def conj(items: Iterable[ModalFormula]) -> ModalFormula:
     if len(items) == 1:
         return items[0]
     return MAnd(items)
-
-
-def neg(f: ModalFormula) -> ModalFormula:
-    return MNot(f)
 
 
 def qneg(f: QbfFormula) -> QbfFormula:

@@ -18,6 +18,7 @@ from modalred.pipeline import (
     run_verify,
 )
 from modalred.qbf import free_vars, is_prenex, prenex_split
+from modalred.solver import sat_k_tableau
 from modalred.syntax import formula_size, qbf_size, render
 
 
@@ -141,6 +142,20 @@ class TestCheckInstance:
         monkeypatch.setattr(pipeline, "substitute", swapped)
         assert check_instance(f, 0, c2=1)["substitution_ok"] is False
 
+    def test_both_queries_search_in_the_process_context(self, monkeypatch):
+        from modalred import pipeline
+        from modalred.syntax import is_constant, parse_qbf
+
+        calls = []
+
+        def spied(f, budget, context=None):
+            calls.append((is_constant(f), context))
+            return sat_k_tableau(f, budget, context)
+
+        monkeypatch.setattr(pipeline, "sat_k_tableau", spied)
+        assert check_instance(parse_qbf("A p1 . E p2 . p1 -> p2"), 0, c2=1)["pass"]
+        assert calls == [(False, pipeline._CONTEXT), (True, pipeline._CONTEXT)]
+
 
 class TestRunVerify:
     def test_default_n1_run_passes(self):
@@ -157,13 +172,15 @@ class TestRunVerify:
         assert report_summary(a) == report_summary(b)
 
     def test_shared_alpha_context_keeps_the_report_bytes(self):
-        # the second run's alpha queries meet the labels the first one left
-        # in the process-wide context; only counters may differ, and a
-        # report holds none
+        # the second run's queries meet the labels the first one left in the
+        # process-wide context; only counters may differ, and a report holds
+        # none
         from modalred import pipeline
 
         first = report_lines(run_verify(n_max=2, count=40, seed=0))
-        assert pipeline._ALPHA_CONTEXT.cache
+        assert pipeline._CONTEXT.cache
+        # a variable was numbered, so a star formula joined the context
+        assert pipeline._CONTEXT.var_bits
         assert report_lines(run_verify(n_max=2, count=40, seed=0)) == first
         digest = hashlib.sha256(first.encode()).hexdigest()
         assert digest == "def73d332c67dd80aa33c00ac266d34a7a8cf00c9e57a479754ae2a6576f10e2"

@@ -12,7 +12,6 @@ from modalred.cli import main
 from modalred.pipeline import build_corpus
 from modalred.qbf import (
     TABLE_BITS_MAX,
-    all_vars,
     evaluate,
     free_vars,
     is_prenex,
@@ -81,9 +80,6 @@ class TestDeepNesting:
 
     def test_free_vars(self):
         assert free_vars(self.deep()) == frozenset((1,))
-
-    def test_all_vars(self):
-        assert all_vars(QForall(2, self.deep())) == frozenset((1, 2))
 
     def test_is_prenex(self):
         assert is_prenex(QForall(1, self.deep()))

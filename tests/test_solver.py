@@ -613,8 +613,9 @@ CONTEXT_CORPUS = build_corpus(n_max=2, matrix_size_max_n1=5, count=100, seed=0)
 
 @pytest.fixture(scope="module")
 def shared_run():
-    """The alpha encodings of CONTEXT_CORPUS decided in one context, as
-    (formula, verdict, memo size before the join, memo size after it)."""
+    """The star and then the alpha encoding of each CONTEXT_CORPUS instance
+    decided in one context, as check_instance does, as (instance, formula,
+    verdict, memo size before the join, memo size after it)."""
     context = TableauContext()
     join = context.join
     sizes = []
@@ -628,20 +629,20 @@ def shared_run():
     context.join = spied
     rows = []
     for qbf in CONTEXT_CORPUS:
-        f = encode_alpha(qbf)
-        rows.append((qbf, f, sat_k_tableau(f, context=context), *sizes[-1]))
+        for f in (encode_star(qbf)[0], encode_alpha(qbf)):
+            rows.append((qbf, f, sat_k_tableau(f, context=context), *sizes[-1]))
     return rows
 
 
 def test_one_context_decides_a_corpus_like_fresh_ones(shared_run):
-    assert len(shared_run) == 416
+    assert len(shared_run) == 2 * 416
     satisfiable = 0
     for qbf, f, verdict, _, _ in shared_run:
         assert verdict.satisfiable == is_true_qbf(qbf) == sat_k_tableau(f).satisfiable
         if verdict.satisfiable:
             satisfiable += 1
             assert model_check(verdict.witness, verdict.witness.root, f)
-    assert satisfiable == 215
+    assert satisfiable == 2 * 215
     # the shared labels are what the sharing is for: fewer nodes in all
     assert sum(v.nodes for _, _, v, _, _ in shared_run) < sum(
         sat_k_tableau(f).nodes for _, f, _, _, _ in shared_run

@@ -215,20 +215,28 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
     return MAnd((c1, c2, c3, c4, c5, c6)), ctx
 
 
+# alpha(k) by k, built once per process; a ladder is a hash-consed node, so
+# the table hands out the node that building it again would give
+_LADDERS: dict = {}
+
+
 def alpha(k: int) -> ModalFormula:
     """The variable-free ladder formula
     [](<>^k []false & ~<>^{k+1} []false -> [](<>true -> <>[]false))."""
-    _require_int("alpha index", k)
-    blind = MBox(MFalse())
+    _require_int("alpha index", k)  # before the lookup: True == 1 would find alpha(1)
+    ladder = _LADDERS.get(k)
+    if ladder is None:
+        blind = MBox(MFalse())
 
-    def dias(count: int, body: ModalFormula) -> ModalFormula:
-        for _ in range(count):
-            body = MDia(body)
-        return body
+        def dias(count: int, body: ModalFormula) -> ModalFormula:
+            for _ in range(count):
+                body = MDia(body)
+            return body
 
-    rung = MAnd((dias(k, blind), MNot(dias(k + 1, blind))))
-    escape = MBox(MImp(MDia(MTrue()), MDia(blind)))
-    return MBox(MImp(rung, escape))
+        rung = MAnd((dias(k, blind), MNot(dias(k + 1, blind))))
+        escape = MBox(MImp(MDia(MTrue()), MDia(blind)))
+        ladder = _LADDERS[k] = MBox(MImp(rung, escape))
+    return ladder
 
 
 def encode_alpha(f: QbfFormula) -> ModalFormula:

@@ -44,8 +44,12 @@ the side that builds no world before the one that does (the choice of
 branch, Horrocks & Patel-Schneider, J. Logic Comput. 9(3), 1999).  In the
 variable-free encoding that side is the box of a negated ladder, and the
 order cuts the search several times over.  The numbering, the memo and the
-nogoods belong to the context, the budget and the counters to one query.  No
-recursion runs before the search itself.
+nogoods belong to the context, the budget and the counters to one query.
+Nothing in this module recurses: the search is one loop over explicit
+frames, one per label between the root and the label being searched.  A
+branch frame waits for a side of its disjunction, a diamond frame for the
+child of its current diamond, so a formula nested or branching far past the
+interpreter's recursion limit gets an answer.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
@@ -380,23 +384,37 @@ class _Tableau:
     result depends on its saturated state alone, so a lone query gets the
     verdict and witness of the search that tries every branch.
 
-    ``solve`` counts the node (budget and depth included), saturates the
-    label and looks its saturated state up in the context's memo, which
-    holds the outcome of every state searched in full: a core in the
-    state's bits, traced back to the label's on the way out.  A label met
-    again saturates to the same state, so the state alone is the key; a
-    refutation found while saturating depends on the label and is not
-    stored.  A state the memo misses is refuted by a stored two-bit core it
-    holds, if any, and that answer is not stored either.  ``memo_hits``
-    counts the states the memo answered, ``nogood_hits`` those a nogood
-    refuted, ``branches`` the labels that branched and ``backjumps`` those
-    of them that backjumped.  The tableau holds only its context and its
-    query's budget and counters; the tables live in the context.
+    ``solve`` is one loop.  For each label it counts the node (budget and
+    depth included), saturates the label and looks its saturated state up
+    in the context's memo, which holds the outcome of every state searched
+    in full: a core in the state's bits, traced back to the label's on the
+    way out.  A label met again saturates to the same state, so the state
+    alone is the key; a refutation found while saturating depends on the
+    label and is not stored.  A state the memo misses is refuted by a
+    stored two-bit core it holds, if any, and that answer is not stored
+    either.  ``memo_hits`` counts the states the memo answered,
+    ``nogood_hits`` those a nogood refuted, ``branches`` the labels that
+    branched and ``backjumps`` those of them that backjumped.  The tableau
+    holds only its context and its query's budget and counters; the loop
+    keeps the tables and the counts in locals and writes the counters back
+    when it returns or raises.
+
+    Any other label pushes a frame and hands its first child to the loop.
+    A branch frame holds the state, its steps, the disjunction, its first
+    side, the second side's bits (the negated first side and the second),
+    the open disjunctions handed on and, once known, the first side's core.
+    A diamond frame holds the state, its steps, the children so far, the
+    current diamond, those still to visit, the boxes and their bodies.  A
+    child's result goes to the top frame, which backjumps, tries its second
+    side, refutes by its diamond and boxes, or takes its next diamond; a
+    frame that is done stores its result under its state and is popped, and
+    its result goes on, lifted, to the frame below.
 
     A branch child's label is its parent's saturated state plus one side's
     bits.  Saturating that state again finds no clash, no conjunction and
     no disjunction to drop or force, so the child starts from it, with the
-    parent's open disjunctions and only the side's bits pending.  A
+    parent's open disjunctions and only the side's bits pending.  Both sides
+    satisfy the disjunction branched on, so it is not handed on.  A
     disjunction pass reads, in bit order, the disjunctions that are new
     since the last pass or that a bit seen since then is a side bit of; every
     other open disjunction stays open, as nothing it reads has changed.  So
@@ -415,150 +433,205 @@ class _Tableau:
         self.backjumps = 0
         self.nogood_hits = 0
 
-    def solve(self, mask: int, depth: int, seen: int = 0, ors: int = 0):
-        """(true variables, children) for a satisfiable label, else its
-        core: the bits of the label that its refutation used, a non-zero
-        int.  The label is ``seen | mask``; a branch child passes its
-        parent's saturated state as ``seen`` and the parent's open
-        disjunctions as ``ors``, and ``mask`` holds its side's bits."""
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SolverBudgetError(f"tableau node budget of {self.budget} exhausted")
-        if depth > self.max_depth:
-            self.max_depth = depth
+    def solve(self, root: int):
+        """(true variables, children) if the label ``root`` is satisfiable,
+        else its core: the bits of the label that its refutation used, a
+        non-zero int."""
         context = self.context
-        data = context.data
-        lits = context.lits
-        steps = []  # (bits derived, the seen bits they came from), in order
-        fresh = 0  # the bits seen since the last disjunction pass
-        pending = mask
-        while pending:
-            while pending:
-                seen |= pending
-                fresh |= pending
-                clash = pending & context.falses
-                if clash:
-                    return _lift(clash, steps)
-                m = pending & lits
-                while m:
-                    low = m & -m
-                    m &= m - 1
-                    clash = seen & data[low.bit_length() - 1]
-                    if clash:
-                        return _lift(low | clash, steps)
-                ors |= pending & context.ors
-                m = pending & context.ands
-                pending = 0
-                while m:
-                    low = m & -m
-                    m &= m - 1
-                    new = data[low.bit_length() - 1] & ~(seen | pending)
-                    if new:
-                        pending |= new
-                        steps.append((new, low))
-            # only a new disjunction or one that a fresh bit is a side or a
-            # negated side of can change; every other open one stays open
-            m = ors & fresh
-            if m != ors:
-                watch = context.watch
-                while fresh:
-                    low = fresh & -fresh
-                    fresh &= fresh - 1
-                    m |= watch[low.bit_length() - 1]
-                m &= ors
-            fresh = 0
-            keep = ors ^ m
-            while m:
-                low = m & -m
-                m &= m - 1
-                left, right, not_left, not_right = data[low.bit_length() - 1]
-                if seen & left or seen & right:
-                    continue  # satisfied, drop
-                left_dead = seen & not_left
-                right_dead = seen & not_right
-                if left_dead and right_dead:
-                    return _lift(low | left_dead | right_dead, steps)
-                if left_dead:
-                    if not pending & right:
-                        pending |= right
-                        steps.append((right, low | left_dead))
-                elif right_dead:
-                    if not pending & left:
-                        pending |= left
-                        steps.append((left, low | right_dead))
-                else:
-                    keep |= low
-            ors = keep
-        literals = seen & lits
-        state = literals | ors | seen & (context.boxes | context.dias)
+        data, watch, partners, formulas = context.data, context.watch, context.partners, context.formulas
+        lits, falses, ands, or_bits = context.lits, context.falses, context.ands, context.ors
+        box_bits, dia_bits, var_bits = context.boxes, context.dias, context.var_bits
+        kept = lits | box_bits | dia_bits  # with the open disjunctions, what a saturated state keeps
         cache = context.cache
-        result = cache.get(state)
-        if result is not None:
-            self.memo_hits += 1
-            return result if result.__class__ is tuple else _lift(result, steps)
-        partners = context.partners
-        m = state & context.firsts
-        while m:
-            low = m & -m
-            m &= m - 1
-            second = state & partners[low.bit_length() - 1]
-            if second:
-                self.nogood_hits += 1
-                return _lift(low | second & -second, steps)
-        if ors:
-            self.branches += 1
-            low = ors & -ors
-            first, second, not_first, _ = data[low.bit_length() - 1]
-            result = self.solve(first, depth, state, ors)
-            if result.__class__ is int:
-                if not result & first:
-                    # the first side's refutation holds without it: backjump
-                    self.backjumps += 1
-                else:
-                    core = result & ~first | low
-                    result = self.solve(not_first | second, depth, state, ors)
-                    # a second side refuted without its own bits refutes alone
-                    added = not_first | second
-                    if result.__class__ is int and result & added:
-                        result = core | result & ~added
-        else:
-            boxes = seen & context.boxes
-            bodies = 0
-            m = boxes
-            while m:
-                low = m & -m
-                m &= m - 1
-                bodies |= data[low.bit_length() - 1]
-            children = []
-            m = seen & context.dias
-            while m:
-                low = m & -m
-                m &= m - 1
-                child = self.solve(data[low.bit_length() - 1] | bodies, depth + 1)
-                if child.__class__ is int:
-                    # the diamond and the boxes whose bodies the child's core
-                    # used; boxes alone spawn no world, so the diamond stays
-                    result = low
-                    m = boxes
+        lookup = cache.get
+        firsts = context.firsts
+        budget = self.budget
+        nodes = max_depth = memo_hits = branches = backjumps = nogood_hits = 0
+        stack = []  # the frames of the labels between the root and the next one
+        # the next label is ``seen | mask``, resumed with the open disjunctions ``ors``
+        mask, seen, ors, depth = root, 0, 0, 0
+        try:
+            while True:
+                nodes += 1
+                if nodes > budget:
+                    raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
+                if depth > max_depth:
+                    max_depth = depth
+                steps = []  # (bits derived, the seen bits they came from), in order
+                fresh = 0  # the bits seen since the last disjunction pass
+                pending = mask
+                clash = 0
+                while pending:
+                    while pending:
+                        seen |= pending
+                        fresh |= pending
+                        clash = pending & falses
+                        if clash:
+                            break
+                        m = pending & lits
+                        while m:
+                            low = m & -m
+                            m ^= low
+                            clash = seen & data[low.bit_length() - 1]
+                            if clash:
+                                clash |= low
+                                break
+                        if clash:
+                            break
+                        ors |= pending & or_bits
+                        m = pending & ands
+                        pending = 0
+                        while m:
+                            low = m & -m
+                            m ^= low
+                            new = data[low.bit_length() - 1] & ~(seen | pending)
+                            if new:
+                                pending |= new
+                                steps.append((new, low))
+                    if clash:
+                        break
+                    # only a new disjunction or one that a fresh bit is a side
+                    # or a negated side of can change; every other open one
+                    # stays open
+                    m = ors & fresh
+                    if m != ors:
+                        while fresh:
+                            i = fresh.bit_length() - 1
+                            m |= watch[i]
+                            fresh ^= 1 << i
+                        m &= ors
+                    fresh = 0
+                    keep = ors ^ m
                     while m:
-                        box = m & -m
-                        m &= m - 1
-                        if child & data[box.bit_length() - 1]:
-                            result |= box
-                    break
-                children.append(child)
-            else:
-                true_vars = frozenset(context.formulas[i].index for i in _bits(literals & context.var_bits))
-                result = (true_vars, tuple(children))
-        cache[state] = result
-        if result.__class__ is tuple:
-            return result
-        rest = result & (result - 1)
-        if rest and not rest & (rest - 1):  # a core of two bits is a nogood
-            low = result ^ rest
-            context.firsts |= low
-            partners[low.bit_length() - 1] |= rest
-        return _lift(result, steps)
+                        low = m & -m
+                        m ^= low
+                        left, right, not_left, not_right = data[low.bit_length() - 1]
+                        if seen & (left | right):
+                            continue  # satisfied, drop
+                        left_dead = seen & not_left
+                        right_dead = seen & not_right
+                        if left_dead and right_dead:
+                            clash = low | left_dead | right_dead
+                            break
+                        if left_dead:
+                            if not pending & right:
+                                pending |= right
+                                steps.append((right, low | left_dead))
+                        elif right_dead:
+                            if not pending & left:
+                                pending |= left
+                                steps.append((left, low | right_dead))
+                        else:
+                            keep |= low
+                    if clash:
+                        break
+                    ors = keep
+                if clash:
+                    result = _lift(clash, steps)
+                else:
+                    state = seen & kept | ors
+                    result = lookup(state)
+                    if result is not None:
+                        memo_hits += 1
+                        if result.__class__ is int:
+                            result = _lift(result, steps)
+                    else:
+                        m = state & firsts
+                        while m:
+                            low = m & -m
+                            m ^= low
+                            second = state & partners[low.bit_length() - 1]
+                            if second:
+                                nogood_hits += 1
+                                result = _lift(low | second & -second, steps)
+                                break
+                        else:
+                            if ors:
+                                # both sides satisfy the disjunction, so the
+                                # children get the open ones without it
+                                branches += 1
+                                low = ors & -ors
+                                first, second, not_first, _ = data[low.bit_length() - 1]
+                                ors ^= low
+                                stack.append([state, steps, None, low, first, not_first | second, ors, 0])
+                                mask, seen = first, state
+                                continue
+                            m = state & dia_bits
+                            if m:
+                                boxes = state & box_bits
+                                bodies = 0
+                                b = boxes
+                                while b:
+                                    i = b.bit_length() - 1
+                                    bodies |= data[i]
+                                    b ^= 1 << i
+                                low = m & -m
+                                stack.append([state, steps, [], low, m ^ low, boxes, bodies])
+                                mask, seen, ors = data[low.bit_length() - 1] | bodies, 0, 0
+                                depth += 1
+                                continue
+                            result = cache[state] = (frozenset(formulas[i].index for i in _bits(state & var_bits)), ())
+                # hand the result to the frames above, the latest first, until
+                # one of them has another label to search
+                while stack:
+                    frame = stack.pop()
+                    children = frame[2]
+                    if children is None:  # a branch frame: [state, steps, None, low, first, added, ors, core]
+                        if result.__class__ is int:
+                            core = frame[7]
+                            if core:
+                                # a second side refuted without its own bits refutes alone
+                                added = frame[5]
+                                if result & added:
+                                    result = core | result & ~added
+                            elif result & frame[4]:
+                                frame[7] = result & ~frame[4] | frame[3]
+                                stack.append(frame)
+                                mask, seen, ors = frame[5], frame[0], frame[6]
+                                break
+                            else:
+                                # the first side's refutation holds without it: backjump
+                                backjumps += 1
+                    else:  # a diamond frame: [state, steps, children, low, rest, boxes, bodies]
+                        if result.__class__ is int:
+                            # the diamond and the boxes whose bodies the child's
+                            # core used; boxes alone spawn no world, so the
+                            # diamond stays
+                            core = frame[3]
+                            b = frame[5]
+                            while b:
+                                i = b.bit_length() - 1
+                                box = 1 << i
+                                if result & data[i]:
+                                    core |= box
+                                b ^= box
+                            result = core
+                        else:
+                            children.append(result)
+                            m = frame[4]
+                            if m:
+                                low = frame[3] = m & -m
+                                frame[4] = m ^ low
+                                stack.append(frame)
+                                mask, seen, ors = data[low.bit_length() - 1] | frame[6], 0, 0
+                                break
+                            true_vars = frozenset(formulas[i].index for i in _bits(frame[0] & var_bits))
+                            result = (true_vars, tuple(children))
+                        depth -= 1
+                    cache[frame[0]] = result
+                    if result.__class__ is int:
+                        rest = result & (result - 1)
+                        if rest and not rest & (rest - 1):  # a core of two bits is a nogood
+                            low = result ^ rest
+                            firsts |= low
+                            partners[low.bit_length() - 1] |= rest
+                        result = _lift(result, frame[1])
+                else:
+                    return result
+        finally:
+            context.firsts = firsts
+            self.nodes, self.max_depth, self.memo_hits = nodes, max_depth, memo_hits
+            self.branches, self.backjumps, self.nogood_hits = branches, backjumps, nogood_hits
 
 
 def _lift(core: int, steps: list) -> int:
@@ -608,7 +681,7 @@ def sat_k_tableau(
         context = TableauContext()
     root = context.join(expand_sugar(f))
     tableau = _Tableau(context, budget)
-    tree = tableau.solve(root, 0)
+    tree = tableau.solve(root)
     satisfiable = isinstance(tree, tuple)
     build = functools.partial(_tree_to_model, tree, modal_vars(f)) if satisfiable else None
     counters = (

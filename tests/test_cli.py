@@ -185,25 +185,33 @@ class TestSatCommand:
         assert json.loads(line)["verdict"] == "satisfiable"
 
 
-class TestDeepInputErrors:
-    """Inputs that parse but nest deeper than a recursive stage can go end in
-    a JSON error line and exit code 1, not a traceback."""
+class TestDeepInputAnswers:
+    """Inputs that nest or branch far past the recursion limit get an answer
+    from the default engine, not an error line."""
 
     @pytest.mark.parametrize(
-        "args, text",
+        "text, nodes, depth, branches",
         [
-            (["sat"], "dia^3000 true"),
-            (["sat"], " & ".join(f"(p{i} | p{i + 1})" for i in range(1, 3000, 2))),
+            ("dia^3000 true", 3001, 3000, 0),
+            (" & ".join(f"(p{i} | p{i + 1})" for i in range(1, 3000, 2)), 1501, 0, 1500),
         ],
         ids=["deep-diamonds", "flat-cnf"],
     )
-    def test_reports_json_error(self, tmp_path, capsys, args, text):
+    def test_sat_answers(self, tmp_path, capsys, text, nodes, depth, branches):
         path = write(tmp_path, "f.txt", text + "\n")
-        assert main([*args, path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert "recursion" in json.loads(line)["error"]
+        assert main(["sat", path]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        record = json.loads(line)
+        assert (record["verdict"], record["nodes"], record["depth"], record["branches"]) == (
+            "satisfiable", nodes, depth, branches
+        )
+
+    def test_deep_witness_is_written(self, tmp_path):
+        path = write(tmp_path, "f.txt", "dia^3000 true\n")
+        out = tmp_path / "w.json"
+        assert main(["sat", "--emit-witness", str(out), path]) == 0
+        witness = json.loads(out.read_text(encoding="utf-8"))
+        assert (len(witness["worlds"]), len(witness["relation"])) == (3001, 3000)
 
 
 class TestDeepQbfInputs:

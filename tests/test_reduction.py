@@ -2,6 +2,7 @@
 
 import pytest
 
+from modalred import reduction
 from modalred.kripke import (
     BaseWorld,
     GadgetWorld,
@@ -129,8 +130,14 @@ class TestAlpha:
             alpha(0)
 
     def test_rejects_bool(self):
+        alpha(1)  # in the table of built ladders, where True would find it
         with pytest.raises(ValueError, match="alpha index must be a positive integer, got True"):
             alpha(True)
+
+    def test_a_ladder_is_built_once(self, monkeypatch):
+        ladder = alpha(23)
+        monkeypatch.setattr(reduction, "MDia", None)  # building again would fail
+        assert alpha(23) is ladder
 
     def test_variable_free(self):
         for k in range(1, 11):

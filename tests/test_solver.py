@@ -37,6 +37,7 @@ from modalred.syntax import (
     MBox,
     MBoxPow,
     MDia,
+    MDiaPow,
     MFalse,
     MImp,
     MNot,
@@ -270,7 +271,7 @@ def test_a_tableau_holds_only_its_context_budget_and_counters():
     f = expand_sugar(golden_formula("alpha", "E p1 . A p2 . p1 & p2"))
     context = TableauContext()
     tableau = _Tableau(context, 10_000)
-    assert isinstance(tableau.solve(context.join(f), 0), int)
+    assert isinstance(tableau.solve(context.join(f)), int)
     verdict = sat_k_tableau(f)
     assert vars(tableau) == {
         "context": context,
@@ -356,45 +357,103 @@ class _LoggedCache(dict):
         return super().get(key, default)
 
 
+def _reference_search(context, root, events):
+    """The tableau's search as a recursion that saturates every label from
+    scratch (``_saturate_from_scratch``), with its own memo and nogoods; it
+    logs each state it looks up and each core it lifts as the tableau's loop
+    logs them through ``_LoggedCache`` and ``_lift``.  (result, labels
+    saturated from scratch, branch children, whose labels the loop resumes)."""
+    data = context.data
+    memo, partners = {}, {}  # the two-bit cores: lower bit -> higher bits
+    counts = [0, 0]
+
+    def lift(core, steps):
+        events.append(("lift", core, list(steps)))
+        for new, origin in reversed(steps):
+            if core & new:
+                core = core & ~new | origin
+        return core
+
+    def search(label, resumed):
+        counts[resumed] += 1
+        state, steps, clash = _saturate_from_scratch(context, label)
+        if clash:
+            return lift(clash, steps)
+        events.append(("state", state))
+        if state in memo:
+            result = memo[state]
+            return result if isinstance(result, tuple) else lift(result, steps)
+        for i in _bits(state):
+            second = state & partners.get(i, 0)
+            if second:
+                return lift(1 << i | second & -second, steps)
+        ors = state & context.ors
+        if ors:
+            low = ors & -ors
+            first, second, not_first, _ = data[low.bit_length() - 1]
+            result = search(state | first, 1)
+            if isinstance(result, int) and result & first:
+                core = result & ~first | low
+                result = search(state | not_first | second, 1)
+                if isinstance(result, int) and result & (not_first | second):
+                    result = core | result & ~(not_first | second)
+        else:
+            boxes = list(_bits(state & context.boxes))
+            bodies = functools.reduce(operator.or_, (data[i] for i in boxes), 0)
+            children = []
+            for i in _bits(state & context.dias):
+                child = search(data[i] | bodies, 0)
+                if isinstance(child, int):
+                    result = 1 << i | sum(1 << j for j in boxes if child & data[j])
+                    break
+                children.append(child)
+            else:
+                true_vars = frozenset(context.formulas[i].index for i in _bits(state & context.var_bits))
+                result = (true_vars, tuple(children))
+        memo[state] = result
+        if isinstance(result, tuple):
+            return result
+        if bin(result).count("1") == 2:
+            low = result & -result
+            partners[low.bit_length() - 1] = partners.get(low.bit_length() - 1, 0) | result ^ low
+        return lift(result, steps)
+
+    return search(root, 0), *counts
+
+
 def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
-    # a branch child starts from its parent's saturated state and reads only
-    # the disjunctions that its new bits touch; every label the search meets
+    # a branch child starts from its parent's saturated state, with its
+    # parent's open disjunctions but the one branched on, and reads only the
+    # disjunctions that its new bits touch; every label the search meets
     # must reach the state, the steps and the clash core that saturating it
-    # from scratch gives
+    # from scratch gives, so the loop looks up the states and lifts the
+    # cores that the reference recursion does, in the same order
     events = []
-    checked = [0, 0]  # labels saturated from scratch, resumed
     lift = solver._lift
-    solve = _Tableau.solve
 
     def logged_lift(core, steps):
         events.append(("lift", core, list(steps)))
         return lift(core, steps)
 
-    def logged_solve(self, mask, depth, seen=0, ors=0):
-        start = len(events)
-        result = solve(self, mask, depth, seen, ors)
-        first = events[start]
-        reference, steps, clash = _saturate_from_scratch(self.context, seen | mask)
-        if clash:
-            assert first == ("lift", clash, steps) and len(events) == start + 1
-        else:
-            assert first == ("state", reference)
-            if isinstance(result, int):
-                assert events[-1][2] == steps  # the last lift is this label's
-        checked[bool(seen)] += 1
-        return result
-
     monkeypatch.setattr(solver, "_lift", logged_lift)
-    monkeypatch.setattr(_Tableau, "solve", logged_solve)
+    checked = [0, 0]  # labels saturated from scratch, resumed
     rng = random.Random(28)
     queries = [random_modal_formula(rng, 40) for _ in range(150)]
     queries += [random_modal_formula(rng, 40, 0) for _ in range(50)]
     queries += [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=3)]
     for f in queries:
         context = TableauContext()
-        context.cache = _LoggedCache(events)
         root = context.join(expand_sugar(f))
-        _Tableau(context, 10**6).solve(root, 0)
+        reference_events = []
+        expected, scratch, resumed = _reference_search(context, root, reference_events)
+        events.clear()
+        context.cache = _LoggedCache(events)
+        tableau = _Tableau(context, 10**6)
+        assert tableau.solve(root) == expected
+        assert events == reference_events
+        assert tableau.nodes == scratch + resumed
+        checked[0] += scratch
+        checked[1] += resumed
     scratch, resumed = checked
     assert scratch > 4_000 and resumed > 6_000
 
@@ -480,7 +539,7 @@ NUMBERED_QUERIES = [golden_formula(stage, text) for stage, text, _ in GOLDEN_TAB
 def test_result_carries_its_world_count(f):
     context = TableauContext()
     root = context.join(expand_sugar(f))
-    tree = _Tableau(context, 10**7).solve(root, 0)
+    tree = _Tableau(context, 10**7).solve(root)
     verdict = sat_k_tableau(f)
     assert isinstance(tree, tuple) == verdict.satisfiable
     if not isinstance(tree, tuple):
@@ -728,6 +787,24 @@ def test_a_budget_error_leaves_a_shared_context_usable():
     assert verdicts == [False, True]
 
 
+def test_a_budget_error_leaves_the_counters_set():
+    # the search keeps its counters and the lower bits of its nogoods in
+    # locals; a query cut short writes them back all the same, and the next
+    # query of the context finds the verdict and witness of a fresh one
+    context = TableauContext()
+    cut = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
+    tableau = _Tableau(context, 2_000)
+    with pytest.raises(SolverBudgetError):
+        tableau.solve(context.join(expand_sugar(cut)))
+    assert tableau.nodes == 2_001
+    assert min(tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits) > 0
+    assert context.firsts == sum(1 << i for i, higher in enumerate(context.partners) if higher) != 0
+    f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 | p2) & (p3 | p4)"))
+    shared, alone = sat_k_tableau(f, context=context), sat_k_tableau(f)
+    assert shared.satisfiable and alone.satisfiable
+    assert model_to_json(shared.witness) == model_to_json(alone.witness)
+
+
 # the GOLDEN_TABLEAU queries in reverse order in a fresh interpreter, so
 # every process-wide table starts cold on each of them
 COLD_RUN = """
@@ -810,6 +887,20 @@ class TestDeepInput:
         verdict = sat_k_tableau(f)
         assert verdict.satisfiable
         assert model_check(verdict.witness, verdict.witness.root, f)
+
+    def test_deep_diamond_power(self):
+        # one search frame per diamond level, none of them on the call stack
+        verdict = sat_k_tableau(MDiaPow(5000, MTrue()))
+        assert (verdict.satisfiable, verdict.nodes, verdict.depth) == (True, 5001, 5000)
+        # the witness satisfies <>^5000 true at its root: a path of 5000
+        # steps leaves it (checked by walking it, as model_check takes
+        # seconds on 5,000 nested diamonds)
+        witness = verdict.witness
+        successors = dict(witness.frame.relation)
+        world = witness.root
+        for _ in range(5000):
+            world = successors[world]
+        assert len(successors) == 5000 and len(witness.frame.worlds) == 5001
 
 
 class TestBounded:

@@ -135,6 +135,7 @@ def cmd_sat(args) -> int:
                     "branches": verdict.branches,
                     "backjumps": verdict.backjumps,
                     "nogood_hits": verdict.nogood_hits,
+                    "subsumption_hits": verdict.subsumption_hits,
                 },
                 sort_keys=True,
             )

@@ -15,18 +15,25 @@ saturated state, answers a label whose saturation reaches a state met before
 without searching it again, so repeated sub-labels (ubiquitous in the ladder
 encodings) are searched once.  A stored core of two bits is a nogood: a state
 that misses the memo but holds both bits of one is refuted by it without a
-search (Giunchiglia & Tacchella, Ann. Math. Artif. Intell. 33, 2001).  A memo
-or nogood hit still counts as a search node.  A branch child does not
+search (Giunchiglia & Tacchella, Ann. Math. Artif. Intell. 33, 2001).  A
+diamond's successor label is looked up before it is saturated, among the
+successors of the same diamond searched before it: one decided satisfiable
+that contains the label answers with its result, since a world that
+satisfies a set of formulas satisfies every subset of it, and a refuted
+one's core that the label contains refutes it (subsumption, Giunchiglia &
+Tacchella, and Horrocks & Patel-Schneider, as above).  A memo, nogood or
+subsumption hit still counts as a search node.  A branch child does not
 saturate its label from scratch: it resumes from its parent's saturated
 state, and a disjunction pass reads only the disjunctions that a bit seen
 since the last pass is a side or a negated side of, as a watched clause is
 read only when one of its watched literals falls (Moskewicz et al., "Chaff",
-DAC 2001).  The memo, the nogoods and the bit numbering make a
-``TableauContext``: a lone query gets a fresh one, and queries that share one
-reuse each other's states, since in K a state's answer does not depend on the
-query it came from.  A satisfiable state's result is a pair (true variables,
-children), and a memo hit hands back the same pair, so the results form a
-DAG; the witness has one world per distinct result.  Both engines return only
+DAC 2001).  The memo, the nogoods, the successor lists and the bit numbering
+make a ``TableauContext``: a lone query gets a fresh one, and queries that
+share one reuse each other's states and successors, since in K whether a set
+of formulas is satisfiable does not depend on the query it came from.  A
+satisfiable state's result is a pair (true variables, children), and a memo
+or subsumption hit hands back a stored pair, so the results form a DAG; the
+witness has one world per distinct result.  Both engines return only
 what their witness is built from: ``SatVerdict.witness`` builds the model the
 first time it is read, so a verdict whose witness nobody reads builds none.
 Labels are bit sets: one explicit-stack pass numbers the query's NNF in
@@ -43,8 +50,9 @@ whose right side may not is branched right side first, so the search tries
 the side that builds no world before the one that does (the choice of
 branch, Horrocks & Patel-Schneider, J. Logic Comput. 9(3), 1999).  In the
 variable-free encoding that side is the box of a negated ladder, and the
-order cuts the search several times over.  The numbering, the memo and the
-nogoods belong to the context, the budget and the counters to one query.
+order cuts the search several times over.  The numbering, the memo, the
+nogoods and the successor lists belong to the context, the budget and the
+counters to one query.
 Nothing in this module recurses: the search is one loop over explicit
 frames, one per label between the root and the label being searched.  A
 branch frame waits for a side of its disjunction, a diamond frame for the
@@ -85,6 +93,7 @@ not recurse however deep it goes.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -128,13 +137,15 @@ class SatVerdict:
     records the world limit and an unsatisfiable verdict is only
     bound-relative.  ``nodes`` and ``depth`` are search statistics;
     ``memo_hits`` counts the tableau's label visits whose saturated state
-    its memo table answered and ``nogood_hits`` those whose state missed the
-    memo but held a stored two-bit core (both are counted in ``nodes`` too),
-    ``branches`` the labels that branched on a disjunction and ``backjumps``
-    those of them refuted by their first side's core alone; all four stay
-    0 for the bounded engine.  ``witness`` is the model of a satisfiable query
-    (None otherwise), built by the engine's ``build`` the first time it is
-    read; later reads return the same model.
+    its memo table answered, ``nogood_hits`` those whose state missed the
+    memo but held a stored two-bit core, and ``subsumption_hits`` the
+    successor labels that a stored successor of the same diamond answered
+    before saturation (all three are counted in ``nodes`` too);
+    ``branches`` counts the labels that branched on a disjunction and
+    ``backjumps`` those of them refuted by their first side's core alone.
+    All five stay 0 for the bounded engine.  ``witness`` is the model of a
+    satisfiable query (None otherwise), built by the engine's ``build`` the
+    first time it is read; later reads return the same model.
     """
 
     satisfiable: bool
@@ -146,6 +157,7 @@ class SatVerdict:
     branches: int = 0
     backjumps: int = 0
     nogood_hits: int = 0
+    subsumption_hits: int = 0
     build: Optional[Callable[[], KripkeModel]] = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
@@ -260,7 +272,8 @@ _CONTEXT_MEMO_CAP = 8_000
 
 class TableauContext:
     """What the queries that share one context share: the bit numbering, the
-    kind masks, ``data``, the watch rows, the memo and the nogoods.
+    kind masks, ``data``, the watch rows, the memo, the nogoods and the
+    successor lists.
 
     Every formula that can ever enter a label (subformulas of a query's NNF,
     closed under the negations needed for semantic branching) gets a bit;
@@ -283,9 +296,9 @@ class TableauContext:
     ``cache`` is the memo, keyed by saturated state (a label with no
     conjunction and no ``false`` bit), which holds a satisfiable state's
     result (a tuple) or a refuted state's core (an int, a non-empty subset
-    of the key).  In K a state's satisfiability, the worlds that witness it
-    and the core that refutes it do not depend on the query it came from,
-    so the memo serves every query of the context (global caching: Goré &
+    of the key).  In K a state's satisfiability, a world that witnesses it
+    and a core that refutes it do not depend on the query it came from, so
+    the memo serves every query of the context (global caching: Goré &
     Nguyen, TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).
     An entry is only stored for a state decided in full, so a query cut
     short by its budget leaves the context sound.  A stored core of two
@@ -295,9 +308,25 @@ class TableauContext:
     with one mask test per lower bit it holds.  Longer cores are not
     indexed: in a context shared by many queries, the ones with the same
     two lowest bits pile up, and scanning them cost more than the nodes
-    they saved.  Before a query joins, the context starts afresh, nogoods
-    included, when its memo holds more than ``_CONTEXT_MEMO_CAP`` states; a
-    fresh context is where every lone query starts.
+    they saved.
+
+    The successor lists hold, per diamond bit position, the successor
+    labels of that diamond (its body and the bodies of the boxes beside it)
+    that a search decided.  ``sat_rows`` lists the satisfiable ones with
+    their results, and ``sat_ors`` is the OR of those labels, so a label
+    with a bit outside it is rejected by one test.  ``core_rows`` lists the
+    cores of the refuted ones, each a subset of its label; a core's key bit
+    is its highest bit other than the diamond's body, or the body for a
+    core of the body alone, and ``core_keys`` is the OR of those key bits,
+    so a label that holds none of them is rejected by one test (a key bit
+    is one that a label must hold to contain the core; an AND of the cores
+    would shrink to the body bit, which every label holds).  A satisfiable
+    label answers any label it contains, and a core refutes any label that
+    contains it, whatever query stored it.  Entries are stored only for
+    successors decided in full.  Before a query joins, the context starts
+    afresh, nogoods and successor lists included, when its memo holds more
+    than ``_CONTEXT_MEMO_CAP`` states; a fresh context is where every lone
+    query starts.
     """
 
     def __init__(self):
@@ -309,6 +338,13 @@ class TableauContext:
         self.cache: dict = {}  # saturated state -> result or core
         self.firsts = 0  # the lower bits of the two-bit cores
         self.partners: list = []  # bit position -> the higher bits of its cores
+        # diamond position -> its satisfiable successor labels with their
+        # results, and the OR of those labels; the cores of its refuted
+        # successors, and the OR of their key bits
+        self.sat_rows: dict = collections.defaultdict(list)
+        self.sat_ors: list = []
+        self.core_rows: dict = collections.defaultdict(list)
+        self.core_keys: list = []
         self._name_masks()
 
     def _name_masks(self) -> None:
@@ -338,6 +374,8 @@ class TableauContext:
         data, watch = self.data, self.watch
         watch += [0] * (len(formulas) - start)
         self.partners += [0] * (len(formulas) - start)
+        self.sat_ors += [0] * (len(formulas) - start)
+        self.core_keys += [0] * (len(formulas) - start)
         for f in formulas[start:]:
             kind, _, sides = _RECORDS[f]
             sides = tuple(map(bits.get, sides))
@@ -380,9 +418,12 @@ class _Tableau:
     second side's core that holds neither the negated first side nor the
     second refutes the label alone too; otherwise the label's core is the
     two cores less their sides' bits, with the disjunction.  Backjumping
-    skips work only under labels refuted anyway, and a satisfiable label's
-    result depends on its saturated state alone, so a lone query gets the
-    verdict and witness of the search that tries every branch.
+    skips work only under labels refuted anyway, so a query gets the verdict
+    of the search that tries every branch.  A satisfiable label's result no
+    longer depends on its saturated state alone: a successor label may get
+    the result of a larger one stored before it, so the witness depends on
+    what the search, and the queries before it in the context, stored.  It
+    is a model all the same, and the same search gives the same witness.
 
     ``solve`` is one loop.  For each label it counts the node (budget and
     depth included), saturates the label and looks its saturated state up
@@ -393,11 +434,12 @@ class _Tableau:
     label and is not stored.  A state the memo misses is refuted by a
     stored two-bit core it holds, if any, and that answer is not stored
     either.  ``memo_hits`` counts the states the memo answered,
-    ``nogood_hits`` those a nogood refuted, ``branches`` the labels that
-    branched and ``backjumps`` those of them that backjumped.  The tableau
-    holds only its context and its query's budget and counters; the loop
-    keeps the tables and the counts in locals and writes the counters back
-    when it returns or raises.
+    ``nogood_hits`` those a nogood refuted, ``subsumption_hits`` the
+    successor labels that the successor lists answered, ``branches`` the
+    labels that branched and ``backjumps`` those of them that backjumped.
+    The tableau holds only its context and its query's budget and counters;
+    the loop keeps the tables and the counts in locals and writes the
+    counters back when it returns or raises.
 
     Any other label pushes a frame and hands its first child to the loop.
     A branch frame holds the state, its steps, the disjunction, its first
@@ -409,6 +451,22 @@ class _Tableau:
     side, refutes by its diamond and boxes, or takes its next diamond; a
     frame that is done stores its result under its state and is popped, and
     its result goes on, lifted, to the frame below.
+
+    A diamond frame forms its child's label, the diamond's body and the
+    boxes' bodies, when it is pushed and when it takes its next diamond.
+    Before the label is counted or saturated, the frame looks it up in the
+    context's successor lists of that diamond: the latest stored satisfiable
+    label that contains it answers with its result, or else the first stored
+    core that it contains refutes it by that core, which is in label bits
+    already, so the frame's box loop lifts it unchanged.  A hit counts as a
+    node and goes straight to the frame; it is not stored again.  The frame
+    stores the result of every child it searched: a satisfiable label with
+    its result, or a refuted one's core.  The lookup is made only where a
+    successor label is formed, not at every node, so a label of a branch
+    pays nothing for it.  The satisfiable lists are scanned latest first: in
+    a context shared by many queries, the latest labels are the current
+    query's, and the first stored superset lay about 75 entries deep where
+    the latest lies about one (on ``verify``'s n = 1 instances).
 
     A branch child's label is its parent's saturated state plus one side's
     bits.  Saturating that state again finds no clash, no conjunction and
@@ -432,6 +490,7 @@ class _Tableau:
         self.branches = 0
         self.backjumps = 0
         self.nogood_hits = 0
+        self.subsumption_hits = 0
 
     def solve(self, root: int):
         """(true variables, children) if the label ``root`` is satisfiable,
@@ -445,11 +504,31 @@ class _Tableau:
         cache = context.cache
         lookup = cache.get
         firsts = context.firsts
+        sat_rows, sat_ors = context.sat_rows, context.sat_ors
+        core_rows, core_keys = context.core_rows, context.core_keys
         budget = self.budget
-        nodes = max_depth = memo_hits = branches = backjumps = nogood_hits = 0
+        nodes = max_depth = memo_hits = branches = backjumps = nogood_hits = subsumption_hits = 0
         stack = []  # the frames of the labels between the root and the next one
         # the next label is ``seen | mask``, resumed with the open disjunctions ``ors``
         mask, seen, ors, depth = root, 0, 0, 0
+        hit = False  # whether the result handed on is a stored successor's
+
+        def subsumed(label, i):
+            """The stored answer for ``label``, a successor of the diamond at
+            bit position ``i``: the result of the latest stored satisfiable
+            one that contains it, or else the core of the first stored
+            refuted one that it contains; else None."""
+            stored = sat_ors[i]
+            if label | stored == stored:
+                for stored, result in reversed(sat_rows[i]):
+                    if label | stored == stored:
+                        return result
+            if label & core_keys[i]:
+                for core in core_rows[i]:
+                    if core | label == label:
+                        return core
+            return None
+
         try:
             while True:
                 nodes += 1
@@ -557,7 +636,10 @@ class _Tableau:
                                 mask, seen = first, state
                                 continue
                             m = state & dia_bits
-                            if m:
+                            if not m:
+                                true_vars = frozenset(formulas[i].index for i in _bits(state & var_bits))
+                                result = cache[state] = (true_vars, ())
+                            else:
                                 boxes = state & box_bits
                                 bodies = 0
                                 b = boxes
@@ -567,10 +649,22 @@ class _Tableau:
                                     b ^= 1 << i
                                 low = m & -m
                                 stack.append([state, steps, [], low, m ^ low, boxes, bodies])
-                                mask, seen, ors = data[low.bit_length() - 1] | bodies, 0, 0
                                 depth += 1
-                                continue
-                            result = cache[state] = (frozenset(formulas[i].index for i in _bits(state & var_bits)), ())
+                                i = low.bit_length() - 1
+                                mask = data[i] | bodies
+                                result = subsumed(mask, i)
+                                if result is None:
+                                    seen = ors = 0
+                                    continue
+                                # a stored successor answers the child: a
+                                # node, whose answer goes to the diamond frame
+                                nodes += 1
+                                if nodes > budget:
+                                    raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
+                                if depth > max_depth:
+                                    max_depth = depth
+                                subsumption_hits += 1
+                                hit = True
                 # hand the result to the frames above, the latest first, until
                 # one of them has another label to search
                 while stack:
@@ -593,6 +687,19 @@ class _Tableau:
                                 # the first side's refutation holds without it: backjump
                                 backjumps += 1
                     else:  # a diamond frame: [state, steps, children, low, rest, boxes, bodies]
+                        i = frame[3].bit_length() - 1
+                        if hit:
+                            hit = False  # stored already
+                        elif result.__class__ is int:
+                            core_rows[i].append(result)
+                            # a core's key bit, one a label must hold to
+                            # contain it: its highest bit besides the body
+                            key = result & ~data[i] or result
+                            core_keys[i] |= 1 << key.bit_length() - 1
+                        else:
+                            label = data[i] | frame[6]
+                            sat_rows[i].append((label, result))
+                            sat_ors[i] |= label
                         if result.__class__ is int:
                             # the diamond and the boxes whose bodies the child's
                             # core used; boxes alone spawn no world, so the
@@ -613,8 +720,18 @@ class _Tableau:
                                 low = frame[3] = m & -m
                                 frame[4] = m ^ low
                                 stack.append(frame)
-                                mask, seen, ors = data[low.bit_length() - 1] | frame[6], 0, 0
-                                break
+                                i = low.bit_length() - 1
+                                mask = data[i] | frame[6]
+                                result = subsumed(mask, i)
+                                if result is None:
+                                    seen = ors = 0
+                                    break
+                                nodes += 1
+                                if nodes > budget:
+                                    raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
+                                subsumption_hits += 1
+                                hit = True
+                                continue
                             true_vars = frozenset(formulas[i].index for i in _bits(frame[0] & var_bits))
                             result = (true_vars, tuple(children))
                         depth -= 1
@@ -632,6 +749,7 @@ class _Tableau:
             context.firsts = firsts
             self.nodes, self.max_depth, self.memo_hits = nodes, max_depth, memo_hits
             self.branches, self.backjumps, self.nogood_hits = branches, backjumps, nogood_hits
+            self.subsumption_hits = subsumption_hits
 
 
 def _lift(core: int, steps: list) -> int:
@@ -685,7 +803,8 @@ def sat_k_tableau(
     satisfiable = isinstance(tree, tuple)
     build = functools.partial(_tree_to_model, tree, modal_vars(f)) if satisfiable else None
     counters = (
-        tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits
+        tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits,
+        tableau.subsumption_hits,
     )
     return SatVerdict(satisfiable, "tableau", None, *counters, build)
 

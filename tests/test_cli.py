@@ -87,6 +87,7 @@ class TestSatCommand:
         assert doc["verdict"] == "unsatisfiable"
         assert doc["engine"] == "bounded" and doc["bound"] == 3
         assert doc["memo_hits"] == doc["branches"] == doc["backjumps"] == doc["nogood_hits"] == 0
+        assert doc["subsumption_hits"] == 0
 
     def test_verdict_line_carries_the_search_counters(self, tmp_path, capsys):
         # one line per query, keys sorted, with every counter of the verdict
@@ -105,10 +106,12 @@ class TestSatCommand:
                 "memo_hits": verdict.memo_hits,
                 "nodes": verdict.nodes,
                 "nogood_hits": verdict.nogood_hits,
+                "subsumption_hits": verdict.subsumption_hits,
                 "verdict": "satisfiable",
             }
         )
         assert verdict.memo_hits and verdict.branches and verdict.backjumps and verdict.nogood_hits
+        assert verdict.subsumption_hits
 
     @pytest.mark.parametrize(
         "stage, text, sha",

@@ -106,35 +106,35 @@ def by_query(rows):
 # a change in the first three means the search itself changed
 GOLDEN_TABLEAU = [
     ("star", "A p1 . p1", (False, 5, 1, 0, None)),
-    ("alpha", "A p1 . p1", (False, 65, 5, 0, None)),
+    ("alpha", "A p1 . p1", (False, 59, 5, 0, None)),
     ("star", "E p1 . p1", (True, 4, 1, 2, (
         "5566f467e55fc0eec6cf313474293c0fea0dfd905c0bb1970d34fb4418f21e34"
     ))),
-    ("alpha", "E p1 . p1", (True, 64, 5, 33, (
-        "94a8ae89e94274c1635379bddf9a4de056f0fd6b1e37cc9df66f9ccfc4557131"
+    ("alpha", "E p1 . p1", (True, 58, 5, 25, (
+        "e6bc0724d524278abd13222177461d82a4ff445762b0a73f7e3219c011b032f7"
     ))),
     ("star", "A p1 . E p2 . p1 -> p2", (True, 14, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 756, 10, 112, (
-        "8ce64f07421b2b883064be5eedd7a482ba95bcc8758ae06faf59fb950c513e78"
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 618, 9, 71, (
+        "a60ab142cb02d54303a5e9f353f05cefe111601f0cfa34bf728724f73801d0c8"
     ))),
     ("star", "E p1 . A p2 . p1 & p2", (False, 17, 2, 0, None)),
-    ("alpha", "E p1 . A p2 . p1 & p2", (False, 635, 9, 0, None)),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 68, 3, 9, (
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 544, 8, 0, None)),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 64, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 2399, 12, 271, (
-        "7bad10a1bd9c1455e14ddf8d6387d5c5544a2d951552c133d1d24f87b7497c42"
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 1807, 11, 165, (
+        "a7fc976335e184ecbef539a1e72fbe5e174a9b4fe37f6f021004ec17f3e15a8b"
     ))),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 34, 3, 0, None)),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 1970, 12, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 1506, 11, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 4, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
     # the tree unfolding would have 2^26 worlds
     ("modal", "box<=25 (<> p1 & <> ~p1)", (True, 103, 26, 53, (
-        "e858af8f75739925cb6ce81342f09c577b5f9d95115ba450e40d315cb150d785"
+        "4c0598873d346cb3fbb69f0ad505246c1c64c74e33b906851afe6ef947b4da84"
     ))),
 ]
 
@@ -162,9 +162,9 @@ def test_golden_tableau_counters(stage, text, expected):
 
 # labels whose saturated state the memo table answered without searching
 GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 108),
-    ("alpha", "E p1 . A p2 . p1 & p2", 82),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 221),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 13),
+    ("alpha", "E p1 . A p2 . p1 & p2", 12),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 34),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 0),
 ]
 
@@ -184,13 +184,13 @@ GOLDEN_BRANCHES = [
     ("star", "E p1 . p1", 1, 0, 0),
     ("alpha", "E p1 . p1", 20, 0, 1),
     ("star", "A p1 . E p2 . p1 -> p2", 6, 0, 0),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 404, 83, 37),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 327, 82, 31),
     ("star", "E p1 . A p2 . p1 & p2", 7, 2, 0),
-    ("alpha", "E p1 . A p2 . p1 & p2", 345, 86, 27),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 33, 0, 0),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 1657, 293, 95),
+    ("alpha", "E p1 . A p2 . p1 & p2", 294, 86, 23),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 31, 0, 0),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 1292, 271, 56),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", 18, 8, 0),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1394, 255, 77),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1084, 236, 46),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1, 0, 0),
     ("modal", "box<=25 (<> p1 & <> ~p1)", 0, 0, 0),
 ]
@@ -198,12 +198,43 @@ GOLDEN_BRANCHES = [
 
 def test_golden_branches_cover_golden_tableau():
     assert [row[:2] for row in GOLDEN_BRANCHES] == [row[:2] for row in GOLDEN_TABLEAU]
+    assert [row[:2] for row in GOLDEN_SUBSUMPTION_HITS] == [row[:2] for row in GOLDEN_TABLEAU]
 
 
 @pytest.mark.parametrize("stage, text, branches, backjumps, nogood_hits", by_query(GOLDEN_BRANCHES))
 def test_golden_branches(stage, text, branches, backjumps, nogood_hits):
     verdict = sat_k_tableau(golden_formula(stage, text))
     assert (verdict.branches, verdict.backjumps, verdict.nogood_hits) == (branches, backjumps, nogood_hits)
+
+
+# successor labels that a stored satisfiable successor of the same diamond
+# contained, or that contained a stored refuted one's core (subsumption hits,
+# counted in nodes too), one per GOLDEN_TABLEAU query
+GOLDEN_SUBSUMPTION_HITS = [
+    ("star", "A p1 . p1", 0),
+    ("alpha", "A p1 . p1", 9),
+    ("star", "E p1 . p1", 0),
+    ("alpha", "E p1 . p1", 9),
+    ("star", "A p1 . E p2 . p1 -> p2", 0),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 117),
+    ("star", "E p1 . A p2 . p1 & p2", 0),
+    ("alpha", "E p1 . A p2 . p1 & p2", 96),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 1),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 175),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 0),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 132),
+    ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 0),
+    # at each level the ~p1 world's two successor labels are the p1 world's
+    ("modal", "box<=25 (<> p1 & <> ~p1)", 50),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, text, expected",
+    [pytest.param(stage, text, expected, id=f"{stage}-{text}") for stage, text, expected in GOLDEN_SUBSUMPTION_HITS],
+)
+def test_golden_subsumption_hits(stage, text, expected):
+    assert sat_k_tableau(golden_formula(stage, text)).subsumption_hits == expected
 
 
 @pytest.mark.parametrize(
@@ -282,6 +313,7 @@ def test_a_tableau_holds_only_its_context_budget_and_counters():
         "branches": verdict.branches,
         "backjumps": verdict.backjumps,
         "nogood_hits": verdict.nogood_hits,
+        "subsumption_hits": verdict.subsumption_hits,
     }
 
 
@@ -302,6 +334,46 @@ def test_memo_cores_are_refuted_subsets_of_their_labels():
     assert len(cores) > 1000
     for parts in rng.sample(cores, 200):
         assert not sat_k_tableau(parts[0] if len(parts) == 1 else MAnd(tuple(parts))).satisfiable
+
+
+def test_stored_successors_are_models_and_refuted_cores():
+    # a satisfiable successor label is stored with its result, whose world
+    # must satisfy every formula of the label, since it answers any label
+    # the stored one contains; a refuted one's core must be refuted on its
+    # own, since it answers any label that contains it
+    rng = random.Random(5)
+    queries = [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=0)]
+    queries += [random_modal_formula(rng, 30) for _ in range(60)]
+    labels = cores = 0
+    refuted = set()
+    for f in queries:
+        context = TableauContext()
+        sat_k_tableau(f, context=context)
+        variables = modal_vars(f)
+        for i, rows in context.sat_rows.items():
+            assert context.sat_ors[i] == functools.reduce(operator.or_, (label for label, _ in rows))
+            for label, result in rows:
+                model = solver._tree_to_model(result, variables)
+                parts = [context.formulas[j] for j in _bits(label)]
+                assert model_check(model, model.root, MAnd(tuple(parts)) if len(parts) > 1 else parts[0])
+                labels += 1
+        for i, rows in context.core_rows.items():
+            for core in rows:
+                assert core and context.core_keys[i] & core
+                refuted.add(tuple(context.formulas[j] for j in _bits(core)))
+                cores += 1
+    assert labels > 1_000 and cores > 250
+    for parts in refuted:
+        assert not sat_k_tableau(parts[0] if len(parts) == 1 else MAnd(parts)).satisfiable
+
+
+def test_subsumption_keeps_the_alpha_verdicts_and_witnesses():
+    for qbf in build_corpus(n_max=3, count=100, seed=0):
+        f = encode_alpha(qbf)
+        verdict = sat_k_tableau(f)
+        assert verdict.satisfiable == is_true_qbf(qbf)
+        if verdict.satisfiable:
+            assert model_check(verdict.witness, verdict.witness.root, f)
 
 
 def _saturate_from_scratch(context, label):
@@ -359,13 +431,23 @@ class _LoggedCache(dict):
 
 def _reference_search(context, root, events):
     """The tableau's search as a recursion that saturates every label from
-    scratch (``_saturate_from_scratch``), with its own memo and nogoods; it
-    logs each state it looks up and each core it lifts as the tableau's loop
-    logs them through ``_LoggedCache`` and ``_lift``.  (result, labels
-    saturated from scratch, branch children, whose labels the loop resumes)."""
+    scratch (``_saturate_from_scratch``), with its own memo, nogoods and
+    successor lists; it logs each state it looks up and each core it lifts
+    as the tableau's loop logs them through ``_LoggedCache`` and ``_lift``.
+    (result, labels saturated from scratch, branch children, whose labels the
+    loop resumes, successor labels answered by a stored one)."""
     data = context.data
     memo, partners = {}, {}  # the two-bit cores: lower bit -> higher bits
-    counts = [0, 0]
+    # diamond position -> the satisfiable successor labels and their results,
+    # in the order stored; the cores of the refuted successors, likewise
+    satisfied, refuted = {}, {}
+    counts = [0, 0, 0]
+
+    def stored(i, label):
+        for kept, result in reversed(satisfied.get(i, [])):
+            if not label & ~kept:
+                return result
+        return next((core for core in refuted.get(i, []) if not core & ~label), None)
 
     def lift(core, steps):
         events.append(("lift", core, list(steps)))
@@ -402,7 +484,16 @@ def _reference_search(context, root, events):
             bodies = functools.reduce(operator.or_, (data[i] for i in boxes), 0)
             children = []
             for i in _bits(state & context.dias):
-                child = search(data[i] | bodies, 0)
+                label = data[i] | bodies
+                child = stored(i, label)
+                if child is not None:
+                    counts[2] += 1
+                else:
+                    child = search(label, 0)
+                    if isinstance(child, int):
+                        refuted.setdefault(i, []).append(child)
+                    else:
+                        satisfied.setdefault(i, []).append((label, child))
                 if isinstance(child, int):
                     result = 1 << i | sum(1 << j for j in boxes if child & data[j])
                     break
@@ -427,7 +518,9 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
     # disjunctions that its new bits touch; every label the search meets
     # must reach the state, the steps and the clash core that saturating it
     # from scratch gives, so the loop looks up the states and lifts the
-    # cores that the reference recursion does, in the same order
+    # cores that the reference recursion does, in the same order; and a
+    # successor label that a stored successor of its diamond answers must
+    # be one the reference's plain scan of its lists answers too
     events = []
     lift = solver._lift
 
@@ -436,26 +529,27 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
         return lift(core, steps)
 
     monkeypatch.setattr(solver, "_lift", logged_lift)
-    checked = [0, 0]  # labels saturated from scratch, resumed
+    checked = [0, 0, 0]  # labels saturated from scratch, resumed, answered by a stored successor
     rng = random.Random(28)
     queries = [random_modal_formula(rng, 40) for _ in range(150)]
     queries += [random_modal_formula(rng, 40, 0) for _ in range(50)]
-    queries += [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=3)]
+    queries += [encode_alpha(f) for f in build_corpus(n_max=2, count=30, seed=3)]
     for f in queries:
         context = TableauContext()
         root = context.join(expand_sugar(f))
         reference_events = []
-        expected, scratch, resumed = _reference_search(context, root, reference_events)
+        expected, scratch, resumed, hits = _reference_search(context, root, reference_events)
         events.clear()
         context.cache = _LoggedCache(events)
         tableau = _Tableau(context, 10**6)
         assert tableau.solve(root) == expected
         assert events == reference_events
-        assert tableau.nodes == scratch + resumed
+        assert (tableau.nodes, tableau.subsumption_hits) == (scratch + resumed + hits, hits)
         checked[0] += scratch
         checked[1] += resumed
-    scratch, resumed = checked
-    assert scratch > 4_000 and resumed > 6_000
+        checked[2] += hits
+    scratch, resumed, hits = checked
+    assert scratch > 4_000 and resumed > 6_000 and hits > 3_000
 
 
 def test_indexed_nogoods_are_stored_cores_refuted_on_their_own():
@@ -505,7 +599,7 @@ def test_budget_counts_memo_hits(text):
 # sha256 over the verdict and the witness JSON of each query of
 # test_witnesses_stay_as_pinned; it pins what the search finds apart from
 # how much it searches, so a change to the search order keeps it
-WITNESS_DIGEST = "dc98f1b0fad2f13f0cdbc5c7af04ec2c37baa8b7c0c90001e47de68b8f5e77e4"
+WITNESS_DIGEST = "c7d0a125fea7a9a6974ad961909c867532d06d5012bbacddef591a60f433c805"
 
 
 def test_witnesses_stay_as_pinned():
@@ -790,19 +884,28 @@ def test_a_budget_error_leaves_a_shared_context_usable():
 def test_a_budget_error_leaves_the_counters_set():
     # the search keeps its counters and the lower bits of its nogoods in
     # locals; a query cut short writes them back all the same, and the next
-    # query of the context finds the verdict and witness of a fresh one
-    context = TableauContext()
+    # query of the context finds the verdict of a fresh one.  Its witness
+    # may differ from a fresh query's, since a successor label can get the
+    # result of a larger one that the cut search stored, but it is a model,
+    # and replaying the cut search gives it again
     cut = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
-    tableau = _Tableau(context, 2_000)
-    with pytest.raises(SolverBudgetError):
-        tableau.solve(context.join(expand_sugar(cut)))
-    assert tableau.nodes == 2_001
-    assert min(tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits) > 0
-    assert context.firsts == sum(1 << i for i, higher in enumerate(context.partners) if higher) != 0
     f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 | p2) & (p3 | p4)"))
-    shared, alone = sat_k_tableau(f, context=context), sat_k_tableau(f)
-    assert shared.satisfiable and alone.satisfiable
-    assert model_to_json(shared.witness) == model_to_json(alone.witness)
+    witnesses = []
+    for _ in range(2):
+        context = TableauContext()
+        tableau = _Tableau(context, 2_000)
+        with pytest.raises(SolverBudgetError):
+            tableau.solve(context.join(expand_sugar(cut)))
+        assert tableau.nodes == 2_001
+        counters = (tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits)
+        assert min(tableau.max_depth, tableau.subsumption_hits, *counters) > 0
+        assert context.firsts == sum(1 << i for i, higher in enumerate(context.partners) if higher) != 0
+        shared, alone = sat_k_tableau(f, context=context), sat_k_tableau(f)
+        assert shared.satisfiable and alone.satisfiable
+        for verdict in (shared, alone):
+            assert model_check(verdict.witness, verdict.witness.root, f)
+        witnesses.append(model_to_json(shared.witness))
+    assert witnesses[0] == witnesses[1]
 
 
 # the GOLDEN_TABLEAU queries in reverse order in a fresh interpreter, so

@@ -32,7 +32,6 @@ from .qbf import (
     evaluate,
     free_vars,
     is_true_qbf,
-    negate_prenex,
     prenex_join,
     prenex_split,
     to_prenex,

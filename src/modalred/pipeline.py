@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .kripke import close, frame_class_check, model_check
-from .qbf import is_true_qbf, prenex_join, universal_closure
+from .qbf import is_true_qbf, prenex_join
 from .reduction import (
     alpha,
     encode_alpha,
@@ -46,9 +46,7 @@ from .syntax import (
     ModalFormula,
     QAnd,
     QbfFormula,
-    QExists,
     QFalse,
-    QForall,
     QImp,
     QOr,
     QVar,
@@ -56,7 +54,6 @@ from .syntax import (
     _require_int,
     formula_size,
     is_constant,
-    qbf_size,
     render,
     substitute,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "exhaustive_matrices",
     "random_matrix",
     "random_modal_formula",
-    "random_closed_qbf",
     "build_corpus",
     "check_instance",
     "run_verify",
@@ -154,36 +150,6 @@ def random_modal_formula(rng: random.Random, max_size: int, var_count: int = 3) 
         return MImp(left, right)
 
     return build(target)
-
-
-def random_closed_qbf(rng: random.Random, max_size: int, var_count: int = 3) -> QbfFormula:
-    """Random closed QBF (quantifiers may sit anywhere) of size <= max_size.
-
-    Draws a random formula, closes it universally, and retries until the
-    closed formula fits the size bound.
-    """
-    _require_int("max_size", max_size)
-    while True:
-        target = rng.choice(list(range(1, max_size + 1)))
-
-        def build(size: int) -> QbfFormula:
-            if size <= 1:
-                if rng.random() < 0.25:
-                    return QFalse()
-                return QVar(rng.randint(1, var_count))
-            op = rng.choice(("and", "or", "imp", "forall", "exists"))
-            if op in ("forall", "exists"):
-                body = build(size - 1)
-                index = rng.randint(1, var_count)
-                return QForall(index, body) if op == "forall" else QExists(index, body)
-            left_size = rng.randint(1, max(size - 2, 1))
-            right_size = max(size - 1 - left_size, 1)
-            pair = (build(left_size), build(right_size))
-            return {"and": QAnd, "or": QOr, "imp": QImp}[op](*pair)
-
-        candidate = universal_closure(build(target))
-        if qbf_size(candidate) <= max_size:
-            return candidate
 
 
 def build_corpus(

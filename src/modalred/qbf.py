@@ -36,7 +36,6 @@ __all__ = [
     "prenex_split",
     "prenex_join",
     "to_prenex",
-    "negate_prenex",
 ]
 
 
@@ -203,15 +202,3 @@ def to_prenex(f: QbfFormula) -> QbfFormula:
         else:
             matrix.append(QVar(env[g.index]) if isinstance(g, QVar) else g)
     return prenex_join(prefix, matrix.pop())
-
-
-def negate_prenex(f: QbfFormula) -> QbfFormula:
-    """Negation of a closed prenex formula, kept prenex: dual quantifiers over
-    the negated matrix (matrix -> false)."""
-    if free_vars(f):
-        raise ValueError("negate_prenex requires a closed formula")
-    if not is_prenex(f):
-        raise ValueError("negate_prenex requires a prenex formula")
-    prefix, matrix = prenex_split(f)
-    dual = [("E" if kind == "A" else "A", index) for kind, index in prefix]
-    return prenex_join(dual, QImp(matrix, QFalse()))

@@ -63,15 +63,26 @@ interpreter's recursion limit gets an answer.
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
 the satisfaction relation under a small deterministic conflict-driven
 search.  Satisfiable verdicts are absolute; unsatisfiable ones only mean "no
-model within the bound".  The CNF grows one world at a time under one
-search, and each world numbers its own variables (``_Layout``).  World w
-adds its definitions, the auxiliaries of every pair that involves it and the
-halves of the box and diamond definitions that hold at any bound.  Only each
-box's and diamond's closing clause (``t <-> AND/OR over j < k``) depends on
-the world count k: those of k = w + 1 are guarded by a selector s_w, the
-unit ~s_{w-1} switches off the ones before, and the search assumes s_w at
-level 1 (Eén & Sörensson, ENTCS 89(4), 2003), so what it learned at smaller
-k carries over.  It decides the variables of the first k worlds in the
+model within the bound".  Each subformula is defined by its polarity
+(Plaisted & Greenbaum, J. Symb. Comput. 2(3), 1986): the root occurs
+positively, ``~`` and the left side of ``->`` flip the polarity, and the
+truth bit t of a node that occurs only positively implies its definition,
+the definition implies the t of one that occurs only negatively, and a node
+that occurs both ways gets both halves.  So a model's truth bits need not be
+the truths of their formulas, but its valuation and relation satisfy the
+query.  A positive box is one clause per relation pair, ~t@i | ~R(i, j) |
+body@j, and a negative diamond its dual; only a positive diamond or a
+negative box must find a successor, and only it gets an auxiliary x per
+pair (x -> R(i, j), x -> body@j, or ~body@j for a box) and a closing clause
+over them.  The CNF grows one world at a time under one search, and each
+world numbers its own variables (``_Layout``).  World w adds its
+definitions, the per-pair clauses and auxiliaries of every pair that
+involves it, which hold at any bound.  Only the closing clauses (t@i -> OR x
+for a diamond, ~t@i -> OR x for a box, over j < k) depend on the world
+count k: those of k = w + 1 are guarded by a selector s_w, the unit
+~s_{w-1} switches off the ones before, and the search assumes s_w at level
+1 (Eén & Sörensson, ENTCS 89(4), 2003), so what it learned at smaller k
+carries over.  It decides the variables of the first k worlds in the
 order a one-shot encoding of k worlds numbers them, ``False`` first, and
 counts decisions only.  Unit propagation watches two literals per clause
 (Moskewicz et al., "Chaff", DAC 2001).  A conflict is analysed to its first
@@ -822,23 +833,55 @@ def _subformulas(f: ModalFormula) -> list[ModalFormula]:
     return list(memo)
 
 
+def _polarities(subs: list[ModalFormula]) -> dict:
+    """Bit 1 for each of ``subs`` (``_subformulas`` order) that occurs
+    positively, bit 2 for each that occurs negatively (see the module
+    docstring); reversed, post-order reaches a node after all its parents."""
+    polarity = dict.fromkeys(subs, 0)
+    polarity[subs[-1]] = 1
+    for g in reversed(subs):
+        p = polarity[g]
+        flipped = (p & 1) << 1 | p >> 1
+        if isinstance(g, MNot):
+            polarity[g.body] |= flipped
+        elif isinstance(g, MImp):
+            polarity[g.left] |= flipped
+            polarity[g.right] |= p
+        elif isinstance(g, MOr):
+            polarity[g.left] |= p
+            polarity[g.right] |= p
+        elif isinstance(g, MAnd):
+            for item in g.items:
+                polarity[item] |= p
+        elif isinstance(g, (MBox, MDia)):
+            polarity[g.body] |= p
+    return polarity
+
+
 class _Layout:
     """The variables and clauses of the growing CNF, numbered world by world.
 
-    World w's block holds the truth at w of each of ``subs`` (the query's
-    distinct subformulas, in depth-first post-order), the relation pairs
-    that involve w ((w, 0) .. (w, w), then (0, w) .. (w - 1, w)), the
-    auxiliaries of each box and diamond for them, the selector s_w and the
-    swap variables, so the search's arrays grow with the worlds, not with
-    the bound.  ``order`` lists the variables of the worlds so far as a
-    one-shot encoding of that many worlds numbers them, and ``cells[i][j]``
-    holds the relation variable of (i, j) and the distance between its
-    auxiliaries."""
+    Each of ``subs`` (the query's distinct subformulas, in depth-first
+    post-order) gets the halves of its definition that its ``polarity``
+    needs; the constants keep their unit either way.  ``modal`` numbers the
+    positive diamonds and negative boxes, the only nodes with auxiliaries.
+    World w's block holds the truth at w of each of ``subs``, the relation
+    pairs that involve w ((w, 0) .. (w, w), then (0, w) .. (w - 1, w)), the
+    auxiliaries of ``modal`` for them, the selector s_w and the swap
+    variables, so the search's arrays grow with the worlds, not with the
+    bound.  ``order`` lists the variables of the worlds so far
+    as a one-shot encoding of that many worlds numbers them, and
+    ``cells[i][j]`` holds the relation variable of (i, j) and the distance
+    between its auxiliaries."""
 
     def __init__(self, subs: list[ModalFormula]):
         self.subs = subs
         self.index = {g: n for n, g in enumerate(subs)}
-        self.modal = {g: q for q, g in enumerate(g for g in subs if isinstance(g, (MBox, MDia)))}
+        self.polarity = polarity = _polarities(subs)
+        self.modal: dict = {}
+        for g in subs:
+            if isinstance(g, (MBox, MDia)) and polarity[g] & (1 if isinstance(g, MDia) else 2):
+                self.modal[g] = len(self.modal)
         self.blocks: list[int] = []  # first variable of each world's block
         self.count = self.selector = 0
 
@@ -846,7 +889,7 @@ class _Layout:
         """Number world w, the next one, and return what it adds (see the
         module docstring); the closing clauses are guarded by ``~s_w``, and
         the root (at w = 0) or the unit ``~s_{w-1}`` comes first."""
-        subs, index, blocks = self.subs, self.index, self.blocks
+        subs, index, blocks, polarity = self.subs, self.index, self.blocks, self.polarity
         w, base, size = len(blocks), self.count + 1, len(subs)
         blocks.append(base)
         pairs = [(w, j) for j in range(w + 1)] + [(i, w) for i in range(w)]
@@ -861,7 +904,7 @@ class _Layout:
         clauses: list[list[int]] = [[-self.selector]] if w else [[base + size - 1]]
         add = clauses.append
         for n, g in enumerate(subs):
-            t = base + n
+            t, positive, negative = base + n, polarity[g] & 1, polarity[g] & 2
             if isinstance(g, MVar):
                 pass  # free bit: the valuation itself
             elif isinstance(g, MFalse):
@@ -870,26 +913,41 @@ class _Layout:
                 add([t])
             elif isinstance(g, MNot):
                 b = base + index[g.body]
-                clauses += [[-t, -b], [t, b]]
+                if positive:
+                    add([-t, -b])
+                if negative:
+                    add([t, b])
             elif isinstance(g, MAnd):
                 parts = [base + index[item] for item in g.items]
-                clauses += [[-t, b] for b in parts]
-                add([t, *(-b for b in parts)])
+                if positive:
+                    clauses += [[-t, b] for b in parts]
+                if negative:
+                    add([t, *(-b for b in parts)])
             elif isinstance(g, (MOr, MImp)):
                 # l -> r is ~l | r: only the sign of the left literal differs
                 l = (-1 if isinstance(g, MImp) else 1) * (base + index[g.left])
                 r = base + index[g.right]
-                clauses += [[-t, l, r], [t, -l], [t, -r]]
+                if positive:
+                    add([-t, l, r])
+                if negative:
+                    clauses += [[t, -l], [t, -r]]
             elif isinstance(g, (MBox, MDia)):
-                # x <-> rel(i, j) & body@j for a diamond, & ~body@j for a box;
-                # t@i <- x for a diamond, t@i -> ~x for a box, at any bound;
-                # t@i -> OR x, or AND ~x -> t@i, over exactly w + 1 worlds
-                sign, q, body = 1 if isinstance(g, MDia) else -1, self.modal[g] + 1, index[g.body]
-                for p, (i, j) in enumerate(pairs):
-                    x, r, b = rel + q * width + p, rel + p, sign * (blocks[j] + body)
-                    clauses += [[-x, r], [-x, b], [x, -r, -b], [sign * (blocks[i] + n), -x]]
-                for i, row in enumerate(cells):
-                    add([-sign * (blocks[i] + n), *[r + q * d for r, d in row], -select])
+                # a positive box: t@i -> (rel(i, j) -> body@j) per pair, a
+                # negative diamond its dual, at any bound; a positive diamond:
+                # x -> rel(i, j) & body@j per pair, a negative box the same
+                # with ~body@j, and t@i -> OR x (~t@i for a box) over exactly
+                # w + 1 worlds
+                sign, body = 1 if isinstance(g, MDia) else -1, index[g.body]
+                if (negative if sign > 0 else positive):
+                    for p, (i, j) in enumerate(pairs):
+                        add([sign * (blocks[i] + n), -(rel + p), -sign * (blocks[j] + body)])
+                if g in self.modal:
+                    q = self.modal[g] + 1
+                    for p, (i, j) in enumerate(pairs):
+                        x = rel + q * width + p
+                        clauses += [[-x, rel + p], [-x, sign * (blocks[j] + body)]]
+                    for i, row in enumerate(cells):
+                        add([-sign * (blocks[i] + n), *[r + q * d for r, d in row], -select])
             else:
                 raise TypeError(f"unexpanded or non-modal node: {g!r}")
         self.count = self.selector = select

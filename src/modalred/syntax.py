@@ -69,7 +69,6 @@ __all__ = [
     "substitute",
     "expand_sugar",
     "formula_size",
-    "qbf_size",
     "is_constant",
     "modal_vars",
     "modal_depth",
@@ -617,17 +616,6 @@ def _size_step(f, sizes) -> int:
     if isinstance(f, _CORE):
         return 1 + sum(sizes)
     raise TypeError(f"unexpanded or non-modal node: {f!r}")
-
-
-def qbf_size(f: QbfFormula) -> int:
-    """Symbol count of a QBF: 1 per leaf, 1 per connective or quantifier."""
-    return _fold(f, _qbf_size_step, {})
-
-
-def _qbf_size_step(f, sizes) -> int:
-    if isinstance(f, (QVar, QFalse, QAnd, QOr, QImp, QForall, QExists)):
-        return 1 + sum(sizes)
-    raise TypeError(f"not a QBF formula: {f!r}")
 
 
 def is_constant(f: ModalFormula) -> bool:

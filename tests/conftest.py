@@ -7,6 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from modalred.kripke import BaseWorld, KripkeFrame, KripkeModel
+from modalred.qbf import universal_closure
 from modalred.syntax import (
     MAnd,
     MBox,
@@ -28,6 +29,9 @@ from modalred.syntax import (
     QImp,
     QOr,
     QVar,
+    QbfFormula,
+    _fold,
+    _require_int,
 )
 
 
@@ -50,6 +54,41 @@ def qbf_formulas(max_leaves: int = 20):
         ),
         max_leaves=max_leaves,
     )
+
+
+def qbf_size(f: QbfFormula) -> int:
+    """Symbol count of a QBF: 1 per leaf, 1 per connective or quantifier."""
+    return _fold(f, lambda g, sizes: 1 + sum(sizes), {})
+
+
+def random_closed_qbf(rng: random.Random, max_size: int, var_count: int = 3) -> QbfFormula:
+    """Random closed QBF (quantifiers may sit anywhere) of size <= max_size.
+
+    Draws a random formula, closes it universally, and retries until the
+    closed formula fits the size bound.
+    """
+    _require_int("max_size", max_size)
+    while True:
+        target = rng.choice(list(range(1, max_size + 1)))
+
+        def build(size: int) -> QbfFormula:
+            if size <= 1:
+                if rng.random() < 0.25:
+                    return QFalse()
+                return QVar(rng.randint(1, var_count))
+            op = rng.choice(("and", "or", "imp", "forall", "exists"))
+            if op in ("forall", "exists"):
+                body = build(size - 1)
+                index = rng.randint(1, var_count)
+                return QForall(index, body) if op == "forall" else QExists(index, body)
+            left_size = rng.randint(1, max(size - 2, 1))
+            right_size = max(size - 1 - left_size, 1)
+            pair = (build(left_size), build(right_size))
+            return {"and": QAnd, "or": QOr, "imp": QImp}[op](*pair)
+
+        candidate = universal_closure(build(target))
+        if qbf_size(candidate) <= max_size:
+            return candidate
 
 
 def modal_leaves():

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
+from conftest import qbf_size, random_closed_qbf
 from modalred.pipeline import (
     build_corpus,
     check_instance,
     exhaustive_matrices,
-    random_closed_qbf,
     random_matrix,
     random_modal_formula,
     report_lines,
@@ -19,7 +19,7 @@ from modalred.pipeline import (
 )
 from modalred.qbf import free_vars, is_prenex, prenex_split
 from modalred.solver import sat_k_tableau
-from modalred.syntax import formula_size, qbf_size, render
+from modalred.syntax import formula_size, render
 
 
 class TestGenerators:

@@ -16,7 +16,6 @@ from modalred.qbf import (
     free_vars,
     is_prenex,
     is_true_qbf,
-    negate_prenex,
     prenex_split,
     to_prenex,
     universal_closure,
@@ -31,7 +30,6 @@ from modalred.syntax import (
     QOr,
     QVar,
     parse_qbf,
-    qbf_size,
     render,
 )
 from modalred.reduction import quantifier_tree
@@ -74,9 +72,6 @@ class TestDeepNesting:
         for _ in range(3000):
             f = QImp(QVar(1), f)
         return f
-
-    def test_qbf_size(self):
-        assert qbf_size(self.deep()) == 2 * 3000 + 1
 
     def test_free_vars(self):
         assert free_vars(self.deep()) == frozenset((1,))
@@ -214,22 +209,6 @@ class TestToPrenex:
         assert len(prefix) == 3
 
 
-class TestNegatePrenex:
-    def test_forall_dualizes(self):
-        assert negate_prenex(QForall(1, QVar(1))) == QExists(
-            1, QImp(QVar(1), QFalse())
-        )
-
-    def test_exists_dualizes(self):
-        assert negate_prenex(QExists(1, QVar(1))) == QForall(
-            1, QImp(QVar(1), QFalse())
-        )
-
-    def test_rejects_non_prenex(self):
-        with pytest.raises(ValueError):
-            negate_prenex(QAnd(QForall(1, QVar(1)), QVar(2)))
-
-
 @given(qbf_formulas(max_leaves=12))
 @settings(max_examples=300)
 def test_evaluation_ignores_junk_variables(f):
@@ -255,16 +234,6 @@ def test_prenex_preserves_truth(f):
     assert is_prenex(p)
     assert free_vars(p) == frozenset()
     assert is_true_qbf(p) == is_true_qbf(closed)
-
-
-@given(qbf_formulas(max_leaves=10))
-@settings(max_examples=200, deadline=None)
-def test_negate_prenex_flips_truth_and_is_involutive(f):
-    p = to_prenex(universal_closure(f))
-    negated = negate_prenex(p)
-    assert is_prenex(negated)
-    assert is_true_qbf(negated) == (not is_true_qbf(p))
-    assert is_true_qbf(negate_prenex(negated)) == is_true_qbf(p)
 
 
 @given(qbf_formulas(max_leaves=12), st.frozensets(st.integers(min_value=1, max_value=5)))

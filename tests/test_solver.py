@@ -1068,18 +1068,18 @@ GADGET_31 = MDia(MNot(MOr(
 # any change here means the CDCL search itself changed
 GOLDEN_BOUNDED = [
     ("star", "A p1 . p1", 4, (False, 17, 4, None)),
-    ("star", "E p1 . p1", 4, (True, 3, 2, (
+    ("star", "E p1 . p1", 4, (True, 8, 2, (
         "24c699a80676f2e22f269b3e4d3cbbbf69846c4ab3ffc56bec72ebe9516c16af"
     ))),
-    ("star", "A p1 . E p2 . p1 -> p2", 4, (False, 19, 4, None)),
-    ("star", "E p1 . A p2 . p1 & p2", 4, (False, 66, 4, None)),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 4, (False, 29, 4, None)),
-    ("star", "E p1 . A p2 . E p3 . p1 & p2", 4, (False, 80, 4, None)),
-    ("star", "E p1 . E p2 . (p1 & false)", 4, (False, 30, 4, None)),
+    ("star", "A p1 . E p2 . p1 -> p2", 4, (False, 22, 4, None)),
+    ("star", "E p1 . A p2 . p1 & p2", 4, (False, 61, 4, None)),
+    ("star", "A p1 . E p2 . A p3 . p2 | p3", 4, (False, 44, 4, None)),
+    ("star", "E p1 . A p2 . E p3 . p1 & p2", 4, (False, 168, 4, None)),
+    ("star", "E p1 . E p2 . (p1 & false)", 4, (False, 39, 4, None)),
     ("gadget", "<> ~(alpha(2) | ([] false | <> true) | alpha(2) | alpha(1))", 5,
      (False, 45, 5, None)),
     # the smallest model of a true alpha encoding has 7 worlds
-    ("alpha", "E p1 . p1", 7, (True, 3112, 7, (
+    ("alpha", "E p1 . p1", 7, (True, 3163, 7, (
         "0546fc119bd60478e319b224cb6ea06ec8f61766c21256dbfbba7d8374dd816c"
     ))),
 ]
@@ -1108,23 +1108,27 @@ def test_golden_bounded_counters(stage, text, bound, expected):
 # clause, literals space-separated) of the clauses that worlds 0 .. k - 1
 # add; any change here renumbers a variable or moves a clause
 GOLDEN_ENCODE = [
-    ("star", "A p1 . E p2 . p1 -> p2", 1, (63, 159, (
-        "e024b942fccde727221f649bfb5f4486094f83c89d85d68506b5b6e75de84a5e"
+    ("star", "A p1 . E p2 . p1 -> p2", 1, (54, 77, (
+        "fe6d402284db264052c478d33fe5387e4fc8efe70fffb4d01b7dd612ecbd2785"
     ))),
-    ("star", "A p1 . E p2 . p1 -> p2", 2, (152, 426, (
-        "f65a3e4e851b90a116a0f38e34a1b5607026e844e1c1e5144a9fedbe5e7e99c2"
+    ("star", "A p1 . E p2 . p1 -> p2", 2, (116, 187, (
+        "b8e5011f3094e7a238e045e9ca95494be8fdb9555e128116e72a8dd421d2d4ee"
     ))),
-    ("star", "A p1 . E p2 . p1 -> p2", 3, (317, 949, (
-        "18e254fb638abc7ecda07e11011afa779d2347823c9104e72114b6b274a1bcb7"
+    ("star", "A p1 . E p2 . p1 -> p2", 3, (236, 478, (
+        "553b415f1684afc2dd41301b3679f75eeb4902da097fdc8e10e172c33f8e3c01"
     ))),
-    ("alpha", "E p1 . p1", 1, (60, 154, (
-        "e4fcbaa1a0219a354029e68ca66064de898d33014019c544337a48558b6d69b1"
+    ("alpha", "E p1 . p1", 1, (58, 117, (
+        "0a84d9db01184083f2b3c016ac8af5b76bebcdb8880db38652466c34bb6a1b67"
     ))),
-    ("alpha", "E p1 . p1", 2, (152, 443, (
-        "8e5390cd43552481e17010fbae57a206c572945c971b15cc13975cd627226d3e"
+    ("alpha", "E p1 . p1", 2, (144, 327, (
+        "340875c3fd6f4d6bdd244fe0ce5da8f621d6c7d76aaaf5d2632335d8bdca6722"
     ))),
-    ("alpha", "E p1 . p1", 3, (320, 997, (
-        "edf1cd3e18960d0c71cb2076939d923fd8fdf04a65503c912dfcb0f94394ca3a"
+    ("alpha", "E p1 . p1", 3, (302, 760, (
+        "b4f186df443f3f66569253644c715fccd6b6d70c2762a335275a6587c0deec20"
+    ))),
+    # 1,580 clauses over 508 variables with two-way definitions
+    ("star", "A p1 . E p2 . p1 -> p2", 4, (364, 802, (
+        "3ffb4bba7db44b5e06e312b34f2f08058bee1ea7c4918aa60f20b76c195ceb03"
     ))),
 ]
 
@@ -1137,12 +1141,90 @@ def test_golden_encode_clause_lists(stage, text, k, expected):
     assert (layout.count, len(clauses), hashlib.sha256(listing.encode()).hexdigest()) == expected
 
 
+def _polarity_table(f):
+    """Bit 1 for each subformula of ``f`` that occurs positively, bit 2 for
+    each that occurs negatively, by a walk over its occurrences."""
+    table = {}
+    stack = [(f, 1)]
+    while stack:
+        g, p = stack.pop()
+        if table.get(g, 0) & p:
+            continue
+        table[g] = table.get(g, 0) | p
+        if isinstance(g, MNot):
+            stack.append((g.body, 3 - p))
+        elif isinstance(g, MImp):
+            stack += [(g.left, 3 - p), (g.right, p)]
+        elif isinstance(g, MOr):
+            stack += [(g.left, p), (g.right, p)]
+        elif isinstance(g, MAnd):
+            stack += [(item, p) for item in g.items]
+        elif isinstance(g, (MBox, MDia)):
+            stack.append((g.body, p))
+    return table
+
+
 def _one_shot_encoding(subs, k):
     """The clauses of exactly ``k`` worlds, with the closing clauses
-    unguarded and no swap clauses: (variable count, clauses, first).
+    unguarded and no swap clauses: (variable count, clauses, first).  Each
+    node gets the halves of its definition that its polarity needs, and
+    only a positive diamond or a negative box gets auxiliaries.
     ``first[g] + i`` is the truth of ``g`` at world ``i``, then come the
     relation pairs and the auxiliaries, in the order ``_Layout.order``
     lists them."""
+    polarity = _polarity_table(subs[-1])
+    first = {g: 1 + n * k for n, g in enumerate(subs)}
+    rel = 1 + len(subs) * k
+    count = rel + k * k - 1
+    clauses = []
+    for g in subs:
+        positive, negative = polarity[g] & 1, polarity[g] & 2
+        for i in range(k):
+            t = first[g] + i
+            if isinstance(g, MFalse):
+                clauses.append((-t,))
+            elif isinstance(g, MTrue):
+                clauses.append((t,))
+            elif isinstance(g, MNot):
+                b = first[g.body] + i
+                if positive:
+                    clauses.append((-t, -b))
+                if negative:
+                    clauses.append((t, b))
+            elif isinstance(g, MAnd):
+                parts = [first[item] + i for item in g.items]
+                if positive:
+                    clauses += [(-t, b) for b in parts]
+                if negative:
+                    clauses.append((t, *(-b for b in parts)))
+            elif isinstance(g, (MOr, MImp)):
+                l = (-1 if isinstance(g, MImp) else 1) * (first[g.left] + i)
+                r = first[g.right] + i
+                if positive:
+                    clauses.append((-t, l, r))
+                if negative:
+                    clauses += [(t, -l), (t, -r)]
+            elif isinstance(g, MDia) and negative or isinstance(g, MBox) and positive:
+                # no witness world: t@i -> (rel(i, j) -> body@j) for a box
+                sign = 1 if isinstance(g, MDia) else -1
+                clauses += [(sign * t, -(rel + i * k + j), -sign * (first[g.body] + j)) for j in range(k)]
+        if isinstance(g, MDia) and positive or isinstance(g, MBox) and negative:
+            sign = 1 if isinstance(g, MDia) else -1
+            for i in range(k):
+                aux = range(count + 1, count + k + 1)
+                count += k
+                for j, x in enumerate(aux):
+                    clauses += [(-x, rel + i * k + j), (-x, sign * (first[g.body] + j))]
+                clauses.append((-sign * (first[g] + i), *aux))
+    clauses.append((first[subs[-1]],))
+    return count, clauses, first
+
+
+def _two_way_encoding(subs, k):
+    """Like ``_one_shot_encoding``, but every node is defined both ways and
+    every box and diamond has auxiliaries: the encoding ``sat_bounded`` grew
+    before it read polarities, kept as a verdict reference that does not
+    share them."""
     first = {g: 1 + n * k for n, g in enumerate(subs)}
     rel = 1 + len(subs) * k
     count = rel + k * k - 1
@@ -1177,15 +1259,15 @@ def _one_shot_encoding(subs, k):
     return count, clauses, first
 
 
-def _reference_bounded(f, bound):
-    """(satisfiable, k, witness JSON) by a fresh search over the one-shot
-    encoding of each k = 1 .. bound in turn, as ``sat_bounded`` searched
-    before its CNF grew."""
+def _reference_bounded(f, bound, encoding=_one_shot_encoding):
+    """(satisfiable, k, witness JSON) by a fresh search over ``encoding``
+    of each k = 1 .. bound in turn, as ``sat_bounded`` searched before its
+    CNF grew."""
     g = expand_sugar(f)
     subs = _subformulas(g)
     variables = modal_vars(g)
     for k in range(1, bound + 1):
-        count, clauses, first = _one_shot_encoding(subs, k)
+        count, clauses, first = encoding(subs, k)
         model, _ = _first_model(count, clauses)
         if model is None:
             continue
@@ -1225,6 +1307,34 @@ def test_growing_cnf_keeps_the_one_shot_witnesses():
             satisfiable += 1
             assert model_check(witness, witness.root, f)
     assert satisfiable > 50
+
+
+def test_two_way_encoding_gives_the_same_verdicts():
+    for f, bound in _reference_corpus():
+        verdict = sat_bounded(f, bound)
+        assert (verdict.satisfiable, verdict.depth) == _reference_bounded(f, bound, _two_way_encoding)[:2], render(f)
+
+
+def test_polarity_follows_negation_and_the_left_side_of_implication():
+    # [] p1 occurs under ~ and outside it; -> flips <> p2 but not p3
+    f = parse_modal("~[] p1 & ([] p1 | (<> p2 -> p3))")
+    layout = _Layout(_subformulas(expand_sugar(f)))
+    box, dia = MBox(MVar(1)), MDia(MVar(2))
+    assert layout.polarity == {
+        MVar(1): 3,
+        box: 3,
+        MNot(box): 1,
+        MVar(2): 2,
+        dia: 2,
+        MVar(3): 1,
+        MImp(dia, MVar(3)): 1,
+        MOr(box, MImp(dia, MVar(3))): 1,
+        f: 1,
+    }
+    assert layout.polarity == _polarity_table(f)
+    # only the box must find a successor where it is false; the diamond is
+    # never asserted true
+    assert layout.modal == {box: 0}
 
 
 def _cnf(count, *clauses):

@@ -40,7 +40,6 @@ from modalred.syntax import (
     modal_vars,
     parse_modal,
     parse_qbf,
-    qbf_size,
     render,
     substitute,
 )
@@ -459,12 +458,6 @@ def test_modal_walkers_reject_qbf_nodes(walker):
     for f in (QVar(1), parse_qbf("A p1 . p1 -> false")):
         with pytest.raises(TypeError, match="not a modal formula"):
             walker(f)
-
-
-def test_qbf_size_rejects_modal_nodes():
-    for f in (MVar(1), parse_modal("[] p1 & p2")):
-        with pytest.raises(TypeError, match="not a QBF formula"):
-            qbf_size(f)
 
 
 @given(st.text(alphabet="pEA1234567890&|->~()[]<>boxdia+=^. ", max_size=30))

@@ -14,6 +14,10 @@ For every corpus formula the pipeline checks the whole chain at once:
 Reports are line-delimited JSON, one object per instance, plus a short human
 summary; everything is a pure function of the parameters and seed, so rerun
 reports are byte-identical.
+
+A process computes once what depends only on inputs it has seen: one
+tableau context, one witness table keyed by quantifier tree and the pairs
+the substitution check has matched (see ``check_instance``).
 """
 
 from __future__ import annotations
@@ -199,6 +203,19 @@ def build_corpus(
 # afresh when its memo holds more than ``solver._CONTEXT_MEMO_CAP`` states.
 _CONTEXT = TableauContext()
 
+# The witness table, by (quantifier tree, variable count): the extended
+# models in _EXTENDED, on whose frames an alpha encoding evaluates only the
+# nodes no earlier one shared, and the closure verdicts and star-equivalence
+# violations in _WITNESSES.  Both start afresh before a new tree joins when
+# the models hold more than _WITNESS_WORLDS_CAP worlds.
+_EXTENDED: dict = {}
+_WITNESSES: dict = {}
+_WITNESS_WORLDS_CAP = 10_000
+# each closure check: its record key, the closure and the frame class
+_CLOSURES = (
+    ("gl", "transitive", "GL"), ("grz", "reflexive_transitive", "Grz"), ("ktb", "reflexive_symmetric", "KTB")
+)
+
 
 def check_instance(
     f: QbfFormula,
@@ -216,7 +233,10 @@ def check_instance(
     hence whether it reaches ``budget``, may depend on the queries decided
     before it.  The ladder map ``{i: alpha(i)}`` is built once: the alpha
     encoding is the star encoding with it substituted, and the substitution
-    check reads the same map.
+    check reads the same map, skipping pairs it matched before.  A true
+    instance whose quantifier tree was met before reads its closure verdicts
+    and star-equivalence violations from the witness table, and
+    ``extend_model`` hands it the stored extended model to check.
     """
     record: dict = {"index": index, "formula": render(f)}
     try:
@@ -247,22 +267,27 @@ def check_instance(
         if truth:
             tree = quantifier_tree(f)
             record["witness_ok"] = model_check(tree, tree.root, star)
-            record["closures"] = {
-                "gl": frame_class_check(close(tree.frame, "transitive"), "GL"),
-                "grz": frame_class_check(
-                    close(tree.frame, "reflexive_transitive"), "Grz"
-                ),
-                "ktb": frame_class_check(
-                    close(tree.frame, "reflexive_symmetric"), "KTB"
-                ),
-            }
-            checks.append(record["witness_ok"])
-            checks.extend(record["closures"].values())
-            extended = extend_model(tree, ctx)
+            key = (tree, ctx.var_count)
+            witness = _WITNESSES.get(key)
+            if witness is None and sum(len(m.frame.order) for m in _EXTENDED.values()) > _WITNESS_WORLDS_CAP:
+                _EXTENDED.clear()
+                _WITNESSES.clear()
+            # called on a hit too: perfbench's traced run sums the worlds of
+            # the models extend_model returns against the records
+            extended = extend_model(tree, ctx, _EXTENDED)
             record["extended_worlds"] = len(extended.frame.worlds)
             record["extended_ok"] = model_check(extended, extended.root, alpha_formula)
-            violations = star_equivalence_violations(tree, extended, ctx)
-            record["star_equivalence_ok"] = not violations
+            if witness is None:
+                closures = {
+                    name: frame_class_check(close(tree.frame, mode), cls)
+                    for name, mode, cls in _CLOSURES
+                }
+                violations = star_equivalence_violations(tree, extended, ctx)
+                witness = _WITNESSES[key] = (closures, violations)
+            record["closures"] = dict(witness[0])
+            record["star_equivalence_ok"] = not witness[1]
+            checks.append(record["witness_ok"])
+            checks.extend(record["closures"].values())
             checks.append(record["extended_ok"])
             checks.append(record["star_equivalence_ok"])
         else:
@@ -277,14 +302,20 @@ def check_instance(
     return record
 
 
+# mapping -> the (node, image) pairs a whole walk matched under it
+_MATCHED: dict = {}
+
+
 def _substitutes(f: ModalFormula, image: ModalFormula, mapping: dict) -> bool:
     """Whether ``image`` is ``f`` with ``mapping[i]`` in place of each
     MVar(i) in the mapping: both are walked side by side on an explicit
-    stack, each distinct pair of nodes once, and nothing is rebuilt."""
+    stack, each distinct pair once, skipping the pairs of earlier matches
+    under an equal mapping, and nothing is rebuilt."""
+    matched = _MATCHED.setdefault(frozenset(mapping.items()), set())
     stack, seen = [(f, image)], set()
     while stack:
         pair = stack.pop()
-        if pair in seen:
+        if pair in seen or pair in matched:
             continue
         seen.add(pair)
         node, other = pair
@@ -300,6 +331,7 @@ def _substitutes(f: ModalFormula, image: ModalFormula, mapping: dict) -> bool:
             if len(kids) != len(other_kids):
                 return False
             stack.extend(zip(kids, other_kids))
+    matched |= seen
     return True
 
 

@@ -12,6 +12,7 @@ needs more is refused with a ValueError before any table is built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable
 
@@ -86,12 +87,15 @@ def evaluate(model: Iterable[int], f: QbfFormula) -> bool:
     return bool(tables[f] >> sum(w for index, w in weight.items() if index in model) & 1)
 
 
+@functools.lru_cache(maxsize=1)
 def _truth_tables(f: QbfFormula, model: frozenset[int]):
     """Truth table of every subformula of ``f``, and the weight of each
     bound variable.  Bit ``a`` of a table is the truth of the subformula when
     the bound variables whose weights sum to ``a`` are true, the other bound
     ones false and the free ones as in ``model``; a quantifier over a
-    variable of weight w pairs bit a with bit a + w: AND for A, OR for E."""
+    variable of weight w pairs bit a with bit a + w: AND for A, OR for E.
+    The last call's tables are kept, so ``quantifier_tree`` reads the ones
+    ``is_true_qbf`` has just built; callers must not change them."""
     counted: dict = {}
     bound = sorted(_fold(f, _BOUND_VARS_STEP, counted))
     size = 1 << len(bound)

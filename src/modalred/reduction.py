@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Optional
 
 from . import kripke
 # model_check_all, evaluate and is_true_qbf are not called here any more;
@@ -319,13 +320,29 @@ def frame_fm_plus(m: int) -> KripkeFrame:
     return close(KripkeFrame(frozenset(worlds), edges), "transitive")
 
 
-def extend_model(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
+def extend_model(base: KripkeModel, ctx: EncodingContext, table: Optional[dict] = None) -> KripkeModel:
     """Attach an F_m copy below every base world where p_m is false, for every
     m = 1..2n+2, and transitively close the whole relation.
 
     The base valuation must be upward persistent (true variables stay true
     along edges); that is what confines each alpha_m refutation to exactly
     the base worlds refuting p_m.
+
+    The extension depends on ``base`` and ``ctx.var_count`` alone: a
+    ``table`` dict keeps it under that pair, so equal bases share one model
+    and the masks its frame keeps.  Without one, nothing is retained.
+    """
+    if table is None:
+        return _extend(base, ctx)
+    key = (base, ctx.var_count)
+    extended = table.get(key)
+    if extended is None:
+        extended = table[key] = _extend(base, ctx)
+    return extended
+
+
+def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
+    """``extend_model`` without a table.
 
     The closed frame is written row by row in closed form, never built from
     pairs and closed afterwards.  Every base id sorts before every gadget id,

@@ -812,7 +812,7 @@ def sat_k_tableau(
     tableau = _Tableau(context, budget)
     tree = tableau.solve(root)
     satisfiable = isinstance(tree, tuple)
-    build = functools.partial(_tree_to_model, tree, modal_vars(f)) if satisfiable else None
+    build = (lambda: _tree_to_model(tree, modal_vars(f))) if satisfiable else None
     counters = (
         tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits,
         tableau.subsumption_hits,

@@ -559,11 +559,17 @@ def _rebuild(f, kids) -> ModalFormula:
     return cls(*f._params(), *kids)
 
 
+# one fold memo per mapping, keyed by its items: a ladder map rebuilds the
+# parts the encodings of one prefix share once
+_SUBSTITUTE_MEMOS: dict = {}
+
+
 def substitute(f: ModalFormula, mapping: Substitution) -> ModalFormula:
     """Replace every variable with index in ``mapping`` by its image.
 
     Modal formulas have no binders, so the substitution is unconditional;
     thanks to hash-consing, untouched subtrees come back as the same objects.
+    Images are kept for later calls with an equal mapping.
     """
     if not mapping:
         return f
@@ -573,7 +579,7 @@ def substitute(f: ModalFormula, mapping: Substitution) -> ModalFormula:
             return mapping.get(g.index, g)
         return _rebuild(g, kids)
 
-    return _fold(f, step, {})
+    return _fold(f, step, _SUBSTITUTE_MEMOS.setdefault(frozenset(mapping.items()), {}))
 
 
 _EXPAND_MEMO: dict = {}

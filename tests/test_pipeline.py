@@ -142,6 +142,21 @@ class TestCheckInstance:
         monkeypatch.setattr(pipeline, "substitute", swapped)
         assert check_instance(f, 0, c2=1)["substitution_ok"] is False
 
+    def test_a_failed_substitution_check_keeps_no_pairs(self):
+        # matched pairs are kept per mapping, but only from a walk that
+        # matched all of them: a wrong image fails every time
+        from modalred.pipeline import _substitutes
+        from modalred.reduction import alpha, encode_star
+        from modalred.syntax import parse_qbf, substitute
+
+        star, ctx = encode_star(parse_qbf("E p1 . A p2 . p1 & p2"))
+        amap = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
+        wrong = substitute(star, {**amap, 1: amap[2], 2: amap[1]})
+        for _ in range(2):
+            assert _substitutes(star, wrong, amap) is False
+        assert _substitutes(star, substitute(star, amap), amap) is True
+        assert _substitutes(star, wrong, amap) is False
+
     def test_both_queries_search_in_the_process_context(self, monkeypatch):
         from modalred import pipeline
         from modalred.syntax import is_constant, parse_qbf
@@ -155,6 +170,85 @@ class TestCheckInstance:
         monkeypatch.setattr(pipeline, "sat_k_tableau", spied)
         assert check_instance(parse_qbf("A p1 . E p2 . p1 -> p2"), 0, c2=1)["pass"]
         assert calls == [(False, pipeline._CONTEXT), (True, pipeline._CONTEXT)]
+
+
+class TestWitnessTable:
+    # the bytes of ``modalred verify --n-max 3 --count 100 --seed 0``
+    PIN = "2c167d024e9cf7581a141f33f92aa1c5d9ba4af745a2fe92c9513f9a9cc4b0c2"
+
+    @staticmethod
+    def digest() -> str:
+        report = run_verify(n_max=3, count=100, seed=0)
+        return hashlib.sha256(report_lines(report).encode()).hexdigest()
+
+    @staticmethod
+    def clear(monkeypatch):
+        from modalred import pipeline
+
+        monkeypatch.setattr(pipeline, "_EXTENDED", {})
+        monkeypatch.setattr(pipeline, "_WITNESSES", {})
+
+    def test_repeated_and_cleared_runs_keep_the_report_bytes(self, monkeypatch):
+        from modalred import pipeline
+
+        assert self.digest() == self.PIN
+        assert pipeline._WITNESSES and set(pipeline._WITNESSES) == set(pipeline._EXTENDED)
+        assert self.digest() == self.PIN
+        self.clear(monkeypatch)
+        assert self.digest() == self.PIN
+
+    def test_a_reset_mid_run_keeps_the_report_bytes(self, monkeypatch):
+        from modalred import pipeline, reduction
+
+        builds = []
+
+        def counted(base, ctx):
+            builds.append(base)
+            return extend(base, ctx)
+
+        extend = reduction._extend
+        monkeypatch.setattr(reduction, "_extend", counted)
+        self.clear(monkeypatch)
+        assert self.digest() == self.PIN
+        trees = len(builds)
+        assert trees == len(pipeline._EXTENDED)
+        builds.clear()
+        self.clear(monkeypatch)
+        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 100)
+        assert self.digest() == self.PIN
+        # the table started afresh, so some trees were built again
+        assert len(builds) > trees
+        assert len(pipeline._EXTENDED) < trees
+
+    def test_each_true_instance_extends_and_checks_its_model(self, monkeypatch):
+        # perfbench's traced run sums the worlds of the models that
+        # extend_model returns and checks the sum against the records'
+        # extended_worlds, so a tree seen before still goes through both
+        # calls, and extend_model hands back the stored model
+        from modalred import pipeline
+
+        extended, checked = [], []
+
+        def spied_extend(base, ctx, table=None):
+            model = extend(base, ctx, table)
+            extended.append(model)
+            return model
+
+        def spied_check(model, world, f):
+            checked.append(model)
+            return check(model, world, f)
+
+        extend, check = pipeline.extend_model, pipeline.model_check
+        monkeypatch.setattr(pipeline, "extend_model", spied_extend)
+        monkeypatch.setattr(pipeline, "model_check", spied_check)
+        self.clear(monkeypatch)
+        records = run_verify(n_max=2, count=40, seed=0).records
+        true = [r for r in records if r["is_true"]]
+        assert len(extended) == len(true)
+        assert [len(m.frame.worlds) for m in extended] == [r["extended_worlds"] for r in true]
+        assert len(checked) == 2 * len(true)
+        assert checked[1::2] == extended
+        assert len({id(m) for m in extended}) == len(pipeline._EXTENDED) < len(true)
 
 
 class TestRunVerify:

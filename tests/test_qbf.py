@@ -243,6 +243,22 @@ def test_tables_match_reference(f, model):
     assert is_true_qbf(f) == reference(frozenset(), universal_closure(f))
 
 
+def test_the_tree_after_truth_reads_the_same_tables():
+    # quantifier_tree reuses the tables is_true_qbf has just built; another
+    # formula's, or another model's, evaluation in between must not answer it
+    from modalred import qbf
+
+    f, g = parse_qbf("A p1 . E p2 . p1 -> p2"), parse_qbf("E p1 . A p2 . p1 | p2")
+    qbf._truth_tables.cache_clear()
+    alone = quantifier_tree(f)
+    assert is_true_qbf(g) and is_true_qbf(f)
+    hits = qbf._truth_tables.cache_info().hits
+    assert quantifier_tree(f) == alone
+    assert qbf._truth_tables.cache_info().hits == hits + 1
+    assert is_true_qbf(g) and quantifier_tree(f) == alone
+    assert evaluate({1}, QVar(1)) and not evaluate((), QVar(1)) and evaluate({1}, QVar(1))
+
+
 def test_existential_worlds_prefer_the_child_without_the_variable():
     """Where an existential world of the quantifier tree chose the child with
     its variable, the sibling without it is false by the reference."""

@@ -274,6 +274,49 @@ def _reference_violations(base, extended, ctx):
 
 
 class TestExtendModel:
+    def test_a_table_hands_an_equal_base_the_stored_model(self):
+        f = parse_qbf("A p1 . E p2 . p1 -> p2")
+        _, ctx = encode_star(f)
+        tree, table = quantifier_tree(f), {}
+        stored = extend_model(tree, ctx, table)
+        again = quantifier_tree(f)
+        assert again is not tree
+        assert extend_model(again, ctx, table) is stored
+        assert list(table) == [(tree, ctx.var_count)]
+
+    def test_a_lone_call_equals_the_table_model_and_retains_nothing(self):
+        import gc
+        import weakref
+
+        f = parse_qbf("A p1 . E p2 . p1 -> p2")
+        _, ctx = encode_star(f)
+        tree = quantifier_tree(f)
+        stored = extend_model(tree, ctx, {})
+        lone = extend_model(tree, ctx)
+        assert lone == stored and lone is not stored
+        assert model_to_json(lone) == model_to_json(stored)
+        gone = weakref.ref(lone)
+        del lone
+        gc.collect()
+        assert gone() is None
+        assert extend_model(tree, ctx) is not stored
+
+    def test_the_ladder_map_of_one_prefix_is_substituted_once(self):
+        # two equal ladder maps, built apart and in other orders, share one
+        # memo, so the parts c1..c5 of equal prefixes come back as one node
+        from modalred import syntax
+
+        star, ctx = encode_star(parse_qbf("A p1 . E p2 . p1 -> p2"))
+        other, _ = encode_star(parse_qbf("A p1 . E p2 . p2 | false"))
+        forward = {i: alpha(i) for i in range(1, ctx.var_count + 1)}
+        backward = {i: alpha(i) for i in range(ctx.var_count, 0, -1)}
+        image = substitute(star, forward)
+        memos = len(syntax._SUBSTITUTE_MEMOS)
+        assert substitute(star, backward) is image
+        assert substitute(other, backward).items[:5] == image.items[:5]
+        assert len(syntax._SUBSTITUTE_MEMOS) == memos
+        assert image is encode_alpha(parse_qbf("A p1 . E p2 . p1 -> p2"))
+
     def test_copy_count_for_exists(self):
         f = parse_qbf("E p1 . p1")
         star, ctx = encode_star(f)

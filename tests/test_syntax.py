@@ -211,6 +211,24 @@ class TestSubstitute:
         f = MOr(MVar(1), MVar(2))
         assert substitute(f, {3: MFalse()}) is f
 
+    @pytest.mark.parametrize("first", [MTrue(), MFalse()])
+    def test_mappings_with_other_images_never_answer_each_other(self, first):
+        # each mapping keeps its own memo, whichever ran first
+        f = MBox(MAnd((MVar(1), MDia(MVar(1)))))
+        second = MFalse() if first is MTrue() else MTrue()
+        for image in (first, second, first):
+            assert substitute(f, {1: image}) is MBox(MAnd((image, MDia(image))))
+
+    def test_a_refused_node_leaves_later_calls_correct(self):
+        # the fold stops at the QBF node after the memo took p1's image
+        mapping = {1: MBox(MFalse()), 2: MTrue()}
+        with pytest.raises(TypeError, match="not a modal formula"):
+            substitute(MAnd((MVar(1), QVar(2))), mapping)
+        with pytest.raises(TypeError, match="not a modal formula"):
+            substitute(MAnd((MVar(1), QVar(2))), dict(mapping))
+        assert substitute(MAnd((MVar(1), MVar(2))), mapping) is MAnd((MBox(MFalse()), MTrue()))
+        assert substitute(MOr(MVar(1), MVar(3)), mapping) is MOr(MBox(MFalse()), MVar(3))
+
 
 @given(modal_formulas(max_leaves=10), modal_formulas(max_leaves=6))
 @settings(max_examples=150)

@@ -38,14 +38,6 @@ from .reduction import (
 )
 from .solver import DEFAULT_TABLEAU_BUDGET, SolverBudgetError, TableauContext, sat_k_tableau
 from .syntax import (
-    MAnd,
-    MBox,
-    MDia,
-    MFalse,
-    MImp,
-    MNot,
-    MOr,
-    MTrue,
     MVar,
     ModalFormula,
     QAnd,
@@ -66,7 +58,6 @@ __all__ = [
     "VerifyReport",
     "exhaustive_matrices",
     "random_matrix",
-    "random_modal_formula",
     "build_corpus",
     "check_instance",
     "run_verify",
@@ -117,41 +108,6 @@ def random_matrix(rng: random.Random, n: int, max_size: int) -> QbfFormula:
         right_size = size - 1 - left_size
         op = rng.choice((QAnd, QOr, QImp))
         return op(build(left_size), build(right_size))
-
-    return build(target)
-
-
-def random_modal_formula(rng: random.Random, max_size: int, var_count: int = 3) -> ModalFormula:
-    """Random modal formula for solver cross-validation.
-
-    ``var_count=0`` gives variable-free (constant) formulas, the shape of the
-    hardness instances this toolkit produces.
-    """
-    _require_int("max_size", max_size)
-    sizes = list(range(1, max_size + 1))
-    target = rng.choice(sizes)
-
-    def build(size: int) -> ModalFormula:
-        if size <= 1:
-            roll = rng.random()
-            if var_count and roll < 0.6:
-                return MVar(rng.randint(1, var_count))
-            if roll < 0.8:
-                return MFalse()
-            return MTrue()
-        op = rng.choice(("not", "box", "dia", "and", "or", "imp"))
-        if op in ("not", "box", "dia"):
-            body = build(size - 1)
-            return {"not": MNot, "box": MBox, "dia": MDia}[op](body)
-        left_size = rng.randint(1, size - 2) if size > 2 else 1
-        right_size = max(size - 1 - left_size, 1)
-        left = build(left_size)
-        right = build(right_size)
-        if op == "and":
-            return MAnd((left, right))
-        if op == "or":
-            return MOr(left, right)
-        return MImp(left, right)
 
     return build(target)
 

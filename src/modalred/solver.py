@@ -4,60 +4,91 @@
 successor generation: saturate a world label propositionally (conjunctions
 first, then disjunctions, ties broken by subformula position), then branch on
 the lowest open disjunction, or with none open spawn one successor per diamond,
-carrying the boxed formulas.  A refuted label returns its core, the bits of
-the label that its refutation used, and a branch whose first side is refuted
-by a core without that side is refuted by that core alone: the search jumps
-back over the rest of the branch (dependency-directed backjumping, Horrocks
-& Patel-Schneider, J. Logic Comput. 9(3), 1999).  Sound and complete for K
-over finite tree models; satisfiable verdicts come with a shared (DAG) witness
-whose depth is at most the modal depth of the query.  One memo table, keyed by
-saturated state, answers a label whose saturation reaches a state met before
-without searching it again, so repeated sub-labels (ubiquitous in the ladder
-encodings) are searched once.  A stored core of two bits is a nogood: a state
-that misses the memo but holds both bits of one is refuted by it without a
-search (Giunchiglia & Tacchella, Ann. Math. Artif. Intell. 33, 2001).  A
-diamond's successor label is looked up before it is saturated, among the
-successors of the same diamond searched before it: one decided satisfiable
-that contains the label answers with its result, since a world that
-satisfies a set of formulas satisfies every subset of it, and a refuted
-one's core that the label contains refutes it (subsumption, Giunchiglia &
-Tacchella, and Horrocks & Patel-Schneider, as above).  A memo, nogood or
-subsumption hit still counts as a search node.  A branch child does not
-saturate its label from scratch: it resumes from its parent's saturated
-state, and a disjunction pass reads only the disjunctions that a bit seen
-since the last pass is a side or a negated side of, as a watched clause is
-read only when one of its watched literals falls (Moskewicz et al., "Chaff",
-DAC 2001).  The memo, the nogoods, the successor lists and the bit numbering
-make a ``TableauContext``: a lone query gets a fresh one, and queries that
-share one reuse each other's states and successors, since in K whether a set
-of formulas is satisfiable does not depend on the query it came from.  A
+carrying the boxed formulas.  Sound and complete for K over finite tree
+models; satisfiable verdicts come with a shared (DAG) witness whose depth is
+at most the modal depth of the query.  Labels are bit sets over the
+numbering of a ``TableauContext``, and the search (``_tableau_search``) is
+one loop over explicit frames: nothing in this module recurses, so a formula
+nested or branching far past the interpreter's recursion limit gets an
+answer.  Six devices cut the search; none changes a verdict.
+
+- Backjumping (dependency-directed, Horrocks & Patel-Schneider, J. Logic
+  Comput. 9(3), 1999).  A refuted label returns its core, the bits of the
+  label that its refutation used.  A clash, a ``false`` or a dead
+  disjunction is refuted by the bits involved, traced back to the label's
+  own.  A refuted diamond child refutes the label by the diamond and the
+  boxes whose bodies the child's core used; the diamond is always in it,
+  since boxes alone spawn no world.  A branch whose first side's core does
+  not hold that side is refuted by that core alone, and its second side is
+  skipped: the search jumps back over the rest of the branch.  A second
+  side's core that holds neither the negated first side nor the second
+  refutes the label alone too; otherwise the label's core is the two cores
+  less their sides' bits, with the disjunction.  A refutation already
+  visible before a branch has a core without the branch's sides, so every
+  branch above it backjumps.  Only labels refuted anyway lose work, so a
+  query gets the verdict of the search that tries every branch.
+- Branch order (the choice of branch, Horrocks & Patel-Schneider, as
+  above).  A disjunction whose left side may spawn a successor world (a
+  diamond in its propositional top level) and whose right side may not is
+  branched right side first, so the search tries the side that builds no
+  world before the one that does.  In the variable-free encoding that side
+  is the box of a negated ladder, and the order cuts the search several
+  times over.  Saturation reads the sides symmetrically, so the order moves
+  only the branch order.
+- Resumption.  A branch child's label is its parent's saturated state plus
+  one side's bits, so the child starts from that state, with the parent's
+  open disjunctions but the one branched on (both sides satisfy it) and
+  only the side's bits pending.  A disjunction pass reads only the
+  disjunctions that are new or that a bit seen since the last pass is a
+  side or a negated side of, as a watched clause is read only when one of
+  its watched literals falls (Moskewicz et al., "Chaff", DAC 2001); nothing
+  any other one reads has changed.  So the state, the steps and every core
+  equal those of saturating the label from scratch.  A diamond child starts
+  a new world and saturates from scratch.
+- The memo (global caching: Goré & Nguyen, TABLEAUX 2007; Donini &
+  Massacci, Artif. Intell. 124(1), 2000).  A label whose saturation reaches
+  a state met before gets that state's result or core without a search, so
+  repeated sub-labels (ubiquitous in the ladder encodings) are searched
+  once.  In K a state's satisfiability, a world that witnesses it and a
+  core that refutes it do not depend on the query it came from, so the
+  queries that share a context share its memo.  Only a state decided in
+  full is stored, so a query cut short by its budget leaves the context
+  sound; a refutation found while saturating depends on the label and is
+  not stored.
+- Nogoods (Giunchiglia & Tacchella, Ann. Math. Artif. Intell. 33, 2001).  A
+  stored core of two bits refutes, without a search, a state that misses
+  the memo but holds both bits.  Longer cores are not indexed: in a context
+  shared by many queries the ones with the same two lowest bits pile up,
+  and scanning them cost more than the nodes they saved.
+- Subsumption (Giunchiglia & Tacchella, and Horrocks & Patel-Schneider, as
+  above).  A diamond's successor label is looked up before it is
+  saturated, among the successors of the same diamond decided before it:
+  one decided satisfiable that contains the label answers with its result,
+  since a world that satisfies a set of formulas satisfies every subset of
+  it, and a refuted one's core that the label contains refutes it.  The
+  lookup is made only where a successor label is formed, so a branch's
+  label pays nothing for it.  The satisfiable ones are scanned latest
+  first: in a context shared by many queries the latest are the current
+  query's, and the first stored superset lay about 75 entries deep where
+  the latest lies about one (on ``verify``'s n = 1 instances).
+
+A memo, nogood or subsumption hit still counts as a search node.  A
 satisfiable state's result is a pair (true variables, children), and a memo
 or subsumption hit hands back a stored pair, so the results form a DAG; the
-witness has one world per distinct result.  Both engines return only
-what their witness is built from: ``SatVerdict.witness`` builds the model the
-first time it is read, so a verdict whose witness nobody reads builds none.
-Labels are bit sets: one explicit-stack pass numbers the query's NNF in
-depth-first pre-order (which fixes which disjunction is branched on and the
-diamond order), and saturation reads one mask per formula kind.  What that
-pass reads depends on each formula alone, so it is kept in process-wide
-tables keyed by hash-consed node, like ``syntax._EXPAND_MEMO``, and built at
-most once per process: the negation normal forms of a formula and of its
-negation (one ``syntax._fold`` step gives both), the mark of the formulas
-that may spawn a successor world (a diamond in their propositional top
-level, a second fold), and one record per NNF formula with its kind, its
-successors and its side order.  A disjunction whose left side may spawn and
-whose right side may not is branched right side first, so the search tries
-the side that builds no world before the one that does (the choice of
-branch, Horrocks & Patel-Schneider, J. Logic Comput. 9(3), 1999).  In the
-variable-free encoding that side is the box of a negated ladder, and the
-order cuts the search several times over.  The numbering, the memo, the
-nogoods and the successor lists belong to the context, the budget and the
-counters to one query.
-Nothing in this module recurses: the search is one loop over explicit
-frames, one per label between the root and the label being searched.  A
-branch frame waits for a side of its disjunction, a diamond frame for the
-child of its current diamond, so a formula nested or branching far past the
-interpreter's recursion limit gets an answer.
+witness has one world per distinct result.  A successor label may get the
+result of a larger one stored before it, so the witness depends on what the
+search, and the queries before it in the context, stored: it is a model all
+the same, and the same search gives the same witness.  Both engines return
+only what their witness is built from: ``SatVerdict.witness`` builds the
+model the first time it is read, so a verdict whose witness nobody reads
+builds none.
+
+What the numbering reads depends on each formula alone, so it is kept in
+process-wide tables keyed by hash-consed node, like ``syntax._EXPAND_MEMO``,
+and built at most once per process: the negation normal forms of a formula
+and of its negation (one ``syntax._fold`` step gives both), the may-spawn
+mark of each NNF formula (a second fold), and one record per NNF formula
+with its kind, its successors and its side order.
 
 ``sat_bounded`` is the independent oracle: an exhaustive search for a pointed
 model with at most ``max_worlds`` worlds, run as a propositional encoding of
@@ -175,11 +206,6 @@ class SatVerdict:
     def witness(self) -> Optional[KripkeModel]:
         return self.build() if self.satisfiable else None
 
-    @property
-    def conclusive(self) -> bool:
-        """Whether an unsatisfiable verdict rules out all models."""
-        return self.engine == "tableau" or self.satisfiable
-
 
 class SolverBudgetError(Exception):
     """Node budget exhausted; the query outcome is unknown, never guessed."""
@@ -234,8 +260,8 @@ _NNF_MEMO: dict = {}
 _SPAWN_MEMO: dict = {}
 _RECORDS: dict = {}
 
-# The kind of an NNF formula, the index of its mask in ``_Tableau``; ``MTrue``
-# is of no kind that saturation reads.
+# The kind of an NNF formula, the index of its mask in ``TableauContext.masks``;
+# ``MTrue`` is of no kind that saturation reads.
 _NOT, _VAR, _AND, _OR, _BOX, _DIA, _FALSE, _TRUE = range(8)
 _KINDS = {MNot: _NOT, MVar: _VAR, MAnd: _AND, MOr: _OR, MBox: _BOX, MDia: _DIA, MFalse: _FALSE, MTrue: _TRUE}
 
@@ -284,60 +310,46 @@ _CONTEXT_MEMO_CAP = 8_000
 class TableauContext:
     """What the queries that share one context share: the bit numbering, the
     kind masks, ``data``, the watch rows, the memo, the nogoods and the
-    successor lists.
+    successor lists.  A lone query gets a fresh one.
 
     Every formula that can ever enter a label (subformulas of a query's NNF,
     closed under the negations needed for semantic branching) gets a bit;
     labels and saturation states are ints.  ``join`` numbers a query's
-    formulas in depth-first pre-order from its root by one walk over their
-    records (``_record``): a record fixes a formula's kind, its successors
-    and the side order of a disjunction, and depends on the formula alone,
-    so it is built once per process and shared by every query, as are the
-    NNF pairs it is read from.  A formula numbered by an earlier query keeps
-    its bit, and so does everything reachable from it, so the walk stops at
-    it: a query extends the numbering with the formulas it has not seen, in
-    the order a fresh walk would give them.  ``data`` holds per bit what
-    saturation needs, the clashing literal, the body or the conjunct bits,
-    or a disjunction's (first, second, not first, not second) side bits,
-    and ``watch`` holds per bit the disjunctions that have it as one of
-    those four.  One mask per kind (``lits``, ``ands``, ``ors``, ``boxes``,
-    ``dias``, ``falses``) tells which bits are of that kind; ``var_bits``
-    marks the literals that are variables.
+    formulas in depth-first pre-order from its root, which fixes which
+    disjunction is branched on and the diamond order, by one walk over
+    their records (``_record``).  A formula numbered by an earlier query
+    keeps its bit, and so does everything reachable from it, so the walk
+    stops at it: a query extends the numbering with the formulas it has not
+    seen, in the order a fresh walk would give them.  ``data`` holds per bit
+    what saturation needs, the clashing literal, the body or the conjunct
+    bits, or a disjunction's (first, second, not first, not second) side
+    bits, and ``watch`` holds per bit the disjunctions that have it as one
+    of those four.  One mask per kind (``lits``, ``ands``, ``ors``,
+    ``boxes``, ``dias``, ``falses``) tells which bits are of that kind;
+    ``var_bits`` marks the literals that are variables.
 
     ``cache`` is the memo, keyed by saturated state (a label with no
     conjunction and no ``false`` bit), which holds a satisfiable state's
     result (a tuple) or a refuted state's core (an int, a non-empty subset
-    of the key).  In K a state's satisfiability, a world that witnesses it
-    and a core that refutes it do not depend on the query it came from, so
-    the memo serves every query of the context (global caching: Goré &
-    Nguyen, TABLEAUX 2007; Donini & Massacci, Artif. Intell. 124(1), 2000).
-    An entry is only stored for a state decided in full, so a query cut
-    short by its budget leaves the context sound.  A stored core of two
-    bits is also a nogood: any set of formulas that holds both is refuted.
-    ``firsts`` marks the lower bits of those cores and ``partners`` holds,
-    per bit, the higher bits it makes a core with, so a state is checked
-    with one mask test per lower bit it holds.  Longer cores are not
-    indexed: in a context shared by many queries, the ones with the same
-    two lowest bits pile up, and scanning them cost more than the nodes
-    they saved.
+    of the key).  ``firsts`` marks the lower bits of the two-bit cores, the
+    nogoods, and ``partners`` holds, per bit, the higher bits it makes a
+    core with, so a state is checked with one mask test per lower bit it
+    holds.
 
     The successor lists hold, per diamond bit position, the successor
     labels of that diamond (its body and the bodies of the boxes beside it)
-    that a search decided.  ``sat_rows`` lists the satisfiable ones with
-    their results, and ``sat_ors`` is the OR of those labels, so a label
-    with a bit outside it is rejected by one test.  ``core_rows`` lists the
-    cores of the refuted ones, each a subset of its label; a core's key bit
-    is its highest bit other than the diamond's body, or the body for a
-    core of the body alone, and ``core_keys`` is the OR of those key bits,
-    so a label that holds none of them is rejected by one test (a key bit
-    is one that a label must hold to contain the core; an AND of the cores
-    would shrink to the body bit, which every label holds).  A satisfiable
-    label answers any label it contains, and a core refutes any label that
-    contains it, whatever query stored it.  Entries are stored only for
-    successors decided in full.  Before a query joins, the context starts
-    afresh, nogoods and successor lists included, when its memo holds more
-    than ``_CONTEXT_MEMO_CAP`` states; a fresh context is where every lone
-    query starts.
+    that a search decided in full.  ``sat_rows`` lists the satisfiable ones
+    with their results, in the order stored, and ``sat_ors`` is the OR of
+    those labels, so a label with a bit outside it is rejected by one test.
+    ``core_rows`` lists the cores of the refuted ones, each a subset of its
+    label; a core's key bit is its highest bit other than the diamond's
+    body, or the body for a core of the body alone, and ``core_keys`` is the
+    OR of those key bits, so a label that holds none of them is rejected by
+    one test (a key bit is one that a label must hold to contain the core;
+    an AND of the cores would shrink to the body bit, which every label
+    holds).  Before a query joins, the context starts afresh, nogoods and
+    successor lists included, when its memo holds more than
+    ``_CONTEXT_MEMO_CAP`` states.
     """
 
     def __init__(self):
@@ -401,307 +413,211 @@ class TableauContext:
         return bits[nnf]
 
 
-class _Tableau:
-    """Bit-level tableau search for one query over a ``TableauContext``.
+def _tableau_search(context: TableauContext, root: int, budget: int) -> tuple:
+    """Search the label ``root`` over ``context`` within ``budget`` nodes:
+    (result, nodes, depth, memo hits, branches, backjumps, nogood hits,
+    subsumption hits), the counters of ``SatVerdict``.  The result is (true
+    variables, children) if the label is satisfiable, else its core: the
+    bits of the label that its refutation used, a non-zero int.
 
-    Saturation drains conjunctions, checks newly seen literals for clashes,
-    and unit-propagates disjunctions whose one side is already refuted; then
-    the search branches on the lowest-bit open disjunction at once, first on
-    its first side, then on the negated first side with the second.  A
-    label with no open disjunction spawns a child per diamond in bit order,
-    and its children make its result.  Saturation reads the sides
-    symmetrically, so the side order moves only the branch order.
+    The search is one loop.  For each label it counts the node (budget and
+    depth included) and saturates the label: it drains conjunctions, checks
+    newly seen literals for clashes, and unit-propagates disjunctions whose
+    one side is already refuted.  ``steps`` records, for the bits it
+    derives, the seen bits they came from: a conjunct comes from its
+    conjunction, a forced side from its disjunction and the negated side
+    that killed it, so a core in the state's bits is traced back to the
+    label's (``_lift``).  The saturated state is looked up in the memo and,
+    on a miss, refuted by a nogood it holds, if any.  Else a state with an
+    open disjunction pushes a branch frame and hands on its first side, one
+    with diamonds pushes a diamond frame with every diamond still to visit,
+    and any other is a world with no successor.  The loop keeps the tables
+    and the counters in locals, and writes the nogoods' lower bits back to
+    the context when it returns or raises.
 
-    A refuted label answers with its core, the bits of the label that its
-    refutation used (dependency-directed backjumping, Horrocks &
-    Patel-Schneider, J. Logic Comput. 9(3), 1999).  Saturation records, for
-    the bits it derives, the seen bits they came from: a conjunct comes from
-    its conjunction, a forced side from its disjunction and the negated
-    side that killed it.  A clash, a ``false`` or a dead disjunction is
-    refuted by the bits involved, traced back to the label's own
-    (``_lift``).  A refuted diamond child refutes the label by the diamond
-    and the boxes whose bodies the child's core used; the diamond is always
-    in it, since boxes alone spawn no world.  If the first side's core does
-    not hold that side, the core refutes the label alone, and the second
-    side is skipped: a backjump.  A refutation already visible before a
-    branch, such as a diamond that fails beside the boxes, has a core
-    without the branch's sides, so every branch above it backjumps.  A
-    second side's core that holds neither the negated first side nor the
-    second refutes the label alone too; otherwise the label's core is the
-    two cores less their sides' bits, with the disjunction.  Backjumping
-    skips work only under labels refuted anyway, so a query gets the verdict
-    of the search that tries every branch.  A satisfiable label's result no
-    longer depends on its saturated state alone: a successor label may get
-    the result of a larger one stored before it, so the witness depends on
-    what the search, and the queries before it in the context, stored.  It
-    is a model all the same, and the same search gives the same witness.
-
-    ``solve`` is one loop.  For each label it counts the node (budget and
-    depth included), saturates the label and looks its saturated state up
-    in the context's memo, which holds the outcome of every state searched
-    in full: a core in the state's bits, traced back to the label's on the
-    way out.  A label met again saturates to the same state, so the state
-    alone is the key; a refutation found while saturating depends on the
-    label and is not stored.  A state the memo misses is refuted by a
-    stored two-bit core it holds, if any, and that answer is not stored
-    either.  ``memo_hits`` counts the states the memo answered,
-    ``nogood_hits`` those a nogood refuted, ``subsumption_hits`` the
-    successor labels that the successor lists answered, ``branches`` the
-    labels that branched and ``backjumps`` those of them that backjumped.
-    The tableau holds only its context and its query's budget and counters;
-    the loop keeps the tables and the counts in locals and writes the
-    counters back when it returns or raises.
-
-    Any other label pushes a frame and hands its first child to the loop.
-    A branch frame holds the state, its steps, the disjunction, its first
-    side, the second side's bits (the negated first side and the second),
-    the open disjunctions handed on and, once known, the first side's core.
-    A diamond frame holds the state, its steps, the children so far, the
-    current diamond, those still to visit, the boxes and their bodies.  A
-    child's result goes to the top frame, which backjumps, tries its second
-    side, refutes by its diamond and boxes, or takes its next diamond; a
-    frame that is done stores its result under its state and is popped, and
-    its result goes on, lifted, to the frame below.
-
-    A diamond frame forms its child's label, the diamond's body and the
-    boxes' bodies, when it is pushed and when it takes its next diamond.
-    Before the label is counted or saturated, the frame looks it up in the
-    context's successor lists of that diamond: the latest stored satisfiable
-    label that contains it answers with its result, or else the first stored
-    core that it contains refutes it by that core, which is in label bits
-    already, so the frame's box loop lifts it unchanged.  A hit counts as a
-    node and goes straight to the frame; it is not stored again.  The frame
-    stores the result of every child it searched: a satisfiable label with
-    its result, or a refuted one's core.  The lookup is made only where a
-    successor label is formed, not at every node, so a label of a branch
-    pays nothing for it.  The satisfiable lists are scanned latest first: in
-    a context shared by many queries, the latest labels are the current
-    query's, and the first stored superset lay about 75 entries deep where
-    the latest lies about one (on ``verify``'s n = 1 instances).
-
-    A branch child's label is its parent's saturated state plus one side's
-    bits.  Saturating that state again finds no clash, no conjunction and
-    no disjunction to drop or force, so the child starts from it, with the
-    parent's open disjunctions and only the side's bits pending.  Both sides
-    satisfy the disjunction branched on, so it is not handed on.  A
-    disjunction pass reads, in bit order, the disjunctions that are new
-    since the last pass or that a bit seen since then is a side bit of; every
-    other open disjunction stays open, as nothing it reads has changed.  So
-    the saturated state, the steps and every core equal those of saturating
-    the label from scratch.  A diamond child starts a new world and
-    saturates from scratch.
+    A result goes to the top frame.  A branch frame is [state, steps, None,
+    disjunction, first side, the second side's bits (the negated first side
+    and the second), the open disjunctions handed on, the first side's core
+    once known]; it backjumps, hands on its second side, or joins the two
+    cores.  A diamond frame is [state, steps, children, current diamond,
+    the diamonds still to visit, boxes, their bodies].  It stores the result
+    of the child it searched in that diamond's successor lists, and refutes
+    by its diamond and the boxes the child's core used.  Otherwise it forms
+    the label of its next diamond's child, the diamond's body and the
+    boxes' bodies, and looks it up in that diamond's successor lists: the
+    latest stored satisfiable label that contains it answers with its
+    result, or else the first stored core that it contains refutes it by
+    that core, which is in label bits already.  A hit counts as a node and
+    goes back to the frame, which does not store it again; a miss is
+    searched.  A frame that is done stores its result under its state, a
+    two-bit core among the nogoods too, and is popped, and its result goes
+    on, lifted, to the frame below.
     """
-
-    def __init__(self, context: TableauContext, budget: int):
-        self.context = context
-        self.budget = budget
-        self.nodes = 0
-        self.max_depth = 0
-        self.memo_hits = 0
-        self.branches = 0
-        self.backjumps = 0
-        self.nogood_hits = 0
-        self.subsumption_hits = 0
-
-    def solve(self, root: int):
-        """(true variables, children) if the label ``root`` is satisfiable,
-        else its core: the bits of the label that its refutation used, a
-        non-zero int."""
-        context = self.context
-        data, watch, partners, formulas = context.data, context.watch, context.partners, context.formulas
-        lits, falses, ands, or_bits = context.lits, context.falses, context.ands, context.ors
-        box_bits, dia_bits, var_bits = context.boxes, context.dias, context.var_bits
-        kept = lits | box_bits | dia_bits  # with the open disjunctions, what a saturated state keeps
-        cache = context.cache
-        lookup = cache.get
-        firsts = context.firsts
-        sat_rows, sat_ors = context.sat_rows, context.sat_ors
-        core_rows, core_keys = context.core_rows, context.core_keys
-        budget = self.budget
-        nodes = max_depth = memo_hits = branches = backjumps = nogood_hits = subsumption_hits = 0
-        stack = []  # the frames of the labels between the root and the next one
-        # the next label is ``seen | mask``, resumed with the open disjunctions ``ors``
-        mask, seen, ors, depth = root, 0, 0, 0
-        hit = False  # whether the result handed on is a stored successor's
-
-        def subsumed(label, i):
-            """The stored answer for ``label``, a successor of the diamond at
-            bit position ``i``: the result of the latest stored satisfiable
-            one that contains it, or else the core of the first stored
-            refuted one that it contains; else None."""
-            stored = sat_ors[i]
-            if label | stored == stored:
-                for stored, result in reversed(sat_rows[i]):
-                    if label | stored == stored:
-                        return result
-            if label & core_keys[i]:
-                for core in core_rows[i]:
-                    if core | label == label:
-                        return core
-            return None
-
-        try:
-            while True:
-                nodes += 1
-                if nodes > budget:
-                    raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
-                if depth > max_depth:
-                    max_depth = depth
-                steps = []  # (bits derived, the seen bits they came from), in order
-                fresh = 0  # the bits seen since the last disjunction pass
-                pending = mask
-                clash = 0
+    data, watch, partners, formulas = context.data, context.watch, context.partners, context.formulas
+    lits, falses, ands, or_bits = context.lits, context.falses, context.ands, context.ors
+    box_bits, dia_bits, var_bits = context.boxes, context.dias, context.var_bits
+    kept = lits | box_bits | dia_bits  # with the open disjunctions, what a saturated state keeps
+    cache = context.cache
+    lookup = cache.get
+    firsts = context.firsts
+    sat_rows, sat_ors = context.sat_rows, context.sat_ors
+    core_rows, core_keys = context.core_rows, context.core_keys
+    nodes = max_depth = memo_hits = branches = backjumps = nogood_hits = subsumption_hits = 0
+    stack = []  # the frames of the labels between the root and the next one
+    # the next label is ``seen | mask``, resumed with the open disjunctions ``ors``
+    mask, seen, ors, depth = root, 0, 0, 0
+    # whether the diamond frame on top must not store the result handed on:
+    # a stored successor's answer, or the None of a frame just pushed
+    hit = False
+    try:
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
+            if depth > max_depth:
+                max_depth = depth
+            steps = []  # (bits derived, the seen bits they came from), in order
+            fresh = 0  # the bits seen since the last disjunction pass
+            pending = mask
+            clash = 0
+            while pending:
                 while pending:
-                    while pending:
-                        seen |= pending
-                        fresh |= pending
-                        clash = pending & falses
-                        if clash:
-                            break
-                        m = pending & lits
-                        while m:
-                            low = m & -m
-                            m ^= low
-                            clash = seen & data[low.bit_length() - 1]
-                            if clash:
-                                clash |= low
-                                break
-                        if clash:
-                            break
-                        ors |= pending & or_bits
-                        m = pending & ands
-                        pending = 0
-                        while m:
-                            low = m & -m
-                            m ^= low
-                            new = data[low.bit_length() - 1] & ~(seen | pending)
-                            if new:
-                                pending |= new
-                                steps.append((new, low))
+                    seen |= pending
+                    fresh |= pending
+                    clash = pending & falses
                     if clash:
                         break
-                    # only a new disjunction or one that a fresh bit is a side
-                    # or a negated side of can change; every other open one
-                    # stays open
-                    m = ors & fresh
-                    if m != ors:
-                        while fresh:
-                            i = fresh.bit_length() - 1
-                            m |= watch[i]
-                            fresh ^= 1 << i
-                        m &= ors
-                    fresh = 0
-                    keep = ors ^ m
+                    m = pending & lits
                     while m:
                         low = m & -m
                         m ^= low
-                        left, right, not_left, not_right = data[low.bit_length() - 1]
-                        if seen & (left | right):
-                            continue  # satisfied, drop
-                        left_dead = seen & not_left
-                        right_dead = seen & not_right
-                        if left_dead and right_dead:
-                            clash = low | left_dead | right_dead
+                        clash = seen & data[low.bit_length() - 1]
+                        if clash:
+                            clash |= low
                             break
-                        if left_dead:
-                            if not pending & right:
-                                pending |= right
-                                steps.append((right, low | left_dead))
-                        elif right_dead:
-                            if not pending & left:
-                                pending |= left
-                                steps.append((left, low | right_dead))
-                        else:
-                            keep |= low
                     if clash:
                         break
-                    ors = keep
+                    ors |= pending & or_bits
+                    m = pending & ands
+                    pending = 0
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        new = data[low.bit_length() - 1] & ~(seen | pending)
+                        if new:
+                            pending |= new
+                            steps.append((new, low))
                 if clash:
-                    result = _lift(clash, steps)
-                else:
-                    state = seen & kept | ors
-                    result = lookup(state)
-                    if result is not None:
-                        memo_hits += 1
-                        if result.__class__ is int:
-                            result = _lift(result, steps)
+                    break
+                # only a new disjunction or one that a fresh bit is a side
+                # or a negated side of can change; every other open one
+                # stays open
+                m = ors & fresh
+                if m != ors:
+                    while fresh:
+                        i = fresh.bit_length() - 1
+                        m |= watch[i]
+                        fresh ^= 1 << i
+                    m &= ors
+                fresh = 0
+                keep = ors ^ m
+                while m:
+                    low = m & -m
+                    m ^= low
+                    left, right, not_left, not_right = data[low.bit_length() - 1]
+                    if seen & (left | right):
+                        continue  # satisfied, drop
+                    left_dead = seen & not_left
+                    right_dead = seen & not_right
+                    if left_dead and right_dead:
+                        clash = low | left_dead | right_dead
+                        break
+                    if left_dead:
+                        if not pending & right:
+                            pending |= right
+                            steps.append((right, low | left_dead))
+                    elif right_dead:
+                        if not pending & left:
+                            pending |= left
+                            steps.append((left, low | right_dead))
                     else:
-                        m = state & firsts
-                        while m:
-                            low = m & -m
-                            m ^= low
-                            second = state & partners[low.bit_length() - 1]
-                            if second:
-                                nogood_hits += 1
-                                result = _lift(low | second & -second, steps)
-                                break
+                        keep |= low
+                if clash:
+                    break
+                ors = keep
+            if clash:
+                result = _lift(clash, steps)
+            else:
+                state = seen & kept | ors
+                result = lookup(state)
+                if result is not None:
+                    memo_hits += 1
+                    if result.__class__ is int:
+                        result = _lift(result, steps)
+                else:
+                    m = state & firsts
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        second = state & partners[low.bit_length() - 1]
+                        if second:
+                            nogood_hits += 1
+                            result = _lift(low | second & -second, steps)
+                            break
+                    else:
+                        if ors:
+                            # both sides satisfy the disjunction, so the
+                            # children get the open ones without it
+                            branches += 1
+                            low = ors & -ors
+                            first, second, not_first, _ = data[low.bit_length() - 1]
+                            ors ^= low
+                            stack.append([state, steps, None, low, first, not_first | second, ors, 0])
+                            mask, seen = first, state
+                            continue
+                        m = state & dia_bits
+                        if not m:
+                            true_vars = frozenset(formulas[i].index for i in _bits(state & var_bits))
+                            result = cache[state] = (true_vars, ())
                         else:
-                            if ors:
-                                # both sides satisfy the disjunction, so the
-                                # children get the open ones without it
-                                branches += 1
-                                low = ors & -ors
-                                first, second, not_first, _ = data[low.bit_length() - 1]
-                                ors ^= low
-                                stack.append([state, steps, None, low, first, not_first | second, ors, 0])
-                                mask, seen = first, state
-                                continue
-                            m = state & dia_bits
-                            if not m:
-                                true_vars = frozenset(formulas[i].index for i in _bits(state & var_bits))
-                                result = cache[state] = (true_vars, ())
-                            else:
-                                boxes = state & box_bits
-                                bodies = 0
-                                b = boxes
-                                while b:
-                                    i = b.bit_length() - 1
-                                    bodies |= data[i]
-                                    b ^= 1 << i
-                                low = m & -m
-                                stack.append([state, steps, [], low, m ^ low, boxes, bodies])
-                                depth += 1
-                                i = low.bit_length() - 1
-                                mask = data[i] | bodies
-                                result = subsumed(mask, i)
-                                if result is None:
-                                    seen = ors = 0
-                                    continue
-                                # a stored successor answers the child: a
-                                # node, whose answer goes to the diamond frame
-                                nodes += 1
-                                if nodes > budget:
-                                    raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
-                                if depth > max_depth:
-                                    max_depth = depth
-                                subsumption_hits += 1
-                                hit = True
-                # hand the result to the frames above, the latest first, until
-                # one of them has another label to search
-                while stack:
-                    frame = stack.pop()
-                    children = frame[2]
-                    if children is None:  # a branch frame: [state, steps, None, low, first, added, ors, core]
-                        if result.__class__ is int:
-                            core = frame[7]
-                            if core:
-                                # a second side refuted without its own bits refutes alone
-                                added = frame[5]
-                                if result & added:
-                                    result = core | result & ~added
-                            elif result & frame[4]:
-                                frame[7] = result & ~frame[4] | frame[3]
-                                stack.append(frame)
-                                mask, seen, ors = frame[5], frame[0], frame[6]
-                                break
-                            else:
-                                # the first side's refutation holds without it: backjump
-                                backjumps += 1
-                    else:  # a diamond frame: [state, steps, children, low, rest, boxes, bodies]
+                            boxes = state & box_bits
+                            bodies = 0
+                            b = boxes
+                            while b:
+                                i = b.bit_length() - 1
+                                bodies |= data[i]
+                                b ^= 1 << i
+                            # no child yet: the frame forms the first one
+                            stack.append([state, steps, [], 0, m, boxes, bodies])
+                            depth += 1
+                            result, hit = None, True
+            # hand the result to the frames above, the latest first, until
+            # one of them has another label to search
+            while stack:
+                frame = stack.pop()
+                children = frame[2]
+                if children is None:  # a branch frame
+                    if result.__class__ is int:
+                        core = frame[7]
+                        if core:
+                            # a second side refuted without its own bits refutes alone
+                            added = frame[5]
+                            if result & added:
+                                result = core | result & ~added
+                        elif result & frame[4]:
+                            frame[7] = result & ~frame[4] | frame[3]
+                            stack.append(frame)
+                            mask, seen, ors = frame[5], frame[0], frame[6]
+                            break
+                        else:
+                            # the first side's refutation holds without it: backjump
+                            backjumps += 1
+                else:  # a diamond frame
+                    if hit:
+                        hit = False
+                    else:
                         i = frame[3].bit_length() - 1
-                        if hit:
-                            hit = False  # stored already
-                        elif result.__class__ is int:
+                        if result.__class__ is int:
                             core_rows[i].append(result)
                             # a core's key bit, one a label must hold to
                             # contain it: its highest bit besides the body
@@ -711,56 +627,69 @@ class _Tableau:
                             label = data[i] | frame[6]
                             sat_rows[i].append((label, result))
                             sat_ors[i] |= label
-                        if result.__class__ is int:
-                            # the diamond and the boxes whose bodies the child's
-                            # core used; boxes alone spawn no world, so the
-                            # diamond stays
-                            core = frame[3]
-                            b = frame[5]
-                            while b:
-                                i = b.bit_length() - 1
-                                box = 1 << i
-                                if result & data[i]:
-                                    core |= box
-                                b ^= box
-                            result = core
-                        else:
-                            children.append(result)
-                            m = frame[4]
-                            if m:
-                                low = frame[3] = m & -m
-                                frame[4] = m ^ low
-                                stack.append(frame)
-                                i = low.bit_length() - 1
-                                mask = data[i] | frame[6]
-                                result = subsumed(mask, i)
-                                if result is None:
-                                    seen = ors = 0
-                                    break
-                                nodes += 1
-                                if nodes > budget:
-                                    raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
-                                subsumption_hits += 1
-                                hit = True
-                                continue
-                            true_vars = frozenset(formulas[i].index for i in _bits(frame[0] & var_bits))
-                            result = (true_vars, tuple(children))
-                        depth -= 1
-                    cache[frame[0]] = result
                     if result.__class__ is int:
-                        rest = result & (result - 1)
-                        if rest and not rest & (rest - 1):  # a core of two bits is a nogood
-                            low = result ^ rest
-                            firsts |= low
-                            partners[low.bit_length() - 1] |= rest
-                        result = _lift(result, frame[1])
-                else:
-                    return result
-        finally:
-            context.firsts = firsts
-            self.nodes, self.max_depth, self.memo_hits = nodes, max_depth, memo_hits
-            self.branches, self.backjumps, self.nogood_hits = branches, backjumps, nogood_hits
-            self.subsumption_hits = subsumption_hits
+                        # the diamond and the boxes whose bodies the child's
+                        # core used; boxes alone spawn no world, so the
+                        # diamond stays
+                        core = frame[3]
+                        b = frame[5]
+                        while b:
+                            i = b.bit_length() - 1
+                            box = 1 << i
+                            if result & data[i]:
+                                core |= box
+                            b ^= box
+                        result = core
+                    else:
+                        if result is not None:
+                            children.append(result)
+                        m = frame[4]
+                        if m:
+                            low = frame[3] = m & -m
+                            frame[4] = m ^ low
+                            stack.append(frame)
+                            i = low.bit_length() - 1
+                            mask = data[i] | frame[6]
+                            result = None
+                            stored = sat_ors[i]
+                            if mask | stored == stored:
+                                for stored, found in reversed(sat_rows[i]):
+                                    if mask | stored == stored:
+                                        result = found
+                                        break
+                            if result is None and mask & core_keys[i]:
+                                for core in core_rows[i]:
+                                    if core | mask == mask:
+                                        result = core
+                                        break
+                            if result is None:
+                                seen = ors = 0
+                                break
+                            # a stored successor answers the child: a node,
+                            # whose answer goes back to the frame
+                            nodes += 1
+                            if nodes > budget:
+                                raise SolverBudgetError(f"tableau node budget of {budget} exhausted")
+                            if depth > max_depth:
+                                max_depth = depth
+                            subsumption_hits += 1
+                            hit = True
+                            continue
+                        true_vars = frozenset(formulas[i].index for i in _bits(frame[0] & var_bits))
+                        result = (true_vars, tuple(children))
+                    depth -= 1
+                cache[frame[0]] = result
+                if result.__class__ is int:
+                    rest = result & (result - 1)
+                    if rest and not rest & (rest - 1):  # a core of two bits is a nogood
+                        low = result ^ rest
+                        firsts |= low
+                        partners[low.bit_length() - 1] |= rest
+                    result = _lift(result, frame[1])
+            else:
+                return result, nodes, max_depth, memo_hits, branches, backjumps, nogood_hits, subsumption_hits
+    finally:
+        context.firsts = firsts
 
 
 def _lift(core: int, steps: list) -> int:
@@ -808,15 +737,9 @@ def sat_k_tableau(
     _require_int("budget", budget)
     if context is None:
         context = TableauContext()
-    root = context.join(expand_sugar(f))
-    tableau = _Tableau(context, budget)
-    tree = tableau.solve(root)
+    tree, *counters = _tableau_search(context, context.join(expand_sugar(f)), budget)
     satisfiable = isinstance(tree, tuple)
     build = (lambda: _tree_to_model(tree, modal_vars(f))) if satisfiable else None
-    counters = (
-        tableau.nodes, tableau.max_depth, tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits,
-        tableau.subsumption_hits,
-    )
     return SatVerdict(satisfiable, "tableau", None, *counters, build)
 
 

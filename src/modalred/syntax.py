@@ -71,7 +71,6 @@ __all__ = [
     "formula_size",
     "is_constant",
     "modal_vars",
-    "modal_depth",
     "conj",
     "qneg",
 ]
@@ -646,18 +645,3 @@ def _vars_step(f, kid_vars) -> frozenset[int]:
         return kid_vars[0]
     return frozenset().union(*kid_vars)
 
-
-_DEPTH_MEMO: dict = {}
-
-
-def modal_depth(f: ModalFormula) -> int:
-    """Maximal nesting depth of [] and <> in the sugar-expanded formula."""
-    return _fold(expand_sugar(f), _depth_step, _DEPTH_MEMO)
-
-
-def _depth_step(f, depths) -> int:
-    if isinstance(f, (MBox, MDia)):
-        return 1 + depths[0]
-    if isinstance(f, _CORE):
-        return max(depths, default=0)
-    raise TypeError(f"unexpanded or non-modal node: {f!r}")

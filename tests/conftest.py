@@ -22,6 +22,7 @@ from modalred.syntax import (
     MOr,
     MTrue,
     MVar,
+    ModalFormula,
     QAnd,
     QExists,
     QFalse,
@@ -89,6 +90,41 @@ def random_closed_qbf(rng: random.Random, max_size: int, var_count: int = 3) -> 
         candidate = universal_closure(build(target))
         if qbf_size(candidate) <= max_size:
             return candidate
+
+
+def random_modal_formula(rng: random.Random, max_size: int, var_count: int = 3) -> ModalFormula:
+    """Random modal formula for solver cross-validation.
+
+    ``var_count=0`` gives variable-free (constant) formulas, the shape of the
+    hardness instances this toolkit produces.
+    """
+    _require_int("max_size", max_size)
+    sizes = list(range(1, max_size + 1))
+    target = rng.choice(sizes)
+
+    def build(size: int) -> ModalFormula:
+        if size <= 1:
+            roll = rng.random()
+            if var_count and roll < 0.6:
+                return MVar(rng.randint(1, var_count))
+            if roll < 0.8:
+                return MFalse()
+            return MTrue()
+        op = rng.choice(("not", "box", "dia", "and", "or", "imp"))
+        if op in ("not", "box", "dia"):
+            body = build(size - 1)
+            return {"not": MNot, "box": MBox, "dia": MDia}[op](body)
+        left_size = rng.randint(1, size - 2) if size > 2 else 1
+        right_size = max(size - 1 - left_size, 1)
+        left = build(left_size)
+        right = build(right_size)
+        if op == "and":
+            return MAnd((left, right))
+        if op == "or":
+            return MOr(left, right)
+        return MImp(left, right)
+
+    return build(target)
 
 
 def modal_leaves():

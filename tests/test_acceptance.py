@@ -12,7 +12,7 @@ import functools
 import random
 import time
 
-from conftest import random_closed_qbf
+from conftest import random_closed_qbf, random_modal_formula
 from modalred.kripke import (
     GadgetWorld,
     KripkeModel,
@@ -22,7 +22,7 @@ from modalred.kripke import (
     model_check,
     wgrz_axiom,
 )
-from modalred.pipeline import build_corpus, random_modal_formula
+from modalred.pipeline import build_corpus
 from modalred.qbf import is_true_qbf, to_prenex
 from modalred.reduction import (
     alpha,

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from conftest import random_modal_formula
 from modalred.cli import main
 from modalred.kripke import model_check, model_from_json
-from modalred.pipeline import random_matrix, random_modal_formula
+from modalred.pipeline import random_matrix
 from modalred.qbf import is_prenex, prenex_join, prenex_split
 from modalred.reduction import encode_alpha, encode_star
 from modalred.solver import sat_k_tableau

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_model, sugared_modal_formulas
+from conftest import make_random_model, random_modal_formula, sugared_modal_formulas
 from modalred import kripke
 from modalred.kripke import (
     BaseWorld,
@@ -391,8 +391,6 @@ class TestPredecessorRows:
             assert all((succ[i] >> j & 1) == (pred[j] >> i & 1) for i in range(n) for j in range(n))
 
     def test_eval_masks_match_the_plain_clauses(self):
-        from modalred.pipeline import random_modal_formula
-
         rng = random.Random(17)
         sizes = set()
         for _ in range(400):

@@ -6,13 +6,12 @@ import random
 
 import pytest
 
-from conftest import qbf_size, random_closed_qbf
+from conftest import qbf_size, random_closed_qbf, random_modal_formula
 from modalred.pipeline import (
     build_corpus,
     check_instance,
     exhaustive_matrices,
     random_matrix,
-    random_modal_formula,
     report_lines,
     report_summary,
     run_verify,

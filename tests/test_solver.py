@@ -14,20 +14,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_model, modal_formulas
+from conftest import make_random_model, modal_formulas, random_modal_formula
 from modalred import solver
 from modalred.kripke import BaseWorld, _assigned_model, _bits, model_check, model_check_all, model_to_json
-from modalred.pipeline import build_corpus, random_matrix, random_modal_formula
+from modalred.pipeline import build_corpus, random_matrix
 from modalred.qbf import is_true_qbf, prenex_join
 from modalred.solver import (
     SolverBudgetError,
     TableauContext,
     _Layout,
     _Search,
-    _Tableau,
     _nnf_step,
     _spawn_step,
     _subformulas,
+    _tableau_search,
     sat_bounded,
     sat_k_tableau,
 )
@@ -46,7 +46,6 @@ from modalred.syntax import (
     MVar,
     _fold,
     expand_sugar,
-    modal_depth,
     modal_vars,
     parse_modal,
     parse_qbf,
@@ -73,7 +72,7 @@ class TestTableau:
         verdict = sat_k_tableau(f)
         assert verdict.satisfiable
         deepest = max(w.level for w in verdict.witness.frame.worlds)
-        assert deepest <= modal_depth(f)
+        assert deepest <= 3  # the modal depth of f
 
     def test_budget_refusal(self):
         f = encode_alpha(parse_qbf("A p1 . E p2 . p1 -> p2"))
@@ -296,25 +295,18 @@ def test_backjumping_skips_branches_a_refutation_did_not_use():
 
 
 def test_a_tableau_holds_only_its_context_budget_and_counters():
-    # search state carried from label to label within a query (say, the
-    # diamond that failed last) would make a label's search depend on the
-    # labels searched before it
+    # the search keeps no state past its call: it hands back its result
+    # and the counters a verdict is built from, and over a fresh context
+    # those are a lone query's
     f = expand_sugar(golden_formula("alpha", "E p1 . A p2 . p1 & p2"))
     context = TableauContext()
-    tableau = _Tableau(context, 10_000)
-    assert isinstance(tableau.solve(context.join(f)), int)
+    result, *counters = _tableau_search(context, context.join(f), 10_000)
+    assert isinstance(result, int)
     verdict = sat_k_tableau(f)
-    assert vars(tableau) == {
-        "context": context,
-        "budget": 10_000,
-        "nodes": verdict.nodes,
-        "max_depth": verdict.depth,
-        "memo_hits": verdict.memo_hits,
-        "branches": verdict.branches,
-        "backjumps": verdict.backjumps,
-        "nogood_hits": verdict.nogood_hits,
-        "subsumption_hits": verdict.subsumption_hits,
-    }
+    assert counters == [
+        verdict.nodes, verdict.depth, verdict.memo_hits, verdict.branches, verdict.backjumps, verdict.nogood_hits,
+        verdict.subsumption_hits,
+    ]
 
 
 def test_memo_cores_are_refuted_subsets_of_their_labels():
@@ -541,10 +533,10 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
         expected, scratch, resumed, hits = _reference_search(context, root, reference_events)
         events.clear()
         context.cache = _LoggedCache(events)
-        tableau = _Tableau(context, 10**6)
-        assert tableau.solve(root) == expected
+        result, nodes, *_, subsumption_hits = _tableau_search(context, root, 10**6)
+        assert result == expected
         assert events == reference_events
-        assert (tableau.nodes, tableau.subsumption_hits) == (scratch + resumed + hits, hits)
+        assert (nodes, subsumption_hits) == (scratch + resumed + hits, hits)
         checked[0] += scratch
         checked[1] += resumed
         checked[2] += hits
@@ -596,6 +588,20 @@ def test_budget_counts_memo_hits(text):
         sat_k_tableau(f, budget=verdict.nodes - 1)
 
 
+@pytest.mark.parametrize("text", ["A p1 . E p2 . p1 -> p2", "E p1 . A p2 . p1 & p2"])
+def test_budget_counts_subsumption_hits(text):
+    # a successor label that a stored successor answers is a node, so every
+    # budget below the query's nodes cuts it short, whichever node it ends
+    # on, and a budget of exactly its nodes answers it in full
+    f = golden_formula("alpha", text)
+    verdict = sat_k_tableau(f)
+    assert verdict.subsumption_hits > 0
+    assert sat_k_tableau(f, budget=verdict.nodes) == verdict
+    for budget in range(1, verdict.nodes):
+        with pytest.raises(SolverBudgetError):
+            sat_k_tableau(f, budget=budget)
+
+
 # sha256 over the verdict and the witness JSON of each query of
 # test_witnesses_stay_as_pinned; it pins what the search finds apart from
 # how much it searches, so a change to the search order keeps it
@@ -633,7 +639,7 @@ NUMBERED_QUERIES = [golden_formula(stage, text) for stage, text, _ in GOLDEN_TAB
 def test_result_carries_its_world_count(f):
     context = TableauContext()
     root = context.join(expand_sugar(f))
-    tree = _Tableau(context, 10**7).solve(root)
+    tree = _tableau_search(context, root, 10**7)[0]
     verdict = sat_k_tableau(f)
     assert isinstance(tree, tuple) == verdict.satisfiable
     if not isinstance(tree, tuple):
@@ -882,23 +888,19 @@ def test_a_budget_error_leaves_a_shared_context_usable():
 
 
 def test_a_budget_error_leaves_the_counters_set():
-    # the search keeps its counters and the lower bits of its nogoods in
-    # locals; a query cut short writes them back all the same, and the next
-    # query of the context finds the verdict of a fresh one.  Its witness
-    # may differ from a fresh query's, since a successor label can get the
-    # result of a larger one that the cut search stored, but it is a model,
-    # and replaying the cut search gives it again
+    # the search keeps the lower bits of its nogoods in a local; a query cut
+    # short writes them back all the same, and the next query of the
+    # context finds the verdict of a fresh one.  Its witness may differ from
+    # a fresh query's, since a successor label can get the result of a
+    # larger one that the cut search stored, but it is a model, and
+    # replaying the cut search gives it again
     cut = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
     f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 | p2) & (p3 | p4)"))
     witnesses = []
     for _ in range(2):
         context = TableauContext()
-        tableau = _Tableau(context, 2_000)
         with pytest.raises(SolverBudgetError):
-            tableau.solve(context.join(expand_sugar(cut)))
-        assert tableau.nodes == 2_001
-        counters = (tableau.memo_hits, tableau.branches, tableau.backjumps, tableau.nogood_hits)
-        assert min(tableau.max_depth, tableau.subsumption_hits, *counters) > 0
+            _tableau_search(context, context.join(expand_sugar(cut)), 2_000)
         assert context.firsts == sum(1 << i for i, higher in enumerate(context.partners) if higher) != 0
         shared, alone = sat_k_tableau(f, context=context), sat_k_tableau(f)
         assert shared.satisfiable and alone.satisfiable
@@ -1025,7 +1027,6 @@ class TestBounded:
         verdict = sat_bounded(f, 2)
         assert not verdict.satisfiable
         assert verdict.engine == "bounded" and verdict.bound == 2
-        assert not verdict.conclusive
         assert sat_bounded(f, 3).satisfiable
 
     def test_monotone_in_bound(self):
@@ -1423,7 +1424,6 @@ def test_engines_agree_within_bound(f):
 
 def test_engines_agree_on_variable_free_formulas():
     # constant formulas exercise the purely modal branches of both engines
-    from modalred.pipeline import random_modal_formula
     from modalred.syntax import is_constant
 
     rng = random.Random(31)

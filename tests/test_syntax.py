@@ -36,7 +36,6 @@ from modalred.syntax import (
     expand_sugar,
     formula_size,
     is_constant,
-    modal_depth,
     modal_vars,
     parse_modal,
     parse_qbf,
@@ -414,40 +413,36 @@ def _chain(wrap, depth: int, leaf):
     return leaf
 
 
-# (formula, its nesting depth, its modal depth, the text of one layer); both
-# are far deeper than Python's default recursion limit of 1000
+# (formula, its nesting depth, the text of one layer); both are far deeper
+# than Python's default recursion limit of 1000
 DEEP = {
-    "box": (expand_sugar(MBoxPow(5000, MVar(1))), 5000, 5000, "[] "),
-    "not": (_chain(MNot, 3000, MVar(1)), 3000, 0, "~"),
+    "box": (expand_sugar(MBoxPow(5000, MVar(1))), 5000, "[] "),
+    "not": (_chain(MNot, 3000, MVar(1)), 3000, "~"),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP))
 class TestDeepNesting:
     def test_formula_size(self, shape):
-        f, depth, _, _ = DEEP[shape]
+        f, depth, _ = DEEP[shape]
         assert formula_size(f) == depth + 1
 
-    def test_modal_depth(self, shape):
-        f, _, boxes, _ = DEEP[shape]
-        assert modal_depth(f) == boxes
-
     def test_modal_vars(self, shape):
-        f, _, _, _ = DEEP[shape]
+        f, _, _ = DEEP[shape]
         assert modal_vars(f) == frozenset((1,))
         assert not is_constant(f)
 
     def test_expand_sugar(self, shape):
-        f, _, _, _ = DEEP[shape]
+        f, _, _ = DEEP[shape]
         assert expand_sugar(f) is f
 
     def test_substitute(self, shape):
-        f, depth, _, _ = DEEP[shape]
+        f, depth, _ = DEEP[shape]
         wrap = type(f)
         assert substitute(f, {1: MFalse()}) is _chain(wrap, depth, MFalse())
 
     def test_render(self, shape):
-        f, depth, _, layer = DEEP[shape]
+        f, depth, layer = DEEP[shape]
         assert render(f) == layer * depth + "p1"
 
 
@@ -470,7 +465,7 @@ def test_parser_deep_input(shape):
 
 
 @pytest.mark.parametrize(
-    "walker", [expand_sugar, formula_size, modal_depth, modal_vars, lambda f: substitute(f, {1: MTrue()})]
+    "walker", [expand_sugar, formula_size, modal_vars, lambda f: substitute(f, {1: MTrue()})]
 )
 def test_modal_walkers_reject_qbf_nodes(walker):
     for f in (QVar(1), parse_qbf("A p1 . p1 -> false")):

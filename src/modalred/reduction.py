@@ -27,7 +27,8 @@ variables while preserving satisfiability.  ``quantifier_tree`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Optional
 
 from . import kripke
@@ -408,10 +409,7 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
             pred[k] = below
             below |= 1 << k
     for i in range(size):
-        row = rows[i] | hosted[i]
-        for j in kripke._bits(rows[i]):
-            row |= hosted[j]
-        rows[i] = row
+        rows[i] = reduce(or_, kripke._select(hosted, rows[i]), rows[i] | hosted[i])
     order = base_worlds + tuple(world for _, world, _, _ in entries)
     position = {w: i for i, w in enumerate(order)}
     ids = base_ids + tuple(wid for wid, _, _, _ in entries)

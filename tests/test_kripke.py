@@ -90,30 +90,43 @@ def test_model_check_respects_sugar(f, seed):
         assert model_check(model, w, f) == model_check(model, w, expanded)
 
 
-def _naive_check(model, w, f):
-    # straightforward recursive reference for differential testing
+def _naive_check(model, w, f, memo=None):
+    # straightforward recursive reference for differential testing; ``memo``
+    # keeps each world's successors and each (world, subformula) answer, and
+    # calls on one model may share it
     from modalred.syntax import MAnd, MBox, MDia, MFalse, MImp, MNot, MOr, MTrue, MVar
 
-    succ = [v for (u, v) in model.frame.relation if u == w]
+    if memo is None:
+        memo = {}
+    if (w, f) in memo:
+        return memo[w, f]
+    if "succ" not in memo:
+        memo["succ"] = {}
+        for u, v in model.frame.relation:
+            memo["succ"].setdefault(u, []).append(v)
+    succ = memo["succ"].get(w, [])
     if isinstance(f, MVar):
-        return w in model.valuation.get(f.index, frozenset())
-    if isinstance(f, MFalse):
-        return False
-    if isinstance(f, MTrue):
-        return True
-    if isinstance(f, MNot):
-        return not _naive_check(model, w, f.body)
-    if isinstance(f, MAnd):
-        return all(_naive_check(model, w, g) for g in f.items)
-    if isinstance(f, MOr):
-        return _naive_check(model, w, f.left) or _naive_check(model, w, f.right)
-    if isinstance(f, MImp):
-        return (not _naive_check(model, w, f.left)) or _naive_check(model, w, f.right)
-    if isinstance(f, MBox):
-        return all(_naive_check(model, v, f.body) for v in succ)
-    if isinstance(f, MDia):
-        return any(_naive_check(model, v, f.body) for v in succ)
-    raise TypeError(f)
+        result = w in model.valuation.get(f.index, frozenset())
+    elif isinstance(f, MFalse):
+        result = False
+    elif isinstance(f, MTrue):
+        result = True
+    elif isinstance(f, MNot):
+        result = not _naive_check(model, w, f.body, memo)
+    elif isinstance(f, MAnd):
+        result = all(_naive_check(model, w, g, memo) for g in f.items)
+    elif isinstance(f, MOr):
+        result = _naive_check(model, w, f.left, memo) or _naive_check(model, w, f.right, memo)
+    elif isinstance(f, MImp):
+        result = (not _naive_check(model, w, f.left, memo)) or _naive_check(model, w, f.right, memo)
+    elif isinstance(f, MBox):
+        result = all(_naive_check(model, v, f.body, memo) for v in succ)
+    elif isinstance(f, MDia):
+        result = any(_naive_check(model, v, f.body, memo) for v in succ)
+    else:
+        raise TypeError(f)
+    memo[w, f] = result
+    return result
 
 
 @given(sugared_modal_formulas(max_leaves=8), st.integers(min_value=0, max_value=10**6))
@@ -378,6 +391,50 @@ def _random_rows_frame(rng, n):
         row = rng.choice([0, full, 1 << i, rng.getrandbits(n), rng.getrandbits(n) | 1 << i])
         edges += [(worlds[i], worlds[j]) for j in range(n) if row >> j & 1]
     return KripkeFrame(frozenset(worlds), edges)
+
+
+def _select_reference(items, row):
+    return [items[j] for j in kripke._bits(row)]
+
+
+class TestSelect:
+    """``_select`` picks the entries at a row's set bits, lowest first, on
+    both sides of the density at which it stops reading bit by bit."""
+
+    @pytest.mark.parametrize("width", [1, 5, 8, 13, 64, 100, 257, 1001])
+    def test_edge_rows(self, width):
+        items = [f"w{j}" for j in range(width)]
+        full = (1 << width) - 1
+        rows = {0, 1, 1 << width - 1, full, full ^ 1, full ^ 1 << width - 1, full & 0x5555555555555555}
+        for row in sorted(rows):
+            assert list(kripke._select(items, row)) == _select_reference(items, row), row
+            # the entries of a longer sequence, whose tail no row reaches
+            assert list(kripke._select(tuple(items) + (None,), row)) == _select_reference(items, row)
+
+    @pytest.mark.parametrize("width", [17, 63, 100, 250, 999, 4003])
+    def test_rows_just_below_and_above_the_crossover(self, width):
+        rng = random.Random(width)
+        items = tuple(rng.getrandbits(width) for _ in range(width))
+        dense = -(-width // kripke._DENSE_RUN)  # the fewest set bits read in C
+        for count, sparse in ((dense - 1, True), (dense, False), (dense + 1, False)):
+            for _ in range(5):
+                row = 1 << width - 1
+                for j in rng.sample(range(width - 1), count - 1):
+                    row |= 1 << j
+                assert (row.bit_count() * kripke._DENSE_RUN < row.bit_length()) == sparse
+                assert list(kripke._select(items, row)) == _select_reference(items, row)
+
+    def test_random_rows(self):
+        rng = random.Random(35)
+        for _ in range(300):
+            width = rng.randint(1, 600)
+            items = list(range(width))
+            density = rng.choice((0.01, 0.05, 0.3, 0.9))
+            row = 0
+            for j in range(width):
+                if rng.random() < density:
+                    row |= 1 << j
+            assert list(kripke._select(items, row)) == _select_reference(items, row)
 
 
 class TestPredecessorRows:
@@ -832,6 +889,81 @@ class TestJsonWriter:
     def test_empty_frame(self):
         frame = KripkeFrame(frozenset(), frozenset())
         assert frame_to_json(frame) == _dumps_reference(frame) == '{\n  "worlds": [],\n  "relation": []\n}\n'
+
+
+def _random_large_model(rng, density):
+    """A model on 100-300 worlds, base and gadget ids mixed, whose pairs and
+    valuations each hold about ``density`` of what they could."""
+    count = rng.randint(100, 300)
+    worlds = set()
+    while len(worlds) < count:
+        worlds.add(_random_world(rng))
+    worlds = sorted(worlds, key=world_id_str)  # set order varies with the hash seed
+    relation = [(u, v) for u in worlds for v in worlds if rng.random() < density]
+    valuation = {k: frozenset(w for w in worlds if rng.random() < density) for k in (1, 2, 3)}
+    return KripkeModel(KripkeFrame(frozenset(worlds), relation), valuation, rng.choice(worlds))
+
+
+def _classes_by_pairs(frame):
+    """GL, Grz and KTB membership read off the pairs alone."""
+    relation = frame.relation
+    succ = {w: set() for w in frame.worlds}
+    for u, v in relation:
+        succ[u].add(v)
+    reflexive = all((w, w) in relation for w in frame.worlds)
+    irreflexive = not any((w, w) in relation for w in frame.worlds)
+    symmetric = all((v, u) in relation for u, v in relation)
+    antisymmetric = all(u == v or (v, u) not in relation for u, v in relation)
+    transitive = all(succ[v] <= succ[u] for u, v in relation)
+    return {
+        "GL": transitive and irreflexive,
+        "Grz": reflexive and transitive and antisymmetric,
+        "KTB": reflexive and symmetric,
+    }
+
+
+class TestLargeFrames:
+    """Frames of 100-300 worlds, whose rows are wide enough for both ways
+    of reading them: about one pair in 100 leaves most rows sparse, about
+    one in 3 makes them dense."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    def test_model_check_matches_naive_reference(self, seed, density):
+        rng = random.Random(seed)
+        model = _random_large_model(rng, density)
+        memo = {}
+        for _ in range(12):
+            f = random_modal_formula(rng, 12, var_count=3)
+            satisfied = model_check_all(model, f)
+            assert satisfied == {w for w in model.frame.worlds if _naive_check(model, w, f, memo)}, f
+            assert model_check(model, model.root, f) == (model.root in satisfied)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    def test_json_matches_json_dumps(self, seed, density):
+        model = _random_large_model(random.Random(seed), density)
+        assert model_to_json(model) == _dumps_reference(model.frame, model)
+        assert frame_to_json(model.frame) == _dumps_reference(model.frame)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    def test_frame_classes_match_the_pairs(self, seed, density):
+        rng = random.Random(seed)
+        frame = _random_large_model(rng, density).frame
+        order = frame.order
+        # strict and reflexive orders too, so that every class is met
+        upward = KripkeFrame(
+            frame.worlds, [(order[i], order[j]) for i, j in kripke._pairs(frame.succ) if i < j]
+        )
+        frames = [frame, upward] + [close(f, mode) for f in (frame, upward) for mode in kripke._CLOSE_MODES]
+        met = set()
+        for f in frames:
+            for cls, member in _classes_by_pairs(f).items():
+                assert frame_class_check(f, cls) == member, cls
+                if member:
+                    met.add(cls)
+        assert met == {"GL", "Grz", "KTB"}
 
 
 class TestFrameIndex:

@@ -999,13 +999,21 @@ class TestDeepInput:
         assert (verdict.satisfiable, verdict.nodes, verdict.depth) == (True, 5001, 5000)
         # the witness satisfies <>^5000 true at its root: a path of 5000
         # steps leaves it (checked by walking it, as model_check takes
-        # seconds on 5,000 nested diamonds)
+        # about 2 s on 5,000 nested diamonds)
         witness = verdict.witness
         successors = dict(witness.frame.relation)
         world = witness.root
         for _ in range(5000):
             world = successors[world]
         assert len(successors) == 5000 and len(witness.frame.worlds) == 5001
+
+    def test_deep_diamond_power_model_check(self):
+        # every diamond's body holds on a dense mask of the chain, read in C
+        f = MDiaPow(1000, MTrue())
+        witness = sat_k_tableau(f).witness
+        assert model_check(witness, witness.root, f)
+        assert not model_check(witness, witness.root, MDiaPow(1001, MTrue()))
+        assert len(model_check_all(witness, f)) == 1
 
 
 class TestBounded:

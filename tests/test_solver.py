@@ -105,29 +105,29 @@ def by_query(rows):
 # a change in the first three means the search itself changed
 GOLDEN_TABLEAU = [
     ("star", "A p1 . p1", (False, 5, 1, 0, None)),
-    ("alpha", "A p1 . p1", (False, 59, 5, 0, None)),
+    ("alpha", "A p1 . p1", (False, 49, 4, 0, None)),
     ("star", "E p1 . p1", (True, 4, 1, 2, (
         "5566f467e55fc0eec6cf313474293c0fea0dfd905c0bb1970d34fb4418f21e34"
     ))),
-    ("alpha", "E p1 . p1", (True, 58, 5, 25, (
-        "e6bc0724d524278abd13222177461d82a4ff445762b0a73f7e3219c011b032f7"
+    ("alpha", "E p1 . p1", (True, 48, 4, 14, (
+        "0342de17eb8ca81c7b1d82f919d87b0cd0c29894ecbbb7c562d65c6f16ae7b57"
     ))),
     ("star", "A p1 . E p2 . p1 -> p2", (True, 14, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 618, 9, 71, (
-        "a60ab142cb02d54303a5e9f353f05cefe111601f0cfa34bf728724f73801d0c8"
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 390, 9, 31, (
+        "0769f59a05b2da19d95300f23185d17ba3db803c8f711b24c2773b6037a73c88"
     ))),
     ("star", "E p1 . A p2 . p1 & p2", (False, 17, 2, 0, None)),
-    ("alpha", "E p1 . A p2 . p1 & p2", (False, 544, 8, 0, None)),
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 385, 8, 0, None)),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 64, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 1807, 11, 165, (
-        "a7fc976335e184ecbef539a1e72fbe5e174a9b4fe37f6f021004ec17f3e15a8b"
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 907, 11, 47, (
+        "34cfa6d4710f889569f8c4e102a88c7063673abdbcfa2194b92c67e99f0e1231"
     ))),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 34, 3, 0, None)),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 1506, 11, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 831, 11, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 4, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
@@ -161,9 +161,9 @@ def test_golden_tableau_counters(stage, text, expected):
 
 # labels whose saturated state the memo table answered without searching
 GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 13),
-    ("alpha", "E p1 . A p2 . p1 & p2", 12),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 34),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 3),
+    ("alpha", "E p1 . A p2 . p1 & p2", 4),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 5),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 0),
 ]
 
@@ -179,17 +179,17 @@ def test_golden_memo_hits(stage, text, expected):
 # per GOLDEN_TABLEAU query
 GOLDEN_BRANCHES = [
     ("star", "A p1 . p1", 1, 0, 0),
-    ("alpha", "A p1 . p1", 20, 0, 1),
+    ("alpha", "A p1 . p1", 17, 0, 1),
     ("star", "E p1 . p1", 1, 0, 0),
-    ("alpha", "E p1 . p1", 20, 0, 1),
+    ("alpha", "E p1 . p1", 17, 0, 1),
     ("star", "A p1 . E p2 . p1 -> p2", 6, 0, 0),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 327, 82, 31),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 210, 67, 19),
     ("star", "E p1 . A p2 . p1 & p2", 7, 2, 0),
-    ("alpha", "E p1 . A p2 . p1 & p2", 294, 86, 23),
+    ("alpha", "E p1 . A p2 . p1 & p2", 213, 76, 19),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 31, 0, 0),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 1292, 271, 56),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 607, 236, 33),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", 18, 8, 0),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 1084, 236, 46),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 570, 236, 30),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1, 0, 0),
     ("modal", "box<=25 (<> p1 & <> ~p1)", 0, 0, 0),
 ]
@@ -206,22 +206,22 @@ def test_golden_branches(stage, text, branches, backjumps, nogood_hits):
     assert (verdict.branches, verdict.backjumps, verdict.nogood_hits) == (branches, backjumps, nogood_hits)
 
 
-# successor labels that a stored satisfiable successor of the same diamond
-# contained, or that contained a stored refuted one's core (subsumption hits,
-# counted in nodes too), one per GOLDEN_TABLEAU query
+# successor labels that a world stored for the same diamond satisfied, or
+# that contained a stored refuted one's core (subsumption hits, counted in
+# nodes too), one per GOLDEN_TABLEAU query
 GOLDEN_SUBSUMPTION_HITS = [
     ("star", "A p1 . p1", 0),
-    ("alpha", "A p1 . p1", 9),
+    ("alpha", "A p1 . p1", 13),
     ("star", "E p1 . p1", 0),
-    ("alpha", "E p1 . p1", 9),
+    ("alpha", "E p1 . p1", 13),
     ("star", "A p1 . E p2 . p1 -> p2", 0),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 117),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 84),
     ("star", "E p1 . A p2 . p1 & p2", 0),
-    ("alpha", "E p1 . A p2 . p1 & p2", 96),
+    ("alpha", "E p1 . A p2 . p1 & p2", 78),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 1),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 175),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 146),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", 0),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 132),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 116),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 0),
     # at each level the ~p1 world's two successor labels are the p1 world's
     ("modal", "box<=25 (<> p1 & <> ~p1)", 50),
@@ -258,13 +258,16 @@ def test_disjunction_asserts_the_side_that_spawns_no_world_first(text, first):
 def test_alpha_guard_refuted_within_a_small_budget():
     # the right side of a ladder disjunction is a box and builds no world;
     # asserting it first, backjumping over a branch its refutation did not
-    # use and refuting a state that holds a stored two-bit core at once
-    # refutes this instance in 4,994 nodes (6,684 without those nogoods,
-    # 8,476 when a label probed its diamonds once its first side failed,
-    # 39,026 without backjumping, 64,187 when every label probed its
-    # diamonds before branching, 306,691 when the diamond side went first)
+    # use, refuting a state that holds a stored two-bit core at once and
+    # answering a successor label by a stored world that satisfies it
+    # refutes this instance in 1,619 nodes; before stored worlds were
+    # checked against new labels it took 4,994 (6,684 without those
+    # nogoods, 8,476 when a label probed its diamonds once its first side
+    # failed, 39,026 without backjumping, 64,187 when every label probed
+    # its diamonds before branching, 306,691 when the diamond side went
+    # first)
     f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
-    assert not sat_k_tableau(f, budget=5_500).satisfiable
+    assert not sat_k_tableau(f, budget=2_000).satisfiable
 
 
 @pytest.mark.parametrize("first", ["p{}", "[] p{}"])
@@ -330,11 +333,12 @@ def test_memo_cores_are_refuted_subsets_of_their_labels():
 
 def test_stored_successors_are_models_and_refuted_cores():
     # a satisfiable successor label is stored with its result, whose world
-    # must satisfy every formula of the label, since it answers any label
-    # the stored one contains; a refuted one's core must be refuted on its
-    # own, since it answers any label that contains it
+    # must satisfy every formula of the label, since the lookup skips the
+    # label's bits when it checks a later label at that world; a refuted
+    # one's core must be refuted on its own, since it answers any label
+    # that contains it
     rng = random.Random(5)
-    queries = [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=0)]
+    queries = [encode_alpha(f) for f in build_corpus(n_max=2, count=24, seed=0)]
     queries += [random_modal_formula(rng, 30) for _ in range(60)]
     labels = cores = 0
     refuted = set()
@@ -343,7 +347,7 @@ def test_stored_successors_are_models_and_refuted_cores():
         sat_k_tableau(f, context=context)
         variables = modal_vars(f)
         for i, rows in context.sat_rows.items():
-            assert context.sat_ors[i] == functools.reduce(operator.or_, (label for label, _ in rows))
+            assert rows  # the lookup reads the lists without adding empty ones
             for label, result in rows:
                 model = solver._tree_to_model(result, variables)
                 parts = [context.formulas[j] for j in _bits(label)]
@@ -366,6 +370,36 @@ def test_subsumption_keeps_the_alpha_verdicts_and_witnesses():
         assert verdict.satisfiable == is_true_qbf(qbf)
         if verdict.satisfiable:
             assert model_check(verdict.witness, verdict.witness.root, f)
+
+
+def frontier_recipe(n_max):
+    """The alpha tableau's frontier QBFs up to ``n_max`` quantifiers: three
+    per n, each a prefix letter from "AE" per variable and then a matrix of
+    size at most 9, drawn from ``random.Random(1)``; n = 2, 3 and 4 are
+    drawn in sequence, and each n >= 5 starts from ``Random(1)``."""
+    rng = random.Random(1)
+    for n in range(2, n_max + 1):
+        if n >= 5:
+            rng = random.Random(1)
+        for _ in range(3):
+            prefix = [(rng.choice("AE"), i) for i in range(1, n + 1)]
+            yield prenex_join(prefix, random_matrix(rng, n, 9))
+
+
+def test_frontier_witnesses_model_check():
+    # a world that the lookup hands to a later label is checked by the
+    # tableau's own evaluator; ``kripke.model_check`` shares no code with it
+    # and must find every satisfiable instance's witness a model
+    satisfiable = 0
+    for qbf in frontier_recipe(6):
+        f = encode_alpha(qbf)
+        verdict = sat_k_tableau(f)
+        assert verdict.satisfiable == is_true_qbf(qbf)
+        if verdict.satisfiable:
+            satisfiable += 1
+            assert model_check(verdict.witness, verdict.witness.root, f)
+            assert verdict.subsumption_hits
+    assert satisfiable == 9
 
 
 def _saturate_from_scratch(context, label):
@@ -426,20 +460,32 @@ def _reference_search(context, root, events):
     scratch (``_saturate_from_scratch``), with its own memo, nogoods and
     successor lists; it logs each state it looks up and each core it lifts
     as the tableau's loop logs them through ``_LoggedCache`` and ``_lift``.
-    (result, labels saturated from scratch, branch children, whose labels the
-    loop resumes, successor labels answered by a stored one)."""
+    A successor label is answered by a stored core that it contains, else
+    by the first of the latest 8 stored worlds of its diamond at which
+    ``kripke.model_check`` finds every formula of the label true, so a world
+    the loop hands back must satisfy the label.  (result, labels saturated
+    from scratch, branch children, whose labels the loop resumes, successor
+    labels answered by a stored one, those of them answered by a world whose
+    stored label does not contain theirs)."""
     data = context.data
+    variables = frozenset(g.index for g in context.formulas if isinstance(g, MVar))
     memo, partners = {}, {}  # the two-bit cores: lower bit -> higher bits
     # diamond position -> the satisfiable successor labels and their results,
     # in the order stored; the cores of the refuted successors, likewise
     satisfied, refuted = {}, {}
-    counts = [0, 0, 0]
+    counts = [0, 0, 0, 0]
 
     def stored(i, label):
-        for kept, result in reversed(satisfied.get(i, [])):
-            if not label & ~kept:
+        core = next((core for core in refuted.get(i, []) if not core & ~label), None)
+        if core is not None:
+            return core
+        parts = [context.formulas[j] for j in _bits(label)]
+        for kept, result in satisfied.get(i, [])[::-1][:8]:
+            model = solver._tree_to_model(result, variables)
+            if all(model_check(model, model.root, g) for g in parts):
+                counts[3] += bool(label & ~kept)
                 return result
-        return next((core for core in refuted.get(i, []) if not core & ~label), None)
+        return None
 
     def lift(core, steps):
         events.append(("lift", core, list(steps)))
@@ -512,7 +558,8 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
     # from scratch gives, so the loop looks up the states and lifts the
     # cores that the reference recursion does, in the same order; and a
     # successor label that a stored successor of its diamond answers must
-    # be one the reference's plain scan of its lists answers too
+    # be one the reference's plain scan of its lists answers too, by the
+    # same core or by the same world, which model-checks
     events = []
     lift = solver._lift
 
@@ -521,16 +568,18 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
         return lift(core, steps)
 
     monkeypatch.setattr(solver, "_lift", logged_lift)
-    checked = [0, 0, 0]  # labels saturated from scratch, resumed, answered by a stored successor
+    # labels saturated from scratch, resumed, answered by a stored successor,
+    # answered by a world whose stored label does not contain theirs
+    checked = [0, 0, 0, 0]
     rng = random.Random(28)
     queries = [random_modal_formula(rng, 40) for _ in range(150)]
     queries += [random_modal_formula(rng, 40, 0) for _ in range(50)]
-    queries += [encode_alpha(f) for f in build_corpus(n_max=2, count=30, seed=3)]
+    queries += [encode_alpha(f) for f in build_corpus(n_max=2, count=70, seed=3)]
     for f in queries:
         context = TableauContext()
         root = context.join(expand_sugar(f))
         reference_events = []
-        expected, scratch, resumed, hits = _reference_search(context, root, reference_events)
+        expected, scratch, resumed, hits, semantic = _reference_search(context, root, reference_events)
         events.clear()
         context.cache = _LoggedCache(events)
         result, nodes, *_, subsumption_hits = _tableau_search(context, root, 10**6)
@@ -540,8 +589,9 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
         checked[0] += scratch
         checked[1] += resumed
         checked[2] += hits
-    scratch, resumed, hits = checked
-    assert scratch > 4_000 and resumed > 6_000 and hits > 3_000
+        checked[3] += semantic
+    scratch, resumed, hits, semantic = checked
+    assert scratch > 4_000 and resumed > 6_000 and hits > 3_000 and semantic > 4_000
 
 
 def test_indexed_nogoods_are_stored_cores_refuted_on_their_own():
@@ -549,7 +599,7 @@ def test_indexed_nogoods_are_stored_cores_refuted_on_their_own():
     # lies within that state, and a fresh search refutes it; a nogood that
     # answered for a satisfiable state would fail the last check
     rng = random.Random(6)
-    queries = [encode_alpha(f) for f in build_corpus(n_max=3, count=30, seed=1)]
+    queries = [encode_alpha(f) for f in build_corpus(n_max=3, count=45, seed=1)]
     queries += [random_modal_formula(rng, 40, var_count) for var_count in (0, 3) for _ in range(100)]
     hits, nogoods = 0, set()
     for f in queries:
@@ -605,7 +655,7 @@ def test_budget_counts_subsumption_hits(text):
 # sha256 over the verdict and the witness JSON of each query of
 # test_witnesses_stay_as_pinned; it pins what the search finds apart from
 # how much it searches, so a change to the search order keeps it
-WITNESS_DIGEST = "c7d0a125fea7a9a6974ad961909c867532d06d5012bbacddef591a60f433c805"
+WITNESS_DIGEST = "29f7858f5da2bdd6846e0806ed1e191a81baff0ea32d8c394d29b08f8ebe67db"
 
 
 def test_witnesses_stay_as_pinned():
@@ -767,7 +817,7 @@ def test_a_joining_query_extends_the_numbering_in_walk_order(texts):
     assert root_bit == 1 << formulas.index(alone[0])
 
 
-CONTEXT_CORPUS = build_corpus(n_max=2, matrix_size_max_n1=5, count=100, seed=0)
+CONTEXT_CORPUS = build_corpus(n_max=4, matrix_size_max_n1=5, count=200, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -794,14 +844,14 @@ def shared_run():
 
 
 def test_one_context_decides_a_corpus_like_fresh_ones(shared_run):
-    assert len(shared_run) == 2 * 416
+    assert len(shared_run) == 2 * 516
     satisfiable = 0
     for qbf, f, verdict, _, _ in shared_run:
         assert verdict.satisfiable == is_true_qbf(qbf) == sat_k_tableau(f).satisfiable
         if verdict.satisfiable:
             satisfiable += 1
             assert model_check(verdict.witness, verdict.witness.root, f)
-    assert satisfiable == 2 * 215
+    assert satisfiable == 2 * 257
     # the shared labels are what the sharing is for: fewer nodes in all
     assert sum(v.nodes for _, _, v, _, _ in shared_run) < sum(
         sat_k_tableau(f).nodes for _, f, _, _, _ in shared_run
@@ -822,16 +872,21 @@ def _counters(verdict):
 
 
 def test_a_query_after_a_full_memo_searches_as_alone():
-    # the earlier query leaves 11,101 saturated states in the memo, over the
-    # cap, so the context starts afresh although 60 of the query's 117
+    # the earlier query leaves 11,215 saturated states in the memo, over the
+    # cap, so the context starts afresh although 62 of the query's 117
     # formulas are numbered in it
-    earlier = encode_alpha(parse_qbf("A p1 . E p2 . A p3 . E p4 . A p5 . (p1 -> p2) & (p3 -> p4) | p5"))
+    prefix = "A p1 . E p2 . A p3 . E p4 . A p5 . E p6 . A p7 . E p8 . A p9"
+    earlier = encode_alpha(parse_qbf(f"{prefix} . (p1 -> p2) & (p3 -> p4) & (p5 -> p6) & (p7 -> p8) | p9"))
     f = encode_alpha(parse_qbf("E p1 . A p2 . p1 | p2"))
     alone = TableauContext()
     alone.join(expand_sugar(f))
     context = TableauContext()
     sat_k_tableau(earlier, context=context)
-    assert len(context.cache) > solver._CONTEXT_MEMO_CAP
+    assert len(context.cache) > solver._CONTEXT_MEMO_CAP and context.truths
+    context.join(expand_sugar(f))
+    # the truth memo starts afresh with the rest, so no entry outlives the
+    # numbering its bits were read in
+    assert (len(context.truths), len(context.sat_rows), len(context.core_rows)) == (0, 0, 0)
     assert _counters(sat_k_tableau(f, context=context)) == _counters(sat_k_tableau(f))
     assert context.formulas == alone.formulas  # the context started afresh
     # asked again, the query is all numbered and its root's state is known
@@ -871,7 +926,7 @@ def test_a_budget_error_leaves_a_shared_context_usable():
     queries = [parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)")] * 2
     queries.append(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 | p2) & (p3 | p4)"))
     with pytest.raises(SolverBudgetError):
-        sat_k_tableau(encode_alpha(queries[0]), budget=2_000, context=context)
+        sat_k_tableau(encode_alpha(queries[0]), budget=1_000, context=context)
     formulas = context.formulas
     assert 0 < len(context.cache) <= solver._CONTEXT_MEMO_CAP  # what the cut search stored stays
     verdicts = []
@@ -891,16 +946,16 @@ def test_a_budget_error_leaves_the_counters_set():
     # the search keeps the lower bits of its nogoods in a local; a query cut
     # short writes them back all the same, and the next query of the
     # context finds the verdict of a fresh one.  Its witness may differ from
-    # a fresh query's, since a successor label can get the result of a
-    # larger one that the cut search stored, but it is a model, and
-    # replaying the cut search gives it again
+    # a fresh query's, since a successor label can get a world that the cut
+    # search stored, but it is a model, and replaying the cut search gives
+    # it again
     cut = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)"))
     f = encode_alpha(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 | p2) & (p3 | p4)"))
     witnesses = []
     for _ in range(2):
         context = TableauContext()
         with pytest.raises(SolverBudgetError):
-            _tableau_search(context, context.join(expand_sugar(cut)), 2_000)
+            _tableau_search(context, context.join(expand_sugar(cut)), 1_000)
         assert context.firsts == sum(1 << i for i, higher in enumerate(context.partners) if higher) != 0
         shared, alone = sat_k_tableau(f, context=context), sat_k_tableau(f)
         assert shared.satisfiable and alone.satisfiable
@@ -1006,6 +1061,21 @@ class TestDeepInput:
         for _ in range(5000):
             world = successors[world]
         assert len(successors) == 5000 and len(witness.frame.worlds) == 5001
+
+    def test_a_stored_deep_chain_answers_a_label_without_recursion(self):
+        # the second query's diamond child misses the one label stored for
+        # its diamond, so the lookup evaluates p1 | <>^2999 true at the
+        # stored world, down the chain of 3,000 worlds that the first query
+        # built, in one loop
+        context = TableauContext()
+        assert sat_k_tableau(parse_modal("<> dia^3000 true"), context=context).satisfiable
+        f = parse_modal("<> dia^3000 true & [] (p1 | dia^2999 true)")
+        verdict = sat_k_tableau(f, context=context)
+        assert (verdict.satisfiable, verdict.nodes, verdict.subsumption_hits) == (True, 2, 1)
+        assert len(context.truths) == 3000
+        witness = verdict.witness
+        assert len(witness.frame.worlds) == 3002
+        assert model_check(witness, witness.root, f)
 
     def test_deep_diamond_power_model_check(self):
         # every diamond's body holds on a dense mask of the chain, read in C

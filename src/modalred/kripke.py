@@ -27,9 +27,14 @@ node costs at most |worlds| ORs of |worlds|-bit rows.  A sparse mask is
 read bit by bit; a dense one, with at least one set bit in 16 positions,
 is read in C: its binary digits pick the rows through
 ``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON writer
-and ``extend_model`` read rows the same way.  A variable-free formula's
-mask depends on the rows alone, so each frame keeps those masks, and every
-model on the frame evaluates such a formula and its subformulas once.
+and ``extend_model`` read rows the same way.  A formula's mask depends on
+the rows and on the masks of its variables alone, so each frame keeps the
+masks it has evaluated, one table per valuation, keyed by the variable masks
+that valuation gives; a variable-free formula's table has the empty key.  So
+every model on the frame evaluates a variable-free formula and its
+subformulas once, and every model with the same valuation a formula with
+variables.  A model's valuation is read afresh at each call, so a changed
+valuation is never answered from a table of the old one.
 """
 
 from __future__ import annotations
@@ -189,8 +194,8 @@ class KripkeFrame:
     stay inside ``worlds``, and reads back as the frozenset of pairs the
     rows hold, derived the first time it is read.  The predecessor rows
     that model checking reads are derived likewise, unless the builder
-    passed them to ``_fill``.  The masks of the variable-free formulas
-    checked on the frame are kept with it, for every model on it.
+    passed them to ``_fill``.  The masks of the formulas checked on the
+    frame are kept with it, one table per valuation, for every model on it.
     """
 
     def __init__(self, worlds: frozenset[WorldId], relation: Iterable[tuple[WorldId, WorldId]]):
@@ -232,10 +237,11 @@ class KripkeFrame:
         return _transpose(self.succ)
 
     @cached_property
-    def _constant_masks(self) -> dict:
-        """Masks of the variable-free formulas evaluated on this frame, keyed
-        by sugar-free node: they depend on the rows alone, so every model on
-        the frame shares them."""
+    def _masks(self) -> dict:
+        """The masks of the formulas evaluated on this frame, one table per
+        valuation, keyed by sugar-free node.  A table's key is the frozenset
+        of the (index, mask) pairs it was computed under; the empty key holds
+        the variable-free formulas, which every model on the frame shares."""
         return {}
 
     def __setattr__(self, name, value):
@@ -394,11 +400,10 @@ def _eval_masks(
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
     g = expand_sugar(f)
     frame = model.frame
-    if not modal_vars(g):
-        # no valuation reaches it: the frame's table answers every model on it
-        return _eval_masks(g, {}, frame._pred, frame._constant_masks)
-    var_masks = {var: _mask(frame.position, members) for var, members in model.valuation.items()}
-    return _eval_masks(g, var_masks, frame._pred)
+    var_masks = {}
+    if modal_vars(g):  # else no valuation reaches it, and every model shares its table
+        var_masks = {var: _mask(frame.position, members) for var, members in model.valuation.items()}
+    return _eval_masks(g, var_masks, frame._pred, frame._masks.setdefault(frozenset(var_masks.items()), {}))
 
 
 def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
@@ -495,7 +500,7 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
     full = (1 << n) - 1
     if not variables:
         # one valuation, which nothing reads: the frame's table answers
-        return _eval_masks(g, {}, frame._pred, frame._constant_masks) == full
+        return _eval_masks(g, {}, frame._pred, frame._masks.setdefault(frozenset(), {})) == full
     bits = n * len(variables)
     if bits > budget:
         raise ValuationBudgetError(

@@ -16,8 +16,9 @@ summary; everything is a pure function of the parameters and seed, so rerun
 reports are byte-identical.
 
 A process computes once what depends only on inputs it has seen: one
-tableau context, one witness table keyed by quantifier tree and the pairs
-the substitution check has matched (see ``check_instance``).
+tableau context, one witness table keyed by quantifier tree, the pairs the
+substitution check has matched (see ``check_instance``) and, in the modules
+below, the conjuncts of each quantifier prefix and the walkers' memos.
 """
 
 from __future__ import annotations
@@ -161,9 +162,10 @@ _CONTEXT = TableauContext()
 
 # The witness table, by (quantifier tree, variable count): the extended
 # models in _EXTENDED, on whose frames an alpha encoding evaluates only the
-# nodes no earlier one shared, and the closure verdicts and star-equivalence
-# violations in _WITNESSES.  Both start afresh before a new tree joins when
-# the models hold more than _WITNESS_WORLDS_CAP worlds.
+# nodes no earlier one shared, and in _WITNESSES the tree, on whose frame a
+# star encoding does the same, the closure verdicts and the star-equivalence
+# violations.  Both start afresh before a new tree joins when the models hold
+# more than _WITNESS_WORLDS_CAP worlds, and drop the trees and their masks.
 _EXTENDED: dict = {}
 _WITNESSES: dict = {}
 _WITNESS_WORLDS_CAP = 10_000
@@ -191,8 +193,10 @@ def check_instance(
     encoding is the star encoding with it substituted, and the substitution
     check reads the same map, skipping pairs it matched before.  A true
     instance whose quantifier tree was met before reads its closure verdicts
-    and star-equivalence violations from the witness table, and
-    ``extend_model`` hands it the stored extended model to check.
+    and star-equivalence violations from the witness table, checks its star
+    encoding on the equal tree stored there, whose frame keeps the masks of
+    the conjuncts that earlier instances shared, and ``extend_model`` hands
+    it the stored extended model to check.
     """
     record: dict = {"index": index, "formula": render(f)}
     try:
@@ -222,12 +226,14 @@ def check_instance(
         ]
         if truth:
             tree = quantifier_tree(f)
-            record["witness_ok"] = model_check(tree, tree.root, star)
             key = (tree, ctx.var_count)
             witness = _WITNESSES.get(key)
             if witness is None and sum(len(m.frame.order) for m in _EXTENDED.values()) > _WITNESS_WORLDS_CAP:
                 _EXTENDED.clear()
                 _WITNESSES.clear()
+            if witness is not None:
+                tree = witness[0]  # its frame keeps the masks of the conjuncts checked on it
+            record["witness_ok"] = model_check(tree, tree.root, star)
             # called on a hit too: perfbench's traced run sums the worlds of
             # the models extend_model returns against the records
             extended = extend_model(tree, ctx, _EXTENDED)
@@ -239,9 +245,9 @@ def check_instance(
                     for name, mode, cls in _CLOSURES
                 }
                 violations = star_equivalence_violations(tree, extended, ctx)
-                witness = _WITNESSES[key] = (closures, violations)
-            record["closures"] = dict(witness[0])
-            record["star_equivalence_ok"] = not witness[1]
+                witness = _WITNESSES[key] = (tree, closures, violations)
+            record["closures"] = dict(witness[1])
+            record["star_equivalence_ok"] = not witness[2]
             checks.append(record["witness_ok"])
             checks.extend(record["closures"].values())
             checks.append(record["extended_ok"])

@@ -40,9 +40,15 @@ __all__ = [
 ]
 
 
+# the free variables and quantifier tests of every node walked so far, kept
+# process-wide as syntax keeps its modal walkers' results
+_FREE_VARS_MEMO: dict = {}
+_QUANTIFIED_MEMO: dict = {}
+
+
 def free_vars(f: QbfFormula) -> frozenset[int]:
     """Indices with at least one free occurrence in ``f``."""
-    return _fold(f, _FREE_VARS_STEP, {})
+    return _fold(f, _FREE_VARS_STEP, _FREE_VARS_MEMO)
 
 
 def _vars_step(bind, occurrence=True):
@@ -142,7 +148,7 @@ def is_true_qbf(f: QbfFormula) -> bool:
 def is_prenex(f: QbfFormula) -> bool:
     """True when all quantifiers form a leading prefix."""
     _, matrix = prenex_split(f)
-    return not _fold(matrix, _quantified_step, {})
+    return not _fold(matrix, _quantified_step, _QUANTIFIED_MEMO)
 
 
 def _quantified_step(f, kids) -> bool:

@@ -134,6 +134,13 @@ def _matrix_to_modal(f: QbfFormula, kids) -> ModalFormula:
     raise TypeError(f"matrix must be quantifier-free: {f!r}")
 
 
+# conjuncts (1)-(5) and the level-n test of each quantifier prefix, and the
+# modal copy of each matrix node, built once per process: the star encodings
+# of one prefix differ in conjunct (6) alone
+_PREFIXES: dict = {}
+_MATRICES: dict = {}
+
+
 def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
     """The six-conjunct modal encoding of a closed prenex QBF.
 
@@ -141,6 +148,17 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
     shape; expand_sugar flattens it for checking and size counting.
     """
     ctx = prepare_context(f)
+    shared = _PREFIXES.get(ctx.quantifiers)
+    if shared is None:
+        shared = _PREFIXES[ctx.quantifiers] = _prefix_conjuncts(ctx)
+    *conjuncts, level_n = shared
+    c6 = MBoxPow(ctx.n, MImp(level_n, _fold(ctx.matrix, _matrix_to_modal, _MATRICES)))
+    return MAnd((*conjuncts, c6)), ctx
+
+
+def _prefix_conjuncts(ctx: EncodingContext) -> tuple[ModalFormula, ...]:
+    """Conjuncts (1)-(5) of ``ctx``'s encoding and its level-n test, which
+    depend on the quantifier prefix alone."""
     n = ctx.n
 
     def q(i: int) -> ModalFormula:
@@ -213,8 +231,7 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
             ]
         ),
     )
-    c6 = MBoxPow(n, MImp(at_level(n), _fold(ctx.matrix, _matrix_to_modal, {})))
-    return MAnd((c1, c2, c3, c4, c5, c6)), ctx
+    return c1, c2, c3, c4, c5, at_level(n)
 
 
 # alpha(k) by k, built once per process; a ladder is a hash-consed node, so

@@ -20,13 +20,22 @@ One loop parses both languages by Dijkstra's shunting yard: finished formulas
 wait on an operand stack and pending operators on an operator stack, until a
 token of lower binding power in the table ``_GRAMMAR`` ends their operands.
 
-Every formula walker in the package (printing, substitution, sugar
-expansion, sizes, variables and depth here; free variables, the prenex test,
-matrix conversion, the oracle's subformula list and model checking
-elsewhere) is a step function over one fold, ``_fold``: a memoized
-post-order walk with an explicit stack, driven by one table of node
-children.  So all walks share one traversal order, and no walk is bounded by
-Python's recursion limit.
+Every formula walker in the package is a step function over one fold,
+``_fold``: a memoized post-order walk with an explicit stack, driven by one
+table of node children.  So all walks share one traversal order, and no walk
+is bounded by Python's recursion limit.  The walkers are ``render``,
+``substitute``, ``expand_sugar``, ``formula_size`` and ``modal_vars`` here;
+``free_vars``, ``is_prenex``, the truth tables and the bound-variable count
+in ``qbf``; the matrix conversion of ``reduction.encode_star``; the NNF, the
+may-spawn mark and the oracle's subformula list in ``solver``; and mask
+evaluation in ``kripke``.  A node's value depends on the node alone, so most
+memos are kept for the whole process: those of ``substitute`` (one per
+mapping), ``expand_sugar``, ``formula_size``, ``modal_vars``, ``free_vars``,
+``is_prenex``, the matrix conversion, the NNF and the may-spawn mark, and
+each frame's masks (one table per valuation).  ``render`` starts afresh each
+call, since a kept table would hold strings of quadratic total size; so do
+the truth tables, whose node count sets their size limit, and the
+bound-variable count and subformula list.
 """
 
 from __future__ import annotations
@@ -100,11 +109,13 @@ class Formula:
     _LEAST = 1
 
     def __new__(cls, *values):
-        # checked before the lookup, or MVar(1.0) and MVar(True) would find MVar(1)
-        if cls._PARAM and values:
-            _require_int(cls._PARAM, values[0], cls._LEAST)
         key = (cls, *values)
         node = _POOL.get(key)
+        # MVar(1.0) and MVar(True) find MVar(1): only an exact int field stands on a hit
+        if node is not None and (not cls._PARAM or values[0].__class__ is int):
+            return node
+        if cls._PARAM and values:
+            _require_int(cls._PARAM, values[0], cls._LEAST)
         if node is None:
             if len(values) != len(cls.__slots__):
                 raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}, got {len(values)} values")

@@ -201,3 +201,19 @@ def all_small_models(world_count: int, var_count: int = 1):
                 for k in range(var_count)
             }
             yield KripkeModel(frame, valuation, worlds[0])
+
+
+def fold_steps(monkeypatch, module) -> list:
+    """The nodes that the walkers of ``module`` fold from now on, one entry
+    per step of ``module._fold``."""
+    steps, fold = [], module._fold
+
+    def counting(root, combine, memo):
+        def step(g, kids):
+            steps.append(g)
+            return combine(g, kids)
+
+        return fold(root, step, memo)
+
+    monkeypatch.setattr(module, "_fold", counting)
+    return steps

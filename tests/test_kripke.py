@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_model, random_modal_formula, sugared_modal_formulas
+from conftest import fold_steps, make_random_model, random_modal_formula, sugared_modal_formulas
 from modalred import kripke
 from modalred.kripke import (
     BaseWorld,
@@ -316,7 +316,7 @@ class TestFrameValidates:
         from modalred.reduction import alpha, frame_fm_plus
 
         frame = frame_fm_plus(8)
-        steps = _counted_steps(monkeypatch)
+        steps = fold_steps(monkeypatch, kripke)
         answers = "".join("1" if frame_validates(frame, alpha(k)) else "0" for k in range(1, 17))
         assert answers == "1111111011111111"
         # the ladders share their rungs, so each node is evaluated once:
@@ -500,26 +500,10 @@ class TestPredecessorRows:
         assert "_pred" in vars(tree.frame) and "_pred" not in vars(witness.frame)
 
 
-def _counted_steps(monkeypatch) -> list:
-    """The nodes that model checking evaluates from now on, one entry per
-    step of its fold."""
-    steps, fold = [], kripke._fold
-
-    def counting(root, combine, memo):
-        def step(g, kids):
-            steps.append(g)
-            return combine(g, kids)
-
-        return fold(root, step, memo)
-
-    monkeypatch.setattr(kripke, "_fold", counting)
-    return steps
-
-
 class TestConstantMasks:
-    """Each frame keeps the masks of the variable-free formulas evaluated on
-    it, for every model on that frame; formulas with variables are never
-    kept."""
+    """Each frame keeps the masks of the formulas evaluated on it, one table
+    per valuation, keyed by its variable masks: the variable-free formulas
+    under the empty key, for every model on that frame."""
 
     def _two_models(self):
         frame, (u, v, w) = chain_frame(3)
@@ -539,12 +523,41 @@ class TestConstantMasks:
                 assert model_check_all(model_a, f) == on_a
                 assert model_check_all(model_b, f) == on_b
                 assert model_check(model_b, v, f) == (v in on_b)
-        assert "_constant_masks" not in vars(model_a.frame)
+        # each valuation keeps its own table, keyed by p1's mask (u, v, w are
+        # bits 0, 1, 2): w for model_a, v for model_b
+        tables = model_a.frame._masks
+        assert set(tables) == {frozenset({(1, 0b100)}), frozenset({(1, 0b010)})}
+        p1 = MVar(1)
+        assert tables[frozenset({(1, 0b100)})] == {p1: 0b100, MDia(p1): 0b010, MBox(p1): 0b110}
+        assert tables[frozenset({(1, 0b010)})] == {p1: 0b010, MDia(p1): 0b001, MBox(p1): 0b101}
+
+    def test_two_valuations_on_one_frame_give_the_reference_answers(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            model = make_random_model(rng, world_count=4, var_count=3)
+            other = make_random_model(rng, world_count=4, var_count=3)
+            twin = KripkeModel(model.frame, other.valuation, model.root)
+            formulas = [expand_sugar(random_modal_formula(rng, 9)) for _ in range(6)]
+            memos = {id(model): {}, id(twin): {}}
+            for _ in range(2):
+                for f in formulas:
+                    for m in (model, twin):
+                        satisfied = model_check_all(m, f)
+                        assert satisfied == {w for w in m.frame.worlds if _naive_check(m, w, f, memos[id(m)])}, f
+
+    def test_a_changed_valuation_is_not_answered_from_the_old_table(self):
+        frame, (u, v, w) = chain_frame(3)
+        valuation = {1: frozenset([w])}
+        model = KripkeModel(frame, valuation, u)
+        f = parse_modal("<> p1")
+        assert model_check_all(model, f) == {v}
+        valuation[1] = frozenset([v])  # the model holds this dict itself
+        assert model_check_all(model, f) == {u}
 
     def test_a_variable_free_answer_is_shared_by_the_models_on_a_frame(self, monkeypatch):
         model_a, model_b = self._two_models()
         u, v, w = model_a.frame.order
-        steps = _counted_steps(monkeypatch)
+        steps = fold_steps(monkeypatch, kripke)
         blind_below = parse_modal("<> [] false")
         assert model_check_all(model_a, blind_below) == {v}
         assert steps == [MFalse(), MBox(MFalse()), blind_below]
@@ -568,7 +581,7 @@ class TestConstantMasks:
         tree = quantifier_tree(f)
         extended = extend_model(tree, ctx)
         assert model_check(extended, extended.root, encode_alpha(f))
-        steps = _counted_steps(monkeypatch)
+        steps = fold_steps(monkeypatch, kripke)
         assert star_equivalence_violations(tree, extended, ctx) == []
         assert steps == []
 

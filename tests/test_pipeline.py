@@ -1,12 +1,14 @@
 """Corpus generation and the verification pipeline."""
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
-from conftest import qbf_size, random_closed_qbf, random_modal_formula
+from conftest import fold_steps, qbf_size, random_closed_qbf, random_modal_formula
 from modalred.pipeline import (
     build_corpus,
     check_instance,
@@ -17,8 +19,9 @@ from modalred.pipeline import (
     run_verify,
 )
 from modalred.qbf import free_vars, is_prenex, prenex_split
+from modalred.reduction import encode_star, quantifier_tree
 from modalred.solver import sat_k_tableau
-from modalred.syntax import formula_size, render
+from modalred.syntax import expand_sugar, formula_size, parse_qbf, render
 
 
 class TestGenerators:
@@ -248,6 +251,66 @@ class TestWitnessTable:
         assert len(checked) == 2 * len(true)
         assert checked[1::2] == extended
         assert len({id(m) for m in extended}) == len(pipeline._EXTENDED) < len(true)
+
+    def test_equal_trees_from_different_formulas_share_one_table(self, monkeypatch):
+        from modalred import kripke, pipeline
+
+        self.clear(monkeypatch)
+        first, second = parse_qbf("A p1 . p1 -> p1"), parse_qbf("A p1 . p1 | ~p1")
+        assert quantifier_tree(first) == quantifier_tree(second)
+        assert check_instance(first, 0, c2=1)["pass"]
+        steps = fold_steps(monkeypatch, kripke)
+        assert check_instance(second, 1, c2=1)["pass"]
+        ((key, (tree, _, _)),) = pipeline._WITNESSES.items()
+        assert key[0] is tree
+        # one table besides the variable-free one, holding both encodings
+        (valued,) = [table for masks, table in tree.frame._masks.items() if masks]
+        stars = [expand_sugar(encode_star(f)[0]) for f in (first, second)]
+        assert all(star in valued for star in stars)
+        # the second instance evaluated only its own matrix conjunct there
+        shared = stars[1].items[:5]
+        assert shared == stars[0].items[:5]
+        assert not any(node in steps for node in shared)
+        assert stars[1].items[5] in steps
+
+    def test_a_reset_drops_the_stored_trees_and_their_masks(self, monkeypatch):
+        from modalred import pipeline
+
+        self.clear(monkeypatch)
+        run_verify(n_max=2, count=40, seed=0)
+        stored = [weakref.ref(tree) for tree, _, _ in pipeline._WITNESSES.values()]
+        frames = [weakref.ref(tree.frame) for tree, _, _ in pipeline._WITNESSES.values()]
+        assert len(stored) == 12
+        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 0)
+        new = parse_qbf("A p1 . A p2 . A p3 . p3 | ~p3")
+        assert check_instance(new, 0, c2=1)["pass"]
+        gc.collect()
+        assert not any(ref() for ref in stored + frames)
+        ((tree, _, _),) = pipeline._WITNESSES.values()
+        assert tree == quantifier_tree(new)
+
+    def test_a_lowered_cap_keeps_the_bytes_of_fresh_tables_per_instance(self, monkeypatch):
+        from modalred import pipeline
+
+        class Counted(dict):
+            def clear(self):
+                resets.append(len(self))
+                super().clear()
+
+        resets = []
+        self.clear(monkeypatch)
+        monkeypatch.setattr(pipeline, "_EXTENDED", Counted())
+        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 300)
+        shared = report_lines(run_verify(n_max=3, count=60, seed=5))
+        assert len(resets) >= 3
+
+        def fresh(*args, **kwargs):
+            pipeline._EXTENDED, pipeline._WITNESSES = {}, {}
+            return check(*args, **kwargs)
+
+        check = pipeline.check_instance
+        monkeypatch.setattr(pipeline, "check_instance", fresh)
+        assert report_lines(run_verify(n_max=3, count=60, seed=5)) == shared
 
 
 class TestRunVerify:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qbf_formulas
+from conftest import fold_steps, qbf_formulas
+from modalred import qbf
 from modalred.cli import main
 from modalred.pipeline import build_corpus
 from modalred.qbf import (
@@ -62,6 +63,38 @@ class TestFreeVars:
     def test_partially_bound(self):
         assert free_vars(QForall(1, QOr(QVar(1), QVar(2)))) == {2}
 
+    def test_a_variable_bound_above_stays_free_in_its_body(self):
+        # the process-wide memo keys each answer by its node alone
+        assert free_vars(QForall(1, QVar(1))) == frozenset()
+        assert free_vars(QVar(1)) == {1}
+        assert free_vars(QImp(QVar(1), QForall(1, QVar(1)))) == {1}
+
+
+class TestProcessMemos:
+    def test_free_vars_and_is_prenex_walk_a_node_once(self, monkeypatch):
+        monkeypatch.setattr(qbf, "_FREE_VARS_MEMO", {})
+        monkeypatch.setattr(qbf, "_QUANTIFIED_MEMO", {})
+        steps = fold_steps(monkeypatch, qbf)
+        f = parse_qbf("A p1 . (E p2 . p2 & p7) -> p1 | p8")
+        assert free_vars(f) == {7, 8}
+        assert not is_prenex(f)
+        walked = len(steps)
+        assert walked > 0
+        for _ in range(2):
+            assert free_vars(f) == {7, 8}
+            assert not is_prenex(f)
+            assert free_vars(f.body) == {1, 7, 8}
+        assert len(steps) == walked
+        # a new formula walks only the nodes that no earlier walk met
+        assert free_vars(QAnd(f, QVar(9))) == {7, 8, 9}
+        assert steps[walked:] == [QVar(9), QAnd(f, QVar(9))]
+
+    def test_a_rejected_walk_keeps_no_answer(self):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="not a QBF formula"):
+                free_vars(QOr(QVar(3), MVar(3)))
+        assert QOr(QVar(3), MVar(3)) not in qbf._FREE_VARS_MEMO
+
 
 class TestDeepNesting:
     # p1 -> (p1 -> ... (p1 -> p1)), 3000 implications deep, far past Python's
@@ -78,6 +111,17 @@ class TestDeepNesting:
 
     def test_is_prenex(self):
         assert is_prenex(QForall(1, self.deep()))
+
+    def test_answered_twice_from_fresh_memos(self, monkeypatch):
+        monkeypatch.setattr(qbf, "_FREE_VARS_MEMO", {})
+        monkeypatch.setattr(qbf, "_QUANTIFIED_MEMO", {})
+        f = QForall(1, self.deep())
+        for _ in range(2):
+            assert free_vars(f) == frozenset()
+            assert free_vars(f.body) == frozenset((1,))
+            assert is_prenex(f)
+            assert not is_prenex(QImp(f, f))
+        assert len(qbf._FREE_VARS_MEMO) == 3002
 
 
 def test_free_vars_rejects_modal_nodes():

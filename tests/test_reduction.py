@@ -1,8 +1,11 @@
 """The encoding, the ladder formulas, and the witness constructions."""
 
+import itertools
+
 import pytest
 
 from modalred import reduction
+from modalred.qbf import prenex_join
 from modalred.kripke import (
     BaseWorld,
     GadgetWorld,
@@ -112,6 +115,50 @@ class TestEncodeStar:
         star, _ = encode_star(parse_qbf("A p1 . p1"))
         assert not sat_k_tableau(star).satisfiable
         assert not sat_bounded(star, 4).satisfiable
+
+
+# every quantifier prefix with one to three quantifiers
+PREFIXES = ["".join(kinds) for n in (1, 2, 3) for kinds in itertools.product("AE", repeat=n)]
+
+
+def _prenex(kinds: str, matrix: str):
+    return prenex_join([(kind, i) for i, kind in enumerate(kinds, start=1)], parse_qbf(matrix))
+
+
+class TestPrefixTable:
+    """Conjuncts (1)-(5) come from a process-wide table keyed by the
+    quantifier prefix, and the matrix's modal copy from a process-wide memo."""
+
+    @pytest.mark.parametrize("kinds", PREFIXES)
+    def test_clearing_the_tables_encodes_the_identical_node(self, monkeypatch, kinds):
+        f = _prenex(kinds, "p1 -> false | p1")
+        star, ctx = encode_star(f)
+        assert reduction._PREFIXES[ctx.quantifiers][:5] == star.items[:5]
+        monkeypatch.setattr(reduction, "_PREFIXES", {})
+        monkeypatch.setattr(reduction, "_MATRICES", {})
+        assert encode_star(f)[0] is star
+        assert set(reduction._PREFIXES) == {ctx.quantifiers}
+
+    @pytest.mark.parametrize("kinds", PREFIXES)
+    def test_one_prefix_builds_its_conjuncts_once(self, monkeypatch, kinds):
+        first, _ = encode_star(_prenex(kinds, "p1"))
+        # building conjuncts (2)-(5) again would fail without these
+        for name in ("MBoxLe", "MDia", "MBox"):
+            monkeypatch.setattr(reduction, name, None)
+        second, _ = encode_star(_prenex(kinds, "p1 & ~p1"))
+        assert second.items[:5] == first.items[:5]
+        assert second.items[5] is not first.items[5]
+
+    @pytest.mark.parametrize("kinds", PREFIXES)
+    def test_prefixes_one_quantifier_apart_differ_in_conjuncts_3_and_4(self, kinds):
+        star, _ = encode_star(_prenex(kinds, "p1"))
+        for i in range(len(kinds)):
+            flipped = kinds[:i] + ("E" if kinds[i] == "A" else "A") + kinds[i + 1 :]
+            other, _ = encode_star(_prenex(flipped, "p1"))
+            assert other.items[2] is not star.items[2]
+            assert other.items[3] is not star.items[3]
+            # (1), (2), (5) and the matrix conjunct depend on n alone
+            assert [other.items[k] for k in (0, 1, 4, 5)] == [star.items[k] for k in (0, 1, 4, 5)]
 
 
 class TestAlpha:

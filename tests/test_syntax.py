@@ -322,28 +322,32 @@ class TestNodeInterning:
             MAnd(())
 
 
-# (a constructor call, the message of the ValueError it raises)
+# (a constructor call, the message of the ValueError it raises); each call
+# builds a valid twin first, so a bad field whose pool key equals the twin's
+# (True == 1 == 1.0) finds the twin in the pool and must still be refused
 BAD_FIELDS = [
-    (lambda: MVar(0), "variable index must be a positive integer, got 0"),
-    (lambda: MVar(1.0), "variable index must be a positive integer, got 1.0"),
-    (lambda: QVar(-2), "variable index must be a positive integer, got -2"),
-    (lambda: QForall(0, QVar(1)), "variable index must be a positive integer, got 0"),
-    (lambda: QExists(1.5, QVar(1)), "variable index must be a positive integer, got 1.5"),
+    (lambda: (MVar(1), MVar(0)), "variable index must be a positive integer, got 0"),
+    (lambda: (MVar(1), MVar(1.0)), "variable index must be a positive integer, got 1.0"),
+    (lambda: (QVar(2), QVar(-2)), "variable index must be a positive integer, got -2"),
+    (lambda: (QVar(2), QVar(2.0)), "variable index must be a positive integer, got 2.0"),
+    (lambda: (QForall(1, QVar(1)), QForall(0, QVar(1))), "variable index must be a positive integer, got 0"),
+    (lambda: (QExists(1, QVar(1)), QExists(1.5, QVar(1))), "variable index must be a positive integer, got 1.5"),
     # a bool is an int, and the pool key (MVar, True) equals (MVar, 1)
-    (lambda: MVar(True), "variable index must be a positive integer, got True"),
-    (lambda: QForall(True, QVar(1)), "variable index must be a positive integer, got True"),
-    (lambda: MBoxLe(False, MTrue()), "box<= bound must be a non-negative integer, got False"),
-    (lambda: MBoxLe(-1, MVar(1)), "box<= bound must be a non-negative integer, got -1"),
-    (lambda: MBoxPow(-2, MVar(1)), "box^ power must be a non-negative integer, got -2"),
-    (lambda: MDiaPow(-3, MVar(1)), "dia^ power must be a non-negative integer, got -3"),
-    (lambda: MDiaPow("2", MVar(1)), "dia^ power must be a non-negative integer, got '2'"),
-    (lambda: MAnd([]), "n-ary conjunction needs at least one conjunct"),
+    (lambda: (MVar(1), MVar(True)), "variable index must be a positive integer, got True"),
+    (lambda: (QForall(1, QVar(1)), QForall(True, QVar(1))), "variable index must be a positive integer, got True"),
+    (lambda: (MBoxLe(0, MTrue()), MBoxLe(False, MTrue())), "box<= bound must be a non-negative integer, got False"),
+    (lambda: (MBoxLe(1, MVar(1)), MBoxLe(-1, MVar(1))), "box<= bound must be a non-negative integer, got -1"),
+    (lambda: (MBoxPow(2, MVar(1)), MBoxPow(-2, MVar(1))), "box^ power must be a non-negative integer, got -2"),
+    (lambda: (MBoxPow(2, MVar(1)), MBoxPow(2.0, MVar(1))), "box^ power must be a non-negative integer, got 2.0"),
+    (lambda: (MDiaPow(3, MVar(1)), MDiaPow(-3, MVar(1))), "dia^ power must be a non-negative integer, got -3"),
+    (lambda: (MDiaPow(2, MVar(1)), MDiaPow("2", MVar(1))), "dia^ power must be a non-negative integer, got '2'"),
+    (lambda: (MDiaPow(1, MVar(1)), MDiaPow(True, MVar(1))), "dia^ power must be a non-negative integer, got True"),
+    (lambda: (MAnd([MTrue()]), MAnd([])), "n-ary conjunction needs at least one conjunct"),
 ]
 
 
 @pytest.mark.parametrize("make, message", BAD_FIELDS)
 def test_constructor_error_text(make, message):
-    MVar(1)  # a float index must not find this node in the pool
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message

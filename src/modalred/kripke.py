@@ -24,10 +24,10 @@ Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization: <> T is the
 OR of the predecessor rows of T's worlds and [] is its dual, so one modal
 node costs at most |worlds| ORs of |worlds|-bit rows.  A sparse mask is
-read bit by bit; a dense one, with at least one set bit in 16 positions,
-is read in C: its binary digits pick the rows through
-``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON writer
-and ``extend_model`` read rows the same way.  A formula's mask depends on
+read bit by bit, from its highest bit down; a dense one, with at least one
+set bit in 16 positions, is read in C: its binary digits pick the rows
+through ``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON
+writer and ``extend_model`` read rows the same way.  A formula's mask depends on
 the rows and on the masks of its variables alone, so each frame keeps the
 masks it has evaluated, one table per valuation, keyed by the variable masks
 that valuation gives; a variable-free formula's table has the empty key.  So
@@ -298,20 +298,27 @@ class ValuationBudgetError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _bits(row: int):
-    """Positions of the set bits of ``row``, lowest first."""
+def _bits(row: int) -> list[int]:
+    """Positions of the set bits of ``row``, lowest first.  They are read
+    from the top: clearing the highest bit leaves a shorter row, where
+    clearing the lowest copies the whole row and its negation per bit."""
+    found = []
     while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
+        i = row.bit_length() - 1
+        found.append(i)
+        row ^= 1 << i
+    found.reverse()
+    return found
 
 
 #: ``_select`` reads a row in C when it has a set bit in every
-#: ``_DENSE_RUN`` positions up to its highest.  Selecting and ORing
-#: predecessor rows (Python 3.11), the per-bit loop costs about 0.5 us a set
-#: bit, more on wide rows, and ``compress`` about 1.5 us plus 4 ns a
-#: position: they break even near one set bit in 16 at 64-1,000 positions
-#: and in 30-100 at 4,000-15,000, so at 16 the loop keeps every row it wins.
+#: ``_DENSE_RUN`` positions up to its highest.  Selecting (Python 3.11, a
+#: shared 2-vCPU VM; both ways OR the same rows after), the top-down loop
+#: costs about 0.15-0.25 us a set bit, more on wide rows, and ``compress``
+#: about 1.5 us plus 9-14 ns a position: they break even near one set bit in
+#: 8 at 64-256 positions, in 12 at 1,000-4,000 and in 24 at 15,000.  At 16
+#: a row misread either way costs at most about 1.5 us at 256 positions and
+#: a fifth more at 1,000-4,000, so 16 stays.
 _DENSE_RUN = 16
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
@@ -322,7 +329,13 @@ def _select(items, row: int):
     reversed binary digits of ``row``, turned into 0/1 flags for
     ``itertools.compress``, which keeps the entries in C."""
     if row.bit_count() * _DENSE_RUN < row.bit_length():
-        return [items[j] for j in _bits(row)]
+        picked = []
+        while row:
+            i = row.bit_length() - 1
+            picked.append(items[i])
+            row ^= 1 << i
+        picked.reverse()
+        return picked
     return compress(items, bin(row)[:1:-1].encode().translate(_BIT_FLAGS))
 
 

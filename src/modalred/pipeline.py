@@ -16,9 +16,10 @@ summary; everything is a pure function of the parameters and seed, so rerun
 reports are byte-identical.
 
 A process computes once what depends only on inputs it has seen: one
-tableau context, one witness table keyed by quantifier tree, the pairs the
-substitution check has matched (see ``check_instance``) and, in the modules
-below, the conjuncts of each quantifier prefix and the walkers' memos.
+tableau context, one witness table keyed by the prefix and existential
+choices that fix a quantifier tree, the pairs the substitution check has
+matched (see ``check_instance``) and, in the modules below, the conjuncts
+of each quantifier prefix and the walkers' memos.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 from .kripke import close, frame_class_check, model_check
 from .qbf import is_true_qbf, prenex_join
 from .reduction import (
+    _tree_choices,
     alpha,
     encode_alpha,
     encode_star,
@@ -160,12 +162,13 @@ def build_corpus(
 # afresh when its memo holds more than ``solver._CONTEXT_MEMO_CAP`` states.
 _CONTEXT = TableauContext()
 
-# The witness table, by (quantifier tree, variable count): the extended
-# models in _EXTENDED, on whose frames an alpha encoding evaluates only the
-# nodes no earlier one shared, and in _WITNESSES the tree, on whose frame a
-# star encoding does the same, the closure verdicts and the star-equivalence
-# violations.  Both start afresh before a new tree joins when the models hold
-# more than _WITNESS_WORLDS_CAP worlds, and drop the trees and their masks.
+# The witness table: the extended models in _EXTENDED, by (quantifier tree,
+# variable count), on whose frames an alpha encoding evaluates only the nodes
+# no earlier one shared, and in _WITNESSES, by the prefix and the existential
+# choices that fix the tree, the tree, on whose frame a star encoding does
+# the same, the closure verdicts and the star-equivalence violations.  Both
+# start afresh before a new tree joins when the models hold more than
+# _WITNESS_WORLDS_CAP worlds, and drop the trees and their masks.
 _EXTENDED: dict = {}
 _WITNESSES: dict = {}
 _WITNESS_WORLDS_CAP = 10_000
@@ -192,7 +195,8 @@ def check_instance(
     before it.  The ladder map ``{i: alpha(i)}`` is built once: the alpha
     encoding is the star encoding with it substituted, and the substitution
     check reads the same map, skipping pairs it matched before.  A true
-    instance whose quantifier tree was met before reads its closure verdicts
+    instance's quantifier tree is built only when its prefix and existential
+    choices were not met before; one that was reads its closure verdicts
     and star-equivalence violations from the witness table, checks its star
     encoding on the equal tree stored there, whose frame keeps the masks of
     the conjuncts that earlier instances shared, and ``extend_model`` hands
@@ -225,14 +229,14 @@ def check_instance(
             record["substitution_ok"],
         ]
         if truth:
-            tree = quantifier_tree(f)
-            key = (tree, ctx.var_count)
+            # the prefix and the existential choices fix the tree
+            key = (ctx.quantifiers, _tree_choices(f))
             witness = _WITNESSES.get(key)
             if witness is None and sum(len(m.frame.order) for m in _EXTENDED.values()) > _WITNESS_WORLDS_CAP:
                 _EXTENDED.clear()
                 _WITNESSES.clear()
-            if witness is not None:
-                tree = witness[0]  # its frame keeps the masks of the conjuncts checked on it
+            # a stored tree's frame keeps the masks of the conjuncts checked on it
+            tree = quantifier_tree(f) if witness is None else witness[0]
             record["witness_ok"] = model_check(tree, tree.root, star)
             # called on a hit too: perfbench's traced run sums the worlds of
             # the models extend_model returns against the records

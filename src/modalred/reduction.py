@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import Optional
 
 from . import kripke
@@ -53,6 +53,7 @@ from .syntax import (
     QbfFormula,
     QExists,
     QFalse,
+    QForall,
     QImp,
     QOr,
     QVar,
@@ -101,9 +102,9 @@ class EncodingContext:
 
 def prepare_context(f: QbfFormula) -> EncodingContext:
     """Validate the canonical input shape: quantifier i binds p_i."""
-    if not is_prenex(f):
-        raise ValueError("encoding input must be prenex")
     prefix, matrix = prenex_split(f)
+    if not is_prenex(matrix):  # the matrix is prenex when it holds no quantifier
+        raise ValueError("encoding input must be prenex")
     if not prefix:
         raise ValueError("encoding input needs at least one quantifier")
     for position, (_, index) in enumerate(prefix, start=1):
@@ -276,31 +277,29 @@ def quantifier_tree(f: QbfFormula) -> KripkeModel:
     Worlds are classical assignments; each level resolves one quantifier.
     The valuation covers both the assignment variables (p_k true where the
     assignment holds it) and the renamed level markers (q_i true at levels
-    >= i), so the result model-checks encode_star at its root.
+    >= i), so the result model-checks encode_star at its root.  The choices
+    are ``_tree_choices(f)``, taken in the same pre-order.
     """
     ctx = prepare_context(f)
-    tables, weight = _truth_tables(f, frozenset())
-    if not tables[f] & 1:
-        raise ValueError("quantifier tree exists only for true formulas")
+    choices = iter(_tree_choices(f))
     n = ctx.n
     worlds: list[BaseWorld] = []
     edges: list[tuple[BaseWorld, BaseWorld]] = []
-    # (the suffix Q_{level+1} ... matrix, level, assignment, its table bit,
-    # parent world); worlds are numbered as they are popped, in pre-order
-    stack = [(f, 0, frozenset(), 0, None)]
+    # (the suffix Q_{level+1} ... matrix, level, assignment, parent world);
+    # worlds are numbered as they are popped, in pre-order
+    stack = [(f, 0, frozenset(), None)]
     while stack:
-        g, level, assignment, bit, parent = stack.pop()
+        g, level, assignment, parent = stack.pop()
         w = BaseWorld(level, assignment, len(worlds))
         worlds.append(w)
         if parent is not None:
             edges.append((parent, w))
         if level == n:
             continue
-        children = [(assignment, bit), (assignment | {g.index}, bit | weight[g.index])]
+        children = [assignment, assignment | {g.index}]
         if isinstance(g, QExists):
-            # prefer the child without the variable when both work
-            children = [c for c in children if tables[g.body] >> c[1] & 1][:1]
-        stack.extend((g.body, level + 1, *c, w) for c in reversed(children))
+            children = [children[next(choices)]]
+        stack.extend((g.body, level + 1, a, w) for a in reversed(children))
     frame = KripkeFrame(frozenset(worlds), edges)
     valuation: dict[int, frozenset[BaseWorld]] = {}
     for k in range(1, n + 1):
@@ -308,6 +307,28 @@ def quantifier_tree(f: QbfFormula) -> KripkeModel:
     for i in range(n + 2):
         valuation[ctx.q_index(i)] = frozenset(w for w in worlds if w.level >= i)
     return KripkeModel(frame, valuation, worlds[0])
+
+
+def _tree_choices(f: QbfFormula) -> tuple[bool, ...]:
+    """The child each existential world of the quantifier tree of the true
+    prenex ``f`` keeps, in pre-order: False for the one without the
+    variable, preferred when both work, True for the one with it.  They are
+    read off the truth tables ``is_true_qbf(f)`` has just built.  With the
+    prefix they fix the tree: A branches twice, E keeps one child, and the
+    valuation follows from the assignments and levels."""
+    tables, weight = _truth_tables(f, frozenset())
+    if not tables[f] & 1:
+        raise ValueError("quantifier tree exists only for true formulas")
+    choices = []
+    stack = [(f, 0)]  # (the suffix below a world, its table bit)
+    while stack:
+        g, bit = stack.pop()
+        if isinstance(g, QForall):
+            stack += [(g.body, bit | weight[g.index]), (g.body, bit)]
+        elif isinstance(g, QExists):
+            choices.append(not tables[g.body] >> bit & 1)
+            stack.append((g.body, bit | weight[g.index] if choices[-1] else bit))
+    return tuple(choices)
 
 
 def _gadget_edges(m: int, host: BaseWorld | None):
@@ -364,8 +385,14 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
 
     The closed frame is written row by row in closed form, never built from
     pairs and closed afterwards.  Every base id sorts before every gadget id,
-    so the base worlds keep their positions and the gadget worlds follow,
-    sorted once by id (a copy's ids end in its host's id).  In a copy,
+    so the base worlds keep their positions and the gadget worlds follow in
+    id order, laid out without sorting them: the id of a_i or b in the F_m
+    copy below host h is the block prefix ``gadget:m<m>:<part>@`` and then
+    h's id.  A prefix ends in its only ``@``, so none is a prefix of
+    another and two ids of different blocks compare as their prefixes do;
+    in one block they compare as their hosts' ids, which the base order
+    already sorts.  So the blocks, one per (m, part), go in prefix order,
+    each holding the hosts lacking p_m in base order.  In a copy,
     a_i sees a_j for j > i, a_0 sees b and b sees itself; a base world sees
     its reach in the base frame (its rows closed alone) and every copy
     hosted at itself or at a world of that reach.  The predecessor rows are
@@ -387,52 +414,47 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     if not all(isinstance(w, BaseWorld) for w in base_worlds):
         raise ValueError("extend_model expects a quantifier-tree model")
     holders = dict(masks)
-    # each copy: its host's position and, once sorted, the positions of its
-    # a_0..a_m and then b
-    copies: list[tuple[int, list[int]]] = []
-    entries = []  # (id, world, rung slots of its copy, rung): rung m + 1 is b
-    for m in range(1, ctx.var_count + 1):
-        parts = [f"a{i}" for i in range(m + 1)] + ["b"]
-        held = holders.get(m, 0)
-        for h, host in enumerate(base_worlds):
-            if held >> h & 1:
-                continue
-            slots = [0] * (m + 2)
-            copies.append((h, slots))
-            entries += [
-                (f"gadget:m{m}:{part}@{base_ids[h]}", GadgetWorld(m, part, host), slots, rung)
-                for rung, part in enumerate(parts)
-            ]
-    entries.sort(key=itemgetter(0))
     size = len(base_worlds)
-    for k, (_, _, slots, rung) in enumerate(entries, start=size):
-        slots[rung] = k
-    rows = kripke._close_rows(list(base_frame.succ)) + [0] * len(entries)
+    # the hosts of the F_m copies: the base worlds lacking p_m, in base order
+    hosts = {m: [h for h in range(size) if not holders.get(m, 0) >> h & 1] for m in range(1, ctx.var_count + 1)}
+    blocks = sorted(
+        (f"gadget:m{m}:{part}@", m, rung, part)
+        for m in hosts
+        for rung, part in enumerate([*(f"a{i}" for i in range(m + 1)), "b"])
+    )
+    order, ids = list(base_worlds), list(base_ids)
+    start = {}  # (m, rung) -> the position of its block's first world; rung m + 1 is b
+    for prefix, m, rung, part in blocks:
+        start[m, rung] = len(order)
+        order += [GadgetWorld(m, part, base_worlds[h]) for h in hosts[m]]
+        ids += [prefix + base_ids[h] for h in hosts[m]]
+    rows = kripke._close_rows(list(base_frame.succ)) + [0] * (len(order) - size)
     # no gadget world sees a base world, so the base part of the converse
     # is the converse of the closed base rows alone
-    pred = list(kripke._transpose(rows[:size])) + [0] * len(entries)
+    pred = list(kripke._transpose(rows[:size])) + [0] * (len(order) - size)
     hosted = [0] * size  # the worlds of the copies below each base world
-    for h, (*ladder, b) in copies:
-        rows[b] = 1 << b
-        above = 0  # the rungs above the current one
-        for k in reversed(ladder):
-            rows[k] = above
-            above |= 1 << k
-        rows[ladder[0]] |= 1 << b
-        hosted[h] |= above | 1 << b
-        below = pred[h] | 1 << h  # the host and the base worlds that see it
-        pred[b] = below | 1 << ladder[0] | 1 << b
-        for k in ladder:
-            pred[k] = below
-            below |= 1 << k
+    for m, copy_hosts in hosts.items():
+        starts = [start[m, rung] for rung in range(m + 2)]
+        for c, h in enumerate(copy_hosts):
+            *ladder, b = [first + c for first in starts]
+            rows[b] = 1 << b
+            above = 0  # the rungs above the current one
+            for k in reversed(ladder):
+                rows[k] = above
+                above |= 1 << k
+            rows[ladder[0]] |= 1 << b
+            hosted[h] |= above | 1 << b
+            below = pred[h] | 1 << h  # the host and the base worlds that see it
+            pred[b] = below | 1 << ladder[0] | 1 << b
+            for k in ladder:
+                pred[k] = below
+                below |= 1 << k
     for i in range(size):
         rows[i] = reduce(or_, kripke._select(hosted, rows[i]), rows[i] | hosted[i])
-    order = base_worlds + tuple(world for _, world, _, _ in entries)
     position = {w: i for i, w in enumerate(order)}
-    ids = base_ids + tuple(wid for wid, _, _, _ in entries)
     # the frozenset reuses the hashes the position dict stored
     frame = KripkeFrame.__new__(KripkeFrame)._fill(
-        frozenset(position), order, position, tuple(rows), ids, tuple(pred)
+        frozenset(position), tuple(order), position, tuple(rows), tuple(ids), tuple(pred)
     )
     return KripkeModel(frame, dict(base.valuation), base.root)
 

@@ -393,8 +393,49 @@ def _random_rows_frame(rng, n):
     return KripkeFrame(frozenset(worlds), edges)
 
 
+def _bits_reference(row):
+    """The set bits of ``row``, lowest first, tested one position at a time."""
+    return [j for j in range(row.bit_length()) if row >> j & 1]
+
+
 def _select_reference(items, row):
-    return [items[j] for j in kripke._bits(row)]
+    return [items[j] for j in _bits_reference(row)]
+
+
+def _seeded_rows(rng):
+    """Rows of every shape the readers meet: 0, one high bit, narrow rows,
+    and wide sparse and wide dense rows just below and at ``_DENSE_RUN``."""
+    rows = [0, 1, 1 << 4095, 1 << 15000 | 1]
+    rows += [rng.getrandbits(width) for width in (1, 2, 3, 7, 16, 31, 64) for _ in range(5)]
+    for width in (100, 1000, 4001, 15000):
+        dense = -(-width // kripke._DENSE_RUN)  # the fewest set bits read in C
+        for count in (2, dense - 1, dense, 4 * dense):
+            row = 1 << width - 1
+            for j in rng.sample(range(width - 1), count - 1):
+                row |= 1 << j
+            rows.append(row)
+    return rows
+
+
+class TestRowReaders:
+    """``_bits``, ``_select`` and ``_pairs`` read a row from its highest bit
+    down and hand the positions back lowest first, as a loop over every
+    position finds them."""
+
+    def test_bits_and_select_match_a_per_bit_loop(self):
+        rng = random.Random(38)
+        for row in _seeded_rows(rng):
+            items = [f"w{j}" for j in range(max(row.bit_length(), 1))]
+            assert kripke._bits(row) == _bits_reference(row)
+            assert list(kripke._select(items, row)) == _select_reference(items, row)
+        assert kripke._bits(0) == [] and kripke._bits(1 << 70) == [70]
+
+    def test_pairs_match_a_per_bit_loop(self):
+        rng = random.Random(381)
+        rows = _seeded_rows(rng)
+        rng.shuffle(rows)
+        expected = [(i, j) for i, row in enumerate(rows) for j in _bits_reference(row)]
+        assert list(kripke._pairs(tuple(rows))) == expected
 
 
 class TestSelect:

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import weakref
@@ -194,7 +195,9 @@ class TestWitnessTable:
         from modalred import pipeline
 
         assert self.digest() == self.PIN
-        assert pipeline._WITNESSES and set(pipeline._WITNESSES) == set(pipeline._EXTENDED)
+        # each entry's tree, with its variable count, keys one extended model
+        stored = {(tree, 2 * len(key[0]) + 2) for key, (tree, _, _) in pipeline._WITNESSES.items()}
+        assert pipeline._WITNESSES and stored == set(pipeline._EXTENDED)
         assert self.digest() == self.PIN
         self.clear(monkeypatch)
         assert self.digest() == self.PIN
@@ -262,7 +265,7 @@ class TestWitnessTable:
         steps = fold_steps(monkeypatch, kripke)
         assert check_instance(second, 1, c2=1)["pass"]
         ((key, (tree, _, _)),) = pipeline._WITNESSES.items()
-        assert key[0] is tree
+        assert key == ((("A", 1),), ()) and tree == quantifier_tree(first)
         # one table besides the variable-free one, holding both encodings
         (valued,) = [table for masks, table in tree.frame._masks.items() if masks]
         stars = [expand_sugar(encode_star(f)[0]) for f in (first, second)]
@@ -311,6 +314,57 @@ class TestWitnessTable:
         check = pipeline.check_instance
         monkeypatch.setattr(pipeline, "check_instance", fresh)
         assert report_lines(run_verify(n_max=3, count=60, seed=5)) == shared
+
+    def test_formulas_with_equal_trees_share_one_entry(self, monkeypatch):
+        from modalred import pipeline
+
+        self.clear(monkeypatch)
+        built = []
+        monkeypatch.setattr(pipeline, "quantifier_tree", lambda f: built.append(f) or quantifier_tree(f))
+        fs = [
+            parse_qbf(f"A p1 . E p2 . {matrix}")
+            for matrix in ("p1 -> p2", "~p1 | p2", "p2", "p2 & (p1 | ~p1)")
+        ]
+        assert all(check_instance(f, k, c2=1)["pass"] for k, f in enumerate(fs))
+        # the first two keep p2 only where p1 holds, the last two keep it everywhere
+        prefix = (("A", 1), ("E", 2))
+        assert set(pipeline._WITNESSES) == {(prefix, (False, True)), (prefix, (True, True))}
+        assert built == [fs[0], fs[2]]
+        assert pipeline._WITNESSES[prefix, (False, True)][0] == quantifier_tree(fs[1])
+
+    def test_equal_choices_mean_equal_trees(self):
+        from modalred.qbf import is_true_qbf
+        from modalred.reduction import _tree_choices
+
+        true = [f for f in build_corpus(n_max=4, count=120, seed=38) if is_true_qbf(f)]
+        keys = [(prenex_split(f)[0], _tree_choices(f)) for f in true]
+        trees = [quantifier_tree(f) for f in true]
+        assert len(set(map(str, keys))) >= 30
+        for (key, tree), (other_key, other) in itertools.combinations(zip(keys, trees), 2):
+            assert (key == other_key) == (tree == other)
+
+    def test_a_lowered_cap_keeps_the_bytes_of_the_tree_keyed_table(self, monkeypatch):
+        # keyed by the tree itself, the table holds the same entries in the
+        # same order, so it starts afresh at the same instances
+        from modalred import pipeline
+
+        reports, resets = [], []
+
+        class Counted(dict):
+            def clear(self):
+                resets.append(len(self))
+                super().clear()
+
+        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 300)
+        for keyed_by_tree in (False, True):
+            if keyed_by_tree:
+                monkeypatch.setattr(pipeline, "_tree_choices", quantifier_tree)
+            self.clear(monkeypatch)
+            monkeypatch.setattr(pipeline, "_WITNESSES", Counted())
+            reports.append(report_lines(run_verify(n_max=3, count=60, seed=5)))
+            resets.append(None)
+        assert reports[0] == reports[1]
+        assert resets[: len(resets) // 2] == resets[len(resets) // 2 :] and len(resets) >= 8
 
 
 class TestRunVerify:

@@ -1,10 +1,12 @@
 """The encoding, the ladder formulas, and the witness constructions."""
 
 import itertools
+import random
+from operator import itemgetter
 
 import pytest
 
-from modalred import reduction
+from modalred import kripke, reduction
 from modalred.qbf import prenex_join
 from modalred.kripke import (
     BaseWorld,
@@ -484,6 +486,81 @@ def _pair_built_extension(base, ctx):
     return KripkeModel(frame, dict(base.valuation), base.root)
 
 
+def _sort_laid_extension(base, ctx):
+    """``order``, ``position``, ``ids``, ``succ`` and ``_pred`` of the
+    extended frame laid out the plain way: every gadget world listed with its
+    id, the list sorted by id, and each copy's rows written at the positions
+    the sort gave."""
+    base_frame = base.frame
+    size = len(base_frame.order)
+    copies, entries = [], []  # entries: (id, world, rung slots of its copy, rung)
+    for m in range(1, ctx.var_count + 1):
+        held = kripke._mask(base_frame.position, base.valuation.get(m, ()))
+        for h, host in enumerate(base_frame.order):
+            if not held >> h & 1:
+                slots = [0] * (m + 2)
+                copies.append((h, slots))
+                parts = [f"a{i}" for i in range(m + 1)] + ["b"]
+                entries += [
+                    (f"gadget:m{m}:{part}@{base_frame.ids[h]}", GadgetWorld(m, part, host), slots, rung)
+                    for rung, part in enumerate(parts)
+                ]
+    entries.sort(key=itemgetter(0))
+    for k, (_, _, slots, rung) in enumerate(entries, start=size):
+        slots[rung] = k
+    rows = kripke._close_rows(list(base_frame.succ)) + [0] * len(entries)
+    pred = list(kripke._transpose(rows[:size])) + [0] * len(entries)
+    hosted = [0] * size
+    for h, (*ladder, b) in copies:
+        rows[b] = 1 << b
+        above = 0
+        for k in reversed(ladder):
+            rows[k] = above
+            above |= 1 << k
+        rows[ladder[0]] |= 1 << b
+        hosted[h] |= above | 1 << b
+        below = pred[h] | 1 << h
+        pred[b] = below | 1 << ladder[0] | 1 << b
+        for k in ladder:
+            pred[k] = below
+            below |= 1 << k
+    for i in range(size):
+        for j in range(size):
+            if rows[i] >> j & 1:
+                rows[i] |= hosted[j]
+        rows[i] |= hosted[i]
+    order = base_frame.order + tuple(world for _, world, _, _ in entries)
+    ids = base_frame.ids + tuple(wid for wid, _, _, _ in entries)
+    return order, {w: i for i, w in enumerate(order)}, ids, tuple(rows), tuple(pred)
+
+
+def _layout_corpus():
+    """True formulas of every prefix of up to three quantifiers, two
+    matrices each, and seeded five-quantifier ones whose trees have at least
+    11 worlds: their gadget ids meet ``m10`` before ``m1:``, ``a10@`` before
+    ``a1@`` and ``#10`` before ``#2``."""
+    from modalred.pipeline import random_matrix
+    from modalred.qbf import is_true_qbf
+
+    rng = random.Random(380)
+    found = []
+    for n in (1, 2, 3):
+        for prefix in itertools.product("AE", repeat=n):
+            true = []
+            while len(true) < 2:
+                f = prenex_join(list(zip(prefix, range(1, n + 1))), random_matrix(rng, n, 7))
+                if is_true_qbf(f) and f not in true:
+                    true.append(f)
+            found += true
+    wide = 0
+    while wide < 4:
+        f = prenex_join([(rng.choice("AE"), k) for k in range(1, 6)], random_matrix(rng, 5, 9))
+        if is_true_qbf(f) and len(quantifier_tree(f).frame.worlds) >= 11:
+            found.append(f)
+            wide += 1
+    return found
+
+
 def _true_corpus():
     from modalred.pipeline import build_corpus
     from modalred.qbf import is_true_qbf
@@ -512,6 +589,47 @@ def _hand_built_bases():
         ("self-loops", KripkeModel(loop, {1: frozenset([v]), 4: loop.worlds}, u), ctx),
         ("2-cycle", KripkeModel(cycle, {2: frozenset([w]), 3: frozenset([u, v, w])}, v), _context(2)),
     ]
+
+
+class TestExtendModelLayout:
+    """``extend_model`` lays the gadget blocks out by position, never sorting
+    the ids; it must give the fields of the sort-based layout."""
+
+    def test_layout_equals_the_sort_based_one(self):
+        corpus = _layout_corpus()
+        assert {prepare_context(f).quantifiers for f in corpus} >= {
+            tuple(zip(p, range(1, n + 1))) for n in (1, 2, 3) for p in itertools.product("AE", repeat=n)
+        }
+        wide = []
+        for f in corpus:
+            base, ctx = quantifier_tree(f), prepare_context(f)
+            frame = extend_model(base, ctx).frame
+            order, position, ids, succ, pred = _sort_laid_extension(base, ctx)
+            assert frame.order == order
+            assert frame.position == position
+            assert frame.ids == ids
+            assert frame.succ == succ
+            assert vars(frame)["_pred"] == pred
+            if ctx.n == 5:
+                wide.append(ids)
+        # string order, which the ids follow, is not numeric order here
+        late_twos = 0
+        for ids in wide:
+            first = {text: min(k for k, wid in enumerate(ids) if text in wid) for text in ("m10", "m1:", "a10@", "a1@")}
+            assert first["m10"] < first["m1:"] and first["a10@"] < first["a1@"]
+            # p12 holds nowhere, so every base world hosts an F_12 copy
+            serials = [int(wid.rsplit("#", 1)[1]) for wid in ids if wid.startswith("gadget:m12:b@")]
+            assert len(serials) >= 11 and serials != sorted(serials)
+            late_twos += serials.index(2) > min(k for k, s in enumerate(serials) if s >= 10)
+        assert late_twos  # a host #10 or later comes before host #2
+
+    @pytest.mark.parametrize("case", _hand_built_bases(), ids=lambda case: case[0])
+    def test_hand_built_bases_equal_the_sort_based_layout(self, case):
+        _, base, ctx = case
+        frame = extend_model(base, ctx).frame
+        assert (frame.order, frame.position, frame.ids, frame.succ, vars(frame)["_pred"]) == _sort_laid_extension(
+            base, ctx
+        )
 
 
 class TestExtendModelClosedForm:

@@ -5,6 +5,11 @@ Worlds carry structured identities: ``BaseWorld`` for quantifier-tree worlds
 worlds of the ladder gadgets, optionally tagged with the base world hosting
 the copy.  The string forms of these identities are the stable ids used in
 JSON dumps, e.g. ``base:L2:{1,3}:#7`` and ``gadget:m3:a0@base:L1:{}:#2``.
+Worlds are immutable named tuples, built by one ``tuple.__new__`` and hashed
+in C as their field tuples.  A world equals only a world of its own class,
+never a plain tuple; worlds are unordered, so ``<`` raises ``TypeError``,
+against a plain tuple too; and assigning or deleting a field raises
+``FrozenInstanceError``.
 
 A frame is its rows and nothing else.  Beside ``worlds`` it holds four
 read-only fields: ``order``, the worlds sorted by id string; ``position``,
@@ -46,7 +51,7 @@ from functools import cached_property, reduce
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import and_, itemgetter, or_
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
     MAnd,
@@ -89,23 +94,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BaseWorld:
+def _world_eq(self, other):
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    # a plain tuple would compare as one; any other value may still answer
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _world_ne(self, other):
+    equal = _world_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def _unordered(self, other):
+    # NotImplemented would let a plain tuple order a world as a tuple
+    raise TypeError(f"worlds are unordered: cannot order {self!r} and {other!r}")
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class BaseWorld(NamedTuple):
     """Quantifier-tree world: a classical assignment at a quantifier level."""
 
     level: int
     assignment: frozenset[int]
     serial: int
 
+    # defining __eq__ drops the inherited hash: the C tuple hash is restated
+    __eq__, __ne__, __hash__ = _world_eq, _world_ne, tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
 
-@dataclass(frozen=True)
-class GadgetWorld:
+
+class GadgetWorld(NamedTuple):
     """World of a ladder gadget F_m: part is 'a<i>', 'b' or 'c'; ``host`` tags
     which base world the copy hangs below (None for standalone frames)."""
 
     gadget: int
     part: str
     host: Optional[BaseWorld] = None
+
+    __eq__, __ne__, __hash__ = _world_eq, _world_ne, tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
 
 
 WorldId = Union[BaseWorld, GadgetWorld]
@@ -244,11 +281,7 @@ class KripkeFrame:
         the variable-free formulas, which every model on the frame shares."""
         return {}
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

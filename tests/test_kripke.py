@@ -636,6 +636,104 @@ def _small_frames():
             yield KripkeFrame(frozenset(worlds), [p for k, p in enumerate(pairs) if bits >> k & 1])
 
 
+def _seeded_true_qbfs(n, count, seed):
+    """``count`` true prenex QBFs of ``n`` quantifiers drawn from ``seed``."""
+    from modalred.pipeline import random_matrix
+    from modalred.qbf import is_true_qbf, prenex_join
+
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        f = prenex_join([(rng.choice("AE"), k) for k in range(1, n + 1)], random_matrix(rng, n, 9))
+        if is_true_qbf(f):
+            found.append(f)
+    return found
+
+
+_HOST = BaseWorld(1, frozenset(), 2)
+_VALUES = [BaseWorld(2, frozenset({1, 3}), 7), GadgetWorld(3, "a0", _HOST), GadgetWorld(4, "c")]
+
+
+class TestWorldValues:
+    """Worlds are immutable named tuples that keep the frozen-dataclass
+    contract: equal only to worlds of their own class, unordered, hashed as
+    their field tuples, and read-only."""
+
+    @pytest.mark.parametrize("world", _VALUES)
+    def test_hash_is_the_field_tuple_hash(self, world):
+        assert hash(world) == hash(tuple(world))
+
+    def test_a_hosted_gadget_hashes_as_its_nested_fields(self):
+        # what the frozen dataclasses hashed: the fields, the host's as its own
+        assert hash(GadgetWorld(3, "a0", _HOST)) == hash((3, "a0", (1, frozenset(), 2)))
+
+    @pytest.mark.parametrize("world", _VALUES)
+    def test_a_world_never_equals_a_plain_tuple(self, world):
+        fields = tuple(world)
+        assert not world == fields and not fields == world
+        assert world != fields and fields != world
+        assert fields not in {world} and world not in {fields}
+
+    def test_worlds_of_the_two_classes_never_compare_equal(self):
+        # same fields, same hash: still two values
+        base, gadget = BaseWorld(1, "b", None), GadgetWorld(1, "b", None)
+        assert hash(base) == hash(gadget)
+        assert not base == gadget and not gadget == base
+        assert base != gadget and gadget != base
+        assert len({base, gadget}) == 2
+
+    def test_not_equal_agrees_with_equal(self):
+        values = [*_VALUES, GadgetWorld(3, "a0", BaseWorld(1, frozenset(), 2)), tuple(_HOST), None, 3]
+        for a in values:
+            for b in values:
+                assert (a != b) is (not a == b), (a, b)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (_VALUES[0], _VALUES[0]),
+            (_VALUES[1], _VALUES[2]),
+            (_VALUES[0], _VALUES[1]),
+            (_VALUES[0], tuple(_VALUES[0])),  # tuple order would answer here
+            (tuple(_VALUES[2]), _VALUES[2]),
+            (_VALUES[0], 3),
+        ],
+    )
+    def test_worlds_are_unordered(self, left, right):
+        for compare in ("<", "<=", ">", ">="):
+            with pytest.raises(TypeError, match="^worlds are unordered: cannot order "):
+                eval(f"left {compare} right")
+        with pytest.raises(TypeError):
+            sorted([left, right])
+
+    @pytest.mark.parametrize("world", _VALUES)
+    def test_fields_are_read_only(self, world):
+        name = world._fields[0]
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(world, name, 5)
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'extra'$"):
+            world.extra = 5
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(world, name)
+
+    @pytest.mark.parametrize(
+        "world, text",
+        [
+            (_VALUES[0], "BaseWorld(level=2, assignment=frozenset({1, 3}), serial=7)"),
+            (_VALUES[1], "GadgetWorld(gadget=3, part='a0', host=BaseWorld(level=1, assignment=frozenset(), serial=2))"),
+            (_VALUES[2], "GadgetWorld(gadget=4, part='c', host=None)"),
+        ],
+    )
+    def test_repr(self, world, text):
+        assert repr(world) == text
+
+    def test_keyword_construction_and_default_host(self):
+        assert BaseWorld(serial=7, level=2, assignment=frozenset({1, 3})) == _VALUES[0]
+        assert GadgetWorld(part="c", gadget=4) == _VALUES[2]
+        assert GadgetWorld(4, "c").host is None
+        assert GadgetWorld(gadget=3, part="a0", host=_HOST) == _VALUES[1]
+
+
 class TestWorldIds:
     def test_base_id_format(self):
         w = BaseWorld(2, frozenset({1, 3}), 7)
@@ -748,6 +846,20 @@ class TestWorldIds:
         with pytest.raises(ValueError, match=r"^unrecognized world id: 'base:L-1:\{\}:#0'$"):
             world_id_str(GadgetWorld(1, "a0", BaseWorld(-1, frozenset(), 0)))
 
+    def test_a_plain_tuple_is_not_a_world(self):
+        # a world is a tuple, but a tuple of the same fields is no world
+        for fields in ((2, frozenset({1, 3}), 7), (3, "a0", None)):
+            with pytest.raises(TypeError, match=r"^not a world id: "):
+                world_id_str(fields)
+
+    def test_every_world_of_an_extended_model_round_trips(self):
+        qbf = _seeded_true_qbfs(5, 1, seed=40)[0]
+        model = extend_model(quantifier_tree(qbf), encode_star(qbf)[1])
+        assert any(isinstance(w, GadgetWorld) for w in model.frame.worlds)
+        for w in model.frame.order:
+            back = world_id_from_str(world_id_str(w))
+            assert back == w and back.__class__ is w.__class__ and hash(back) == hash(w)
+
     @pytest.mark.parametrize("m", [1, 2, 11])
     def test_every_gadget_part_round_trips(self, m):
         for part in ["b", "c", *(f"a{i}" for i in range(m + 1))]:
@@ -839,9 +951,23 @@ class TestSerialization:
             model = sat_k_tableau(encode_alpha(qbf)).witness
         else:
             model = sat_bounded(star, 6).witness
-        back = model_from_json(model_to_json(model))
+        text = model_to_json(model)
+        back = model_from_json(text)
         assert back == model and hash(back) == hash(model)
         assert {model, back} == {model}
+        assert model_to_json(back) == text
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_extended_models_read_back_equal(self, n):
+        # the worlds read back are equal to, not the same objects as, the
+        # ones written, so frame equality runs the class-checked world ==
+        for qbf in _seeded_true_qbfs(n, 2, seed=n):
+            model = extend_model(quantifier_tree(qbf), encode_star(qbf)[1])
+            text = model_to_json(model)
+            back = model_from_json(text)
+            assert back == model and hash(back) == hash(model)
+            assert not any(a is b for a, b in zip(back.frame.order, model.frame.order))
+            assert model_to_json(back) == text
 
     def test_relation_outside_worlds_rejected(self):
         a, b = _w(0), _w(1)

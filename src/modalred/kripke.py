@@ -2,9 +2,10 @@
 
 Worlds carry structured identities: ``BaseWorld`` for quantifier-tree worlds
 (level, classical assignment, creation serial) and ``GadgetWorld`` for the
-worlds of the ladder gadgets, optionally tagged with the base world hosting
-the copy.  The string forms of these identities are the stable ids used in
-JSON dumps, e.g. ``base:L2:{1,3}:#7`` and ``gadget:m3:a0@base:L1:{}:#2``.
+worlds of the ladder gadgets, optionally tagged with a host base world, as
+files of earlier versions wrote them.  The string forms of these identities
+are the stable ids used in JSON dumps, e.g. ``base:L2:{1,3}:#7``,
+``gadget:m3:a0`` and, with a host, ``gadget:m3:a0@base:L1:{}:#2``.
 Worlds are immutable named tuples, built by one ``tuple.__new__`` and hashed
 in C as their field tuples.  A world equals only a world of its own class,
 never a plain tuple; worlds are unordered, so ``<`` raises ``TypeError``,
@@ -20,10 +21,9 @@ that share an id string; ``close`` and ``extend_model`` hand rows they
 already have to a new frame.  Model checking, closures, frame classes,
 validity and the JSON and DOT views all read the fields; ``relation``, the
 set of pairs, is a view derived from the rows the first time it is read,
-and so are the predecessor rows unless the builder hands them over
-(``extend_model`` writes them in closed form); a frame that is never
-evaluated derives neither.  Equal frames have equal worlds and equal
-rows, and equality and hashing compare just those two.
+and so are the predecessor rows; a frame that is never evaluated derives
+neither.  Equal frames have equal worlds and equal rows, and equality and
+hashing compare just those two.
 
 Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization: <> T is the
@@ -32,8 +32,8 @@ node costs at most |worlds| ORs of |worlds|-bit rows.  A sparse mask is
 read bit by bit, from its highest bit down; a dense one, with at least one
 set bit in 16 positions, is read in C: its binary digits pick the rows
 through ``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON
-writer and ``extend_model`` read rows the same way.  A formula's mask depends on
-the rows and on the masks of its variables alone, so each frame keeps the
+writer reads rows the same way.  A formula's mask depends on the rows and
+on the masks of its variables alone, so each frame keeps the
 masks it has evaluated, one table per valuation, keyed by the variable masks
 that valuation gives; a variable-free formula's table has the empty key.  So
 every model on the frame evaluates a variable-free formula and its
@@ -133,8 +133,9 @@ class BaseWorld(NamedTuple):
 
 
 class GadgetWorld(NamedTuple):
-    """World of a ladder gadget F_m: part is 'a<i>', 'b' or 'c'; ``host`` tags
-    which base world the copy hangs below (None for standalone frames)."""
+    """World of a ladder gadget F_m: part is 'a<i>', 'b' or 'c'.  ``host`` is
+    None in every frame the package builds; a base world there tags the copy
+    of F_m below that world, as files of earlier versions wrote it."""
 
     gadget: int
     part: str
@@ -230,9 +231,9 @@ class KripkeFrame:
     rows.  ``relation`` accepts any iterable of pairs, each of which must
     stay inside ``worlds``, and reads back as the frozenset of pairs the
     rows hold, derived the first time it is read.  The predecessor rows
-    that model checking reads are derived likewise, unless the builder
-    passed them to ``_fill``.  The masks of the formulas checked on the
-    frame are kept with it, one table per valuation, for every model on it.
+    that model checking reads are derived likewise.  The masks of the
+    formulas checked on the frame are kept with it, one table per
+    valuation, for every model on it.
     """
 
     def __init__(self, worlds: frozenset[WorldId], relation: Iterable[tuple[WorldId, WorldId]]):
@@ -252,14 +253,10 @@ class KripkeFrame:
             succ[i] |= 1 << j
         self._fill(worlds, order, position, tuple(succ), ids)
 
-    def _fill(self, worlds, order, position, succ, ids, pred=None) -> KripkeFrame:
+    def _fill(self, worlds, order, position, succ, ids) -> KripkeFrame:
         """Set the fields, unchecked, and return the frame: every frame is
-        built here, from rows its builder already has.  A builder that knows
-        the predecessor rows passes them as ``pred``, the transpose of
-        ``succ``."""
+        built here, from rows its builder already has."""
         vars(self).update(worlds=worlds, order=order, position=position, succ=succ, ids=ids)
-        if pred is not None:
-            vars(self)["_pred"] = pred
         return self
 
     @cached_property

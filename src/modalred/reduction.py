@@ -14,7 +14,7 @@ quantifiers have been opened", the conjuncts say:
   (5) once a variable's value is chosen it persists: at any q_i world, each
       p_j with j <= i keeps its value in all successors at level i+1 that are
       still below the top marker (the ~q_{n+1} guard is what later keeps the
-      constraint away from gadget copies);
+      constraint away from gadget worlds);
   (6) at level exactly n the matrix holds.
 
 ``alpha(k)`` is the variable-free ladder formula that is refutable at a world
@@ -27,8 +27,6 @@ variables while preserving satisfiability.  ``quantifier_tree`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Optional
 
 from . import kripke
@@ -331,10 +329,10 @@ def _tree_choices(f: QbfFormula) -> tuple[bool, ...]:
     return tuple(choices)
 
 
-def _gadget_edges(m: int, host: BaseWorld | None):
-    """Worlds and raw (pre-closure) edges of one F_m copy."""
-    a = [GadgetWorld(m, f"a{i}", host) for i in range(m + 1)]
-    b = GadgetWorld(m, "b", host)
+def _gadget_edges(m: int):
+    """Worlds and raw (pre-closure) edges of F_m."""
+    a = [GadgetWorld(m, f"a{i}") for i in range(m + 1)]
+    b = GadgetWorld(m, "b")
     worlds = [b, *a]
     edges = [(a[0], b), (b, b)]
     edges += [(a[i], a[i + 1]) for i in range(m)]
@@ -345,25 +343,30 @@ def frame_fm(m: int) -> KripkeFrame:
     """The gadget frame F_m: an irreflexive ladder a_0 -> ... -> a_m with a
     reflexive side world b below a_0, transitively closed."""
     _require_int("gadget index", m)
-    worlds, edges, _ = _gadget_edges(m, None)
+    worlds, edges, _ = _gadget_edges(m)
     return close(KripkeFrame(frozenset(worlds), edges), "transitive")
 
 
 def frame_fm_plus(m: int) -> KripkeFrame:
     """F_m plus the reflexive entry world c_m with c_m -> a_0."""
     _require_int("gadget index", m)
-    worlds, edges, a0 = _gadget_edges(m, None)
-    c = GadgetWorld(m, "c", None)
+    worlds, edges, a0 = _gadget_edges(m)
+    c = GadgetWorld(m, "c")
     worlds = [*worlds, c]
     edges = [*edges, (c, c), (c, a0)]
     return close(KripkeFrame(frozenset(worlds), edges), "transitive")
 
 
 def extend_model(base: KripkeModel, ctx: EncodingContext, table: Optional[dict] = None) -> KripkeModel:
-    """Attach an F_m copy below every base world where p_m is false, for every
-    m = 1..2n+2, and transitively close the whole relation.
+    """Add one F_m block, for every m = 1..2n+2 that some base world lacks,
+    seen by exactly the base worlds where p_m is false, with the whole
+    relation transitively closed.
 
-    The base valuation must be upward persistent (true variables stay true
+    The paper hangs a fresh F_m copy below each such world instead.
+    Forgetting the copies' hosts is a bounded morphism from that model onto
+    this one, so both satisfy the same modal formulas at each base world
+    (Blackburn, de Rijke & Venema, Modal Logic, 2001, section 2.1).  The
+    base valuation must be upward persistent (true variables stay true
     along edges); that is what confines each alpha_m refutation to exactly
     the base worlds refuting p_m.
 
@@ -383,23 +386,12 @@ def extend_model(base: KripkeModel, ctx: EncodingContext, table: Optional[dict] 
 def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     """``extend_model`` without a table.
 
-    The closed frame is written row by row in closed form, never built from
-    pairs and closed afterwards.  Every base id sorts before every gadget id,
-    so the base worlds keep their positions and the gadget worlds follow in
-    id order, laid out without sorting them: the id of a_i or b in the F_m
-    copy below host h is the block prefix ``gadget:m<m>:<part>@`` and then
-    h's id.  A prefix ends in its only ``@``, so none is a prefix of
-    another and two ids of different blocks compare as their prefixes do;
-    in one block they compare as their hosts' ids, which the base order
-    already sorts.  So the blocks, one per (m, part), go in prefix order,
-    each holding the hosts lacking p_m in base order.  In a copy,
-    a_i sees a_j for j > i, a_0 sees b and b sees itself; a base world sees
-    its reach in the base frame (its rows closed alone) and every copy
-    hosted at itself or at a world of that reach.  The predecessor rows are
-    written in the same pass and handed to the frame: a base world's are
-    the converse of the closed base rows, and in a copy hosted at h, a_j is
-    seen by h, by the base worlds that see h and by a_0..a_{j-1}, and b by
-    h, the same base worlds, a_0 and itself.
+    The closed frame is written row by row, never built from pairs and
+    closed afterwards.  Each F_m is one block of worlds ``gadget:m<m>:<part>``
+    after the base worlds, in id order: a_i sees a_j for j > i, a_0 sees b
+    and b sees itself.  A base world sees its reach in the base frame and
+    every F_m whose p_m fails at it.  Where p_m fails in a world's reach,
+    persistence makes it fail at the world too, so the rows are closed.
     """
     base_frame = base.frame
     base_worlds, base_ids = base_frame.order, base_frame.ids
@@ -414,48 +406,30 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     if not all(isinstance(w, BaseWorld) for w in base_worlds):
         raise ValueError("extend_model expects a quantifier-tree model")
     holders = dict(masks)
-    size = len(base_worlds)
-    # the hosts of the F_m copies: the base worlds lacking p_m, in base order
-    hosts = {m: [h for h in range(size) if not holders.get(m, 0) >> h & 1] for m in range(1, ctx.var_count + 1)}
-    blocks = sorted(
-        (f"gadget:m{m}:{part}@", m, rung, part)
-        for m in hosts
-        for rung, part in enumerate([*(f"a{i}" for i in range(m + 1)), "b"])
-    )
+    full = (1 << len(base_worlds)) - 1
     order, ids = list(base_worlds), list(base_ids)
-    start = {}  # (m, rung) -> the position of its block's first world; rung m + 1 is b
-    for prefix, m, rung, part in blocks:
-        start[m, rung] = len(order)
-        order += [GadgetWorld(m, part, base_worlds[h]) for h in hosts[m]]
-        ids += [prefix + base_ids[h] for h in hosts[m]]
-    rows = kripke._close_rows(list(base_frame.succ)) + [0] * (len(order) - size)
-    # no gadget world sees a base world, so the base part of the converse
-    # is the converse of the closed base rows alone
-    pred = list(kripke._transpose(rows[:size])) + [0] * (len(order) - size)
-    hosted = [0] * size  # the worlds of the copies below each base world
-    for m, copy_hosts in hosts.items():
-        starts = [start[m, rung] for rung in range(m + 2)]
-        for c, h in enumerate(copy_hosts):
-            *ladder, b = [first + c for first in starts]
-            rows[b] = 1 << b
-            above = 0  # the rungs above the current one
-            for k in reversed(ladder):
-                rows[k] = above
-                above |= 1 << k
-            rows[ladder[0]] |= 1 << b
-            hosted[h] |= above | 1 << b
-            below = pred[h] | 1 << h  # the host and the base worlds that see it
-            pred[b] = below | 1 << ladder[0] | 1 << b
-            for k in ladder:
-                pred[k] = below
-                below |= 1 << k
-    for i in range(size):
-        rows[i] = reduce(or_, kripke._select(hosted, rows[i]), rows[i] | hosted[i])
+    rows = kripke._close_rows(list(base_frame.succ))
+    for prefix, m in sorted((f"gadget:m{m}:", m) for m in range(1, ctx.var_count + 1)):
+        lacking = full & ~holders.get(m, 0)
+        if not lacking:
+            continue
+        parts = sorted([*(f"a{i}" for i in range(m + 1)), "b"])  # a10 sorts before a2
+        at = {part: len(order) + k for k, part in enumerate(parts)}
+        order += [GadgetWorld(m, part) for part in parts]
+        ids += [prefix + part for part in parts]
+        rows += [0] * len(parts)
+        b = 1 << at["b"]
+        rows[at["b"]] = b
+        above = 0  # the rungs above a_i
+        for i in reversed(range(m + 1)):
+            rows[at[f"a{i}"]] = above
+            above |= 1 << at[f"a{i}"]
+        rows[at["a0"]] |= b
+        for i in kripke._bits(lacking):
+            rows[i] |= above | b
     position = {w: i for i, w in enumerate(order)}
     # the frozenset reuses the hashes the position dict stored
-    frame = KripkeFrame.__new__(KripkeFrame)._fill(
-        frozenset(position), tuple(order), position, tuple(rows), tuple(ids), tuple(pred)
-    )
+    frame = KripkeFrame.__new__(KripkeFrame)._fill(frozenset(position), tuple(order), position, tuple(rows), tuple(ids))
     return KripkeModel(frame, dict(base.valuation), base.root)
 
 

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from modalred.kripke import BaseWorld, KripkeFrame, KripkeModel
+from modalred.kripke import BaseWorld, GadgetWorld, KripkeFrame, KripkeModel, close, world_id_str
 from modalred.qbf import universal_closure
 from modalred.syntax import (
     MAnd,
@@ -217,3 +217,30 @@ def fold_steps(monkeypatch, module) -> list:
 
     monkeypatch.setattr(module, "_fold", counting)
     return steps
+
+
+def paper_extended_model(base: KripkeModel, ctx) -> KripkeModel:
+    """The extended model as the paper builds it: a fresh F_m copy, its
+    worlds tagged with their host, below every base world lacking p_m, for
+    m = 1..2n+2, then the transitive closure of the whole frame, built from
+    pairs.  A base that is not upward persistent or holds a gadget world is
+    refused in ``extend_model``'s words."""
+    edges = list(base.frame.relation)
+    for u, v in sorted(edges, key=lambda e: (world_id_str(e[0]), world_id_str(e[1]))):
+        for index, members in base.valuation.items():
+            if u in members and v not in members:
+                raise ValueError(
+                    f"valuation is not upward persistent: p{index} holds at"
+                    f" {world_id_str(u)} but not at its successor {world_id_str(v)}"
+                )
+    if not all(isinstance(w, BaseWorld) for w in base.frame.worlds):
+        raise ValueError("extend_model expects a quantifier-tree model")
+    worlds = set(base.frame.worlds)
+    for m in range(1, ctx.var_count + 1):
+        for w in base.frame.worlds - base.valuation.get(m, frozenset()):
+            a = [GadgetWorld(m, f"a{i}", w) for i in range(m + 1)]
+            b = GadgetWorld(m, "b", w)
+            worlds.update([b, *a])
+            edges += [(w, a[0]), (a[0], b), (b, b)] + [(a[i], a[i + 1]) for i in range(m)]
+    frame = close(KripkeFrame(frozenset(worlds), edges), "transitive")
+    return KripkeModel(frame, dict(base.valuation), base.root)

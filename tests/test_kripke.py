@@ -530,12 +530,11 @@ class TestPredecessorRows:
         frame_to_dot(witness.frame)
         with pytest.raises(ValuationBudgetError):
             frame_validates(extended.frame, wgrz_axiom())
-        for frame in (tree.frame, witness.frame):
+        for frame in (tree.frame, extended.frame, witness.frame):
             assert "_pred" not in vars(frame)
-        # extend_model writes the predecessor rows beside the successor rows
-        pred = vars(extended.frame)["_pred"]
         assert model_check(tree, tree.root, star)
         assert model_check(extended, extended.root, encode_alpha(f))
+        pred = vars(extended.frame)["_pred"]
         assert model_check_all(extended, MBox(MFalse()))
         assert vars(extended.frame)["_pred"] is pred
         assert "_pred" in vars(tree.frame) and "_pred" not in vars(witness.frame)
@@ -1230,10 +1229,12 @@ class TestGoldenOutput:
 
         f = parse_qbf("A p1 . E p2 . p1 -> p2")
         _, ctx = encode_star(f)
+        # 33 worlds: the 5 of the tree and one F_m block for each m = 1..6
+        # but 3, since q_0 = p3 holds everywhere
         text = model_to_json(extend_model(quantifier_tree(f), ctx))
-        assert len(text) == 34560
+        assert len(text) == 10169
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "b478389b64aa54a9c0de51db157764c4376ef66868ed77badfae81e0260ad471"
+            "c7cda0108404d1081077eac7d7868323e4418519bd2d074562062ce426443660"
         )
 
     def test_gadget_frame_json(self):

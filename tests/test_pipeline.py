@@ -177,7 +177,7 @@ class TestCheckInstance:
 
 class TestWitnessTable:
     # the bytes of ``modalred verify --n-max 3 --count 100 --seed 0``
-    PIN = "2c167d024e9cf7581a141f33f92aa1c5d9ba4af745a2fe92c9513f9a9cc4b0c2"
+    PIN = "d75f46dc6bfeacfc12c835a6573c4f8c7065a0b0d456f4a82bb241942761f586"
 
     @staticmethod
     def digest() -> str:
@@ -393,7 +393,7 @@ class TestRunVerify:
         assert pipeline._CONTEXT.var_bits
         assert report_lines(run_verify(n_max=2, count=40, seed=0)) == first
         digest = hashlib.sha256(first.encode()).hexdigest()
-        assert digest == "def73d332c67dd80aa33c00ac266d34a7a8cf00c9e57a479754ae2a6576f10e2"
+        assert digest == "8d67517b387f248f2a7b54a81ecf28ed71e5a54f446b155aa86e409b3b7dd921"
 
     def test_report_lines_are_json_objects(self):
         report = run_verify(n_max=1, matrix_size_max_n1=1)

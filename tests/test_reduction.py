@@ -2,10 +2,10 @@
 
 import itertools
 import random
-from operator import itemgetter
 
 import pytest
 
+from conftest import paper_extended_model
 from modalred import kripke, reduction
 from modalred.qbf import prenex_join
 from modalred.kripke import (
@@ -371,8 +371,10 @@ class TestExtendModel:
         star, ctx = encode_star(f)
         tree = quantifier_tree(f)
         extended = extend_model(tree, ctx)
-        # root lacks p1, q1, q2 (copies of sizes 3, 5, 6); child lacks q2 only
-        assert len(extended.frame.worlds) == 2 + (3 + 5 + 6) + 6
+        # root lacks p1, q1, q2 (blocks F_1, F_3, F_4 of sizes 3, 5, 6);
+        # child lacks q2 only; q0 = p2 holds everywhere, so F_2 is absent
+        assert len(extended.frame.worlds) == 2 + 3 + 5 + 6
+        assert {v.gadget for v in extended.frame.worlds if isinstance(v, GadgetWorld)} == {1, 3, 4}
 
     def test_extended_model_satisfies_constant_encoding(self):
         f = parse_qbf("E p1 . p1")
@@ -392,8 +394,9 @@ class TestExtendModel:
     @pytest.mark.parametrize("text", ["E p1 . p1", "A p1 . E p2 . p1 -> p2", "E p1 . A p2 . E p3 . p1 | p3"])
     def test_star_equivalence_reports_violations(self, text):
         # break the extension per m at a base world w refuting p_m whose
-        # successors all hold p_m, so that w sees no F_m copy but its own:
-        # once by dropping that copy, once by making w a p_m holder
+        # successors all hold p_m, so that w sees F_m through none of them:
+        # once by dropping w's edges into the F_m block, once by making w a
+        # p_m holder
         f = parse_qbf(text)
         _, ctx = encode_star(f)
         tree = quantifier_tree(f)
@@ -408,13 +411,13 @@ class TestExtendModel:
             if not lowest:
                 continue  # p_m holds everywhere (q_0, say)
             w = lowest[-1]
-            copy = {v for v in extended.frame.worlds if isinstance(v, GadgetWorld) and (v.gadget, v.host) == (m, w)}
-            assert copy
+            block = {v for v in extended.frame.worlds if isinstance(v, GadgetWorld) and v.gadget == m}
+            assert block
             broken += 1
             dropped = KripkeModel(
                 KripkeFrame(
-                    extended.frame.worlds - copy,
-                    frozenset((u, v) for u, v in extended.frame.relation if u not in copy and v not in copy),
+                    extended.frame.worlds,
+                    frozenset((u, v) for u, v in extended.frame.relation if u != w or v not in block),
                 ),
                 extended.valuation,
                 extended.root,
@@ -425,7 +428,7 @@ class TestExtendModel:
                 assert (w, m) in violations
                 assert violations == _reference_violations(base, ext, ctx)
         assert broken >= ctx.n
-        # every p_m everywhere: each copy's host breaks, over all m at once
+        # every p_m everywhere: each world seeing a block breaks, over all m at once
         everywhere = KripkeModel(tree.frame, dict.fromkeys(range(1, ctx.var_count + 1), tree.frame.worlds), tree.root)
         violations = star_equivalence_violations(everywhere, extended, ctx)
         assert len(violations) > 1
@@ -449,96 +452,47 @@ class TestExtendModel:
         with pytest.raises(ValueError):
             extend_model(broken, ctx)
 
-    def test_wgrz_validity_of_extended_frame_is_refused_not_guessed(self):
-        # the valuation search space (2^|worlds| for the one-variable axiom)
-        # is over the default budget even for the smallest extension, so the
-        # answer is an explicit refusal, never an unverified "valid"
+    def test_wgrz_validity_of_extended_frame_is_decided_or_refused(self):
+        # the valuation search space is 2^|worlds| for the one-variable
+        # axiom: the 16 worlds of the smallest extension fit the default
+        # budget and are searched; the 33 of the next one are refused,
+        # never given an unverified "valid"
         from modalred.kripke import ValuationBudgetError, frame_validates, wgrz_axiom
 
         f = parse_qbf("E p1 . p1")
         _, ctx = encode_star(f)
         extended = extend_model(quantifier_tree(f), ctx)
+        assert len(extended.frame.worlds) == 16
+        assert frame_validates(extended.frame, wgrz_axiom()) is True
+        f = parse_qbf("A p1 . E p2 . p1 -> p2")
+        _, ctx = encode_star(f)
+        extended = extend_model(quantifier_tree(f), ctx)
+        assert len(extended.frame.worlds) == 33
         with pytest.raises(ValuationBudgetError):
             frame_validates(extended.frame, wgrz_axiom())
 
 
 def _pair_built_extension(base, ctx):
-    """The extended model built the plain way: every F_m copy's pairs and
-    the edge from its host, then the transitive closure of the whole frame."""
-    edges = list(base.frame.relation)
-    for u, v in sorted(edges, key=lambda e: (world_id_str(e[0]), world_id_str(e[1]))):
-        for index, members in base.valuation.items():
-            if u in members and v not in members:
-                raise ValueError(
-                    f"valuation is not upward persistent: p{index} holds at"
-                    f" {world_id_str(u)} but not at its successor {world_id_str(v)}"
-                )
-    if not all(isinstance(w, BaseWorld) for w in base.frame.worlds):
-        raise ValueError("extend_model expects a quantifier-tree model")
-    worlds = set(base.frame.worlds)
+    """The extended model built the plain way: the pairs of one F_m for
+    every m some base world lacks, the edge into it from each such world,
+    then the transitive closure of the whole frame."""
+    worlds, edges = set(base.frame.worlds), list(base.frame.relation)
     for m in range(1, ctx.var_count + 1):
-        for w in base.frame.worlds - base.valuation.get(m, frozenset()):
-            a = [GadgetWorld(m, f"a{i}", w) for i in range(m + 1)]
-            b = GadgetWorld(m, "b", w)
+        lacking = base.frame.worlds - base.valuation.get(m, frozenset())
+        if lacking:
+            a = [GadgetWorld(m, f"a{i}") for i in range(m + 1)]
+            b = GadgetWorld(m, "b")
             worlds.update([b, *a])
-            edges += [(w, a[0]), (a[0], b), (b, b)] + [(a[i], a[i + 1]) for i in range(m)]
+            edges += [(a[0], b), (b, b)] + [(a[i], a[i + 1]) for i in range(m)] + [(w, a[0]) for w in lacking]
     frame = close(KripkeFrame(frozenset(worlds), edges), "transitive")
     return KripkeModel(frame, dict(base.valuation), base.root)
-
-
-def _sort_laid_extension(base, ctx):
-    """``order``, ``position``, ``ids``, ``succ`` and ``_pred`` of the
-    extended frame laid out the plain way: every gadget world listed with its
-    id, the list sorted by id, and each copy's rows written at the positions
-    the sort gave."""
-    base_frame = base.frame
-    size = len(base_frame.order)
-    copies, entries = [], []  # entries: (id, world, rung slots of its copy, rung)
-    for m in range(1, ctx.var_count + 1):
-        held = kripke._mask(base_frame.position, base.valuation.get(m, ()))
-        for h, host in enumerate(base_frame.order):
-            if not held >> h & 1:
-                slots = [0] * (m + 2)
-                copies.append((h, slots))
-                parts = [f"a{i}" for i in range(m + 1)] + ["b"]
-                entries += [
-                    (f"gadget:m{m}:{part}@{base_frame.ids[h]}", GadgetWorld(m, part, host), slots, rung)
-                    for rung, part in enumerate(parts)
-                ]
-    entries.sort(key=itemgetter(0))
-    for k, (_, _, slots, rung) in enumerate(entries, start=size):
-        slots[rung] = k
-    rows = kripke._close_rows(list(base_frame.succ)) + [0] * len(entries)
-    pred = list(kripke._transpose(rows[:size])) + [0] * len(entries)
-    hosted = [0] * size
-    for h, (*ladder, b) in copies:
-        rows[b] = 1 << b
-        above = 0
-        for k in reversed(ladder):
-            rows[k] = above
-            above |= 1 << k
-        rows[ladder[0]] |= 1 << b
-        hosted[h] |= above | 1 << b
-        below = pred[h] | 1 << h
-        pred[b] = below | 1 << ladder[0] | 1 << b
-        for k in ladder:
-            pred[k] = below
-            below |= 1 << k
-    for i in range(size):
-        for j in range(size):
-            if rows[i] >> j & 1:
-                rows[i] |= hosted[j]
-        rows[i] |= hosted[i]
-    order = base_frame.order + tuple(world for _, world, _, _ in entries)
-    ids = base_frame.ids + tuple(wid for wid, _, _, _ in entries)
-    return order, {w: i for i, w in enumerate(order)}, ids, tuple(rows), tuple(pred)
 
 
 def _layout_corpus():
     """True formulas of every prefix of up to three quantifiers, two
     matrices each, and seeded five-quantifier ones whose trees have at least
-    11 worlds: their gadget ids meet ``m10`` before ``m1:``, ``a10@`` before
-    ``a1@`` and ``#10`` before ``#2``."""
+    11 worlds: their gadget ids meet ``m10`` before ``m1:`` and ``a10``
+    before ``a2``."""
     from modalred.pipeline import random_matrix
     from modalred.qbf import is_true_qbf
 
@@ -591,47 +545,6 @@ def _hand_built_bases():
     ]
 
 
-class TestExtendModelLayout:
-    """``extend_model`` lays the gadget blocks out by position, never sorting
-    the ids; it must give the fields of the sort-based layout."""
-
-    def test_layout_equals_the_sort_based_one(self):
-        corpus = _layout_corpus()
-        assert {prepare_context(f).quantifiers for f in corpus} >= {
-            tuple(zip(p, range(1, n + 1))) for n in (1, 2, 3) for p in itertools.product("AE", repeat=n)
-        }
-        wide = []
-        for f in corpus:
-            base, ctx = quantifier_tree(f), prepare_context(f)
-            frame = extend_model(base, ctx).frame
-            order, position, ids, succ, pred = _sort_laid_extension(base, ctx)
-            assert frame.order == order
-            assert frame.position == position
-            assert frame.ids == ids
-            assert frame.succ == succ
-            assert vars(frame)["_pred"] == pred
-            if ctx.n == 5:
-                wide.append(ids)
-        # string order, which the ids follow, is not numeric order here
-        late_twos = 0
-        for ids in wide:
-            first = {text: min(k for k, wid in enumerate(ids) if text in wid) for text in ("m10", "m1:", "a10@", "a1@")}
-            assert first["m10"] < first["m1:"] and first["a10@"] < first["a1@"]
-            # p12 holds nowhere, so every base world hosts an F_12 copy
-            serials = [int(wid.rsplit("#", 1)[1]) for wid in ids if wid.startswith("gadget:m12:b@")]
-            assert len(serials) >= 11 and serials != sorted(serials)
-            late_twos += serials.index(2) > min(k for k, s in enumerate(serials) if s >= 10)
-        assert late_twos  # a host #10 or later comes before host #2
-
-    @pytest.mark.parametrize("case", _hand_built_bases(), ids=lambda case: case[0])
-    def test_hand_built_bases_equal_the_sort_based_layout(self, case):
-        _, base, ctx = case
-        frame = extend_model(base, ctx).frame
-        assert (frame.order, frame.position, frame.ids, frame.succ, vars(frame)["_pred"]) == _sort_laid_extension(
-            base, ctx
-        )
-
-
 class TestExtendModelClosedForm:
     """``extend_model`` writes the closed frame directly; it must equal the
     pair-built closure in every index field and byte of its JSON."""
@@ -642,11 +555,6 @@ class TestExtendModelClosedForm:
         assert extended.frame.succ == reference.frame.succ
         assert extended.frame.ids == reference.frame.ids
         assert extended.frame.position == reference.frame.position
-        # the predecessor rows come with the frame, and are its converse
-        position, pred = extended.frame.position, [0] * len(extended.frame.order)
-        for u, v in extended.frame.relation:
-            pred[position[v]] |= 1 << position[u]
-        assert vars(extended.frame)["_pred"] == tuple(pred)
         assert extended == reference
         assert model_to_json(extended) == model_to_json(reference)
 
@@ -656,12 +564,26 @@ class TestExtendModelClosedForm:
         for f in corpus:
             self._assert_same(quantifier_tree(f), prepare_context(f))
 
+    def test_layout_corpus_matches_the_pair_built_closure(self):
+        corpus = _layout_corpus()
+        assert {prepare_context(f).quantifiers for f in corpus} >= {
+            tuple(zip(p, range(1, n + 1))) for n in (1, 2, 3) for p in itertools.product("AE", repeat=n)
+        }
+        for f in corpus:
+            base, ctx = quantifier_tree(f), prepare_context(f)
+            self._assert_same(base, ctx)
+            if ctx.n == 5:
+                # string order, which the ids follow, is not numeric order here
+                ids = extend_model(base, ctx).frame.ids
+                assert ids.index("gadget:m10:a0") < ids.index("gadget:m1:a0")
+                assert ids.index("gadget:m12:a10") < ids.index("gadget:m12:a2")
+
     @pytest.mark.parametrize("case", _hand_built_bases(), ids=lambda case: case[0])
     def test_hand_built_bases_match_the_pair_built_closure(self, case):
         _, base, ctx = case
         self._assert_same(base, ctx)
 
-    def test_a_world_holding_every_variable_gets_no_copy(self):
+    def test_a_world_holding_every_variable_gets_no_block(self):
         _, base, ctx = _hand_built_bases()[0]
         assert extend_model(base, ctx).frame == base.frame
 
@@ -677,7 +599,7 @@ class TestExtendModelClosedForm:
             tree.root,
         )
         with pytest.raises(ValueError) as reference:
-            _pair_built_extension(broken, ctx)
+            paper_extended_model(broken, ctx)
         with pytest.raises(ValueError) as closed_form:
             extend_model(broken, ctx)
         assert str(closed_form.value) == str(reference.value)
@@ -688,3 +610,64 @@ class TestExtendModelClosedForm:
         base = KripkeModel(KripkeFrame(frozenset([g]), []), {}, g)
         with pytest.raises(ValueError, match="^extend_model expects a quantifier-tree model$"):
             extend_model(base, _context(1))
+
+
+def _forget_host(w):
+    """The world of the shared model that the paper's world ``w`` maps to."""
+    return GadgetWorld(w.gadget, w.part) if isinstance(w, GadgetWorld) else w
+
+
+def _wgrz_rows(frame) -> bool:
+    """The wGrz row test: transitive, and no two distinct worlds see each other."""
+    _, _, _, antisymmetric, transitive = kripke._properties(frame)
+    return transitive and antisymmetric
+
+
+class TestPaperModel:
+    """``extend_model`` writes one F_m block per m where the paper hangs a
+    copy of F_m below every base world lacking p_m.  Forgetting the host
+    must be a bounded morphism from the paper's model onto it, so that
+    both satisfy the same formulas at every world and its image."""
+
+    def _assert_faithful(self, base, ctx, tree=True):
+        paper, shared = paper_extended_model(base, ctx), extend_model(base, ctx)
+        image = {w: _forget_host(w) for w in paper.frame.worlds}
+        assert set(image.values()) == shared.frame.worlds
+        assert image[paper.root] == shared.root
+        # forth and back: the images of a world's successors are exactly
+        # the successors of its image
+        successors = {w: set() for w in paper.frame.worlds}
+        for u, v in paper.frame.relation:
+            successors[u].add(image[v])
+        shared_successors = {w: set() for w in shared.frame.worlds}
+        for u, v in shared.frame.relation:
+            shared_successors[u].add(v)
+        assert all(successors[w] == shared_successors[image[w]] for w in paper.frame.worlds)
+        # valuation: a world holds p exactly where its image does
+        assert paper.valuation.keys() == shared.valuation.keys()
+        for index, members in paper.valuation.items():
+            assert {image[w] for w in members} == shared.valuation[index]
+            assert all(image[w] not in shared.valuation[index] for w in paper.frame.worlds - members)
+        f = prenex_join(list(ctx.quantifiers), ctx.matrix)
+        for g in [encode_star(f)[0], encode_alpha(f), *(alpha(m) for m in range(1, ctx.var_count + 1))]:
+            holds = model_check_all(shared, g)
+            assert model_check_all(paper, g) == {w for w in paper.frame.worlds if image[w] in holds}
+        assert _wgrz_rows(shared.frame) == _wgrz_rows(paper.frame)
+        if tree:
+            assert _wgrz_rows(shared.frame)
+            assert model_check(shared, shared.root, encode_alpha(f))
+
+    def test_true_corpus(self):
+        for f in _true_corpus():
+            self._assert_faithful(quantifier_tree(f), prepare_context(f))
+
+    def test_layout_corpus(self):
+        corpus = _layout_corpus()
+        assert {prepare_context(f).n for f in corpus} == {1, 2, 3, 5}
+        for f in corpus:
+            self._assert_faithful(quantifier_tree(f), prepare_context(f))
+
+    @pytest.mark.parametrize("case", _hand_built_bases(), ids=lambda case: case[0])
+    def test_hand_built_bases(self, case):
+        _, base, ctx = case
+        self._assert_faithful(base, ctx, tree=False)

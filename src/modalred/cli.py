@@ -131,7 +131,6 @@ def cmd_sat(args) -> int:
                     "bound": verdict.bound,
                     "nodes": verdict.nodes,
                     "depth": verdict.depth,
-                    "memo_hits": verdict.memo_hits,
                     "branches": verdict.branches,
                     "backjumps": verdict.backjumps,
                     "nogood_hits": verdict.nogood_hits,

@@ -157,9 +157,9 @@ def build_corpus(
 
 # The tableau context of every query of the process: the star and the
 # variable-free encodings of one corpus share their subformulas, and the
-# latter their ladders alpha(k), so a saturated state one query decided, or a
-# two-bit core one query stored, answers the others.  The context starts
-# afresh when its memo holds more than ``solver._CONTEXT_MEMO_CAP`` states.
+# latter their ladders alpha(k), so a two-bit core or a successor label one
+# query stored answers the others.  The context starts afresh when its
+# queries have searched more than ``solver._CONTEXT_NODE_CAP`` nodes.
 _CONTEXT = TableauContext()
 
 # The witness table: the extended models in _EXTENDED, by (quantifier tree,

@@ -10,7 +10,7 @@ at most the modal depth of the query.  Labels are bit sets over the
 numbering of a ``TableauContext``, and the search (``_tableau_search``) is
 one loop over explicit frames: nothing in this module recurses, so a formula
 nested or branching far past the interpreter's recursion limit gets an
-answer.  Six devices cut the search; none changes a verdict.
+answer.  Five devices cut the search; none changes a verdict.
 
 - Backjumping (dependency-directed, Horrocks & Patel-Schneider, J. Logic
   Comput. 9(3), 1999).  A refuted label returns its core, the bits of the
@@ -45,21 +45,16 @@ answer.  Six devices cut the search; none changes a verdict.
   any other one reads has changed.  So the state, the steps and every core
   equal those of saturating the label from scratch.  A diamond child starts
   a new world and saturates from scratch.
-- The memo (global caching: Goré & Nguyen, TABLEAUX 2007; Donini &
-  Massacci, Artif. Intell. 124(1), 2000).  A label whose saturation reaches
-  a state met before gets that state's result or core without a search, so
-  repeated sub-labels (ubiquitous in the ladder encodings) are searched
-  once.  In K a state's satisfiability, a world that witnesses it and a
-  core that refutes it do not depend on the query it came from, so the
-  queries that share a context share its memo.  Only a state decided in
-  full is stored, so a query cut short by its budget leaves the context
-  sound; a refutation found while saturating depends on the label and is
-  not stored.
 - Nogoods (Giunchiglia & Tacchella, Ann. Math. Artif. Intell. 33, 2001).  A
-  stored core of two bits refutes, without a search, a state that misses
-  the memo but holds both bits.  Longer cores are not indexed: in a context
-  shared by many queries the ones with the same two lowest bits pile up,
-  and scanning them cost more than the nodes they saved.
+  stored core of two bits refutes, without a search, a saturated state that
+  holds both bits.  Longer cores are not indexed: in a context shared by
+  many queries the ones with the same two lowest bits pile up, and scanning
+  them cost more than the nodes they saved.  In K a state's satisfiability,
+  a world that witnesses it and a core that refutes it do not depend on the
+  query it came from, so the queries that share a context share its
+  nogoods and successor lists.  Only a state decided in full is stored, so
+  a query cut short by its budget leaves the context sound; a refutation
+  found while saturating depends on the label and is not stored.
 - Subsumption and model reuse (Giunchiglia & Tacchella, and Horrocks &
   Patel-Schneider, as above; Haarslev, Möller & Turhan, IJCAR 2001).  A
   diamond's successor label is looked up before it is saturated, among the
@@ -77,13 +72,13 @@ answer.  Six devices cut the search; none changes a verdict.
   label pays nothing for it, and it reads the latest successors, since in
   a context shared by many queries those are the current query's.
 
-A memo, nogood or subsumption hit still counts as a search node.  A
-satisfiable state's result is a pair (true variables, children), and a memo
-or subsumption hit hands back a stored pair, so the results form a DAG; the
-witness has one world per distinct result.  A successor label may get a
-world stored before it for another label, so the witness depends on what
-the search, and the queries before it in the context, stored: it is a model
-all the same, and the same search gives the same witness.  Both engines
+A nogood or subsumption hit still counts as a search node.  A satisfiable
+state's result is a pair (true variables, children), and a subsumption hit
+hands back a stored pair, so the results form a DAG; the witness has one
+world per distinct result.  A successor label may get a world stored before
+it for another label, so the witness depends on what the search, and the
+queries before it in the context, stored: it is a model all the same, and
+the same search gives the same witness.  Both engines
 return only what their witness is built from: ``SatVerdict.witness`` builds
 the model the first time it is read, so a verdict whose witness nobody
 reads builds none.
@@ -183,16 +178,15 @@ class SatVerdict:
     ``engine`` is "tableau" or "bounded"; for the bounded engine ``bound``
     records the world limit and an unsatisfiable verdict is only
     bound-relative.  ``nodes`` and ``depth`` are search statistics;
-    ``memo_hits`` counts the tableau's label visits whose saturated state
-    its memo table answered, ``nogood_hits`` those whose state missed the
-    memo but held a stored two-bit core, and ``subsumption_hits`` the
-    successor labels that a stored core or world of the same diamond
-    answered before saturation (all three are counted in ``nodes`` too);
-    ``branches`` counts the labels that branched on a disjunction and
-    ``backjumps`` those of them refuted by their first side's core alone.
-    All five stay 0 for the bounded engine.  ``witness`` is the model of a
-    satisfiable query (None otherwise), built by the engine's ``build`` the
-    first time it is read; later reads return the same model.
+    ``nogood_hits`` counts the tableau's label visits whose saturated state
+    held a stored two-bit core, and ``subsumption_hits`` the successor
+    labels that a stored core or world of the same diamond answered before
+    saturation (both are counted in ``nodes`` too); ``branches`` counts the
+    labels that branched on a disjunction and ``backjumps`` those of them
+    refuted by their first side's core alone.  All four stay 0 for the
+    bounded engine.  ``witness`` is the model of a satisfiable query (None
+    otherwise), built by the engine's ``build`` the first time it is read;
+    later reads return the same model.
     """
 
     satisfiable: bool
@@ -200,7 +194,6 @@ class SatVerdict:
     bound: Optional[int]
     nodes: int
     depth: int
-    memo_hits: int = 0
     branches: int = 0
     backjumps: int = 0
     nogood_hits: int = 0
@@ -306,10 +299,10 @@ def _record(f: ModalFormula) -> tuple:
 # Tableau
 # ---------------------------------------------------------------------------
 
-# A context starts afresh before a query joins it when its memo holds more
-# than this many states, which bounds its memory and the width of its label
-# ints.
-_CONTEXT_MEMO_CAP = 8_000
+# A context starts afresh before a query joins it when its queries have
+# searched more than this many nodes since it started, which bounds its
+# memory and the width of its label ints.
+_CONTEXT_NODE_CAP = 16_000
 
 # A diamond child that no stored core refutes is checked at the worlds of
 # this many of the latest satisfiable successors of its diamond.  On three
@@ -321,8 +314,8 @@ _SEMANTIC_ROWS = 8
 
 class TableauContext:
     """What the queries that share one context share: the bit numbering, the
-    kind masks, ``data``, the watch rows, the memo, the nogoods and the
-    successor lists.  A lone query gets a fresh one.
+    kind masks, ``data``, the watch rows, the nogoods and the successor
+    lists.  A lone query gets a fresh one.
 
     Every formula that can ever enter a label (subformulas of a query's NNF,
     closed under the negations needed for semantic branching) gets a bit;
@@ -340,10 +333,8 @@ class TableauContext:
     ``boxes``, ``dias``, ``falses``) tells which bits are of that kind;
     ``var_bits`` marks the literals that are variables.
 
-    ``cache`` is the memo, keyed by saturated state (a label with no
-    conjunction and no ``false`` bit), which holds a satisfiable state's
-    result (a tuple) or a refuted state's core (an int, a non-empty subset
-    of the key).  ``firsts`` marks the lower bits of the two-bit cores, the
+    ``firsts`` marks the lower bits of the two-bit cores of refuted
+    saturated states (labels with no conjunction and no ``false`` bit), the
     nogoods, and ``partners`` holds, per bit, the higher bits it makes a
     core with, so a state is checked with one mask test per lower bit it
     holds.
@@ -361,9 +352,11 @@ class TableauContext:
     the cores would shrink to the body bit, which every label holds).
     ``truths`` is the truth memo of ``_holds``: per result world, keyed by
     ``id`` and holding the result itself so that the id is never reused,
-    the bits found true and false there and the entries of its children.  Before a query joins, the context
-    starts afresh, nogoods, successor lists and truth memo included, when
-    its memo holds more than ``_CONTEXT_MEMO_CAP`` states.
+    the bits found true and false there and the entries of its children.
+    ``nodes`` counts the nodes its queries searched, a query cut short by its
+    budget included.  Before a query joins, the context starts afresh,
+    nogoods, successor lists and truth memo included, when that count is
+    over ``_CONTEXT_NODE_CAP``.
     """
 
     def __init__(self):
@@ -372,7 +365,6 @@ class TableauContext:
         self.data: list = []
         self.watch: list = []  # bit position -> the disjunctions it is a side of
         self.masks = [0] * len(_KINDS)
-        self.cache: dict = {}  # saturated state -> result or core
         self.firsts = 0  # the lower bits of the two-bit cores
         self.partners: list = []  # bit position -> the higher bits of its cores
         # diamond position -> its satisfiable successor labels with their
@@ -384,6 +376,7 @@ class TableauContext:
         # id(result) -> [result, bits true there, bits false there, the
         # entries of its children or None]
         self.truths: dict = {}
+        self.nodes = 0
         self._name_masks()
 
     def _name_masks(self) -> None:
@@ -394,9 +387,9 @@ class TableauContext:
 
     def join(self, root: ModalFormula) -> int:
         """Number the formulas of the sugar-free query ``root`` that the
-        context lacks, after starting afresh if its memo is over the cap,
-        and return the bit of its NNF."""
-        if len(self.cache) > _CONTEXT_MEMO_CAP:
+        context lacks, after starting afresh if its node count is over the
+        cap, and return the bit of its NNF."""
+        if self.nodes > _CONTEXT_NODE_CAP:
             self.__init__()
         bits, formulas, masks = self.bits, self.formulas, self.masks
         start = len(formulas)
@@ -430,10 +423,10 @@ class TableauContext:
 
 def _tableau_search(context: TableauContext, root: int, budget: int) -> tuple:
     """Search the label ``root`` over ``context`` within ``budget`` nodes:
-    (result, nodes, depth, memo hits, branches, backjumps, nogood hits,
-    subsumption hits), the counters of ``SatVerdict``.  The result is (true
-    variables, children) if the label is satisfiable, else its core: the
-    bits of the label that its refutation used, a non-zero int.
+    (result, nodes, depth, branches, backjumps, nogood hits, subsumption
+    hits), the counters of ``SatVerdict``.  The result is (true variables,
+    children) if the label is satisfiable, else its core: the bits of the
+    label that its refutation used, a non-zero int.
 
     The search is one loop.  For each label it counts the node (budget and
     depth included) and saturates the label: it drains conjunctions, checks
@@ -442,13 +435,13 @@ def _tableau_search(context: TableauContext, root: int, budget: int) -> tuple:
     derives, the seen bits they came from: a conjunct comes from its
     conjunction, a forced side from its disjunction and the negated side
     that killed it, so a core in the state's bits is traced back to the
-    label's (``_lift``).  The saturated state is looked up in the memo and,
-    on a miss, refuted by a nogood it holds, if any.  Else a state with an
-    open disjunction pushes a branch frame and hands on its first side, one
-    with diamonds pushes a diamond frame with every diamond still to visit,
-    and any other is a world with no successor.  The loop keeps the tables
-    and the counters in locals, and writes the nogoods' lower bits back to
-    the context when it returns or raises.
+    label's (``_lift``).  The saturated state is refuted by a nogood it
+    holds, if any.  Else a state with an open disjunction pushes a branch
+    frame and hands on its first side, one with diamonds pushes a diamond
+    frame with every diamond still to visit, and any other is a world with
+    no successor.  The loop keeps the tables
+    and the counters in locals, and writes the nogoods' lower bits and its
+    node count back to the context when it returns or raises.
 
     A result goes to the top frame.  A branch frame is [state, steps, None,
     disjunction, first side, the second side's bits (the negated first side
@@ -465,20 +458,18 @@ def _tableau_search(context: TableauContext, root: int, budget: int) -> tuple:
     stored satisfiable successors, latest first, at whose world the label's
     bits outside the stored label hold answers with that world.  A hit
     counts as a node and goes back to the frame, which does not store it
-    again; a miss is searched.  A frame that is done stores its result
-    under its state, a two-bit core among the nogoods too, and is popped,
-    and its result goes on, lifted, to the frame below.
+    again; a miss is searched.  A frame that is done stores a two-bit core
+    among the nogoods and is popped, and its result goes on, lifted, to the
+    frame below.
     """
     data, watch, partners, formulas = context.data, context.watch, context.partners, context.formulas
     lits, falses, ands, or_bits = context.lits, context.falses, context.ands, context.ors
     box_bits, dia_bits, var_bits = context.boxes, context.dias, context.var_bits
     kept = lits | box_bits | dia_bits  # with the open disjunctions, what a saturated state keeps
-    cache = context.cache
-    lookup = cache.get
     firsts = context.firsts
     sat_rows = context.sat_rows
     core_rows, core_keys = context.core_rows, context.core_keys
-    nodes = max_depth = memo_hits = branches = backjumps = nogood_hits = subsumption_hits = 0
+    nodes = max_depth = branches = backjumps = nogood_hits = subsumption_hits = 0
     stack = []  # the frames of the labels between the root and the next one
     # the next label is ``seen | mask``, resumed with the open disjunctions ``ors``
     mask, seen, ors, depth = root, 0, 0, 0
@@ -565,48 +556,42 @@ def _tableau_search(context: TableauContext, root: int, budget: int) -> tuple:
                 result = _lift(clash, steps)
             else:
                 state = seen & kept | ors
-                result = lookup(state)
-                if result is not None:
-                    memo_hits += 1
-                    if result.__class__ is int:
-                        result = _lift(result, steps)
+                m = state & firsts
+                while m:
+                    low = m & -m
+                    m ^= low
+                    second = state & partners[low.bit_length() - 1]
+                    if second:
+                        nogood_hits += 1
+                        result = _lift(low | second & -second, steps)
+                        break
                 else:
-                    m = state & firsts
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        second = state & partners[low.bit_length() - 1]
-                        if second:
-                            nogood_hits += 1
-                            result = _lift(low | second & -second, steps)
-                            break
+                    if ors:
+                        # both sides satisfy the disjunction, so the
+                        # children get the open ones without it
+                        branches += 1
+                        low = ors & -ors
+                        first, second, not_first, _ = data[low.bit_length() - 1]
+                        ors ^= low
+                        stack.append([state, steps, None, low, first, not_first | second, ors, 0])
+                        mask, seen = first, state
+                        continue
+                    m = state & dia_bits
+                    if not m:
+                        true_vars = frozenset(formulas[i].index for i in _bits(state & var_bits))
+                        result = (true_vars, ())
                     else:
-                        if ors:
-                            # both sides satisfy the disjunction, so the
-                            # children get the open ones without it
-                            branches += 1
-                            low = ors & -ors
-                            first, second, not_first, _ = data[low.bit_length() - 1]
-                            ors ^= low
-                            stack.append([state, steps, None, low, first, not_first | second, ors, 0])
-                            mask, seen = first, state
-                            continue
-                        m = state & dia_bits
-                        if not m:
-                            true_vars = frozenset(formulas[i].index for i in _bits(state & var_bits))
-                            result = cache[state] = (true_vars, ())
-                        else:
-                            boxes = state & box_bits
-                            bodies = 0
-                            b = boxes
-                            while b:
-                                i = b.bit_length() - 1
-                                bodies |= data[i]
-                                b ^= 1 << i
-                            # no child yet: the frame forms the first one
-                            stack.append([state, steps, [], 0, m, boxes, bodies])
-                            depth += 1
-                            result, hit = None, True
+                        boxes = state & box_bits
+                        bodies = 0
+                        b = boxes
+                        while b:
+                            i = b.bit_length() - 1
+                            bodies |= data[i]
+                            b ^= 1 << i
+                        # no child yet: the frame forms the first one
+                        stack.append([state, steps, [], 0, m, boxes, bodies])
+                        depth += 1
+                        result, hit = None, True
             # hand the result to the frames above, the latest first, until
             # one of them has another label to search
             while stack:
@@ -691,7 +676,6 @@ def _tableau_search(context: TableauContext, root: int, budget: int) -> tuple:
                         true_vars = frozenset(formulas[i].index for i in _bits(frame[0] & var_bits))
                         result = (true_vars, tuple(children))
                     depth -= 1
-                cache[frame[0]] = result
                 if result.__class__ is int:
                     rest = result & (result - 1)
                     if rest and not rest & (rest - 1):  # a core of two bits is a nogood
@@ -700,9 +684,10 @@ def _tableau_search(context: TableauContext, root: int, budget: int) -> tuple:
                         partners[low.bit_length() - 1] |= rest
                     result = _lift(result, frame[1])
             else:
-                return result, nodes, max_depth, memo_hits, branches, backjumps, nogood_hits, subsumption_hits
+                return result, nodes, max_depth, branches, backjumps, nogood_hits, subsumption_hits
     finally:
         context.firsts = firsts
+        context.nodes += nodes
 
 
 def _holds(context: TableauContext, world: tuple, label: int) -> bool:

@@ -7,7 +7,8 @@ import random
 from hypothesis import strategies as st
 
 from modalred.kripke import BaseWorld, GadgetWorld, KripkeFrame, KripkeModel, close, world_id_str
-from modalred.qbf import universal_closure
+from modalred.pipeline import random_matrix
+from modalred.qbf import prenex_join, universal_closure
 from modalred.syntax import (
     MAnd,
     MBox,
@@ -125,6 +126,40 @@ def random_modal_formula(rng: random.Random, max_size: int, var_count: int = 3) 
         return MImp(left, right)
 
     return build(target)
+
+
+def frontier_recipe(n_max: int):
+    """The alpha tableau's frontier QBFs up to ``n_max`` quantifiers: three
+    per n, each a prefix letter from "AE" per variable and then a matrix of
+    size at most 9, drawn from ``random.Random(1)``; n = 2, 3 and 4 are
+    drawn in sequence, and each n >= 5 starts from ``Random(1)``."""
+    rng = random.Random(1)
+    for n in range(2, n_max + 1):
+        if n >= 5:
+            rng = random.Random(1)
+        for _ in range(3):
+            prefix = [(rng.choice("AE"), i) for i in range(1, n + 1)]
+            yield prenex_join(prefix, random_matrix(rng, n, 9))
+
+
+def cnf_frontier_recipe(n_max: int):
+    """Frontier QBFs whose matrix grows with n: four per even n = 6, 8, ..
+    up to ``n_max``, drawn in sequence from one ``random.Random(1)``.  The
+    prefix alternates A p1 . E p2 . A p3 ..., and the matrix is a 3-CNF of
+    round(n / 2) clauses, nested to the left; each clause draws three
+    distinct variables (``rng.sample``) and then negates each, as
+    ``p -> false``, when ``rng.random() < 0.5``."""
+    rng = random.Random(1)
+    for n in range(6, n_max + 1, 2):
+        prefix = [("AE"[1 - i % 2], i) for i in range(1, n + 1)]
+        for _ in range(4):
+            matrix = None
+            for _ in range(round(n / 2)):
+                literals = [QVar(v) for v in rng.sample(range(1, n + 1), 3)]
+                literals = [QImp(p, QFalse()) if rng.random() < 0.5 else p for p in literals]
+                clause = QOr(QOr(literals[0], literals[1]), literals[2])
+                matrix = clause if matrix is None else QAnd(matrix, clause)
+            yield prenex_join(prefix, matrix)
 
 
 def modal_leaves():

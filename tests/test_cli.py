@@ -87,7 +87,7 @@ class TestSatCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "unsatisfiable"
         assert doc["engine"] == "bounded" and doc["bound"] == 3
-        assert doc["memo_hits"] == doc["branches"] == doc["backjumps"] == doc["nogood_hits"] == 0
+        assert doc["branches"] == doc["backjumps"] == doc["nogood_hits"] == 0
         assert doc["subsumption_hits"] == 0
 
     def test_verdict_line_carries_the_search_counters(self, tmp_path, capsys):
@@ -104,14 +104,13 @@ class TestSatCommand:
                 "branches": verdict.branches,
                 "depth": verdict.depth,
                 "engine": "tableau",
-                "memo_hits": verdict.memo_hits,
                 "nodes": verdict.nodes,
                 "nogood_hits": verdict.nogood_hits,
                 "subsumption_hits": verdict.subsumption_hits,
                 "verdict": "satisfiable",
             }
         )
-        assert verdict.memo_hits and verdict.branches and verdict.backjumps and verdict.nogood_hits
+        assert verdict.branches and verdict.backjumps and verdict.nogood_hits
         assert verdict.subsumption_hits
 
     @pytest.mark.parametrize(

@@ -388,7 +388,7 @@ class TestRunVerify:
         from modalred import pipeline
 
         first = report_lines(run_verify(n_max=2, count=40, seed=0))
-        assert pipeline._CONTEXT.cache
+        assert pipeline._CONTEXT.sat_rows
         # a variable was numbered, so a star formula joined the context
         assert pipeline._CONTEXT.var_bits
         assert report_lines(run_verify(n_max=2, count=40, seed=0)) == first

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_model, modal_formulas, random_modal_formula
+from conftest import cnf_frontier_recipe, frontier_recipe, make_random_model, modal_formulas, random_modal_formula
 from modalred import solver
 from modalred.kripke import BaseWorld, _assigned_model, _bits, model_check, model_check_all, model_to_json
 from modalred.pipeline import build_corpus, random_matrix
-from modalred.qbf import is_true_qbf, prenex_join
+from modalred.qbf import is_true_qbf, prenex_join, prenex_split
 from modalred.solver import (
     SolverBudgetError,
     TableauContext,
@@ -115,19 +115,19 @@ GOLDEN_TABLEAU = [
     ("star", "A p1 . E p2 . p1 -> p2", (True, 14, 2, 5, (
         "167e0b3ed67f63c3d274005636f62265d453d00f1ea241628c1c11bd8f66d310"
     ))),
-    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 390, 9, 31, (
-        "0769f59a05b2da19d95300f23185d17ba3db803c8f711b24c2773b6037a73c88"
+    ("alpha", "A p1 . E p2 . p1 -> p2", (True, 397, 9, 32, (
+        "e80fffc7af2ac4240a83716b382873fe68f734a907faac020df547b6ae58958a"
     ))),
     ("star", "E p1 . A p2 . p1 & p2", (False, 17, 2, 0, None)),
-    ("alpha", "E p1 . A p2 . p1 & p2", (False, 385, 8, 0, None)),
+    ("alpha", "E p1 . A p2 . p1 & p2", (False, 393, 8, 0, None)),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", (True, 64, 3, 9, (
         "8c61128d007c9086c127751bd0842b42b81fabc65217b6aab468343d5547d228"
     ))),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 907, 11, 47, (
-        "34cfa6d4710f889569f8c4e102a88c7063673abdbcfa2194b92c67e99f0e1231"
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", (True, 954, 11, 49, (
+        "3c00e43c5a6715a7723347994f16d0ee7ef241d257a7f06a1866db187c978c32"
     ))),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", (False, 34, 3, 0, None)),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 831, 11, 0, None)),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", (False, 883, 11, 0, None)),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", (True, 4, 1, 3, (
         "a628b2dcca107da47e29c297e6c38af51be2d30525a73468b31756d581857e66"
     ))),
@@ -159,37 +159,23 @@ def test_golden_tableau_counters(stage, text, expected):
     ) == expected
 
 
-# labels whose saturated state the memo table answered without searching
-GOLDEN_MEMO_HITS = [
-    ("alpha", "A p1 . E p2 . p1 -> p2", 3),
-    ("alpha", "E p1 . A p2 . p1 & p2", 4),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 5),
-    ("star", "A p1 . E p2 . A p3 . p2 | p3", 0),
-]
-
-
-@pytest.mark.parametrize("stage, text, expected", by_query(GOLDEN_MEMO_HITS))
-def test_golden_memo_hits(stage, text, expected):
-    assert sat_k_tableau(golden_formula(stage, text)).memo_hits == expected
-
-
 # labels that branched on a disjunction, those of them refuted by a first
 # side whose core did not use it (backjumps), and labels whose saturated
-# state missed the memo but held a stored two-bit core (nogood hits), one
-# per GOLDEN_TABLEAU query
+# state held a stored two-bit core (nogood hits), one per GOLDEN_TABLEAU
+# query
 GOLDEN_BRANCHES = [
     ("star", "A p1 . p1", 1, 0, 0),
     ("alpha", "A p1 . p1", 17, 0, 1),
     ("star", "E p1 . p1", 1, 0, 0),
     ("alpha", "E p1 . p1", 17, 0, 1),
     ("star", "A p1 . E p2 . p1 -> p2", 6, 0, 0),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 210, 67, 19),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 215, 72, 19),
     ("star", "E p1 . A p2 . p1 & p2", 7, 2, 0),
-    ("alpha", "E p1 . A p2 . p1 & p2", 213, 76, 19),
+    ("alpha", "E p1 . A p2 . p1 & p2", 218, 81, 19),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 31, 0, 0),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 607, 236, 33),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 639, 243, 35),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", 18, 8, 0),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 570, 236, 30),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 601, 244, 32),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 1, 0, 0),
     ("modal", "box<=25 (<> p1 & <> ~p1)", 0, 0, 0),
 ]
@@ -215,13 +201,13 @@ GOLDEN_SUBSUMPTION_HITS = [
     ("star", "E p1 . p1", 0),
     ("alpha", "E p1 . p1", 13),
     ("star", "A p1 . E p2 . p1 -> p2", 0),
-    ("alpha", "A p1 . E p2 . p1 -> p2", 84),
+    ("alpha", "A p1 . E p2 . p1 -> p2", 87),
     ("star", "E p1 . A p2 . p1 & p2", 0),
-    ("alpha", "E p1 . A p2 . p1 & p2", 78),
+    ("alpha", "E p1 . A p2 . p1 & p2", 82),
     ("star", "A p1 . E p2 . A p3 . p2 | p3", 1),
-    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 146),
+    ("alpha", "A p1 . E p2 . A p3 . p2 | p3", 159),
     ("star", "E p1 . A p2 . E p3 . p1 & p2", 0),
-    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 116),
+    ("alpha", "E p1 . A p2 . E p3 . p1 & p2", 135),
     ("modal", "(<> p1 | <> p2) & [] (p1 -> p2) & <> ~p2", 0),
     # at each level the ~p1 world's two successor labels are the p1 world's
     ("modal", "box<=25 (<> p1 & <> ~p1)", 50),
@@ -260,7 +246,8 @@ def test_alpha_guard_refuted_within_a_small_budget():
     # asserting it first, backjumping over a branch its refutation did not
     # use, refuting a state that holds a stored two-bit core at once and
     # answering a successor label by a stored world that satisfies it
-    # refutes this instance in 1,619 nodes; before stored worlds were
+    # refutes this instance in 1,714 nodes (1,619 when a memo of saturated
+    # states answered repeated ones); before stored worlds were
     # checked against new labels it took 4,994 (6,684 without those
     # nogoods, 8,476 when a label probed its diamonds once its first side
     # failed, 39,026 without backjumping, 64,187 when every label probed
@@ -307,23 +294,29 @@ def test_a_tableau_holds_only_its_context_budget_and_counters():
     assert isinstance(result, int)
     verdict = sat_k_tableau(f)
     assert counters == [
-        verdict.nodes, verdict.depth, verdict.memo_hits, verdict.branches, verdict.backjumps, verdict.nogood_hits,
+        verdict.nodes, verdict.depth, verdict.branches, verdict.backjumps, verdict.nogood_hits,
         verdict.subsumption_hits,
     ]
 
 
-def test_memo_cores_are_refuted_subsets_of_their_labels():
-    # the memo holds a tuple for a satisfiable state and, for a refuted one,
-    # its core: a non-empty subset of the state that is refuted on its own
+def test_stored_cores_are_refuted_subsets_of_their_labels():
+    # ``core_rows`` holds, per diamond, the core of each refuted successor:
+    # a non-empty subset of the successor's label, which the reference
+    # search of the same numbering forms, that is refuted on its own
     rng = random.Random(5)
-    queries = [encode_alpha(f) for f in build_corpus(n_max=2, count=12, seed=0)]
+    queries = [encode_alpha(f) for f in build_corpus(n_max=2, count=56, seed=0)]
     queries += [random_modal_formula(rng, 30) for _ in range(60)]
     cores = []
     for f in queries:
         context = TableauContext()
-        sat_k_tableau(f, context=context)
-        for label, core in context.cache.items():
-            if not isinstance(core, tuple):
+        root = context.join(expand_sugar(f))
+        refuted = _reference_search(context, root, [])[5]
+        _tableau_search(context, root, 10**6)
+        assert {i: rows for i, rows in context.core_rows.items() if rows} == {
+            i: [core for _, core in rows] for i, rows in refuted.items()
+        }
+        for rows in refuted.values():
+            for label, core in rows:
                 assert isinstance(core, int) and core and not core & ~label
                 cores.append([context.formulas[i] for i in _bits(core)])
     assert len(cores) > 1000
@@ -372,20 +365,6 @@ def test_subsumption_keeps_the_alpha_verdicts_and_witnesses():
             assert model_check(verdict.witness, verdict.witness.root, f)
 
 
-def frontier_recipe(n_max):
-    """The alpha tableau's frontier QBFs up to ``n_max`` quantifiers: three
-    per n, each a prefix letter from "AE" per variable and then a matrix of
-    size at most 9, drawn from ``random.Random(1)``; n = 2, 3 and 4 are
-    drawn in sequence, and each n >= 5 starts from ``Random(1)``."""
-    rng = random.Random(1)
-    for n in range(2, n_max + 1):
-        if n >= 5:
-            rng = random.Random(1)
-        for _ in range(3):
-            prefix = [(rng.choice("AE"), i) for i in range(1, n + 1)]
-            yield prenex_join(prefix, random_matrix(rng, n, 9))
-
-
 def test_frontier_witnesses_model_check():
     # a world that the lookup hands to a later label is checked by the
     # tableau's own evaluator; ``kripke.model_check`` shares no code with it
@@ -400,6 +379,33 @@ def test_frontier_witnesses_model_check():
             assert model_check(verdict.witness, verdict.witness.root, f)
             assert verdict.subsumption_hits
     assert satisfiable == 9
+
+
+# (n, alpha nodes, satisfiable) of each query of the two frontier recipes up
+# to n = 8, each decided alone; a change to the search states its moves
+FRONTIER_NODES = {
+    "random": [
+        (2, 413, False), (2, 381, True), (2, 383, True), (3, 878, True), (3, 952, True), (3, 838, False),
+        (4, 1612, True), (4, 1492, True), (4, 1528, False), (5, 3275, True), (5, 2949, False), (5, 2824, True),
+        (6, 4095, False), (6, 3896, False), (6, 4475, True), (7, 7434, True), (7, 13173, True), (7, 5358, False),
+        (8, 9662, True), (8, 8515, False), (8, 6851, False),
+    ],
+    "3-cnf": [
+        (6, 4961, True), (6, 3850, False), (6, 4552, True), (6, 3952, False),
+        (8, 21896, True), (8, 11704, True), (8, 9493, False), (8, 12172, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("recipe", FRONTIER_NODES)
+def test_frontier_recipes_keep_their_node_counts(recipe):
+    generate = frontier_recipe if recipe == "random" else cnf_frontier_recipe
+    rows = []
+    for qbf in generate(8):
+        verdict = sat_k_tableau(encode_alpha(qbf))
+        assert verdict.satisfiable == is_true_qbf(qbf)
+        rows.append((len(prenex_split(qbf)[0]), verdict.nodes, verdict.satisfiable))
+    assert rows == FRONTIER_NODES[recipe]
 
 
 def _saturate_from_scratch(context, label):
@@ -443,46 +449,47 @@ def _saturate_from_scratch(context, label):
     return seen & context.lits | ors | seen & (context.boxes | context.dias), steps, None
 
 
-class _LoggedCache(dict):
-    """A memo that logs every state looked up in it."""
-
-    def __init__(self, events):
-        super().__init__()
-        self.events = events
-
-    def get(self, key, default=None):
-        self.events.append(("state", key))
-        return super().get(key, default)
-
-
 def _reference_search(context, root, events):
     """The tableau's search as a recursion that saturates every label from
-    scratch (``_saturate_from_scratch``), with its own memo, nogoods and
-    successor lists; it logs each state it looks up and each core it lifts
-    as the tableau's loop logs them through ``_LoggedCache`` and ``_lift``.
-    A successor label is answered by a stored core that it contains, else
-    by the first of the latest 8 stored worlds of its diamond at which
-    ``kripke.model_check`` finds every formula of the label true, so a world
-    the loop hands back must satisfy the label.  (result, labels saturated
-    from scratch, branch children, whose labels the loop resumes, successor
-    labels answered by a stored one, those of them answered by a world whose
-    stored label does not contain theirs)."""
+    scratch (``_saturate_from_scratch``), with its own nogoods and successor
+    lists; it logs each core it lifts as the tableau's loop logs them
+    through ``_lift``.  A successor label is answered by a stored core that
+    it contains, else by the first of the latest 8 stored worlds of its
+    diamond at which ``kripke.model_check`` finds every formula of the label
+    true, so a world the loop hands back must satisfy the label.  (result,
+    labels saturated from scratch, branch children, whose labels the loop
+    resumes, successor labels answered by a stored one, those of them
+    answered by a world whose stored label does not contain theirs, the
+    refuted successor labels with their cores per diamond, the refuted
+    states with their two-bit cores)."""
     data = context.data
     variables = frozenset(g.index for g in context.formulas if isinstance(g, MVar))
-    memo, partners = {}, {}  # the two-bit cores: lower bit -> higher bits
+    partners = {}  # the two-bit cores: lower bit -> higher bits
     # diamond position -> the satisfiable successor labels and their results,
-    # in the order stored; the cores of the refuted successors, likewise
+    # in the order stored; the refuted ones and their cores, likewise
     satisfied, refuted = {}, {}
+    nogoods = []
     counts = [0, 0, 0, 0]
+    # id of a stored result -> its model, and (that id, bit) -> whether the
+    # bit's formula holds at its root; ``satisfied`` keeps every such result
+    # alive, so no id is reused
+    models, truths = {}, {}
+
+    def holds(result, j):
+        key = (id(result), j)
+        if key not in truths:
+            model = models.get(id(result))
+            if model is None:
+                model = models[id(result)] = solver._tree_to_model(result, variables)
+            truths[key] = model_check(model, model.root, context.formulas[j])
+        return truths[key]
 
     def stored(i, label):
-        core = next((core for core in refuted.get(i, []) if not core & ~label), None)
+        core = next((core for _, core in refuted.get(i, []) if not core & ~label), None)
         if core is not None:
             return core
-        parts = [context.formulas[j] for j in _bits(label)]
         for kept, result in satisfied.get(i, [])[::-1][:8]:
-            model = solver._tree_to_model(result, variables)
-            if all(model_check(model, model.root, g) for g in parts):
+            if all(holds(result, j) for j in _bits(label)):
                 counts[3] += bool(label & ~kept)
                 return result
         return None
@@ -499,10 +506,6 @@ def _reference_search(context, root, events):
         state, steps, clash = _saturate_from_scratch(context, label)
         if clash:
             return lift(clash, steps)
-        events.append(("state", state))
-        if state in memo:
-            result = memo[state]
-            return result if isinstance(result, tuple) else lift(result, steps)
         for i in _bits(state):
             second = state & partners.get(i, 0)
             if second:
@@ -529,7 +532,7 @@ def _reference_search(context, root, events):
                 else:
                     child = search(label, 0)
                     if isinstance(child, int):
-                        refuted.setdefault(i, []).append(child)
+                        refuted.setdefault(i, []).append((label, child))
                     else:
                         satisfied.setdefault(i, []).append((label, child))
                 if isinstance(child, int):
@@ -539,15 +542,15 @@ def _reference_search(context, root, events):
             else:
                 true_vars = frozenset(context.formulas[i].index for i in _bits(state & context.var_bits))
                 result = (true_vars, tuple(children))
-        memo[state] = result
         if isinstance(result, tuple):
             return result
         if bin(result).count("1") == 2:
             low = result & -result
             partners[low.bit_length() - 1] = partners.get(low.bit_length() - 1, 0) | result ^ low
+            nogoods.append((state, result))
         return lift(result, steps)
 
-    return search(root, 0), *counts
+    return search(root, 0), *counts, refuted, nogoods
 
 
 def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
@@ -555,8 +558,8 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
     # parent's open disjunctions but the one branched on, and reads only the
     # disjunctions that its new bits touch; every label the search meets
     # must reach the state, the steps and the clash core that saturating it
-    # from scratch gives, so the loop looks up the states and lifts the
-    # cores that the reference recursion does, in the same order; and a
+    # from scratch gives, so the loop lifts the cores, with the steps, that
+    # the reference recursion does, in the same order; and a
     # successor label that a stored successor of its diamond answers must
     # be one the reference's plain scan of its lists answers too, by the
     # same core or by the same world, which model-checks
@@ -579,9 +582,8 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
         context = TableauContext()
         root = context.join(expand_sugar(f))
         reference_events = []
-        expected, scratch, resumed, hits, semantic = _reference_search(context, root, reference_events)
+        expected, scratch, resumed, hits, semantic, *_ = _reference_search(context, root, reference_events)
         events.clear()
-        context.cache = _LoggedCache(events)
         result, nodes, *_, subsumption_hits = _tableau_search(context, root, 10**6)
         assert result == expected
         assert events == reference_events
@@ -595,23 +597,27 @@ def test_a_resumed_branch_child_saturates_as_from_scratch(monkeypatch):
 
 
 def test_indexed_nogoods_are_stored_cores_refuted_on_their_own():
-    # every two-bit nogood is the core of a refuted state in the memo, so it
-    # lies within that state, and a fresh search refutes it; a nogood that
-    # answered for a satisfiable state would fail the last check
+    # every two-bit nogood is the core of a refuted state, which the
+    # reference search of the same numbering meets, so it lies within that
+    # state, and a fresh search refutes it; a nogood that answered for a
+    # satisfiable state would fail the last check
     rng = random.Random(6)
     queries = [encode_alpha(f) for f in build_corpus(n_max=3, count=45, seed=1)]
     queries += [random_modal_formula(rng, 40, var_count) for var_count in (0, 3) for _ in range(100)]
     hits, nogoods = 0, set()
     for f in queries:
         context = TableauContext()
-        hits += sat_k_tableau(f, context=context).nogood_hits
-        stored = {core for core in context.cache.values() if isinstance(core, int)}
+        root = context.join(expand_sugar(f))
+        refuted_states = _reference_search(context, root, [])[6]
+        hits += _tableau_search(context, root, 10**6)[5]
+        stored = {core for _, core in refuted_states}
+        assert stored == {1 << i | 1 << j for i in _bits(context.firsts) for j in _bits(context.partners[i])}
         for i in _bits(context.firsts):
             assert context.partners[i]
             for j in _bits(context.partners[i]):
                 core = 1 << i | 1 << j
-                assert i < j and core in stored
-                assert any(not core & ~state for state, kept in context.cache.items() if kept == core)
+                assert i < j
+                assert any(not core & ~state for state, kept in refuted_states if kept == core)
                 nogoods.add(MAnd((context.formulas[i], context.formulas[j])))
         assert not any(context.partners[i] for i in range(len(context.formulas)) if not context.firsts >> i & 1)
     assert hits > 1_000 and len(nogoods) > 50
@@ -623,19 +629,6 @@ def test_indexed_nogoods_are_stored_cores_refuted_on_their_own():
 def test_tableau_budget_must_be_a_positive_integer(budget):
     with pytest.raises(ValueError, match="budget must be a positive integer"):
         sat_k_tableau(parse_modal("p1"), budget=budget)
-
-
-@pytest.mark.parametrize("text", ["A p1 . E p2 . p1 -> p2", "E p1 . A p2 . p1 & p2"])
-def test_budget_counts_memo_hits(text):
-    f = golden_formula("alpha", text)
-    verdict = sat_k_tableau(f)
-    assert verdict.memo_hits > 0
-    within = sat_k_tableau(f, budget=verdict.nodes)
-    assert (within.satisfiable, within.nodes, within.memo_hits) == (
-        verdict.satisfiable, verdict.nodes, verdict.memo_hits
-    )
-    with pytest.raises(SolverBudgetError):
-        sat_k_tableau(f, budget=verdict.nodes - 1)
 
 
 @pytest.mark.parametrize("text", ["A p1 . E p2 . p1 -> p2", "E p1 . A p2 . p1 & p2"])
@@ -655,7 +648,7 @@ def test_budget_counts_subsumption_hits(text):
 # sha256 over the verdict and the witness JSON of each query of
 # test_witnesses_stay_as_pinned; it pins what the search finds apart from
 # how much it searches, so a change to the search order keeps it
-WITNESS_DIGEST = "29f7858f5da2bdd6846e0806ed1e191a81baff0ea32d8c394d29b08f8ebe67db"
+WITNESS_DIGEST = "ae51a6351d0d61b9356c9277ef39fc11a63100f9f56e159d1982864dae3bb3b4"
 
 
 def test_witnesses_stay_as_pinned():
@@ -824,15 +817,15 @@ CONTEXT_CORPUS = build_corpus(n_max=4, matrix_size_max_n1=5, count=200, seed=0)
 def shared_run():
     """The star and then the alpha encoding of each CONTEXT_CORPUS instance
     decided in one context, as check_instance does, as (instance, formula,
-    verdict, memo size before the join, memo size after it)."""
+    verdict, the context's node count before the join, that after it)."""
     context = TableauContext()
     join = context.join
     sizes = []
 
     def spied(root):
-        before = len(context.cache)
+        before = context.nodes
         bit = join(root)
-        sizes.append((before, len(context.cache)))
+        sizes.append((before, context.nodes))
         return bit
 
     context.join = spied
@@ -858,51 +851,48 @@ def test_one_context_decides_a_corpus_like_fresh_ones(shared_run):
     )
 
 
-def test_no_query_starts_on_a_memo_above_the_cap(shared_run):
+def test_no_query_starts_on_a_context_over_the_node_cap(shared_run):
     starts = [after for _, _, _, _, after in shared_run]
-    assert max(starts) <= solver._CONTEXT_MEMO_CAP
+    assert max(starts) <= solver._CONTEXT_NODE_CAP
     # the cap was reached, and the context then started afresh
-    assert any(before > solver._CONTEXT_MEMO_CAP and after == 0 for _, _, _, before, after in shared_run)
+    assert any(before > solver._CONTEXT_NODE_CAP and after == 0 for _, _, _, before, after in shared_run)
 
 
 def _counters(verdict):
     sha = hashlib.sha256(model_to_json(verdict.witness).encode()).hexdigest() if verdict.satisfiable else None
-    counters = (verdict.nodes, verdict.depth, verdict.memo_hits, verdict.branches, verdict.nogood_hits)
+    counters = (verdict.nodes, verdict.depth, verdict.branches, verdict.nogood_hits, verdict.subsumption_hits)
     return verdict.satisfiable, *counters, sha
 
 
-def test_a_query_after_a_full_memo_searches_as_alone():
-    # the earlier query leaves 11,215 saturated states in the memo, over the
-    # cap, so the context starts afresh although 62 of the query's 117
-    # formulas are numbered in it
-    prefix = "A p1 . E p2 . A p3 . E p4 . A p5 . E p6 . A p7 . E p8 . A p9"
-    earlier = encode_alpha(parse_qbf(f"{prefix} . (p1 -> p2) & (p3 -> p4) & (p5 -> p6) & (p7 -> p8) | p9"))
+def test_a_query_after_the_node_cap_searches_as_alone():
+    # the earlier query searches 21,376 nodes, over the cap, so the context
+    # starts afresh although 62 of the query's 117 formulas are numbered in it
+    prefix = "A p1 . E p2 . A p3 . E p4 . A p5 . E p6 . A p7 . E p8 . A p9 . E p10"
+    earlier = encode_alpha(parse_qbf(f"{prefix} . (p1 -> p2) & (p3 -> p4) & (p5 -> p6) & (p7 -> p8) & (p9 -> p10)"))
     f = encode_alpha(parse_qbf("E p1 . A p2 . p1 | p2"))
     alone = TableauContext()
     alone.join(expand_sugar(f))
     context = TableauContext()
     sat_k_tableau(earlier, context=context)
-    assert len(context.cache) > solver._CONTEXT_MEMO_CAP and context.truths
+    assert context.nodes > solver._CONTEXT_NODE_CAP and context.truths
+    assert 2 * len(set(context.formulas) & set(alone.formulas)) > len(alone.formulas)
     context.join(expand_sugar(f))
     # the truth memo starts afresh with the rest, so no entry outlives the
     # numbering its bits were read in
     assert (len(context.truths), len(context.sat_rows), len(context.core_rows)) == (0, 0, 0)
     assert _counters(sat_k_tableau(f, context=context)) == _counters(sat_k_tableau(f))
     assert context.formulas == alone.formulas  # the context started afresh
-    # asked again, the query is all numbered and its root's state is known
+    # asked again under the cap, the query searches on top of what it stored
+    formulas = context.formulas
     again = sat_k_tableau(f, context=context)
-    assert (again.nodes, again.memo_hits) == (1, 1)
+    assert context.formulas is formulas and again.satisfiable == sat_k_tableau(f).satisfiable
 
 
 @pytest.mark.parametrize("text", [text for stage, text, _ in GOLDEN_TABLEAU if stage == "alpha"])
-def test_the_memo_is_keyed_by_saturated_states(monkeypatch, text):
-    # a key holds no conjunction and no ``false``: saturation drains the
-    # one and refutes the other, so only a saturated state is ever stored
+def test_joining_again_numbers_nothing(monkeypatch, text):
     root = expand_sugar(encode_alpha(parse_qbf(text)))
     context = TableauContext()
     sat_k_tableau(root, context=context)
-    assert context.cache
-    assert not [key for key in context.cache if key & (context.ands | context.falses)]
     # joining again numbers nothing and reads no record: the walk stops at
     # the root, whose closure is numbered
     built = []
@@ -925,10 +915,13 @@ def test_a_budget_error_leaves_a_shared_context_usable():
     sat_k_tableau(encode_alpha(parse_qbf("A p1 . E p2 . p1 -> p2")), context=context)
     queries = [parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 & p2) | (p3 & p4)")] * 2
     queries.append(parse_qbf("E p1 . A p2 . E p3 . A p4 . (p1 | p2) & (p3 | p4)"))
+    first = context.nodes
     with pytest.raises(SolverBudgetError):
         sat_k_tableau(encode_alpha(queries[0]), budget=1_000, context=context)
     formulas = context.formulas
-    assert 0 < len(context.cache) <= solver._CONTEXT_MEMO_CAP  # what the cut search stored stays
+    # what the cut search stored stays, and its nodes count towards the cap
+    assert context.nodes == first + 1_001 <= solver._CONTEXT_NODE_CAP
+    assert context.sat_rows and context.core_rows
     verdicts = []
     for qbf in queries[1:]:
         f = encode_alpha(qbf)
@@ -984,7 +977,7 @@ for stage, text in json.loads(sys.argv[1]):
         f = encode_alpha(parse_qbf(text))
     v = sat_k_tableau(f)
     sha = hashlib.sha256(model_to_json(v.witness).encode()).hexdigest() if v.satisfiable else None
-    rows.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, v.nogood_hits, sha])
+    rows.append([v.satisfiable, v.nodes, v.depth, v.branches, v.nogood_hits, v.subsumption_hits, sha])
 print(json.dumps(rows))
 """
 
@@ -1001,7 +994,7 @@ def test_cold_tables_in_reverse_order_search_alike():
     for stage, text in queries:
         v = sat_k_tableau(golden_formula(stage, text))
         sha = hashlib.sha256(model_to_json(v.witness).encode()).hexdigest() if v.satisfiable else None
-        expected.append([v.satisfiable, v.nodes, v.depth, v.memo_hits, v.branches, v.nogood_hits, sha])
+        expected.append([v.satisfiable, v.nodes, v.depth, v.branches, v.nogood_hits, v.subsumption_hits, sha])
     assert json.loads(out.stdout) == expected
 
 
@@ -1030,9 +1023,9 @@ def test_witness_is_built_on_first_read(monkeypatch, decide, builder):
     assert refuted.witness is None and len(calls) == 1
 
 
-def test_bounded_engine_has_no_memo_hits():
+def test_bounded_engine_has_no_tableau_counters():
     verdict = sat_bounded(parse_modal("<> p1 & [] ~p1"), 2)
-    assert verdict.memo_hits == verdict.branches == 0
+    assert verdict.branches == verdict.backjumps == verdict.nogood_hits == verdict.subsumption_hits == 0
 
 
 class TestDeepInput:

@@ -645,6 +645,39 @@ def test_budget_counts_subsumption_hits(text):
             sat_k_tableau(f, budget=budget)
 
 
+@pytest.mark.parametrize("text", ["A p1 . E p2 . p1 -> p2", "E p1 . A p2 . p1 & p2"])
+def test_a_cut_search_counts_its_nodes(text):
+    # a search cut short by its budget has searched one node more than the
+    # budget, and its context counts them all towards the reset cap; one
+    # with a budget of exactly its nodes counts its nodes
+    f = golden_formula("alpha", text)
+    nodes = sat_k_tableau(f).nodes
+    for budget in range(1, nodes):
+        context = TableauContext()
+        with pytest.raises(SolverBudgetError):
+            sat_k_tableau(f, budget=budget, context=context)
+        assert context.nodes == budget + 1
+    context = TableauContext()
+    sat_k_tableau(f, budget=nodes, context=context)
+    assert context.nodes == nodes
+
+
+# the GOLDEN_TABLEAU alpha queries of two and three quantifiers
+@pytest.mark.parametrize("stage, text", by_query([row[:2] for row in GOLDEN_TABLEAU[4:12] if row[0] == "alpha"]))
+def test_a_context_counts_the_nodes_of_its_queries(stage, text):
+    # the count the reset rule reads starts at 0 and grows by each query's
+    # nodes, whether the query is new to the context or asked again
+    f = golden_formula(stage, text)
+    context = TableauContext()
+    assert context.nodes == 0
+    first = sat_k_tableau(f, context=context)
+    assert first == sat_k_tableau(f)
+    assert context.nodes == first.nodes
+    again = sat_k_tableau(f, context=context)
+    assert again.satisfiable == first.satisfiable
+    assert context.nodes == first.nodes + again.nodes <= solver._CONTEXT_NODE_CAP
+
+
 # sha256 over the verdict and the witness JSON of each query of
 # test_witnesses_stay_as_pinned; it pins what the search finds apart from
 # how much it searches, so a change to the search order keeps it

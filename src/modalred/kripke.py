@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from json.encoder import encode_basestring_ascii
@@ -66,6 +66,8 @@ from .syntax import (
     MVar,
     ModalFormula,
     _fold,
+    _frozen_delattr,
+    _frozen_setattr,
     _require_int,
     expand_sugar,
     modal_vars,
@@ -109,14 +111,6 @@ def _world_ne(self, other):
 def _unordered(self, other):
     # NotImplemented would let a plain tuple order a world as a tuple
     raise TypeError(f"worlds are unordered: cannot order {self!r} and {other!r}")
-
-
-def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class BaseWorld(NamedTuple):
@@ -355,17 +349,11 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 def _select(items, row: int):
     """The entries of ``items`` at the set bits of ``row``, lowest first, as
-    an iterable.  A sparse row is read bit by bit; a dense one as the
-    reversed binary digits of ``row``, turned into 0/1 flags for
-    ``itertools.compress``, which keeps the entries in C."""
+    an iterable.  A sparse row is read bit by bit through ``_bits``; a
+    dense one as the reversed binary digits of ``row``, turned into 0/1
+    flags for ``itertools.compress``, which keeps the entries in C."""
     if row.bit_count() * _DENSE_RUN < row.bit_length():
-        picked = []
-        while row:
-            i = row.bit_length() - 1
-            picked.append(items[i])
-            row ^= 1 << i
-        picked.reverse()
-        return picked
+        return [items[i] for i in _bits(row)]
     return compress(items, bin(row)[:1:-1].encode().translate(_BIT_FLAGS))
 
 

@@ -167,11 +167,10 @@ _CONTEXT = TableauContext()
 # no earlier one shared, and in _WITNESSES, by the prefix and the existential
 # choices that fix the tree, the tree, on whose frame a star encoding does
 # the same, the closure verdicts and the star-equivalence violations.  Both
-# start afresh before a new tree joins when the models hold more than
-# _WITNESS_WORLDS_CAP worlds, and drop the trees and their masks.
+# keep one entry per distinct tree for the life of the process, as the
+# hash-cons pool keeps one node per distinct formula.
 _EXTENDED: dict = {}
 _WITNESSES: dict = {}
-_WITNESS_WORLDS_CAP = 10_000
 # each closure check: its record key, the closure and the frame class
 _CLOSURES = (
     ("gl", "transitive", "GL"), ("grz", "reflexive_transitive", "Grz"), ("ktb", "reflexive_symmetric", "KTB")
@@ -232,9 +231,6 @@ def check_instance(
             # the prefix and the existential choices fix the tree
             key = (ctx.quantifiers, _tree_choices(f))
             witness = _WITNESSES.get(key)
-            if witness is None and sum(len(m.frame.order) for m in _EXTENDED.values()) > _WITNESS_WORLDS_CAP:
-                _EXTENDED.clear()
-                _WITNESSES.clear()
             # a stored tree's frame keeps the masks of the conjuncts checked on it
             tree = quantifier_tree(f) if witness is None else witness[0]
             record["witness_ok"] = model_check(tree, tree.root, star)

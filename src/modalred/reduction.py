@@ -234,8 +234,11 @@ def _prefix_conjuncts(ctx: EncodingContext) -> tuple[ModalFormula, ...]:
 
 
 # alpha(k) by k, built once per process; a ladder is a hash-consed node, so
-# the table hands out the node that building it again would give
+# the table hands out the node that building it again would give.  F_m by m
+# likewise: every call of frame_fm and every F_m block of an extended model
+# reads the one frame
 _LADDERS: dict = {}
+_GADGETS: dict = {}
 
 
 def alpha(k: int) -> ModalFormula:
@@ -342,9 +345,12 @@ def _gadget_edges(m: int):
 def frame_fm(m: int) -> KripkeFrame:
     """The gadget frame F_m: an irreflexive ladder a_0 -> ... -> a_m with a
     reflexive side world b below a_0, transitively closed."""
-    _require_int("gadget index", m)
-    worlds, edges, _ = _gadget_edges(m)
-    return close(KripkeFrame(frozenset(worlds), edges), "transitive")
+    _require_int("gadget index", m)  # before the lookup: True == 1 would find F_1
+    frame = _GADGETS.get(m)
+    if frame is None:
+        worlds, edges, _ = _gadget_edges(m)
+        frame = _GADGETS[m] = close(KripkeFrame(frozenset(worlds), edges), "transitive")
+    return frame
 
 
 def frame_fm_plus(m: int) -> KripkeFrame:
@@ -387,9 +393,9 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     """``extend_model`` without a table.
 
     The closed frame is written row by row, never built from pairs and
-    closed afterwards.  Each F_m is one block of worlds ``gadget:m<m>:<part>``
-    after the base worlds, in id order: a_i sees a_j for j > i, a_0 sees b
-    and b sees itself.  A base world sees its reach in the base frame and
+    closed afterwards.  Each F_m is one block after the base worlds, in id
+    order: the worlds, ids and rows of ``frame_fm(m)``, the rows shifted to
+    the block's start.  A base world sees its reach in the base frame and
     every F_m whose p_m fails at it.  Where p_m fails in a world's reach,
     persistence makes it fail at the world too, so the rows are closed.
     """
@@ -409,24 +415,18 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     full = (1 << len(base_worlds)) - 1
     order, ids = list(base_worlds), list(base_ids)
     rows = kripke._close_rows(list(base_frame.succ))
-    for prefix, m in sorted((f"gadget:m{m}:", m) for m in range(1, ctx.var_count + 1)):
+    # the blocks in id order: gadget:m10: sorts before gadget:m1:
+    for m in sorted(range(1, ctx.var_count + 1), key=lambda m: f"gadget:m{m}:"):
         lacking = full & ~holders.get(m, 0)
         if not lacking:
             continue
-        parts = sorted([*(f"a{i}" for i in range(m + 1)), "b"])  # a10 sorts before a2
-        at = {part: len(order) + k for k, part in enumerate(parts)}
-        order += [GadgetWorld(m, part) for part in parts]
-        ids += [prefix + part for part in parts]
-        rows += [0] * len(parts)
-        b = 1 << at["b"]
-        rows[at["b"]] = b
-        above = 0  # the rungs above a_i
-        for i in reversed(range(m + 1)):
-            rows[at[f"a{i}"]] = above
-            above |= 1 << at[f"a{i}"]
-        rows[at["a0"]] |= b
+        gadget, start = frame_fm(m), len(order)
+        order += gadget.order
+        ids += gadget.ids
+        rows += [row << start for row in gadget.succ]
+        block = ((1 << len(gadget.order)) - 1) << start
         for i in kripke._bits(lacking):
-            rows[i] |= above | b
+            rows[i] |= block
     position = {w: i for i, w in enumerate(order)}
     # the frozenset reuses the hashes the position dict stored
     frame = KripkeFrame.__new__(KripkeFrame)._fill(frozenset(position), tuple(order), position, tuple(rows), tuple(ids))

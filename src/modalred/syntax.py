@@ -98,6 +98,16 @@ def _require_int(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+# the field guards of every immutable class of the package: formula nodes
+# here, worlds and frames in ``kripke``
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 _POOL: dict = {}
 
 
@@ -126,11 +136,7 @@ class Formula:
             node = _POOL.setdefault(key, node)
         return node
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
 
     def __repr__(self):
         return f"{type(self).__name__}({render(self)!r})"

@@ -202,7 +202,7 @@ class TestWitnessTable:
         self.clear(monkeypatch)
         assert self.digest() == self.PIN
 
-    def test_a_reset_mid_run_keeps_the_report_bytes(self, monkeypatch):
+    def test_a_second_run_builds_no_model_and_keeps_the_report_bytes(self, monkeypatch):
         from modalred import pipeline, reduction
 
         builds = []
@@ -218,12 +218,9 @@ class TestWitnessTable:
         trees = len(builds)
         assert trees == len(pipeline._EXTENDED)
         builds.clear()
-        self.clear(monkeypatch)
-        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 100)
         assert self.digest() == self.PIN
-        # the table started afresh, so some trees were built again
-        assert len(builds) > trees
-        assert len(pipeline._EXTENDED) < trees
+        # the table keeps every tree for the life of the process
+        assert not builds and len(pipeline._EXTENDED) == trees
 
     def test_each_true_instance_extends_and_checks_its_model(self, monkeypatch):
         # perfbench's traced run sums the worlds of the models that
@@ -276,7 +273,7 @@ class TestWitnessTable:
         assert not any(node in steps for node in shared)
         assert stars[1].items[5] in steps
 
-    def test_a_reset_drops_the_stored_trees_and_their_masks(self, monkeypatch):
+    def test_a_new_tree_keeps_the_stored_trees_and_their_masks(self, monkeypatch):
         from modalred import pipeline
 
         self.clear(monkeypatch)
@@ -284,28 +281,19 @@ class TestWitnessTable:
         stored = [weakref.ref(tree) for tree, _, _ in pipeline._WITNESSES.values()]
         frames = [weakref.ref(tree.frame) for tree, _, _ in pipeline._WITNESSES.values()]
         assert len(stored) == 12
-        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 0)
         new = parse_qbf("A p1 . A p2 . A p3 . p3 | ~p3")
         assert check_instance(new, 0, c2=1)["pass"]
         gc.collect()
-        assert not any(ref() for ref in stored + frames)
-        ((tree, _, _),) = pipeline._WITNESSES.values()
-        assert tree == quantifier_tree(new)
+        assert all(ref() for ref in stored + frames)
+        trees = [tree for tree, _, _ in pipeline._WITNESSES.values()]
+        assert len(trees) == 13 and trees[-1] == quantifier_tree(new)
 
-    def test_a_lowered_cap_keeps_the_bytes_of_fresh_tables_per_instance(self, monkeypatch):
+    def test_shared_tables_keep_the_bytes_of_fresh_tables_per_instance(self, monkeypatch):
         from modalred import pipeline
 
-        class Counted(dict):
-            def clear(self):
-                resets.append(len(self))
-                super().clear()
-
-        resets = []
         self.clear(monkeypatch)
-        monkeypatch.setattr(pipeline, "_EXTENDED", Counted())
-        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 300)
         shared = report_lines(run_verify(n_max=3, count=60, seed=5))
-        assert len(resets) >= 3
+        assert len(pipeline._EXTENDED) >= 3
 
         def fresh(*args, **kwargs):
             pipeline._EXTENDED, pipeline._WITNESSES = {}, {}
@@ -343,28 +331,20 @@ class TestWitnessTable:
         for (key, tree), (other_key, other) in itertools.combinations(zip(keys, trees), 2):
             assert (key == other_key) == (tree == other)
 
-    def test_a_lowered_cap_keeps_the_bytes_of_the_tree_keyed_table(self, monkeypatch):
+    def test_the_choice_keyed_table_keeps_the_bytes_of_the_tree_keyed_table(self, monkeypatch):
         # keyed by the tree itself, the table holds the same entries in the
-        # same order, so it starts afresh at the same instances
+        # same order
         from modalred import pipeline
 
-        reports, resets = [], []
-
-        class Counted(dict):
-            def clear(self):
-                resets.append(len(self))
-                super().clear()
-
-        monkeypatch.setattr(pipeline, "_WITNESS_WORLDS_CAP", 300)
+        reports, entries = [], []
         for keyed_by_tree in (False, True):
             if keyed_by_tree:
                 monkeypatch.setattr(pipeline, "_tree_choices", quantifier_tree)
             self.clear(monkeypatch)
-            monkeypatch.setattr(pipeline, "_WITNESSES", Counted())
             reports.append(report_lines(run_verify(n_max=3, count=60, seed=5)))
-            resets.append(None)
+            entries.append(list(pipeline._WITNESSES.values()))
         assert reports[0] == reports[1]
-        assert resets[: len(resets) // 2] == resets[len(resets) // 2 :] and len(resets) >= 8
+        assert entries[0] == entries[1] and len(entries[0]) >= 8
 
 
 class TestRunVerify:

@@ -578,6 +578,32 @@ class TestExtendModelClosedForm:
                 assert ids.index("gadget:m10:a0") < ids.index("gadget:m1:a0")
                 assert ids.index("gadget:m12:a10") < ids.index("gadget:m12:a2")
 
+    def test_every_block_is_frame_fm_shifted_to_its_start(self):
+        # F_m has one definition: frame_fm builds it once per process, and
+        # each block of an extended model is that frame's worlds, ids and
+        # rows, the rows shifted to the block's first position
+        checked = set()
+        for f in _layout_corpus():
+            base, ctx = quantifier_tree(f), prepare_context(f)
+            if ctx.var_count < 10:
+                continue
+            frame = extend_model(base, ctx).frame
+            for m in range(1, ctx.var_count + 1):
+                gadget = frame_fm(m)
+                if gadget.ids[0] not in frame.ids:
+                    continue  # every base world holds p_m
+                start = frame.ids.index(gadget.ids[0])
+                block = slice(start, start + len(gadget.order))
+                assert frame.order[block] == gadget.order
+                assert frame.ids[block] == gadget.ids
+                assert frame.succ[block] == tuple(row << start for row in gadget.succ)
+                checked.add(m)
+        assert {10, 11, 12} <= checked
+        assert all(frame_fm(m) is frame_fm(m) for m in range(1, 13))
+        # the table holds F_1, and True == 1: the index is checked first
+        with pytest.raises(ValueError, match="gadget index must be a positive integer, got True"):
+            frame_fm(True)
+
     @pytest.mark.parametrize("case", _hand_built_bases(), ids=lambda case: case[0])
     def test_hand_built_bases_match_the_pair_built_closure(self, case):
         _, base, ctx = case

@@ -21,24 +21,28 @@ that share an id string; ``close`` and ``extend_model`` hand rows they
 already have to a new frame.  Model checking, closures, frame classes,
 validity and the JSON and DOT views all read the fields; ``relation``, the
 set of pairs, is a view derived from the rows the first time it is read,
-and so are the predecessor rows; a frame that is never evaluated derives
+and so are the predecessor rows, unless the frame's builder hands them
+over, as ``extend_model`` does; a frame that is never evaluated derives
 neither.  Equal frames have equal worlds and equal rows, and equality and
 hashing compare just those two.
 
 Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization: <> T is the
 OR of the predecessor rows of T's worlds and [] is its dual, so one modal
-node costs at most |worlds| ORs of |worlds|-bit rows.  A sparse mask is
-read bit by bit, from its highest bit down; a dense one, with at least one
-set bit in 16 positions, is read in C: its binary digits pick the rows
-through ``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON
-writer reads rows the same way.  A formula's mask depends on the rows and
-on the masks of its variables alone, so each frame keeps the
-masks it has evaluated, one table per valuation, keyed by the variable masks
-that valuation gives; a variable-free formula's table has the empty key.  So
-every model on the frame evaluates a variable-free formula and its
-subformulas once, and every model with the same valuation a formula with
-variables.  A model's valuation is read afresh at each call, so a changed
+node costs at most |worlds| ORs of |worlds|-bit rows.  One loop over an
+explicit stack does it, dispatching on the node's class.  Sugar is
+evaluated in place: box^n and dia^n iterate the [] or <> step, box<=n and
+box+ AND the body with its boxes, and no expanded formula is built.  A
+sparse mask is read bit by bit, from its highest bit down; a dense one,
+with at least one set bit in 16 positions, is read in C: its binary digits
+pick the rows through ``itertools.compress`` and ``functools.reduce`` ORs
+them.  The JSON writer reads rows the same way.  A formula's mask depends
+on the rows and on the masks of its variables alone, so each frame keeps
+the masks it has evaluated, one table per valuation, keyed by the variable
+masks that valuation gives; a variable-free formula's table has the empty
+key.  A table is keyed by the nodes as given, sugar included.  So every
+model on the frame evaluates a variable-free formula and its subformulas
+once, and every model with the same valuation a formula with variables.  A model's valuation is read afresh at each call, so a changed
 valuation is never answered from a table of the old one.
 """
 
@@ -50,14 +54,17 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import and_, itemgetter, or_
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
     MAnd,
     MBox,
+    MBoxLe,
     MBoxPlus,
+    MBoxPow,
     MDia,
+    MDiaPow,
     MFalse,
     MImp,
     MNot,
@@ -65,11 +72,11 @@ from .syntax import (
     MTrue,
     MVar,
     ModalFormula,
-    _fold,
     _frozen_delattr,
     _frozen_setattr,
     _require_int,
-    expand_sugar,
+    # nothing here calls it; perfbench's traced run rebinds this name
+    expand_sugar,  # noqa: F401
     modal_vars,
 )
 
@@ -225,7 +232,8 @@ class KripkeFrame:
     rows.  ``relation`` accepts any iterable of pairs, each of which must
     stay inside ``worlds``, and reads back as the frozenset of pairs the
     rows hold, derived the first time it is read.  The predecessor rows
-    that model checking reads are derived likewise.  The masks of the
+    that model checking reads are derived likewise, unless the builder
+    hands them over (``_fill``'s ``pred``).  The masks of the
     formulas checked on the frame are kept with it, one table per
     valuation, for every model on it.
     """
@@ -247,10 +255,14 @@ class KripkeFrame:
             succ[i] |= 1 << j
         self._fill(worlds, order, position, tuple(succ), ids)
 
-    def _fill(self, worlds, order, position, succ, ids) -> KripkeFrame:
+    def _fill(self, worlds, order, position, succ, ids, pred=None) -> KripkeFrame:
         """Set the fields, unchecked, and return the frame: every frame is
-        built here, from rows its builder already has."""
-        vars(self).update(worlds=worlds, order=order, position=position, succ=succ, ids=ids)
+        built here, from rows its builder already has.  A builder that has
+        the predecessor rows too hands them over in ``pred``."""
+        fields = vars(self)
+        fields.update(worlds=worlds, order=order, position=position, succ=succ, ids=ids)
+        if pred is not None:
+            fields["_pred"] = pred
         return self
 
     @cached_property
@@ -267,9 +279,10 @@ class KripkeFrame:
     @cached_property
     def _masks(self) -> dict:
         """The masks of the formulas evaluated on this frame, one table per
-        valuation, keyed by sugar-free node.  A table's key is the frozenset
-        of the (index, mask) pairs it was computed under; the empty key holds
-        the variable-free formulas, which every model on the frame shares."""
+        valuation, keyed by node as given, sugar included.  A table's key is
+        the frozenset of the (index, mask) pairs it was computed under; the
+        empty key holds the variable-free formulas, which every model on the
+        frame shares."""
         return {}
 
     __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
@@ -383,62 +396,113 @@ def _mask(position: Mapping[WorldId, int], worlds) -> int:
     return mask
 
 
-def _dia_mask(g, masks, var_masks, pred, full) -> int:
-    # <> T marks the predecessors of T's worlds
-    return reduce(or_, _select(pred, masks[0]), 0)
-
-
-def _box_mask(g, masks, var_masks, pred, full) -> int:
-    # [] T is ~<>~T
-    return full & ~reduce(or_, _select(pred, full & ~masks[0]), 0)
-
-
-#: How each sugar-free node class turns its children's masks into its own.
-_MASK_STEPS = {
-    MVar: lambda g, masks, var_masks, pred, full: var_masks.get(g.index, 0),
-    MFalse: lambda g, masks, var_masks, pred, full: 0,
-    MTrue: lambda g, masks, var_masks, pred, full: full,
-    MNot: lambda g, masks, var_masks, pred, full: full & ~masks[0],
-    MAnd: lambda g, masks, var_masks, pred, full: reduce(and_, masks, full),
-    MOr: lambda g, masks, var_masks, pred, full: masks[0] | masks[1],
-    MImp: lambda g, masks, var_masks, pred, full: (full & ~masks[0]) | masks[1],
-    MBox: _box_mask,
-    MDia: _dia_mask,
-}
+#: The node classes with one child, ``body``: ~, <>, [] and the sugar that
+#: iterates <> or [].
+_UNARY = frozenset((MNot, MBox, MDia, MBoxPlus, MBoxLe, MBoxPow, MDiaPow))
 
 
 def _eval_masks(
     f: ModalFormula, var_masks: Mapping[int, int], pred: tuple[int, ...], memo: dict | None = None
 ) -> int:
-    """Mask of worlds satisfying ``f`` (already sugar-free) on the frame whose
-    predecessor rows are ``pred``.  Each node's mask comes from its
-    children's by the rule ``_MASK_STEPS`` holds for its class; <> ORs the
-    predecessor rows that ``_select`` picks out of its body's mask, and []
-    complements that OR over the body's complement.  Calls that pass the
-    same ``memo`` must pass the same masks and rows; they then evaluate
-    each subformula they share once."""
+    """Mask of worlds satisfying ``f`` on the frame whose predecessor rows
+    are ``pred``.  One loop over an explicit stack stores each node's mask in
+    ``memo`` once its children's are there, children first and left to
+    right, and reads the rule off the node's class: <> ORs the predecessor
+    rows that ``_select`` picks out of its body's mask, and [] complements
+    that OR over the body's complement.  Sugar is evaluated in place, never
+    expanded: box^n and dia^n iterate that step n times, and box<=n and
+    box+ (box<=1) AND the body with its first n boxes.  Calls that pass the
+    same ``memo`` must pass the same masks and rows; they then evaluate each
+    subformula they share once.  A mask may be 0, so a node is missing when
+    its entry is None."""
+    if memo is None:
+        memo = {}
+    mask = memo.get(f)
+    if mask is not None:
+        return mask
     full = (1 << len(pred)) - 1
-
-    def step(g, masks) -> int:
-        rule = _MASK_STEPS.get(type(g))
-        if rule is None:
-            raise TypeError(f"unexpanded or non-modal node: {g!r}")
-        return rule(g, masks, var_masks, pred, full)
-
-    return _fold(f, step, {} if memo is None else memo)
+    get = memo.get
+    stack = [f]
+    push, pop = stack.append, stack.pop
+    while stack:
+        g = stack[-1]
+        if get(g) is not None:  # pushed twice before its first evaluation
+            pop()
+            continue
+        cls = g.__class__
+        if cls in _UNARY:
+            mask = get(g.body)
+            if mask is None:
+                push(g.body)
+                continue
+            if cls is MNot:
+                mask = full & ~mask
+            elif cls is MDia:
+                # <> T marks the predecessors of T's worlds
+                mask = reduce(or_, _select(pred, mask), 0)
+            elif cls is MBox:
+                # [] T is ~<>~T
+                mask = full & ~reduce(or_, _select(pred, full & ~mask), 0)
+            elif cls is MDiaPow or cls is MBoxPow:
+                # box^n T is ~dia^n ~T
+                reach = mask if cls is MDiaPow else full & ~mask
+                for _ in range(g.power):
+                    reach = reduce(or_, _select(pred, reach), 0)
+                mask = reach if cls is MDiaPow else full & ~reach
+            else:
+                # box<=n T is ~(~T | <> ~T | ... | dia^n ~T); box+ T is box<=1 T
+                reach = seen = full & ~mask
+                for _ in range(1 if cls is MBoxPlus else g.bound):
+                    reach = reduce(or_, _select(pred, reach), 0)
+                    seen |= reach
+                mask = full & ~seen
+        elif cls is MAnd:
+            mask = full
+            for h in g.items:
+                kid = get(h)
+                if kid is None:
+                    break
+                mask &= kid
+            if kid is None:  # the conjuncts first; the known ones are popped at once
+                stack += reversed(g.items)
+                continue
+        elif cls is MImp or cls is MOr:
+            left, right = get(g.left), get(g.right)
+            if left is None or right is None:
+                if right is None:
+                    push(g.right)
+                if left is None:
+                    push(g.left)
+                continue
+            mask = left | right if cls is MOr else full & ~left | right
+        elif cls is MVar:
+            mask = var_masks.get(g.index, 0)
+        elif cls is MTrue:
+            mask = full
+        elif cls is MFalse:
+            mask = 0
+        else:
+            raise TypeError(f"not a modal formula: {g!r}")
+        memo[g] = mask
+        pop()
+    return memo[f]
 
 
 def _model_mask(model: KripkeModel, f: ModalFormula) -> int:
-    g = expand_sugar(f)
+    """Mask of the worlds of ``model`` satisfying ``f``, read from or added
+    to the frame's table for the model's valuation.  Tables are keyed by the
+    nodes as given, sugar included, since sugar is evaluated in place."""
     frame = model.frame
     var_masks = {}
-    if modal_vars(g):  # else no valuation reaches it, and every model shares its table
+    if modal_vars(f):  # else no valuation reaches it, and every model shares its table
         var_masks = {var: _mask(frame.position, members) for var, members in model.valuation.items()}
-    return _eval_masks(g, var_masks, frame._pred, frame._masks.setdefault(frozenset(var_masks.items()), {}))
+    return _eval_masks(f, var_masks, frame._pred, frame._masks.setdefault(frozenset(var_masks.items()), {}))
 
 
 def model_check(model: KripkeModel, world: WorldId, f: ModalFormula) -> bool:
-    """Standard Kripke satisfaction of ``f`` at ``world`` (sugar expanded)."""
+    """Standard Kripke satisfaction of ``f`` at ``world``.  Sugar is
+    evaluated in place, and the answer is kept in the frame's table under
+    ``f`` as given, sugar included."""
     i = model.frame.position.get(world)
     if i is None:
         raise ValueError(f"unknown world: {world!r}")
@@ -519,19 +583,20 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
 
     All 2^(|worlds| * v) valuations of the v variables are searched, so a
     variable-free formula needs a single bitmask evaluation, which reads and
-    fills the frame's table of variable-free masks as model checking does.
+    fills the frame's table of variable-free masks as model checking does:
+    keyed by the nodes as given, sugar included, which is evaluated in
+    place.
     ``budget`` must be a non-negative integer (ValueError otherwise); the
     search refuses (raises ValuationBudgetError) when |worlds| * v exceeds
     ``budget`` bits, so it never silently guesses.
     """
     _require_int("budget", budget, least=0)
-    g = expand_sugar(f)
-    variables = sorted(modal_vars(g))
+    variables = sorted(modal_vars(f))
     n = len(frame.worlds)
     full = (1 << n) - 1
     if not variables:
         # one valuation, which nothing reads: the frame's table answers
-        return _eval_masks(g, {}, frame._pred, frame._masks.setdefault(frozenset(), {})) == full
+        return _eval_masks(f, {}, frame._pred, frame._masks.setdefault(frozenset(), {})) == full
     bits = n * len(variables)
     if bits > budget:
         raise ValuationBudgetError(
@@ -542,7 +607,7 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
         var_masks = {}
         for vi, var in enumerate(variables):
             var_masks[var] = (combo >> (vi * n)) & full
-        if _eval_masks(g, var_masks, pred) != full:
+        if _eval_masks(f, var_masks, pred) != full:
             return False
     return True
 

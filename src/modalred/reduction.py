@@ -144,7 +144,8 @@ def encode_star(f: QbfFormula) -> tuple[ModalFormula, EncodingContext]:
     """The six-conjunct modal encoding of a closed prenex QBF.
 
     Depth sugar is kept as box<= / box^ nodes so dumps show the intended
-    shape; expand_sugar flattens it for checking and size counting.
+    shape; model checking evaluates it in place, and expand_sugar flattens
+    it for the tableau and size counting.
     """
     ctx = prepare_context(f)
     shared = _PREFIXES.get(ctx.quantifiers)
@@ -415,6 +416,9 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
     full = (1 << len(base_worlds)) - 1
     order, ids = list(base_worlds), list(base_ids)
     rows = kripke._close_rows(list(base_frame.succ))
+    # no gadget world sees a base world: a base world's predecessors are
+    # those of the closed base rows
+    pred = list(kripke._transpose(rows))
     # the blocks in id order: gadget:m10: sorts before gadget:m1:
     for m in sorted(range(1, ctx.var_count + 1), key=lambda m: f"gadget:m{m}:"):
         lacking = full & ~holders.get(m, 0)
@@ -424,12 +428,15 @@ def _extend(base: KripkeModel, ctx: EncodingContext) -> KripkeModel:
         order += gadget.order
         ids += gadget.ids
         rows += [row << start for row in gadget.succ]
+        pred += [row << start | lacking for row in gadget._pred]
         block = ((1 << len(gadget.order)) - 1) << start
         for i in kripke._bits(lacking):
             rows[i] |= block
     position = {w: i for i, w in enumerate(order)}
     # the frozenset reuses the hashes the position dict stored
-    frame = KripkeFrame.__new__(KripkeFrame)._fill(frozenset(position), tuple(order), position, tuple(rows), tuple(ids))
+    frame = KripkeFrame.__new__(KripkeFrame)._fill(
+        frozenset(position), tuple(order), position, tuple(rows), tuple(ids), tuple(pred)
+    )
     return KripkeModel(frame, dict(base.valuation), base.root)
 
 

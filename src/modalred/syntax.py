@@ -20,15 +20,16 @@ One loop parses both languages by Dijkstra's shunting yard: finished formulas
 wait on an operand stack and pending operators on an operator stack, until a
 token of lower binding power in the table ``_GRAMMAR`` ends their operands.
 
-Every formula walker in the package is a step function over one fold,
-``_fold``: a memoized post-order walk with an explicit stack, driven by one
-table of node children.  So all walks share one traversal order, and no walk
-is bounded by Python's recursion limit.  The walkers are ``render``,
+Every formula walker in the package but one is a step function over one
+fold, ``_fold``: a memoized post-order walk with an explicit stack, driven by
+one table of node children.  So all walks share one traversal order, and no
+walk is bounded by Python's recursion limit.  The walkers are ``render``,
 ``substitute``, ``expand_sugar``, ``formula_size`` and ``modal_vars`` here;
 ``free_vars``, ``is_prenex``, the truth tables and the bound-variable count
-in ``qbf``; the matrix conversion of ``reduction.encode_star``; the NNF, the
-may-spawn mark and the oracle's subformula list in ``solver``; and mask
-evaluation in ``kripke``.  A node's value depends on the node alone, so most
+in ``qbf``; the matrix conversion of ``reduction.encode_star``; and the NNF,
+the may-spawn mark and the oracle's subformula list in ``solver``.  Mask
+evaluation in ``kripke`` keeps the same order in a loop of its own, which
+evaluates sugar in place.  A node's value depends on the node alone, so most
 memos are kept for the whole process: those of ``substitute`` (one per
 mapping), ``expand_sugar``, ``formula_size``, ``modal_vars``, ``free_vars``,
 ``is_prenex``, the matrix conversion, the NNF and the may-spawn mark, and

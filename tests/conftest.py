@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from hypothesis import strategies as st
 
+from modalred import kripke
 from modalred.kripke import BaseWorld, GadgetWorld, KripkeFrame, KripkeModel, close, world_id_str
 from modalred.pipeline import random_matrix
 from modalred.qbf import prenex_join, universal_closure
@@ -251,6 +253,24 @@ def fold_steps(monkeypatch, module) -> list:
         return fold(root, step, memo)
 
     monkeypatch.setattr(module, "_fold", counting)
+    return steps
+
+
+def mask_steps(monkeypatch) -> list:
+    """The nodes that model checking adds to a mask table from now on, in
+    the order ``kripke._eval_masks`` adds them; a call without a table fills
+    a fresh one, whose nodes count too."""
+    steps, evaluate = [], kripke._eval_masks
+
+    def recording(f, var_masks, pred, memo=None):
+        table = {} if memo is None else memo
+        known = len(table)  # tables only grow, in insertion order
+        try:
+            return evaluate(f, var_masks, pred, table)
+        finally:
+            steps.extend(islice(table, known, None))
+
+    monkeypatch.setattr(kripke, "_eval_masks", recording)
     return steps
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_steps, make_random_model, random_modal_formula, sugared_modal_formulas
-from modalred import kripke
+from conftest import make_random_model, mask_steps, random_modal_formula, sugared_modal_formulas
+from modalred import kripke, syntax
 from modalred.kripke import (
     BaseWorld,
     GadgetWorld,
@@ -31,10 +31,15 @@ from modalred.kripke import (
     world_id_str,
 )
 from modalred.syntax import (
+    MAnd,
     MBox,
+    MBoxLe,
+    MBoxPlus,
     MBoxPow,
     MDia,
+    MDiaPow,
     MFalse,
+    MNot,
     MTrue,
     MVar,
     expand_sugar,
@@ -316,7 +321,7 @@ class TestFrameValidates:
         from modalred.reduction import alpha, frame_fm_plus
 
         frame = frame_fm_plus(8)
-        steps = fold_steps(monkeypatch, kripke)
+        steps = mask_steps(monkeypatch)
         answers = "".join("1" if frame_validates(frame, alpha(k)) else "0" for k in range(1, 17))
         assert answers == "1111111011111111"
         # the ladders share their rungs, so each node is evaluated once:
@@ -355,9 +360,13 @@ class TestFrameValidates:
 
 def _naive_masks(f, var_masks, succ):
     """Mask of the worlds where ``f`` (sugar-free) holds, world by world by
-    the plain Kripke clauses over the successor rows ``succ``."""
+    the plain Kripke clauses over the successor rows ``succ``; each (world,
+    subformula) answer is kept, so deep formulas cost no more than wide ones."""
+    from functools import cache
+
     from modalred.syntax import MAnd, MImp, MNot, MOr
 
+    @cache
     def holds(i, g):
         seen = [j for j in range(len(succ)) if succ[i] >> j & 1]
         if isinstance(g, MVar):
@@ -501,6 +510,44 @@ class TestPredecessorRows:
             assert kripke._eval_masks(f, var_masks, frame._pred) == expected, (f, frame)
         assert sizes == set(range(7))
 
+    @given(sugared_modal_formulas(max_leaves=8), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_sugar_in_place_equals_expand_then_evaluate(self, f, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 6)
+        frame = _random_rows_frame(rng, n)
+        var_masks = {k: rng.getrandbits(n) for k in (1, 2, 3)}
+        expected = _naive_masks(expand_sugar(f), var_masks, frame.succ)
+        assert kripke._eval_masks(f, var_masks, frame._pred) == expected, (f, frame)
+        assert kripke._eval_masks(expand_sugar(f), var_masks, frame._pred) == expected
+
+    def test_sugar_bounds_zero_deep_and_nested(self):
+        # powers and bounds from 0 up past the depth of every frame, and
+        # sugar nested in sugar
+        p, q = MVar(1), MVar(2)
+        formulas = [
+            cls(k, body)
+            for cls in (MBoxLe, MBoxPow, MDiaPow)
+            for k in (0, 1, 2, 3, 7, 12)
+            for body in (p, MNot(q), MFalse(), MTrue())
+        ]
+        formulas += [MBoxPlus(body) for body in (p, MNot(q), MFalse(), MTrue())]
+        formulas += [
+            MBoxLe(2, MDiaPow(3, MBoxPlus(MBoxPow(0, p)))),
+            MBoxPow(2, MAnd((MBoxLe(0, p), MDiaPow(2, MBoxLe(3, q)), MBoxPlus(MBoxPlus(p))))),
+            MDiaPow(1, MBoxLe(1, MDiaPow(0, MBoxPow(4, MNot(p))))),
+        ]
+        rng = random.Random(46)
+        for _ in range(60):
+            n = rng.randint(0, 7)
+            frame = _random_rows_frame(rng, n)
+            var_masks = {1: rng.getrandbits(n), 2: rng.getrandbits(n)}
+            memo = {}
+            for f in formulas:
+                expected = _naive_masks(expand_sugar(f), var_masks, frame.succ)
+                assert kripke._eval_masks(f, var_masks, frame._pred) == expected, (f, frame)
+                assert kripke._eval_masks(f, var_masks, frame._pred, memo) == expected, (f, frame)
+
     @pytest.mark.parametrize(
         "text,answers",
         [
@@ -530,11 +577,13 @@ class TestPredecessorRows:
         frame_to_dot(witness.frame)
         with pytest.raises(ValuationBudgetError):
             frame_validates(extended.frame, wgrz_axiom())
-        for frame in (tree.frame, extended.frame, witness.frame):
+        for frame in (tree.frame, witness.frame):
             assert "_pred" not in vars(frame)
+        # an extended frame is built with its predecessor rows, which the
+        # checks read and never rebuild
+        pred = vars(extended.frame)["_pred"]
         assert model_check(tree, tree.root, star)
         assert model_check(extended, extended.root, encode_alpha(f))
-        pred = vars(extended.frame)["_pred"]
         assert model_check_all(extended, MBox(MFalse()))
         assert vars(extended.frame)["_pred"] is pred
         assert "_pred" in vars(tree.frame) and "_pred" not in vars(witness.frame)
@@ -597,7 +646,7 @@ class TestConstantMasks:
     def test_a_variable_free_answer_is_shared_by_the_models_on_a_frame(self, monkeypatch):
         model_a, model_b = self._two_models()
         u, v, w = model_a.frame.order
-        steps = fold_steps(monkeypatch, kripke)
+        steps = mask_steps(monkeypatch)
         blind_below = parse_modal("<> [] false")
         assert model_check_all(model_a, blind_below) == {v}
         assert steps == [MFalse(), MBox(MFalse()), blind_below]
@@ -615,13 +664,25 @@ class TestConstantMasks:
         assert model_check_all(twin, blind_below) == {v}
         assert len(steps) == 4
 
+    def test_tables_are_keyed_by_the_sugared_node_and_no_node_is_built(self, monkeypatch):
+        # sugar is evaluated in place: the table holds the nodes as given
+        frame, (u, v, w) = chain_frame(3)
+        model = KripkeModel(frame, {1: frozenset([w])}, u)
+        f = MBoxLe(2, MBoxPow(1, MVar(1)))
+        pool = len(syntax._POOL)
+        steps = mask_steps(monkeypatch)
+        assert model_check_all(model, f) == {v, w}
+        assert steps == [MVar(1), MBoxPow(1, MVar(1)), f]
+        assert len(syntax._POOL) == pool
+        assert model_check(model, u, f) is False and len(steps) == 3
+
     def test_the_ladder_check_reads_the_answers_the_alpha_check_left(self, monkeypatch):
         f = parse_qbf("A p1 . E p2 . A p3 . p2 | p3")
         _, ctx = encode_star(f)
         tree = quantifier_tree(f)
         extended = extend_model(tree, ctx)
         assert model_check(extended, extended.root, encode_alpha(f))
-        steps = fold_steps(monkeypatch, kripke)
+        steps = mask_steps(monkeypatch)
         assert star_equivalence_violations(tree, extended, ctx) == []
         assert steps == []
 

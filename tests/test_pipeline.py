@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from conftest import fold_steps, qbf_size, random_closed_qbf, random_modal_formula
+from conftest import mask_steps, qbf_size, random_closed_qbf, random_modal_formula
 from modalred.pipeline import (
     build_corpus,
     check_instance,
@@ -22,7 +22,7 @@ from modalred.pipeline import (
 from modalred.qbf import free_vars, is_prenex, prenex_split
 from modalred.reduction import encode_star, quantifier_tree
 from modalred.solver import sat_k_tableau
-from modalred.syntax import expand_sugar, formula_size, parse_qbf, render
+from modalred.syntax import formula_size, parse_qbf, render
 
 
 class TestGenerators:
@@ -253,19 +253,19 @@ class TestWitnessTable:
         assert len({id(m) for m in extended}) == len(pipeline._EXTENDED) < len(true)
 
     def test_equal_trees_from_different_formulas_share_one_table(self, monkeypatch):
-        from modalred import kripke, pipeline
+        from modalred import pipeline
 
         self.clear(monkeypatch)
         first, second = parse_qbf("A p1 . p1 -> p1"), parse_qbf("A p1 . p1 | ~p1")
         assert quantifier_tree(first) == quantifier_tree(second)
         assert check_instance(first, 0, c2=1)["pass"]
-        steps = fold_steps(monkeypatch, kripke)
+        steps = mask_steps(monkeypatch)
         assert check_instance(second, 1, c2=1)["pass"]
         ((key, (tree, _, _)),) = pipeline._WITNESSES.items()
         assert key == ((("A", 1),), ()) and tree == quantifier_tree(first)
         # one table besides the variable-free one, holding both encodings
         (valued,) = [table for masks, table in tree.frame._masks.items() if masks]
-        stars = [expand_sugar(encode_star(f)[0]) for f in (first, second)]
+        stars = [encode_star(f)[0] for f in (first, second)]
         assert all(star in valued for star in stars)
         # the second instance evaluated only its own matrix conjunct there
         shared = stars[1].items[:5]

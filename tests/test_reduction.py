@@ -553,6 +553,8 @@ class TestExtendModelClosedForm:
         extended, reference = extend_model(base, ctx), _pair_built_extension(base, ctx)
         assert extended.frame.order == reference.frame.order
         assert extended.frame.succ == reference.frame.succ
+        # the frame is built with its predecessor rows, never derived later
+        assert vars(extended.frame)["_pred"] == kripke._transpose(extended.frame.succ)
         assert extended.frame.ids == reference.frame.ids
         assert extended.frame.position == reference.frame.position
         assert extended == reference

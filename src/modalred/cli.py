@@ -160,6 +160,7 @@ _FRAME_CLASSES = {"gl": "GL", "grz": "Grz", "ktb": "KTB"}
 
 def cmd_frame(args) -> int:
     _require_int("--alpha-max", args.alpha_max)
+    _require_int("budget", args.budget_bits, least=0)
     if args.gadget is not None and args.input is not None:
         raise ValueError("frame takes --gadget M or --input FILE, not both")
     if args.plus and args.gadget is None:

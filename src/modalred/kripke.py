@@ -31,12 +31,11 @@ bitmask, which doubles as the (world, subformula) memoization: <> T is the
 OR of the predecessor rows of T's worlds and [] is its dual, so one modal
 node costs at most |worlds| ORs of |worlds|-bit rows.  One loop over an
 explicit stack does it, dispatching on the node's class.  Sugar is
-evaluated in place: box^n and dia^n iterate the [] or <> step, box<=n and
-box+ AND the body with its boxes, and no expanded formula is built.  A
-sparse mask is read bit by bit, from its highest bit down; a dense one,
-with at least one set bit in 16 positions, is read in C: its binary digits
-pick the rows through ``itertools.compress`` and ``functools.reduce`` ORs
-them.  The JSON writer reads rows the same way.  A formula's mask depends
+evaluated in place: box^n iterates the [] step, box<=n ANDs the body with
+its boxes, and no expanded formula is built.  A sparse mask is read bit by
+bit, from its highest bit down; a dense one, with at least one set bit in
+16 positions, is read in C: its binary digits pick the rows through
+``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON writer reads rows the same way.  A formula's mask depends
 on the rows and on the masks of its variables alone, so each frame keeps
 the masks it has evaluated, one table per valuation, keyed by the variable
 masks that valuation gives; a variable-free formula's table has the empty
@@ -61,10 +60,8 @@ from .syntax import (
     MAnd,
     MBox,
     MBoxLe,
-    MBoxPlus,
     MBoxPow,
     MDia,
-    MDiaPow,
     MFalse,
     MImp,
     MNot,
@@ -397,8 +394,8 @@ def _mask(position: Mapping[WorldId, int], worlds) -> int:
 
 
 #: The node classes with one child, ``body``: ~, <>, [] and the sugar that
-#: iterates <> or [].
-_UNARY = frozenset((MNot, MBox, MDia, MBoxPlus, MBoxLe, MBoxPow, MDiaPow))
+#: iterates [].
+_UNARY = frozenset((MNot, MBox, MDia, MBoxLe, MBoxPow))
 
 
 def _eval_masks(
@@ -410,11 +407,10 @@ def _eval_masks(
     right, and reads the rule off the node's class: <> ORs the predecessor
     rows that ``_select`` picks out of its body's mask, and [] complements
     that OR over the body's complement.  Sugar is evaluated in place, never
-    expanded: box^n and dia^n iterate that step n times, and box<=n and
-    box+ (box<=1) AND the body with its first n boxes.  Calls that pass the
-    same ``memo`` must pass the same masks and rows; they then evaluate each
-    subformula they share once.  A mask may be 0, so a node is missing when
-    its entry is None."""
+    expanded: box^n iterates the [] step n times, and box<=n ANDs the body
+    with its first n boxes.  Calls that pass the same ``memo`` must pass the
+    same masks and rows; they then evaluate each subformula they share once.
+    A mask may be 0, so a node is missing when its entry is None."""
     if memo is None:
         memo = {}
     mask = memo.get(f)
@@ -443,16 +439,16 @@ def _eval_masks(
             elif cls is MBox:
                 # [] T is ~<>~T
                 mask = full & ~reduce(or_, _select(pred, full & ~mask), 0)
-            elif cls is MDiaPow or cls is MBoxPow:
+            elif cls is MBoxPow:
                 # box^n T is ~dia^n ~T
-                reach = mask if cls is MDiaPow else full & ~mask
+                reach = full & ~mask
                 for _ in range(g.power):
                     reach = reduce(or_, _select(pred, reach), 0)
-                mask = reach if cls is MDiaPow else full & ~reach
+                mask = full & ~reach
             else:
-                # box<=n T is ~(~T | <> ~T | ... | dia^n ~T); box+ T is box<=1 T
+                # box<=n T is ~(~T | <> ~T | ... | dia^n ~T)
                 reach = seen = full & ~mask
-                for _ in range(1 if cls is MBoxPlus else g.bound):
+                for _ in range(g.bound):
                     reach = reduce(or_, _select(pred, reach), 0)
                     seen |= reach
                 mask = full & ~seen
@@ -613,10 +609,11 @@ def frame_validates(frame: KripkeFrame, f: ModalFormula, budget: int = DEFAULT_V
 
 
 def wgrz_axiom() -> ModalFormula:
-    """The weak Grzegorczyk axiom box+([](p -> [] p) -> p) -> p."""
+    """The weak Grzegorczyk axiom box+([](p -> [] p) -> p) -> p, its box+
+    written box<=1."""
     p = MVar(1)
     inner = MImp(MBox(MImp(p, MBox(p))), p)
-    return MImp(MBoxPlus(inner), p)
+    return MImp(MBoxLe(1, inner), p)
 
 
 # ---------------------------------------------------------------------------

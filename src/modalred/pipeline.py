@@ -29,9 +29,8 @@ import random
 from dataclasses import dataclass, field
 
 from .kripke import close, frame_class_check, model_check
-from .qbf import is_true_qbf, prenex_join
+from .qbf import _tree_choices, is_true_qbf, prenex_join
 from .reduction import (
-    _tree_choices,
     alpha,
     encode_alpha,
     encode_star,

@@ -100,7 +100,7 @@ def _truth_tables(f: QbfFormula, model: frozenset[int]):
     the bound variables whose weights sum to ``a`` are true, the other bound
     ones false and the free ones as in ``model``; a quantifier over a
     variable of weight w pairs bit a with bit a + w: AND for A, OR for E.
-    The last call's tables are kept, so ``quantifier_tree`` reads the ones
+    The last call's tables are kept, so ``_tree_choices`` reads the ones
     ``is_true_qbf`` has just built; callers must not change them."""
     counted: dict = {}
     bound = sorted(_fold(f, _BOUND_VARS_STEP, counted))
@@ -138,6 +138,28 @@ def _truth_tables(f: QbfFormula, model: frozenset[int]):
     memo: dict = {}
     _fold(f, step, memo)
     return memo, weight
+
+
+def _tree_choices(f: QbfFormula) -> tuple[bool, ...]:
+    """The child each existential world of the quantifier tree of the true
+    prenex ``f`` keeps, in pre-order: False for the one without the
+    variable, preferred when both work, True for the one with it.  They are
+    read off the truth tables ``is_true_qbf(f)`` has just built.  With the
+    prefix they fix the tree: A branches twice, E keeps one child, and the
+    valuation follows from the assignments and levels."""
+    tables, weight = _truth_tables(f, frozenset())
+    if not tables[f] & 1:
+        raise ValueError("quantifier tree exists only for true formulas")
+    choices = []
+    stack = [(f, 0)]  # (the suffix below a world, its table bit)
+    while stack:
+        g, bit = stack.pop()
+        if isinstance(g, QForall):
+            stack += [(g.body, bit | weight[g.index]), (g.body, bit)]
+        elif isinstance(g, QExists):
+            choices.append(not tables[g.body] >> bit & 1)
+            stack.append((g.body, bit | weight[g.index] if choices[-1] else bit))
+    return tuple(choices)
 
 
 def is_true_qbf(f: QbfFormula) -> bool:

@@ -33,7 +33,7 @@ from . import kripke
 # model_check_all, evaluate and is_true_qbf are not called here any more;
 # perfbench's traced run still rebinds this module's names for them
 from .kripke import BaseWorld, GadgetWorld, KripkeFrame, KripkeModel, close, model_check_all  # noqa: F401
-from .qbf import _truth_tables, evaluate, free_vars, is_prenex, is_true_qbf, prenex_split  # noqa: F401
+from .qbf import _tree_choices, evaluate, free_vars, is_prenex, is_true_qbf, prenex_split  # noqa: F401
 from .syntax import (
     MAnd,
     MBox,
@@ -51,7 +51,6 @@ from .syntax import (
     QbfFormula,
     QExists,
     QFalse,
-    QForall,
     QImp,
     QOr,
     QVar,
@@ -309,28 +308,6 @@ def quantifier_tree(f: QbfFormula) -> KripkeModel:
     for i in range(n + 2):
         valuation[ctx.q_index(i)] = frozenset(w for w in worlds if w.level >= i)
     return KripkeModel(frame, valuation, worlds[0])
-
-
-def _tree_choices(f: QbfFormula) -> tuple[bool, ...]:
-    """The child each existential world of the quantifier tree of the true
-    prenex ``f`` keeps, in pre-order: False for the one without the
-    variable, preferred when both work, True for the one with it.  They are
-    read off the truth tables ``is_true_qbf(f)`` has just built.  With the
-    prefix they fix the tree: A branches twice, E keeps one child, and the
-    valuation follows from the assignments and levels."""
-    tables, weight = _truth_tables(f, frozenset())
-    if not tables[f] & 1:
-        raise ValueError("quantifier tree exists only for true formulas")
-    choices = []
-    stack = [(f, 0)]  # (the suffix below a world, its table bit)
-    while stack:
-        g, bit = stack.pop()
-        if isinstance(g, QForall):
-            stack += [(g.body, bit | weight[g.index]), (g.body, bit)]
-        elif isinstance(g, QExists):
-            choices.append(not tables[g.body] >> bit & 1)
-            stack.append((g.body, bit | weight[g.index] if choices[-1] else bit))
-    return tuple(choices)
 
 
 def _gadget_edges(m: int):

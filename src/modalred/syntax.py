@@ -9,12 +9,13 @@ argument order, in ``__slots__``, and a leading integer field's error wording
 and least value in ``_PARAM`` and ``_LEAST`` (1 unless set).  Assigning or
 deleting a field raises ``FrozenInstanceError``; nodes are safe to share.
 
-The modal language carries four kinds of sugar mirroring common shorthands:
-``box+`` (reflexive box), ``box<=n`` (all depths 0..n), ``box^n`` and ``dia^n``
-(iterated modalities).  ``expand_sugar`` rewrites them into the core
-connectives, as ``parse_modal`` does with what it reads, while
-programmatically built formulas may keep sugar nodes so that dumps stay close
-to their blackboard shape.
+The modal language carries two sugar nodes, the two shorthands the
+reduction prints: ``box<=n`` (all depths 0..n) and ``box^n`` (n nested
+boxes).  ``expand_sugar`` rewrites them into the core connectives, as
+``parse_modal`` does with what it reads, while programmatically built
+formulas may keep sugar nodes so that dumps stay close to their blackboard
+shape.  The parser also reads ``box+ f`` as ``box<=1 f`` and ``dia^n f`` as
+n nested diamonds; neither has a node of its own.
 
 One loop parses both languages by Dijkstra's shunting yard: finished formulas
 wait on an operand stack and pending operators on an operator stack, until a
@@ -67,10 +68,8 @@ __all__ = [
     "MImp",
     "MBox",
     "MDia",
-    "MBoxPlus",
     "MBoxLe",
     "MBoxPow",
-    "MDiaPow",
     "Substitution",
     "FormulaSyntaxError",
     "parse_qbf",
@@ -234,12 +233,6 @@ class MDia(ModalFormula):
     __slots__ = ("body",)
 
 
-class MBoxPlus(ModalFormula):
-    """Sugar: box+ f stands for f & [] f."""
-
-    __slots__ = ("body",)
-
-
 class MBoxLe(ModalFormula):
     """Sugar: box<=n f stands for the conjunction of box^i f for i = 0..n."""
 
@@ -252,13 +245,6 @@ class MBoxPow(ModalFormula):
 
     __slots__ = ("power", "body")
     _PARAM, _LEAST = "box^ power", 0
-
-
-class MDiaPow(ModalFormula):
-    """Sugar: dia^n f, n nested diamonds."""
-
-    __slots__ = ("power", "body")
-    _PARAM, _LEAST = "dia^ power", 0
 
 
 #: A substitution maps variable indices to modal formulas; indices outside
@@ -350,6 +336,13 @@ def _right(node):
     return lambda *run: reduce(lambda right, left: node(left, right), reversed(run))
 
 
+def _iterate(modality, n: int, f: ModalFormula) -> ModalFormula:
+    """``f`` under ``n`` nested ``modality`` nodes."""
+    for _ in range(n):
+        f = modality(f)
+    return f
+
+
 _ATOM = 5  # the binding power of an operand, above every operator
 
 #: Binding power (``render`` reads it too), QBF and modal constructor (None
@@ -367,10 +360,10 @@ _GRAMMAR = {
     "tilde": (4, qneg, MNot),
     "box": (4, None, MBox),
     "dia": (4, None, MDia),
-    "boxplus": (4, None, MBoxPlus),
+    "boxplus": (4, None, partial(MBoxLe, 1)),
     "boxle": (4, None, MBoxLe),
     "boxpow": (4, None, MBoxPow),
-    "diapow": (4, None, MDiaPow),
+    "diapow": (4, None, partial(_iterate, MDia)),
 }
 # '(' on the operator stack, and the row of punctuation, so ')' and eof close groups
 _OPEN = (-1, None, None)
@@ -465,7 +458,7 @@ def parse_modal(text: str) -> ModalFormula:
 _CHILDREN = {
     **dict.fromkeys((QAnd, QOr, QImp, MOr, MImp), attrgetter("left", "right")),
     **dict.fromkeys(
-        (QForall, QExists, MNot, MBox, MDia, MBoxPlus, MBoxLe, MBoxPow, MDiaPow),
+        (QForall, QExists, MNot, MBox, MDia, MBoxLe, MBoxPow),
         lambda f: (f.body,),
     ),
     MAnd: attrgetter("items"),
@@ -509,7 +502,7 @@ def _fold(root, combine, memo: dict):
 
 
 _CORE = (MVar, MFalse, MTrue, MNot, MAnd, MOr, MImp, MBox, MDia)
-_MODAL = _CORE + (MBoxPlus, MBoxLe, MBoxPow, MDiaPow)
+_MODAL = _CORE + (MBoxLe, MBoxPow)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +512,7 @@ _MODAL = _CORE + (MBoxPlus, MBoxLe, MBoxPow, MDiaPow)
 #: The text of every leaf and the prefix of every unary node, with the
 #: node's integer parameter formatted in.
 _LEAF = {QVar: "p{}", MVar: "p{}", QFalse: "false", MFalse: "false", MTrue: "true"}
-_PREFIX = {MNot: "~", MBox: "[] ", MDia: "<> ", MBoxPlus: "box+ "}
-_PREFIX.update({MBoxLe: "box<={} ", MBoxPow: "box^{} ", MDiaPow: "dia^{} "})
+_PREFIX = {MNot: "~", MBox: "[] ", MDia: "<> ", MBoxLe: "box<={} ", MBoxPow: "box^{} "}
 
 
 def render(f: Formula) -> str:
@@ -603,24 +595,18 @@ _EXPAND_MEMO: dict = {}
 
 
 def expand_sugar(f: ModalFormula) -> ModalFormula:
-    """Rewrite box+/box<=n/box^n/dia^n into the core connectives."""
+    """Rewrite box<=n and box^n into the core connectives."""
     return _fold(f, _expand_step, _EXPAND_MEMO)
 
 
 def _expand_step(f, kids) -> ModalFormula:
-    if isinstance(f, MBoxPlus):
-        return MAnd((kids[0], MBox(kids[0])))
     if isinstance(f, MBoxLe):
         layers = [kids[0]]
         for _ in range(f.bound):
             layers.append(MBox(layers[-1]))
         return MAnd(layers) if f.bound else kids[0]
-    if isinstance(f, (MBoxPow, MDiaPow)):
-        result = kids[0]
-        modality = MBox if isinstance(f, MBoxPow) else MDia
-        for _ in range(f.power):
-            result = modality(result)
-        return result
+    if isinstance(f, MBoxPow):
+        return _iterate(MBox, f.power, kids[0])
     return _rebuild(f, kids)
 
 

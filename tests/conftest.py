@@ -15,10 +15,8 @@ from modalred.syntax import (
     MAnd,
     MBox,
     MBoxLe,
-    MBoxPlus,
     MBoxPow,
     MDia,
-    MDiaPow,
     MFalse,
     MImp,
     MNot,
@@ -188,6 +186,13 @@ def modal_formulas(max_leaves: int = 20):
     )
 
 
+def dia_power(n: int, f: ModalFormula) -> ModalFormula:
+    """dia^n f as the parser reads it: ``f`` under n nested diamonds."""
+    for _ in range(n):
+        f = MDia(f)
+    return f
+
+
 def sugared_modal_formulas(max_leaves: int = 12):
     return st.recursive(
         modal_leaves(),
@@ -198,10 +203,11 @@ def sugared_modal_formulas(max_leaves: int = 12):
             st.builds(MOr, sub, sub),
             st.builds(MImp, sub, sub),
             st.builds(lambda items: MAnd(tuple(items)), st.lists(sub, min_size=2, max_size=3)),
-            st.builds(MBoxPlus, sub),
             st.builds(MBoxLe, st.integers(min_value=0, max_value=3), sub),
             st.builds(MBoxPow, st.integers(min_value=0, max_value=3), sub),
-            st.builds(MDiaPow, st.integers(min_value=0, max_value=3), sub),
+            # box+ and dia^n as the parser reads them
+            st.builds(lambda f: MBoxLe(1, f), sub),
+            st.builds(dia_power, st.integers(min_value=0, max_value=3), sub),
         ),
         max_leaves=max_leaves,
     )

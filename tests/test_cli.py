@@ -365,9 +365,14 @@ class TestFrameCommand:
         [line] = captured.err.splitlines()
         assert json.loads(line) == {"error": "--alpha-max must be a positive integer, got 0"}
 
-    @pytest.mark.parametrize("check", ["alpha-validity", "wgrz-axiom"])
-    def test_negative_budget_bits_is_error(self, capsys, check):
-        assert main(["frame", "--gadget", "2", "--check", check, "--budget-bits", "-1"]) == 1
+    # refused up front, also where no valuation is enumerated
+    @pytest.mark.parametrize(
+        "view",
+        [["--check", check] for check in ("alpha-validity", "wgrz-axiom", "gl", "grz", "ktb")] + [["--dot"]],
+        ids=["alpha-validity", "wgrz-axiom", "gl", "grz", "ktb", "dot"],
+    )
+    def test_negative_budget_bits_is_error(self, capsys, view):
+        assert main(["frame", "--gadget", "2", *view, "--budget-bits", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()

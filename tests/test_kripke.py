@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_model, mask_steps, random_modal_formula, sugared_modal_formulas
+from conftest import dia_power, make_random_model, mask_steps, random_modal_formula, sugared_modal_formulas
 from modalred import kripke, syntax
 from modalred.kripke import (
     BaseWorld,
@@ -34,10 +34,8 @@ from modalred.syntax import (
     MAnd,
     MBox,
     MBoxLe,
-    MBoxPlus,
     MBoxPow,
     MDia,
-    MDiaPow,
     MFalse,
     MNot,
     MTrue,
@@ -45,6 +43,7 @@ from modalred.syntax import (
     expand_sugar,
     parse_modal,
     parse_qbf,
+    render,
 )
 from modalred.reduction import encode_alpha, encode_star, extend_model, quantifier_tree, star_equivalence_violations
 from modalred.solver import sat_bounded, sat_k_tableau
@@ -356,6 +355,7 @@ class TestFrameValidates:
         assert expand_sugar(wgrz_axiom()) == parse_modal(
             "box+ ([] (p1 -> [] p1) -> p1) -> p1"
         )
+        assert render(wgrz_axiom()) == "box<=1 ([] (p1 -> [] p1) -> p1) -> p1"
 
 
 def _naive_masks(f, var_masks, succ):
@@ -526,16 +526,15 @@ class TestPredecessorRows:
         # sugar nested in sugar
         p, q = MVar(1), MVar(2)
         formulas = [
-            cls(k, body)
-            for cls in (MBoxLe, MBoxPow, MDiaPow)
+            make(k, body)
+            for make in (MBoxLe, MBoxPow, dia_power)
             for k in (0, 1, 2, 3, 7, 12)
             for body in (p, MNot(q), MFalse(), MTrue())
         ]
-        formulas += [MBoxPlus(body) for body in (p, MNot(q), MFalse(), MTrue())]
         formulas += [
-            MBoxLe(2, MDiaPow(3, MBoxPlus(MBoxPow(0, p)))),
-            MBoxPow(2, MAnd((MBoxLe(0, p), MDiaPow(2, MBoxLe(3, q)), MBoxPlus(MBoxPlus(p))))),
-            MDiaPow(1, MBoxLe(1, MDiaPow(0, MBoxPow(4, MNot(p))))),
+            MBoxLe(2, dia_power(3, MBoxLe(1, MBoxPow(0, p)))),
+            MBoxPow(2, MAnd((MBoxLe(0, p), dia_power(2, MBoxLe(3, q)), MBoxLe(1, MBoxLe(1, p))))),
+            dia_power(1, MBoxLe(1, dia_power(0, MBoxPow(4, MNot(p))))),
         ]
         rng = random.Random(46)
         for _ in range(60):

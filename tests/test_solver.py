@@ -37,7 +37,6 @@ from modalred.syntax import (
     MBox,
     MBoxPow,
     MDia,
-    MDiaPow,
     MFalse,
     MImp,
     MNot,
@@ -1076,7 +1075,7 @@ class TestDeepInput:
 
     def test_deep_diamond_power(self):
         # one search frame per diamond level, none of them on the call stack
-        verdict = sat_k_tableau(MDiaPow(5000, MTrue()))
+        verdict = sat_k_tableau(parse_modal("dia^5000 true"))
         assert (verdict.satisfiable, verdict.nodes, verdict.depth) == (True, 5001, 5000)
         # the witness satisfies <>^5000 true at its root: a path of 5000
         # steps leaves it (checked by walking it, as model_check takes
@@ -1105,10 +1104,10 @@ class TestDeepInput:
 
     def test_deep_diamond_power_model_check(self):
         # every diamond's body holds on a dense mask of the chain, read in C
-        f = MDiaPow(1000, MTrue())
+        f = parse_modal("dia^1000 true")
         witness = sat_k_tableau(f).witness
         assert model_check(witness, witness.root, f)
-        assert not model_check(witness, witness.root, MDiaPow(1001, MTrue()))
+        assert not model_check(witness, witness.root, MDia(f))
         assert len(model_check_all(witness, f)) == 1
 
 

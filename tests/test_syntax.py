@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis import assume, example, given, settings
 
-from conftest import modal_formulas, qbf_formulas, sugared_modal_formulas, all_small_models
+from conftest import dia_power, modal_formulas, qbf_formulas, sugared_modal_formulas, all_small_models
 from modalred.kripke import model_check
 from modalred.syntax import (
     Formula,
@@ -14,10 +14,8 @@ from modalred.syntax import (
     MAnd,
     MBox,
     MBoxLe,
-    MBoxPlus,
     MBoxPow,
     MDia,
-    MDiaPow,
     MFalse,
     MImp,
     MNot,
@@ -91,6 +89,16 @@ class TestParseModal:
 
     def test_dia_pow_expands(self):
         assert parse_modal("dia^2 false") == MDia(MDia(MFalse()))
+
+    def test_box_plus_and_dia_pow_have_no_node_of_their_own(self):
+        # box+ F is read as box<=1 F and dia^k F as k nested diamonds, with
+        # the same sugar nested in F
+        inner = "box+ dia^2 box+ p1"
+        spelled = "box<=1 <> <> box<=1 p1"
+        assert parse_modal("box+ " + inner) is parse_modal("box<=1 " + inner)
+        assert parse_modal(inner) is parse_modal(spelled)
+        for k in range(4):
+            assert parse_modal(f"dia^{k} {inner}") is dia_power(k, parse_modal(spelled))
 
     def test_box_le_expands(self):
         assert parse_modal("box<=0 p1") == MVar(1)
@@ -177,7 +185,7 @@ class TestRender:
 
     def test_sugar_tokens(self):
         assert render(MBoxLe(2, MVar(1))) == "box<=2 p1"
-        assert render(MBoxPlus(MBox(MVar(1)))) == "box+ [] p1"
+        assert render(MBoxPow(3, MBox(MVar(1)))) == "box^3 [] p1"
 
 
 @given(qbf_formulas())
@@ -260,8 +268,9 @@ def test_substitution_size_bound(f, g):
 
 class TestExpandSugar:
     def test_box_plus(self):
+        # box+ f is read as box<=1 f
         f = MVar(1)
-        assert expand_sugar(MBoxPlus(f)) == MAnd((f, MBox(f)))
+        assert expand_sugar(MBoxLe(1, f)) == MAnd((f, MBox(f)))
 
     def test_box_le_zero(self):
         assert expand_sugar(MBoxLe(0, MVar(1))) == MVar(1)
@@ -295,7 +304,7 @@ class TestFormulaSize:
         assert formula_size(f) == 3 + 2
 
     def test_sugar_expanded_before_counting(self):
-        assert formula_size(MBoxPlus(MVar(1))) == formula_size(
+        assert formula_size(MBoxLe(1, MVar(1))) == formula_size(
             MAnd((MVar(1), MBox(MVar(1))))
         )
 
@@ -339,9 +348,6 @@ BAD_FIELDS = [
     (lambda: (MBoxLe(1, MVar(1)), MBoxLe(-1, MVar(1))), "box<= bound must be a non-negative integer, got -1"),
     (lambda: (MBoxPow(2, MVar(1)), MBoxPow(-2, MVar(1))), "box^ power must be a non-negative integer, got -2"),
     (lambda: (MBoxPow(2, MVar(1)), MBoxPow(2.0, MVar(1))), "box^ power must be a non-negative integer, got 2.0"),
-    (lambda: (MDiaPow(3, MVar(1)), MDiaPow(-3, MVar(1))), "dia^ power must be a non-negative integer, got -3"),
-    (lambda: (MDiaPow(2, MVar(1)), MDiaPow("2", MVar(1))), "dia^ power must be a non-negative integer, got '2'"),
-    (lambda: (MDiaPow(1, MVar(1)), MDiaPow(True, MVar(1))), "dia^ power must be a non-negative integer, got True"),
     (lambda: (MAnd([MTrue()]), MAnd([])), "n-ary conjunction needs at least one conjunct"),
 ]
 
@@ -402,10 +408,10 @@ def _nodes(root):
 def test_every_node_rebuilds_from_its_fields():
     qbfs = map(parse_qbf, ["A p1 . E p2 . (p1 & p2) | ~p1 -> false", "E p3 . A p1 . p3 | p1 & ~p3"])
     f, g = map(parse_modal, ["[] (p1 & <> p2) | ~(p3 -> false)", "<> true & [] [] ~p1"])
-    sugared = [MBoxPlus(f), MBoxLe(2, g), MBoxPow(3, f), MDiaPow(1, MBoxLe(0, g))]
+    sugared = [MBoxLe(2, g), MBoxPow(3, f), MDia(MBoxLe(0, g))]
     nodes = set().union(*map(_nodes, [*qbfs, f, g, *sugared]))
     classes = {*QbfFormula.__subclasses__(), *ModalFormula.__subclasses__()}
-    assert len(classes) == 20
+    assert len(classes) == 18
     assert {type(node) for node in nodes} == classes
     for node in nodes:
         assert type(node)(*(getattr(node, name) for name in type(node).__slots__)) is node

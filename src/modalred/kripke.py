@@ -2,10 +2,9 @@
 
 Worlds carry structured identities: ``BaseWorld`` for quantifier-tree worlds
 (level, classical assignment, creation serial) and ``GadgetWorld`` for the
-worlds of the ladder gadgets, optionally tagged with a host base world, as
-files of earlier versions wrote them.  The string forms of these identities
-are the stable ids used in JSON dumps, e.g. ``base:L2:{1,3}:#7``,
-``gadget:m3:a0`` and, with a host, ``gadget:m3:a0@base:L1:{}:#2``.
+worlds of the ladder gadgets (gadget index, part).  The string forms of these
+identities are the stable ids used in JSON dumps, e.g. ``base:L2:{1,3}:#7``
+and ``gadget:m3:a0``.
 Worlds are immutable named tuples, built by one ``tuple.__new__`` and hashed
 in C as their field tuples.  A world equals only a world of its own class,
 never a plain tuple; worlds are unordered, so ``<`` raises ``TypeError``,
@@ -30,19 +29,21 @@ Model checking evaluates each distinct subformula once over all worlds as a
 bitmask, which doubles as the (world, subformula) memoization: <> T is the
 OR of the predecessor rows of T's worlds and [] is its dual, so one modal
 node costs at most |worlds| ORs of |worlds|-bit rows.  One loop over an
-explicit stack does it, dispatching on the node's class.  Sugar is
-evaluated in place: box^n iterates the [] step, box<=n ANDs the body with
-its boxes, and no expanded formula is built.  A sparse mask is read bit by
-bit, from its highest bit down; a dense one, with at least one set bit in
-16 positions, is read in C: its binary digits pick the rows through
-``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON writer reads rows the same way.  A formula's mask depends
-on the rows and on the masks of its variables alone, so each frame keeps
-the masks it has evaluated, one table per valuation, keyed by the variable
-masks that valuation gives; a variable-free formula's table has the empty
-key.  A table is keyed by the nodes as given, sugar included.  So every
-model on the frame evaluates a variable-free formula and its subformulas
-once, and every model with the same valuation a formula with variables.  A model's valuation is read afresh at each call, so a changed
-valuation is never answered from a table of the old one.
+explicit stack does it, dispatching on the node's class.  Sugar is evaluated
+in place: box^n iterates the [] step, box<=n ANDs the body with its boxes,
+and no expanded formula is built.  A sparse mask is read bit by bit, from
+its highest bit down; a dense one, with at least one set bit in 16
+positions, is read in C: its binary digits pick the rows through
+``itertools.compress`` and ``functools.reduce`` ORs them.  The JSON writer
+reads rows the same way.  A formula's mask depends on the rows and on the
+masks of its variables alone, so each frame keeps the masks it has
+evaluated, one table per valuation, keyed by the variable masks that
+valuation gives; a variable-free formula's table has the empty key.  A table
+is keyed by the nodes as given, sugar included.  So every model on the frame
+evaluates a variable-free formula and its subformulas once, and every model
+with the same valuation a formula with variables.  A model's valuation is
+read afresh at each call, so a changed valuation is never answered from a
+table of the old one.
 """
 
 from __future__ import annotations
@@ -131,13 +132,10 @@ class BaseWorld(NamedTuple):
 
 
 class GadgetWorld(NamedTuple):
-    """World of a ladder gadget F_m: part is 'a<i>', 'b' or 'c'.  ``host`` is
-    None in every frame the package builds; a base world there tags the copy
-    of F_m below that world, as files of earlier versions wrote it."""
+    """World of a ladder gadget F_m: part is 'a<i>', 'b' or 'c'."""
 
     gadget: int
     part: str
-    host: Optional[BaseWorld] = None
 
     __eq__, __ne__, __hash__ = _world_eq, _world_ne, tuple.__hash__
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
@@ -152,9 +150,8 @@ def world_id_str(w: WorldId) -> str:
     would refuse is refused here in its words, so the reader accepts every
     id written: the assignment a frozenset, level, serial and assignment
     entries non-negative ints (not bools), the gadget index an int >= 1, the
-    part ``b``, ``c`` or ``a<i>`` with i <= gadget, spelled canonically, and
-    the host None or a base world.  An assignment that is not even iterable
-    is spelled without braces."""
+    part ``b``, ``c`` or ``a<i>`` with i <= gadget, spelled canonically.  An
+    assignment that is not even iterable is spelled without braces."""
     if isinstance(w, BaseWorld):
         level, assignment, serial = w.level, w.assignment, w.serial
         valid = type(level) is int and type(serial) is int and level >= 0 and serial >= 0 and (
@@ -169,27 +166,19 @@ def world_id_str(w: WorldId) -> str:
             raise ValueError(f"unrecognized world id: {text!r}")
         return text
     if isinstance(w, GadgetWorld):
-        gadget, part, host = w.gadget, w.part, w.host
-        tag = f"gadget:m{gadget}:{part}" + ("" if host is None else f"@{world_id_str(host)}")
+        gadget, part = w.gadget, w.part
+        tag = f"gadget:m{gadget}:{part}"
         rung = part[1:] if type(part) is str and part[:1] == "a" and part[1:].isdecimal() else None
         if type(gadget) is not int or gadget < 0 or rung is None and part not in ("b", "c"):
             raise ValueError(f"unrecognized world id: {tag!r}")
         if gadget < 1 or rung is not None and (rung != str(int(rung)) or int(rung) > gadget):
             raise ValueError(f"not a world of a gadget F_m (m >= 1; parts a0..am, b, c): {tag!r}")
-        if host is not None and not isinstance(host, BaseWorld):
-            raise ValueError(f"gadget host must be a base world: {tag!r}")
         return tag
     raise TypeError(f"not a world id: {w!r}")
 
 
 _BASE_RE = re.compile(r"^base:L(\d+):\{((?:\d+(?:,\d+)*)?)\}:#(\d+)$")
-_GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a\d+)(?:@(.+))?$")
-
-
-def _base_world(m: re.Match) -> BaseWorld:
-    inner = m.group(2)
-    assignment = frozenset(int(t) for t in inner.split(",")) if inner else frozenset()
-    return BaseWorld(int(m.group(1)), assignment, int(m.group(3)))
+_GADGET_RE = re.compile(r"^gadget:m(\d+):(b|c|a\d+)$")
 
 
 def world_id_from_str(text: str) -> WorldId:
@@ -200,17 +189,15 @@ def world_id_from_str(text: str) -> WorldId:
         raise ValueError(f"world id must be a string, got {text!r}")
     m = _BASE_RE.match(text)
     if m:
-        w = _base_world(m)
+        inner = m.group(2)
+        assignment = frozenset(int(t) for t in inner.split(",")) if inner else frozenset()
+        w = BaseWorld(int(m.group(1)), assignment, int(m.group(3)))
     else:
         m = _GADGET_RE.match(text)
         if m is None:
             raise ValueError(f"unrecognized world id: {text!r}")
-        # a gadget hangs below a base world, never below another gadget
-        host = m.group(3) and _BASE_RE.match(m.group(3))
-        if m.group(3) and host is None:
-            raise ValueError(f"gadget host must be a base world: {text!r}")
         # the part is kept as written; writing it checks it against F_m
-        w = GadgetWorld(int(m.group(1)), m.group(2), host and _base_world(host))
+        w = GadgetWorld(int(m.group(1)), m.group(2))
     canonical = world_id_str(w)
     if canonical != text:
         raise ValueError(f"world id {text!r} is not in canonical form {canonical!r}")

@@ -55,6 +55,7 @@ from .syntax import (
     QOr,
     QVar,
     _fold,
+    _iterate,
     _require_int,
     conj,
     substitute,
@@ -248,13 +249,7 @@ def alpha(k: int) -> ModalFormula:
     ladder = _LADDERS.get(k)
     if ladder is None:
         blind = MBox(MFalse())
-
-        def dias(count: int, body: ModalFormula) -> ModalFormula:
-            for _ in range(count):
-                body = MDia(body)
-            return body
-
-        rung = MAnd((dias(k, blind), MNot(dias(k + 1, blind))))
+        rung = MAnd((_iterate(MDia, k, blind), MNot(_iterate(MDia, k + 1, blind))))
         escape = MBox(MImp(MDia(MTrue()), MDia(blind)))
         ladder = _LADDERS[k] = MBox(MImp(rung, escape))
     return ladder
@@ -310,35 +305,25 @@ def quantifier_tree(f: QbfFormula) -> KripkeModel:
     return KripkeModel(frame, valuation, worlds[0])
 
 
-def _gadget_edges(m: int):
-    """Worlds and raw (pre-closure) edges of F_m."""
-    a = [GadgetWorld(m, f"a{i}") for i in range(m + 1)]
-    b = GadgetWorld(m, "b")
-    worlds = [b, *a]
-    edges = [(a[0], b), (b, b)]
-    edges += [(a[i], a[i + 1]) for i in range(m)]
-    return worlds, edges, a[0]
-
-
 def frame_fm(m: int) -> KripkeFrame:
     """The gadget frame F_m: an irreflexive ladder a_0 -> ... -> a_m with a
     reflexive side world b below a_0, transitively closed."""
     _require_int("gadget index", m)  # before the lookup: True == 1 would find F_1
     frame = _GADGETS.get(m)
     if frame is None:
-        worlds, edges, _ = _gadget_edges(m)
-        frame = _GADGETS[m] = close(KripkeFrame(frozenset(worlds), edges), "transitive")
+        a = [GadgetWorld(m, f"a{i}") for i in range(m + 1)]
+        b = GadgetWorld(m, "b")
+        edges = [(a[0], b), (b, b), *zip(a, a[1:])]
+        frame = _GADGETS[m] = close(KripkeFrame(frozenset([b, *a]), edges), "transitive")
     return frame
 
 
 def frame_fm_plus(m: int) -> KripkeFrame:
-    """F_m plus the reflexive entry world c_m with c_m -> a_0."""
-    _require_int("gadget index", m)
-    worlds, edges, a0 = _gadget_edges(m)
-    c = GadgetWorld(m, "c")
-    worlds = [*worlds, c]
-    edges = [*edges, (c, c), (c, a0)]
-    return close(KripkeFrame(frozenset(worlds), edges), "transitive")
+    """F_m plus the reflexive entry world c_m with c_m -> a_0, transitively
+    closed."""
+    gadget, c = frame_fm(m), GadgetWorld(m, "c")
+    edges = [*gadget.relation, (c, c), (c, GadgetWorld(m, "a0"))]
+    return close(KripkeFrame(gadget.worlds | {c}, edges), "transitive")
 
 
 def extend_model(base: KripkeModel, ctx: EncodingContext, table: Optional[dict] = None) -> KripkeModel:

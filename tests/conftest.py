@@ -280,12 +280,15 @@ def mask_steps(monkeypatch) -> list:
     return steps
 
 
-def paper_extended_model(base: KripkeModel, ctx) -> KripkeModel:
-    """The extended model as the paper builds it: a fresh F_m copy, its
-    worlds tagged with their host, below every base world lacking p_m, for
-    m = 1..2n+2, then the transitive closure of the whole frame, built from
-    pairs.  A base that is not upward persistent or holds a gadget world is
-    refused in ``extend_model``'s words."""
+def paper_extended_model(base: KripkeModel, ctx) -> tuple[KripkeModel, dict]:
+    """The extended model as the paper builds it: a fresh F_m copy below
+    every base world lacking p_m, for m = 1..2n+2, then the transitive
+    closure of the whole frame, built from pairs.  The copies' worlds are
+    fresh base worlds, numbered after the base's serials.  Beside the model
+    comes the map that forgets the copies: it sends each copy's world to the
+    ``GadgetWorld`` it copies and each base world to itself.  A base that is
+    not upward persistent or holds a gadget world is refused in
+    ``extend_model``'s words."""
     edges = list(base.frame.relation)
     for u, v in sorted(edges, key=lambda e: (world_id_str(e[0]), world_id_str(e[1]))):
         for index, members in base.valuation.items():
@@ -296,12 +299,15 @@ def paper_extended_model(base: KripkeModel, ctx) -> KripkeModel:
                 )
     if not all(isinstance(w, BaseWorld) for w in base.frame.worlds):
         raise ValueError("extend_model expects a quantifier-tree model")
-    worlds = set(base.frame.worlds)
+    image = {w: w for w in base.frame.worlds}
+    serial = max(w.serial for w in image) + 1
     for m in range(1, ctx.var_count + 1):
-        for w in base.frame.worlds - base.valuation.get(m, frozenset()):
-            a = [GadgetWorld(m, f"a{i}", w) for i in range(m + 1)]
-            b = GadgetWorld(m, "b", w)
-            worlds.update([b, *a])
+        gadget = [*(GadgetWorld(m, f"a{i}") for i in range(m + 1)), GadgetWorld(m, "b")]
+        for w in sorted(base.frame.worlds - base.valuation.get(m, frozenset()), key=world_id_str):
+            copy = [BaseWorld(m, frozenset(), serial + i) for i in range(m + 2)]
+            serial += m + 2
+            image.update(zip(copy, gadget))
+            *a, b = copy
             edges += [(w, a[0]), (a[0], b), (b, b)] + [(a[i], a[i + 1]) for i in range(m)]
-    frame = close(KripkeFrame(frozenset(worlds), edges), "transitive")
-    return KripkeModel(frame, dict(base.valuation), base.root)
+    frame = close(KripkeFrame(frozenset(image), edges), "transitive")
+    return KripkeModel(frame, dict(base.valuation), base.root), image

@@ -190,7 +190,7 @@ def test_criterion_5_gadget_properties():
                 continue
             if not frame_validates(frame, alpha(k)):
                 failures.append(f"F_{m}+ does not validate alpha({k})")
-        entry = GadgetWorld(m, "c", None)
+        entry = GadgetWorld(m, "c")
         if model_check(KripkeModel(frame, {}, entry), entry, alpha(m)):
             failures.append(f"alpha({m}) not refuted at the entry world of F_{m}+")
         if not frame_validates(frame, wgrz_axiom()):

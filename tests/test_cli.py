@@ -402,7 +402,7 @@ class TestFrameCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert json.loads(line) == {"error": f"gadget host must be a base world: {world!r}"}
+        assert json.loads(line) == {"error": f"unrecognized world id: {world!r}"}
 
 
 class TestVerifyCommand:

@@ -709,8 +709,11 @@ def _seeded_true_qbfs(n, count, seed):
     return found
 
 
-_HOST = BaseWorld(1, frozenset(), 2)
-_VALUES = [BaseWorld(2, frozenset({1, 3}), 7), GadgetWorld(3, "a0", _HOST), GadgetWorld(4, "c")]
+_VALUES = [BaseWorld(2, frozenset({1, 3}), 7), GadgetWorld(3, "a0"), GadgetWorld(4, "c")]
+
+
+class _LookAlike(GadgetWorld):
+    """A gadget world's fields, and so its id, under another class."""
 
 
 class TestWorldValues:
@@ -722,10 +725,6 @@ class TestWorldValues:
     def test_hash_is_the_field_tuple_hash(self, world):
         assert hash(world) == hash(tuple(world))
 
-    def test_a_hosted_gadget_hashes_as_its_nested_fields(self):
-        # what the frozen dataclasses hashed: the fields, the host's as its own
-        assert hash(GadgetWorld(3, "a0", _HOST)) == hash((3, "a0", (1, frozenset(), 2)))
-
     @pytest.mark.parametrize("world", _VALUES)
     def test_a_world_never_equals_a_plain_tuple(self, world):
         fields = tuple(world)
@@ -735,14 +734,14 @@ class TestWorldValues:
 
     def test_worlds_of_the_two_classes_never_compare_equal(self):
         # same fields, same hash: still two values
-        base, gadget = BaseWorld(1, "b", None), GadgetWorld(1, "b", None)
-        assert hash(base) == hash(gadget)
-        assert not base == gadget and not gadget == base
-        assert base != gadget and gadget != base
-        assert len({base, gadget}) == 2
+        gadget, other = GadgetWorld(1, "b"), _LookAlike(1, "b")
+        assert hash(gadget) == hash(other)
+        assert not gadget == other and not other == gadget
+        assert gadget != other and other != gadget
+        assert len({gadget, other}) == 2
 
     def test_not_equal_agrees_with_equal(self):
-        values = [*_VALUES, GadgetWorld(3, "a0", BaseWorld(1, frozenset(), 2)), tuple(_HOST), None, 3]
+        values = [*_VALUES, GadgetWorld(3, "a0"), tuple(_VALUES[1]), None, 3]
         for a in values:
             for b in values:
                 assert (a != b) is (not a == b), (a, b)
@@ -779,18 +778,24 @@ class TestWorldValues:
         "world, text",
         [
             (_VALUES[0], "BaseWorld(level=2, assignment=frozenset({1, 3}), serial=7)"),
-            (_VALUES[1], "GadgetWorld(gadget=3, part='a0', host=BaseWorld(level=1, assignment=frozenset(), serial=2))"),
-            (_VALUES[2], "GadgetWorld(gadget=4, part='c', host=None)"),
+            (_VALUES[1], "GadgetWorld(gadget=3, part='a0')"),
+            (_VALUES[2], "GadgetWorld(gadget=4, part='c')"),
         ],
     )
     def test_repr(self, world, text):
         assert repr(world) == text
 
-    def test_keyword_construction_and_default_host(self):
+    def test_keyword_construction(self):
         assert BaseWorld(serial=7, level=2, assignment=frozenset({1, 3})) == _VALUES[0]
         assert GadgetWorld(part="c", gadget=4) == _VALUES[2]
-        assert GadgetWorld(4, "c").host is None
-        assert GadgetWorld(gadget=3, part="a0", host=_HOST) == _VALUES[1]
+        assert GadgetWorld(gadget=3, part="a0") == _VALUES[1]
+
+    def test_a_gadget_world_has_two_fields(self):
+        assert GadgetWorld._fields == ("gadget", "part")
+        with pytest.raises(TypeError):
+            GadgetWorld(3, "a0", _VALUES[0])
+        with pytest.raises(TypeError):
+            GadgetWorld(3, "a0", host=None)
 
 
 class TestWorldIds:
@@ -799,14 +804,8 @@ class TestWorldIds:
         assert world_id_str(w) == "base:L2:{1,3}:#7"
         assert world_id_from_str("base:L2:{1,3}:#7") == w
 
-    def test_hosted_gadget_id_format(self):
-        host = BaseWorld(1, frozenset(), 2)
-        g = GadgetWorld(3, "a0", host)
-        assert world_id_str(g) == "gadget:m3:a0@base:L1:{}:#2"
-        assert world_id_from_str("gadget:m3:a0@base:L1:{}:#2") == g
-
-    def test_standalone_gadget(self):
-        g = GadgetWorld(4, "c", None)
+    def test_gadget_id_format(self):
+        g = GadgetWorld(4, "c")
         assert world_id_str(g) == "gadget:m4:c"
         assert world_id_from_str("gadget:m4:c") == g
 
@@ -841,8 +840,6 @@ class TestWorldIds:
             "gadget:m1:a2",
             "gadget:m0:b",
             "gadget:m0:a0",
-            "gadget:m3:a00@base:L0:{}:#0",
-            "gadget:m3:a4@base:L0:{}:#0",
         ],
     )
     def test_ids_outside_the_gadget_rejected(self, text):
@@ -869,7 +866,8 @@ class TestWorldIds:
             (GadgetWorld(0, "b"), "gadget:m0:b"),
             (GadgetWorld(2, "a3"), "gadget:m2:a3"),
             (GadgetWorld(2, "a01"), "gadget:m2:a01"),
-            (GadgetWorld(3, "a0", GadgetWorld(4, "c")), "gadget:m3:a0@gadget:m4:c"),
+            (GadgetWorld(3, "a0@gadget:m4:c"), "gadget:m3:a0@gadget:m4:c"),
+            (GadgetWorld(1, "a0@base:L0:{}:#0"), "gadget:m1:a0@base:L0:{}:#0"),
             (BaseWorld(0, None, 0), "base:L0:None:#0"),
             (BaseWorld(0, 5, 0), "base:L0:5:#0"),
         ],
@@ -888,7 +886,6 @@ class TestWorldIds:
     @pytest.mark.parametrize(
         "world, text",
         [
-            (GadgetWorld(1, "a0@base:L0:{}:#0"), "gadget:m1:a0@base:L0:{}:#0"),
             (BaseWorld("0", frozenset(), 0), "base:L0:{}:#0"),
             (BaseWorld(0, frozenset({"1"}), 0), "base:L0:{1}:#0"),
             (BaseWorld(0, (1,), 0), "base:L0:{1}:#0"),
@@ -901,13 +898,9 @@ class TestWorldIds:
             world_id_str(world)
         assert str(err.value) == f"unrecognized world id: {text!r}"
 
-    def test_a_host_is_refused_by_its_own_id(self):
-        with pytest.raises(ValueError, match=r"^unrecognized world id: 'base:L-1:\{\}:#0'$"):
-            world_id_str(GadgetWorld(1, "a0", BaseWorld(-1, frozenset(), 0)))
-
     def test_a_plain_tuple_is_not_a_world(self):
         # a world is a tuple, but a tuple of the same fields is no world
-        for fields in ((2, frozenset({1, 3}), 7), (3, "a0", None)):
+        for fields in ((2, frozenset({1, 3}), 7), (3, "a0")):
             with pytest.raises(TypeError, match=r"^not a world id: "):
                 world_id_str(fields)
 
@@ -922,18 +915,24 @@ class TestWorldIds:
     @pytest.mark.parametrize("m", [1, 2, 11])
     def test_every_gadget_part_round_trips(self, m):
         for part in ["b", "c", *(f"a{i}" for i in range(m + 1))]:
-            g = GadgetWorld(m, part, None)
+            g = GadgetWorld(m, part)
             assert world_id_from_str(world_id_str(g)) == g
 
     @pytest.mark.parametrize(
         "text",
-        ["gadget:m3:a0@gadget:m4:c", "gadget:m1:b@" * 3000 + "base:L0:{}:#0"],
+        [
+            "gadget:m3:a0@base:L1:{}:#2",
+            "gadget:m3:a0@gadget:m4:c",
+            # a chain far deeper than Python's default recursion limit
+            "gadget:m1:b@" * 3000 + "base:L0:{}:#0",
+        ],
     )
-    def test_gadget_host_must_be_base_world(self, text):
-        # a host chain far deeper than Python's default recursion limit
+    def test_hosted_ids_are_unrecognized(self, text):
+        # earlier versions tagged a gadget world with a host world after an
+        # '@'; a gadget world is its index and part alone, so no such id reads
         with pytest.raises(ValueError) as err:
             world_id_from_str(text)
-        assert str(err.value) == f"gadget host must be a base world: {text!r}"
+        assert str(err.value) == f"unrecognized world id: {text!r}"
 
 
 class TestSerialization:
@@ -1044,13 +1043,11 @@ class TestSerialization:
 
 
 def _random_world(rng):
-    host = BaseWorld(rng.randint(0, 3), frozenset(rng.sample(range(1, 6), rng.randint(0, 3))), rng.randint(0, 12))
-    roll = rng.random()
-    if roll < 0.4:
-        return host
+    base = BaseWorld(rng.randint(0, 3), frozenset(rng.sample(range(1, 6), rng.randint(0, 3))), rng.randint(0, 12))
+    if rng.random() < 0.4:
+        return base
     m = rng.randint(1, 12)
-    part = rng.choice(["b", "c", f"a{rng.randint(0, m)}"])
-    return GadgetWorld(m, part, host if roll < 0.75 else None)
+    return GadgetWorld(m, rng.choice(["b", "c", f"a{rng.randint(0, m)}"]))
 
 
 def _random_json_model(rng):
@@ -1083,17 +1080,17 @@ def _dumps_reference(frame, model=None):
 
 def _json_edge_cases():
     a, b = _w(0), _w(1)
-    host = BaseWorld(2, frozenset({1, 3}), 7)
-    g0, g1 = GadgetWorld(3, "a0", host), GadgetWorld(3, "b", host)
+    base = BaseWorld(2, frozenset({1, 3}), 7)
+    g0, g1 = GadgetWorld(3, "a0"), GadgetWorld(3, "b")
     pair_frame = KripkeFrame(frozenset([a, b]), frozenset())
     reflexive = KripkeFrame(frozenset([a]), frozenset([(a, a)]))
-    gadgets = KripkeFrame(frozenset([host, g0, g1]), frozenset([(host, g0), (g0, g1), (g1, g1)]))
+    gadgets = KripkeFrame(frozenset([base, g0, g1]), frozenset([(base, g0), (g0, g1), (g1, g1)]))
     return [
         KripkeModel(pair_frame, {}, a),  # empty relation, empty valuation
         KripkeModel(pair_frame, {2: frozenset(), 1: frozenset([b])}, b),  # a variable with no worlds
         KripkeModel(reflexive, {}, a),  # a single reflexive world
         KripkeModel(reflexive, {1: frozenset([a])}, a),
-        KripkeModel(gadgets, {4: frozenset([g1]), 1: frozenset()}, host),  # hosted gadget ids
+        KripkeModel(gadgets, {4: frozenset([g1]), 1: frozenset()}, base),  # base and gadget ids
         KripkeModel(close(gadgets, "transitive"), {}, g0),
     ]
 
@@ -1265,16 +1262,12 @@ class TestFrameIndex:
             assert "relation" not in vars(frame) and "relation" not in vars(other)
 
     def test_two_worlds_sharing_an_id_are_refused(self):
-        # a host of a subclass is a different world with the same id
-        class Copy(BaseWorld):
-            pass
-
-        plain = GadgetWorld(1, "a0", Copy(0, frozenset({1}), 0))
-        hosted = GadgetWorld(1, "a0", BaseWorld(0, frozenset({1}), 0))
-        assert plain != hosted and world_id_str(plain) == world_id_str(hosted)
-        for relation in ((), [(plain, hosted)]):
-            with pytest.raises(ValueError, match=r"share the id 'gadget:m1:a0@base:L0:\{1\}:#0'"):
-                KripkeFrame(frozenset([plain, hosted]), relation)
+        # a world of a subclass is a different world with the same id
+        plain, other = GadgetWorld(1, "a0"), _LookAlike(1, "a0")
+        assert plain != other and world_id_str(plain) == world_id_str(other)
+        for relation in ((), [(plain, other)]):
+            with pytest.raises(ValueError, match=r"share the id 'gadget:m1:a0'"):
+                KripkeFrame(frozenset([plain, other]), relation)
 
 
 class TestGoldenOutput:

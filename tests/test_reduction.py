@@ -200,7 +200,7 @@ class TestAlpha:
     def test_refuted_exactly_at_entry_world(self):
         for m in (1, 2, 3, 4):
             frame = frame_fm_plus(m)
-            entry = GadgetWorld(m, "c", None)
+            entry = GadgetWorld(m, "c")
             model = KripkeModel(frame, {}, entry)
             satisfied = model_check_all(model, alpha(m))
             assert satisfied == frame.worlds - {entry}
@@ -286,13 +286,13 @@ class TestGadgetFrames:
     def test_top_rung_is_blind(self):
         m = 3
         frame = frame_fm(m)
-        model = KripkeModel(frame, {}, GadgetWorld(m, "a3", None))
-        assert model_check(model, GadgetWorld(m, "a3", None), MBox(MFalse()))
+        model = KripkeModel(frame, {}, GadgetWorld(m, "a3"))
+        assert model_check(model, GadgetWorld(m, "a3"), MBox(MFalse()))
 
     def test_side_world_sees_forever(self):
         m = 3
         frame = frame_fm(m)
-        b = GadgetWorld(m, "b", None)
+        b = GadgetWorld(m, "b")
         model = KripkeModel(frame, {}, b)
         assert model_check(model, b, parse_modal("<> true & [] <> true"))
 
@@ -303,6 +303,22 @@ class TestGadgetFrames:
         for m in (1, 3):
             frame = frame_fm_plus(m)
             assert close(frame, "transitive").relation == frame.relation
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 12])
+    def test_relations_are_the_papers(self, m):
+        # F_m: a_i sees every a_j above it, a_0 sees b and b sees itself, so
+        # a_m alone sees nothing; F_m+ adds c, which sees itself and every
+        # world of F_m.  From m = 10 on, a10 sorts before a2
+        a = [GadgetWorld(m, f"a{i}") for i in range(m + 1)]
+        b, c = GadgetWorld(m, "b"), GadgetWorld(m, "c")
+        pairs = {(a[i], a[j]) for i in range(m + 1) for j in range(i + 1, m + 1)}
+        pairs |= {(a[0], b), (b, b)}
+        gadget, plus = frame_fm(m), frame_fm_plus(m)
+        assert gadget.relation == pairs
+        assert plus.relation == pairs | {(c, x) for x in [*a, b, c]}
+        # c sorts last, so F_m's worlds keep their places and their rows
+        assert plus.order == (*gadget.order, c)
+        assert plus.succ[:-1] == gadget.succ
 
 
 def _reference_violations(base, extended, ctx):
@@ -634,15 +650,10 @@ class TestExtendModelClosedForm:
         assert str(closed_form.value).startswith("valuation is not upward persistent: p1 holds at base:L0:{}:#0")
 
     def test_gadget_base_is_refused(self):
-        g = GadgetWorld(1, "b", None)
+        g = GadgetWorld(1, "b")
         base = KripkeModel(KripkeFrame(frozenset([g]), []), {}, g)
         with pytest.raises(ValueError, match="^extend_model expects a quantifier-tree model$"):
             extend_model(base, _context(1))
-
-
-def _forget_host(w):
-    """The world of the shared model that the paper's world ``w`` maps to."""
-    return GadgetWorld(w.gadget, w.part) if isinstance(w, GadgetWorld) else w
 
 
 def _wgrz_rows(frame) -> bool:
@@ -653,13 +664,13 @@ def _wgrz_rows(frame) -> bool:
 
 class TestPaperModel:
     """``extend_model`` writes one F_m block per m where the paper hangs a
-    copy of F_m below every base world lacking p_m.  Forgetting the host
+    copy of F_m below every base world lacking p_m.  Forgetting the copies
     must be a bounded morphism from the paper's model onto it, so that
     both satisfy the same formulas at every world and its image."""
 
     def _assert_faithful(self, base, ctx, tree=True):
-        paper, shared = paper_extended_model(base, ctx), extend_model(base, ctx)
-        image = {w: _forget_host(w) for w in paper.frame.worlds}
+        (paper, image), shared = paper_extended_model(base, ctx), extend_model(base, ctx)
+        assert image.keys() == paper.frame.worlds
         assert set(image.values()) == shared.frame.worlds
         assert image[paper.root] == shared.root
         # forth and back: the images of a world's successors are exactly

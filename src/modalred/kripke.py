@@ -48,12 +48,9 @@ table of the old one.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -70,9 +67,12 @@ from .syntax import (
     MTrue,
     MVar,
     ModalFormula,
+    _fields_eq,
+    _fields_repr,
     _frozen_delattr,
     _frozen_setattr,
     _require_int,
+    _set_fields,
     # nothing here calls it; perfbench's traced run rebinds this name
     expand_sugar,  # noqa: F401
     modal_vars,
@@ -283,18 +283,22 @@ class KripkeFrame:
         return f"KripkeFrame(worlds={self.worlds!r}, relation={self.relation!r})"
 
 
-@dataclass(frozen=True, eq=True)
 class KripkeModel:
-    frame: KripkeFrame
-    valuation: Mapping[int, frozenset[WorldId]]
-    root: WorldId
+    """A frame, a valuation (variable index -> the worlds where it holds)
+    inside its worlds and a root among them, read-only."""
 
-    def __post_init__(self):
-        if self.root not in self.frame.worlds:
+    _FIELDS = ("frame", "valuation", "root")
+
+    def __init__(self, frame: KripkeFrame, valuation: Mapping[int, frozenset[WorldId]], root: WorldId):
+        if root not in frame.worlds:
             raise ValueError("root must be one of the frame's worlds")
-        for index, worlds in self.valuation.items():
-            if not worlds <= self.frame.worlds:
+        for index, worlds in valuation.items():
+            if not worlds <= frame.worlds:
                 raise ValueError(f"valuation of p{index} leaves the world set")
+        _set_fields(self, frame, valuation, root)
+
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
+    __eq__, __repr__ = _fields_eq, _fields_repr
 
     def __hash__(self):
         # the valuation is a dict in every model the package builds
@@ -623,9 +627,11 @@ def _json_document(frame: KripkeFrame, model: Optional[KripkeModel] = None) -> s
     each world id is encoded once, and the rows give the pairs in sorted
     order because ``order`` is the sorted id order.  The relation is
     written row by row: a row's pairs all open with the same head, its
-    world's id, which is joined over the ids ``_select`` picks out of it."""
+    world's id, which is joined over the ids ``_select`` picks out of it.
+    An id is quoted as it stands: ``world_id_str`` writes only characters
+    that JSON never escapes."""
     position = frame.position
-    ids = [encode_basestring_ascii(wid) for wid in frame.ids]
+    ids = ['"' + wid + '"' for wid in frame.ids]
     relation = []
     for i, row in enumerate(frame.succ):
         if row:
@@ -668,6 +674,8 @@ def _read_json(text: str, kind: str) -> tuple[dict, KripkeFrame]:
     """The document and its frame, for frame and model files alike; any
     malformed input, a world or a pair listed twice included, raises
     ValueError."""
+    import json  # here, where it parses: importing the package skips it
+
     doc = json.loads(text)
     if not isinstance(doc, dict) or "worlds" not in doc or "relation" not in doc:
         raise ValueError(f'a {kind} is a JSON object with "worlds" and "relation"')

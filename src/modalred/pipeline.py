@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 
 from .kripke import close, frame_class_check, model_check
 from .qbf import _tree_choices, is_true_qbf, prenex_join
@@ -49,6 +48,8 @@ from .syntax import (
     QOr,
     QVar,
     _CHILDREN,
+    _fields_eq,
+    _fields_repr,
     _require_int,
     formula_size,
     is_constant,
@@ -296,12 +297,17 @@ def _substitutes(f: ModalFormula, image: ModalFormula, mapping: dict) -> bool:
     return True
 
 
-@dataclass
 class VerifyReport:
-    params: dict
-    c1: int
-    c2: int
-    records: list[dict] = field(default_factory=list)
+    """The parameters, size constants and per-instance records of one
+    ``run_verify``; ``records`` grows as the run checks instances."""
+
+    _FIELDS = ("params", "c1", "c2", "records")
+
+    def __init__(self, params: dict, c1: int, c2: int, records: list[dict] | None = None):
+        self.params, self.c1, self.c2 = params, c1, c2
+        self.records = [] if records is None else records
+
+    __eq__, __repr__ = _fields_eq, _fields_repr
 
     @property
     def aggregate_pass(self) -> bool:

@@ -26,7 +26,6 @@ variables while preserving satisfiability.  ``quantifier_tree`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import kripke
@@ -54,9 +53,15 @@ from .syntax import (
     QImp,
     QOr,
     QVar,
+    _fields_eq,
+    _fields_hash,
+    _fields_repr,
     _fold,
+    _frozen_delattr,
+    _frozen_setattr,
     _iterate,
     _require_int,
+    _set_fields,
     conj,
     substitute,
 )
@@ -75,7 +80,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class EncodingContext:
     """Bookkeeping for one encoding: quantifier prefix and variable renaming.
 
@@ -83,9 +87,13 @@ class EncodingContext:
     q_i = p_{n+1+i}, so the encoded formula uses indices 1..2n+2 only.
     """
 
-    n: int
-    quantifiers: tuple[tuple[str, int], ...]
-    matrix: QbfFormula
+    _FIELDS = ("n", "quantifiers", "matrix")
+
+    def __init__(self, n: int, quantifiers: tuple[tuple[str, int], ...], matrix: QbfFormula):
+        _set_fields(self, n, quantifiers, matrix)
+
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
+    __eq__, __hash__, __repr__ = _fields_eq, _fields_hash, _fields_repr
 
     def q_index(self, i: int) -> int:
         if not 0 <= i <= self.n + 1:

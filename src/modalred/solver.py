@@ -138,7 +138,6 @@ from __future__ import annotations
 import collections
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .kripke import BaseWorld, KripkeModel, _assigned_model, _bits
@@ -153,8 +152,14 @@ from .syntax import (
     MTrue,
     MVar,
     ModalFormula,
+    _fields_eq,
+    _fields_hash,
+    _fields_repr,
     _fold,
+    _frozen_delattr,
+    _frozen_setattr,
     _require_int,
+    _set_fields,
     expand_sugar,
     modal_vars,
 )
@@ -171,7 +176,6 @@ __all__ = [
 DEFAULT_TABLEAU_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
 class SatVerdict:
     """Outcome of a satisfiability query.
 
@@ -186,19 +190,32 @@ class SatVerdict:
     refuted by their first side's core alone.  All four stay 0 for the
     bounded engine.  ``witness`` is the model of a satisfiable query (None
     otherwise), built by the engine's ``build`` the first time it is read;
-    later reads return the same model.
+    later reads return the same model.  Equality, hashing and ``repr``
+    read every field but ``build``.
     """
 
-    satisfiable: bool
-    engine: str
-    bound: Optional[int]
-    nodes: int
-    depth: int
-    branches: int = 0
-    backjumps: int = 0
-    nogood_hits: int = 0
-    subsumption_hits: int = 0
-    build: Optional[Callable[[], KripkeModel]] = field(default=None, compare=False, repr=False)
+    _FIELDS = (
+        "satisfiable", "engine", "bound", "nodes", "depth", "branches", "backjumps", "nogood_hits", "subsumption_hits"
+    )
+
+    def __init__(
+        self,
+        satisfiable: bool,
+        engine: str,
+        bound: Optional[int],
+        nodes: int,
+        depth: int,
+        branches: int = 0,
+        backjumps: int = 0,
+        nogood_hits: int = 0,
+        subsumption_hits: int = 0,
+        build: Optional[Callable[[], KripkeModel]] = None,
+    ):
+        _set_fields(self, satisfiable, engine, bound, nodes, depth, branches, backjumps, nogood_hits, subsumption_hits)
+        object.__setattr__(self, "build", build)
+
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
+    __eq__, __hash__, __repr__ = _fields_eq, _fields_hash, _fields_repr
 
     @functools.cached_property
     def witness(self) -> Optional[KripkeModel]:

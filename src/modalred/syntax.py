@@ -43,7 +43,6 @@ bound-variable count and subformula list.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -99,13 +98,49 @@ def _require_int(name: str, value, least: int = 1) -> None:
 
 
 # the field guards of every immutable class of the package: formula nodes
-# here, worlds and frames in ``kripke``
+# here, worlds, frames and models in ``kripke``, the encoding context and the
+# verdicts.  The error class is imported where it is raised, so that
+# importing the package does not load ``dataclasses`` (and the ``inspect``
+# it loads) for it.
 def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# construction, equality, hash and repr of a value class from the fields
+# its ``_FIELDS`` names: equal only to a value of its own class
+def _set_fields(self, *values) -> None:
+    """Set the fields to ``values``, in order, past the frozen guards.  One
+    attribute at a time keeps the values inline; updating ``vars(self)``
+    would give every instance a dict of its own, about 2.4 times the size."""
+    for name, value in zip(self._FIELDS, values):
+        object.__setattr__(self, name, value)
+
+
+def _field_values(self) -> tuple:
+    return tuple(getattr(self, name) for name in self._FIELDS)
+
+
+def _fields_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _field_values(self) == _field_values(other)
+
+
+def _fields_hash(self):
+    return hash(_field_values(self))
+
+
+def _fields_repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+    return f"{type(self).__qualname__}({shown})"
 
 
 _POOL: dict = {}

@@ -2,6 +2,7 @@
 
 import json
 import random
+import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -798,6 +799,50 @@ class TestWorldValues:
             GadgetWorld(3, "a0", host=None)
 
 
+class TestModelValues:
+    """A model is a frozen value of its frame, valuation and root."""
+
+    def test_a_root_or_valuation_outside_the_frame_is_refused(self):
+        frame, worlds = chain_frame(2)
+        stray = BaseWorld(0, frozenset(), 9)
+        with pytest.raises(ValueError, match="^root must be one of the frame's worlds$"):
+            KripkeModel(frame, {}, stray)
+        with pytest.raises(ValueError, match="^valuation of p2 leaves the world set$"):
+            KripkeModel(frame, {1: frozenset(worlds), 2: frozenset([worlds[0], stray])}, worlds[0])
+
+    def test_equal_models_hash_alike(self):
+        frame, worlds = chain_frame(2)
+        model = KripkeModel(frame, {1: frozenset(worlds[:1])}, worlds[0])
+        again = KripkeModel(frame=chain_frame(2)[0], valuation={1: frozenset(worlds[:1])}, root=worlds[0])
+        assert model == again and hash(model) == hash(again)
+        assert model != KripkeModel(frame, {1: frozenset(worlds[:1])}, worlds[1])
+        assert model != KripkeModel(frame, {}, worlds[0])
+        assert model != (frame, {1: frozenset(worlds[:1])}, worlds[0])
+
+    def test_repr(self):
+        world = BaseWorld(0, frozenset(), 0)
+        model = KripkeModel(KripkeFrame(frozenset([world]), []), {1: frozenset([world])}, world)
+        text = "BaseWorld(level=0, assignment=frozenset(), serial=0)"
+        assert repr(model) == (
+            f"KripkeModel(frame=KripkeFrame(worlds=frozenset({{{text}}}), relation=frozenset()), "
+            f"valuation={{1: frozenset({{{text}}})}}, root={text})"
+        )
+
+    def test_a_model_can_be_weakly_referenced(self):
+        frame, worlds = chain_frame(2)
+        model = KripkeModel(frame, {}, worlds[0])
+        assert weakref.ref(model)() is model
+
+    @pytest.mark.parametrize("name", ["frame", "valuation", "root", "extra"])
+    def test_fields_are_read_only(self, name):
+        frame, worlds = chain_frame(2)
+        model = KripkeModel(frame, {}, worlds[0])
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(model, name, 5)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(model, name)
+
+
 class TestWorldIds:
     def test_base_id_format(self):
         w = BaseWorld(2, frozenset({1, 3}), 7)
@@ -1121,6 +1166,17 @@ class TestJsonWriter:
         back = model_from_json(text)
         assert (back.frame, back.root, dict(back.valuation)) == (model.frame, model.root, dict(model.valuation))
         assert model_to_json(back) == text
+
+    def test_world_ids_need_no_json_escape(self):
+        # the writer quotes each id by hand, so no id may hold a character
+        # that json escapes
+        rng = random.Random(0)
+        worlds = [_random_world(rng) for _ in range(2000)]
+        worlds += [BaseWorld(0, frozenset(), 0), GadgetWorld(12, "a12"), GadgetWorld(3, "c")]
+        ids = {world_id_str(w) for w in worlds}
+        assert {"base:L0:{}:#0", "gadget:m12:a12", "gadget:m3:c"} <= ids
+        for wid in ids:
+            assert json.dumps(wid) == '"' + wid + '"'
 
     def test_empty_frame(self):
         frame = KripkeFrame(frozenset(), frozenset())

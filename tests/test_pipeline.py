@@ -11,6 +11,7 @@ import pytest
 
 from conftest import mask_steps, qbf_size, random_closed_qbf, random_modal_formula
 from modalred.pipeline import (
+    VerifyReport,
     build_corpus,
     check_instance,
     exhaustive_matrices,
@@ -103,6 +104,28 @@ class TestGenerators:
 
     def test_zero_count_gives_the_n1_corpus(self):
         assert build_corpus(n_max=3, count=0) == build_corpus(n_max=1)
+
+
+class TestVerifyReport:
+    def test_keyword_construction(self):
+        report = VerifyReport(params={"seed": 0}, c1=5, c2=3, records=[{"pass": True}])
+        assert (report.params, report.c1, report.c2, report.records) == ({"seed": 0}, 5, 3, [{"pass": True}])
+        assert report.aggregate_pass
+        report.records.append({"pass": False})
+        assert not report.aggregate_pass
+
+    def test_reports_without_records_do_not_share_a_list(self):
+        first, second = VerifyReport(params={}, c1=1, c2=2), VerifyReport({}, 1, 2)
+        assert first.records == [] and first.records is not second.records
+        first.records.append({"pass": True})
+        assert second.records == []
+
+    def test_equality_and_repr_follow_the_fields(self):
+        report = VerifyReport(params={}, c1=1, c2=2)
+        assert report == VerifyReport({}, 1, 2, []) and report != VerifyReport({}, 1, 3)
+        assert repr(report) == "VerifyReport(params={}, c1=1, c2=2, records=[])"
+        with pytest.raises(TypeError):
+            hash(report)
 
 
 class TestCheckInstance:

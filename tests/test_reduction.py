@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -58,6 +59,25 @@ class TestPrepareContext:
         assert ctx.quantifiers == (("A", 1), ("E", 2))
         assert {i: ctx.q_index(i) for i in range(ctx.n + 2)} == {0: 3, 1: 4, 2: 5, 3: 6}
         assert ctx.var_count == 6
+
+    def test_a_context_is_a_frozen_value(self):
+        ctx = prepare_context(parse_qbf("A p1 . E p2 . p1 -> p2"))
+        again = reduction.EncodingContext(n=2, quantifiers=(("A", 1), ("E", 2)), matrix=ctx.matrix)
+        assert ctx == again and hash(ctx) == hash(again)
+        assert ctx != reduction.EncodingContext(2, (("A", 1), ("A", 2)), ctx.matrix)
+        assert ctx != (2, (("A", 1), ("E", 2)), ctx.matrix)
+        assert repr(ctx) == "EncodingContext(n=2, quantifiers=(('A', 1), ('E', 2)), matrix=QImp('p1 -> p2'))"
+        for name in ("n", "matrix", "extra"):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(ctx, name, 5)
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(ctx, name)
+
+    @pytest.mark.parametrize("i", [-1, 4, 10])
+    def test_q_index_out_of_range(self, i):
+        ctx = prepare_context(parse_qbf("A p1 . E p2 . p1 & p2"))
+        with pytest.raises(ValueError, match=f"^q index out of range: {i}$"):
+            ctx.q_index(i)
 
     def test_rejects_quantifier_free(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from modalred.kripke import BaseWorld, _assigned_model, _bits, model_check, mode
 from modalred.pipeline import build_corpus, random_matrix
 from modalred.qbf import is_true_qbf, prenex_join, prenex_split
 from modalred.solver import (
+    SatVerdict,
     SolverBudgetError,
     TableauContext,
     _Layout,
@@ -1053,6 +1055,42 @@ def test_witness_is_built_on_first_read(monkeypatch, decide, builder):
     assert model_check(witness, witness.root, f)
     refuted = decide(parse_modal("p1 & ~p1"))
     assert refuted.witness is None and len(calls) == 1
+
+
+class TestSatVerdict:
+    """A verdict is a frozen value of its outcome and counters; the witness
+    builder is no part of it."""
+
+    def test_equality_and_hash_ignore_the_builder(self):
+        built = SatVerdict(True, "tableau", None, 3, 2, build=lambda: None)
+        plain = SatVerdict(True, "tableau", None, 3, 2)
+        assert built == plain and hash(built) == hash(plain)
+        assert built != SatVerdict(True, "tableau", None, 3, 2, branches=1)
+        assert built != (True, "tableau", None, 3, 2, 0, 0, 0, 0)
+
+    def test_repr_omits_the_builder(self):
+        verdict = SatVerdict(True, "tableau", None, 3, 2, 1, 0, 4, 5, build=lambda: None)
+        assert repr(verdict) == (
+            "SatVerdict(satisfiable=True, engine='tableau', bound=None, nodes=3, depth=2, "
+            "branches=1, backjumps=0, nogood_hits=4, subsumption_hits=5)"
+        )
+
+    def test_construction_by_keyword_and_by_position(self):
+        by_keyword = SatVerdict(satisfiable=False, engine="bounded", bound=4, nodes=10, depth=3)
+        assert by_keyword == SatVerdict(False, "bounded", 4, 10, 3)
+        counters = (by_keyword.branches, by_keyword.backjumps, by_keyword.nogood_hits, by_keyword.subsumption_hits)
+        assert counters == (0, 0, 0, 0) and by_keyword.build is None and by_keyword.witness is None
+        full = SatVerdict(True, "tableau", None, 9, 4, 1, 2, 3, 4, lambda: "model")
+        assert (full.branches, full.backjumps, full.nogood_hits, full.subsumption_hits) == (1, 2, 3, 4)
+        assert full.witness == "model"
+
+    @pytest.mark.parametrize("name", ["satisfiable", "nodes", "subsumption_hits", "build", "witness", "extra"])
+    def test_fields_are_read_only(self, name):
+        verdict = SatVerdict(True, "tableau", None, 3, 2, build=lambda: "model")
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(verdict, name, 5)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(verdict, name)
 
 
 def test_bounded_engine_has_no_tableau_counters():
